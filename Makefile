@@ -9,7 +9,7 @@ GO ?= go
 # climbs, never lower it).
 COVER_FLOOR ?= 80.0
 
-.PHONY: all build test race race-fleet test-chaos test-scenario test-scripts bench bench-json bench-gate bench-baseline profile lint fmt docs-check cover fuzz-smoke clean-store
+.PHONY: all build test race race-fleet test-chaos test-scenario test-scripts test-bitident-v3 bench bench-json bench-gate bench-baseline profile lint fmt docs-check cover fuzz-smoke clean-store
 
 all: build lint docs-check test
 
@@ -57,6 +57,17 @@ STORE_DIR ?= .earlybird-store
 clean-store:
 	rm -rf $(STORE_DIR)
 
+# The exact analysis's bit-identity tests, uncached, built with
+# GOAMD64=v3 (AVX2/BMI2/FMA code generation): the one-pass Study.Analyze
+# against the pre-pass reference, the normality battery against the
+# math.Pow moments, and the one-pass moments themselves. The moments
+# wrap each product in float64() so that no compiler may fuse it into
+# an FMA (DESIGN.md, "Hot path & performance model"); this target
+# re-proves the bits under amd64's wider instruction set and is the
+# first slice of a GOAMD64 matrix.
+test-bitident-v3:
+	GOAMD64=v3 $(GO) test -count=1 -run 'BitIdentical|OnePassMoments' ./internal/stats/... ./internal/core
+
 # Shell-level tests for the repo's scripts — today the bench gate's
 # comparison verdicts (scripts/bench_gate_test.sh), in particular that a
 # benchmark missing from the baseline fails loudly instead of sliding
@@ -91,9 +102,10 @@ bench-json:
 	@grep -oE '[0-9]+ ns/op[^"]*allocs/op' BENCH_dlb.json || true
 
 # Regression gate: re-run the gated benchmarks (BenchmarkStudyStreaming,
-# BenchmarkFillDLB) and fail on a >10% ns/op regression against the
-# checked-in BENCH_baseline.txt. Threshold and run count are
-# overridable: BENCH_GATE_PCT=15 BENCH_GATE_COUNT=5 make bench-gate.
+# BenchmarkStudyAnalyze, BenchmarkFillDLB) and fail on a >10% ns/op
+# regression against the checked-in BENCH_baseline.txt. Threshold and
+# run count are overridable: BENCH_GATE_PCT=15 BENCH_GATE_COUNT=5 make
+# bench-gate.
 # benchstat, when installed, prints the delta table; the gate decision
 # itself needs only awk. Refresh the baseline with `make bench-baseline`
 # on the reference machine after an intentional perf change.

@@ -292,6 +292,33 @@ func BenchmarkStudyMaterialized(b *testing.B) {
 	}
 }
 
+// BenchmarkStudyAnalyze is the exact analysis behind the /v1/study
+// endpoint — Study.Analyze: the Section 4.2 metrics, the Table 1 row and
+// the feasibility assessment in one pass, at the service defaults (1 MiB
+// partitions, Omni-Path, 1 ms bins) — over a pre-filled 2x8x200x48
+// dataset per app. Generation happens before the timer starts. It is
+// the bench gate's benchmark of the exact path.
+func BenchmarkStudyAnalyze(b *testing.B) {
+	for _, app := range []string{"minife", "minimd", "miniqmc"} {
+		s, err := earlybird.NewStudy(earlybird.Options{
+			App:      app,
+			Geometry: earlybird.Geometry{Trials: 2, Ranks: 8, Iterations: 200, Threads: 48, Seed: 1},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(app, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, t1, a := s.Analyze(1<<20, earlybird.OmniPath(), 1e-3)
+				if m.MeanMedianSec <= 0 || t1.App != app || len(a.Results) != 3 {
+					b.Fatal("implausible analysis")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkStudyStreaming runs the same study and the same metrics at
 // the paper's geometry through the streaming pipeline: samples feed
 // per-worker accumulators as they are produced and are never held as a

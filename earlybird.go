@@ -14,6 +14,9 @@
 //	a := study.Feasibility(1<<20, earlybird.OmniPath(), 1e-3)
 //	fmt.Println(a.Recommendation)                      // Section 5 verdict
 //
+// Study.Analyze returns all three from one exact pass over the dataset,
+// bit-identical to the separate calls and several times cheaper.
+//
 // Batches of studies run as a campaign: RunCampaign fans the specs out
 // over a bounded worker pool, deduplicates identical specs to a single
 // execution, serves repeated (model, geometry, seed) datasets from a

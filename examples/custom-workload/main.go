@@ -52,9 +52,9 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("=== %s ===\n", study.App())
-		fmt.Println(study.Metrics())
-		fmt.Println(study.Table1())
-		a := study.Feasibility(256<<10, earlybird.OmniPath(), 0.5e-3)
+		m, t1, a := study.Analyze(256<<10, earlybird.OmniPath(), 0.5e-3)
+		fmt.Println(m)
+		fmt.Println(t1)
 		fmt.Print(a)
 		fmt.Println()
 	}

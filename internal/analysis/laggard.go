@@ -40,26 +40,7 @@ func Laggards(d *trace.Dataset, threshold float64) LaggardStats {
 // LaggardsInRange classifies process iterations with iteration index in
 // [fromIter, toIter) — used to analyse MiniMD's two phases separately.
 func LaggardsInRange(d *trace.Dataset, threshold float64, fromIter, toIter int) LaggardStats {
-	var st LaggardStats
-	magSum := 0.0
-	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
-		if iter < fromIter || iter >= toIter {
-			return
-		}
-		st.Total++
-		mag := stats.Max(xs) - stats.Median(xs)
-		if mag > threshold {
-			st.WithLaggard++
-			magSum += mag
-		}
-	})
-	if st.Total > 0 {
-		st.Fraction = float64(st.WithLaggard) / float64(st.Total)
-	}
-	if st.WithLaggard > 0 {
-		st.MeanMagnitudeSec = magSum / float64(st.WithLaggard)
-	}
-	return st
+	return RunExactPass(d, fromIter, toIter, PassOptions{}).Laggards(threshold)
 }
 
 // LaggardsStream classifies every process iteration yielded by the

@@ -12,23 +12,16 @@ import (
 // thread's arrival) — the total thread-time that early-bird communication
 // could in principle put to use (Section 4.2).
 func ReclaimableTime(xs []float64) float64 {
-	max := stats.Max(xs)
-	sum := 0.0
-	for _, x := range xs {
-		sum += max - x
-	}
-	return sum
+	recl, _ := reclaimable(xs, stats.Max(xs))
+	return recl
 }
 
 // IdleRatio returns the cumulative idle time of a sample set divided by
 // (latest arrival x thread count) — the paper's "ratio of time spent
 // idle".
 func IdleRatio(xs []float64) float64 {
-	max := stats.Max(xs)
-	if max <= 0 {
-		return 0
-	}
-	return ReclaimableTime(xs) / (max * float64(len(xs)))
+	_, ratio := reclaimable(xs, stats.Max(xs))
+	return ratio
 }
 
 // AppMetrics collects the scalar quantities Section 4.2 reports per
@@ -75,53 +68,10 @@ func ComputeMetrics(d *trace.Dataset, laggardThreshold float64) AppMetrics {
 }
 
 // ComputeMetricsInRange derives AppMetrics restricted to iterations in
-// [fromIter, toIter), for phase-wise analysis (MiniMD).
+// [fromIter, toIter), for phase-wise analysis (MiniMD), in one exact
+// pass (RunExactPass).
 func ComputeMetricsInRange(d *trace.Dataset, laggardThreshold float64, fromIter, toIter int) AppMetrics {
-	m := AppMetrics{App: d.App}
-	nProc := 0
-	medianSum, reclSum, ratioSum := 0.0, 0.0, 0.0
-	laggards := 0
-	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
-		if iter < fromIter || iter >= toIter {
-			return
-		}
-		nProc++
-		med := stats.Median(xs)
-		medianSum += med
-		reclSum += ReclaimableTime(xs)
-		ratioSum += IdleRatio(xs)
-		if stats.Max(xs)-med > laggardThreshold {
-			laggards++
-		}
-	})
-	if nProc > 0 {
-		m.MeanMedianSec = medianSum / float64(nProc)
-		m.LaggardFraction = float64(laggards) / float64(nProc)
-		m.AvgReclaimableProcSec = reclSum / float64(nProc)
-		m.IdleRatioProc = ratioSum / float64(nProc)
-	}
-
-	nIter := 0
-	reclAppSum, ratioAppSum, iqrSum := 0.0, 0.0, 0.0
-	iqrMax := 0.0
-	for i := fromIter; i < toIter; i++ {
-		xs := d.IterationSamples(i)
-		nIter++
-		reclAppSum += ReclaimableTime(xs)
-		ratioAppSum += IdleRatio(xs)
-		iqr := stats.IQR(xs)
-		iqrSum += iqr
-		if iqr > iqrMax {
-			iqrMax = iqr
-		}
-	}
-	if nIter > 0 {
-		m.AvgReclaimableAppIterSec = reclAppSum / float64(nIter)
-		m.IdleRatioAppIter = ratioAppSum / float64(nIter)
-		m.IQRMeanSec = iqrSum / float64(nIter)
-		m.IQRMaxSec = iqrMax
-	}
-	return m
+	return RunExactPass(d, fromIter, toIter, PassOptions{}).Metrics(laggardThreshold)
 }
 
 // String renders the metrics in milliseconds, as the paper reports them.

@@ -76,19 +76,7 @@ func ApplicationIterationNormality(d *trace.Dataset, alpha float64) *NormalitySu
 // set (16000 sets of 48 at the paper's geometry) — the population of the
 // paper's Table 1.
 func ProcessIterationNormality(d *trace.Dataset, alpha float64) *NormalitySummary {
-	s := &NormalitySummary{Level: "process iteration", Total: d.NumProcessIterations()}
-	idx := 0
-	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
-		res := normality.Battery(xs, alpha)
-		for _, t := range normality.Tests {
-			if res[t].Passed() {
-				s.Passed[t]++
-				s.PassedSets[t] = append(s.PassedSets[t], idx)
-			}
-		}
-		idx++
-	})
-	return s
+	return RunExactPass(d, 0, d.Iterations, PassOptions{Battery: true, Alpha: alpha}).Normality()
 }
 
 // Table1 holds one application's row of the paper's Table 1: the
@@ -100,13 +88,7 @@ type Table1 struct {
 
 // Table1Row computes the Table 1 row for a dataset.
 func Table1Row(d *trace.Dataset, alpha float64) Table1 {
-	s := ProcessIterationNormality(d, alpha)
-	var t1 Table1
-	t1.App = d.App
-	for _, t := range normality.Tests {
-		t1.PassRates[t] = s.PassRate(t)
-	}
-	return t1
+	return RunExactPass(d, 0, d.Iterations, PassOptions{Battery: true, Alpha: alpha}).Table1()
 }
 
 // MarshalJSON renders the row with pass rates keyed by test slug rather

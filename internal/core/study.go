@@ -311,17 +311,24 @@ type Assessment struct {
 // iterations) are not classified as laggard-driven when the spread is
 // symmetric rather than a straggling tail.
 func (s *Study) Feasibility(bytesPerPart int, fabric network.Fabric, binTimeoutSec float64) Assessment {
-	m := s.Metrics()
-	effThreshold := s.opts.LaggardThresholdSec
-	if t := 3 * m.IQRMeanSec; t > effThreshold {
-		effThreshold = t
-	}
-	a := Assessment{
-		App:                 s.ds.App,
-		PotentialOverlapSec: m.AvgReclaimableProcSec / float64(s.ds.Threads),
-		LaggardFraction:     analysis.Laggards(s.ds, effThreshold).Fraction,
-	}
-	a.IQRToMedian = m.IQRToMedian()
+	_, _, a := s.analyze(false, bytesPerPart, fabric, binTimeoutSec)
+	return a
+}
+
+// Analyze is Metrics, Table1 and Feasibility in one exact pass over the
+// dataset (analysis.RunExactPass): every process iteration is copied and
+// sorted once, and that sorted block feeds the metrics, the normality
+// battery and the delivery strategies alike. The three results are
+// bit-identical to the three separate calls.
+func (s *Study) Analyze(bytesPerPart int, fabric network.Fabric, binTimeoutSec float64) (analysis.AppMetrics, analysis.Table1, Assessment) {
+	p, m, a := s.analyze(true, bytesPerPart, fabric, binTimeoutSec)
+	return m, p.Table1(), a
+}
+
+// analyze runs the exact pass with the delivery strategies observing
+// each sorted block, and the normality battery when battery is set, and
+// assembles the metrics and the feasibility assessment from it.
+func (s *Study) analyze(battery bool, bytesPerPart int, fabric network.Fabric, binTimeoutSec float64) (*analysis.ExactPass, analysis.AppMetrics, Assessment) {
 	strategies := s.opts.Policy.Strategies
 	if strategies == nil {
 		strategies = []partcomm.Strategy{
@@ -330,11 +337,26 @@ func (s *Study) Feasibility(bytesPerPart int, fabric network.Fabric, binTimeoutS
 			partcomm.Binned{TimeoutSec: binTimeoutSec},
 		}
 	}
-	// Cursor path: identical numbers to the materialised Evaluate, one
-	// sort per block, no per-iteration allocation.
-	a.Results = partcomm.EvaluateStream(s.ds.Cursor(), bytesPerPart, fabric, strategies)
+	acc := partcomm.NewStrategyAccumulator(strategies, bytesPerPart, fabric)
+	p := analysis.RunExactPass(s.ds, 0, s.ds.Iterations, analysis.PassOptions{
+		Battery: battery,
+		Alpha:   s.opts.Alpha,
+		Sorted:  acc.ObserveSorted,
+	})
+	m := p.Metrics(s.opts.LaggardThresholdSec)
+	effThreshold := s.opts.LaggardThresholdSec
+	if t := 3 * m.IQRMeanSec; t > effThreshold {
+		effThreshold = t
+	}
+	a := Assessment{
+		App:                 s.ds.App,
+		PotentialOverlapSec: m.AvgReclaimableProcSec / float64(s.ds.Threads),
+		Results:             acc.Finalize(),
+		LaggardFraction:     p.Laggards(effThreshold).Fraction,
+		IQRToMedian:         m.IQRToMedian(),
+	}
 	a.Recommendation = Classify(a.IQRToMedian, a.LaggardFraction)
-	return a
+	return p, m, a
 }
 
 // StrategySweep evaluates a delivery-strategy grid over the study's
@@ -377,9 +399,10 @@ func (a Assessment) String() string {
 func (s *Study) WriteSummary(w io.Writer) {
 	fmt.Fprintf(w, "study %s: %d trials x %d ranks x %d iterations x %d threads\n",
 		s.ds.App, s.ds.Trials, s.ds.Ranks, s.ds.Iterations, s.ds.Threads)
-	fmt.Fprintln(w, s.Metrics())
-	fmt.Fprintln(w, s.Table1())
-	st := s.Laggards()
+	p := analysis.RunExactPass(s.ds, 0, s.ds.Iterations, analysis.PassOptions{Battery: true, Alpha: s.opts.Alpha})
+	fmt.Fprintln(w, p.Metrics(s.opts.LaggardThresholdSec))
+	fmt.Fprintln(w, p.Table1())
+	st := p.Laggards(s.opts.LaggardThresholdSec)
 	fmt.Fprintf(w, "laggards: %d/%d process iterations (%.1f%%), mean magnitude %.2f ms\n",
 		st.WithLaggard, st.Total, 100*st.Fraction, 1e3*st.MeanMagnitudeSec)
 }

@@ -319,9 +319,7 @@ func (e *Engine) execute(sp Spec, concurrency int) Result {
 		r.Err = err
 	} else {
 		r.CacheHit = hit
-		r.Metrics = r.Study.Metrics()
-		r.Table1 = r.Study.Table1()
-		r.Assessment = r.Study.Feasibility(sp.BytesPerPartition, sp.Fabric, sp.BinTimeoutSec)
+		r.Metrics, r.Table1, r.Assessment = r.Study.Analyze(sp.BytesPerPartition, sp.Fabric, sp.BinTimeoutSec)
 	}
 	return r
 }

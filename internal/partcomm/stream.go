@@ -70,8 +70,17 @@ func (a *StrategyAccumulator) ObserveBlock(trial, rank, iter int, xs []float64) 
 	}
 	a.scratch = append(a.scratch[:0], xs...)
 	sortx.Sort(a.scratch)
-	arrivals := a.scratch
+	a.ObserveSorted(a.scratch)
+}
 
+// ObserveSorted is ObserveBlock for a caller that has already sorted the
+// block: arrivals must be ascending and is neither modified nor
+// retained. It lets one sorted copy of a block feed the strategies and
+// the exact statistics alike (see core.Study.Analyze).
+func (a *StrategyAccumulator) ObserveSorted(arrivals []float64) {
+	if len(arrivals) == 0 {
+		return
+	}
 	bulkFinish := a.bulk.FinishTime(arrivals, a.bytesPerPart, a.fabric)
 	a.bulkSum += bulkFinish
 	a.potentialSum += PotentialOverlap(arrivals)

@@ -251,3 +251,34 @@ func TestScenarioFederatesWireCellsOnly(t *testing.T) {
 		t.Fatal("dispatched wire spec is not fully resolved")
 	}
 }
+
+// TestScenarioInlineTraceRejectsNonFinite: a NaN or infinite compute time
+// in an inline trace is a bad request, refused before any analysis runs.
+func TestScenarioInlineTraceRejectsNonFinite(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, v := range []string{"NaN", "-Inf"} {
+		lines := strings.Split(strings.TrimSpace(testTraceCSV(t)), "\n")
+		last := lines[len(lines)-1]
+		lines[len(lines)-1] = last[:strings.LastIndex(last, ",")+1] + v
+		csv := strings.Join(lines, "\n") + "\n"
+		doc, err := json.Marshal(map[string]any{
+			"name":    "bad-trace",
+			"sources": []any{map[string]any{"csv": csv}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := postScenario(t, ts.URL, ScenarioRequest{Scenario: string(doc)})
+		var eb errorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", v, resp.StatusCode)
+		}
+		if !strings.Contains(eb.Error, "not finite") {
+			t.Fatalf("%s: error %q does not name the non-finite value", v, eb.Error)
+		}
+	}
+}

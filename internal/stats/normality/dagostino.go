@@ -6,11 +6,10 @@ import (
 	"earlybird/internal/stats"
 )
 
-// skewnessZ transforms the sample skewness into an approximately standard
-// normal statistic using D'Agostino's (1970) transformation.
-func skewnessZ(xs []float64) float64 {
-	n := float64(len(xs))
-	g1 := stats.Skewness(xs)
+// skewnessZ transforms the sample skewness g1 of n observations into an
+// approximately standard normal statistic using D'Agostino's (1970)
+// transformation.
+func skewnessZ(g1, n float64) float64 {
 	y := g1 * math.Sqrt((n+1)*(n+3)/(6*(n-2)))
 	beta2 := 3 * (n*n + 27*n - 70) * (n + 1) * (n + 3) /
 		((n - 2) * (n + 5) * (n + 7) * (n + 9))
@@ -23,11 +22,10 @@ func skewnessZ(xs []float64) float64 {
 	return delta * math.Log(y/alpha+math.Sqrt((y/alpha)*(y/alpha)+1))
 }
 
-// kurtosisZ transforms the sample kurtosis into an approximately standard
-// normal statistic using the Anscombe-Glynn (1983) transformation.
-func kurtosisZ(xs []float64) float64 {
-	n := float64(len(xs))
-	b2 := stats.Kurtosis(xs)
+// kurtosisZ transforms the sample kurtosis b2 of n observations into an
+// approximately standard normal statistic using the Anscombe-Glynn (1983)
+// transformation.
+func kurtosisZ(b2, n float64) float64 {
 	meanB2 := 3 * (n - 1) / (n + 1)
 	varB2 := 24 * n * (n - 2) * (n - 3) / ((n + 1) * (n + 1) * (n + 3) * (n + 5))
 	x := (b2 - meanB2) / math.Sqrt(varB2)
@@ -57,8 +55,10 @@ func DAgostinoK2(xs []float64, alpha float64) (Result, error) {
 	if stats.Min(xs) == stats.Max(xs) {
 		return Result{}, ErrConstantSample
 	}
-	z1 := skewnessZ(xs)
-	z2 := kurtosisZ(xs)
+	n := float64(len(xs))
+	g1, b2 := stats.SkewnessKurtosis(xs)
+	z1 := skewnessZ(g1, n)
+	z2 := kurtosisZ(b2, n)
 	k2 := z1*z1 + z2*z2
 	p := stats.ChiSquaredSF(k2, 2)
 	return Result{

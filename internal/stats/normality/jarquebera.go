@@ -23,8 +23,7 @@ func JarqueBeraTest(xs []float64, alpha float64) (Result, error) {
 	if stats.Min(xs) == stats.Max(xs) {
 		return Result{}, ErrConstantSample
 	}
-	g1 := stats.Skewness(xs)
-	b2 := stats.Kurtosis(xs)
+	g1, b2 := stats.SkewnessKurtosis(xs)
 	jb := float64(n) / 6 * (g1*g1 + (b2-3)*(b2-3)/4)
 	p := stats.ChiSquaredSF(jb, 2)
 	return Result{

@@ -130,7 +130,16 @@ func BatteryScratch(xs, scratch []float64, alpha float64) [3]Result {
 	scratch = scratch[:n]
 	copy(scratch, xs)
 	sortx.Sort(scratch)
+	return BatterySorted(xs, scratch, alpha)
+}
 
+// BatterySorted is Battery for a caller that already holds the sample
+// sorted: xs is the sample in its original order (D'Agostino's moments
+// sum in that order) and sorted is an ascending copy of it, which
+// Shapiro-Wilk and Anderson-Darling read. Neither slice is modified.
+// The results are bit-identical to Battery(xs, alpha).
+func BatterySorted(xs, sorted []float64, alpha float64) [3]Result {
+	n := len(xs)
 	var out [3]Result
 	for _, t := range Tests {
 		var (
@@ -138,12 +147,12 @@ func BatteryScratch(xs, scratch []float64, alpha float64) [3]Result {
 			err error
 		)
 		switch t {
+		case DAgostino:
+			r, err = DAgostinoK2(xs, alpha)
 		case ShapiroWilk:
-			r, err = ShapiroWilkSorted(scratch, alpha)
+			r, err = ShapiroWilkSorted(sorted, alpha)
 		case AndersonDarling:
-			r, err = AndersonDarlingSorted(scratch, alpha)
-		default:
-			r, err = Run(t, xs, alpha)
+			r, err = AndersonDarlingSorted(sorted, alpha)
 		}
 		if err != nil {
 			r = Result{Test: t, RejectNormal: true, N: n}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -52,7 +53,8 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 
 // ReadCSV parses the long-form CSV written by WriteCSV back into a
 // Dataset. The geometry is inferred from the maximum indices seen; every
-// cell must be present exactly once.
+// cell must be present exactly once and hold a finite compute time (the
+// analysis sorts with internal/sortx, whose contract excludes NaN).
 func ReadCSV(r io.Reader) (*Dataset, error) {
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
@@ -109,6 +111,9 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		}
 		if rw.sec, err = strconv.ParseFloat(fields[5], 64); err != nil {
 			return nil, fmt.Errorf("trace: line %d: compute_seconds: %w", lineNum, err)
+		}
+		if math.IsNaN(rw.sec) || math.IsInf(rw.sec, 0) {
+			return nil, fmt.Errorf("trace: line %d: compute_seconds %q is not finite", lineNum, fields[5])
 		}
 		if rw.trial < 0 || rw.rank < 0 || rw.iter < 0 || rw.thread < 0 {
 			return nil, fmt.Errorf("trace: line %d: negative index", lineNum)

@@ -275,3 +275,23 @@ func TestCSVRoundTripNonTrivialGeometry(t *testing.T) {
 		t.Fatal("CSV round trip changed the dataset fingerprint")
 	}
 }
+
+// TestReadCSVRejectsNonFinite: strconv.ParseFloat accepts NaN and the
+// infinities in every spelling, so the reader must refuse them itself —
+// naming the offending line — before they reach the analysis' NaN-free
+// sorts.
+func TestReadCSVRejectsNonFinite(t *testing.T) {
+	for _, v := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "-infinity"} {
+		csv := "app,trial,rank,iteration,thread,compute_seconds\n" +
+			"x,0,0,0,0,1e-3\n" +
+			"x,0,0,0,1," + v + "\n"
+		_, err := ReadCSV(strings.NewReader(csv))
+		if err == nil {
+			t.Errorf("%s: accepted", v)
+			continue
+		}
+		if !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("%s: error %q does not name line 3 as not finite", v, err)
+		}
+	}
+}

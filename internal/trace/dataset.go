@@ -191,7 +191,10 @@ func ReadJSON(r io.Reader) (*Dataset, error) {
 	return &d, nil
 }
 
-// Validate checks that the Times tensor matches the declared geometry.
+// Validate checks that the Times tensor matches the declared geometry
+// and that every compute time is finite: NaN and ±Inf break the
+// NaN-free contract of the analysis' sorts (internal/sortx) and have no
+// meaning as a duration.
 func (d *Dataset) Validate() error {
 	if len(d.Times) != d.Trials {
 		return fmt.Errorf("trace: %d trials declared, %d present", d.Trials, len(d.Times))
@@ -207,6 +210,11 @@ func (d *Dataset) Validate() error {
 			for i, iter := range rank {
 				if len(iter) != d.Threads {
 					return fmt.Errorf("trace: trial %d rank %d iter %d: %d threads declared, %d present", t, r, i, d.Threads, len(iter))
+				}
+				for th, x := range iter {
+					if math.IsNaN(x) || math.IsInf(x, 0) {
+						return fmt.Errorf("trace: trial %d rank %d iter %d thread %d: compute time %v is not finite", t, r, i, th, x)
+					}
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -214,5 +215,20 @@ func TestValidateDeepMismatch(t *testing.T) {
 	d.Times[0][0][0] = d.Times[0][0][0][:1] // truncate threads
 	if err := d.Validate(); err == nil {
 		t.Fatal("expected thread-count mismatch error")
+	}
+}
+
+func TestValidateRejectsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d := NewDataset("x", 1, 2, 2, 3)
+		d.Times[0][1][1][2] = v
+		err := d.Validate()
+		if err == nil {
+			t.Errorf("%v: accepted", v)
+			continue
+		}
+		if !strings.Contains(err.Error(), "trial 0 rank 1 iter 1 thread 2") {
+			t.Errorf("%v: error %q does not locate the sample", v, err)
+		}
 	}
 }

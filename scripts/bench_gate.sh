@@ -8,6 +8,7 @@
 #
 # Gated benchmarks:
 #   BenchmarkStudyStreaming   — the end-to-end streaming study hot path
+#   BenchmarkStudyAnalyze/*   — the exact analysis pass (Study.Analyze)
 #   BenchmarkFillDLB/*        — the static and LeWI fill loops
 #
 # The comparison uses the minimum ns/op across -count runs on both
@@ -37,7 +38,7 @@ if [ "${BENCH_GATE_COMPARE_ONLY:-0}" = "1" ]; then
     fi
 else
     {
-        go test -run '^$' -bench 'BenchmarkStudyStreaming$' -benchtime 3x -count "$COUNT" .
+        go test -run '^$' -bench 'BenchmarkStudy(Streaming|Analyze)$' -benchmem -benchtime 3x -count "$COUNT" .
         go test -run '^$' -bench '^BenchmarkFillDLB$' -benchtime 3x -count "$COUNT" ./internal/cluster
     } | tee "$CURRENT"
 fi
