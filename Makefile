@@ -60,13 +60,17 @@ clean-store:
 # The exact analysis's bit-identity tests, uncached, built with
 # GOAMD64=v3 (AVX2/BMI2/FMA code generation): the one-pass Study.Analyze
 # against the pre-pass reference, the normality battery against the
-# math.Pow moments, and the one-pass moments themselves. The moments
-# wrap each product in float64() so that no compiler may fuse it into
-# an FMA (DESIGN.md, "Hot path & performance model"); this target
-# re-proves the bits under amd64's wider instruction set and is the
-# first slice of a GOAMD64 matrix.
+# math.Pow moments, the one-pass moments themselves, the selection-based
+# iteration IQR against the sorted one (TestIQRSelectBitIdentical), and
+# the fleet shard paths — both driven by the shared block kernel —
+# against single-node execution. The moments wrap each product in
+# float64() so that no compiler may fuse it into an FMA (DESIGN.md,
+# "Hot path & performance model"); this target re-proves the bits under
+# amd64's wider instruction set and is the first slice of a GOAMD64
+# matrix.
 test-bitident-v3:
 	GOAMD64=v3 $(GO) test -count=1 -run 'BitIdentical|OnePassMoments' ./internal/stats/... ./internal/core
+	GOAMD64=v3 $(GO) test -count=1 -run 'TestShardMergeBitIdenticalToSingleNode|TestShardStreamedPathBitIdentical' ./internal/serve
 
 # Shell-level tests for the repo's scripts — today the bench gate's
 # comparison verdicts (scripts/bench_gate_test.sh), in particular that a
@@ -102,8 +106,9 @@ bench-json:
 	@grep -oE '[0-9]+ ns/op[^"]*allocs/op' BENCH_dlb.json || true
 
 # Regression gate: re-run the gated benchmarks (BenchmarkStudyStreaming,
-# BenchmarkStudyAnalyze, BenchmarkFillDLB) and fail on a >10% ns/op
-# regression against the checked-in BENCH_baseline.txt. Threshold and
+# BenchmarkStudyAnalyze, BenchmarkShardObserve, BenchmarkFillDLB) and
+# fail on a >10% ns/op regression against the checked-in
+# BENCH_baseline.txt. Threshold and
 # run count are overridable: BENCH_GATE_PCT=15 BENCH_GATE_COUNT=5 make
 # bench-gate.
 # benchstat, when installed, prints the delta table; the gate decision
@@ -143,10 +148,12 @@ cover:
 		printf "coverage %.1f%% meets the %.1f%% floor\n", total, floor; \
 	}'
 
-# 10-second coverage-guided smoke of the strategy-ordering laws; the
-# saved corpus replays in plain `make test` as well.
+# 10-second coverage-guided smokes of the strategy-ordering laws and of
+# sortx.Select against a full sort; the saved corpora replay in plain
+# `make test` as well.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStrategyOrdering$$' -fuzztime 10s ./internal/partcomm
+	$(GO) test -run '^$$' -fuzz '^FuzzSelect$$' -fuzztime 10s ./internal/sortx
 
 lint:
 	$(GO) vet ./...

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"earlybird"
+	"earlybird/internal/analysis"
+	"earlybird/internal/cluster"
 	"earlybird/internal/experiments"
 	"earlybird/internal/network"
 	"earlybird/internal/partcomm"
@@ -313,6 +315,37 @@ func BenchmarkStudyAnalyze(b *testing.B) {
 				m, t1, a := s.Analyze(1<<20, earlybird.OmniPath(), 1e-3)
 				if m.MeanMedianSec <= 0 || t1.App != app || len(a.Results) != 3 {
 					b.Fatal("implausible analysis")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkShardObserve is the compute of one /v1/shard request: the
+// block kernel folding a 1x8x200x48 trial shard of each app into the
+// metrics and Table 1 accumulators, one sort per block. The columnar
+// data is generated before the timer starts, as a shard reads it from
+// the engine's cache. It is the bench gate's benchmark of the shard
+// path.
+func BenchmarkShardObserve(b *testing.B) {
+	geom := cluster.Config{Trials: 1, Ranks: 8, Iterations: 200, Threads: 48, Seed: 1}
+	for _, app := range []string{"minife", "minimd", "miniqmc"} {
+		model, err := workload.ByName(app)
+		if err != nil {
+			b.Fatal(err)
+		}
+		col, err := cluster.RunColumnar(model, geom, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(app, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				macc := analysis.NewMetricsAccumulator(app, analysis.DefaultLaggardThresholdSec)
+				tacc := analysis.NewTable1Accumulator(app, normality.DefaultAlpha)
+				analysis.NewKernel(macc, tacc).ObserveCursor(col.Cursor(), 0)
+				if macc.Blocks() != int64(geom.Ranks*geom.Iterations) || tacc.Blocks() != macc.Blocks() {
+					b.Fatal("shard observed the wrong number of blocks")
 				}
 			}
 		})

@@ -139,6 +139,10 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 		return runScenario(stdout, *scenFile, *scenCheck)
 	}
 
+	if err := partcomm.CheckBinTimeout(*timeoutMs * 1e-3); err != nil {
+		return fmt.Errorf("-bin-timeout-ms: %w", err)
+	}
+
 	// The geometry the study runs at: -geometry (shared syntax), or the
 	// legacy -trials/-iters sizing flags around the CLI's 8x48 shape.
 	// Combining the two would silently drop one, so refuse.
@@ -614,6 +618,11 @@ func run(w io.Writer, o cli) error {
 		var ds *trace.Dataset
 		if ds, err = trace.ReadJSON(f); err != nil {
 			return err
+		}
+		if !o.strategies {
+			if err := partcomm.CheckBinSpan(ds, o.timeoutSec); err != nil {
+				return fmt.Errorf("%s: %w", o.in, err)
+			}
 		}
 		study, err = core.FromDataset(ds)
 	case o.app != "":

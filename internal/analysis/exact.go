@@ -3,7 +3,6 @@ package analysis
 import (
 	"math"
 
-	"earlybird/internal/sortx"
 	"earlybird/internal/stats"
 	"earlybird/internal/stats/normality"
 	"earlybird/internal/trace"
@@ -27,10 +26,11 @@ type PassOptions struct {
 // process-level metrics, every block's laggard magnitude, and optionally
 // the Table 1 normality counts. The laggard statistics at any threshold
 // and the full AppMetrics are read back from it without touching the
-// blocks again.
+// blocks again. It is the block kernel's consumer on the exact path.
 type ExactPass struct {
 	d                *trace.Dataset
 	fromIter, toIter int
+	opts             PassOptions
 
 	medianSum, reclSum, ratioSum float64
 	// mags[k] is max - median of the k-th block in pass order.
@@ -39,38 +39,35 @@ type ExactPass struct {
 }
 
 // RunExactPass walks the process iterations of d with iteration index in
-// [fromIter, toIter), in (trial, rank, iteration) order. Each block is
-// copied once into a reused scratch buffer and sorted once with sortx;
-// that sorted copy yields the median, the maximum and so the laggard
-// magnitude, feeds Shapiro-Wilk and Anderson-Darling and opts.Sorted.
-// Every sum — reclaimable time, D'Agostino's moments — still runs over
-// the block in its original sample order, so each statistic is
-// bit-identical to the function that computes it alone (ReclaimableTime,
-// IdleRatio, stats.Median, normality.Battery).
+// [fromIter, toIter), in (trial, rank, iteration) order, through one
+// block Kernel: each block is copied and sorted once, and that sorted
+// copy yields the median, the maximum and so the laggard magnitude, and
+// feeds Shapiro-Wilk, Anderson-Darling and opts.Sorted. Every sum —
+// reclaimable time, D'Agostino's moments — still runs over the block in
+// its original sample order, so each statistic is bit-identical to the
+// function that computes it alone (ReclaimableTime, IdleRatio,
+// stats.Median, normality.Battery).
 func RunExactPass(d *trace.Dataset, fromIter, toIter int, opts PassOptions) *ExactPass {
 	p := &ExactPass{
-		d: d, fromIter: fromIter, toIter: toIter,
+		d: d, fromIter: fromIter, toIter: toIter, opts: opts,
 		mags: make([]float64, 0, d.Trials*d.Ranks*max(toIter-fromIter, 0)),
 	}
 	if opts.Battery {
 		p.normality = &NormalitySummary{Level: "process iteration"}
 	}
-	sorted := make([]float64, d.Threads)
+	k := NewKernel(p)
 	for t := 0; t < d.Trials; t++ {
 		for r := 0; r < d.Ranks; r++ {
 			for i := fromIter; i < toIter; i++ {
-				xs := d.Times[t][r][i]
-				sorted = append(sorted[:0], xs...)
-				sortx.Sort(sorted)
-				p.observe(xs, sorted, opts)
+				k.ObserveBlock(t, r, i, d.Times[t][r][i])
 			}
 		}
 	}
 	return p
 }
 
-// observe folds one block, given in original order and sorted.
-func (p *ExactPass) observe(xs, sorted []float64, opts PassOptions) {
+// ObserveSorted implements SortedObserver: it folds one block.
+func (p *ExactPass) ObserveSorted(_, _, _ int, xs, sorted []float64) {
 	med, max := stats.PercentileSorted(sorted, 50), math.NaN()
 	if n := len(sorted); n > 0 {
 		max = sorted[n-1]
@@ -81,7 +78,7 @@ func (p *ExactPass) observe(xs, sorted []float64, opts PassOptions) {
 	p.ratioSum += ratio
 	p.mags = append(p.mags, max-med)
 	if s := p.normality; s != nil {
-		res := normality.BatterySorted(xs, sorted, opts.Alpha)
+		res := normality.BatterySorted(xs, sorted, p.opts.Alpha)
 		for _, t := range normality.Tests {
 			if res[t].Passed() {
 				s.Passed[t]++
@@ -90,8 +87,8 @@ func (p *ExactPass) observe(xs, sorted []float64, opts PassOptions) {
 		}
 		s.Total++
 	}
-	if opts.Sorted != nil {
-		opts.Sorted(sorted)
+	if p.opts.Sorted != nil {
+		p.opts.Sorted(sorted)
 	}
 }
 
@@ -135,8 +132,9 @@ func (p *ExactPass) Table1() Table1 {
 // Metrics assembles the Section 4.2 AppMetrics with the given laggard
 // threshold: the process-level fields from the pass, the
 // application-iteration fields from one gather per iteration into a
-// reused buffer, summed in IterationSamples order and then sorted in
-// place with sortx for the IQR.
+// reused buffer, summed in IterationSamples order; the IQR then selects
+// its four order statistics in place (stats.IQRSelect) instead of
+// sorting the iteration.
 func (p *ExactPass) Metrics(laggardThreshold float64) AppMetrics {
 	m := AppMetrics{App: p.d.App}
 	if n := len(p.mags); n > 0 {
@@ -162,8 +160,7 @@ func (p *ExactPass) Metrics(laggardThreshold float64) AppMetrics {
 		recl, ratio := reclaimable(xs, stats.Max(xs))
 		reclAppSum += recl
 		ratioAppSum += ratio
-		sortx.Sort(xs)
-		iqr := stats.IQRSorted(xs)
+		iqr := stats.IQRSelect(xs)
 		iqrSum += iqr
 		if iqr > iqrMax {
 			iqrMax = iqr

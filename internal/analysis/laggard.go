@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"earlybird/internal/sortx"
 	"earlybird/internal/stats"
 	"earlybird/internal/trace"
 )
@@ -49,30 +48,14 @@ func LaggardsInRange(d *trace.Dataset, threshold float64, fromIter, toIter int) 
 // O(threads) live memory. Strategy-lab consumers use it to tune
 // laggard-aware delivery without materialising the nested view.
 func LaggardsStream(cur *trace.Cursor, threshold float64) LaggardStats {
-	var st LaggardStats
-	magSum := 0.0
-	var scratch []float64
+	var p ExactPass
+	k := NewKernel(&p)
 	for cur.Next() {
-		b := cur.Block()
-		if len(b.Times) == 0 {
-			continue
-		}
-		st.Total++
-		scratch = append(scratch[:0], b.Times...)
-		sortx.Sort(scratch)
-		mag := scratch[len(scratch)-1] - stats.PercentileSorted(scratch, 50)
-		if mag > threshold {
-			st.WithLaggard++
-			magSum += mag
+		if b := cur.Block(); len(b.Times) > 0 {
+			k.ObserveBlock(b.Trial, b.Rank, b.Iter, b.Times)
 		}
 	}
-	if st.Total > 0 {
-		st.Fraction = float64(st.WithLaggard) / float64(st.Total)
-	}
-	if st.WithLaggard > 0 {
-		st.MeanMagnitudeSec = magSum / float64(st.WithLaggard)
-	}
-	return st
+	return p.Laggards(threshold)
 }
 
 // FindExampleIterations returns the coordinates of one process iteration

@@ -9,7 +9,8 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"earlybird/internal/stats"
 	"earlybird/internal/wire"
@@ -31,7 +32,7 @@ func (a *MetricsAccumulator) MarshalBinary() ([]byte, error) {
 	w.F64(a.threshold)
 
 	w.U32(uint32(len(a.trials)))
-	for _, t := range a.sortedTrials() {
+	for _, t := range slices.Sorted(maps.Keys(a.trials)) {
 		ta := a.trials[t]
 		w.I64(int64(t))
 		w.I64(ta.nProc)
@@ -39,13 +40,8 @@ func (a *MetricsAccumulator) MarshalBinary() ([]byte, error) {
 		w.F64(ta.reclSum)
 		w.F64(ta.ratioSum)
 		w.I64(ta.laggards)
-		iters := make([]int, 0, len(ta.iters))
-		for iter := range ta.iters {
-			iters = append(iters, iter)
-		}
-		sort.Ints(iters)
-		w.U32(uint32(len(iters)))
-		for _, iter := range iters {
+		w.U32(uint32(len(ta.iters)))
+		for _, iter := range slices.Sorted(maps.Keys(ta.iters)) {
 			ip := ta.iters[iter]
 			w.I64(int64(iter))
 			w.I64(ip.n)
@@ -54,13 +50,8 @@ func (a *MetricsAccumulator) MarshalBinary() ([]byte, error) {
 		}
 	}
 
-	sketchIters := make([]int, 0, len(a.sketches))
-	for iter := range a.sketches {
-		sketchIters = append(sketchIters, iter)
-	}
-	sort.Ints(sketchIters)
-	w.U32(uint32(len(sketchIters)))
-	for _, iter := range sketchIters {
+	w.U32(uint32(len(a.sketches)))
+	for _, iter := range slices.Sorted(maps.Keys(a.sketches)) {
 		enc, err := a.sketches[iter].MarshalBinary()
 		if err != nil {
 			return nil, err

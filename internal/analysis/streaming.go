@@ -1,9 +1,9 @@
 package analysis
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
-	"earlybird/internal/sortx"
 	"earlybird/internal/stats"
 	"earlybird/internal/stats/normality"
 	"earlybird/internal/trace"
@@ -44,6 +44,36 @@ type trialAccum struct {
 	iters     map[int]*iterPartial
 }
 
+// add folds o into ta: the scalar sums, then each iteration's partial.
+func (ta *trialAccum) add(o *trialAccum) {
+	ta.nProc += o.nProc
+	ta.medianSum += o.medianSum
+	ta.reclSum += o.reclSum
+	ta.ratioSum += o.ratioSum
+	ta.laggards += o.laggards
+	for iter, op := range o.iters {
+		ta.addIter(iter, *op)
+	}
+}
+
+// addIter folds one application iteration's partial into ta.
+func (ta *trialAccum) addIter(iter int, o iterPartial) {
+	ip := ta.iters[iter]
+	if ip == nil {
+		// Copy into a fresh partial here, not &o: taking o's address
+		// would move every call's argument to the heap.
+		ip = new(iterPartial)
+		*ip = o
+		ta.iters[iter] = ip
+		return
+	}
+	if o.max > ip.max {
+		ip.max = o.max
+	}
+	ip.n += o.n
+	ip.sum += o.sum
+}
+
 // MetricsAccumulator computes AppMetrics in a single pass over
 // process-iteration blocks, holding O(trials x iterations) partial state
 // instead of the O(samples) a materialised dataset needs.
@@ -67,7 +97,7 @@ type trialAccum struct {
 type MetricsAccumulator struct {
 	app       string
 	threshold float64
-	scratch   []float64
+	solo      *Kernel // ObserveBlock's kernel, made on first use
 
 	trials   map[int]*trialAccum
 	sketches map[int]*stats.QuantileSketch
@@ -100,29 +130,31 @@ func (a *MetricsAccumulator) Blocks() int64 {
 	return n
 }
 
-// ObserveBlock implements cluster.BlockObserver: it folds one complete
-// process iteration into the accumulator. xs is not retained.
+// ObserveBlock implements cluster.BlockObserver for a caller that feeds
+// this accumulator alone: an adapter over a private block Kernel. Paths
+// that fold several consumers per block share one Kernel instead.
 func (a *MetricsAccumulator) ObserveBlock(trial, rank, iter int, xs []float64) {
+	if a.solo == nil {
+		a.solo = NewKernel(a)
+	}
+	a.solo.ObserveBlock(trial, rank, iter, xs)
+}
+
+// ObserveSorted implements SortedObserver: it folds one complete process
+// iteration, given in original order and sorted. The sum accumulates in
+// the original block order, the max is the sorted tail, the median reads
+// the sorted view, and the sorted view feeds the iteration sketch
+// through its no-buffer AddSorted fast path.
+func (a *MetricsAccumulator) ObserveSorted(trial, _, iter int, xs, sorted []float64) {
 	n := len(xs)
 	if n == 0 {
 		return
 	}
-	// One copy + one sort serves everything below: the sum accumulates
-	// in the original block order (bit-identical to the historical
-	// scan), the max is the sorted tail, the median reads the sorted
-	// scratch, and the sorted scratch then feeds the iteration sketch
-	// through its no-buffer AddSorted fast path.
-	if cap(a.scratch) < n {
-		a.scratch = make([]float64, n)
-	}
-	a.scratch = a.scratch[:n]
 	sum := 0.0
-	for i, x := range xs {
-		a.scratch[i] = x
+	for _, x := range xs {
 		sum += x
 	}
-	sortx.Sort(a.scratch)
-	max := a.scratch[n-1]
+	max := sorted[n-1]
 
 	ta := a.trials[trial]
 	if ta == nil {
@@ -131,7 +163,7 @@ func (a *MetricsAccumulator) ObserveBlock(trial, rank, iter int, xs []float64) {
 	}
 
 	// Process-iteration level: exact, the block is complete.
-	med := stats.PercentileSorted(a.scratch, 50)
+	med := stats.PercentileSorted(sorted, 50)
 	recl := float64(n)*max - sum
 	ta.nProc++
 	ta.medianSum += med
@@ -145,22 +177,14 @@ func (a *MetricsAccumulator) ObserveBlock(trial, rank, iter int, xs []float64) {
 
 	// Application-iteration level: count/sum/max are exact per-trial
 	// partials; the sketch covers the IQR.
-	ip := ta.iters[iter]
-	if ip == nil {
-		ip = &iterPartial{max: max}
-		ta.iters[iter] = ip
-	} else if max > ip.max {
-		ip.max = max
-	}
-	ip.n += int64(n)
-	ip.sum += sum
+	ta.addIter(iter, iterPartial{n: int64(n), sum: sum, max: max})
 
 	sk := a.sketches[iter]
 	if sk == nil {
 		sk = stats.NewQuantileSketch(iterSketchCompression)
 		a.sketches[iter] = sk
 	}
-	sk.AddSorted(a.scratch)
+	sk.AddSorted(sorted)
 }
 
 // Merge folds another accumulator (for the same application and
@@ -177,23 +201,7 @@ func (a *MetricsAccumulator) Merge(o *MetricsAccumulator) {
 			a.trials[trial] = ot
 			continue
 		}
-		ta.nProc += ot.nProc
-		ta.medianSum += ot.medianSum
-		ta.reclSum += ot.reclSum
-		ta.ratioSum += ot.ratioSum
-		ta.laggards += ot.laggards
-		for iter, op := range ot.iters {
-			ip := ta.iters[iter]
-			if ip == nil {
-				ta.iters[iter] = op
-				continue
-			}
-			if op.max > ip.max {
-				ip.max = op.max
-			}
-			ip.n += op.n
-			ip.sum += op.sum
-		}
+		ta.add(ot)
 	}
 	for iter, os := range o.sketches {
 		sk := a.sketches[iter]
@@ -205,69 +213,34 @@ func (a *MetricsAccumulator) Merge(o *MetricsAccumulator) {
 	}
 }
 
-// sortedTrials returns the observed trial indices in ascending order —
-// the canonical fold order of Finalize.
-func (a *MetricsAccumulator) sortedTrials() []int {
-	ts := make([]int, 0, len(a.trials))
-	for t := range a.trials {
-		ts = append(ts, t)
-	}
-	sort.Ints(ts)
-	return ts
-}
-
 // Finalize computes the AppMetrics from the accumulated state, folding
 // trials in ascending order so the result depends only on what was
 // observed, never on how observations were partitioned or merged.
 func (a *MetricsAccumulator) Finalize() AppMetrics {
 	m := AppMetrics{App: a.app}
 
-	var nProc, laggards int64
-	medianSum, reclSum, ratioSum := 0.0, 0.0, 0.0
-	type iterTotal struct {
-		n   int64
-		sum float64
-		max float64
+	tot := trialAccum{iters: map[int]*iterPartial{}}
+	for _, t := range slices.Sorted(maps.Keys(a.trials)) {
+		tot.add(a.trials[t])
 	}
-	totals := map[int]*iterTotal{}
-	for _, t := range a.sortedTrials() {
-		ta := a.trials[t]
-		nProc += ta.nProc
-		medianSum += ta.medianSum
-		reclSum += ta.reclSum
-		ratioSum += ta.ratioSum
-		laggards += ta.laggards
-		for iter, ip := range ta.iters {
-			it := totals[iter]
-			if it == nil {
-				totals[iter] = &iterTotal{n: ip.n, sum: ip.sum, max: ip.max}
-				continue
-			}
-			it.n += ip.n
-			it.sum += ip.sum
-			if ip.max > it.max {
-				it.max = ip.max
-			}
-		}
-	}
-	if nProc > 0 {
-		m.MeanMedianSec = medianSum / float64(nProc)
-		m.LaggardFraction = float64(laggards) / float64(nProc)
-		m.AvgReclaimableProcSec = reclSum / float64(nProc)
-		m.IdleRatioProc = ratioSum / float64(nProc)
+	if n := float64(tot.nProc); n > 0 {
+		m.MeanMedianSec = tot.medianSum / n
+		m.LaggardFraction = float64(tot.laggards) / n
+		m.AvgReclaimableProcSec = tot.reclSum / n
+		m.IdleRatioProc = tot.ratioSum / n
 	}
 
-	iters := make([]int, 0, len(totals))
-	for iter, it := range totals {
+	iters := make([]int, 0, len(tot.iters))
+	for iter, it := range tot.iters {
 		if it.n > 0 {
 			iters = append(iters, iter)
 		}
 	}
-	sort.Ints(iters)
+	slices.Sort(iters)
 	reclAppSum, ratioAppSum, iqrSum := 0.0, 0.0, 0.0
 	iqrMax := 0.0
 	for _, iter := range iters {
-		it := totals[iter]
+		it := tot.iters[iter]
 		recl := float64(it.n)*it.max - it.sum
 		reclAppSum += recl
 		if it.max > 0 {
@@ -297,10 +270,7 @@ func (a *MetricsAccumulator) Finalize() AppMetrics {
 // statistics, which carry the quantile sketch's documented tolerance.
 func ComputeMetricsStreaming(app string, cur *trace.Cursor, laggardThreshold float64) AppMetrics {
 	acc := NewMetricsAccumulator(app, laggardThreshold)
-	for cur.Next() {
-		b := cur.Block()
-		acc.ObserveBlock(b.Trial, b.Rank, b.Iter, b.Times)
-	}
+	NewKernel(acc).ObserveCursor(cur, 0)
 	return acc.Finalize()
 }
 
@@ -309,11 +279,11 @@ func ComputeMetricsStreaming(app string, cur *trace.Cursor, laggardThreshold flo
 // per complete block, so streaming results are exactly the materialised
 // ones. Mergeable like MetricsAccumulator; not safe for concurrent use.
 type Table1Accumulator struct {
-	app     string
-	alpha   float64
-	total   int
-	passed  [3]int
-	scratch []float64 // reused sorted copy for the battery
+	app    string
+	alpha  float64
+	total  int
+	passed [3]int
+	solo   *Kernel // ObserveBlock's kernel, made on first use
 }
 
 // NewTable1Accumulator returns an empty accumulator at significance
@@ -322,13 +292,20 @@ func NewTable1Accumulator(app string, alpha float64) *Table1Accumulator {
 	return &Table1Accumulator{app: app, alpha: alpha}
 }
 
-// ObserveBlock implements cluster.BlockObserver: it runs the three-test
-// battery on one complete process iteration.
+// ObserveBlock implements cluster.BlockObserver for a caller that feeds
+// this accumulator alone: an adapter over a private block Kernel.
 func (a *Table1Accumulator) ObserveBlock(trial, rank, iter int, xs []float64) {
-	if cap(a.scratch) < len(xs) {
-		a.scratch = make([]float64, len(xs))
+	if a.solo == nil {
+		a.solo = NewKernel(a)
 	}
-	res := normality.BatteryScratch(xs, a.scratch, a.alpha)
+	a.solo.ObserveBlock(trial, rank, iter, xs)
+}
+
+// ObserveSorted implements SortedObserver: it runs the three-test
+// battery on one complete process iteration, given in original order
+// and sorted.
+func (a *Table1Accumulator) ObserveSorted(_, _, _ int, xs, sorted []float64) {
+	res := normality.BatterySorted(xs, sorted, a.alpha)
 	a.total++
 	for _, t := range normality.Tests {
 		if res[t].Passed() {
@@ -365,9 +342,6 @@ func (a *Table1Accumulator) Finalize() Table1 {
 // sample slices.
 func Table1Streaming(app string, cur *trace.Cursor, alpha float64) Table1 {
 	acc := NewTable1Accumulator(app, alpha)
-	for cur.Next() {
-		b := cur.Block()
-		acc.ObserveBlock(b.Trial, b.Rank, b.Iter, b.Times)
-	}
+	NewKernel(acc).ObserveCursor(cur, 0)
 	return acc.Finalize()
 }

@@ -50,8 +50,11 @@ func (r *StreamResult) String() string {
 
 // streamObserver bundles the per-worker accumulators of a streaming
 // study. Each fill worker owns one, so no locking is needed; the workers'
-// observers merge after the run.
+// observers merge after the run. Its block kernel sorts each block once
+// for the metrics and Table 1 accumulators; the application-level
+// moments and sketch read the block in its original order.
 type streamObserver struct {
+	kernel  *analysis.Kernel
 	metrics *analysis.MetricsAccumulator
 	table1  *analysis.Table1Accumulator
 	moments stats.Moments
@@ -59,10 +62,7 @@ type streamObserver struct {
 }
 
 func (o *streamObserver) ObserveBlock(trial, rank, iter int, xs []float64) {
-	o.metrics.ObserveBlock(trial, rank, iter, xs)
-	if o.table1 != nil {
-		o.table1.ObserveBlock(trial, rank, iter, xs)
-	}
+	o.kernel.ObserveBlock(trial, rank, iter, xs)
 	if o.sketch != nil {
 		o.moments.AddSlice(xs)
 		o.sketch.AddSlice(xs)
@@ -90,9 +90,12 @@ func streamRun(opts Options, withTable1, withSummary bool) (*StreamResult, error
 		o := &streamObserver{
 			metrics: analysis.NewMetricsAccumulator(opts.Model.Name(), opts.LaggardThresholdSec),
 		}
+		consumers := []analysis.SortedObserver{o.metrics}
 		if withTable1 {
 			o.table1 = analysis.NewTable1Accumulator(opts.Model.Name(), opts.Alpha)
+			consumers = append(consumers, o.table1)
 		}
+		o.kernel = analysis.NewKernel(consumers...)
 		if withSummary {
 			o.sketch = stats.NewQuantileSketch(0)
 		}

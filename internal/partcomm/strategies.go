@@ -2,6 +2,7 @@ package partcomm
 
 import (
 	"fmt"
+	"math"
 
 	"earlybird/internal/network"
 	"earlybird/internal/stats"
@@ -55,6 +56,51 @@ func (FineGrained) FinishTime(arrivals []float64, bytesPerPart int, f network.Fa
 	return done
 }
 
+// MinBinTimeoutSec is the smallest Binned timeout the front doors
+// accept — /v1/study, /v1/strategies, the scenario bin-timeout axis and
+// the earlybird CLI (CheckBinTimeout) — the same 10 µs floor
+// EWMABinned's prediction keeps. Binned.FinishTime steps through every
+// bin of a block's arrival span, so its cost is span ÷ timeout; the
+// floor bounds that for every built-in workload.
+const MinBinTimeoutSec = DefaultEWMAMinTimeoutSec
+
+// MaxBinsPerBlock caps how many bins one block's arrival span may cover
+// at its timeout. Binned.FinishTime returns NaN for a block past it
+// instead of stepping through every bin, and CheckBinSpan lets a front
+// door refuse such a dataset up front. At MinBinTimeoutSec it admits
+// spans up to ~10 s, over 100x the widest block of the built-in
+// workloads.
+const MaxBinsPerBlock = 1 << 20
+
+// CheckBinTimeout returns an error unless timeoutSec is a usable Binned
+// timeout: a number no smaller than MinBinTimeoutSec.
+func CheckBinTimeout(timeoutSec float64) error {
+	if !(timeoutSec >= MinBinTimeoutSec) {
+		return fmt.Errorf("bin timeout %g s is below the %g s floor", timeoutSec, MinBinTimeoutSec)
+	}
+	return nil
+}
+
+// CheckBinSpan returns an error when some process iteration of d spans
+// more than MaxBinsPerBlock bins of timeoutSec — a dataset on which
+// Binned.FinishTime would refuse that block. Generated workloads never
+// do at an accepted timeout; pre-collected traces (inline CSV, -in
+// files) are checked with it before they are analysed.
+func CheckBinSpan(d *trace.Dataset, timeoutSec float64) error {
+	var err error
+	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
+		if err != nil || len(xs) == 0 {
+			return
+		}
+		span := stats.Max(xs) - stats.Min(xs)
+		if !(span/timeoutSec <= MaxBinsPerBlock) {
+			err = fmt.Errorf("process iteration (trial %d, rank %d, iteration %d) spans %g s, more than %d bins of the %g s bin timeout",
+				trial, rank, iter, span, MaxBinsPerBlock, timeoutSec)
+		}
+	})
+	return err
+}
+
 // Binned aggregates ready partitions and flushes them as one message per
 // timeout window (the "binning model for aggregating data" of Section 5),
 // plus a final flush when the last thread arrives.
@@ -66,7 +112,10 @@ type Binned struct {
 // Name implements Strategy.
 func (b Binned) Name() string { return fmt.Sprintf("binned(%gus)", b.TimeoutSec*1e6) }
 
-// FinishTime implements Strategy.
+// FinishTime implements Strategy. A block whose arrival span covers
+// more than MaxBinsPerBlock bins (or a NaN timeout) is refused with NaN:
+// the loop visits every bin, empty or not, so it would spin for
+// span ÷ timeout steps.
 func (b Binned) FinishTime(arrivals []float64, bytesPerPart int, f network.Fabric) float64 {
 	if len(arrivals) == 0 {
 		return 0
@@ -74,10 +123,13 @@ func (b Binned) FinishTime(arrivals []float64, bytesPerPart int, f network.Fabri
 	if b.TimeoutSec <= 0 {
 		return (Bulk{}).FinishTime(arrivals, bytesPerPart, f)
 	}
+	tmax := arrivals[len(arrivals)-1]
+	if !((tmax-arrivals[0])/b.TimeoutSec <= MaxBinsPerBlock) {
+		return math.NaN()
+	}
 	link := network.NewLink(f)
 	done := 0.0
 	i := 0
-	tmax := arrivals[len(arrivals)-1]
 	for flush := arrivals[0] + b.TimeoutSec; i < len(arrivals); flush += b.TimeoutSec {
 		if flush > tmax {
 			flush = tmax

@@ -11,6 +11,7 @@ import (
 	"earlybird/internal/cluster"
 	"earlybird/internal/dlb"
 	"earlybird/internal/engine"
+	"earlybird/internal/partcomm"
 	"earlybird/internal/trace"
 	"earlybird/internal/workload"
 )
@@ -180,6 +181,9 @@ func (s *Spec) Compile(opts CompileOptions) (*Compiled, error) {
 		}
 		for _, f := range fabrics {
 			for _, t := range timeouts {
+				if err := partcomm.CheckBinSpan(ds, t); err != nil {
+					return nil, fmt.Errorf("scenario: source %s: %w", src.key(si), err)
+				}
 				add(Cell{
 					Source: src, SourceKey: src.key(si),
 					Fabric: f.String(), BinTimeoutSec: t,

@@ -12,6 +12,7 @@ import (
 	"earlybird/internal/dlb"
 	"earlybird/internal/network"
 	"earlybird/internal/noise"
+	"earlybird/internal/partcomm"
 )
 
 // Source is one workload of a scenario: a built-in application model, a
@@ -440,8 +441,8 @@ func (s *Spec) Validate() error {
 	}
 	timeouts := make([]string, len(s.BinTimeoutsSec))
 	for i, t := range s.BinTimeoutsSec {
-		if t <= 0 {
-			return fmt.Errorf("scenario: bin timeout %g ms must be positive", t*1e3)
+		if err := partcomm.CheckBinTimeout(t); err != nil {
+			return fmt.Errorf("scenario: bin_timeouts_ms: %w", err)
 		}
 		timeouts[i] = fnum(t)
 	}

@@ -288,3 +288,25 @@ func TestCompileDefaultsResolveLikeHandWrittenSpecs(t *testing.T) {
 		t.Fatalf("minimal scenario cell does not coalesce with the default study:\n got %+v\nwant %+v", got, want)
 	}
 }
+
+// TestBinTimeoutFloorAndSpanCap: the scenario bin-timeout axis refuses a
+// timeout below partcomm.MinBinTimeoutSec, and compiling refuses a trace
+// source with a block wider than partcomm.MaxBinsPerBlock bins of a
+// declared timeout, so no such cell ever reaches the binning loop.
+func TestBinTimeoutFloorAndSpanCap(t *testing.T) {
+	s := &Spec{Name: "bins", Sources: []Source{{App: "minife"}}, BinTimeoutsSec: []float64{1e-9}}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "floor") {
+		t.Fatalf("1 ns timeout: error %v, want a floor violation", err)
+	}
+	ds := trace.NewDataset("wide", 1, 1, 1, 2)
+	ds.Times[0][0][0] = []float64{0.01, 0.02}
+	load := func(Source) (*trace.Dataset, error) { return ds, nil }
+	trs := &Spec{Name: "bins", Sources: []Source{{CSV: "inline"}}, BinTimeoutsSec: []float64{1e-3}}
+	if _, err := trs.Compile(CompileOptions{LoadTrace: load}); err != nil {
+		t.Fatalf("10 ms span at 1 ms: %v", err)
+	}
+	ds.Times[0][0][0][1] = 1e4
+	if _, err := trs.Compile(CompileOptions{LoadTrace: load}); err == nil || !strings.Contains(err.Error(), "bins") {
+		t.Fatalf("1e4 s span at 1 ms: error %v, want a bin-cap violation", err)
+	}
+}

@@ -22,8 +22,8 @@
 //
 // The sweep endpoint fans a grid of (app x geometry x alpha x laggard
 // threshold) cells onto the engine and writes one NDJSON row per cell as
-// it completes. Rows are computed on the columnar cursor path
-// (analysis.ComputeMetricsStreaming / Table1Streaming over
+// it completes. Rows are computed on the columnar cursor path (one
+// analysis.Kernel feeding the metrics and Table 1 accumulators over
 // engine.Columnar) so the nested tensor view is never built, and
 // geometries larger than Options.MaxCachedSweepSamples bypass the
 // dataset cache entirely via the streaming fill (core.StreamStudy), so

@@ -169,20 +169,17 @@ func (s *Server) runShard(req ShardRequest) (ShardResponse, error) {
 	shardGeom := geom
 	shardGeom.Trials = req.TrialHi - req.TrialLo
 
+	// One block kernel sorts each block once for both accumulators.
 	macc := analysis.NewMetricsAccumulator(req.App, req.LaggardSec)
 	tacc := analysis.NewTable1Accumulator(req.App, req.Alpha)
+	kernel := analysis.NewKernel(macc, tacc)
 	if shardGeom.Samples() <= s.maxSweepSamples {
 		col, hit, err := s.eng.ColumnarDLB(model, shardGeom, policy)
 		if err != nil {
 			return resp, err
 		}
 		resp.DatasetCacheHit = hit
-		cur := col.Cursor()
-		for cur.Next() {
-			b := cur.Block()
-			macc.ObserveBlock(b.Trial+req.TrialLo, b.Rank, b.Iter, b.Times)
-			tacc.ObserveBlock(b.Trial+req.TrialLo, b.Rank, b.Iter, b.Times)
-		}
+		kernel.ObserveCursor(col.Cursor(), req.TrialLo)
 	} else {
 		oneTrial := geom
 		oneTrial.Trials = 1
@@ -195,12 +192,7 @@ func (s *Server) runShard(req ShardRequest) (ShardResponse, error) {
 			if err != nil {
 				return resp, err
 			}
-			cur := col.Cursor()
-			for cur.Next() {
-				b := cur.Block()
-				macc.ObserveBlock(t, b.Rank, b.Iter, b.Times)
-				tacc.ObserveBlock(t, b.Rank, b.Iter, b.Times)
-			}
+			kernel.ObserveCursor(col.Cursor(), t)
 		}
 		resp.Streamed = true
 	}

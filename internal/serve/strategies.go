@@ -141,8 +141,8 @@ func (req StrategiesRequest) resolve() (stratConfig, error) {
 		cfg.timeoutsSec = core.DefaultStrategyTimeoutsSec()
 	}
 	for _, t := range cfg.timeoutsSec {
-		if t <= 0 {
-			return cfg, fmt.Errorf("timeouts_sec entries must be positive, got %g", t)
+		if err := partcomm.CheckBinTimeout(t); err != nil {
+			return cfg, fmt.Errorf("timeouts_sec: %w", err)
 		}
 	}
 	if len(cfg.ewmaAlphas) == 0 {

@@ -174,8 +174,10 @@ func (s *Server) sweepCell(c SweepCell) SweepRow {
 			return row
 		}
 		row.DatasetCacheHit = hit
-		row.Metrics = analysis.ComputeMetricsStreaming(c.App, col.Cursor(), c.LaggardThresholdSec)
-		row.Table1 = analysis.Table1Streaming(c.App, col.Cursor(), c.Alpha)
+		macc := analysis.NewMetricsAccumulator(c.App, c.LaggardThresholdSec)
+		tacc := analysis.NewTable1Accumulator(c.App, c.Alpha)
+		analysis.NewKernel(macc, tacc).ObserveCursor(col.Cursor(), 0)
+		row.Metrics, row.Table1 = macc.Finalize(), tacc.Finalize()
 	} else {
 		// The streaming fill bypasses the engine (and its progress
 		// factory), so register the cell's live tracker here.

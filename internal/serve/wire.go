@@ -9,6 +9,7 @@ import (
 	"earlybird/internal/dlb"
 	"earlybird/internal/engine"
 	"earlybird/internal/network"
+	"earlybird/internal/partcomm"
 )
 
 // PolicySpec is the unified policy envelope shared by the /v1 study
@@ -94,6 +95,9 @@ func (w StudySpec) toSpec() (engine.Spec, error) {
 		BytesPerPartition:   w.BytesPerPartition,
 		BinTimeoutSec:       w.BinTimeoutSec,
 	}
+	if err := checkBinTimeout(w.BinTimeoutSec); err != nil {
+		return sp, err
+	}
 	if w.Geometry != nil && w.GeometryName != "" {
 		return sp, fmt.Errorf("geometry and geometry_name are mutually exclusive")
 	}
@@ -123,10 +127,25 @@ func (w StudySpec) toSpec() (engine.Spec, error) {
 			sp.LaggardThresholdSec = p.LaggardThresholdSec
 		}
 		if p.BinTimeoutSec != 0 {
+			if err := checkBinTimeout(p.BinTimeoutSec); err != nil {
+				return sp, err
+			}
 			sp.BinTimeoutSec = p.BinTimeoutSec
 		}
 	}
 	return sp, nil
+}
+
+// checkBinTimeout validates a wire bin_timeout_sec; zero means the
+// default.
+func checkBinTimeout(t float64) error {
+	if t == 0 {
+		return nil
+	}
+	if err := partcomm.CheckBinTimeout(t); err != nil {
+		return fmt.Errorf("bin_timeout_sec: %w", err)
+	}
+	return nil
 }
 
 // Source labels how a study response was produced, from cheapest to most

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"math"
 	"sort"
+
+	"earlybird/internal/sortx"
 )
 
 // ErrEmpty is returned by functions that cannot operate on empty samples.
@@ -26,11 +28,14 @@ func Mean(xs []float64) float64 {
 }
 
 // Variance returns the unbiased (n-1) sample variance.
-func Variance(xs []float64) float64 {
+func Variance(xs []float64) float64 { return VarianceAbout(xs, Mean(xs)) }
+
+// VarianceAbout is Variance for a caller that already holds the sample
+// mean m, bit-identical to Variance when m == Mean(xs).
+func VarianceAbout(xs []float64, m float64) float64 {
 	if len(xs) < 2 {
 		return math.NaN()
 	}
-	m := Mean(xs)
 	ss := 0.0
 	for _, x := range xs {
 		d := x - m
@@ -129,29 +134,36 @@ func Sorted(xs []float64) []float64 {
 // (the "linear" method used by NumPy and R type 7).
 func PercentileSorted(sorted []float64, p float64) float64 {
 	n := len(sorted)
-	if n == 0 {
+	switch {
+	case n == 0:
 		return math.NaN()
-	}
-	if n == 1 {
+	case n == 1 || p <= 0:
 		return sorted[0]
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
+	case p >= 100:
 		return sorted[n-1]
 	}
-	h := (p / 100) * float64(n-1)
-	lo := int(math.Floor(h))
-	frac := h - float64(lo)
+	lo, frac := percentileRank(n, p)
 	if lo+1 >= n {
 		return sorted[n-1]
 	}
-	v := sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
+	return interpolate(sorted[lo], sorted[lo+1], frac)
+}
+
+// percentileRank locates the p-th percentile (0 < p < 100) of n >= 2
+// sorted samples: it lies frac of the way from rank lo to rank lo+1.
+func percentileRank(n int, p float64) (lo int, frac float64) {
+	h := (p / 100) * float64(n-1)
+	lo = int(math.Floor(h))
+	return lo, h - float64(lo)
+}
+
+// interpolate returns the point frac of the way from a to b.
+func interpolate(a, b, frac float64) float64 {
+	v := a + frac*(b-a)
 	if math.IsInf(v, 0) || math.IsNaN(v) {
 		// The difference overflowed (inputs near ±MaxFloat64); the convex
 		// combination form cannot overflow past the endpoints.
-		v = sorted[lo]*(1-frac) + sorted[lo+1]*frac
+		v = a*(1-frac) + b*frac
 	}
 	return v
 }
@@ -167,6 +179,30 @@ func Median(xs []float64) float64 { return Percentile(xs, 50) }
 // IQRSorted returns the inter-quartile range of a sorted sample.
 func IQRSorted(sorted []float64) float64 {
 	return PercentileSorted(sorted, 75) - PercentileSorted(sorted, 25)
+}
+
+// IQRSelect returns IQRSorted of xs's ascending order without sorting
+// xs: sortx.Select places only the ranks the two quartiles interpolate
+// between, and they are read with PercentileSorted's own rank and
+// interpolation code, so the result is bit-identical. xs is reordered.
+func IQRSelect(xs []float64) float64 {
+	n := len(xs)
+	if n < 2 {
+		return IQRSorted(xs)
+	}
+	lo25, frac25 := percentileRank(n, 25)
+	lo75, frac75 := percentileRank(n, 75)
+	// For n >= 2 both lo+1 ranks are below n. Each rank is selected in
+	// the part of xs above the previous one, which Select left holding
+	// exactly the larger ranks; a rank already placed is skipped.
+	placed := 0
+	for _, k := range [...]int{lo25, lo25 + 1, lo75, lo75 + 1} {
+		if k >= placed {
+			sortx.Select(xs[placed:], k-placed)
+			placed = k + 1
+		}
+	}
+	return interpolate(xs[lo75], xs[lo75+1], frac75) - interpolate(xs[lo25], xs[lo25+1], frac25)
 }
 
 // IQR returns the inter-quartile range of xs.

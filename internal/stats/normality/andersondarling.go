@@ -46,17 +46,25 @@ func AndersonDarlingSorted(x []float64, alpha float64) (Result, error) {
 		return Result{}, ErrConstantSample
 	}
 	mean := stats.Mean(x)
-	sd := stats.StdDev(x)
+	sd := math.Sqrt(stats.VarianceAbout(x, mean))
 
+	// Standardise each value once; the sum reads z from both ends. A
+	// block-sized sample fits the stack buffer.
+	var zbuf [128]float64
+	z := zbuf[:0]
+	if n > len(zbuf) {
+		z = make([]float64, 0, n)
+	}
+	for _, xi := range x {
+		z = append(z, (xi-mean)/sd)
+	}
 	nf := float64(n)
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		zi := (x[i] - mean) / sd
-		zrev := (x[n-1-i] - mean) / sd
 		// ln Phi(z_i) + ln(1 - Phi(z_{n+1-i})); compute both in log space
 		// via Erfc to stay finite deep in the tails.
-		lcdf := logNormalCDF(zi)
-		lsf := logNormalCDF(-zrev) // 1 - Phi(z) = Phi(-z)
+		lcdf := logNormalCDF(z[i])
+		lsf := logNormalCDF(-z[n-1-i]) // 1 - Phi(z) = Phi(-z)
 		sum += (2*float64(i+1) - 1) * (lcdf + lsf)
 	}
 	a2 := -nf - sum/nf

@@ -118,10 +118,11 @@ func Battery(xs []float64, alpha float64) [3]Result {
 }
 
 // BatteryScratch is Battery with a caller-provided scratch buffer for
-// the sorted copy, for hot paths that run the battery once per block
-// (internal/analysis' Table1Accumulator): when cap(scratch) >= len(xs)
-// no allocation happens. scratch may be nil; its contents are
-// overwritten.
+// the sorted copy, for callers that run the battery once per block but
+// hold no sorted copy of their own (internal/analysis' block kernel
+// shares its sorted copy through BatterySorted instead): when
+// cap(scratch) >= len(xs) no allocation happens. scratch may be nil;
+// its contents are overwritten.
 func BatteryScratch(xs, scratch []float64, alpha float64) [3]Result {
 	n := len(xs)
 	if cap(scratch) < n {

@@ -9,6 +9,7 @@
 # Gated benchmarks:
 #   BenchmarkStudyStreaming   — the end-to-end streaming study hot path
 #   BenchmarkStudyAnalyze/*   — the exact analysis pass (Study.Analyze)
+#   BenchmarkShardObserve/*   — the block kernel over one trial shard
 #   BenchmarkFillDLB/*        — the static and LeWI fill loops
 #
 # The comparison uses the minimum ns/op across -count runs on both
@@ -38,7 +39,7 @@ if [ "${BENCH_GATE_COMPARE_ONLY:-0}" = "1" ]; then
     fi
 else
     {
-        go test -run '^$' -bench 'BenchmarkStudy(Streaming|Analyze)$' -benchmem -benchtime 3x -count "$COUNT" .
+        go test -run '^$' -bench 'Benchmark(Study(Streaming|Analyze)|ShardObserve)$' -benchmem -benchtime 3x -count "$COUNT" .
         go test -run '^$' -bench '^BenchmarkFillDLB$' -benchtime 3x -count "$COUNT" ./internal/cluster
     } | tee "$CURRENT"
 fi
