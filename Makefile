@@ -31,9 +31,11 @@ race-fleet:
 
 # The chaos suite under the race detector, uncached: fleets with
 # injected latency, mid-stream disconnects, stalls, capacity drain,
-# armed stragglers (speculative re-dispatch must stay bit-identical),
-# shedding workers (503 + Retry-After is busy, not dead), store
-# corruption/concurrent writers and mid-sweep membership churn must
+# corrupt, truncated and mismatched shard records (never merged,
+# counted as shard_rejects), armed stragglers (speculative re-dispatch
+# must stay bit-identical), shedding workers (503 + Retry-After is
+# busy, not dead), store corruption (old FNV-sealed records included),
+# concurrent writers and mid-sweep membership churn must
 # still deliver every sweep cell bit-identical to single-node
 # execution, and the telemetry observer must not perturb a single
 # generated bit (the no-perturbation fingerprints in internal/cluster).
@@ -106,7 +108,8 @@ bench-json:
 	@grep -oE '[0-9]+ ns/op[^"]*allocs/op' BENCH_dlb.json || true
 
 # Regression gate: re-run the gated benchmarks (BenchmarkStudyStreaming,
-# BenchmarkStudyAnalyze, BenchmarkShardObserve, BenchmarkFillDLB) and
+# BenchmarkStudyAnalyze, BenchmarkShardObserve, BenchmarkShardWire,
+# BenchmarkFillDLB) and
 # fail on a >10% ns/op regression against the checked-in
 # BENCH_baseline.txt. Threshold and
 # run count are overridable: BENCH_GATE_PCT=15 BENCH_GATE_COUNT=5 make
@@ -148,12 +151,18 @@ cover:
 		printf "coverage %.1f%% meets the %.1f%% floor\n", total, floor; \
 	}'
 
-# 10-second coverage-guided smokes of the strategy-ordering laws and of
-# sortx.Select against a full sort; the saved corpora replay in plain
-# `make test` as well.
+# 10-second coverage-guided smokes of the strategy-ordering laws, of
+# sortx.Select against a full sort, and of the decoders of bytes a
+# fleet worker sends back: wire.Unseal and the /v1/shard record with
+# the accumulator states inside it. The saved corpora replay in plain
+# `make test` as well. The record seeds of the last two are kilobytes
+# long, and the fuzzer's default minimisation (up to 60 s per new
+# input) would eat the whole smoke, so they minimise for at most 2 s.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStrategyOrdering$$' -fuzztime 10s ./internal/partcomm
 	$(GO) test -run '^$$' -fuzz '^FuzzSelect$$' -fuzztime 10s ./internal/sortx
+	$(GO) test -run '^$$' -fuzz '^FuzzUnseal$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzShardRecord$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/serve
 
 lint:
 	$(GO) vet ./...

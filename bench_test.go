@@ -19,6 +19,7 @@ import (
 	"earlybird/internal/network"
 	"earlybird/internal/partcomm"
 	"earlybird/internal/rng"
+	"earlybird/internal/serve"
 	"earlybird/internal/simclock"
 	"earlybird/internal/stats/normality"
 	"earlybird/internal/trace"
@@ -347,6 +348,58 @@ func BenchmarkShardObserve(b *testing.B) {
 				if macc.Blocks() != int64(geom.Ranks*geom.Iterations) || tacc.Blocks() != macc.Blocks() {
 					b.Fatal("shard observed the wrong number of blocks")
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkShardWire is the codec half of one /v1/shard exchange over
+// a 1x8x200x48 trial shard of each app: the worker encodes both
+// accumulators straight into a sealed record, and the coordinator
+// unseals it, checks it against the request, decodes the two states
+// and merges them. The kernel fills the accumulators before the timer
+// starts. It is the bench gate's benchmark of the shard transport.
+func BenchmarkShardWire(b *testing.B) {
+	geom := cluster.Config{Trials: 1, Ranks: 8, Iterations: 200, Threads: 48, Seed: 1}
+	for _, app := range []string{"minife", "minimd", "miniqmc"} {
+		model, err := workload.ByName(app)
+		if err != nil {
+			b.Fatal(err)
+		}
+		col, err := cluster.RunColumnar(model, geom, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		req, err := serve.ShardRequest{App: app, Geometry: &geom, TrialLo: 0, TrialHi: 1}.Resolve()
+		if err != nil {
+			b.Fatal(err)
+		}
+		macc := analysis.NewMetricsAccumulator(app, req.LaggardSec)
+		tacc := analysis.NewTable1Accumulator(app, req.Alpha)
+		analysis.NewKernel(macc, tacc).ObserveCursor(col.Cursor(), 0)
+		hdr := serve.ShardResponse{
+			App: app, Geometry: geom, Alpha: req.Alpha, LaggardThresholdSec: req.LaggardSec,
+			TrialLo: 0, TrialHi: 1, Blocks: macc.Blocks(),
+		}
+		b.Run(app, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec, err := serve.AppendShardRecord(nil, &hdr, macc, tacc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				st, err := req.Accept(rec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				merged := analysis.NewMetricsAccumulator(app, req.LaggardSec)
+				merged.Merge(st.Metrics)
+				mergedT := analysis.NewTable1Accumulator(app, req.Alpha)
+				mergedT.Merge(st.Table1)
+				if merged.Blocks() != hdr.Blocks || mergedT.Blocks() != hdr.Blocks {
+					b.Fatal("merged the wrong number of blocks")
+				}
+				b.SetBytes(int64(len(rec)))
 			}
 		})
 	}

@@ -22,11 +22,30 @@ const (
 	table1CodecVersion  uint8 = 1
 )
 
-// MarshalBinary encodes the accumulator's full state: identity (app,
-// threshold), every per-trial partial and every per-iteration sketch,
-// all in sorted order so equal accumulators marshal to equal bytes.
-func (a *MetricsAccumulator) MarshalBinary() ([]byte, error) {
-	var w wire.Writer
+// MarshalBinary encodes the accumulator's full state; it is
+// AppendBinary(nil).
+func (a *MetricsAccumulator) MarshalBinary() ([]byte, error) { return a.AppendBinary(nil) }
+
+// BinarySize returns the length of the accumulator's encoding.
+func (a *MetricsAccumulator) BinarySize() int {
+	n := 1 + 4 + len(a.app) + 8 + 4
+	for _, ta := range a.trials {
+		n += 48 + 4 + 32*len(ta.iters)
+	}
+	n += 4
+	for _, sk := range a.sketches {
+		n += 8 + 4 + sk.BinarySize()
+	}
+	return n
+}
+
+// AppendBinary appends the accumulator's full state to b: identity
+// (app, threshold), every per-trial partial and every per-iteration
+// sketch, all in ascending order so equal accumulators encode to equal
+// bytes. b grows once, to the exact size, and each sketch is encoded in
+// place behind a back-patched length prefix.
+func (a *MetricsAccumulator) AppendBinary(b []byte) ([]byte, error) {
+	w := wire.Writer{Buf: slices.Grow(b, a.BinarySize())}
 	w.U8(metricsCodecVersion)
 	w.Str(a.app)
 	w.F64(a.threshold)
@@ -52,12 +71,13 @@ func (a *MetricsAccumulator) MarshalBinary() ([]byte, error) {
 
 	w.U32(uint32(len(a.sketches)))
 	for _, iter := range slices.Sorted(maps.Keys(a.sketches)) {
-		enc, err := a.sketches[iter].MarshalBinary()
-		if err != nil {
+		w.I64(int64(iter))
+		at := w.BeginBytes()
+		var err error
+		if w.Buf, err = a.sketches[iter].AppendBinary(w.Buf); err != nil {
 			return nil, err
 		}
-		w.I64(int64(iter))
-		w.Bytes(enc)
+		w.EndBytes(at)
 	}
 	return w.Buf, nil
 }
@@ -76,9 +96,16 @@ func (a *MetricsAccumulator) UnmarshalBinary(data []byte) error {
 		trials:    map[int]*trialAccum{},
 		sketches:  map[int]*stats.QuantileSketch{},
 	}
+	// Keys must be strictly ascending, as AppendBinary writes them: that
+	// rejects duplicates and makes every accepted encoding canonical.
+	var prevTrial, prevIter int
 	nTrials := r.U32()
 	for i := uint32(0); i < nTrials && r.Err() == nil; i++ {
 		trial := int(r.I64())
+		if r.Err() == nil && i > 0 && trial <= prevTrial {
+			return fmt.Errorf("analysis: trial %d out of order after %d in encoded state", trial, prevTrial)
+		}
+		prevTrial = trial
 		ta := &trialAccum{
 			nProc:     r.I64(),
 			medianSum: r.F64(),
@@ -87,17 +114,16 @@ func (a *MetricsAccumulator) UnmarshalBinary(data []byte) error {
 			laggards:  r.I64(),
 			iters:     map[int]*iterPartial{},
 		}
-		if r.Err() == nil {
-			if ta.nProc < 0 || ta.laggards < 0 || ta.laggards > ta.nProc {
-				return fmt.Errorf("analysis: corrupt trial %d counts (nProc %d, laggards %d)", trial, ta.nProc, ta.laggards)
-			}
-			if _, dup := dec.trials[trial]; dup {
-				return fmt.Errorf("analysis: duplicate trial %d in encoded state", trial)
-			}
+		if r.Err() == nil && (ta.nProc < 0 || ta.laggards < 0 || ta.laggards > ta.nProc) {
+			return fmt.Errorf("analysis: corrupt trial %d counts (nProc %d, laggards %d)", trial, ta.nProc, ta.laggards)
 		}
 		nIters := r.U32()
 		for j := uint32(0); j < nIters && r.Err() == nil; j++ {
 			iter := int(r.I64())
+			if r.Err() == nil && j > 0 && iter <= prevIter {
+				return fmt.Errorf("analysis: iteration %d out of order after %d in trial %d", iter, prevIter, trial)
+			}
+			prevIter = iter
 			ip := &iterPartial{n: r.I64(), sum: r.F64(), max: r.F64()}
 			if r.Err() == nil && ip.n < 0 {
 				return fmt.Errorf("analysis: corrupt iteration %d count %d in trial %d", iter, ip.n, trial)
@@ -109,6 +135,10 @@ func (a *MetricsAccumulator) UnmarshalBinary(data []byte) error {
 	nSketches := r.U32()
 	for i := uint32(0); i < nSketches && r.Err() == nil; i++ {
 		iter := int(r.I64())
+		if r.Err() == nil && i > 0 && iter <= prevIter {
+			return fmt.Errorf("analysis: sketch iteration %d out of order after %d", iter, prevIter)
+		}
+		prevIter = iter
 		enc := r.Bytes()
 		if r.Err() != nil {
 			break
@@ -135,10 +165,17 @@ func (a *Table1Accumulator) Alpha() float64 { return a.alpha }
 // Blocks returns how many process-iteration blocks have been observed.
 func (a *Table1Accumulator) Blocks() int64 { return int64(a.total) }
 
-// MarshalBinary encodes the accumulator's full state. Deterministic:
-// equal accumulators marshal to equal bytes.
-func (a *Table1Accumulator) MarshalBinary() ([]byte, error) {
-	var w wire.Writer
+// MarshalBinary encodes the accumulator's full state; it is
+// AppendBinary(nil).
+func (a *Table1Accumulator) MarshalBinary() ([]byte, error) { return a.AppendBinary(nil) }
+
+// BinarySize returns the length of the accumulator's encoding.
+func (a *Table1Accumulator) BinarySize() int { return 1 + 4 + len(a.app) + 8 + 8 + 8*len(a.passed) }
+
+// AppendBinary appends the accumulator's full state to b.
+// Deterministic: equal accumulators encode to equal bytes.
+func (a *Table1Accumulator) AppendBinary(b []byte) ([]byte, error) {
+	w := wire.Writer{Buf: slices.Grow(b, a.BinarySize())}
 	w.U8(table1CodecVersion)
 	w.Str(a.app)
 	w.F64(a.alpha)

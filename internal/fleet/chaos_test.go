@@ -14,10 +14,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -480,5 +482,156 @@ func TestSetCapacityClamps(t *testing.T) {
 		if got := w.capacity(); got != c.want {
 			t.Errorf("setCapacity(%v) -> %v, want %v", c.in, got, c.want)
 		}
+	}
+}
+
+// dataFaultWorker answers every shard request over a healthy transport
+// with a record that is wrong in one way: reroute rewrites the request
+// before the real worker runs it (another cell's or trial range's
+// record comes back, validly sealed), corrupt rewrites the sealed
+// record after it. The body always goes out with a Content-Length that
+// matches what is sent, so only the record's own checks can catch it.
+type dataFaultWorker struct {
+	inner   http.Handler
+	reroute func(*serve.ShardRequest)
+	corrupt func([]byte) []byte
+	faults  atomic.Int64
+}
+
+func (dw *dataFaultWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/v1/shard" {
+		dw.inner.ServeHTTP(w, r)
+		return
+	}
+	if dw.reroute != nil {
+		var req serve.ShardRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		dw.reroute(&req)
+		body, _ := json.Marshal(req)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		r.ContentLength = int64(len(body))
+	}
+	rec := httptest.NewRecorder()
+	dw.inner.ServeHTTP(rec, r)
+	body := rec.Body.Bytes()
+	if rec.Code == http.StatusOK {
+		dw.faults.Add(1)
+		if dw.corrupt != nil {
+			body = dw.corrupt(bytes.Clone(body))
+		}
+	}
+	for k, v := range rec.Header() {
+		w.Header()[k] = v
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(rec.Code)
+	w.Write(body)
+}
+
+// getBody GETs url and hands the 200 body to check.
+func getBody(t *testing.T, url string, check func([]byte) error) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s, %v", url, resp.Status, err)
+	}
+	if err := check(b); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+}
+
+// TestChaosDataFaultsNeverMerge: a worker whose answers arrive intact
+// on the transport but carry a flipped bit, a truncated record, another
+// cell's record or another trial range's record is caught by the record
+// checks before anything merges. Each bad record counts as a shard
+// reject, demotes its worker and fails over, and the sweep still
+// matches single-node execution bit for bit. Speculation is off, so
+// every record the worker sends is decoded and counted.
+func TestChaosDataFaultsNeverMerge(t *testing.T) {
+	faults := map[string]*dataFaultWorker{
+		"bit flip": {corrupt: func(b []byte) []byte {
+			b[len(b)/2] ^= 0x04
+			return b
+		}},
+		"truncated": {corrupt: func(b []byte) []byte { return b[:len(b)-len(b)/3] }},
+		"other cell": {reroute: func(req *serve.ShardRequest) {
+			g := *req.Geometry
+			g.Seed++
+			req.Geometry = &g
+		}},
+		"other trial range": {reroute: func(req *serve.ShardRequest) {
+			if req.TrialLo > 0 {
+				req.TrialLo, req.TrialHi = req.TrialLo-1, req.TrialHi-1
+			} else {
+				req.TrialLo, req.TrialHi = req.TrialLo+1, req.TrialHi+1
+			}
+		}},
+	}
+	req := serve.SweepRequest{
+		Apps:       []string{"minife", "minimd", "miniqmc"},
+		Geometries: []cluster.Config{fleetGeom()},
+		Alphas:     []float64{0.05, 0.01},
+	}
+	want := singleNodeRows(t, req)
+	for name, bad := range faults {
+		t.Run(name, func(t *testing.T) {
+			_, w1 := newWorker(t)
+			_, w2 := newWorker(t)
+			bad.inner = serve.New(serve.Options{Workers: 4}).Handler()
+			w3 := httptest.NewServer(bad)
+			t.Cleanup(w3.Close)
+
+			f := newFleet(t, Options{Peers: []string{w1.URL, w2.URL, w3.URL}, SpeculationQuantile: -1})
+			rows := collectSweep(t, f, req)
+			assertBitIdentical(t, rows, want)
+			faulted := bad.faults.Load()
+			if faulted == 0 {
+				t.Skip("rendezvous routed no shard to the faulty worker (legal placement); nothing to reject")
+			}
+			snap := f.Snapshot()
+			if snap.ShardRejects != faulted {
+				t.Errorf("shard_rejects = %d, want one per bad record (%d)", snap.ShardRejects, faulted)
+			}
+			if snap.Failovers < faulted || snap.CellsFailed != 0 {
+				t.Errorf("failovers %d (want >= %d), cells failed %d", snap.Failovers, faulted, snap.CellsFailed)
+			}
+			for _, ws := range snap.Workers {
+				if ws.URL == w3.URL && (ws.Healthy || ws.Shards != 0) {
+					t.Errorf("faulty worker healthy=%v with %d accepted shards; want demoted, none accepted", ws.Healthy, ws.Shards)
+				}
+			}
+			for idx, rs := range rows {
+				for _, u := range rs[0].ShardWorkers {
+					if u == w3.URL {
+						t.Errorf("cell %d merged state from the faulty worker", idx)
+					}
+				}
+			}
+
+			// A coordinator serving this fleet reports the rejects in
+			// /v1/stats and /metrics.
+			coord := httptest.NewServer(serve.New(serve.Options{Workers: 2, Fleet: f}).Handler())
+			t.Cleanup(coord.Close)
+			var stats serve.StatsResponse
+			getBody(t, coord.URL+"/v1/stats", func(b []byte) error { return json.Unmarshal(b, &stats) })
+			if stats.Fleet == nil || stats.Fleet.ShardRejects != faulted {
+				t.Errorf("/v1/stats fleet section %+v, want shard_rejects %d", stats.Fleet, faulted)
+			}
+			want := fmt.Sprintf("earlybird_fleet_shard_rejects_total %d\n", faulted)
+			getBody(t, coord.URL+"/metrics", func(b []byte) error {
+				if !bytes.Contains(b, []byte(want)) {
+					t.Errorf("/metrics lacks %q", want)
+				}
+				return nil
+			})
+		})
 	}
 }

@@ -5,9 +5,11 @@
 // A Fleet is a worker registry (health-probed over /v1/healthz) plus a
 // cell scheduler. Sweep cells are split into contiguous trial shards and
 // dispatched over POST /v1/shard, which returns mergeable accumulator
-// state rather than finished rows; the coordinator merges shard states
-// and finalizes the row. Because the accumulators key their partials by
-// absolute trial and finalize in a fixed order, the merged results are
+// state rather than finished rows, as one sealed binary record; the
+// coordinator checks each record against the request it sent
+// (serve.ShardRequest.Accept), merges shard states and finalizes the
+// row. Because the accumulators key their partials by absolute trial
+// and finalize in a fixed order, the merged results are
 // bit-identical to single-node execution for every moment-derived metric
 // and the Table 1 row (the sketch-backed IQR statistics keep the
 // sketch's documented rank-error bound) — see internal/analysis's
@@ -24,10 +26,12 @@
 // capacity the weighted ranking is identical to the unweighted one.
 //
 // The health model distinguishes three worker states. A worker that
-// times out or answers an unexplained 5xx is *dead*: it is demoted and
-// its shard fails over to the next survivor, so a worker killed
-// mid-sweep costs re-execution of its in-flight shards, never a lost or
-// duplicated cell. A worker that sheds with 503 + Retry-After (adaptive
+// times out, answers an unexplained 5xx, or sends a body that is
+// truncated, over maxResponseBytes or refused by its decoder (a shard
+// record with a bad seal, or for another cell or trial range) is
+// *dead*: it is demoted and its shard fails over to the next
+// survivor, so a worker killed mid-sweep costs re-execution of its
+// in-flight shards, never a lost or duplicated cell. A worker that sheds with 503 + Retry-After (adaptive
 // admission refusing load it cannot serve well right now) is *busy*: it
 // keeps its registry slot and ranking, is skipped for new dispatch until
 // the Retry-After deadline passes, and is never demoted — a fleet under
@@ -259,6 +263,7 @@ type Fleet struct {
 	cellsFailed      atomic.Int64
 	shardsDispatched atomic.Int64
 	failovers        atomic.Int64
+	shardRejects     atomic.Int64
 	sheds            atomic.Int64
 	speculations     atomic.Int64
 	speculationWins  atomic.Int64
@@ -498,6 +503,7 @@ func (f *Fleet) Snapshot() serve.FleetSnapshot {
 		CellsFailed:      f.cellsFailed.Load(),
 		ShardsDispatched: f.shardsDispatched.Load(),
 		Failovers:        f.failovers.Load(),
+		ShardRejects:     f.shardRejects.Load(),
 		Sheds:            f.sheds.Load(),
 		Speculations:     f.speculations.Load(),
 		SpeculationWins:  f.speculationWins.Load(),
@@ -705,12 +711,46 @@ func (f *Fleet) speculationQuantile() (float64, bool) {
 	return q, true
 }
 
+// maxResponseBytes caps the 200 body the coordinator reads from a
+// worker. The largest answer is a /v1/shard record, whose state grows
+// with trials x iterations plus one sketch per iteration: ~275 KiB for
+// one paper-geometry trial, ~9 MiB for a whole 100x-paper cell. A body
+// declared or found to be longer is a worker fault.
+const maxResponseBytes = 256 << 20
+
+// readBody reads a 200 body into one buffer: sized from a declared
+// Content-Length when there is one, grown up to maxResponseBytes when
+// there is not. A declared or actual length over the cap, or a body
+// shorter than declared, is an error.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n > maxResponseBytes {
+		return nil, fmt.Errorf("declared body of %d bytes exceeds the %d-byte cap", n, maxResponseBytes)
+	}
+	if n >= 0 {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, buf); err != nil {
+			return nil, fmt.Errorf("body shorter than its %d-byte Content-Length: %w", n, err)
+		}
+		return buf, nil
+	}
+	buf, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(buf) > maxResponseBytes {
+		return nil, fmt.Errorf("body exceeds the %d-byte cap", maxResponseBytes)
+	}
+	return buf, nil
+}
+
 // post sends one pre-marshalled JSON request under the in-flight bound
-// and returns the raw 200 response body. Transport failures and
-// unexplained 5xx answers are retryable (the worker is at fault); 4xx
-// answers are not (the request is at fault); a 503 carrying a parseable
-// Retry-After is an errShed — the worker is alive and busy, and the
-// caller must not demote it.
+// and returns the raw 200 response body. Transport failures, bodies
+// that are truncated or over maxResponseBytes, and unexplained 5xx
+// answers are retryable (the worker is at fault); 4xx answers are not
+// (the request is at fault); a 503 carrying a parseable Retry-After is
+// an errShed — the worker is alive and busy, and the caller must not
+// demote it.
 func (f *Fleet) post(ctx context.Context, w *worker, path string, body []byte) (raw []byte, retryable bool, err error) {
 	select {
 	case f.sem <- struct{}{}:
@@ -735,8 +775,11 @@ func (f *Fleet) post(ctx context.Context, w *worker, path string, body []byte) (
 	defer resp.Body.Close()
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		raw, err := io.ReadAll(resp.Body)
+		raw, err := readBody(resp)
 		if err != nil {
+			if ctx.Err() != nil {
+				return nil, false, ctx.Err()
+			}
 			return nil, true, fmt.Errorf("reading %s response: %w", path, err)
 		}
 		return raw, false, nil
@@ -768,6 +811,12 @@ func (f *Fleet) post(ctx context.Context, w *worker, path string, body []byte) (
 	}
 }
 
+// jsonInto returns a dispatch decode func that unmarshals a JSON body
+// into out.
+func jsonInto(out any) func([]byte) error {
+	return func(raw []byte) error { return json.Unmarshal(raw, out) }
+}
+
 // attempt is one in-flight post's resolution, delivered on dispatch's
 // results channel. Health bookkeeping (demotion, busy-marking, counters)
 // happens inside the attempt goroutine before the send, so a losing
@@ -789,9 +838,12 @@ type attempt struct {
 // attempt is in flight and taking longer than the speculation threshold
 // (a quantile over completed-request latencies), one backup attempt is
 // issued to the next eligible worker and the first success wins — the
-// loser runs to completion and is discarded. On success dispatch decodes
-// the winner's body into out and returns the worker that answered.
-func (f *Fleet) dispatch(ctx context.Context, cellHash uint64, shard int, path string, body, out any) (*worker, error) {
+// loser runs to completion and is discarded. Each successful body goes
+// to decode, in dispatch's goroutine; a body decode refuses is the
+// worker's fault, like a mid-stream disconnect — the worker is demoted
+// and the request fails over. dispatch returns the worker whose body
+// decode accepted.
+func (f *Fleet) dispatch(ctx context.Context, cellHash uint64, shard int, path string, body any, decode func([]byte) error) (*worker, error) {
 	buf, err := json.Marshal(body)
 	if err != nil {
 		return nil, err
@@ -855,9 +907,7 @@ func (f *Fleet) dispatch(ctx context.Context, cellHash uint64, shard int, path s
 		case a := <-results:
 			active--
 			if a.err == nil {
-				if err := json.Unmarshal(a.raw, out); err != nil {
-					// An undecodable 200 body is the worker's fault, like a
-					// mid-stream disconnect: demote and fail over.
+				if err := decode(a.raw); err != nil {
 					a.w.failures.Add(1)
 					a.w.healthy.Store(false)
 					f.failovers.Add(1)

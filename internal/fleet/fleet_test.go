@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -488,5 +490,56 @@ func TestFleetStrategies(t *testing.T) {
 		if g.Best != w.Best || g.BestFinishSec != w.BestFinishSec || len(g.Results) != len(w.Results) {
 			t.Errorf("cell %d frontier diverged: %s/%v vs %s/%v", w.Index, g.Best, g.BestFinishSec, w.Best, w.BestFinishSec)
 		}
+	}
+}
+
+// TestPostBoundsBody: the coordinator reads a 200 body into one buffer
+// and refuses, as a worker fault, a body declared over maxResponseBytes
+// or shorter than its Content-Length. A body without a Content-Length
+// is read up to the cap.
+func TestPostBoundsBody(t *testing.T) {
+	payload := bytes.Repeat([]byte("record"), 1000)
+	cases := []struct {
+		name   string
+		answer func(http.ResponseWriter)
+		ok     bool
+		why    string // in the error when !ok
+	}{
+		{"exact length", func(w http.ResponseWriter) {
+			w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
+			w.Write(payload)
+		}, true, ""},
+		{"missing length", func(w http.ResponseWriter) {
+			w.WriteHeader(http.StatusOK)
+			w.(http.Flusher).Flush() // commits the header: the body goes out chunked
+			w.Write(payload)
+		}, true, ""},
+		{"declared over cap", func(w http.ResponseWriter) {
+			w.Header().Set("Content-Length", strconv.Itoa(maxResponseBytes+1))
+			w.WriteHeader(http.StatusOK)
+			w.Write(payload)
+		}, false, "cap"},
+		{"short body", func(w http.ResponseWriter) {
+			w.Header().Set("Content-Length", strconv.Itoa(len(payload)+1))
+			w.WriteHeader(http.StatusOK)
+			w.Write(payload)
+		}, false, "shorter than"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { c.answer(w) }))
+			t.Cleanup(ts.Close)
+			f := newFleet(t, Options{Peers: []string{ts.URL}})
+			raw, retryable, err := f.post(context.Background(), f.workers[0], "/v1/shard", []byte("{}"))
+			if c.ok {
+				if err != nil || !bytes.Equal(raw, payload) {
+					t.Fatalf("post = %d bytes, %v; want the %d-byte payload", len(raw), err, len(payload))
+				}
+				return
+			}
+			if err == nil || !retryable || !strings.Contains(err.Error(), c.why) {
+				t.Fatalf("post = %d bytes, retryable %v, err %v; want a retryable worker fault (%s)", len(raw), retryable, err, c.why)
+			}
+		})
 	}
 }

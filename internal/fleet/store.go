@@ -2,15 +2,16 @@
 // persist on disk keyed by the cell's resolved engine.SpecKey hash, so a
 // coordinator restart (or a second coordinator sharing the directory)
 // re-serves finished cells without dispatching a single shard. Records
-// are the PR 5 accumulator wire codecs wrapped in a sealed (checksummed)
-// envelope that also carries the cell's identity fields — a loader
-// cross-checks them against the requesting cell, so even a SpecKey hash
-// collision cannot serve the wrong result. Writes go through a temp file
-// and os.Rename, so concurrent coordinators sharing a store directory
-// can race freely: a reader sees either the complete old record or the
-// complete new one, never a torn write. Any corrupt, truncated or
-// foreign file is skipped with a logged warning and the cell simply
-// recomputes.
+// are the accumulator wire codecs wrapped in a sealed envelope (a
+// CRC-32C trailer, wire.Seal) that also carries the cell's identity in
+// the encoding /v1/shard records use (serve.AppendCellIdentity) — a
+// loader cross-checks it against the requesting cell, so even a SpecKey
+// hash collision cannot serve the wrong result. Writes go through a
+// temp file and os.Rename, so concurrent coordinators sharing a store
+// directory can race freely: a reader sees either the complete old
+// record or the complete new one, never a torn write. Any corrupt,
+// truncated or foreign file is skipped with a logged warning and the
+// cell simply recomputes.
 
 package fleet
 
@@ -31,7 +32,7 @@ import (
 
 const (
 	storeMagic   = 0x45425253 // "EBRS"
-	storeVersion = 1
+	storeVersion = 2
 	storeExt     = ".cell"
 )
 
@@ -114,20 +115,6 @@ func (s *Store) get(key string) ([]byte, bool) {
 	return body, true
 }
 
-// cellIdentity folds the identity fields a record must match to serve a
-// cell: everything the SpecKey hash covers that a sweep cell can express.
-func appendCellIdentity(w *wire.Writer, cell serve.SweepCell) {
-	w.Str(cell.App)
-	w.U64(uint64(cell.Geometry.Trials))
-	w.U64(uint64(cell.Geometry.Ranks))
-	w.U64(uint64(cell.Geometry.Iterations))
-	w.U64(uint64(cell.Geometry.Threads))
-	w.U64(cell.Geometry.Seed)
-	w.F64(cell.Alpha)
-	w.F64(cell.LaggardThresholdSec)
-	w.Str(cell.DLB.String())
-}
-
 // SaveCell persists one merged cell's accumulator states (marshalled
 // before finalization) under the cell's store key.
 func (s *Store) SaveCell(cell serve.SweepCell, key engine.SpecKey, metricsState, table1State []byte) error {
@@ -135,7 +122,7 @@ func (s *Store) SaveCell(cell serve.SweepCell, key engine.SpecKey, metricsState,
 	w.U32(storeMagic)
 	w.U8(storeVersion)
 	w.U64(key.Hash())
-	appendCellIdentity(&w, cell)
+	serve.AppendCellIdentity(&w, cell)
 	w.Bytes(metricsState)
 	w.Bytes(table1State)
 	return s.put(key.StoreKey(), w.Seal())
@@ -164,24 +151,16 @@ func (s *Store) LoadCell(cell serve.SweepCell, key engine.SpecKey) (serve.SweepR
 	if h := r.U64(); h != key.Hash() {
 		return skip("key hash %016x does not match %016x", h, key.Hash())
 	}
-	var want wire.Writer
-	appendCellIdentity(&want, cell)
-	var got wire.Writer
-	got.Str(r.Str())
-	got.U64(r.U64())
-	got.U64(r.U64())
-	got.U64(r.U64())
-	got.U64(r.U64())
-	got.U64(r.U64())
-	got.F64(r.F64())
-	got.F64(r.F64())
-	got.Str(r.Str())
-	metricsState := append([]byte(nil), r.Bytes()...)
-	table1State := append([]byte(nil), r.Bytes()...)
+	stored, err := serve.ReadCellIdentity(r)
+	if err != nil {
+		return skip("identity: %v", err)
+	}
+	metricsState := r.Bytes()
+	table1State := r.Bytes()
 	if err := r.Finish("store cell"); err != nil {
 		return skip("%v", err)
 	}
-	if string(got.Buf) != string(want.Buf) {
+	if !serve.SameCell(stored, cell) {
 		return skip("identity mismatch (hash collision or stale encoding)")
 	}
 

@@ -6,7 +6,9 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +19,7 @@ import (
 	"testing"
 
 	"earlybird/internal/cluster"
+	"earlybird/internal/fnv"
 	"earlybird/internal/serve"
 	"earlybird/internal/wire"
 )
@@ -302,5 +305,64 @@ func TestStoreConcurrentWriters(t *testing.T) {
 	w.Buf = body
 	if got := string(w.Seal()); got != wantA && got != wantB {
 		t.Error("final record torn")
+	}
+}
+
+// TestStoreOldFNVRecordHeals: a record written before the store moved
+// to CRC-32C seals — version 1 layout, 8-byte FNV-1a trailer — is a
+// logged miss, never a served row; the sweep path recomputes the cell
+// and rewrites the record in the current format.
+func TestStoreOldFNVRecordHeals(t *testing.T) {
+	dir := t.TempDir()
+	lg := &storeLog{}
+	st, err := OpenStore(dir, lg.logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, w1 := newWorker(t)
+	f := newFleet(t, Options{Peers: []string{w1.URL}, Store: st})
+
+	cell := serve.SweepCell{App: "miniqmc", Geometry: fleetGeom(), Alpha: 0.05, LaggardThresholdSec: 0.001}
+	if row, ok := f.DispatchCell(context.Background(), cell); !ok || row.Err != "" {
+		t.Fatalf("seed dispatch failed: %+v", row)
+	}
+	key, err := cellKey(cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := st.path(key.StoreKey())
+	current, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := wire.Unseal(current)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The version 1 record: the same fields behind version byte 1, sealed
+	// by appending the FNV-1a-64 of everything before it.
+	old := bytes.Clone(body)
+	old[4] = 1
+	old = binary.LittleEndian.AppendUint64(old, fnv.Bytes(fnv.Offset64, old))
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := lg.count()
+	if _, ok := st.LoadCell(cell, key); ok {
+		t.Fatal("FNV-sealed record served")
+	}
+	if lg.count() <= before || !lg.contains("skipping corrupt entry") {
+		t.Fatalf("FNV-sealed record not logged as a miss: %v", lg.lines)
+	}
+	row, ok := f.DispatchCell(context.Background(), cell)
+	if !ok || row.Err != "" || row.StoreHit {
+		t.Fatalf("recompute failed: ok=%v row=%+v", ok, row)
+	}
+	if _, ok := st.LoadCell(cell, key); !ok {
+		t.Fatal("record not rewritten after recompute")
+	}
+	if healed, err := os.ReadFile(path); err != nil || !bytes.Equal(healed, current) {
+		t.Fatalf("healed record differs from a fresh one (err %v)", err)
 	}
 }

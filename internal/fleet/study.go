@@ -25,7 +25,7 @@ func (f *Fleet) DispatchStudy(ctx context.Context, hash uint64, spec serve.Study
 		return serve.StudyResponse{}, false
 	}
 	var out serve.StudyResponse
-	if _, err := f.dispatch(ctx, hash, 0, "/v1/study", spec, &out); err != nil {
+	if _, err := f.dispatch(ctx, hash, 0, "/v1/study", spec, jsonInto(&out)); err != nil {
 		return serve.StudyResponse{}, false
 	}
 	f.cellsMerged.Add(1)

@@ -56,6 +56,14 @@ func cellKey(cell serve.SweepCell) (engine.SpecKey, error) {
 	return resolved.Key(), nil
 }
 
+// shardOutcome is one shard's dispatch result: the accepted state and
+// the worker that sent it, or the error that ended its dispatch.
+type shardOutcome struct {
+	state serve.ShardState
+	from  *worker
+	err   error
+}
+
 // errorRow assembles a failed cell's row.
 func errorRow(cell serve.SweepCell, err error) serve.SweepRow {
 	return serve.SweepRow{
@@ -106,31 +114,42 @@ func (f *Fleet) DispatchCell(ctx context.Context, cell serve.SweepCell) (serve.S
 	}
 	ranges := splitTrials(cell.Geometry.Trials, shards)
 
-	type shardOutcome struct {
-		resp serve.ShardResponse
-		from *worker
-		err  error
+	cellReq := serve.ShardRequest{
+		App:        cell.App,
+		Geometry:   &cell.Geometry,
+		Alpha:      cell.Alpha,
+		LaggardSec: cell.LaggardThresholdSec,
+		TrialHi:    cell.Geometry.Trials,
+	}
+	if !cell.DLB.IsStatic() {
+		policy := cell.DLB
+		cellReq.DLB = &policy
+	}
+	// Resolved once: every shard's record is checked against the same
+	// canonical identity the workers execute.
+	cellReq, err = cellReq.Resolve()
+	if err != nil {
+		f.cellsFailed.Add(1)
+		return errorRow(cell, err), true
 	}
 	outcomes := make([]shardOutcome, len(ranges))
 	var wg sync.WaitGroup
 	for i, rg := range ranges {
+		req := cellReq
+		req.TrialLo, req.TrialHi = rg.lo, rg.hi
 		wg.Add(1)
-		go func(i int, rg shardRange) {
+		go func(o *shardOutcome) {
 			defer wg.Done()
-			req := serve.ShardRequest{
-				App:        cell.App,
-				Geometry:   &cell.Geometry,
-				Alpha:      cell.Alpha,
-				LaggardSec: cell.LaggardThresholdSec,
-				TrialLo:    rg.lo,
-				TrialHi:    rg.hi,
-			}
-			if !cell.DLB.IsStatic() {
-				policy := cell.DLB
-				req.DLB = &policy
-			}
-			outcomes[i].from, outcomes[i].err = f.dispatch(ctx, hash, i, "/v1/shard", req, &outcomes[i].resp)
-		}(i, rg)
+			o.from, o.err = f.dispatch(ctx, hash, i, "/v1/shard", req, func(raw []byte) error {
+				st, err := req.Accept(raw)
+				if err != nil {
+					f.shardRejects.Add(1)
+					return err
+				}
+				o.state = st
+				return nil
+			})
+		}(&outcomes[i])
 	}
 	wg.Wait()
 
@@ -166,20 +185,10 @@ func (f *Fleet) DispatchCell(ctx context.Context, cell serve.SweepCell) (serve.S
 			// back for local execution.
 			return serve.SweepRow{}, false
 		}
-		decM := new(analysis.MetricsAccumulator)
-		if err := decM.UnmarshalBinary(o.resp.MetricsState); err != nil {
-			f.cellsFailed.Add(1)
-			return errorRow(cell, fmt.Errorf("shard %d state: %w", i, err)), true
-		}
-		decT := new(analysis.Table1Accumulator)
-		if err := decT.UnmarshalBinary(o.resp.Table1State); err != nil {
-			f.cellsFailed.Add(1)
-			return errorRow(cell, fmt.Errorf("shard %d table1 state: %w", i, err)), true
-		}
-		macc.Merge(decM)
-		tacc.Merge(decT)
-		row.DatasetCacheHit = row.DatasetCacheHit || o.resp.DatasetCacheHit
-		row.Streamed = row.Streamed || o.resp.Streamed
+		macc.Merge(o.state.Metrics)
+		tacc.Merge(o.state.Table1)
+		row.DatasetCacheHit = row.DatasetCacheHit || o.state.Record.DatasetCacheHit
+		row.Streamed = row.Streamed || o.state.Record.Streamed
 		row.ShardWorkers = append(row.ShardWorkers, o.from.url)
 	}
 	if f.store != nil {
@@ -268,7 +277,7 @@ func (f *Fleet) strategyCell(ctx context.Context, req serve.StrategiesRequest, c
 	single.Stream = false
 	single.Workers = 0
 	var out serve.StrategiesResponse
-	if _, err := f.dispatch(ctx, resolved.Key().Hash(), 0, "/v1/strategies", single, &out); err != nil {
+	if _, err := f.dispatch(ctx, resolved.Key().Hash(), 0, "/v1/strategies", single, jsonInto(&out)); err != nil {
 		return fail(err)
 	}
 	if len(out.Rows) != 1 {

@@ -36,6 +36,15 @@
 // strategy-grid hash, so identical concurrent requests evaluate once
 // while different grids still share the engine's dataset cache.
 //
+// The shard endpoint (/v1/shard) is the worker half of fleet
+// execution: it folds one cell's trial range into the metrics and
+// Table 1 accumulators and answers with one sealed binary record
+// (record.go) — the cell identity, trial range, block count, flags and
+// both states behind a CRC-32C trailer — not JSON. ShardRequest.Accept
+// is the coordinator half: it checks a record against the request
+// before anything merges it. AppendCellIdentity is the one identity
+// encoding, shared with the fleet's durable result store.
+//
 // Server shuts down gracefully: Shutdown stops accepting connections and
 // drains in-flight requests. cmd/earlybirdd is the production binary;
 // earlybird.Serve is the embeddable facade.

@@ -152,8 +152,7 @@ func TestShardAdmissionSheds(t *testing.T) {
 
 	s.Telemetry().Finish(tr)
 	ok := postJSON(t, ts.URL+"/v1/shard", shard)
-	var sr ShardResponse
-	decodeInto(t, ok, &sr)
+	sr := decodeShard(t, ok)
 	if len(sr.MetricsState) == 0 {
 		t.Fatal("post-recovery shard carries no accumulator state")
 	}

@@ -162,6 +162,7 @@ func (s *Server) promWriter(w http.ResponseWriter) *telemetry.PromWriter {
 		p.Counter("earlybird_fleet_cells_failed_total", "Cells that errored after exhausting every worker.", float64(snap.CellsFailed))
 		p.Counter("earlybird_fleet_shards_dispatched_total", "Shard and strategy-cell requests sent to workers.", float64(snap.ShardsDispatched))
 		p.Counter("earlybird_fleet_failovers_total", "Re-dispatches caused by worker failures.", float64(snap.Failovers))
+		p.Counter("earlybird_fleet_shard_rejects_total", "Shard records refused before merging (bad seal, wrong cell or trial range, undecodable state).", float64(snap.ShardRejects))
 		p.Counter("earlybird_fleet_sheds_total", "503 + Retry-After refusals from worker adaptive admission (worker marked busy, not demoted).", float64(snap.Sheds))
 		p.Counter("earlybird_fleet_speculations_total", "Speculative backup attempts issued for slow in-flight shards.", float64(snap.Speculations))
 		p.Counter("earlybird_fleet_speculation_wins_total", "Speculative attempts that beat the original.", float64(snap.SpeculationWins))

@@ -19,6 +19,7 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"strconv"
 
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
@@ -51,8 +52,11 @@ type ShardRequest struct {
 
 // ShardResponse is one shard's accumulator state. MetricsState and
 // Table1State are the binary encodings of analysis.MetricsAccumulator
-// and analysis.Table1Accumulator (base64 on the JSON wire), keyed by
-// absolute trial so shards merge in any order.
+// and analysis.Table1Accumulator, keyed by absolute trial so shards
+// merge in any order. On the wire the whole response is one sealed
+// binary record (MarshalBinary, UnmarshalBinary; see record.go), not
+// JSON; the JSON tags describe the fields for Go clients that log or
+// replay responses.
 type ShardResponse struct {
 	App                 string         `json:"app"`
 	Geometry            cluster.Config `json:"geometry"`
@@ -95,8 +99,10 @@ func (m trialShard) FillProcessIteration(root *rng.Source, trial, rank, iter int
 	m.Model.FillProcessIteration(root, trial+m.lo, rank, iter, out)
 }
 
-// resolveShard validates the request and fills defaults.
-func (req ShardRequest) resolve() (ShardRequest, error) {
+// Resolve validates the request and fills defaults. A worker executes
+// the resolved request, and a coordinator checks a worker's answer
+// against it (Accept).
+func (req ShardRequest) Resolve() (ShardRequest, error) {
 	if req.Geometry != nil && req.GeometryName != "" {
 		return req, fmt.Errorf("geometry and geometry_name are mutually exclusive")
 	}
@@ -134,16 +140,18 @@ func (req ShardRequest) resolve() (ShardRequest, error) {
 	return req, nil
 }
 
-// runShard computes one shard's accumulator state. Shards at or below
-// the sweep cache bound read the engine's columnar cache through a
-// deterministic cursor (hot for repeated cells routed to this worker);
-// larger shards generate and fold one trial at a time, uncached — still
-// through a columnar cursor, because the exactness contract demands a
+// runShard computes one shard's accumulator state and returns it as a
+// record header plus the two accumulators, which the handler encodes
+// straight into the sealed record. Shards at or below the sweep cache
+// bound read the engine's columnar cache through a deterministic cursor
+// (hot for repeated cells routed to this worker); larger shards
+// generate and fold one trial at a time, uncached — still through a
+// columnar cursor, because the exactness contract demands a
 // deterministic observation order per trial (a multi-observer RunStream
 // would split a trial's ranks across workers scheduling-dependently and
 // shift the low-order bits). Memory on that path is bounded by one
 // trial's tensor, not the shard's.
-func (s *Server) runShard(req ShardRequest) (ShardResponse, error) {
+func (s *Server) runShard(req ShardRequest) (ShardResponse, *analysis.MetricsAccumulator, *analysis.Table1Accumulator, error) {
 	geom := *req.Geometry
 	var policy dlb.Spec
 	if req.DLB != nil {
@@ -160,7 +168,7 @@ func (s *Server) runShard(req ShardRequest) (ShardResponse, error) {
 	}
 	base, err := workload.ByName(req.App)
 	if err != nil {
-		return resp, err
+		return resp, nil, nil, err
 	}
 	var model workload.Model = base
 	if req.TrialLo > 0 {
@@ -176,7 +184,7 @@ func (s *Server) runShard(req ShardRequest) (ShardResponse, error) {
 	if shardGeom.Samples() <= s.maxSweepSamples {
 		col, hit, err := s.eng.ColumnarDLB(model, shardGeom, policy)
 		if err != nil {
-			return resp, err
+			return resp, nil, nil, err
 		}
 		resp.DatasetCacheHit = hit
 		kernel.ObserveCursor(col.Cursor(), req.TrialLo)
@@ -190,27 +198,22 @@ func (s *Server) runShard(req ShardRequest) (ShardResponse, error) {
 			}
 			col, err := cluster.RunColumnarDLB(m, oneTrial, policy, 0)
 			if err != nil {
-				return resp, err
+				return resp, nil, nil, err
 			}
 			kernel.ObserveCursor(col.Cursor(), t)
 		}
 		resp.Streamed = true
 	}
 	resp.Blocks = macc.Blocks()
-	if resp.MetricsState, err = macc.MarshalBinary(); err != nil {
-		return resp, err
-	}
-	if resp.Table1State, err = tacc.MarshalBinary(); err != nil {
-		return resp, err
-	}
-	return resp, nil
+	return resp, macc, tacc, nil
 }
 
 // handleShard answers POST /v1/shard: one cell's trial-range accumulator
-// state, for a fleet coordinator to merge. Execution takes a slot of the
-// server-wide semaphore like any other study-shaped work, and adaptive
-// admission gates it the same way: a worker below its efficiency
-// watermark sheds the shard with 503 + Retry-After, which the
+// state, for a fleet coordinator to merge, as one sealed binary record
+// (application/octet-stream, with a Content-Length). Execution takes a
+// slot of the server-wide semaphore like any other study-shaped work,
+// and adaptive admission gates it the same way: a worker below its
+// efficiency watermark sheds the shard with 503 + Retry-After, which the
 // coordinator's scheduler reads as busy-until-deadline — never as death.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
@@ -218,7 +221,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	resolved, err := req.resolve()
+	resolved, err := req.Resolve()
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -228,11 +231,18 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	release := s.acquire()
-	resp, err := s.runShard(resolved)
+	hdr, macc, tacc, err := s.runShard(resolved)
 	release()
+	var record []byte
+	if err == nil {
+		record, err = AppendShardRecord(nil, &hdr, macc, tacc)
+	}
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(record)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(record)
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -25,8 +26,21 @@ func fetchShard(t *testing.T, url string, req ShardRequest) ShardResponse {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("shard [%d,%d): status %s", req.TrialLo, req.TrialHi, resp.Status)
 	}
+	return decodeShard(t, resp)
+}
+
+// decodeShard reads one sealed /v1/shard record.
+func decodeShard(t *testing.T, resp *http.Response) ShardResponse {
+	t.Helper()
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sr ShardResponse
-	decodeInto(t, resp, &sr)
+	if err := sr.UnmarshalBinary(body); err != nil {
+		t.Fatalf("decoding shard record: %v", err)
+	}
 	return sr
 }
 

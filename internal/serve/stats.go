@@ -128,6 +128,10 @@ type FleetSnapshot struct {
 	// re-dispatches caused by a worker failure.
 	ShardsDispatched int64 `json:"shards_dispatched"`
 	Failovers        int64 `json:"failovers"`
+	// ShardRejects counts shard records refused before merging: a bad
+	// seal, another cell's or trial range's record, or states that do
+	// not decode. Each one also demotes its worker and fails over.
+	ShardRejects int64 `json:"shard_rejects"`
 	// Sheds counts 503 + Retry-After refusals from worker adaptive
 	// admission: the worker was marked busy until its Retry-After, never
 	// demoted.

@@ -8,6 +8,7 @@ package stats
 
 import (
 	"fmt"
+	"slices"
 
 	"earlybird/internal/wire"
 )
@@ -60,13 +61,22 @@ func (m *Moments) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// MarshalBinary encodes the sketch. Buffered values are compressed first
-// (a state change Quantile performs anyway), so the encoding holds only
-// centroids and the encoded sketch answers every Quantile call exactly as
-// the original would have.
-func (q *QuantileSketch) MarshalBinary() ([]byte, error) {
+// MarshalBinary encodes the sketch; it is AppendBinary(nil).
+func (q *QuantileSketch) MarshalBinary() ([]byte, error) { return q.AppendBinary(nil) }
+
+// BinarySize returns the length of the sketch's encoding. Like
+// AppendBinary it compresses buffered values first.
+func (q *QuantileSketch) BinarySize() int {
 	q.flush()
-	var w wire.Writer
+	return 37 + 16*len(q.centroids)
+}
+
+// AppendBinary appends the sketch's encoding to b. Buffered values are
+// compressed first (a state change Quantile performs anyway), so the
+// encoding holds only centroids and the encoded sketch answers every
+// Quantile call exactly as the original would have.
+func (q *QuantileSketch) AppendBinary(b []byte) ([]byte, error) {
+	w := wire.Writer{Buf: slices.Grow(b, q.BinarySize())}
 	w.U8(sketchCodecVersion)
 	w.F64(q.compression)
 	w.I64(q.n)

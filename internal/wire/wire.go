@@ -1,18 +1,18 @@
 // Package wire is the little-endian binary codec under the mergeable
 // accumulators' MarshalBinary/UnmarshalBinary implementations
-// (internal/stats, internal/analysis). One shared implementation
-// matters: the encodings travel between fleet workers and coordinators,
-// so an endianness or bounds-handling fix must not land in one copy and
-// miss another. Floats are encoded as exact bit patterns — decoding
-// reproduces them bit-for-bit.
+// (internal/stats, internal/analysis) and the sealed records built from
+// them (the fleet's result store, /v1/shard answers). One shared
+// implementation matters: the encodings travel between fleet workers
+// and coordinators, so an endianness or bounds-handling fix must not
+// land in one copy and miss another. Floats are encoded as exact bit
+// patterns — decoding reproduces them bit-for-bit.
 package wire
 
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
-
-	"earlybird/internal/fnv"
 )
 
 // Writer appends fixed-width little-endian values to Buf.
@@ -31,7 +31,26 @@ func (w *Writer) Bytes(b []byte) {
 }
 
 // Str writes s with a u32 length prefix.
-func (w *Writer) Str(s string) { w.Bytes([]byte(s)) }
+func (w *Writer) Str(s string) {
+	w.U32(uint32(len(s)))
+	w.Buf = append(w.Buf, s...)
+}
+
+// BeginBytes reserves a u32 length prefix and returns its offset; the
+// caller appends the field's bytes to Buf and calls EndBytes, which
+// back-patches the prefix. The result is byte-identical to Bytes
+// without building the field in a buffer of its own.
+func (w *Writer) BeginBytes() int {
+	at := len(w.Buf)
+	w.U32(0)
+	return at
+}
+
+// EndBytes back-patches the prefix BeginBytes reserved at offset at
+// with the number of bytes appended since.
+func (w *Writer) EndBytes(at int) {
+	binary.LittleEndian.PutUint32(w.Buf[at:], uint32(len(w.Buf)-at-4))
+}
 
 // Reader consumes what Writer produced, failing sticky on truncation:
 // after the first error every read returns zero values and Finish
@@ -122,26 +141,41 @@ func (r *Reader) Finish(what string) error {
 	return nil
 }
 
-// Seal appends an FNV-1a checksum of everything written so far and
-// returns the finished buffer. Durable encodings (the fleet's on-disk
-// result store) end with it, so Unseal can reject bit rot and torn
-// writes before any field decodes.
+// castagnoli is the CRC-32C table: hash/crc32 computes it with the
+// SSE4.2/ARMv8 CRC instructions where the CPU has them.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// SealSize is the length of the trailer Seal appends.
+const SealSize = 8
+
+// Seal appends an 8-byte trailer — the u32 payload length, then a u32
+// CRC-32C of everything before the CRC (payload and length) — and
+// returns the finished buffer. Every encoding that crosses a trust
+// boundary ends with it: the fleet's on-disk result store and the
+// /v1/shard records a worker sends back. Unseal rejects bit rot, torn
+// writes and truncated bodies before any field decodes. Payloads are
+// bounded well below 4 GiB by their producers; a longer one would wrap
+// the length and fail Unseal.
 func (w *Writer) Seal() []byte {
-	w.U64(fnv.Bytes(fnv.Offset64, w.Buf))
+	w.U32(uint32(len(w.Buf)))
+	w.U32(crc32.Checksum(w.Buf, castagnoli))
 	return w.Buf
 }
 
-// Unseal verifies and strips a Seal checksum, returning the payload a
-// Reader can decode. Any truncation or mutation of a sealed buffer
-// fails here with a checksum mismatch.
+// Unseal verifies and strips a Seal trailer, returning the payload a
+// Reader can decode (a subslice of data, not a copy). Any truncation or
+// mutation of a sealed buffer fails here.
 func Unseal(data []byte) ([]byte, error) {
-	if len(data) < 8 {
+	if len(data) < SealSize {
 		return nil, fmt.Errorf("wire: sealed payload too short (%d bytes)", len(data))
 	}
-	body := data[:len(data)-8]
-	want := binary.LittleEndian.Uint64(data[len(data)-8:])
-	if got := fnv.Bytes(fnv.Offset64, body); got != want {
-		return nil, fmt.Errorf("wire: checksum mismatch (stored %016x, computed %016x)", want, got)
+	n := len(data) - SealSize
+	if stored := binary.LittleEndian.Uint32(data[n:]); uint64(stored) != uint64(n) {
+		return nil, fmt.Errorf("wire: sealed length %d does not match the %d-byte payload", stored, n)
 	}
-	return body, nil
+	want := binary.LittleEndian.Uint32(data[n+4:])
+	if got := crc32.Checksum(data[:n+4], castagnoli); got != want {
+		return nil, fmt.Errorf("wire: checksum mismatch (stored %08x, computed %08x)", want, got)
+	}
+	return data[:n], nil
 }

@@ -146,3 +146,21 @@ func TestSealUnseal(t *testing.T) {
 		t.Fatalf("7-byte seal: %v", err)
 	}
 }
+
+// TestBeginEndBytesMatchesBytes: a field appended in place between
+// BeginBytes and EndBytes encodes exactly as Bytes encodes it, empty
+// and after a prefix alike.
+func TestBeginEndBytesMatchesBytes(t *testing.T) {
+	for _, field := range [][]byte{{}, []byte("x"), bytes.Repeat([]byte{0xab}, 300)} {
+		var want, got Writer
+		want.U8(9)
+		want.Bytes(field)
+		got.U8(9)
+		at := got.BeginBytes()
+		got.Buf = append(got.Buf, field...)
+		got.EndBytes(at)
+		if !bytes.Equal(got.Buf, want.Buf) {
+			t.Fatalf("%d-byte field: in place %x, Bytes %x", len(field), got.Buf, want.Buf)
+		}
+	}
+}

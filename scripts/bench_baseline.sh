@@ -10,6 +10,6 @@ COUNT="${BENCH_GATE_COUNT:-5}"
 OUT="${BENCH_BASELINE:-BENCH_baseline.txt}"
 
 {
-    go test -run '^$' -bench 'Benchmark(Study(Streaming|Analyze)|ShardObserve)$' -benchmem -benchtime 3x -count "$COUNT" .
+    go test -run '^$' -bench 'Benchmark(Study(Streaming|Analyze)|Shard(Observe|Wire))$' -benchmem -benchtime 3x -count "$COUNT" .
     go test -run '^$' -bench '^BenchmarkFillDLB$' -benchtime 3x -count "$COUNT" ./internal/cluster
 } | tee "$OUT"

@@ -10,6 +10,8 @@
 #   BenchmarkStudyStreaming   — the end-to-end streaming study hot path
 #   BenchmarkStudyAnalyze/*   — the exact analysis pass (Study.Analyze)
 #   BenchmarkShardObserve/*   — the block kernel over one trial shard
+#   BenchmarkShardWire/*      — one trial shard's sealed record, encoded,
+#                               accepted and merged
 #   BenchmarkFillDLB/*        — the static and LeWI fill loops
 #
 # The comparison uses the minimum ns/op across -count runs on both
@@ -39,7 +41,7 @@ if [ "${BENCH_GATE_COMPARE_ONLY:-0}" = "1" ]; then
     fi
 else
     {
-        go test -run '^$' -bench 'Benchmark(Study(Streaming|Analyze)|ShardObserve)$' -benchmem -benchtime 3x -count "$COUNT" .
+        go test -run '^$' -bench 'Benchmark(Study(Streaming|Analyze)|Shard(Observe|Wire))$' -benchmem -benchtime 3x -count "$COUNT" .
         go test -run '^$' -bench '^BenchmarkFillDLB$' -benchtime 3x -count "$COUNT" ./internal/cluster
     } | tee "$CURRENT"
 fi
