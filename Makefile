@@ -9,7 +9,7 @@ GO ?= go
 # climbs, never lower it).
 COVER_FLOOR ?= 80.0
 
-.PHONY: all build test race race-fleet test-chaos test-scenario test-scripts test-bitident-v3 bench bench-json bench-gate bench-baseline profile lint fmt docs-check cover fuzz-smoke clean-store
+.PHONY: all build test race race-fleet test-chaos test-scenario test-scripts test-bitident-v3 bench bench-json bench-gate bench-baseline profile lint lint-fma fmt docs-check cover fuzz-smoke clean-store
 
 all: build lint docs-check test
 
@@ -63,15 +63,16 @@ clean-store:
 # GOAMD64=v3 (AVX2/BMI2/FMA code generation): the one-pass Study.Analyze
 # against the pre-pass reference, the normality battery against the
 # math.Pow moments, the one-pass moments themselves, the selection-based
-# iteration IQR against the sorted one (TestIQRSelectBitIdentical), and
-# the fleet shard paths — both driven by the shared block kernel —
-# against single-node execution. The moments wrap each product in
-# float64() so that no compiler may fuse it into an FMA (DESIGN.md,
-# "Hot path & performance model"); this target re-proves the bits under
-# amd64's wider instruction set and is the first slice of a GOAMD64
-# matrix.
+# iteration IQR against the sorted one (TestIQRSelectBitIdentical), the
+# Anderson-Darling verdict filter's two-sided erfc against math.Erfc
+# (TestErfcPairMatchesErfc), and the fleet shard paths — both driven by
+# the shared block kernel — against single-node execution. The moments
+# wrap each product in float64() so that no compiler may fuse it into an
+# FMA (DESIGN.md, "Hot path & performance model"); this target re-proves
+# the bits under amd64's wider instruction set and is the first slice of
+# a GOAMD64 matrix.
 test-bitident-v3:
-	GOAMD64=v3 $(GO) test -count=1 -run 'BitIdentical|OnePassMoments' ./internal/stats/... ./internal/core
+	GOAMD64=v3 $(GO) test -count=1 -run 'BitIdentical|OnePassMoments|ErfcPair' ./internal/stats/... ./internal/core
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestShardMergeBitIdenticalToSingleNode|TestShardStreamedPathBitIdentical' ./internal/serve
 
 # Shell-level tests for the repo's scripts — today the bench gate's
@@ -152,15 +153,18 @@ cover:
 	}'
 
 # 10-second coverage-guided smokes of the strategy-ordering laws, of
-# sortx.Select against a full sort, and of the decoders of bytes a
+# sortx.Select against a full sort, of the filtered Anderson-Darling
+# verdict against the reference statistic, and of the decoders of bytes a
 # fleet worker sends back: wire.Unseal and the /v1/shard record with
 # the accumulator states inside it. The saved corpora replay in plain
-# `make test` as well. The record seeds of the last two are kilobytes
-# long, and the fuzzer's default minimisation (up to 60 s per new
-# input) would eat the whole smoke, so they minimise for at most 2 s.
+# `make test` as well. The sample seeds of the verdict target and the
+# record seeds of the last two are hundreds of bytes to kilobytes long,
+# and the fuzzer's default minimisation (up to 60 s per new input) would
+# eat the whole smoke, so they minimise for at most 2 s.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStrategyOrdering$$' -fuzztime 10s ./internal/partcomm
 	$(GO) test -run '^$$' -fuzz '^FuzzSelect$$' -fuzztime 10s ./internal/sortx
+	$(GO) test -run '^$$' -fuzz '^FuzzADVerdict$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/stats/normality
 	$(GO) test -run '^$$' -fuzz '^FuzzUnseal$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzShardRecord$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/serve
 
@@ -170,6 +174,17 @@ lint:
 	if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; \
 	fi
+
+# The FMA guard of the bit-exact moment loop: an arm64 build of
+# internal/stats (the stock toolchain cross-compiles; no arm64 machine is
+# needed) must emit no fused multiply-add inside centralMoments, whose
+# float64() wraps keep D'Agostino's and Jarque-Bera's moments equal to
+# the math.Pow reference. amd64 never fuses, so no amd64 test run can
+# catch a missing wrap. The self-test first proves the guard trips on an
+# unwrapped copy of the loop (scripts/testdata/fmaguard).
+lint-fma:
+	sh scripts/lint_fma_test.sh
+	sh scripts/lint_fma.sh ./internal/stats internal/stats/desc.go centralMoments
 
 fmt:
 	gofmt -w .

@@ -78,9 +78,9 @@ func (p *ExactPass) ObserveSorted(_, _, _ int, xs, sorted []float64) {
 	p.ratioSum += ratio
 	p.mags = append(p.mags, max-med)
 	if s := p.normality; s != nil {
-		res := normality.BatterySorted(xs, sorted, p.opts.Alpha)
+		passed := normality.PassedSorted(xs, sorted, p.opts.Alpha)
 		for _, t := range normality.Tests {
-			if res[t].Passed() {
+			if passed[t] {
 				s.Passed[t]++
 				s.PassedSets[t] = append(s.PassedSets[t], s.Total)
 			}

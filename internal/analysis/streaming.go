@@ -305,10 +305,10 @@ func (a *Table1Accumulator) ObserveBlock(trial, rank, iter int, xs []float64) {
 // battery on one complete process iteration, given in original order
 // and sorted.
 func (a *Table1Accumulator) ObserveSorted(_, _, _ int, xs, sorted []float64) {
-	res := normality.BatterySorted(xs, sorted, a.alpha)
+	passed := normality.PassedSorted(xs, sorted, a.alpha)
 	a.total++
 	for _, t := range normality.Tests {
-		if res[t].Passed() {
+		if passed[t] {
 			a.passed[t]++
 		}
 	}

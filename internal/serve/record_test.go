@@ -5,6 +5,7 @@ import (
 	"runtime/metrics"
 	"strings"
 	"testing"
+	"time"
 
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
@@ -202,14 +203,23 @@ func heapAllocBytes() uint64 {
 	return s[0].Value.Uint64()
 }
 
+// maxDecodeWall is the per-input wall bound of FuzzShardRecord. Decoding
+// a record and both states is linear in the input, under a millisecond
+// for each ~5.7 KB seed record under the race detector, so a second
+// leaves three orders of magnitude of headroom for a loaded machine and
+// for the fuzzer's larger inputs while still
+// failing a decode whose work is not bounded by its input length, the
+// class of the bin-timeout hang.
+const maxDecodeWall = time.Second
+
 // FuzzShardRecord drives the shard record decoder and the accumulator
 // state decoders behind it with arbitrary record payloads. The input is
 // the payload, sealed by the target before decoding, so mutations reach
 // the fields instead of stopping at the checksum. Whatever the input,
-// decoding must not panic or allocate more than a small multiple of the
-// input (no allocation sized by an unchecked length), and every payload
-// that decodes must re-encode to the same bytes: record, metrics state
-// and Table 1 state alike.
+// decoding must not panic, take longer than maxDecodeWall, or allocate
+// more than a small multiple of the input (no allocation sized by an
+// unchecked length), and every payload that decodes must re-encode to
+// the same bytes: record, metrics state and Table 1 state alike.
 func FuzzShardRecord(f *testing.F) {
 	for _, rec := range realRecords(f) {
 		f.Add(rec[:len(rec)-wire.SealSize])
@@ -222,11 +232,14 @@ func FuzzShardRecord(f *testing.F) {
 		var m analysis.MetricsAccumulator
 		var tb analysis.Table1Accumulator
 		var recErr, mErr, tErr error
-		before := heapAllocBytes()
+		before, start := heapAllocBytes(), time.Now()
 		if recErr = resp.UnmarshalBinary(rec); recErr == nil {
 			mErr = m.UnmarshalBinary(resp.MetricsState)
 			tErr = tb.UnmarshalBinary(resp.Table1State)
 			_, _ = requestFor(&resp).Accept(rec)
+		}
+		if wall := time.Since(start); wall > maxDecodeWall {
+			t.Fatalf("decoding %d bytes took %v, over the %v bound", len(payload), wall, maxDecodeWall)
 		}
 		if grew := heapAllocBytes() - before; grew > 64*uint64(len(payload))+1<<20 {
 			t.Fatalf("decoding %d bytes allocated %d", len(payload), grew)

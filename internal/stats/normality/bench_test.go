@@ -3,6 +3,8 @@ package normality
 import (
 	"fmt"
 	"testing"
+
+	"earlybird/internal/sortx"
 )
 
 // The three sample sizes of the paper's aggregation levels: process
@@ -74,4 +76,23 @@ func BenchmarkBattery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Battery(xs, DefaultAlpha)
 	}
+}
+
+// BenchmarkVerdicts compares, on one sorted 48-thread process iteration,
+// the full battery with the verdict-only one that Table 1's counters
+// call: the difference is Anderson-Darling's filtered verdict.
+func BenchmarkVerdicts(b *testing.B) {
+	xs := benchSamples(48)
+	sorted := append([]float64(nil), xs...)
+	sortx.Sort(sorted)
+	b.Run("BatterySorted", func(b *testing.B) {
+		for b.Loop() {
+			BatterySorted(xs, sorted, DefaultAlpha)
+		}
+	})
+	b.Run("PassedSorted", func(b *testing.B) {
+		for b.Loop() {
+			PassedSorted(xs, sorted, DefaultAlpha)
+		}
+	})
 }

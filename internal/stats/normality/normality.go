@@ -6,6 +6,19 @@
 //
 // Each test takes the null hypothesis that the sample is drawn from a
 // normal distribution; the paper rejects at a 5% significance level.
+//
+// Two kinds of entry point share the tests. The per-test functions,
+// Battery, BatteryScratch and BatterySorted return full Results —
+// statistic, p-value and verdict — and their bits are pinned against
+// reference implementations. PassedSorted returns the verdicts alone,
+// which is all the paper's Table 1 counts, and equals
+// BatterySorted(...)[t].Passed() on every input. It decides
+// Anderson-Darling from a faster evaluation of the same statistic: one
+// erfc per sample for both tails and one logarithm per sample set in place
+// of 2n, trusted only when it lies farther from the critical value than
+// a proven bound on its disagreement with the reference. Otherwise the
+// unchanged reference decides. Reports that print a statistic keep
+// calling the Result entry points.
 package normality
 
 import (

@@ -3,10 +3,19 @@ package wire
 import (
 	"bytes"
 	"testing"
+	"time"
 )
 
+// maxDecodeWall is the per-input wall bound of FuzzUnseal. Unseal is one
+// CRC pass over its input, microseconds for anything the fuzzer builds,
+// so a second is four orders of magnitude of headroom for the race
+// detector and a loaded machine while still failing a decode whose work
+// is not bounded by its input length, the class of the bin-timeout hang.
+const maxDecodeWall = time.Second
+
 // FuzzUnseal feeds Unseal arbitrary buffers. It must never panic, and
-// it allocates only the fixed-size message of an error; whatever it
+// it allocates only the fixed-size message of an error, nor take longer
+// than maxDecodeWall; whatever it
 // accepts — without allocating — must be the buffer minus its trailer,
 // and sealing that payload again must reproduce the buffer. Seeds are
 // sealed encodings of every Writer method and an empty payload, plus
@@ -19,7 +28,11 @@ func FuzzUnseal(f *testing.F) {
 	f.Add(empty.Seal())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		start := time.Now()
 		body, err := Unseal(data)
+		if wall := time.Since(start); wall > maxDecodeWall {
+			t.Fatalf("Unseal took %v on %d bytes, over the %v bound", wall, len(data), maxDecodeWall)
+		}
 		if err != nil {
 			return
 		}
