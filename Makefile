@@ -65,14 +65,15 @@ clean-store:
 # math.Pow moments, the one-pass moments themselves, the selection-based
 # iteration IQR against the sorted one (TestIQRSelectBitIdentical), the
 # Anderson-Darling verdict filter's two-sided erfc against math.Erfc
-# (TestErfcPairMatchesErfc), and the fleet shard paths — both driven by
+# (TestErfcPairMatchesErfc), sortx.Sort's padded networks against the
+# pruned ones (TestSortBitIdentical), and the fleet shard paths — both driven by
 # the shared block kernel — against single-node execution. The moments
 # wrap each product in float64() so that no compiler may fuse it into an
 # FMA (DESIGN.md, "Hot path & performance model"); this target re-proves
 # the bits under amd64's wider instruction set and is the first slice of
 # a GOAMD64 matrix.
 test-bitident-v3:
-	GOAMD64=v3 $(GO) test -count=1 -run 'BitIdentical|OnePassMoments|ErfcPair' ./internal/stats/... ./internal/core
+	GOAMD64=v3 $(GO) test -count=1 -run 'BitIdentical|OnePassMoments|ErfcPair' ./internal/stats/... ./internal/core ./internal/sortx
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestShardMergeBitIdenticalToSingleNode|TestShardStreamedPathBitIdentical' ./internal/serve
 
 # Shell-level tests for the repo's scripts — today the bench gate's
@@ -154,17 +155,20 @@ cover:
 
 # 10-second coverage-guided smokes of the strategy-ordering laws, of
 # sortx.Select against a full sort, of the filtered Anderson-Darling
-# verdict against the reference statistic, and of the decoders of bytes a
+# verdict against the reference statistic, of trace.ReadCSV (the inline
+# CSV a /v1/scenario request may carry), and of the decoders of bytes a
 # fleet worker sends back: wire.Unseal and the /v1/shard record with
 # the accumulator states inside it. The saved corpora replay in plain
-# `make test` as well. The sample seeds of the verdict target and the
-# record seeds of the last two are hundreds of bytes to kilobytes long,
-# and the fuzzer's default minimisation (up to 60 s per new input) would
-# eat the whole smoke, so they minimise for at most 2 s.
+# `make test` as well. The sample seeds of the verdict target, the
+# captured trace seeding the CSV target and the record seeds of the last
+# two are hundreds of bytes to kilobytes long, and the fuzzer's default
+# minimisation (up to 60 s per new input) would eat the whole smoke, so
+# they minimise for at most 2 s.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStrategyOrdering$$' -fuzztime 10s ./internal/partcomm
 	$(GO) test -run '^$$' -fuzz '^FuzzSelect$$' -fuzztime 10s ./internal/sortx
 	$(GO) test -run '^$$' -fuzz '^FuzzADVerdict$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/stats/normality
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzUnseal$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzShardRecord$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/serve
 
@@ -179,12 +183,14 @@ lint:
 # internal/stats (the stock toolchain cross-compiles; no arm64 machine is
 # needed) must emit no fused multiply-add inside centralMoments, whose
 # float64() wraps keep D'Agostino's and Jarque-Bera's moments equal to
-# the math.Pow reference. amd64 never fuses, so no amd64 test run can
+# the math.Pow reference, or inside VarianceAbout, whose wrap keeps
+# Variance, StdDev and the Anderson-Darling and Lilliefors statistics
+# the same on every architecture. amd64 never fuses, so no amd64 test run can
 # catch a missing wrap. The self-test first proves the guard trips on an
 # unwrapped copy of the loop (scripts/testdata/fmaguard).
 lint-fma:
 	sh scripts/lint_fma_test.sh
-	sh scripts/lint_fma.sh ./internal/stats internal/stats/desc.go centralMoments
+	sh scripts/lint_fma.sh ./internal/stats internal/stats/desc.go centralMoments VarianceAbout
 
 fmt:
 	gofmt -w .

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"earlybird/internal/trace"
 )
@@ -280,5 +282,34 @@ func TestScenarioInlineTraceRejectsNonFinite(t *testing.T) {
 		if !strings.Contains(eb.Error, "not finite") {
 			t.Fatalf("%s: error %q does not name the non-finite value", v, eb.Error)
 		}
+	}
+}
+
+// TestScenarioInlineTraceRejectsHugeIndexFast: an inline CSV of one row
+// whose thread index implies ten million cells is a fast 400 that
+// allocates nothing sized by the index (it used to allocate ~87 MiB
+// before the refusal; a larger index asked for gigabytes, well inside
+// the request body cap).
+func TestScenarioInlineTraceRejectsHugeIndexFast(t *testing.T) {
+	_, ts := newTestServer(t)
+	doc, err := json.Marshal(map[string]any{
+		"name":    "hostile-trace",
+		"sources": []any{map[string]any{"csv": "app,trial,rank,iteration,thread,compute_seconds\nx,0,0,0,10000000,1\n"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	resp := postScenario(t, ts.URL, ScenarioRequest{Scenario: string(doc)})
+	wall := time.Since(start)
+	runtime.ReadMemStats(&after)
+	wantRejected(t, "huge index", resp, http.StatusBadRequest, "missing cell")
+	if wall > 2*time.Second {
+		t.Fatalf("refusal took %v", wall)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+		t.Fatalf("refusing the request allocated %d bytes", got)
 	}
 }

@@ -5,15 +5,40 @@
 //
 // Strategy (single-socket Xeon, Go 1.24):
 //
-//   - n <= 32: unrolled Batcher odd-even merge networks (networks.go)
-//     with branchless min/max compare-exchanges; bounds checks are
-//     eliminated by the (*[N]float64) conversion.
+//   - n <= 32: unrolled Batcher odd-even merge networks for 8, 16 and 32
+//     elements (networks.go) with branchless min/max compare-exchanges;
+//     bounds checks are eliminated by the (*[N]float64) conversion. Any
+//     other n is copied into a 32-element stack buffer, padded with +Inf
+//     up to the next of 8, 16 and 32, sorted there, and its first n
+//     elements copied back.
 //   - 33 <= n <= 128: network-sorted 32-wide chunks merged bottom-up
 //     through a fixed stack buffer (sortMid). At n=48 (the paper's
 //     thread count) this is a single branchless merge pass over a
 //     network32 and a network16 run.
 //   - n > 128: slices.Sort (pdqsort). Block sizes past 128 do not occur
 //     in configured geometries.
+//
+// networks.go is generated: TestNetworksGenerated renders it from the
+// comparator lists of batcher (networks_gen_test.go) and fails when the
+// checked-in file differs; -update rewrites it.
+//
+// Padding does not change a bit of the result. Go's min and max order
+// every non-NaN float64 totally, -0 before +0, and a compare-exchange
+// only permutes its two values, so every correct network returns the
+// same unique sorted sequence. The +Inf pads sort to the tail, and a
+// +Inf in the data is bitwise equal to a pad, so the first n outputs
+// are exactly the sorted input. TestSortBitIdentical checks this against
+// the pruned networks for every n <= 32.
+//
+// Only three widths are unrolled because the sorts that are not 8, 16 or
+// 32 wide are rare: a study's 48-thread blocks run network32 and
+// network16 inside sortMid, and other widths come from Select's short
+// tails. A table-driven loop over the comparator list was measured and
+// rejected: ~15% slower at n=48 on fresh data (median of 5 runs 1012 vs
+// 883 ns on a 2-core VM), and computing the pair indices inside the loop
+// nest was 3.2x slower (2822 ns). The padded widths are dispatched by a
+// switch with direct calls; calling through a func table makes the
+// stack buffer escape to the heap (TestSortAllocFree catches it).
 //
 // Every tier was chosen by the END-TO-END study benchmark, not the
 // package microbenchmark, because the microbenchmark lies here: its
@@ -33,7 +58,10 @@
 // unspecified, exactly as for sort.Float64s before Go 1.23.
 package sortx
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // networkMax is the largest n with an unrolled network; sortMid chunks
 // by this width.
@@ -52,7 +80,7 @@ func Sort(s []float64) {
 	case n <= 1:
 		return
 	case n <= networkMax:
-		networks[n](s)
+		sortSmall(s)
 	case n <= midMax:
 		sortMid(s)
 	default:
@@ -60,19 +88,52 @@ func Sort(s []float64) {
 	}
 }
 
-// sortMid sorts 33 <= n <= 128 elements: each 32-wide chunk is sorted
-// by its network, then the sorted runs are merged bottom-up through a
-// stack buffer. The buffer never escapes — mergeRuns does not retain
-// its arguments — so the whole sort stays allocation-free.
+// sortSmall sorts 2 <= n <= 32 elements with one network: directly at
+// n = 8, 16 or 32, otherwise in a stack buffer padded with +Inf to the
+// next of those widths (see the package comment for why the result is
+// bit-exact).
+func sortSmall(s []float64) {
+	switch len(s) {
+	case 8:
+		network8(s)
+		return
+	case 16:
+		network16(s)
+		return
+	case 32:
+		network32(s)
+		return
+	}
+	var buf [networkMax]float64
+	n := copy(buf[:], s)
+	w := 8
+	for w < n {
+		w *= 2
+	}
+	for i := n; i < w; i++ {
+		buf[i] = math.Inf(1)
+	}
+	switch w {
+	case 8:
+		network8(buf[:])
+	case 16:
+		network16(buf[:])
+	default:
+		network32(buf[:])
+	}
+	copy(s, buf[:n])
+}
+
+// sortMid sorts 33 <= n <= 128 elements: each 32-wide chunk (and the
+// shorter tail chunk) is sorted by sortSmall, then the sorted runs are
+// merged bottom-up through a stack buffer. The buffer never escapes —
+// MergeRuns does not retain its arguments — so the whole sort stays
+// allocation-free.
 func sortMid(s []float64) {
 	n := len(s)
 	for i := 0; i < n; i += networkMax {
-		end := i + networkMax
-		if end > n {
-			end = n
-		}
-		if c := end - i; c > 1 {
-			networks[c](s[i:end])
+		if end := min(i+networkMax, n); end-i > 1 {
+			sortSmall(s[i:end])
 		}
 	}
 	var buf [midMax]float64
@@ -120,18 +181,4 @@ func MergeRuns(dst, a, b []float64) {
 	}
 	k += copy(dst[k:], a[i:])
 	copy(dst[k:], b[j:])
-}
-
-// insertion is a straight insertion sort, kept as the reference point
-// the network strategy is benchmarked against (BenchmarkSortInsertion).
-func insertion(s []float64) {
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
 }

@@ -7,10 +7,11 @@ import (
 	"testing"
 )
 
-// TestNetworksMatchSlicesSort drives every generated network (and the
-// chunked-merge + pdqsort tiers) through randomized and adversarial inputs,
-// comparing against slices.Sort. This is the correctness proof for the
-// generated comparator sequences in networks.go.
+// TestNetworksMatchSlicesSort drives every size through the generated
+// networks (padded below 32, chunked and merged up to 128) and the
+// pdqsort tier with randomized and adversarial inputs, comparing against
+// slices.Sort. This is the correctness proof for the generated
+// comparator sequences in networks.go.
 func TestNetworksMatchSlicesSort(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for n := 0; n <= 260; n++ {
@@ -80,20 +81,74 @@ func BenchmarkSort(b *testing.B) {
 	}
 }
 
-// TestSortMidAllocFree pins that the chunked-merge tier's stack buffer
-// does not escape: the hot accumulators call Sort per block and rely on
-// it being allocation-free.
-func TestSortMidAllocFree(t *testing.T) {
-	buf := make([]float64, 48)
+// TestSortAllocFree pins that no tier up to midMax allocates: the padded
+// networks' and the chunked merge's stack buffers must not escape, since
+// the hot accumulators call Sort per block and rely on it being
+// allocation-free.
+func TestSortAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := range buf {
-			buf[i] = rng.NormFloat64()
+	for n := 0; n <= midMax; n++ {
+		buf := make([]float64, n)
+		allocs := testing.AllocsPerRun(20, func() {
+			for i := range buf {
+				buf[i] = rng.NormFloat64()
+			}
+			Sort(buf)
+		})
+		if allocs != 0 {
+			t.Fatalf("Sort(n=%d) allocates %v times per call", n, allocs)
 		}
-		Sort(buf)
-	})
-	if allocs != 0 {
-		t.Fatalf("Sort(n=48) allocates %v times per call", allocs)
+	}
+}
+
+// TestSortBitIdentical runs the pruned comparator list of every n <= 32
+// from the generator as a table-driven reference network and requires
+// Sort — which sorts those sizes in a +Inf-padded 8, 16 or 32 network —
+// to return the same bits, over inputs rich in -0/+0 pairs, infinities
+// and duplicates. Past 32, MergeRuns merges equal values by value (it may
+// emit -0 for a +0), so sizes 33..128 are held to value equality by
+// TestNetworksMatchSlicesSort instead.
+func TestSortBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 12))
+	pool := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1, -1, 2.5, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	for n := 2; n <= networkMax; n++ {
+		pairs := batcher(n)
+		for trial := 0; trial < 2000; trial++ {
+			in := make([]float64, n)
+			for i := range in {
+				if trial%2 == 0 || rng.IntN(2) == 0 {
+					in[i] = pool[rng.IntN(len(pool))]
+				} else {
+					in[i] = rng.NormFloat64()
+				}
+			}
+			want := slices.Clone(in)
+			for _, c := range pairs {
+				a, b := want[c[0]], want[c[1]]
+				want[c[0]], want[c[1]] = min(a, b), max(a, b)
+			}
+			got := slices.Clone(in)
+			Sort(got)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d input %v: Sort gives %v, the pruned network %v", n, in, got, want)
+				}
+			}
+		}
+	}
+}
+
+// insertion is a straight insertion sort, the reference point the
+// network strategy is benchmarked against (BenchmarkSortInsertion).
+func insertion(s []float64) {
+	for i := 1; i < len(s); i++ {
+		v := s[i]
+		j := i - 1
+		for j >= 0 && s[j] > v {
+			s[j+1] = s[j]
+			j--
+		}
+		s[j+1] = v
 	}
 }
 

@@ -31,7 +31,9 @@ func Mean(xs []float64) float64 {
 func Variance(xs []float64) float64 { return VarianceAbout(xs, Mean(xs)) }
 
 // VarianceAbout is Variance for a caller that already holds the sample
-// mean m, bit-identical to Variance when m == Mean(xs).
+// mean m, bit-identical to Variance when m == Mean(xs). The square is
+// wrapped in float64() so that no compiler fuses it into the sum (see
+// centralMoments); make lint-fma checks the arm64 build.
 func VarianceAbout(xs []float64, m float64) float64 {
 	if len(xs) < 2 {
 		return math.NaN()
@@ -39,7 +41,7 @@ func VarianceAbout(xs []float64, m float64) float64 {
 	ss := 0.0
 	for _, x := range xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return ss / float64(len(xs)-1)
 }

@@ -55,9 +55,11 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 // Dataset. The geometry is inferred from the maximum indices seen; every
 // cell must be present exactly once and hold a finite compute time (the
 // analysis sorts with internal/sortx, whose contract excludes NaN).
+// Nothing is allocated by index before the row count is known to fill
+// the inferred geometry, so memory stays proportional to the input.
 func ReadCSV(r io.Reader) (*Dataset, error) {
 	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
+	scanner.Buffer(make([]byte, 64<<10), 1<<20) // grows on demand up to 1 MiB lines
 	if !scanner.Scan() {
 		return nil, fmt.Errorf("trace: empty CSV")
 	}
@@ -138,8 +140,21 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("trace: CSV has no data rows")
 	}
+	// Every cell holds exactly one row, so the geometry the largest
+	// indices imply cannot have more cells than there are rows. Check that
+	// before allocating anything sized by an index: one row with a huge
+	// index would otherwise ask for gigabytes. The running product never
+	// exceeds len(rows), so it cannot overflow.
+	cells := 1
+	for _, m := range [4]int{maxT, maxR, maxI, maxTh} {
+		if m >= len(rows)/cells {
+			return nil, fmt.Errorf("trace: missing cells: the largest indices (%d,%d,%d,%d) imply more cells than the %d data rows",
+				maxT, maxR, maxI, maxTh, len(rows))
+		}
+		cells *= m + 1
+	}
 	d := NewDataset(app, maxT+1, maxR+1, maxI+1, maxTh+1)
-	seen := make([]bool, d.NumSamples())
+	seen := make([]bool, cells)
 	for _, rw := range rows {
 		idx := ((rw.trial*d.Ranks+rw.rank)*d.Iterations+rw.iter)*d.Threads + rw.thread
 		if seen[idx] {
@@ -148,11 +163,8 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		seen[idx] = true
 		d.Times[rw.trial][rw.rank][rw.iter][rw.thread] = rw.sec
 	}
-	for i, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("trace: missing cell at flat index %d", i)
-		}
-	}
+	// With no more cells than rows, rows without a duplicate fill every
+	// cell.
 	return d, nil
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -293,5 +294,34 @@ func TestReadCSVRejectsNonFinite(t *testing.T) {
 		if !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "not finite") {
 			t.Errorf("%s: error %q does not name line 3 as not finite", v, err)
 		}
+	}
+}
+
+// hostileIndexCSV is one data row whose thread index implies a geometry
+// of ten million cells: before ReadCSV checked the row count against the
+// geometry, this 67-byte input allocated ~87 MiB before it was refused.
+const hostileIndexCSV = "app,trial,rank,iteration,thread,compute_seconds\nx,0,0,0,10000000,1\n"
+
+// TestReadCSVRejectsHugeIndexWithoutAllocating pins that an index far
+// beyond the row count is refused before anything sized by it is
+// allocated, and that indices whose cell product overflows int are
+// refused too.
+func TestReadCSVRejectsHugeIndexWithoutAllocating(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadCSV(strings.NewReader(hostileIndexCSV))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "missing cell") {
+		t.Fatalf("hostile index accepted or misreported: %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("refusing a %d-byte CSV allocated %d bytes", len(hostileIndexCSV), got)
+	}
+
+	const header = "app,trial,rank,iteration,thread,compute_seconds\n"
+	overflow := header + "x,9223372036854775807,0,0,0,1\n" +
+		"x,0,4294967296,4294967296,4294967296,1\n"
+	if _, err := ReadCSV(strings.NewReader(overflow)); err == nil || !strings.Contains(err.Error(), "missing cell") {
+		t.Fatalf("overflowing geometry accepted or misreported: %v", err)
 	}
 }
