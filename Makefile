@@ -66,15 +66,17 @@ clean-store:
 # iteration IQR against the sorted one (TestIQRSelectBitIdentical), the
 # Anderson-Darling verdict filter's two-sided erfc against math.Erfc
 # (TestErfcPairMatchesErfc), sortx.Sort's padded networks against the
-# pruned ones (TestSortBitIdentical), and the fleet shard paths — both driven by
-# the shared block kernel — against single-node execution. The moments
+# pruned ones (TestSortBitIdentical), the fleet shard paths — both driven by
+# the shared block kernel — against single-node execution, and a local
+# sweep cell above the cache bound against the same cell below it
+# (TestSweepRowSameAtAnyCacheBound). The moments
 # wrap each product in float64() so that no compiler may fuse it into an
 # FMA (DESIGN.md, "Hot path & performance model"); this target re-proves
 # the bits under amd64's wider instruction set and is the first slice of
 # a GOAMD64 matrix.
 test-bitident-v3:
 	GOAMD64=v3 $(GO) test -count=1 -run 'BitIdentical|OnePassMoments|ErfcPair' ./internal/stats/... ./internal/core ./internal/sortx
-	GOAMD64=v3 $(GO) test -count=1 -run 'TestShardMergeBitIdenticalToSingleNode|TestShardStreamedPathBitIdentical' ./internal/serve
+	GOAMD64=v3 $(GO) test -count=1 -run 'TestShardMergeBitIdenticalToSingleNode|TestShardStreamedPathBitIdentical|TestSweepRowSameAtAnyCacheBound' ./internal/serve
 
 # Shell-level tests for the repo's scripts — today the bench gate's
 # comparison verdicts (scripts/bench_gate_test.sh), in particular that a
@@ -157,8 +159,9 @@ cover:
 # sortx.Select against a full sort, of the filtered Anderson-Darling
 # verdict against the reference statistic, of trace.ReadCSV (the inline
 # CSV a /v1/scenario request may carry), and of the decoders of bytes a
-# fleet worker sends back: wire.Unseal and the /v1/shard record with
-# the accumulator states inside it. The saved corpora replay in plain
+# fleet worker sends back: wire.Unseal, the /v1/shard record with
+# the accumulator states inside it, and dlb.Parse, which decodes the
+# policy text in every record identity. The saved corpora replay in plain
 # `make test` as well. The sample seeds of the verdict target, the
 # captured trace seeding the CSV target and the record seeds of the last
 # two are hundreds of bytes to kilobytes long, and the fuzzer's default
@@ -171,6 +174,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzUnseal$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzShardRecord$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzDLBParse$$' -fuzztime 10s ./internal/dlb
 
 lint:
 	$(GO) vet ./...

@@ -12,6 +12,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -33,8 +34,18 @@ type Config struct {
 }
 
 // Samples returns the total sample count of the geometry:
-// trials x ranks x iterations x threads.
-func (c Config) Samples() int { return c.Trials * c.Ranks * c.Iterations * c.Threads }
+// trials x ranks x iterations x threads, saturating at math.MaxInt so a
+// bound check against it can never be passed by overflow.
+func (c Config) Samples() int {
+	n := c.Trials
+	for _, d := range []int{c.Ranks, c.Iterations, c.Threads} {
+		if d > 0 && n > math.MaxInt/d {
+			return math.MaxInt
+		}
+		n *= d
+	}
+	return n
+}
 
 // DefaultConfig returns the paper's geometry (10 x 8 x 200 x 48).
 func DefaultConfig() Config {
@@ -156,6 +167,88 @@ func RunColumnarObserved(model workload.Model, cfg Config, policy dlb.Spec, work
 		return nil, err
 	}
 	return sink.Seal()
+}
+
+// ObserveTrials fills trials [lo, hi) of cfg under policy and feeds obs
+// every block in cursor order — trial, rank, then iteration, with
+// absolute trial indices — so an order-sensitive observer folds exactly
+// what a cursor over the materialised study would show it. At most
+// maxSamples samples (or one block, if larger) are live at once: trials
+// fill in runs that fit the bound, each run on up to workers goroutines
+// (<= 0: one per CPU), and a static trial larger than the bound streams
+// through one fill worker, whose stripe order is the cursor's. A
+// rebalanced trial larger than the bound is refused: its ranks fill
+// iteration by iteration together, so yielding them rank-major would
+// mean holding the whole trial.
+func ObserveTrials(model workload.Model, cfg Config, lo, hi int, policy dlb.Spec, workers, maxSamples int, obs BlockObserver, progress ProgressSink) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if lo < 0 || hi <= lo || hi > cfg.Trials {
+		return fmt.Errorf("cluster: trial range [%d, %d) outside the geometry's %d trials", lo, hi, cfg.Trials)
+	}
+	resolved, err := policy.Resolve()
+	if err != nil {
+		return err
+	}
+	run := cfg
+	run.Trials = 1
+	perTrial := run.Samples()
+	if perTrial > maxSamples {
+		if !resolved.IsStatic() {
+			return fmt.Errorf("cluster: a rebalanced trial of %d samples is over the %d-sample bound", perTrial, maxSamples)
+		}
+		run.Trials = hi - lo
+		_, err := RunStreamObserved(ShiftTrials(model, lo), run, resolved, 1, nil,
+			func() BlockObserver { return shiftedObserver{obs, lo} }, progress)
+		return err
+	}
+	for t := lo; t < hi; t += run.Trials {
+		run.Trials = min(maxSamples/perTrial, hi-t)
+		col, err := RunColumnarObserved(ShiftTrials(model, t), run, resolved, workers, progress)
+		if err != nil {
+			return err
+		}
+		for cur := col.Cursor(); cur.Next(); {
+			b := cur.Block()
+			obs.ObserveBlock(b.Trial+t, b.Rank, b.Iter, b.Times)
+		}
+	}
+	return nil
+}
+
+// ShiftTrials offsets a model's trial axis: trial t of the returned
+// model is trial t+lo of m, so a (hi-lo)-trial study of it generates
+// trials [lo, hi) of m bit for bit. The name carries the offset, so a
+// dataset cache keys shifted studies apart; lo == 0 returns m itself,
+// which shares cache entries with m's ordinary studies.
+func ShiftTrials(m workload.Model, lo int) workload.Model {
+	if lo == 0 {
+		return m
+	}
+	return shiftedModel{Model: m, lo: lo}
+}
+
+type shiftedModel struct {
+	workload.Model
+	lo int
+}
+
+func (m shiftedModel) Name() string { return fmt.Sprintf("%s#t%d", m.Model.Name(), m.lo) }
+
+func (m shiftedModel) FillProcessIteration(root *rng.Source, trial, rank, iter int, out []float64) {
+	m.Model.FillProcessIteration(root, trial+m.lo, rank, iter, out)
+}
+
+// shiftedObserver restores the absolute trial of a ShiftTrials fill's
+// blocks.
+type shiftedObserver struct {
+	BlockObserver
+	lo int
+}
+
+func (o shiftedObserver) ObserveBlock(trial, rank, iter int, xs []float64) {
+	o.BlockObserver.ObserveBlock(trial+o.lo, rank, iter, xs)
 }
 
 // RunStream executes the study as a stream: per-iteration sample blocks

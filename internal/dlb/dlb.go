@@ -21,6 +21,7 @@ package dlb
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -79,10 +80,12 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("dlb: static policy takes no parameters")
 		}
 	case PolicyLeWI:
-		if s.LaggardFactor != 0 && s.LaggardFactor < 1 {
-			return fmt.Errorf("dlb: laggard_factor %g < 1", s.LaggardFactor)
+		// Negated comparisons refuse NaN too: it would never equal
+		// itself in a cache key, and JSON cannot carry it (nor +Inf).
+		if s.LaggardFactor != 0 && !(s.LaggardFactor >= 1 && s.LaggardFactor <= math.MaxFloat64) {
+			return fmt.Errorf("dlb: laggard_factor %g not a finite value >= 1", s.LaggardFactor)
 		}
-		if s.MaxLendFraction != 0 && (s.MaxLendFraction < 0 || s.MaxLendFraction > 1) {
+		if s.MaxLendFraction != 0 && !(s.MaxLendFraction > 0 && s.MaxLendFraction <= 1) {
 			return fmt.Errorf("dlb: max_lend_fraction %g outside (0, 1]", s.MaxLendFraction)
 		}
 		if s.ReactionIters != 0 {

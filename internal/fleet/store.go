@@ -24,7 +24,6 @@ import (
 	"path/filepath"
 
 	"earlybird/internal/analysis"
-	"earlybird/internal/core"
 	"earlybird/internal/engine"
 	"earlybird/internal/serve"
 	"earlybird/internal/wire"
@@ -172,17 +171,7 @@ func (s *Store) LoadCell(cell serve.SweepCell, key engine.SpecKey) (serve.SweepR
 	if err := tacc.UnmarshalBinary(table1State); err != nil {
 		return skip("table1 state: %v", err)
 	}
-	row := serve.SweepRow{
-		Index:               cell.Index,
-		App:                 cell.App,
-		Geometry:            cell.Geometry,
-		Alpha:               cell.Alpha,
-		LaggardThresholdSec: cell.LaggardThresholdSec,
-		DLB:                 cell.DLB,
-		StoreHit:            true,
-	}
-	row.Metrics = macc.Finalize()
-	row.Table1 = tacc.Finalize()
-	row.Recommendation = core.ClassifyMetrics(row.Metrics)
+	row := cell.Row(macc, tacc)
+	row.StoreHit = true
 	return row, true
 }

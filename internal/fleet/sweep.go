@@ -11,7 +11,6 @@ import (
 
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
-	"earlybird/internal/core"
 	"earlybird/internal/engine"
 	"earlybird/internal/serve"
 )
@@ -64,19 +63,6 @@ type shardOutcome struct {
 	err   error
 }
 
-// errorRow assembles a failed cell's row.
-func errorRow(cell serve.SweepCell, err error) serve.SweepRow {
-	return serve.SweepRow{
-		Index:               cell.Index,
-		App:                 cell.App,
-		Geometry:            cell.Geometry,
-		Alpha:               cell.Alpha,
-		LaggardThresholdSec: cell.LaggardThresholdSec,
-		DLB:                 cell.DLB,
-		Err:                 err.Error(),
-	}
-}
-
 // DispatchCell implements serve.FleetDispatcher: it shards one sweep
 // cell across the fleet's workers and merges the shard states into the
 // finished row. A configured durable store is consulted first — before
@@ -87,14 +73,17 @@ func errorRow(cell serve.SweepCell, err error) serve.SweepRow {
 // come back as error rows with ok == true, exactly as local execution
 // would report them.
 func (f *Fleet) DispatchCell(ctx context.Context, cell serve.SweepCell) (serve.SweepRow, bool) {
-	if err := cell.Geometry.Validate(); err != nil {
+	// Resolved once: every shard's record is checked against the same
+	// canonical identity the workers execute.
+	cellReq, err := cell.ShardRequest().Resolve()
+	if err != nil {
 		f.cellsFailed.Add(1)
-		return errorRow(cell, err), true
+		return cell.ErrorRow(err), true
 	}
 	key, err := cellKey(cell)
 	if err != nil {
 		f.cellsFailed.Add(1)
-		return errorRow(cell, err), true
+		return cell.ErrorRow(err), true
 	}
 	hash := key.Hash()
 	if f.store != nil {
@@ -114,24 +103,6 @@ func (f *Fleet) DispatchCell(ctx context.Context, cell serve.SweepCell) (serve.S
 	}
 	ranges := splitTrials(cell.Geometry.Trials, shards)
 
-	cellReq := serve.ShardRequest{
-		App:        cell.App,
-		Geometry:   &cell.Geometry,
-		Alpha:      cell.Alpha,
-		LaggardSec: cell.LaggardThresholdSec,
-		TrialHi:    cell.Geometry.Trials,
-	}
-	if !cell.DLB.IsStatic() {
-		policy := cell.DLB
-		cellReq.DLB = &policy
-	}
-	// Resolved once: every shard's record is checked against the same
-	// canonical identity the workers execute.
-	cellReq, err = cellReq.Resolve()
-	if err != nil {
-		f.cellsFailed.Add(1)
-		return errorRow(cell, err), true
-	}
 	outcomes := make([]shardOutcome, len(ranges))
 	var wg sync.WaitGroup
 	for i, rg := range ranges {
@@ -155,15 +126,8 @@ func (f *Fleet) DispatchCell(ctx context.Context, cell serve.SweepCell) (serve.S
 
 	macc := analysis.NewMetricsAccumulator(cell.App, cell.LaggardThresholdSec)
 	tacc := analysis.NewTable1Accumulator(cell.App, cell.Alpha)
-	row := serve.SweepRow{
-		Index:               cell.Index,
-		App:                 cell.App,
-		Geometry:            cell.Geometry,
-		Alpha:               cell.Alpha,
-		LaggardThresholdSec: cell.LaggardThresholdSec,
-		DLB:                 cell.DLB,
-		Shards:              len(ranges),
-	}
+	var hit, streamed bool
+	var shardWorkers []string
 	for i := range outcomes {
 		o := &outcomes[i]
 		if o.err != nil {
@@ -171,7 +135,7 @@ func (f *Fleet) DispatchCell(ctx context.Context, cell serve.SweepCell) (serve.S
 				// The request itself is invalid: report it as the cell's
 				// error row, as local execution would.
 				f.cellsFailed.Add(1)
-				return errorRow(cell, o.err), true
+				return cell.ErrorRow(o.err), true
 			}
 			if ctx.Err() != nil {
 				// The caller cancelled (client gone, deadline hit):
@@ -179,7 +143,7 @@ func (f *Fleet) DispatchCell(ctx context.Context, cell serve.SweepCell) (serve.S
 				// fleet is unhealthy — and never hand the cell back for
 				// a pointless full local execution.
 				f.cellsFailed.Add(1)
-				return errorRow(cell, ctx.Err()), true
+				return cell.ErrorRow(ctx.Err()), true
 			}
 			// A shard could not be placed anywhere: hand the whole cell
 			// back for local execution.
@@ -187,9 +151,9 @@ func (f *Fleet) DispatchCell(ctx context.Context, cell serve.SweepCell) (serve.S
 		}
 		macc.Merge(o.state.Metrics)
 		tacc.Merge(o.state.Table1)
-		row.DatasetCacheHit = row.DatasetCacheHit || o.state.Record.DatasetCacheHit
-		row.Streamed = row.Streamed || o.state.Record.Streamed
-		row.ShardWorkers = append(row.ShardWorkers, o.from.url)
+		hit = hit || o.state.Record.DatasetCacheHit
+		streamed = streamed || o.state.Record.Streamed
+		shardWorkers = append(shardWorkers, o.from.url)
 	}
 	if f.store != nil {
 		// Persist the merged (pre-finalize) states: the codecs are
@@ -204,9 +168,9 @@ func (f *Fleet) DispatchCell(ctx context.Context, cell serve.SweepCell) (serve.S
 			}
 		}
 	}
-	row.Metrics = macc.Finalize()
-	row.Table1 = tacc.Finalize()
-	row.Recommendation = core.ClassifyMetrics(row.Metrics)
+	row := cell.Row(macc, tacc)
+	row.DatasetCacheHit, row.Streamed = hit, streamed
+	row.Shards, row.ShardWorkers = len(ranges), shardWorkers
 	f.cellsMerged.Add(1)
 	return row, true
 }
@@ -222,11 +186,11 @@ func (f *Fleet) Sweep(ctx context.Context, req serve.SweepRequest, emit func(ser
 		return err
 	}
 	var mu sync.Mutex
-	f.eachCell(len(cells), func(i int) {
+	serve.FanOut(len(cells), min(cap(f.sem), len(cells)), func(i int) {
 		row, ok := f.DispatchCell(ctx, cells[i])
 		if !ok {
 			f.cellsFailed.Add(1)
-			row = errorRow(cells[i], f.notPlaced(0, -1, nil))
+			row = cells[i].ErrorRow(f.notPlaced(0, -1, nil))
 		}
 		mu.Lock()
 		emit(row)
@@ -246,7 +210,7 @@ func (f *Fleet) Strategies(ctx context.Context, req serve.StrategiesRequest, emi
 		return err
 	}
 	var mu sync.Mutex
-	f.eachCell(len(cells), func(i int) {
+	serve.FanOut(len(cells), min(cap(f.sem), len(cells)), func(i int) {
 		row := f.strategyCell(ctx, req, cells[i])
 		mu.Lock()
 		emit(row)
@@ -291,29 +255,4 @@ func (f *Fleet) strategyCell(ctx context.Context, req serve.StrategiesRequest, c
 		f.cellsMerged.Add(1)
 	}
 	return row
-}
-
-// eachCell runs fn(i) for every cell across a bounded worker pool sized
-// to the fleet's in-flight budget.
-func (f *Fleet) eachCell(n int, fn func(int)) {
-	workers := cap(f.sem)
-	if workers > n {
-		workers = n
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 }

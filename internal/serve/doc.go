@@ -22,12 +22,15 @@
 //
 // The sweep endpoint fans a grid of (app x geometry x alpha x laggard
 // threshold) cells onto the engine and writes one NDJSON row per cell as
-// it completes. Rows are computed on the columnar cursor path (one
-// analysis.Kernel feeding the metrics and Table 1 accumulators over
-// engine.Columnar) so the nested tensor view is never built, and
-// geometries larger than Options.MaxCachedSweepSamples bypass the
-// dataset cache entirely via the streaming fill (core.StreamStudy), so
-// huge geometries never materialise server-side in any form.
+// it completes. A local cell is the shard [0, Trials) and runs on the
+// shard executor (runShard: one analysis.Kernel feeding the metrics and
+// Table 1 accumulators over a columnar cursor), so the nested tensor
+// view is never built. Geometries larger than
+// Options.MaxCachedSweepSamples bypass the dataset cache and run through
+// cluster.ObserveTrials, which holds at most the bound's samples: runs
+// of whole trials that fit it, or a static trial over it streamed block
+// by block (a rebalanced trial over it is refused). The bound sets
+// memory, never the answer.
 //
 // The strategies endpoint sweeps a delivery-strategy grid — fixed and
 // adaptive policies from internal/partcomm — over each (app, geometry)

@@ -217,13 +217,13 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	workers := s.clampWorkers(req.Workers, len(c.Cells))
 	if req.Stream {
 		emit := startNDJSON(w, "X-Scenario-Cells", len(c.Cells))
-		fanOut(len(c.Cells), workers, func(i int) {
+		FanOut(len(c.Cells), workers, func(i int) {
 			emit(s.runScenarioCell(r.Context(), c.Cells[i]))
 		})
 		return
 	}
 	resp.Rows = make([]ScenarioRow, len(c.Cells))
-	fanOut(len(c.Cells), workers, func(i int) {
+	FanOut(len(c.Cells), workers, func(i int) {
 		resp.Rows[i] = s.runScenarioCell(r.Context(), c.Cells[i])
 	})
 	for i := range resp.Rows {

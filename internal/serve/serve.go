@@ -23,8 +23,9 @@ const (
 	// DefaultMaxDatasets is the engine dataset cache's default bound.
 	DefaultMaxDatasets = 64
 	// DefaultMaxCachedSweepSamples is the geometry size (total samples)
-	// above which sweep cells bypass the dataset cache and run on the
-	// streaming fill: four paper geometries (~24 MiB columnar each).
+	// above which sweep cells and shards bypass the dataset cache and
+	// fill at most that many samples at once: four paper geometries
+	// (~24 MiB).
 	DefaultMaxCachedSweepSamples = 4 * 768000
 	// DefaultMaxStudySamples is the largest geometry a materialising
 	// study request (/v1/study, /v1/feasibility, /v1/campaign) accepts:
@@ -54,8 +55,9 @@ type Options struct {
 	// means DefaultMaxDatasets, negative leaves the cache unbounded.
 	MaxDatasets int
 	// MaxCachedSweepSamples is the largest geometry (by total samples) a
-	// sweep cell will generate through the dataset cache; larger cells
-	// use the bounded-memory streaming fill and are never stored. 0
+	// sweep cell or shard generates through the dataset cache; larger
+	// ones run uncached, holding at most this many samples at once, to
+	// the same bits (a rebalanced trial larger than it is refused). 0
 	// means DefaultMaxCachedSweepSamples.
 	MaxCachedSweepSamples int
 	// MaxStudySamples is the largest geometry (by total samples) the
@@ -307,10 +309,10 @@ func (s *Server) clampWorkers(requested, jobs int) int {
 	return w
 }
 
-// fanOut runs fn(i) for every i in [0, n) across workers goroutines and
-// waits for all of them. The campaign, sweep and strategies handlers
-// share it as their per-request worker pool.
-func fanOut(n, workers int, fn func(int)) {
+// FanOut runs fn(i) for every i in [0, n) across workers goroutines and
+// waits for all of them: the worker pool of every grid handler here and
+// of the fleet's client-side sweeps.
+func FanOut(n, workers int, fn func(int)) {
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -459,7 +461,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := CampaignResponse{Results: make([]CampaignEntry, len(req.Specs))}
-	fanOut(len(req.Specs), s.clampWorkers(req.Workers, len(req.Specs)), func(idx int) {
+	FanOut(len(req.Specs), s.clampWorkers(req.Workers, len(req.Specs)), func(idx int) {
 		entry := CampaignEntry{Index: idx}
 		res, src, err := s.runStudy(req.Specs[idx])
 		if err != nil {

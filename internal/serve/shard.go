@@ -17,6 +17,7 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -24,7 +25,6 @@ import (
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
 	"earlybird/internal/dlb"
-	"earlybird/internal/rng"
 	"earlybird/internal/stats/normality"
 	"earlybird/internal/workload"
 )
@@ -74,29 +74,10 @@ type ShardResponse struct {
 	Table1State  []byte `json:"table1_state"`
 	// DatasetCacheHit reports the shard read an engine-cached columnar
 	// store; Streamed reports it was over the sweep cache bound and ran
-	// trial-at-a-time, uncached (memory bounded by one trial's tensor,
-	// observation order still deterministic).
+	// uncached, holding at most the bound's samples at once, in the same
+	// deterministic observation order.
 	DatasetCacheHit bool `json:"dataset_cache_hit"`
 	Streamed        bool `json:"streamed"`
-}
-
-// trialShard offsets a workload model's trial axis: shard workers
-// generate trials [lo, hi) of the full geometry by running a
-// (hi-lo)-trial study whose trial t maps to absolute trial t+lo. The
-// name carries the offset so the engine's dataset cache keys offset
-// shards separately; a lo == 0 shard keeps the base name and therefore
-// shares cache entries with ordinary studies of its prefix geometry.
-type trialShard struct {
-	workload.Model
-	lo int
-}
-
-func (m trialShard) Name() string {
-	return fmt.Sprintf("%s#t%d", m.Model.Name(), m.lo)
-}
-
-func (m trialShard) FillProcessIteration(root *rng.Source, trial, rank, iter int, out []float64) {
-	m.Model.FillProcessIteration(root, trial+m.lo, rank, iter, out)
 }
 
 // Resolve validates the request and fills defaults. A worker executes
@@ -120,12 +101,7 @@ func (req ShardRequest) Resolve() (ShardRequest, error) {
 		return req, err
 	}
 	req.Geometry = &geom
-	if req.Alpha == 0 {
-		req.Alpha = normality.DefaultAlpha
-	}
-	if req.LaggardSec == 0 {
-		req.LaggardSec = analysis.DefaultLaggardThresholdSec
-	}
+	req.Alpha, req.LaggardSec = paperDefaults(req.Alpha, req.LaggardSec)
 	if req.DLB != nil {
 		resolved, err := req.DLB.Resolve()
 		if err != nil {
@@ -140,17 +116,24 @@ func (req ShardRequest) Resolve() (ShardRequest, error) {
 	return req, nil
 }
 
+// paperDefaults maps a zero alpha or laggard threshold to the paper's.
+// It is the one defaulting rule for both: Resolve applies it to a shard
+// and SweepRequest.Cells to every grid point.
+func paperDefaults(alpha, laggardSec float64) (float64, float64) {
+	return cmp.Or(alpha, normality.DefaultAlpha), cmp.Or(laggardSec, analysis.DefaultLaggardThresholdSec)
+}
+
 // runShard computes one shard's accumulator state and returns it as a
 // record header plus the two accumulators, which the handler encodes
 // straight into the sealed record. Shards at or below the sweep cache
 // bound read the engine's columnar cache through a deterministic cursor
-// (hot for repeated cells routed to this worker); larger shards
-// generate and fold one trial at a time, uncached — still through a
-// columnar cursor, because the exactness contract demands a
-// deterministic observation order per trial (a multi-observer RunStream
-// would split a trial's ranks across workers scheduling-dependently and
-// shift the low-order bits). Memory on that path is bounded by one
-// trial's tensor, not the shard's.
+// (hot for repeated cells routed to this worker); larger shards run
+// uncached through cluster.ObserveTrials, which keeps the cursor's
+// observation order — the exactness contract needs it; a multi-observer
+// RunStream would split a trial's ranks across workers
+// scheduling-dependently and shift the low-order bits — while holding
+// at most the bound's samples at once. A local sweep cell runs here
+// too, as the shard [0, Trials) (sweepCell).
 func (s *Server) runShard(req ShardRequest) (ShardResponse, *analysis.MetricsAccumulator, *analysis.Table1Accumulator, error) {
 	geom := *req.Geometry
 	var policy dlb.Spec
@@ -170,10 +153,7 @@ func (s *Server) runShard(req ShardRequest) (ShardResponse, *analysis.MetricsAcc
 	if err != nil {
 		return resp, nil, nil, err
 	}
-	var model workload.Model = base
-	if req.TrialLo > 0 {
-		model = trialShard{Model: base, lo: req.TrialLo}
-	}
+	model := cluster.ShiftTrials(base, req.TrialLo)
 	shardGeom := geom
 	shardGeom.Trials = req.TrialHi - req.TrialLo
 
@@ -189,18 +169,14 @@ func (s *Server) runShard(req ShardRequest) (ShardResponse, *analysis.MetricsAcc
 		resp.DatasetCacheHit = hit
 		kernel.ObserveCursor(col.Cursor(), req.TrialLo)
 	} else {
-		oneTrial := geom
-		oneTrial.Trials = 1
-		for t := req.TrialLo; t < req.TrialHi; t++ {
-			var m workload.Model = base
-			if t > 0 {
-				m = trialShard{Model: base, lo: t}
-			}
-			col, err := cluster.RunColumnarDLB(m, oneTrial, policy, 0)
-			if err != nil {
-				return resp, nil, nil, err
-			}
-			kernel.ObserveCursor(col.Cursor(), t)
+		// This fill bypasses the engine and its progress factory, so the
+		// shard registers its one live tracker here, under the ID the
+		// engine would give the cached branch.
+		tr := s.newTracker(model.Name(), shardGeom, policy)
+		defer s.tel.Finish(tr)
+		err := cluster.ObserveTrials(base, geom, req.TrialLo, req.TrialHi, policy, 0, s.maxSweepSamples, kernel, tr)
+		if err != nil {
+			return resp, nil, nil, err
 		}
 		resp.Streamed = true
 	}

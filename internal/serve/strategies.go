@@ -191,19 +191,9 @@ func (req StrategiesRequest) Cells() ([]StrategyCell, error) {
 	if len(req.Apps) == 0 {
 		return nil, fmt.Errorf("strategies request needs at least one app")
 	}
-	geoms := make([]cluster.Config, 0, len(req.Geometries)+len(req.GeometryNames))
-	for _, g := range req.Geometries {
-		geoms = append(geoms, defaultedGeometry(g))
-	}
-	for _, name := range req.GeometryNames {
-		g, err := namedGeometry(name)
-		if err != nil {
-			return nil, err
-		}
-		geoms = append(geoms, g)
-	}
-	if len(geoms) == 0 {
-		geoms = []cluster.Config{cluster.DefaultConfig()}
+	geoms, err := geometryAxis(req.Geometries, req.GeometryNames)
+	if err != nil {
+		return nil, err
 	}
 	n := len(req.Apps) * len(geoms)
 	if n > maxSweepCells {
@@ -323,14 +313,14 @@ func (s *Server) handleStrategies(w http.ResponseWriter, r *http.Request) {
 	workers := s.clampWorkers(req.Workers, len(cells))
 	if req.Stream {
 		emit := startNDJSON(w, "X-Strategy-Cells", len(cells))
-		fanOut(len(cells), workers, func(i int) {
+		FanOut(len(cells), workers, func(i int) {
 			emit(s.runStrategyCell(cells[i], cfg))
 		})
 		return
 	}
 
 	rows := make([]StrategyRow, len(cells))
-	fanOut(len(cells), workers, func(i int) {
+	FanOut(len(cells), workers, func(i int) {
 		rows[i] = s.runStrategyCell(cells[i], cfg)
 	})
 	resp := StrategiesResponse{Rows: rows}

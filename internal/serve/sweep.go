@@ -8,8 +8,6 @@ import (
 	"earlybird/internal/cluster"
 	"earlybird/internal/core"
 	"earlybird/internal/dlb"
-	"earlybird/internal/stats/normality"
-	"earlybird/internal/workload"
 )
 
 // SweepRequest describes a scenario grid: the cross product of
@@ -24,9 +22,9 @@ type SweepRequest struct {
 	// paper-geometry point.
 	Geometries    []cluster.Config `json:"geometries,omitempty"`
 	GeometryNames []string         `json:"geometry_names,omitempty"`
-	// Alphas is the normality significance axis; empty means [0.05].
+	// Alphas is the normality significance axis; empty or 0 means 0.05.
 	Alphas []float64 `json:"alphas,omitempty"`
-	// LaggardThresholdsSec is the laggard rule axis; empty means [1 ms].
+	// LaggardThresholdsSec is the laggard rule axis; empty or 0 means 1 ms.
 	LaggardThresholdsSec []float64 `json:"laggard_thresholds_sec,omitempty"`
 	// DLBs is the runtime rebalancing axis; empty means one point at the
 	// server's default policy (static unless the server overrides it).
@@ -83,34 +81,25 @@ type SweepCell struct {
 
 // Cells expands the request into its grid, in deterministic app-major
 // order (then geometry, alpha, threshold, DLB policy) — the Index of
-// each cell is its position in that order. DLB entries resolve to their
+// each cell is its position in that order. A zero alpha or laggard
+// threshold means the paper's default, and DLB entries resolve to their
 // canonical form, so spelled-out defaults occupy the same cell as their
 // shorthand.
 func (req SweepRequest) Cells() ([]SweepCell, error) {
 	if len(req.Apps) == 0 {
 		return nil, fmt.Errorf("sweep needs at least one app")
 	}
-	geoms := make([]cluster.Config, 0, len(req.Geometries)+len(req.GeometryNames))
-	for _, g := range req.Geometries {
-		geoms = append(geoms, defaultedGeometry(g))
+	geoms, err := geometryAxis(req.Geometries, req.GeometryNames)
+	if err != nil {
+		return nil, err
 	}
-	for _, name := range req.GeometryNames {
-		g, err := namedGeometry(name)
-		if err != nil {
-			return nil, err
-		}
-		geoms = append(geoms, g)
-	}
-	if len(geoms) == 0 {
-		geoms = []cluster.Config{cluster.DefaultConfig()}
-	}
-	alphas := req.Alphas
+	// An empty axis is one zero point, which paperDefaults fills below.
+	alphas, laggards := req.Alphas, req.LaggardThresholdsSec
 	if len(alphas) == 0 {
-		alphas = []float64{normality.DefaultAlpha}
+		alphas = []float64{0}
 	}
-	laggards := req.LaggardThresholdsSec
 	if len(laggards) == 0 {
-		laggards = []float64{analysis.DefaultLaggardThresholdSec}
+		laggards = []float64{0}
 	}
 	dlbs := make([]dlb.Spec, 0, len(req.DLBs))
 	for _, d := range req.DLBs {
@@ -133,9 +122,11 @@ func (req SweepRequest) Cells() ([]SweepCell, error) {
 		for _, g := range geoms {
 			for _, a := range alphas {
 				for _, l := range laggards {
+					alpha, laggard := paperDefaults(a, l)
 					for _, d := range dlbs {
 						cells = append(cells, SweepCell{
-							Index: len(cells), App: app, Geometry: g, Alpha: a, LaggardThresholdSec: l, DLB: d,
+							Index: len(cells), App: app, Geometry: g, DLB: d,
+							Alpha: alpha, LaggardThresholdSec: laggard,
 						})
 					}
 				}
@@ -145,12 +136,64 @@ func (req SweepRequest) Cells() ([]SweepCell, error) {
 	return cells, nil
 }
 
-// sweepCell analyses one grid cell without ever building the nested
-// tensor view: cached geometries read the engine's columnar store
-// through fresh cursors; larger ones run the bounded-memory streaming
-// fill and bypass the cache entirely.
-func (s *Server) sweepCell(c SweepCell) SweepRow {
-	row := SweepRow{
+// geometryAxis resolves a grid's geometry axis: the explicit geometries
+// (a zero entry means the paper's), then the named ones. Both empty
+// means one paper-geometry point.
+func geometryAxis(explicit []cluster.Config, names []string) ([]cluster.Config, error) {
+	geoms := make([]cluster.Config, 0, len(explicit)+len(names))
+	for _, g := range explicit {
+		geoms = append(geoms, defaultedGeometry(g))
+	}
+	for _, name := range names {
+		g, err := namedGeometry(name)
+		if err != nil {
+			return nil, err
+		}
+		geoms = append(geoms, g)
+	}
+	if len(geoms) == 0 {
+		geoms = []cluster.Config{cluster.DefaultConfig()}
+	}
+	return geoms, nil
+}
+
+// ShardRequest is the cell's whole trial space [0, Trials) as a shard
+// request; a fleet narrows its trial range per shard.
+func (c SweepCell) ShardRequest() ShardRequest {
+	geom := c.Geometry
+	req := ShardRequest{
+		App:        c.App,
+		Geometry:   &geom,
+		Alpha:      c.Alpha,
+		LaggardSec: c.LaggardThresholdSec,
+		TrialHi:    geom.Trials,
+	}
+	if !c.DLB.IsStatic() {
+		policy := c.DLB
+		req.DLB = &policy
+	}
+	return req
+}
+
+// Row finalizes the cell's accumulators — one shard's, or many merged —
+// into its sweep row, classified by core.ClassifyMetrics. Provenance
+// (cache hit, streamed, shards, store hit) is the caller's to set.
+func (c SweepCell) Row(m *analysis.MetricsAccumulator, t *analysis.Table1Accumulator) SweepRow {
+	row := c.identityRow()
+	row.Metrics, row.Table1 = m.Finalize(), t.Finalize()
+	row.Recommendation = core.ClassifyMetrics(row.Metrics)
+	return row
+}
+
+// ErrorRow is the row of a cell that failed with err.
+func (c SweepCell) ErrorRow(err error) SweepRow {
+	row := c.identityRow()
+	row.Err = err.Error()
+	return row
+}
+
+func (c SweepCell) identityRow() SweepRow {
+	return SweepRow{
 		Index:               c.Index,
 		App:                 c.App,
 		Geometry:            c.Geometry,
@@ -158,57 +201,32 @@ func (s *Server) sweepCell(c SweepCell) SweepRow {
 		LaggardThresholdSec: c.LaggardThresholdSec,
 		DLB:                 c.DLB,
 	}
-	if err := c.Geometry.Validate(); err != nil {
-		row.Err = err.Error()
-		return row
+}
+
+// sweepCell analyses one grid cell locally: it is the shard [0, Trials)
+// of the cell, run by runShard — so a local row, a worker's shard and a
+// fleet's merged row share one executor and one finalizer, and the
+// cache bound changes only how the trials are filled, never the answer.
+func (s *Server) sweepCell(c SweepCell) SweepRow {
+	req, err := c.ShardRequest().Resolve()
+	if err != nil {
+		return c.ErrorRow(err)
 	}
-	if c.Geometry.Samples() <= s.maxSweepSamples {
-		model, err := workload.ByName(c.App)
-		if err != nil {
-			row.Err = err.Error()
-			return row
-		}
-		col, hit, err := s.eng.ColumnarDLB(model, c.Geometry, c.DLB)
-		if err != nil {
-			row.Err = err.Error()
-			return row
-		}
-		row.DatasetCacheHit = hit
-		macc := analysis.NewMetricsAccumulator(c.App, c.LaggardThresholdSec)
-		tacc := analysis.NewTable1Accumulator(c.App, c.Alpha)
-		analysis.NewKernel(macc, tacc).ObserveCursor(col.Cursor(), 0)
-		row.Metrics, row.Table1 = macc.Finalize(), tacc.Finalize()
-	} else {
-		// The streaming fill bypasses the engine (and its progress
-		// factory), so register the cell's live tracker here.
-		tr := s.newTracker(c.App, c.Geometry, c.DLB)
-		res, err := core.StreamStudy(core.Options{
-			App:      c.App,
-			Geometry: c.Geometry,
-			Policy: core.PolicySpec{
-				DLB:                 c.DLB,
-				Alpha:               c.Alpha,
-				LaggardThresholdSec: c.LaggardThresholdSec,
-			},
-			Progress: tr,
-		})
-		s.tel.Finish(tr)
-		if err != nil {
-			row.Err = err.Error()
-			return row
-		}
-		row.Streamed = true
-		row.Metrics = res.Metrics
-		row.Table1 = res.Table1
+	hdr, macc, tacc, err := s.runShard(req)
+	if err != nil {
+		return c.ErrorRow(err)
 	}
-	row.Recommendation = core.ClassifyMetrics(row.Metrics)
+	row := c.Row(macc, tacc)
+	row.DatasetCacheHit, row.Streamed = hdr.DatasetCacheHit, hdr.Streamed
 	return row
 }
 
 // handleSweep streams the grid as NDJSON: one row per cell, written and
 // flushed the moment the cell completes, so clients see results while
-// the rest of the grid is still computing and the server never holds
-// more than the in-flight cells' accumulator state. With a fleet
+// the rest of the grid is still computing. Each in-flight cell holds its
+// accumulator state plus at most MaxCachedSweepSamples live samples (a
+// cell at or under that bound may also sit in the engine's cache;
+// runShard refuses a rebalanced trial over it). With a fleet
 // configured (Options.Fleet), cells fan out to the fleet's workers
 // transparently and only fall back to local execution when no healthy
 // peer can take them.
@@ -228,7 +246,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	emit := startNDJSON(w, "X-Sweep-Cells", len(cells))
-	fanOut(len(cells), s.clampWorkers(req.Workers, len(cells)), func(i int) {
+	FanOut(len(cells), s.clampWorkers(req.Workers, len(cells)), func(i int) {
 		if s.opts.Fleet != nil {
 			if row, ok := s.opts.Fleet.DispatchCell(r.Context(), cells[i]); ok {
 				s.fleetCells.Add(1)

@@ -136,6 +136,39 @@ func TestSortBitIdentical(t *testing.T) {
 			}
 		}
 	}
+	// Past the networks, sortMid merges network-sorted chunks, and a
+	// merge may meet +0 in one run and -0 in the other: the output must
+	// still be a bit-pattern permutation of the input, non-decreasing.
+	bitsOf := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, v := range xs {
+			out[i] = math.Float64bits(v)
+		}
+		slices.Sort(out)
+		return out
+	}
+	for n := networkMax + 1; n <= midMax; n++ {
+		for trial := 0; trial < 200; trial++ {
+			in := make([]float64, n)
+			for i := range in {
+				if rng.IntN(2) == 0 {
+					in[i] = pool[rng.IntN(2)] // -0 or +0
+				} else {
+					in[i] = pool[rng.IntN(len(pool))]
+				}
+			}
+			got := slices.Clone(in)
+			Sort(got)
+			if !slices.Equal(bitsOf(got), bitsOf(in)) {
+				t.Fatalf("n=%d input %v: Sort gives %v, not a permutation of its input bits", n, in, got)
+			}
+			for i := 1; i < n; i++ {
+				if got[i] < got[i-1] {
+					t.Fatalf("n=%d input %v: Sort gives %v, decreasing at %d", n, in, got, i)
+				}
+			}
+		}
+	}
 }
 
 // insertion is a straight insertion sort, the reference point the
