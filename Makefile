@@ -24,10 +24,12 @@ race:
 
 # The federation failover suite under the race detector, uncached: a
 # fleet of in-process workers with one killed mid-sweep must deliver
-# every cell exactly once. `make race` covers these too; this target
-# re-runs them in isolation so CI records the failover proof explicitly.
+# every cell exactly once. The CLI's -fleet paths and the facade's
+# FleetSweep start an in-process coordinator, so their tests run here
+# too. `make race` covers these as well; this target re-runs them in
+# isolation so CI records the failover proof explicitly.
 race-fleet:
-	$(GO) test -race -count=1 -run 'Fleet|Coordinator|Shard' ./internal/fleet ./internal/serve
+	$(GO) test -race -count=1 -run 'Fleet|Coordinator|Shard' ./internal/fleet ./internal/serve ./cmd/earlybird .
 
 # The chaos suite under the race detector, uncached: fleets with
 # injected latency, mid-stream disconnects, stalls, capacity drain,
@@ -158,7 +160,9 @@ cover:
 # 10-second coverage-guided smokes of the strategy-ordering laws, of
 # sortx.Select against a full sort, of the filtered Anderson-Darling
 # verdict against the reference statistic, of trace.ReadCSV (the inline
-# CSV a /v1/scenario request may carry), and of the decoders of bytes a
+# CSV a /v1/scenario request may carry), of scenario.Parse (the
+# hand-rolled YAML subset and JSON form of every scenario document, with
+# scenario.Spec.Wire a fixed point), and of the decoders of bytes a
 # fleet worker sends back: wire.Unseal, the /v1/shard record with
 # the accumulator states inside it, and dlb.Parse, which decodes the
 # policy text in every record identity. The saved corpora replay in plain
@@ -172,6 +176,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSelect$$' -fuzztime 10s ./internal/sortx
 	$(GO) test -run '^$$' -fuzz '^FuzzADVerdict$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/stats/normality
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzScenarioParse$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzUnseal$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzShardRecord$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDLBParse$$' -fuzztime 10s ./internal/dlb

@@ -29,19 +29,22 @@
 // table. Combined with -remote it asks POST /v1/strategies instead.
 //
 // With -fleet (a comma-separated list of earlybirdd worker URLs) the
-// study is federated: trial shards execute on the workers over
-// /v1/shard and merge client-side into results provably equal to
+// study is federated through an in-process coordinator, the same
+// serve.Server an earlybirdd -peers daemon runs: trial shards execute on
+// the workers over /v1/shard and merge into results provably equal to
 // single-node execution. -fleet -strategies dispatches strategy cells
-// whole to their rendezvous workers instead.
+// whole to their rendezvous workers instead. A cell no worker can take
+// runs locally, as on the daemon.
 //
 // With -scenario the study flags are replaced by a declarative scenario
 // file (internal/scenario): sources x geometries x noise x dlb x
 // fabrics x timeouts compile to an engine campaign whose coverage of
 // the declared cross-product is verified before anything runs.
 // -scenario-check stops after printing the verified plan; -remote sends
-// the scenario (traces inlined) to POST /v1/scenario; -fleet dispatches
-// wire-expressible cells whole to their rendezvous workers and runs the
-// rest locally, bit-identical either way.
+// the scenario (traces inlined) to POST /v1/scenario; -fleet runs it
+// through the in-process coordinator, which dispatches wire-expressible
+// cells whole to their rendezvous workers and runs the rest locally,
+// bit-identical either way.
 package main
 
 import (
@@ -52,11 +55,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
 	"slices"
-	"sync"
 
 	"earlybird/internal/cliopts"
 	"earlybird/internal/cluster"
@@ -97,7 +100,7 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 		scenFile   = fs.String("scenario", "", "scenario file (YAML or JSON): compile the declared cross-product into a campaign, verify coverage, and run every cell")
 		scenCheck  = fs.Bool("scenario-check", false, "with -scenario: compile and verify only; print the campaign plan without running it")
 		remote     = fs.String("remote", "", "base URL of a running earlybirdd (assess via the service instead of in-process)")
-		fleetCSV   = fs.String("fleet", "", "comma-separated earlybirdd worker URLs: federate the study across them (shards merged client-side)")
+		fleetCSV   = fs.String("fleet", "", "comma-separated earlybirdd worker URLs: federate the study across them through an in-process coordinator")
 		storeDir   = fs.String("store-dir", "", "durable result store directory for -fleet: merged cells persist there and repeat runs are served from disk")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -276,48 +279,62 @@ func printSweep(w io.Writer, app string, sw partcomm.Sweep) {
 		sw.Best, 1e3*sw.BestFinishSec, 100*sw.BestCapture)
 }
 
-// runFleet federates the study (or the strategy sweep) across a fleet of
-// workers and renders the merged result.
-func runFleet(w io.Writer, peersCSV string, o cli) error {
+// newCoordinator opens a fleet over the comma-separated worker URLs
+// (with its durable store in storeDir, if set) and an in-process
+// coordinator server over it: the same serve.Server an earlybirdd
+// -peers daemon runs, so a cell no worker can take runs locally here
+// too. Local cells keep the CLI's unbounded study size.
+func newCoordinator(peersCSV, storeDir string) (*fleet.Fleet, *serve.Server, error) {
 	fopts := fleet.Options{Peers: fleet.SplitPeers(peersCSV)}
-	if o.storeDir != "" {
-		st, err := fleet.OpenStore(o.storeDir, nil)
+	if storeDir != "" {
+		st, err := fleet.OpenStore(storeDir, nil)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		fopts.Store = st
 	}
 	fl, err := fleet.New(fopts)
 	if err != nil {
+		return nil, nil, err
+	}
+	// With a warm store the sweep can answer from disk even when every
+	// worker is down, so an empty probe is only fatal without one.
+	if healthy := fl.Probe(context.Background()); healthy == 0 && storeDir == "" {
+		return nil, nil, fmt.Errorf("no healthy workers among %v", fl.Workers())
+	}
+	return fl, serve.New(serve.Options{Fleet: fl, MaxStudySamples: math.MaxInt}), nil
+}
+
+// runFleet federates the study (or the strategy sweep) across a fleet of
+// workers and renders the merged result.
+func runFleet(w io.Writer, peersCSV string, o cli) error {
+	fl, srv, err := newCoordinator(peersCSV, o.storeDir)
+	if err != nil {
 		return err
 	}
 	ctx := context.Background()
-	// With a warm store the sweep can answer from disk even when every
-	// worker is down, so an empty probe is only fatal without one.
-	if healthy := fl.Probe(ctx); healthy == 0 && o.storeDir == "" {
-		return fmt.Errorf("no healthy workers among %v", fl.Workers())
-	}
 
 	if o.strategies {
 		fabric := o.fabric
-		req := serve.StrategiesRequest{
+		g, err := srv.StrategyGrid(serve.StrategiesRequest{
 			Apps:              []string{o.app},
 			Geometries:        []cluster.Config{o.geom},
 			BytesPerPartition: o.partBytes,
 			TimeoutsSec:       o.timeouts,
 			Fabric:            &fabric,
 			DLB:               o.dlbPointer(),
-		}
-		var rows []serve.StrategyRow
-		if err := fl.Strategies(ctx, req, func(r serve.StrategyRow) { rows = append(rows, r) }); err != nil {
+		})
+		if err != nil {
 			return err
 		}
-		// Strategy cells dispatch whole: each row ran on exactly one
-		// rendezvous worker of the fleet.
+		rows := g.Rows(ctx)
 		fmt.Fprintf(w, "federated strategy grid over fleet of %d healthy workers\n", fl.Healthy())
 		for _, row := range rows {
 			if row.Err != "" {
 				return fmt.Errorf("fleet: %s", row.Err)
+			}
+			if !row.Federated {
+				fmt.Fprintf(w, "evaluated %s locally (no worker could take it)\n", row.App)
 			}
 			printSweep(w, row.App, row.Sweep)
 		}
@@ -328,18 +345,21 @@ func runFleet(w io.Writer, peersCSV string, o cli) error {
 	if o.dlbSet {
 		req.DLBs = []dlb.Spec{o.dlb}
 	}
-	var rows []serve.SweepRow
-	if err := fl.Sweep(ctx, req, func(r serve.SweepRow) { rows = append(rows, r) }); err != nil {
+	g, err := srv.SweepGrid(req)
+	if err != nil {
 		return err
 	}
-	for _, row := range rows {
+	for _, row := range g.Rows(ctx) {
 		if row.Err != "" {
 			return fmt.Errorf("fleet: %s", row.Err)
 		}
 		workers := slices.Compact(slices.Sorted(slices.Values(row.ShardWorkers)))
-		if row.StoreHit {
+		switch {
+		case row.StoreHit:
 			fmt.Fprintf(w, "served %s from the durable result store (no shards dispatched)\n", row.App)
-		} else {
+		case row.Shards == 0:
+			fmt.Fprintf(w, "ran %s locally (no worker could take it)\n", row.App)
+		default:
 			fmt.Fprintf(w, "federated %s as %d trial shards over %d workers\n", row.App, row.Shards, len(workers))
 		}
 		fmt.Fprintln(w, row.Metrics)
@@ -475,11 +495,12 @@ func runScenario(w io.Writer, path string, check bool) error {
 	return nil
 }
 
-// runFleetScenario federates a scenario: wire-expressible cells (bare
-// app specs — no noise wrapper, no dataset) dispatch whole to their
-// rendezvous workers over /v1/study; the rest run on a local engine.
-// Both paths execute the same resolved specs deterministically, so the
-// merged output is bit-identical to running everything locally.
+// runFleetScenario federates a scenario through an in-process
+// coordinator: wire-expressible cells (bare app specs — no noise
+// wrapper, no dataset) dispatch whole to their rendezvous workers over
+// /v1/study; the rest, and any cell no worker takes, run locally. Both
+// paths execute the same resolved specs deterministically, so the
+// output is bit-identical to running everything locally.
 func runFleetScenario(w io.Writer, peersCSV, path string, check bool) error {
 	c, err := compileScenarioFile(w, path)
 	if err != nil {
@@ -488,62 +509,24 @@ func runFleetScenario(w io.Writer, peersCSV, path string, check bool) error {
 	if check {
 		return nil
 	}
-	fl, err := fleet.New(fleet.Options{Peers: fleet.SplitPeers(peersCSV)})
+	fl, srv, err := newCoordinator(peersCSV, "")
 	if err != nil {
 		return err
 	}
-	ctx := context.Background()
-	if healthy := fl.Probe(ctx); healthy == 0 {
-		return fmt.Errorf("no healthy workers among %v", fl.Workers())
-	}
-
-	eng := engine.New(0)
-	type outcome struct {
-		assessment core.Assessment
-		federated  bool
-		err        error
-	}
-	outcomes := make([]outcome, len(c.Cells))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, eng.Workers())
-	for i := range c.Cells {
-		// Wire-expressibility reads the compiled (pre-resolution) spec:
-		// Resolve fills Model in for bare apps too.
-		wire := c.Cells[i].Spec.Model == nil && c.Cells[i].Spec.Dataset == nil && c.Cells[i].Spec.App != ""
-		resolved, err := c.Cells[i].Spec.Resolve()
-		if err != nil {
-			return err
-		}
-		wg.Add(1)
-		go func(i int, resolved engine.Spec, wire bool) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if wire {
-				if resp, ok := fl.DispatchStudy(ctx, resolved.Key().Hash(), serve.WireStudySpec(resolved)); ok {
-					outcomes[i] = outcome{assessment: resp.Assessment, federated: true}
-					return
-				}
-			}
-			r, err := eng.RunSpec(resolved)
-			outcomes[i] = outcome{assessment: r.Assessment, err: err}
-		}(i, resolved, wire)
-	}
-	wg.Wait()
-
+	rows := srv.ScenarioGrid(c, 0).Rows(context.Background())
 	federated := 0
-	for i, o := range outcomes {
-		if o.err != nil {
-			return fmt.Errorf("cell %d: %w", i, o.err)
+	for _, row := range rows {
+		if row.Err != "" {
+			return fmt.Errorf("cell %d: %s", row.Index, row.Err)
 		}
 		where := "local"
-		if o.federated {
+		if row.Federated {
 			where = "fleet"
 			federated++
 		}
-		fmt.Fprintf(w, "%3d  %-5s  %s\n", c.Cells[i].Index, where, assessmentLine(o.assessment))
+		fmt.Fprintf(w, "%3d  %-5s  %s\n", row.Index, where, assessmentLine(row.Assessment))
 	}
-	fmt.Fprintf(w, "federated %d/%d cells over %d healthy workers\n", federated, len(c.Cells), fl.Healthy())
+	fmt.Fprintf(w, "federated %d/%d cells over %d healthy workers\n", federated, len(rows), fl.Healthy())
 	return nil
 }
 

@@ -105,3 +105,47 @@ func TestRunMainScenarioFleet(t *testing.T) {
 		t.Fatalf("want 2 fleet-placed rows:\n%s", out)
 	}
 }
+
+// TestRunMainScenarioFleetMatchesLocal: -fleet -scenario runs through an
+// in-process coordinator and prints, cell for cell, the assessment lines
+// the local campaign prints — for cells a worker ran and for the
+// noise-wrapped cells, which are not wire-expressible and run at the
+// coordinator.
+func TestRunMainScenarioFleetMatchesLocal(t *testing.T) {
+	path := writeScenario(t, cliScenario+`noise:
+  - none
+  - burst:rate=2,mean-ms=5,factor=3
+`)
+	local, err := runCmd(t, "-scenario", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1, w2 := newService(t), newService(t)
+	federated, err := runCmd(t, "-scenario", path, "-fleet", w1.URL+","+w2.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(federated, "federated 2/4 cells over 2 healthy workers") {
+		t.Fatalf("federation summary missing:\n%s", federated)
+	}
+	// assessments keeps each result line's cell index and assessment,
+	// dropping the fleet/local placement column of the federated form.
+	assessments := func(out string, placed bool) []string {
+		var lines []string
+		for _, ln := range strings.Split(out, "\n") {
+			if !strings.Contains(ln, "laggards") {
+				continue
+			}
+			f := strings.Fields(ln)
+			if placed {
+				f = append(f[:1], f[2:]...)
+			}
+			lines = append(lines, strings.Join(f, " "))
+		}
+		return lines
+	}
+	want, got := assessments(local, false), assessments(federated, true)
+	if len(want) != 4 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("assessment lines differ:\nlocal:\n%s\nfleet:\n%s", strings.Join(want, "\n"), strings.Join(got, "\n"))
+	}
+}

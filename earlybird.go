@@ -41,12 +41,13 @@
 // result cache layered over the dataset cache — see internal/serve and
 // the cmd/earlybirdd daemon.
 //
-// Sweeps scale past one machine with the fleet layer: NewFleet /
-// FleetSweep scatter a scenario grid across remote earlybirdd workers
-// as trial shards (POST /v1/shard returns mergeable accumulator state)
-// and gather results that are bit-identical to single-node execution
-// for every exact metric — see internal/fleet and the cmd/earlybirdd
-// -peers coordinator mode.
+// Sweeps scale past one machine with the fleet layer: a Server with a
+// NewFleet set as its fleet — or FleetSweep, which runs one in-process —
+// scatters a scenario grid across remote earlybirdd workers as trial
+// shards (POST /v1/shard returns mergeable accumulator state) and
+// gathers results that are bit-identical to single-node execution for
+// every exact metric — see internal/fleet and the cmd/earlybirdd -peers
+// coordinator mode.
 //
 // Whole campaigns can be declared instead of assembled: ParseScenario
 // reads a YAML or JSON scenario — application or trace-replay sources
@@ -71,8 +72,8 @@ package earlybird
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
-	"sort"
 
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
@@ -284,17 +285,20 @@ type SweepRequest = serve.SweepRequest
 // provenance (shard count, workers) when it was computed by a fleet.
 type SweepRow = serve.SweepRow
 
-// NewFleet returns a federation coordinator over the given workers. Use
-// its Sweep/Strategies to scatter grids across the fleet, or set it as
-// ServeOptions.Fleet to make a server's /v1/sweep fan out transparently;
-// cmd/earlybirdd -peers and cmd/earlybird -fleet are the packaged forms.
+// NewFleet returns a federation client over the given workers. Set it
+// as ServeOptions.Fleet to make a server the fleet's coordinator: its
+// /v1/sweep, /v1/strategies and /v1/scenario cells then fan out to the
+// workers transparently. FleetSweep, cmd/earlybirdd -peers and
+// cmd/earlybird -fleet are the packaged forms.
 func NewFleet(opts FleetOptions) (*Fleet, error) { return fleet.New(opts) }
 
 // FleetSweep runs one sweep request across the fleet of workers at the
-// given base URLs and returns the rows in grid order. It probes the
-// workers first and fails if none is healthy; per-cell failures are
-// reported on the rows. The merged results are bit-identical to
-// single-node execution for every exact metric.
+// given base URLs, through an in-process coordinator (a Server with the
+// fleet set), and returns the rows in grid order. It probes the workers
+// first and fails if none is healthy; a cell no worker can take runs
+// locally, as on any coordinator, and per-cell failures are reported on
+// the rows. The merged results are bit-identical to single-node
+// execution for every exact metric.
 func FleetSweep(ctx context.Context, peers []string, req SweepRequest) ([]SweepRow, error) {
 	f, err := fleet.New(fleet.Options{Peers: peers})
 	if err != nil {
@@ -303,13 +307,11 @@ func FleetSweep(ctx context.Context, peers []string, req SweepRequest) ([]SweepR
 	if f.Probe(ctx) == 0 {
 		return nil, fmt.Errorf("earlybird: no healthy fleet workers among %v", peers)
 	}
-	var rows []SweepRow
-	err = f.Sweep(ctx, req, func(r SweepRow) { rows = append(rows, r) })
+	g, err := serve.New(serve.Options{Fleet: f, MaxStudySamples: math.MaxInt}).SweepGrid(req)
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Index < rows[j].Index })
-	return rows, nil
+	return g.Rows(ctx), nil
 }
 
 // Serve runs the study service on addr until ctx is cancelled, then

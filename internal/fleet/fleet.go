@@ -1,6 +1,11 @@
-// Package fleet federates sweep and strategy-grid execution across a
-// set of remote earlybirdd workers — the scatter/gather layer above the
-// study service.
+// Package fleet federates grid cells across a set of remote earlybirdd
+// workers — the scatter/gather layer a serve.Server coordinator places
+// cells through. It keeps placement, transport, merge and the durable
+// store, and has no grid loop of its own: the coordinator (an earlybirdd
+// -peers daemon, or the in-process one behind cmd/earlybird -fleet and
+// earlybird.FleetSweep) expands a grid and hands the fleet one cell at
+// a time, through DispatchCell (serve.FleetDispatcher) and DispatchWhole
+// (serve.WholeDispatcher).
 //
 // A Fleet is a worker registry (health-probed over /v1/healthz) plus a
 // cell scheduler. Sweep cells are split into contiguous trial shards and
@@ -84,7 +89,7 @@ const (
 	// DefaultMaxInFlightPerWorker sizes the default Options.MaxInFlight:
 	// the fleet-wide outstanding-request bound defaults to this many per
 	// registered worker (so a coordinator over N peers keeps at most 2N
-	// shard/strategy-cell requests in flight).
+	// shard and whole-cell requests in flight).
 	DefaultMaxInFlightPerWorker = 2
 	// DefaultDynamicInFlight sizes the in-flight bound for a dynamic
 	// fleet that boots with no static peers (workers arrive by joining,

@@ -7,9 +7,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -43,15 +45,27 @@ func newFleet(t *testing.T, opts Options) *Fleet {
 	return f
 }
 
-// collectSweep runs a fleet sweep and returns rows indexed by cell.
+// collectSweep dispatches every cell of a sweep request to the fleet,
+// concurrently, as a coordinator does, and returns rows indexed by cell.
+// A cell the fleet cannot place fails the test.
 func collectSweep(t *testing.T, f *Fleet, req serve.SweepRequest) map[int][]serve.SweepRow {
 	t.Helper()
-	rows := map[int][]serve.SweepRow{}
-	if err := f.Sweep(context.Background(), req, func(r serve.SweepRow) {
-		rows[r.Index] = append(rows[r.Index], r)
-	}); err != nil {
+	cells, err := req.Cells()
+	if err != nil {
 		t.Fatal(err)
 	}
+	var mu sync.Mutex
+	rows := map[int][]serve.SweepRow{}
+	serve.FanOut(len(cells), min(cap(f.sem), len(cells)), func(i int) {
+		row, ok := f.DispatchCell(context.Background(), cells[i])
+		if !ok {
+			t.Errorf("cell %d was not placed on any worker", cells[i].Index)
+			return
+		}
+		mu.Lock()
+		rows[row.Index] = append(rows[row.Index], row)
+		mu.Unlock()
+	})
 	return rows
 }
 
@@ -446,50 +460,54 @@ func TestCoordinatorLocalFallback(t *testing.T) {
 	}
 }
 
-// TestFleetStrategies: strategy cells dispatch whole to workers and the
-// merged rows match a single node's /v1/strategies verbatim for the
-// decision-relevant fields.
-func TestFleetStrategies(t *testing.T) {
+// TestCoordinatorStrategiesFederate: a coordinator's /v1/strategies
+// dispatches each cell whole to a fleet worker; every row comes back
+// marked federated, with the frontier a single node computes for it.
+func TestCoordinatorStrategiesFederate(t *testing.T) {
 	_, w1 := newWorker(t)
 	_, w2 := newWorker(t)
 	f := newFleet(t, Options{Peers: []string{w1.URL, w2.URL}})
+	coord := httptest.NewServer(serve.New(serve.Options{Workers: 2, Fleet: f}).Handler())
+	t.Cleanup(coord.Close)
 
 	req := serve.StrategiesRequest{
 		Apps:       []string{"minife", "miniqmc"},
 		Geometries: []cluster.Config{fleetGeom()},
 	}
-	rows := map[int]serve.StrategyRow{}
-	if err := f.Strategies(context.Background(), req, func(r serve.StrategyRow) {
-		if _, dup := rows[r.Index]; dup {
-			t.Errorf("cell %d delivered twice", r.Index)
+	postStrategies := func(url string) serve.StrategiesResponse {
+		t.Helper()
+		body, _ := json.Marshal(req)
+		resp, err := http.Post(url+"/v1/strategies", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		rows[r.Index] = r
-	}); err != nil {
-		t.Fatal(err)
+		defer resp.Body.Close()
+		var out serve.StrategiesResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows %d, want 2", len(rows))
-	}
-
+	got := postStrategies(coord.URL)
 	_, ref := newWorker(t)
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(ref.URL+"/v1/strategies", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	want := postStrategies(ref.URL)
+	if len(got.Rows) != 2 || len(want.Rows) != 2 {
+		t.Fatalf("rows: coordinator %d, single node %d, want 2", len(got.Rows), len(want.Rows))
 	}
-	var want serve.StrategiesResponse
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&want); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range want.Rows {
-		g := rows[w.Index]
+	for i, w := range want.Rows {
+		g := got.Rows[i]
 		if g.Err != "" || w.Err != "" {
-			t.Fatalf("cell %d errored: fleet %q single %q", w.Index, g.Err, w.Err)
+			t.Fatalf("cell %d errored: coordinator %q single %q", i, g.Err, w.Err)
 		}
-		if g.Best != w.Best || g.BestFinishSec != w.BestFinishSec || len(g.Results) != len(w.Results) {
-			t.Errorf("cell %d frontier diverged: %s/%v vs %s/%v", w.Index, g.Best, g.BestFinishSec, w.Best, w.BestFinishSec)
+		if !g.Federated || w.Federated {
+			t.Errorf("cell %d: federated %v on the coordinator, %v on a single node", i, g.Federated, w.Federated)
 		}
+		if g.Index != i || !reflect.DeepEqual(g.Sweep, w.Sweep) {
+			t.Errorf("cell %d frontier diverged: %s/%v vs %s/%v", i, g.Best, g.BestFinishSec, w.Best, w.BestFinishSec)
+		}
+	}
+	if snap := f.Snapshot(); snap.CellsMerged != 2 {
+		t.Errorf("fleet merged %d whole cells, want 2", snap.CellsMerged)
 	}
 }
 

@@ -1,15 +1,16 @@
 // The durable content-addressed result store: merged sweep-cell results
 // persist on disk keyed by the cell's resolved engine.SpecKey hash, so a
 // coordinator restart (or a second coordinator sharing the directory)
-// re-serves finished cells without dispatching a single shard. Records
-// are the accumulator wire codecs wrapped in a sealed envelope (a
-// CRC-32C trailer, wire.Seal) that also carries the cell's identity in
-// the encoding /v1/shard records use (serve.AppendCellIdentity) — a
-// loader cross-checks it against the requesting cell, so even a SpecKey
-// hash collision cannot serve the wrong result. Writes go through a
-// temp file and os.Rename, so concurrent coordinators sharing a store
-// directory can race freely: a reader sees either the complete old
-// record or the complete new one, never a torn write. Any corrupt,
+// re-serves finished cells without dispatching a single shard. A record
+// is the sealed record /v1/shard answers with (serve.AppendShardRecord)
+// for the cell's whole trial range [0, Trials): identity, range, block
+// count and both accumulator states behind a CRC-32C trailer. A loader
+// checks it with the serve.ShardRequest.Accept a coordinator applies to
+// a worker's answer, so even a SpecKey hash collision cannot serve the
+// wrong result, and a record in an older format is a miss. Writes go
+// through a temp file and os.Rename, so concurrent coordinators sharing
+// a store directory can race freely: a reader sees either the complete
+// old record or the complete new one, never a torn write. Any corrupt,
 // truncated or foreign file is skipped with a logged warning and the
 // cell simply recomputes.
 
@@ -29,11 +30,7 @@ import (
 	"earlybird/internal/wire"
 )
 
-const (
-	storeMagic   = 0x45425253 // "EBRS"
-	storeVersion = 2
-	storeExt     = ".cell"
-)
+const storeExt = ".cell"
 
 // Store is an on-disk result store; open with OpenStore. Safe for
 // concurrent use within and across processes (atomic rename writes).
@@ -95,9 +92,10 @@ func (s *Store) put(key string, sealed []byte) error {
 	return os.Rename(tmp.Name(), s.path(key))
 }
 
-// get reads and unseals key's record. ok == false on a plain miss and on
-// any corruption, which is logged and treated as a miss — the store is a
-// cache of recomputable results, never a single point of failure.
+// get reads key's sealed record and checks its seal. ok == false on a
+// plain miss and on any corruption, which is logged and treated as a
+// miss — the store is a cache of recomputable results, never a single
+// point of failure.
 func (s *Store) get(key string) ([]byte, bool) {
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
@@ -106,72 +104,57 @@ func (s *Store) get(key string) ([]byte, bool) {
 		}
 		return nil, false
 	}
-	body, err := wire.Unseal(data)
-	if err != nil {
+	if _, err := wire.Unseal(data); err != nil {
 		s.logf("fleet: store: skipping corrupt entry %s%s: %v", key, storeExt, err)
 		return nil, false
 	}
-	return body, true
+	return data, true
 }
 
-// SaveCell persists one merged cell's accumulator states (marshalled
-// before finalization) under the cell's store key.
-func (s *Store) SaveCell(cell serve.SweepCell, key engine.SpecKey, metricsState, table1State []byte) error {
-	var w wire.Writer
-	w.U32(storeMagic)
-	w.U8(storeVersion)
-	w.U64(key.Hash())
-	serve.AppendCellIdentity(&w, cell)
-	w.Bytes(metricsState)
-	w.Bytes(table1State)
-	return s.put(key.StoreKey(), w.Seal())
+// SaveCell persists one merged cell, the shard [0, Trials) of the
+// resolved request req, as the sealed record /v1/shard answers with:
+// the accumulator states are encoded before finalization, so a later
+// load finalizes to a bit-identical row.
+func (s *Store) SaveCell(req serve.ShardRequest, key engine.SpecKey, m *analysis.MetricsAccumulator, t *analysis.Table1Accumulator) error {
+	hdr := serve.ShardResponse{
+		App:                 req.App,
+		Geometry:            *req.Geometry,
+		Alpha:               req.Alpha,
+		LaggardThresholdSec: req.LaggardSec,
+		TrialHi:             req.Geometry.Trials,
+		Blocks:              m.Blocks(),
+	}
+	if req.DLB != nil {
+		hdr.DLB = *req.DLB
+	}
+	record, err := serve.AppendShardRecord(nil, &hdr, m, t)
+	if err != nil {
+		return err
+	}
+	return s.put(key.StoreKey(), record)
 }
 
 // LoadCell looks a cell up by its store key and rebuilds the finished
-// row from the persisted accumulator states. ok == false means miss (or
-// a corrupt/mismatched record, logged and skipped): dispatch normally.
+// row from the persisted record, which must answer the cell's whole
+// shard request (serve.ShardRequest.Accept). ok == false means miss (or
+// a corrupt, foreign or old-format record, logged and skipped):
+// dispatch normally.
 func (s *Store) LoadCell(cell serve.SweepCell, key engine.SpecKey) (serve.SweepRow, bool) {
 	token := key.StoreKey()
-	body, ok := s.get(token)
+	record, ok := s.get(token)
 	if !ok {
 		return serve.SweepRow{}, false
 	}
-	skip := func(why string, args ...any) (serve.SweepRow, bool) {
-		s.logf("fleet: store: skipping entry %s%s: %s", token, storeExt, fmt.Sprintf(why, args...))
+	req, err := cell.ShardRequest().Resolve()
+	var st serve.ShardState
+	if err == nil {
+		st, err = req.Accept(record)
+	}
+	if err != nil {
+		s.logf("fleet: store: skipping entry %s%s: %v", token, storeExt, err)
 		return serve.SweepRow{}, false
 	}
-	r := wire.NewReader(body)
-	if magic := r.U32(); magic != storeMagic {
-		return skip("bad magic %08x", magic)
-	}
-	if v := r.U8(); v != storeVersion {
-		return skip("unsupported version %d", v)
-	}
-	if h := r.U64(); h != key.Hash() {
-		return skip("key hash %016x does not match %016x", h, key.Hash())
-	}
-	stored, err := serve.ReadCellIdentity(r)
-	if err != nil {
-		return skip("identity: %v", err)
-	}
-	metricsState := r.Bytes()
-	table1State := r.Bytes()
-	if err := r.Finish("store cell"); err != nil {
-		return skip("%v", err)
-	}
-	if !serve.SameCell(stored, cell) {
-		return skip("identity mismatch (hash collision or stale encoding)")
-	}
-
-	macc := new(analysis.MetricsAccumulator)
-	if err := macc.UnmarshalBinary(metricsState); err != nil {
-		return skip("metrics state: %v", err)
-	}
-	tacc := new(analysis.Table1Accumulator)
-	if err := tacc.UnmarshalBinary(table1State); err != nil {
-		return skip("table1 state: %v", err)
-	}
-	row := cell.Row(macc, tacc)
+	row := cell.Row(st.Metrics, st.Table1)
 	row.StoreHit = true
 	return row, true
 }

@@ -198,7 +198,7 @@ func TestStoreCorruptionTolerated(t *testing.T) {
 
 // TestStoreRejectsMismatchedIdentity: a record renamed onto another
 // cell's key (the on-disk shape of a hash collision) is refused by the
-// embedded key hash / identity cross-check and logged.
+// record's identity check (serve.ShardRequest.Accept) and logged.
 func TestStoreRejectsMismatchedIdentity(t *testing.T) {
 	dir := t.TempDir()
 	lg := &storeLog{}
@@ -223,7 +223,7 @@ func TestStoreRejectsMismatchedIdentity(t *testing.T) {
 	if _, ok := st.LoadCell(cellB, keyB); ok {
 		t.Fatal("foreign record served for the wrong cell")
 	}
-	if !lg.contains("does not match") {
+	if !lg.contains("for another cell") {
 		t.Errorf("mismatch not logged: %v", lg.lines)
 	}
 }
@@ -246,7 +246,7 @@ func TestStoreConcurrentWriters(t *testing.T) {
 
 	sealed := func(tag uint64) []byte {
 		var w wire.Writer
-		w.U32(storeMagic)
+		w.U32(0x45425253)
 		w.U64(tag)
 		for i := 0; i < 200; i++ {
 			w.U64(tag * uint64(i+1))
@@ -279,14 +279,11 @@ func TestStoreConcurrentWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
-				body, ok := stA.get(key)
+				record, ok := stA.get(key)
 				if !ok {
 					continue // a get may race the very first rename; misses are legal
 				}
-				var w wire.Writer
-				w.Buf = body
-				got := string(w.Seal())
-				if got != wantA && got != wantB {
+				if got := string(record); got != wantA && got != wantB {
 					t.Error("torn read: body matches neither writer")
 					return
 				}
@@ -297,13 +294,11 @@ func TestStoreConcurrentWriters(t *testing.T) {
 	if lg.contains("corrupt") {
 		t.Errorf("checksum failures under concurrent rename writes: %v", lg.lines)
 	}
-	body, ok := stA.get(key)
+	record, ok := stA.get(key)
 	if !ok {
 		t.Fatal("final read missed")
 	}
-	var w wire.Writer
-	w.Buf = body
-	if got := string(w.Seal()); got != wantA && got != wantB {
+	if got := string(record); got != wantA && got != wantB {
 		t.Error("final record torn")
 	}
 }
@@ -354,6 +349,67 @@ func TestStoreOldFNVRecordHeals(t *testing.T) {
 	}
 	if lg.count() <= before || !lg.contains("skipping corrupt entry") {
 		t.Fatalf("FNV-sealed record not logged as a miss: %v", lg.lines)
+	}
+	row, ok := f.DispatchCell(context.Background(), cell)
+	if !ok || row.Err != "" || row.StoreHit {
+		t.Fatalf("recompute failed: ok=%v row=%+v", ok, row)
+	}
+	if _, ok := st.LoadCell(cell, key); !ok {
+		t.Fatal("record not rewritten after recompute")
+	}
+	if healed, err := os.ReadFile(path); err != nil || !bytes.Equal(healed, current) {
+		t.Fatalf("healed record differs from a fresh one (err %v)", err)
+	}
+}
+
+// TestStoreOldEBRSRecordHeals: a record in the store's former layout
+// ("EBRS" magic, version 2, key hash, cell identity, both states), sealed
+// correctly, is a logged miss, never a served row; the sweep path
+// recomputes the cell and rewrites the record as a shard record.
+func TestStoreOldEBRSRecordHeals(t *testing.T) {
+	dir := t.TempDir()
+	lg := &storeLog{}
+	st, err := OpenStore(dir, lg.logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, w1 := newWorker(t)
+	f := newFleet(t, Options{Peers: []string{w1.URL}, Store: st})
+
+	cell := serve.SweepCell{App: "minimd", Geometry: fleetGeom(), Alpha: 0.05, LaggardThresholdSec: 0.001}
+	if row, ok := f.DispatchCell(context.Background(), cell); !ok || row.Err != "" {
+		t.Fatalf("seed dispatch failed: %+v", row)
+	}
+	key, err := cellKey(cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := st.path(key.StoreKey())
+	current, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec serve.ShardResponse
+	if err := rec.UnmarshalBinary(current); err != nil {
+		t.Fatal(err)
+	}
+	var old wire.Writer
+	old.U32(0x45425253) // "EBRS"
+	old.U8(2)
+	old.U64(key.Hash())
+	serve.AppendCellIdentity(&old, cell)
+	old.Bytes(rec.MetricsState)
+	old.Bytes(rec.Table1State)
+	if err := os.WriteFile(path, old.Seal(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := lg.count()
+	if _, ok := st.LoadCell(cell, key); ok {
+		t.Fatal("EBRS v2 record served")
+	}
+	if lg.count() <= before || !lg.contains("skipping entry") {
+		t.Fatalf("EBRS v2 record not logged as a miss: %v", lg.lines)
 	}
 	row, ok := f.DispatchCell(context.Background(), cell)
 	if !ok || row.Err != "" || row.StoreHit {

@@ -50,8 +50,8 @@ fabrics: [omnipath, "flat:latency-us=2,gbs=10"]
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, ok := f.DispatchStudy(ctx, resolved.Key().Hash(), serve.WireStudySpec(resolved))
-		if !ok {
+		var resp serve.StudyResponse
+		if !f.DispatchWhole(ctx, resolved.Key().Hash(), "/v1/study", serve.WireStudySpec(resolved), &resp) {
 			t.Fatalf("cell %d was not placed on any worker", cell.Index)
 		}
 		dispatched++
@@ -80,7 +80,8 @@ fabrics: [omnipath, "flat:latency-us=2,gbs=10"]
 func TestDispatchStudyNoWorkers(t *testing.T) {
 	f := newFleet(t, Options{Peers: []string{"http://127.0.0.1:1"}})
 	f.snapshotWorkers()[0].healthy.Store(false)
-	if _, ok := f.DispatchStudy(context.Background(), 42, serve.StudySpec{App: "minife"}); ok {
+	var resp serve.StudyResponse
+	if f.DispatchWhole(context.Background(), 42, "/v1/study", serve.StudySpec{App: "minife"}, &resp) {
 		t.Fatal("dispatch claimed placement with zero healthy workers")
 	}
 }

@@ -1,16 +1,13 @@
-// Scatter/gather execution: sweep cells shard across workers and merge
-// by accumulator state; strategy cells dispatch whole and merge by
-// concatenation.
+// Scatter/gather execution of one sweep cell: it shards across workers
+// and merges by accumulator state.
 
 package fleet
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"earlybird/internal/analysis"
-	"earlybird/internal/cluster"
 	"earlybird/internal/engine"
 	"earlybird/internal/serve"
 )
@@ -160,12 +157,8 @@ func (f *Fleet) DispatchCell(ctx context.Context, cell serve.SweepCell) (serve.S
 		// value-preserving, so a later load finalizes to a bit-identical
 		// row. A store write failure only costs durability — log and move
 		// on.
-		mstate, merr := macc.MarshalBinary()
-		tstate, terr := tacc.MarshalBinary()
-		if merr == nil && terr == nil {
-			if err := f.store.SaveCell(cell, key, mstate, tstate); err != nil {
-				f.store.logf("fleet: store: saving cell %s failed: %v", key.StoreKey(), err)
-			}
+		if err := f.store.SaveCell(cellReq, key, macc, tacc); err != nil {
+			f.store.logf("fleet: store: saving cell %s failed: %v", key.StoreKey(), err)
 		}
 	}
 	row := cell.Row(macc, tacc)
@@ -173,86 +166,4 @@ func (f *Fleet) DispatchCell(ctx context.Context, cell serve.SweepCell) (serve.S
 	row.Shards, row.ShardWorkers = len(ranges), shardWorkers
 	f.cellsMerged.Add(1)
 	return row, true
-}
-
-// Sweep runs a sweep request entirely on the fleet, emitting one row per
-// cell in completion order — the client-side counterpart of a
-// coordinator server's fanned-out /v1/sweep. Cells that cannot be placed
-// (no healthy workers) emit error rows; emit is never called twice for
-// one cell. The request-level error covers grid expansion only.
-func (f *Fleet) Sweep(ctx context.Context, req serve.SweepRequest, emit func(serve.SweepRow)) error {
-	cells, err := req.Cells()
-	if err != nil {
-		return err
-	}
-	var mu sync.Mutex
-	serve.FanOut(len(cells), min(cap(f.sem), len(cells)), func(i int) {
-		row, ok := f.DispatchCell(ctx, cells[i])
-		if !ok {
-			f.cellsFailed.Add(1)
-			row = cells[i].ErrorRow(f.notPlaced(0, -1, nil))
-		}
-		mu.Lock()
-		emit(row)
-		mu.Unlock()
-	})
-	return nil
-}
-
-// Strategies runs a strategy-grid request on the fleet: each (app,
-// geometry) cell dispatches whole to its rendezvous worker over
-// POST /v1/strategies (strategy rows are self-contained — no accumulator
-// merge needed), with the same failover as sweep shards. Cells that
-// cannot be placed emit error rows.
-func (f *Fleet) Strategies(ctx context.Context, req serve.StrategiesRequest, emit func(serve.StrategyRow)) error {
-	cells, err := req.Cells()
-	if err != nil {
-		return err
-	}
-	var mu sync.Mutex
-	serve.FanOut(len(cells), min(cap(f.sem), len(cells)), func(i int) {
-		row := f.strategyCell(ctx, req, cells[i])
-		mu.Lock()
-		emit(row)
-		mu.Unlock()
-	})
-	return nil
-}
-
-// strategyCell dispatches one strategy cell and restamps its index.
-func (f *Fleet) strategyCell(ctx context.Context, req serve.StrategiesRequest, cell serve.StrategyCell) serve.StrategyRow {
-	fail := func(err error) serve.StrategyRow {
-		f.cellsFailed.Add(1)
-		return serve.StrategyRow{Index: cell.Index, App: cell.App, Geometry: cell.Geometry, Err: err.Error()}
-	}
-	sp := engine.Spec{App: cell.App, Geometry: cell.Geometry, BytesPerPartition: req.BytesPerPartition}
-	if req.DLB != nil {
-		sp.DLB = *req.DLB
-	}
-	resolved, err := sp.Resolve()
-	if err != nil {
-		return fail(err)
-	}
-
-	single := req
-	single.Apps = []string{cell.App}
-	single.Geometries = []cluster.Config{cell.Geometry}
-	single.GeometryNames = nil
-	single.Stream = false
-	single.Workers = 0
-	var out serve.StrategiesResponse
-	if _, err := f.dispatch(ctx, resolved.Key().Hash(), 0, "/v1/strategies", single, jsonInto(&out)); err != nil {
-		return fail(err)
-	}
-	if len(out.Rows) != 1 {
-		return fail(fmt.Errorf("worker returned %d rows for one cell", len(out.Rows)))
-	}
-	row := out.Rows[0]
-	row.Index = cell.Index
-	if row.Err != "" {
-		f.cellsFailed.Add(1)
-	} else {
-		f.cellsMerged.Add(1)
-	}
-	return row
 }

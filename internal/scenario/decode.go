@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"unicode/utf8"
 
 	"earlybird/internal/cliopts"
 	"earlybird/internal/dlb"
@@ -14,8 +15,13 @@ import (
 // Parse reads a scenario document — JSON when the first significant
 // byte is '{', the YAML subset otherwise — and decodes it strictly into
 // a validated Spec. Unknown keys are errors: a typoed axis name must not
-// silently shrink the cross-product.
+// silently shrink the cross-product. The document must be UTF-8: the
+// JSON wire form would otherwise carry a replacement character where
+// the file had an invalid byte, and name another source.
 func Parse(data []byte) (*Spec, error) {
+	if !utf8.Valid(data) {
+		return nil, fmt.Errorf("scenario: document is not valid UTF-8")
+	}
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
 	var (
 		root any

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -73,7 +74,7 @@ func (s *Spec) Wire(baseDir string) ([]byte, error) {
 	if len(s.BinTimeoutsSec) > 0 {
 		entries := make([]string, len(s.BinTimeoutsSec))
 		for i, t := range s.BinTimeoutsSec {
-			entries[i] = fnum(t * 1e3)
+			entries[i] = msText(t)
 		}
 		doc["bin_timeouts_ms"] = entries
 	}
@@ -81,10 +82,31 @@ func (s *Spec) Wire(baseDir string) ([]byte, error) {
 		doc["alpha"] = fnum(s.Alpha)
 	}
 	if s.LaggardThresholdSec != 0 {
-		doc["laggard_ms"] = fnum(s.LaggardThresholdSec * 1e3)
+		doc["laggard_ms"] = msText(s.LaggardThresholdSec)
 	}
 	if s.BytesPerPartition != 0 {
 		doc["part_bytes"] = fnum(float64(s.BytesPerPartition))
 	}
 	return json.Marshal(doc)
+}
+
+// msText renders a duration in seconds as the millisecond text Parse
+// reads back to exactly sec. Parse scales by 1e-3, which rounds, so
+// sec*1e3 itself may come back as another float (71 ms is 0.071000…01 s,
+// which renders as 71.00000000000001 ms): of the floats within four ulps
+// of it that do come back as sec, the one with the shortest text wins.
+func msText(sec float64) string {
+	ms := sec * 1e3
+	for i := 0; i < 4; i++ {
+		ms = math.Nextafter(ms, math.Inf(-1))
+	}
+	best := fnum(sec * 1e3)
+	found := false
+	for i := 0; i <= 8; i++ {
+		if text := fnum(ms); ms*1e-3 == sec && (!found || len(text) < len(best)) {
+			best, found = text, true
+		}
+		ms = math.Nextafter(ms, math.Inf(1))
+	}
+	return best
 }

@@ -45,8 +45,15 @@
 // (record.go) — the cell identity, trial range, block count, flags and
 // both states behind a CRC-32C trailer — not JSON. ShardRequest.Accept
 // is the coordinator half: it checks a record against the request
-// before anything merges it. AppendCellIdentity is the one identity
-// encoding, shared with the fleet's durable result store.
+// before anything merges it. The fleet's durable result store persists
+// the same record for a cell's whole trial range and loads it through
+// the same Accept.
+//
+// SweepGrid, StrategyGrid and ScenarioGrid expand a grid request into a
+// Grid, which the handlers and any in-process coordinator
+// (cmd/earlybird -fleet, earlybird.FleetSweep) run alike. With
+// Options.Fleet set, each cell is placed on the fleet first and runs
+// locally when no worker takes it.
 //
 // Server shuts down gracefully: Shutdown stops accepting connections and
 // drains in-flight requests. cmd/earlybirdd is the production binary;

@@ -156,7 +156,7 @@ func (s *Server) promWriter(w http.ResponseWriter) *telemetry.PromWriter {
 		snap := s.opts.Fleet.Snapshot()
 		p.Gauge("earlybird_fleet_peers", "Registered fleet workers.", float64(snap.Peers))
 		p.Gauge("earlybird_fleet_healthy", "Fleet workers currently healthy.", float64(snap.Healthy))
-		p.Counter("earlybird_fleet_cells_dispatched_total", "Sweep cells answered by the fleet.", float64(s.fleetCells.Load()))
+		p.Counter("earlybird_fleet_cells_dispatched_total", "Grid cells answered by the fleet.", float64(s.fleetCells.Load()))
 		p.Counter("earlybird_fleet_local_fallbacks_total", "Cells the fleet declined that ran locally.", float64(s.fleetFallbacks.Load()))
 		p.Counter("earlybird_fleet_cells_merged_total", "Cells whose shard responses merged cleanly.", float64(snap.CellsMerged))
 		p.Counter("earlybird_fleet_cells_failed_total", "Cells that errored after exhausting every worker.", float64(snap.CellsFailed))

@@ -2,9 +2,9 @@
 // answer to POST /v1/shard. A shard record carries one cell's identity,
 // the trial range it covers, its block count and flags, and the two
 // accumulator states, all sealed with a CRC-32C trailer (wire.Seal).
-// The fleet's durable result store writes the same identity encoding,
-// so a record on disk and a record on the wire are checked against the
-// requesting cell by one definition of "same cell".
+// The fleet's durable result store writes the same record, for a cell's
+// whole trial range, so a record on disk and a record on the wire are
+// checked against the requesting cell by one Accept.
 
 package serve
 

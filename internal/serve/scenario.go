@@ -68,17 +68,6 @@ type ScenarioResponse struct {
 	Failed int           `json:"failed,omitempty"`
 }
 
-// StudyDispatcher is the optional fleet upgrade for scenario federation:
-// a dispatcher that can place one whole wire-expressible study on a
-// worker. internal/fleet implements it; fleets that don't are simply
-// never offered scenario cells.
-type StudyDispatcher interface {
-	// DispatchStudy executes one resolved wire spec on the fleet, routed
-	// by the spec's key hash. ok == false means no healthy worker could
-	// take it and the caller should run it locally.
-	DispatchStudy(ctx context.Context, hash uint64, spec StudySpec) (StudyResponse, bool)
-}
-
 // compileScenario parses, compiles and verifies a wire scenario. The
 // trace loader only accepts inline CSV: a path in a wire spec would read
 // the server's filesystem.
@@ -115,8 +104,7 @@ func (s *Server) compileScenario(text string) (*scenario.Compiled, scenario.Cove
 // form, for dispatching a wire-expressible scenario cell whole to a
 // fleet worker. Every field is post-resolution, so the worker resolves
 // to the identical spec key and the result is bit-identical to local
-// execution of the same cell. Shared by the coordinator server and the
-// CLI's -fleet -scenario path.
+// execution of the same cell.
 func WireStudySpec(resolved engine.Spec) StudySpec {
 	geom := resolved.Geometry
 	fabric := resolved.Fabric
@@ -135,9 +123,10 @@ func WireStudySpec(resolved engine.Spec) StudySpec {
 	}
 }
 
-// runScenarioCell answers one compiled cell: fleet dispatch for
-// wire-expressible cells when a StudyDispatcher is configured, the local
-// coalescing stack otherwise.
+// runScenarioCell answers one compiled cell: whole dispatch to a fleet
+// worker for wire-expressible cells when the configured fleet is a
+// WholeDispatcher and a worker takes it, the local coalescing stack
+// otherwise.
 func (s *Server) runScenarioCell(ctx context.Context, cell scenario.Cell) ScenarioRow {
 	row := ScenarioRow{
 		Index:         cell.Index,
@@ -163,8 +152,9 @@ func (s *Server) runScenarioCell(ctx context.Context, cell scenario.Cell) Scenar
 	// check reads the compiled (pre-resolution) spec — Resolve fills
 	// Model in for bare apps too.
 	wire := cell.Spec.Model == nil && cell.Spec.Dataset == nil && cell.Spec.App != ""
-	if sd, ok := s.opts.Fleet.(StudyDispatcher); ok && wire {
-		if resp, placed := sd.DispatchStudy(ctx, resolved.Key().Hash(), WireStudySpec(resolved)); placed {
+	if wd, ok := s.opts.Fleet.(WholeDispatcher); ok && wire {
+		var resp StudyResponse
+		if wd.DispatchWhole(ctx, resolved.Key().Hash(), "/v1/study", WireStudySpec(resolved), &resp) {
 			s.fleetCells.Add(1)
 			row.StudyResponse = resp
 			row.Federated = true
@@ -214,22 +204,26 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	workers := s.clampWorkers(req.Workers, len(c.Cells))
+	g := s.ScenarioGrid(c, req.Workers)
 	if req.Stream {
-		emit := startNDJSON(w, "X-Scenario-Cells", len(c.Cells))
-		FanOut(len(c.Cells), workers, func(i int) {
-			emit(s.runScenarioCell(r.Context(), c.Cells[i]))
-		})
+		streamGrid(w, r, "X-Scenario-Cells", g)
 		return
 	}
-	resp.Rows = make([]ScenarioRow, len(c.Cells))
-	FanOut(len(c.Cells), workers, func(i int) {
-		resp.Rows[i] = s.runScenarioCell(r.Context(), c.Cells[i])
-	})
+	resp.Rows = g.Rows(r.Context())
 	for i := range resp.Rows {
 		if resp.Rows[i].Err != "" {
 			resp.Failed++
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// ScenarioGrid is the grid of a compiled, verified scenario: one row
+// per compiled cell, run through the same coalescing stack as
+// /v1/study, with wire-expressible cells federated across the fleet
+// when one is configured. workers <= 0 means the engine's bound.
+func (s *Server) ScenarioGrid(c *scenario.Compiled, workers int) Grid[ScenarioRow] {
+	return newGrid(s, len(c.Cells), workers, func(ctx context.Context, i int) ScenarioRow {
+		return s.runScenarioCell(ctx, c.Cells[i])
+	})
 }

@@ -194,7 +194,7 @@ func TestScenarioCoalescesWithStudy(t *testing.T) {
 }
 
 // fakeStudyFleet implements FleetDispatcher and the optional
-// StudyDispatcher upgrade: it declines sweep cells and answers studies
+// WholeDispatcher upgrade: it declines sweep cells and answers studies
 // with a canned marker response, recording what it was offered.
 type fakeStudyFleet struct {
 	mu    sync.Mutex
@@ -207,11 +207,16 @@ func (f *fakeStudyFleet) DispatchCell(ctx context.Context, cell SweepCell) (Swee
 
 func (f *fakeStudyFleet) Snapshot() FleetSnapshot { return FleetSnapshot{} }
 
-func (f *fakeStudyFleet) DispatchStudy(ctx context.Context, hash uint64, spec StudySpec) (StudyResponse, bool) {
+func (f *fakeStudyFleet) DispatchWhole(ctx context.Context, hash uint64, path string, req, out any) bool {
+	spec, ok := req.(StudySpec)
+	if !ok {
+		return false
+	}
 	f.mu.Lock()
 	f.specs = append(f.specs, spec)
 	f.mu.Unlock()
-	return StudyResponse{App: spec.App, Source: SourceExecuted}, true
+	*out.(*StudyResponse) = StudyResponse{App: spec.App, Source: SourceExecuted}
+	return true
 }
 
 func TestScenarioFederatesWireCellsOnly(t *testing.T) {

@@ -30,10 +30,16 @@ const (
 	// DefaultMaxStudySamples is the largest geometry a materialising
 	// study request (/v1/study, /v1/feasibility, /v1/campaign) accepts:
 	// ten paper geometries (~60 MiB columnar). Larger analyses belong on
-	// /v1/sweep, whose streaming path is bounded-memory at any size.
+	// /v1/sweep, which holds at most MaxCachedSweepSamples samples at once
+	// and accumulator state bounded by maxTrialIterations.
 	DefaultMaxStudySamples = 10 * 768000
 	// maxSweepCells bounds one sweep request's grid.
 	maxSweepCells = 4096
+	// maxTrialIterations bounds a sweep cell's or shard's trials x
+	// iterations, the product its accumulator state grows with (~1.2 KB
+	// per trial-iteration plus ~2.3 KB per iteration): about 230 MB at
+	// the bound. HugeConfig (50,000) is under it.
+	maxTrialIterations = 1 << 16
 	// maxCampaignSpecs bounds one campaign request's batch.
 	maxCampaignSpecs = 4096
 	// maxRequestBytes bounds a request body; the largest legitimate
@@ -75,9 +81,11 @@ type Options struct {
 	// Workers and MaxDatasets are ignored in that case.
 	Engine *engine.Engine
 	// Fleet, when non-nil, turns this server into a federation
-	// coordinator: /v1/sweep cells are dispatched to the fleet's workers
-	// (internal/fleet implements the interface) and only run locally when
-	// no healthy peer can take them. /v1/stats gains a fleet section.
+	// coordinator: /v1/sweep cells shard across the fleet's workers, and
+	// /v1/strategies and wire-expressible /v1/scenario cells dispatch
+	// whole when the fleet is also a WholeDispatcher (internal/fleet
+	// implements both). A cell runs locally only when no healthy peer can
+	// take it. /v1/stats gains a fleet section.
 	Fleet FleetDispatcher
 	// AdmissionWatermark enables adaptive admission: while the live
 	// aggregate fill efficiency measured across in-flight studies is
@@ -107,6 +115,18 @@ type FleetDispatcher interface {
 	Snapshot() FleetSnapshot
 }
 
+// WholeDispatcher is the optional fleet upgrade for cells that travel
+// whole: a wire-expressible scenario cell over /v1/study and a strategy
+// cell over /v1/strategies. internal/fleet implements it; a fleet that
+// does not is never offered those cells, and they run locally.
+type WholeDispatcher interface {
+	// DispatchWhole posts req to path on the worker ranked first for the
+	// cell's key hash (failing over like shard dispatch) and decodes the
+	// JSON answer into out. false means no worker took it, and the
+	// caller runs the cell locally.
+	DispatchWhole(ctx context.Context, hash uint64, path string, req, out any) bool
+}
+
 // Server is the study service: an http.Handler exposing the /v1 API over
 // one campaign engine, plus a managed http.Server for ListenAndServe /
 // Shutdown. Create with New; safe for concurrent use.
@@ -127,7 +147,7 @@ type Server struct {
 	// cells across all requests — the engine's Workers bound applied at
 	// the service level. Coalesced joiners and cache hits take no slot.
 	sem chan struct{}
-	// fleetCells counts sweep cells answered by the fleet;
+	// fleetCells counts grid cells answered by the fleet;
 	// fleetFallbacks counts cells the fleet declined (no healthy
 	// workers) that ran locally instead.
 	fleetCells     atomic.Int64
@@ -310,8 +330,8 @@ func (s *Server) clampWorkers(requested, jobs int) int {
 }
 
 // FanOut runs fn(i) for every i in [0, n) across workers goroutines and
-// waits for all of them: the worker pool of every grid handler here and
-// of the fleet's client-side sweeps.
+// waits for all of them: the worker pool of every grid and batch
+// handler here.
 func FanOut(n, workers int, fn func(int)) {
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -331,26 +351,55 @@ func FanOut(n, workers int, fn func(int)) {
 	wg.Wait()
 }
 
-// startNDJSON commits a streaming NDJSON response (with a cell-count
-// header) and returns a serialised emit function: one row per line,
-// flushed the moment it is written, safe to call from worker
-// goroutines.
-func startNDJSON(w http.ResponseWriter, cellsHeader string, cells int) func(any) {
+// Grid is one expanded grid request, ready to run: how many cells it
+// has, how many run at once, and the executor of one cell. The
+// /v1/sweep, /v1/strategies and /v1/scenario handlers each run one, and
+// so does an in-process coordinator (cmd/earlybird -fleet,
+// earlybird.FleetSweep): every grid, federated or not, goes through the
+// same cell executors and the same fleet fallback.
+type Grid[R any] struct {
+	n, workers int
+	cell       func(ctx context.Context, i int) R
+}
+
+// newGrid bounds a grid's concurrency by the request's and the engine's.
+func newGrid[R any](s *Server, n, workers int, cell func(context.Context, int) R) Grid[R] {
+	return Grid[R]{n: n, workers: s.clampWorkers(workers, n), cell: cell}
+}
+
+// Run executes every cell and calls emit with the cell's grid position
+// and row as it completes. emit is called concurrently from the worker
+// goroutines, once per cell.
+func (g Grid[R]) Run(ctx context.Context, emit func(i int, row R)) {
+	FanOut(g.n, g.workers, func(i int) { emit(i, g.cell(ctx, i)) })
+}
+
+// Rows runs the grid and returns its rows in grid order.
+func (g Grid[R]) Rows(ctx context.Context) []R {
+	rows := make([]R, g.n)
+	g.Run(ctx, func(i int, row R) { rows[i] = row })
+	return rows
+}
+
+// streamGrid commits a streaming NDJSON response (with a cell-count
+// header) and runs the grid, writing and flushing one row per line the
+// moment its cell completes.
+func streamGrid[R any](w http.ResponseWriter, r *http.Request, cellsHeader string, g Grid[R]) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set(cellsHeader, fmt.Sprint(cells))
+	w.Header().Set(cellsHeader, fmt.Sprint(g.n))
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	var mu sync.Mutex
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
-	return func(row any) {
+	g.Run(r.Context(), func(_ int, row R) {
 		mu.Lock()
 		defer mu.Unlock()
 		_ = enc.Encode(row) // Encode terminates each row with '\n'
 		if flusher != nil {
 			flusher.Flush()
 		}
-	}
+	})
 }
 
 // runStudy resolves one wire spec and answers it through the coalescing
@@ -370,7 +419,7 @@ func (s *Server) runStudy(wire StudySpec) (engine.Result, Source, error) {
 	}
 	if n := resolved.Geometry.Samples(); n > s.maxStudySamples {
 		return engine.Result{}, "", fmt.Errorf(
-			"geometry has %d samples, over the study limit %d; use /v1/sweep, whose streaming path is bounded-memory at any size",
+			"geometry has %d samples, over the study limit %d; use /v1/sweep, which streams the samples and bounds accumulator state",
 			n, s.maxStudySamples)
 	}
 	return s.runResolved(resolved)

@@ -82,7 +82,9 @@ type ShardResponse struct {
 
 // Resolve validates the request and fills defaults. A worker executes
 // the resolved request, and a coordinator checks a worker's answer
-// against it (Accept).
+// against it (Accept). It refuses a geometry over maxTrialIterations,
+// whose accumulator state no bound on live samples would limit: a local
+// sweep cell, a worker's shard and a fleet cell all resolve here.
 func (req ShardRequest) Resolve() (ShardRequest, error) {
 	if req.Geometry != nil && req.GeometryName != "" {
 		return req, fmt.Errorf("geometry and geometry_name are mutually exclusive")
@@ -99,6 +101,10 @@ func (req ShardRequest) Resolve() (ShardRequest, error) {
 	}
 	if err := geom.Validate(); err != nil {
 		return req, err
+	}
+	if geom.Iterations > maxTrialIterations/geom.Trials {
+		return req, fmt.Errorf("geometry has %d trials x %d iterations, over the accumulator-state limit of %d trial-iterations",
+			geom.Trials, geom.Iterations, maxTrialIterations)
 	}
 	req.Geometry = &geom
 	req.Alpha, req.LaggardSec = paperDefaults(req.Alpha, req.LaggardSec)

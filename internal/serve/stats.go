@@ -114,7 +114,7 @@ type FleetSnapshot struct {
 	// workers.
 	Peers   int `json:"peers"`
 	Healthy int `json:"healthy"`
-	// CellsDispatched counts sweep cells answered by the fleet;
+	// CellsDispatched counts grid cells answered by the fleet;
 	// LocalFallbacks counts cells the fleet declined (no healthy worker)
 	// that the coordinator ran itself. Both are coordinator-side.
 	CellsDispatched int64 `json:"cells_dispatched"`

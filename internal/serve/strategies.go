@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 
@@ -75,8 +76,11 @@ type StrategyRow struct {
 	// DatasetCacheHit reports the evaluation read an engine-cached
 	// columnar store rather than generating one (meaningful for
 	// executed rows).
-	DatasetCacheHit bool   `json:"dataset_cache_hit"`
-	Err             string `json:"error,omitempty"`
+	DatasetCacheHit bool `json:"dataset_cache_hit"`
+	// Federated reports the cell was dispatched whole to a fleet worker
+	// rather than evaluated by this coordinator.
+	Federated bool   `json:"federated,omitempty"`
+	Err       string `json:"error,omitempty"`
 }
 
 // StrategiesResponse is the JSON-mode /v1/strategies reply: one row per
@@ -107,9 +111,10 @@ type stratConfig struct {
 }
 
 // StrategyCell is one expanded (app, geometry) cell of a strategies
-// grid: the unit the handler evaluates locally and the fleet dispatches
-// whole to workers (strategy cells are self-contained, so federation
-// needs no accumulator plumbing — rows merge by concatenation).
+// grid: the unit the handler evaluates locally and a coordinator
+// dispatches whole to a fleet worker (strategy cells are self-contained,
+// so federation needs no accumulator plumbing — rows merge by
+// concatenation).
 type StrategyCell struct {
 	Index    int            `json:"index"`
 	App      string         `json:"app"`
@@ -183,6 +188,23 @@ func (cfg stratConfig) hash() uint64 {
 		h = fnv.F64(h, a)
 	}
 	return fnv.F64(h, cfg.laggardThreshold)
+}
+
+// request is the single-cell request a coordinator sends a worker for
+// c: every parameter resolved, so the worker evaluates exactly the cell
+// this server would, whatever its own defaults.
+func (cfg stratConfig) request(c StrategyCell) StrategiesRequest {
+	fabric, policy := cfg.fabric, cfg.dlb
+	return StrategiesRequest{
+		Apps:                []string{c.App},
+		Geometries:          []cluster.Config{c.Geometry},
+		BytesPerPartition:   cfg.bytesPerPartition,
+		Fabric:              &fabric,
+		TimeoutsSec:         cfg.timeoutsSec,
+		EWMAAlphas:          cfg.ewmaAlphas,
+		LaggardThresholdSec: cfg.laggardThreshold,
+		DLB:                 &policy,
+	}
 }
 
 // Cells expands the request into its (app, geometry) grid, in
@@ -264,14 +286,26 @@ func (s *Server) strategyCell(c StrategyCell, cfg stratConfig) StrategyRow {
 	return row
 }
 
-// runStrategyCell answers one cell through the coalescing stack: LRU
-// result cache, then singleflight join, then execution under the
-// server's worker semaphore.
-func (s *Server) runStrategyCell(c StrategyCell, cfg stratConfig) StrategyRow {
+// runStrategyCell answers one cell: dispatched whole to a fleet worker
+// when the configured fleet is a WholeDispatcher and a worker takes it,
+// otherwise through the local coalescing stack — LRU result cache, then
+// singleflight join, then execution under the server's worker
+// semaphore.
+func (s *Server) runStrategyCell(ctx context.Context, c StrategyCell, cfg stratConfig) StrategyRow {
 	key, err := s.cellKey(c, cfg)
 	if err != nil {
 		return StrategyRow{Index: c.Index, App: c.App, Geometry: c.Geometry,
 			BytesPerPartition: cfg.bytesPerPartition, DLB: cfg.dlb, Err: err.Error()}
+	}
+	if wd, ok := s.opts.Fleet.(WholeDispatcher); ok {
+		var out StrategiesResponse
+		if wd.DispatchWhole(ctx, key.spec.Hash(), "/v1/strategies", cfg.request(c), &out) && len(out.Rows) == 1 {
+			s.fleetCells.Add(1)
+			row := out.Rows[0]
+			row.Index, row.Federated = c.Index, true
+			return row
+		}
+		s.fleetFallbacks.Add(1)
 	}
 	row, src := s.strat.do(key, func() (StrategyRow, bool) {
 		defer s.acquire()()
@@ -286,6 +320,26 @@ func (s *Server) runStrategyCell(c StrategyCell, cfg stratConfig) StrategyRow {
 	return row
 }
 
+// StrategyGrid expands a strategies request into its grid. A request
+// that leaves its policy unset gets the server's default.
+func (s *Server) StrategyGrid(req StrategiesRequest) (Grid[StrategyRow], error) {
+	if req.DLB == nil {
+		d := s.opts.DefaultDLB
+		req.DLB = &d
+	}
+	cfg, err := req.resolve()
+	if err != nil {
+		return Grid[StrategyRow]{}, err
+	}
+	cells, err := req.Cells()
+	if err != nil {
+		return Grid[StrategyRow]{}, err
+	}
+	return newGrid(s, len(cells), req.Workers, func(ctx context.Context, i int) StrategyRow {
+		return s.runStrategyCell(ctx, cells[i], cfg)
+	}), nil
+}
+
 // handleStrategies answers POST /v1/strategies: a JSON reply with every
 // cell in grid order, or — with "stream": true — NDJSON rows written and
 // flushed as cells complete.
@@ -295,37 +349,18 @@ func (s *Server) handleStrategies(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.DLB == nil {
-		d := s.opts.DefaultDLB
-		req.DLB = &d
-	}
-	cfg, err := req.resolve()
+	g, err := s.StrategyGrid(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	cells, err := req.Cells()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	workers := s.clampWorkers(req.Workers, len(cells))
 	if req.Stream {
-		emit := startNDJSON(w, "X-Strategy-Cells", len(cells))
-		FanOut(len(cells), workers, func(i int) {
-			emit(s.runStrategyCell(cells[i], cfg))
-		})
+		streamGrid(w, r, "X-Strategy-Cells", g)
 		return
 	}
-
-	rows := make([]StrategyRow, len(cells))
-	FanOut(len(cells), workers, func(i int) {
-		rows[i] = s.runStrategyCell(cells[i], cfg)
-	})
-	resp := StrategiesResponse{Rows: rows}
-	for i := range rows {
-		if rows[i].Err != "" {
+	resp := StrategiesResponse{Rows: g.Rows(r.Context())}
+	for i := range resp.Rows {
+		if resp.Rows[i].Err != "" {
 			resp.Failed++
 		}
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 
@@ -221,43 +222,56 @@ func (s *Server) sweepCell(c SweepCell) SweepRow {
 	return row
 }
 
+// SweepGrid expands a sweep request into its grid. Each cell shards
+// across the fleet when one is configured (Options.Fleet) and runs
+// locally when no healthy peer can take it, or when there is no fleet.
+// A request that leaves the DLB axis empty gets the server's default
+// policy.
+func (s *Server) SweepGrid(req SweepRequest) (Grid[SweepRow], error) {
+	if len(req.DLBs) == 0 {
+		req.DLBs = []dlb.Spec{s.opts.DefaultDLB}
+	}
+	cells, err := req.Cells()
+	if err != nil {
+		return Grid[SweepRow]{}, err
+	}
+	return newGrid(s, len(cells), req.Workers, func(ctx context.Context, i int) SweepRow {
+		return s.runSweepCell(ctx, cells[i])
+	}), nil
+}
+
+// runSweepCell answers one sweep cell: merged from the fleet's shards
+// when a worker takes it, locally under the server's execution
+// semaphore otherwise.
+func (s *Server) runSweepCell(ctx context.Context, c SweepCell) SweepRow {
+	if s.opts.Fleet != nil {
+		if row, ok := s.opts.Fleet.DispatchCell(ctx, c); ok {
+			s.fleetCells.Add(1)
+			return row
+		}
+		s.fleetFallbacks.Add(1)
+	}
+	defer s.acquire()()
+	return s.sweepCell(c)
+}
+
 // handleSweep streams the grid as NDJSON: one row per cell, written and
 // flushed the moment the cell completes, so clients see results while
 // the rest of the grid is still computing. Each in-flight cell holds its
-// accumulator state plus at most MaxCachedSweepSamples live samples (a
-// cell at or under that bound may also sit in the engine's cache;
-// runShard refuses a rebalanced trial over it). With a fleet
-// configured (Options.Fleet), cells fan out to the fleet's workers
-// transparently and only fall back to local execution when no healthy
-// peer can take them.
+// accumulator state (bounded through maxTrialIterations) plus at most
+// MaxCachedSweepSamples live samples (a cell at or under that bound may
+// also sit in the engine's cache; runShard refuses a rebalanced trial
+// over it).
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(req.DLBs) == 0 {
-		req.DLBs = []dlb.Spec{s.opts.DefaultDLB}
-	}
-	cells, err := req.Cells()
+	g, err := s.SweepGrid(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-
-	emit := startNDJSON(w, "X-Sweep-Cells", len(cells))
-	FanOut(len(cells), s.clampWorkers(req.Workers, len(cells)), func(i int) {
-		if s.opts.Fleet != nil {
-			if row, ok := s.opts.Fleet.DispatchCell(r.Context(), cells[i]); ok {
-				s.fleetCells.Add(1)
-				emit(row)
-				return
-			}
-			s.fleetFallbacks.Add(1)
-		}
-		release := s.acquire()
-		row := s.sweepCell(cells[i])
-		release()
-		emit(row)
-	})
+	streamGrid(w, r, "X-Sweep-Cells", g)
 }

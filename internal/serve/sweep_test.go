@@ -161,3 +161,35 @@ func TestOverBoundCellRegistersOneTracker(t *testing.T) {
 		}
 	})
 }
+
+// TestAccumulatorStateBoundedAtValidation pins that trials x iterations,
+// which the accumulator state grows with whatever the sample bound, is
+// refused over maxTrialIterations when the shard request resolves —
+// before anything is allocated for it: an error row from /v1/sweep and
+// a 422 from /v1/shard for a few-byte body that would otherwise ask for
+// gigabytes. HugeConfig still resolves.
+func TestAccumulatorStateBoundedAtValidation(t *testing.T) {
+	huge := cluster.HugeConfig()
+	if _, err := (SweepCell{App: "minife", Geometry: huge}).ShardRequest().Resolve(); err != nil {
+		t.Fatalf("HugeConfig refused: %v", err)
+	}
+
+	s := New(Options{Workers: 2})
+	ts := newHTTPServer(t, s)
+	geom := cluster.Config{Trials: 1, Ranks: 1, Iterations: 1000000, Threads: 48, Seed: 5}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Apps: []string{"minife"}, Geometries: []cluster.Config{geom}})
+	var row SweepRow
+	decodeInto(t, resp, &row)
+	if !strings.Contains(row.Err, "trial-iterations") {
+		t.Fatalf("/v1/sweep row error %q, want the trial-iterations limit", row.Err)
+	}
+	cell := SweepCell{App: "minife", Geometry: geom}
+	wantRejected(t, "shard", postJSON(t, ts.URL+"/v1/shard", cell.ShardRequest()),
+		http.StatusUnprocessableEntity, "trial-iterations")
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+		t.Errorf("refusing the 1e6-iteration cell allocated %d bytes", alloc)
+	}
+}
