@@ -53,7 +53,7 @@ test-chaos:
 # the /v1/scenario + CLI + fleet federation paths end to end.
 test-scenario:
 	$(GO) test -count=1 ./internal/scenario
-	$(GO) test -count=1 -run 'Scenario|DispatchStudy' ./internal/serve ./internal/fleet ./cmd/earlybird
+	$(GO) test -count=1 -run 'Scenario|DispatchWhole' ./internal/serve ./internal/fleet ./cmd/earlybird
 
 # Drop the durable result store a local coordinator accumulated
 # (override STORE_DIR to match your -store-dir).
@@ -164,13 +164,15 @@ cover:
 # hand-rolled YAML subset and JSON form of every scenario document, with
 # scenario.Spec.Wire a fixed point), and of the decoders of bytes a
 # fleet worker sends back: wire.Unseal, the /v1/shard record with
-# the accumulator states inside it, and dlb.Parse, which decodes the
-# policy text in every record identity. The saved corpora replay in plain
-# `make test` as well. The sample seeds of the verdict target, the
-# captured trace seeding the CSV target and the record seeds of the last
-# two are hundreds of bytes to kilobytes long, and the fuzzer's default
-# minimisation (up to 60 s per new input) would eat the whole smoke, so
-# they minimise for at most 2 s.
+# the accumulator states inside it, dlb.Parse, which decodes the
+# policy text in every record identity, and the fleet's Retry-After
+# parser, which reads a shedding worker's back-off header. The saved
+# corpora replay in plain `make test` as well. The sample seeds of the
+# verdict target, the captured trace seeding the CSV target and the
+# record seeds of FuzzUnseal and FuzzShardRecord are hundreds of bytes
+# to kilobytes long, and the fuzzer's default minimisation (up to 60 s
+# per new input) would eat the whole smoke, so they minimise for at
+# most 2 s.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStrategyOrdering$$' -fuzztime 10s ./internal/partcomm
 	$(GO) test -run '^$$' -fuzz '^FuzzSelect$$' -fuzztime 10s ./internal/sortx
@@ -180,6 +182,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnseal$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzShardRecord$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDLBParse$$' -fuzztime 10s ./internal/dlb
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime 10s ./internal/fleet
 
 lint:
 	$(GO) vet ./...

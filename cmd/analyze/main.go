@@ -118,10 +118,9 @@ func runStreaming(w io.Writer, app string, trials, ranks, iters, threads int, se
 		app, geom.Trials, geom.Ranks, geom.Iterations, geom.Threads,
 		geom.Trials*geom.Ranks*geom.Iterations*geom.Threads)
 	res, err := core.StreamStudy(core.Options{
-		App:                 app,
-		Geometry:            geom,
-		Alpha:               alpha,
-		LaggardThresholdSec: laggardSec,
+		App:      app,
+		Geometry: geom,
+		Policy:   core.PolicySpec{Alpha: alpha, LaggardThresholdSec: laggardSec},
 	})
 	if err != nil {
 		return err

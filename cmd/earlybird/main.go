@@ -38,13 +38,14 @@
 //
 // With -scenario the study flags are replaced by a declarative scenario
 // file (internal/scenario): sources x geometries x noise x dlb x
-// fabrics x timeouts compile to an engine campaign whose coverage of
-// the declared cross-product is verified before anything runs.
-// -scenario-check stops after printing the verified plan; -remote sends
-// the scenario (traces inlined) to POST /v1/scenario; -fleet runs it
-// through the in-process coordinator, which dispatches wire-expressible
-// cells whole to their rendezvous workers and runs the rest locally,
-// bit-identical either way.
+// fabrics x timeouts compile to a campaign whose coverage of the
+// declared cross-product is verified before anything runs. Its cells
+// run through an in-process serve.Server, the study executor behind
+// /v1/study. -scenario-check stops after printing the verified plan;
+// -remote sends the scenario (traces inlined) to POST /v1/scenario;
+// -fleet gives the in-process server a fleet, which takes
+// wire-expressible cells whole on their rendezvous workers while the
+// rest run locally, bit-identical either way.
 package main
 
 import (
@@ -65,7 +66,6 @@ import (
 	"earlybird/internal/cluster"
 	"earlybird/internal/core"
 	"earlybird/internal/dlb"
-	"earlybird/internal/engine"
 	"earlybird/internal/fleet"
 	"earlybird/internal/network"
 	"earlybird/internal/partcomm"
@@ -134,12 +134,10 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 		switch {
 		case *remote != "" && *fleetCSV != "":
 			return fmt.Errorf("-remote and -fleet are mutually exclusive: a fleet is a set of remotes")
-		case *fleetCSV != "":
-			return runFleetScenario(stdout, *fleetCSV, *scenFile, *scenCheck)
 		case *remote != "":
 			return runRemoteScenario(stdout, *remote, *scenFile, *scenCheck)
 		}
-		return runScenario(stdout, *scenFile, *scenCheck)
+		return runScenario(stdout, *fleetCSV, *scenFile, *scenCheck)
 	}
 
 	if err := partcomm.CheckBinTimeout(*timeoutMs * 1e-3); err != nil {
@@ -231,26 +229,16 @@ type cli struct {
 	storeDir   string // -store-dir: durable result store for -fleet
 }
 
-// dlbPointer renders the -dlb flag for request fields that take a bare
-// *dlb.Spec (/v1/strategies, shard dispatch): nil when the flag was
-// absent, so the server's default policy (if any) still applies and old
-// wire bytes stay byte-identical.
+// dlbPointer renders the -dlb flag for request fields that take a
+// *dlb.Spec (/v1/strategies, the /v1 policy envelope): nil when the
+// flag was absent, so the server's default policy (if any) still
+// applies.
 func (o cli) dlbPointer() *dlb.Spec {
 	if !o.dlbSet {
 		return nil
 	}
 	d := o.dlb
 	return &d
-}
-
-// policyEnvelope renders the -dlb flag as the /v1 policy envelope; nil
-// when the flag was absent.
-func (o cli) policyEnvelope() *serve.PolicySpec {
-	d := o.dlbPointer()
-	if d == nil {
-		return nil
-	}
-	return &serve.PolicySpec{DLB: d}
 }
 
 // cliGeometry is the geometry the CLI's -trials/-iters flags describe.
@@ -279,39 +267,40 @@ func printSweep(w io.Writer, app string, sw partcomm.Sweep) {
 		sw.Best, 1e3*sw.BestFinishSec, 100*sw.BestCapture)
 }
 
-// newCoordinator opens a fleet over the comma-separated worker URLs
-// (with its durable store in storeDir, if set) and an in-process
-// coordinator server over it: the same serve.Server an earlybirdd
-// -peers daemon runs, so a cell no worker can take runs locally here
-// too. Local cells keep the CLI's unbounded study size.
-func newCoordinator(peersCSV, storeDir string) (*fleet.Fleet, *serve.Server, error) {
+// openFleet opens a fleet over the comma-separated worker URLs (with
+// its durable store in storeDir, if set) and probes it. The -fleet paths
+// run an in-process coordinator over it: the same serve.Server an
+// earlybirdd -peers daemon runs, so a cell no worker can take runs
+// locally here too, at the CLI's unbounded study size.
+func openFleet(peersCSV, storeDir string) (*fleet.Fleet, error) {
 	fopts := fleet.Options{Peers: fleet.SplitPeers(peersCSV)}
 	if storeDir != "" {
 		st, err := fleet.OpenStore(storeDir, nil)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		fopts.Store = st
 	}
 	fl, err := fleet.New(fopts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// With a warm store the sweep can answer from disk even when every
 	// worker is down, so an empty probe is only fatal without one.
 	if healthy := fl.Probe(context.Background()); healthy == 0 && storeDir == "" {
-		return nil, nil, fmt.Errorf("no healthy workers among %v", fl.Workers())
+		return nil, fmt.Errorf("no healthy workers among %v", fl.Workers())
 	}
-	return fl, serve.New(serve.Options{Fleet: fl, MaxStudySamples: math.MaxInt}), nil
+	return fl, nil
 }
 
 // runFleet federates the study (or the strategy sweep) across a fleet of
 // workers and renders the merged result.
 func runFleet(w io.Writer, peersCSV string, o cli) error {
-	fl, srv, err := newCoordinator(peersCSV, o.storeDir)
+	fl, err := openFleet(peersCSV, o.storeDir)
 	if err != nil {
 		return err
 	}
+	srv := serve.New(serve.Options{Fleet: fl, MaxStudySamples: math.MaxInt})
 	ctx := context.Background()
 
 	if o.strategies {
@@ -415,9 +404,8 @@ func runRemote(w io.Writer, base string, o cli) error {
 		App:               o.app,
 		Geometry:          &geom,
 		BytesPerPartition: o.partBytes,
-		BinTimeoutSec:     o.timeoutSec,
 		Fabric:            &fabric,
-		Policy:            o.policyEnvelope(),
+		Policy:            &serve.PolicySpec{DLB: o.dlbPointer(), BinTimeoutSec: o.timeoutSec},
 	}
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -473,10 +461,16 @@ func assessmentLine(a core.Assessment) string {
 		a.Recommendation, 100*a.LaggardFraction, a.IQRToMedian, 1e3*a.PotentialOverlapSec)
 }
 
-// runScenario compiles, verifies and runs a scenario in-process: the
-// compiled cells execute as one engine campaign (identical cells share
-// one execution through the campaign's dedup).
-func runScenario(w io.Writer, path string, check bool) error {
+// runScenario compiles, verifies and runs a scenario through an
+// in-process serve.Server, whose study executor (the one behind
+// /v1/study) answers every cell; identical cells share one execution
+// through its coalescer. With -fleet (peersCSV set) wire-expressible
+// cells (bare app specs — no noise wrapper, no dataset) dispatch whole
+// to their rendezvous workers over /v1/study; the rest, and any cell no
+// worker takes, run locally. Both paths execute the same resolved specs
+// deterministically, so the assessment lines are bit-identical either
+// way.
+func runScenario(w io.Writer, peersCSV, path string, check bool) error {
 	c, err := compileScenarioFile(w, path)
 	if err != nil {
 		return err
@@ -484,40 +478,27 @@ func runScenario(w io.Writer, path string, check bool) error {
 	if check {
 		return nil
 	}
-	eng := engine.New(0)
-	results, err := eng.Run(engine.Campaign{Specs: c.EngineSpecs()})
-	if err != nil {
-		return err
+	// The server's Fleet stays a nil interface without -fleet: a
+	// typed-nil *fleet.Fleet in it would read as a configured fleet.
+	var fl *fleet.Fleet
+	opts := serve.Options{MaxStudySamples: math.MaxInt}
+	if peersCSV != "" {
+		if fl, err = openFleet(peersCSV, ""); err != nil {
+			return err
+		}
+		opts.Fleet = fl
 	}
-	for i, r := range results {
-		fmt.Fprintf(w, "%3d  %s\n", c.Cells[i].Index, assessmentLine(r.Assessment))
-	}
-	return nil
-}
-
-// runFleetScenario federates a scenario through an in-process
-// coordinator: wire-expressible cells (bare app specs — no noise
-// wrapper, no dataset) dispatch whole to their rendezvous workers over
-// /v1/study; the rest, and any cell no worker takes, run locally. Both
-// paths execute the same resolved specs deterministically, so the
-// output is bit-identical to running everything locally.
-func runFleetScenario(w io.Writer, peersCSV, path string, check bool) error {
-	c, err := compileScenarioFile(w, path)
-	if err != nil {
-		return err
-	}
-	if check {
-		return nil
-	}
-	fl, srv, err := newCoordinator(peersCSV, "")
-	if err != nil {
-		return err
-	}
-	rows := srv.ScenarioGrid(c, 0).Rows(context.Background())
-	federated := 0
+	rows := serve.New(opts).ScenarioGrid(c, 0).Rows(context.Background())
 	for _, row := range rows {
 		if row.Err != "" {
 			return fmt.Errorf("cell %d: %s", row.Index, row.Err)
+		}
+	}
+	federated := 0
+	for _, row := range rows {
+		if fl == nil {
+			fmt.Fprintf(w, "%3d  %s\n", row.Index, assessmentLine(row.Assessment))
+			continue
 		}
 		where := "local"
 		if row.Federated {
@@ -526,7 +507,9 @@ func runFleetScenario(w io.Writer, peersCSV, path string, check bool) error {
 		}
 		fmt.Fprintf(w, "%3d  %-5s  %s\n", row.Index, where, assessmentLine(row.Assessment))
 	}
-	fmt.Fprintf(w, "federated %d/%d cells over %d healthy workers\n", federated, len(rows), fl.Healthy())
+	if fl != nil {
+		fmt.Fprintf(w, "federated %d/%d cells over %d healthy workers\n", federated, len(rows), fl.Healthy())
+	}
 	return nil
 }
 

@@ -49,13 +49,12 @@
 // every exact metric — see internal/fleet and the cmd/earlybirdd -peers
 // coordinator mode.
 //
-// Whole campaigns can be declared instead of assembled: ParseScenario
-// reads a YAML or JSON scenario — application or trace-replay sources
-// crossed with geometry, noise, DLB-policy, fabric and timeout axes —
-// and its Compile produces engine campaign cells whose exact coverage
-// of the declared cross-product Verify proves before anything runs.
-// cmd/earlybird -scenario and the service's POST /v1/scenario are the
-// packaged forms — see internal/scenario.
+// Whole campaigns can be declared instead of assembled: a YAML or JSON
+// scenario — application or trace-replay sources crossed with geometry,
+// noise, DLB-policy, fabric and timeout axes — compiles to campaign
+// cells whose exact coverage of the declared cross-product is verified
+// before anything runs. cmd/earlybird -scenario and the service's POST
+// /v1/scenario are its packaged forms — see internal/scenario.
 //
 // The strategy lab extends the paper's Section 5 feasibility question:
 // Study.StrategySweep (and cmd/earlybird -strategies) evaluates a grid
@@ -83,7 +82,6 @@ import (
 	"earlybird/internal/fleet"
 	"earlybird/internal/network"
 	"earlybird/internal/partcomm"
-	"earlybird/internal/scenario"
 	"earlybird/internal/serve"
 	"earlybird/internal/telemetry"
 	"earlybird/internal/trace"
@@ -112,8 +110,7 @@ const (
 // PolicySpec bundles a study's policy axes — the delivery-strategy set,
 // the runtime rebalancing (DLB) policy the dataset is generated under,
 // the normality significance level and the laggard rule — as
-// Options.Policy. Zero fields inherit the paper's defaults, and the
-// flat Options fields keep working for existing callers.
+// Options.Policy. Zero fields inherit the paper's defaults.
 type PolicySpec = core.PolicySpec
 
 // DLBSpec selects and parameterises a runtime rebalancing policy: the
@@ -146,11 +143,6 @@ type Dataset = trace.Dataset
 
 // AppMetrics holds the Section 4.2 scalar metrics of a study.
 type AppMetrics = analysis.AppMetrics
-
-// DeliveryStrategy is a message-delivery policy evaluated over measured
-// thread arrivals (see internal/partcomm: Bulk, FineGrained, Binned,
-// EWMABinned, LaggardAware, Hybrid).
-type DeliveryStrategy = partcomm.Strategy
 
 // StrategyResult summarises one delivery strategy over a study.
 type StrategyResult = partcomm.Result
@@ -265,17 +257,6 @@ type Fleet = fleet.Fleet
 // FleetOptions configures NewFleet.
 type FleetOptions = fleet.Options
 
-// FleetStore is the coordinator's durable content-addressed result
-// store: completed sweep cells persist to disk keyed by their resolved
-// execution spec and are re-served across coordinator restarts without
-// dispatching a single shard. Set it as FleetOptions.Store.
-type FleetStore = fleet.Store
-
-// OpenFleetStore opens (creating if needed) a durable result store
-// rooted at dir, logging skipped/corrupt records through the standard
-// logger.
-func OpenFleetStore(dir string) (*FleetStore, error) { return fleet.OpenStore(dir, nil) }
-
 // SweepRequest describes a scenario grid for Server sweeps and
 // FleetSweep: the cross product of applications, geometries,
 // significance levels and laggard thresholds.
@@ -287,8 +268,9 @@ type SweepRow = serve.SweepRow
 
 // NewFleet returns a federation client over the given workers. Set it
 // as ServeOptions.Fleet to make a server the fleet's coordinator: its
-// /v1/sweep, /v1/strategies and /v1/scenario cells then fan out to the
-// workers transparently. FleetSweep, cmd/earlybirdd -peers and
+// sweep cells, strategy cells and bare-app studies (/v1/study,
+// /v1/feasibility, /v1/campaign, /v1/scenario cells) then fan out to
+// the workers transparently. FleetSweep, cmd/earlybirdd -peers and
 // cmd/earlybird -fleet are the packaged forms.
 func NewFleet(opts FleetOptions) (*Fleet, error) { return fleet.New(opts) }
 
@@ -337,34 +319,3 @@ func Serve(ctx context.Context, addr string, opts ServeOptions) error {
 	}
 	return nil
 }
-
-// Scenario is a declarative campaign: sources (application models or
-// trace replays) crossed with geometry, noise, DLB-policy, fabric and
-// timeout axes, compiled to engine campaign cells with a verifier that
-// proves the compiled campaign covers exactly the declared
-// cross-product. See internal/scenario for the file format.
-type Scenario = scenario.Spec
-
-// ScenarioSource is one workload of a scenario: a built-in application
-// model, a trace CSV on disk, or an inline trace CSV.
-type ScenarioSource = scenario.Source
-
-// CompiledScenario is the campaign a scenario compiles to; its Verify
-// proves coverage and its EngineSpecs feed RunCampaign or Engine.Run.
-type CompiledScenario = scenario.Compiled
-
-// ScenarioCell is one compiled campaign point: declared coordinates
-// plus the engine spec they compile to.
-type ScenarioCell = scenario.Cell
-
-// ScenarioCoverage is the verifier's accounting: cells checked, cells
-// per source, and unique studies after dedup.
-type ScenarioCoverage = scenario.Coverage
-
-// ScenarioCompileOptions parameterises scenario compilation (trace
-// loading, base directory for relative trace paths).
-type ScenarioCompileOptions = scenario.CompileOptions
-
-// ParseScenario reads a scenario document — YAML subset or JSON — into
-// a validated Scenario.
-func ParseScenario(data []byte) (*Scenario, error) { return scenario.Parse(data) }

@@ -103,7 +103,7 @@ func analyticalComparison() {
 			log.Fatal(err)
 		}
 		fmt.Printf("\n%s (1 MiB per thread portion, Omni-Path model):\n", ds.App)
-		for _, r := range partcomm.Evaluate(ds, 1<<20, fabric, strategies) {
+		for _, r := range partcomm.EvaluateStream(ds.Cursor(), 1<<20, fabric, strategies) {
 			fmt.Printf("  %s\n", r)
 		}
 	}

@@ -39,15 +39,15 @@ func sameAnalysis(t *testing.T, name string, s *Study) {
 	same("Table1", s.Table1(), wantT)
 	same("Feasibility", s.Feasibility(bytesPerPart, fabric, binTimeoutSec), wantA)
 
-	d, th := s.ds, s.opts.LaggardThresholdSec
+	d, th := s.ds, s.opts.Policy.LaggardThresholdSec
 	same("Laggards", s.Laggards(), refLaggardsInRange(d, th, 0, d.Iterations))
 	half := d.Iterations / 2
 	same("ComputeMetricsInRange", analysis.ComputeMetricsInRange(d, th, half, d.Iterations),
 		refComputeMetricsInRange(d, th, half, d.Iterations))
 	same("LaggardsInRange", analysis.LaggardsInRange(d, th, half, d.Iterations),
 		refLaggardsInRange(d, th, half, d.Iterations))
-	same("ProcessIterationNormality", analysis.ProcessIterationNormality(d, s.opts.Alpha),
-		refProcessIterationNormality(d, s.opts.Alpha))
+	same("ProcessIterationNormality", analysis.ProcessIterationNormality(d, s.opts.Policy.Alpha),
+		refProcessIterationNormality(d, s.opts.Policy.Alpha))
 }
 
 func TestAnalyzeBitIdenticalAcrossAppsSeedsAndDLB(t *testing.T) {

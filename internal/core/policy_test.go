@@ -11,40 +11,6 @@ import (
 	"earlybird/internal/partcomm"
 )
 
-// TestPolicySpecAdapterEquivalence: the deprecated flat Options fields
-// and the PolicySpec envelope must resolve to identical studies.
-func TestPolicySpecAdapterEquivalence(t *testing.T) {
-	legacy := Options{App: "minife", Geometry: cluster.SmallConfig(),
-		Alpha: 0.01, LaggardThresholdSec: 2e-3}
-	envelope := Options{App: "minife", Geometry: cluster.SmallConfig(),
-		Policy: PolicySpec{Alpha: 0.01, LaggardThresholdSec: 2e-3}}
-
-	if err := legacy.fill(); err != nil {
-		t.Fatal(err)
-	}
-	if err := envelope.fill(); err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Policy.Alpha != envelope.Policy.Alpha ||
-		legacy.Policy.LaggardThresholdSec != envelope.Policy.LaggardThresholdSec ||
-		legacy.Policy.DLB != envelope.Policy.DLB {
-		t.Fatalf("legacy resolved %+v, envelope %+v", legacy.Policy, envelope.Policy)
-	}
-	// Resolution mirrors the policy back onto the flat fields.
-	if envelope.Alpha != 0.01 || legacy.Alpha != 0.01 {
-		t.Fatalf("flat mirror broken: %v / %v", envelope.Alpha, legacy.Alpha)
-	}
-
-	// On conflict the envelope wins.
-	both := Options{App: "minife", Alpha: 0.10, Policy: PolicySpec{Alpha: 0.01}}
-	if err := both.fill(); err != nil {
-		t.Fatal(err)
-	}
-	if both.Policy.Alpha != 0.01 || both.Alpha != 0.01 {
-		t.Fatalf("conflict resolution: %+v", both)
-	}
-}
-
 // TestPolicyDLBThreadsThroughStudy: a DLB policy set via PolicySpec
 // changes the generated samples, and an invalid one errors.
 func TestPolicyDLBThreadsThroughStudy(t *testing.T) {

@@ -131,14 +131,14 @@ func refTable1Row(d *trace.Dataset, alpha float64) analysis.Table1 {
 }
 
 func refMetrics(s *Study) analysis.AppMetrics {
-	return refComputeMetricsInRange(s.ds, s.opts.LaggardThresholdSec, 0, s.ds.Iterations)
+	return refComputeMetricsInRange(s.ds, s.opts.Policy.LaggardThresholdSec, 0, s.ds.Iterations)
 }
 
-func refTable1(s *Study) analysis.Table1 { return refTable1Row(s.ds, s.opts.Alpha) }
+func refTable1(s *Study) analysis.Table1 { return refTable1Row(s.ds, s.opts.Policy.Alpha) }
 
 func refFeasibility(s *Study, bytesPerPart int, fabric network.Fabric, binTimeoutSec float64) Assessment {
 	m := refMetrics(s)
-	effThreshold := s.opts.LaggardThresholdSec
+	effThreshold := s.opts.Policy.LaggardThresholdSec
 	if t := 3 * m.IQRMeanSec; t > effThreshold {
 		effThreshold = t
 	}

@@ -88,11 +88,11 @@ func streamRun(opts Options, withTable1, withSummary bool) (*StreamResult, error
 	}
 	newObs := func() cluster.BlockObserver {
 		o := &streamObserver{
-			metrics: analysis.NewMetricsAccumulator(opts.Model.Name(), opts.LaggardThresholdSec),
+			metrics: analysis.NewMetricsAccumulator(opts.Model.Name(), opts.Policy.LaggardThresholdSec),
 		}
 		consumers := []analysis.SortedObserver{o.metrics}
 		if withTable1 {
-			o.table1 = analysis.NewTable1Accumulator(opts.Model.Name(), opts.Alpha)
+			o.table1 = analysis.NewTable1Accumulator(opts.Model.Name(), opts.Policy.Alpha)
 			consumers = append(consumers, o.table1)
 		}
 		o.kernel = analysis.NewKernel(consumers...)

@@ -195,7 +195,7 @@ func TestFeasibilitySyntheticBoundaries(t *testing.T) {
 
 func TestFromDatasetWith(t *testing.T) {
 	d := cluster.MustRun(workload.DefaultMiniFE(), quickGeom)
-	loose, err := FromDatasetWith(d, Options{Alpha: 0.01, LaggardThresholdSec: 5e-3})
+	loose, err := FromDatasetWith(d, Options{Policy: PolicySpec{Alpha: 0.01, LaggardThresholdSec: 5e-3}})
 	if err != nil {
 		t.Fatal(err)
 	}

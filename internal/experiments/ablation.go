@@ -42,7 +42,7 @@ func (s *Suite) AblationPartitionSize(sizes []int) map[string][]SweepPoint {
 		d := s.Dataset(app)
 		points := make([]SweepPoint, 0, len(sizes))
 		for _, size := range sizes {
-			res := partcomm.Evaluate(d, size, s.cfg.Fabric, []partcomm.Strategy{partcomm.FineGrained{}})
+			res := partcomm.EvaluateStream(d.Cursor(), size, s.cfg.Fabric, []partcomm.Strategy{partcomm.FineGrained{}})
 			points = append(points, SweepPoint{
 				Param:      float64(size),
 				OverlapSec: res[0].MeanOverlapSec,
@@ -66,7 +66,7 @@ func (s *Suite) AblationBinTimeout(timeouts []float64) map[string][]SweepPoint {
 		d := s.Dataset(app)
 		points := make([]SweepPoint, 0, len(timeouts))
 		for _, to := range timeouts {
-			res := partcomm.Evaluate(d, s.cfg.BytesPerPartition, s.cfg.Fabric,
+			res := partcomm.EvaluateStream(d.Cursor(), s.cfg.BytesPerPartition, s.cfg.Fabric,
 				[]partcomm.Strategy{partcomm.Binned{TimeoutSec: to}})
 			points = append(points, SweepPoint{
 				Param:      to,

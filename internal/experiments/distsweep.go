@@ -82,7 +82,7 @@ func (s *Suite) DistSweep(cfg DistSweepConfig) map[string][]DistPoint {
 		if err != nil {
 			panic(fmt.Sprintf("experiments: distsweep %s: %v", label, err))
 		}
-		res := partcomm.Evaluate(d, s.cfg.BytesPerPartition, s.cfg.Fabric, strategies)
+		res := partcomm.EvaluateStream(d.Cursor(), s.cfg.BytesPerPartition, s.cfg.Fabric, strategies)
 		potential, window := 0.0, 0.0
 		n := 0
 		d.EachProcessIteration(func(_, _, _ int, xs []float64) {

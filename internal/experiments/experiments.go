@@ -287,7 +287,7 @@ func (s *Suite) E12Overlap() map[string][]partcomm.Result {
 	}
 	out := map[string][]partcomm.Result{}
 	for _, app := range AppNames {
-		out[app] = partcomm.Evaluate(s.Dataset(app), s.cfg.BytesPerPartition, s.cfg.Fabric, strategies)
+		out[app] = partcomm.EvaluateStream(s.Dataset(app).Cursor(), s.cfg.BytesPerPartition, s.cfg.Fabric, strategies)
 	}
 	return out
 }

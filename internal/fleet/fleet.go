@@ -71,7 +71,6 @@ import (
 	"math"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -650,22 +649,32 @@ func (e errShed) Error() string {
 	return fmt.Sprintf("worker shedding for %s: %s", e.retryAfter, e.msg)
 }
 
+// maxRetryAfter caps the back-off a worker's Retry-After can impose:
+// five times the longest hint the serve admission layer emits (60 s),
+// and far below where a Duration could overflow.
+const maxRetryAfter = 5 * time.Minute
+
 // parseRetryAfter reads the delta-seconds form of a Retry-After header
-// (what our admission layer emits). HTTP-date values are not recognised:
+// (what our admission layer emits): decimal digits only, floored at 1 s
+// and clamped to maxRetryAfter. HTTP-date values are not recognised:
 // without a parseable back-off the 503 stays an ordinary worker fault.
 func parseRetryAfter(h string) (time.Duration, bool) {
 	h = strings.TrimSpace(h)
 	if h == "" {
 		return 0, false
 	}
-	secs, err := strconv.Atoi(h)
-	if err != nil || secs < 0 {
-		return 0, false
+	var d time.Duration
+	for i := 0; i < len(h); i++ {
+		c := h[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		// Past the cap every further digit only validates.
+		if d < maxRetryAfter {
+			d = 10*d + time.Duration(c-'0')*time.Second
+		}
 	}
-	if secs == 0 {
-		secs = 1
-	}
-	return time.Duration(secs) * time.Second, true
+	return min(max(d, time.Second), maxRetryAfter), true
 }
 
 // latencyTracker wraps the mergeable quantile sketch (not itself

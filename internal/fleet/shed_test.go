@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -225,12 +226,49 @@ func TestParseRetryAfter(t *testing.T) {
 		{"-5", 0, false},
 		{"soon", 0, false},
 		{"Wed, 21 Oct 2015 07:28:00 GMT", 0, false}, // HTTP-date form unsupported
+		{"+5", 0, false},                            // delta-seconds is digits only
+		{"9300000000", maxRetryAfter, true},         // used to overflow to -2,540,762 h
+		{"18446744073", maxRetryAfter, true},        // used to overflow to -709 ms
 	} {
 		got, ok := parseRetryAfter(c.in)
 		if got != c.want || ok != c.ok {
 			t.Errorf("parseRetryAfter(%q) = %v, %v; want %v, %v", c.in, got, ok, c.want, c.ok)
 		}
 	}
+}
+
+// maxDecodeWall is the per-input wall bound of FuzzParseRetryAfter, the
+// bound the repository's other decoder fuzzers use.
+const maxDecodeWall = time.Second
+
+// FuzzParseRetryAfter: a worker's Retry-After header is untrusted
+// bytes. Parsing must not panic or take longer than maxDecodeWall; an
+// accepted value is a whole number of seconds in (0, maxRetryAfter],
+// and its delta-seconds rendering parses back to itself.
+func FuzzParseRetryAfter(f *testing.F) {
+	for _, seed := range []string{
+		"1", " 30 ", "0", "60", "300", "301", "", "-5", "+5", "soon", "1e3", "0x10",
+		"9300000000", "18446744073", "Wed, 21 Oct 2015 07:28:00 GMT",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		start := time.Now()
+		d, ok := parseRetryAfter(h)
+		if wall := time.Since(start); wall > maxDecodeWall {
+			t.Fatalf("parseRetryAfter took %v on %d bytes, over the %v bound", wall, len(h), maxDecodeWall)
+		}
+		if !ok {
+			return
+		}
+		if d <= 0 || d > maxRetryAfter || d%time.Second != 0 {
+			t.Fatalf("parseRetryAfter(%q) = %v, want whole seconds in (0, %v]", h, d, maxRetryAfter)
+		}
+		text := strconv.FormatInt(int64(d/time.Second), 10)
+		if back, ok := parseRetryAfter(text); !ok || back != d {
+			t.Fatalf("parseRetryAfter(%q) = %v renders %q, which parses back as %v, %v", h, d, text, back, ok)
+		}
+	})
 }
 
 // TestNotPlacedMessage pins the enriched errNotPlaced: cell hash, shard

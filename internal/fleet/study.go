@@ -5,8 +5,8 @@ import (
 )
 
 // DispatchWhole implements serve.WholeDispatcher: one cell that travels
-// whole — a wire-expressible scenario cell over POST /v1/study, or a
-// strategy cell over POST /v1/strategies — is posted to its rendezvous
+// whole — a bare-app study over POST /v1/study, or a strategy cell over
+// POST /v1/strategies — is posted to its rendezvous
 // worker, with the same failover and speculation as shard dispatch, and
 // the worker's JSON answer is decoded into out. The caller supplies the
 // cell's resolved key hash, so equal cells route to the same worker from

@@ -232,7 +232,7 @@ func TestEvaluateOrdering(t *testing.T) {
 	d := tinyDataset(rows)
 	f := network.OmniPath()
 	const part = 1 << 20
-	res := Evaluate(d, part, f, []Strategy{Bulk{}, FineGrained{}, Binned{TimeoutSec: 1e-3}})
+	res := EvaluateStream(d.Cursor(), part, f, []Strategy{Bulk{}, FineGrained{}, Binned{TimeoutSec: 1e-3}})
 	if res[0].Strategy != "bulk" {
 		t.Fatalf("order: %+v", res)
 	}

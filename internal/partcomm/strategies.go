@@ -169,18 +169,6 @@ type Result struct {
 	OverlapCapture float64 `json:"overlap_capture,omitempty"`
 }
 
-// Evaluate runs each strategy over every process iteration of the
-// dataset, with one partition per thread of bytesPerPart bytes.
-//
-// Deprecated: Evaluate is a thin adapter over the cursor-native
-// EvaluateStream — it no longer needs a materialised dataset beyond the
-// cursor the view already carries. New code should call EvaluateStream
-// (or StrategyAccumulator) on a trace.Cursor directly so no caller
-// requires the nested view at all.
-func Evaluate(d *trace.Dataset, bytesPerPart int, f network.Fabric, strategies []Strategy) []Result {
-	return EvaluateStream(d.Cursor(), bytesPerPart, f, strategies)
-}
-
 // evaluateMaterialized is the pre-cursor implementation, retained as the
 // independent reference the streaming-vs-exact agreement tests and the
 // BenchmarkStrategySweep baseline compare against.

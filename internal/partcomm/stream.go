@@ -1,5 +1,5 @@
 // Cursor-native strategy evaluation: the streaming counterpart of the
-// materialised Evaluate path. A StrategyAccumulator folds one process
+// materialised reference (evaluateMaterialized). A StrategyAccumulator folds one process
 // iteration at a time — sorting the arrivals into a reused scratch
 // buffer, never retaining the block — so delivery strategies evaluate
 // straight off a trace.Cursor (or a cluster.RunStream observer) without
@@ -17,7 +17,7 @@ import (
 // StrategyAccumulator evaluates a fixed strategy set over process
 // iterations one block at a time. Per-block work is exact — each block is
 // a complete iteration when observed — so Finalize returns precisely what
-// the materialised Evaluate path computes, in O(threads) live memory.
+// the materialised reference computes, in O(threads) live memory.
 //
 // An accumulator is not safe for concurrent use. Accumulators over
 // stateless strategies are mergeable in any order; adaptive strategies
@@ -191,8 +191,10 @@ func SweepCursor(cur *trace.Cursor, bytesPerPart int, f network.Fabric, strategi
 	return sw
 }
 
-// EvaluateStream is the cursor-native counterpart of Evaluate: identical
-// results, bounded memory, no nested view.
+// EvaluateStream runs each strategy over every process iteration the
+// cursor yields, with one partition per thread of bytesPerPart bytes:
+// the materialised reference's results in bounded memory, with no
+// nested view.
 func EvaluateStream(cur *trace.Cursor, bytesPerPart int, f network.Fabric, strategies []Strategy) []Result {
 	return SweepCursor(cur, bytesPerPart, f, strategies).Results
 }

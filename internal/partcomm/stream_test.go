@@ -102,9 +102,9 @@ func TestEvaluateStreamMatchesMaterializedPaperGeometry(t *testing.T) {
 	}
 }
 
-// TestEvaluateAdapterMatchesStream: the deprecated materialised-signature
-// Evaluate is a thin adapter and must return exactly the cursor path's
-// results (Binned's Name stays stable for golden files).
+// TestEvaluateAdapterMatchesStream: the nested dataset view's cursor
+// must evaluate to exactly the columnar cursor's results (Binned's Name
+// stays stable for golden files).
 func TestEvaluateAdapterMatchesStream(t *testing.T) {
 	model, err := workload.ByName("minimd")
 	if err != nil {
@@ -115,7 +115,7 @@ func TestEvaluateAdapterMatchesStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	strategies := []Strategy{Bulk{}, FineGrained{}, Binned{TimeoutSec: 1e-3}}
-	viaAdapter := Evaluate(col.Dataset(), 1<<20, network.OmniPath(), strategies)
+	viaAdapter := EvaluateStream(col.Dataset().Cursor(), 1<<20, network.OmniPath(), strategies)
 	viaCursor := EvaluateStream(col.Cursor(), 1<<20, network.OmniPath(), strategies)
 	for i := range viaAdapter {
 		if viaAdapter[i] != viaCursor[i] {

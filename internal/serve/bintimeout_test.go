@@ -24,17 +24,14 @@ func wantRejected(t *testing.T, name string, resp *http.Response, status int, wa
 }
 
 // TestStudyRejectsBinTimeoutBelowFloor: /v1/study refuses a bin timeout
-// below partcomm.MinBinTimeoutSec as an unprocessable spec (422), in
-// the policy envelope and in the deprecated flat field alike (a 1 ns
-// timeout used to cost span ÷ 1 ns loop steps per block), and still
-// runs one at the floor.
+// below partcomm.MinBinTimeoutSec as an unprocessable spec (422) (a
+// 1 ns timeout used to cost span ÷ 1 ns loop steps per block), and
+// still runs one at the floor.
 func TestStudyRejectsBinTimeoutBelowFloor(t *testing.T) {
 	_, ts := newTestServer(t)
 	geom := ptr(testGeom())
 	for name, spec := range map[string]StudySpec{
 		"policy":          {App: "minife", Geometry: geom, Policy: &PolicySpec{BinTimeoutSec: 1e-9}},
-		"flat":            {App: "minife", Geometry: geom, BinTimeoutSec: 1e-9},
-		"flat negative":   {App: "minife", Geometry: geom, BinTimeoutSec: -1e-3},
 		"policy negative": {App: "minife", Geometry: geom, Policy: &PolicySpec{BinTimeoutSec: -1e-3}},
 	} {
 		wantRejected(t, name, postJSON(t, ts.URL+"/v1/study", spec), http.StatusUnprocessableEntity, "bin_timeout_sec")

@@ -7,12 +7,14 @@
 // per-endpoint latency and hit-rate counters at /v1/stats and a
 // /v1/healthz probe.
 //
-// Three layers of work-sharing sit between a request and a workload
-// fill, so under heavy identical traffic the service does the expensive
-// part exactly once:
+// One study executor answers /v1/study, /v1/feasibility, every
+// /v1/campaign entry and every /v1/scenario cell. Three layers of
+// work-sharing sit between a study and a workload fill, so under heavy
+// identical traffic the service does the expensive part exactly once:
 //
 //   - a bounded LRU result cache keyed by the resolved spec — a repeat
-//     of a recently answered study is a map lookup;
+//     of a recently answered study is a map lookup. It holds the reply
+//     only, never the dataset;
 //   - singleflight request coalescing — N concurrent identical studies
 //     attach to one in-flight execution and share its result;
 //   - the engine's content-addressed dataset cache (itself
@@ -51,9 +53,10 @@
 //
 // SweepGrid, StrategyGrid and ScenarioGrid expand a grid request into a
 // Grid, which the handlers and any in-process coordinator
-// (cmd/earlybird -fleet, earlybird.FleetSweep) run alike. With
-// Options.Fleet set, each cell is placed on the fleet first and runs
-// locally when no worker takes it.
+// (cmd/earlybird -fleet and -scenario, earlybird.FleetSweep) run alike;
+// /v1/campaign runs one too. With Options.Fleet set, each sweep cell,
+// strategy cell and bare-app study is placed on the fleet first and
+// runs locally when no worker takes it.
 //
 // Server shuts down gracefully: Shutdown stops accepting connections and
 // drains in-flight requests. cmd/earlybirdd is the production binary;

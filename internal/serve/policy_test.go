@@ -49,27 +49,10 @@ func resolveWire(t *testing.T, payload []byte) engine.SpecKey {
 	return resolved.Key()
 }
 
-// TestPolicyEnvelopeAdapterEquivalence: a pre-envelope flat payload and
-// its policy-envelope spelling must resolve to the same execution key —
-// the deprecation adapter contract.
+// TestPolicyEnvelopeAdapterEquivalence: spellings of one policy
+// envelope resolve to one execution key — an explicit static DLB policy
+// is the omitted one — and a DLB policy changes the key.
 func TestPolicyEnvelopeAdapterEquivalence(t *testing.T) {
-	legacy := []byte(`{"app":"minife","geometry_name":"quick",` +
-		`"alpha":0.01,"laggard_threshold_sec":0.002,"bin_timeout_sec":0.0005}`)
-	envelope := []byte(`{"app":"minife","geometry_name":"quick",` +
-		`"policy":{"alpha":0.01,"laggard_threshold_sec":0.002,"bin_timeout_sec":0.0005}}`)
-	if resolveWire(t, legacy) != resolveWire(t, envelope) {
-		t.Fatal("legacy flat payload and policy envelope resolve to different keys")
-	}
-
-	// On conflict the envelope wins.
-	both := []byte(`{"app":"minife","geometry_name":"quick","alpha":0.10,"policy":{"alpha":0.01}}`)
-	wantEnvelope := []byte(`{"app":"minife","geometry_name":"quick","policy":{"alpha":0.01}}`)
-	if resolveWire(t, both) != resolveWire(t, wantEnvelope) {
-		t.Fatal("flat field overrode the policy envelope")
-	}
-
-	// A DLB policy in the envelope changes the key; an explicit static
-	// one does not.
 	static := resolveWire(t, []byte(`{"app":"minife","geometry_name":"quick"}`))
 	explicitStatic := resolveWire(t,
 		[]byte(`{"app":"minife","geometry_name":"quick","policy":{"dlb":{"policy":"static"}}}`))
@@ -114,6 +97,18 @@ func TestStudyPolicyEnvelope(t *testing.T) {
 	bad.Body.Close()
 	if bad.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("invalid policy: status %s, want 422", bad.Status)
+	}
+
+	// The policy knobs travel only in the envelope: a top-level flat
+	// field is an unknown field.
+	flat, err := http.Post(ts.URL+"/v1/study", "application/json",
+		bytes.NewReader([]byte(`{"app":"minife","geometry_name":"quick","alpha":0.01}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat.Body.Close()
+	if flat.StatusCode != http.StatusBadRequest {
+		t.Fatalf("top-level alpha: status %s, want 400", flat.Status)
 	}
 }
 

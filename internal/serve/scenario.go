@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strings"
 
-	"earlybird/internal/engine"
 	"earlybird/internal/scenario"
 	"earlybird/internal/trace"
 )
@@ -32,7 +31,7 @@ type ScenarioRequest struct {
 
 // ScenarioRow is one compiled cell's outcome: the cell's declared
 // coordinates (canonical axis strings, so rows are self-describing)
-// plus the full study analysis.
+// plus the full study analysis, federated or not.
 type ScenarioRow struct {
 	Index int `json:"index"`
 	// Workload is the cell's source key ("app:minife",
@@ -46,10 +45,7 @@ type ScenarioRow struct {
 	BinTimeoutSec float64 `json:"bin_timeout_sec"`
 
 	StudyResponse
-	// Federated reports the cell was dispatched whole to a fleet worker
-	// rather than executed by this coordinator.
-	Federated bool   `json:"federated,omitempty"`
-	Err       string `json:"error,omitempty"`
+	Err string `json:"error,omitempty"`
 }
 
 // ScenarioResponse is the JSON-mode /v1/scenario reply.
@@ -100,78 +96,6 @@ func (s *Server) compileScenario(text string) (*scenario.Compiled, scenario.Cove
 	return c, cov, nil
 }
 
-// WireStudySpec renders a resolved engine spec as the /v1/study wire
-// form, for dispatching a wire-expressible scenario cell whole to a
-// fleet worker. Every field is post-resolution, so the worker resolves
-// to the identical spec key and the result is bit-identical to local
-// execution of the same cell.
-func WireStudySpec(resolved engine.Spec) StudySpec {
-	geom := resolved.Geometry
-	fabric := resolved.Fabric
-	d := resolved.DLB
-	return StudySpec{
-		App:               resolved.App,
-		Geometry:          &geom,
-		BytesPerPartition: resolved.BytesPerPartition,
-		Fabric:            &fabric,
-		Policy: &PolicySpec{
-			DLB:                 &d,
-			Alpha:               resolved.Alpha,
-			LaggardThresholdSec: resolved.LaggardThresholdSec,
-			BinTimeoutSec:       resolved.BinTimeoutSec,
-		},
-	}
-}
-
-// runScenarioCell answers one compiled cell: whole dispatch to a fleet
-// worker for wire-expressible cells when the configured fleet is a
-// WholeDispatcher and a worker takes it, the local coalescing stack
-// otherwise.
-func (s *Server) runScenarioCell(ctx context.Context, cell scenario.Cell) ScenarioRow {
-	row := ScenarioRow{
-		Index:         cell.Index,
-		Workload:      cell.SourceKey,
-		Geometry:      cell.Geometry,
-		Noise:         cell.Noise,
-		DLB:           cell.DLB,
-		Fabric:        cell.Fabric,
-		BinTimeoutSec: cell.BinTimeoutSec,
-	}
-	resolved, err := cell.Spec.Resolve()
-	if err != nil {
-		row.Err = err.Error()
-		return row
-	}
-	if n := resolved.Geometry.Samples(); resolved.Dataset == nil && n > s.maxStudySamples {
-		row.Err = fmt.Sprintf("geometry has %d samples, over the study limit %d", n, s.maxStudySamples)
-		return row
-	}
-
-	// Only bare app cells travel: datasets and noise-wrapped models are
-	// not wire-expressible, so those always run at the coordinator. The
-	// check reads the compiled (pre-resolution) spec — Resolve fills
-	// Model in for bare apps too.
-	wire := cell.Spec.Model == nil && cell.Spec.Dataset == nil && cell.Spec.App != ""
-	if wd, ok := s.opts.Fleet.(WholeDispatcher); ok && wire {
-		var resp StudyResponse
-		if wd.DispatchWhole(ctx, resolved.Key().Hash(), "/v1/study", WireStudySpec(resolved), &resp) {
-			s.fleetCells.Add(1)
-			row.StudyResponse = resp
-			row.Federated = true
-			return row
-		}
-		s.fleetFallbacks.Add(1)
-	}
-
-	res, src, err := s.runResolved(resolved)
-	if err != nil {
-		row.Err = err.Error()
-		return row
-	}
-	row.StudyResponse = studyResponse(res, src)
-	return row
-}
-
 // handleScenario answers POST /v1/scenario: the scenario document is
 // compiled and coverage-verified server-side, then — unless "check" is
 // set — executed cell by cell through the same coalescing stack as
@@ -219,11 +143,27 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 }
 
 // ScenarioGrid is the grid of a compiled, verified scenario: one row
-// per compiled cell, run through the same coalescing stack as
-// /v1/study, with wire-expressible cells federated across the fleet
-// when one is configured. workers <= 0 means the engine's bound.
+// per compiled cell, each answered by the study executor behind
+// /v1/study — wire-expressible cells federate across the fleet when one
+// is configured. workers <= 0 means the engine's bound.
 func (s *Server) ScenarioGrid(c *scenario.Compiled, workers int) Grid[ScenarioRow] {
 	return newGrid(s, len(c.Cells), workers, func(ctx context.Context, i int) ScenarioRow {
-		return s.runScenarioCell(ctx, c.Cells[i])
+		cell := c.Cells[i]
+		row := ScenarioRow{
+			Index:         cell.Index,
+			Workload:      cell.SourceKey,
+			Geometry:      cell.Geometry,
+			Noise:         cell.Noise,
+			DLB:           cell.DLB,
+			Fabric:        cell.Fabric,
+			BinTimeoutSec: cell.BinTimeoutSec,
+		}
+		resp, err := s.study(ctx, cell.Spec)
+		if err != nil {
+			row.Err = err.Error()
+		} else {
+			row.StudyResponse = resp
+		}
+		return row
 	})
 }

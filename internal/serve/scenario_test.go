@@ -175,7 +175,7 @@ func TestScenarioCoalescesWithStudy(t *testing.T) {
 
 	// Prime the result cache through /v1/study with the spec the
 	// scenario's first cell compiles to.
-	resp := postJSON(t, ts.URL+"/v1/study", StudySpec{App: "minife", Geometry: ptr(testGeom()), BinTimeoutSec: 1e-3})
+	resp := postJSON(t, ts.URL+"/v1/study", StudySpec{App: "minife", Geometry: ptr(testGeom()), Policy: &PolicySpec{BinTimeoutSec: 1e-3}})
 	var prime StudyResponse
 	decodeInto(t, resp, &prime)
 	if prime.Source != SourceExecuted {

@@ -82,10 +82,11 @@ type Options struct {
 	Engine *engine.Engine
 	// Fleet, when non-nil, turns this server into a federation
 	// coordinator: /v1/sweep cells shard across the fleet's workers, and
-	// /v1/strategies and wire-expressible /v1/scenario cells dispatch
-	// whole when the fleet is also a WholeDispatcher (internal/fleet
-	// implements both). A cell runs locally only when no healthy peer can
-	// take it. /v1/stats gains a fleet section.
+	// strategy cells and bare-app studies (/v1/study, /v1/feasibility,
+	// /v1/campaign entries, /v1/scenario cells) dispatch whole when the
+	// fleet is also a WholeDispatcher (internal/fleet implements both).
+	// A cell runs locally only when no healthy peer can take it.
+	// /v1/stats gains a fleet section.
 	Fleet FleetDispatcher
 	// AdmissionWatermark enables adaptive admission: while the live
 	// aggregate fill efficiency measured across in-flight studies is
@@ -116,8 +117,8 @@ type FleetDispatcher interface {
 }
 
 // WholeDispatcher is the optional fleet upgrade for cells that travel
-// whole: a wire-expressible scenario cell over /v1/study and a strategy
-// cell over /v1/strategies. internal/fleet implements it; a fleet that
+// whole: a bare-app study over /v1/study and a strategy cell over
+// /v1/strategies. internal/fleet implements it; a fleet that
 // does not is never offered those cells, and they run locally.
 type WholeDispatcher interface {
 	// DispatchWhole posts req to path on the worker ranked first for the
@@ -133,7 +134,7 @@ type WholeDispatcher interface {
 type Server struct {
 	opts            Options
 	eng             *engine.Engine
-	co              *coalescer[engine.SpecKey, engine.Result]
+	co              *coalescer[engine.SpecKey, studyAnswer]
 	strat           *coalescer[strategyCellKey, StrategyRow]
 	mux             *http.ServeMux
 	start           time.Time
@@ -191,7 +192,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:            opts,
 		eng:             eng,
-		co:              newCoalescer[engine.SpecKey, engine.Result](maxResults),
+		co:              newCoalescer[engine.SpecKey, studyAnswer](maxResults),
 		strat:           newCoalescer[strategyCellKey, StrategyRow](maxResults),
 		mux:             http.NewServeMux(),
 		start:           time.Now(),
@@ -353,10 +354,11 @@ func FanOut(n, workers int, fn func(int)) {
 
 // Grid is one expanded grid request, ready to run: how many cells it
 // has, how many run at once, and the executor of one cell. The
-// /v1/sweep, /v1/strategies and /v1/scenario handlers each run one, and
-// so does an in-process coordinator (cmd/earlybird -fleet,
-// earlybird.FleetSweep): every grid, federated or not, goes through the
-// same cell executors and the same fleet fallback.
+// /v1/sweep, /v1/strategies, /v1/scenario and /v1/campaign handlers
+// each run one, and so does an in-process coordinator (cmd/earlybird
+// -fleet and -scenario, earlybird.FleetSweep): every grid, federated or
+// not, goes through the same cell executors and the same fleet
+// fallback.
 type Grid[R any] struct {
 	n, workers int
 	cell       func(ctx context.Context, i int) R
@@ -402,63 +404,84 @@ func streamGrid[R any](w http.ResponseWriter, r *http.Request, cellsHeader strin
 	})
 }
 
-// runStudy resolves one wire spec and answers it through the coalescing
-// stack: LRU result cache, then singleflight join, then execution on the
-// engine (whose dataset cache is a further sharing layer underneath).
-func (s *Server) runStudy(wire StudySpec) (engine.Result, Source, error) {
+// studyAnswer is what the result cache holds for one study: the reply
+// without its per-request Source, or the error that ended the
+// execution. No dataset or core.Study outlives the execution that
+// built it.
+type studyAnswer struct {
+	resp StudyResponse
+	err  error
+}
+
+// studyWire answers one wire spec through the study executor; a
+// request that leaves its policy unset gets the server's default.
+func (s *Server) studyWire(ctx context.Context, wire StudySpec) (StudyResponse, error) {
 	sp, err := wire.toSpec()
 	if err != nil {
-		return engine.Result{}, "", err
+		return StudyResponse{}, err
 	}
 	if wire.Policy == nil || wire.Policy.DLB == nil {
 		sp.DLB = s.opts.DefaultDLB
 	}
+	return s.study(ctx, sp)
+}
+
+// study is the one study executor, behind /v1/study, /v1/feasibility,
+// /v1/campaign entries and /v1/scenario cells. It resolves sp and
+// bounds its geometry (dataset-backed specs carry their own samples).
+// A bare app spec — no Model, no Dataset — dispatches whole over
+// /v1/study when the fleet is a WholeDispatcher and a worker takes it;
+// everything else answers through the coalescing stack: LRU result
+// cache, then singleflight join, then execution on the engine (whose
+// dataset cache is a further sharing layer underneath). Dataset-backed
+// specs coalesce too: their key includes the dataset's identity.
+func (s *Server) study(ctx context.Context, sp engine.Spec) (StudyResponse, error) {
 	resolved, err := sp.Resolve()
 	if err != nil {
-		return engine.Result{}, "", err
+		return StudyResponse{}, err
 	}
-	if n := resolved.Geometry.Samples(); n > s.maxStudySamples {
-		return engine.Result{}, "", fmt.Errorf(
+	if n := resolved.Geometry.Samples(); resolved.Dataset == nil && n > s.maxStudySamples {
+		return StudyResponse{}, fmt.Errorf(
 			"geometry has %d samples, over the study limit %d; use /v1/sweep, which streams the samples and bounds accumulator state",
 			n, s.maxStudySamples)
 	}
-	return s.runResolved(resolved)
-}
-
-// runResolved answers one already-resolved spec through the coalescing
-// stack — the shared tail of /v1/study, /v1/feasibility, /v1/campaign
-// and /v1/scenario cells. Dataset-backed specs coalesce too: their key
-// includes the dataset's identity, so cells of one compiled scenario
-// that collapse to the same study share a single execution.
-func (s *Server) runResolved(resolved engine.Spec) (engine.Result, Source, error) {
-	res, src := s.co.do(resolved.Key(), func() (engine.Result, bool) {
+	// The check reads the pre-resolution spec: Resolve fills Model in
+	// for bare apps too.
+	if wd, ok := s.opts.Fleet.(WholeDispatcher); ok && sp.Model == nil && sp.Dataset == nil {
+		var resp StudyResponse
+		if wd.DispatchWhole(ctx, resolved.Key().Hash(), "/v1/study", WireStudySpec(resolved), &resp) {
+			s.fleetCells.Add(1)
+			resp.Federated = true
+			return resp, nil
+		}
+		s.fleetFallbacks.Add(1)
+	}
+	a, src := s.co.do(resolved.Key(), func() (studyAnswer, bool) {
 		// Adaptive admission gates the execution, not the lookup: cache
 		// hits and joins to in-flight executions cost no fill capacity
 		// and are always served.
 		if err := s.admit(); err != nil {
-			return engine.Result{Spec: resolved, Err: err}, false
+			return studyAnswer{err: err}, false
 		}
 		defer s.acquire()()
-		r, _ := s.eng.RunSpec(resolved)
-		return r, r.Err == nil
+		r, err := s.eng.RunSpec(resolved)
+		if err != nil {
+			return studyAnswer{err: err}, false
+		}
+		return studyAnswer{resp: StudyResponse{
+			App:             r.Spec.App,
+			Geometry:        r.Spec.Geometry,
+			Alpha:           r.Spec.Alpha,
+			DLB:             r.Spec.DLB,
+			Metrics:         r.Metrics,
+			Table1:          r.Table1,
+			Assessment:      r.Assessment,
+			DatasetCacheHit: r.CacheHit,
+		}}, true
 	})
 	s.sources.count(src)
-	return res, src, res.Err
-}
-
-// studyResponse assembles the wire reply from an engine result.
-func studyResponse(r engine.Result, src Source) StudyResponse {
-	return StudyResponse{
-		App:             r.Spec.App,
-		Geometry:        r.Spec.Geometry,
-		Alpha:           r.Spec.Alpha,
-		DLB:             r.Spec.DLB,
-		Metrics:         r.Metrics,
-		Table1:          r.Table1,
-		Assessment:      r.Assessment,
-		Source:          src,
-		DatasetCacheHit: r.CacheHit,
-	}
+	a.resp.Source = src
+	return a.resp, a.err
 }
 
 func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
@@ -467,12 +490,12 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	res, src, err := s.runStudy(wire)
+	resp, err := s.studyWire(r.Context(), wire)
 	if err != nil {
 		writeStudyError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, studyResponse(res, src))
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleFeasibility(w http.ResponseWriter, r *http.Request) {
@@ -481,16 +504,30 @@ func (s *Server) handleFeasibility(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	res, src, err := s.runStudy(wire)
+	resp, err := s.studyWire(r.Context(), wire)
 	if err != nil {
 		writeStudyError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, FeasibilityResponse{
-		App:        res.Spec.App,
-		Geometry:   res.Spec.Geometry,
-		Assessment: res.Assessment,
-		Source:     src,
+		App:        resp.App,
+		Geometry:   resp.Geometry,
+		Assessment: resp.Assessment,
+		Source:     resp.Source,
+		Federated:  resp.Federated,
+	})
+}
+
+// campaignGrid is the grid of a campaign request: one entry per spec,
+// each answered by the study executor. A failed entry carries its error
+// and an empty analysis.
+func (s *Server) campaignGrid(req CampaignRequest) Grid[CampaignEntry] {
+	return newGrid(s, len(req.Specs), req.Workers, func(ctx context.Context, i int) CampaignEntry {
+		resp, err := s.studyWire(ctx, req.Specs[i])
+		if err != nil {
+			return CampaignEntry{Index: i, Err: err.Error()}
+		}
+		return CampaignEntry{Index: i, StudyResponse: resp}
 	})
 }
 
@@ -508,19 +545,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("campaign has %d specs, limit %d", len(req.Specs), maxCampaignSpecs))
 		return
 	}
-
-	resp := CampaignResponse{Results: make([]CampaignEntry, len(req.Specs))}
-	FanOut(len(req.Specs), s.clampWorkers(req.Workers, len(req.Specs)), func(idx int) {
-		entry := CampaignEntry{Index: idx}
-		res, src, err := s.runStudy(req.Specs[idx])
-		if err != nil {
-			entry.Err = err.Error()
-		} else {
-			entry.StudyResponse = studyResponse(res, src)
-		}
-		resp.Results[idx] = entry
-	})
-
+	resp := CampaignResponse{Results: s.campaignGrid(req).Rows(r.Context())}
 	for i := range resp.Results {
 		if resp.Results[i].Err != "" {
 			resp.Failed++

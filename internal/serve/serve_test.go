@@ -9,13 +9,17 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"earlybird/internal/cluster"
 	"earlybird/internal/engine"
+	"earlybird/internal/trace"
+	"earlybird/internal/workload"
 )
 
 // testGeom keeps service tests fast while preserving the 48-thread sets
@@ -459,6 +463,58 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if _, err := http.Get(url + "/v1/healthz"); err == nil {
 		t.Error("server still accepting connections after Shutdown")
+	}
+}
+
+// TestStudyResultCacheReleasesDataset: the result cache holds a
+// study's reply, not its dataset. With one cached dataset, study B
+// evicts study A's; after a collection nothing keeps A's dataset alive,
+// and A still answers from the result cache.
+func TestStudyResultCacheReleasesDataset(t *testing.T) {
+	s := New(Options{Workers: 1, MaxDatasets: 1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	geomA, geomB := testGeom(), testGeom()
+	geomB.Seed = 2
+	study := func(g cluster.Config) Source {
+		t.Helper()
+		resp := postJSON(t, ts.URL+"/v1/study", StudySpec{App: "minife", Geometry: &g})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %s", resp.Status)
+		}
+		var out StudyResponse
+		decodeInto(t, resp, &out)
+		return out.Source
+	}
+
+	if src := study(geomA); src != SourceExecuted {
+		t.Fatalf("study A source %q, want executed", src)
+	}
+	// A's dataset, as the engine cached it; the pointer itself lives only
+	// inside this closure.
+	weakA := func() weak.Pointer[trace.Dataset] {
+		model, err := workload.ByName("minife")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, hit, err := s.Engine().Dataset(model, geomA)
+		if err != nil || !hit {
+			t.Fatalf("study A's dataset not cached: hit %v, %v", hit, err)
+		}
+		return weak.Make(ds)
+	}()
+	if src := study(geomB); src != SourceExecuted {
+		t.Fatalf("study B source %q, want executed", src)
+	}
+	if n := s.Engine().EvictedDatasets(); n != 1 {
+		t.Fatalf("evicted %d datasets, want A's", n)
+	}
+	runtime.GC()
+	if weakA.Value() != nil {
+		t.Fatal("study A's evicted dataset is still reachable: the result cache keeps it alive")
+	}
+	if src := study(geomA); src != SourceResultCache {
+		t.Fatalf("study A source %q after the eviction, want result-cache", src)
 	}
 }
 

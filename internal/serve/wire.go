@@ -12,12 +12,9 @@ import (
 	"earlybird/internal/partcomm"
 )
 
-// PolicySpec is the unified policy envelope shared by the /v1 study
-// endpoints: the analysis and runtime knobs that used to travel as flat
-// request fields, plus the DLB rebalancing policy that never had a flat
-// form. Set fields win over their deprecated flat counterparts; omitted
-// fields fall back to the flat field, then the server default, then the
-// paper default.
+// PolicySpec is the policy envelope of the /v1 study endpoints: the
+// analysis and runtime knobs of one study. Omitted fields fall back to
+// the server default (DLB only), then the paper default.
 type PolicySpec struct {
 	// DLB selects the runtime rebalancing policy the dataset is
 	// generated under; omitted means the server's default (static unless
@@ -44,31 +41,15 @@ type StudySpec struct {
 	Geometry *cluster.Config `json:"geometry,omitempty"`
 	// GeometryName selects a named geometry: "paper", "quick" or "huge".
 	GeometryName string `json:"geometry_name,omitempty"`
-	// Policy is the unified policy envelope. Where both the envelope and
-	// a deprecated flat field are set, the envelope wins.
+	// Policy is the policy envelope: significance level, laggard rule,
+	// bin timeout and DLB policy.
 	Policy *PolicySpec `json:"policy,omitempty"`
-	// Alpha is the normality significance level; omitted means 5%.
-	//
-	// Deprecated: set Policy.Alpha. Kept so pre-envelope payloads decode
-	// identically.
-	Alpha float64 `json:"alpha,omitempty"`
-	// LaggardThresholdSec is the laggard rule; omitted means 1 ms.
-	//
-	// Deprecated: set Policy.LaggardThresholdSec. Kept so pre-envelope
-	// payloads decode identically.
-	LaggardThresholdSec float64 `json:"laggard_threshold_sec,omitempty"`
 	// BytesPerPartition sizes the feasibility partitions; omitted means
 	// 1 MiB.
 	BytesPerPartition int `json:"bytes_per_partition,omitempty"`
 	// Fabric overrides the interconnect model; omitted means the paper's
 	// Omni-Path parameters.
 	Fabric *network.Fabric `json:"fabric,omitempty"`
-	// BinTimeoutSec is the binned delivery strategy's flush timeout;
-	// omitted means 1 ms.
-	//
-	// Deprecated: set Policy.BinTimeoutSec. Kept so pre-envelope
-	// payloads decode identically.
-	BinTimeoutSec float64 `json:"bin_timeout_sec,omitempty"`
 }
 
 // namedGeometry resolves a GeometryName.
@@ -88,16 +69,7 @@ func namedGeometry(name string) (cluster.Config, error) {
 // toSpec converts the wire spec to an engine spec, resolving the named
 // geometry if one was given.
 func (w StudySpec) toSpec() (engine.Spec, error) {
-	sp := engine.Spec{
-		App:                 w.App,
-		Alpha:               w.Alpha,
-		LaggardThresholdSec: w.LaggardThresholdSec,
-		BytesPerPartition:   w.BytesPerPartition,
-		BinTimeoutSec:       w.BinTimeoutSec,
-	}
-	if err := checkBinTimeout(w.BinTimeoutSec); err != nil {
-		return sp, err
-	}
+	sp := engine.Spec{App: w.App, BytesPerPartition: w.BytesPerPartition}
 	if w.Geometry != nil && w.GeometryName != "" {
 		return sp, fmt.Errorf("geometry and geometry_name are mutually exclusive")
 	}
@@ -120,32 +92,36 @@ func (w StudySpec) toSpec() (engine.Spec, error) {
 		if p.DLB != nil {
 			sp.DLB = *p.DLB
 		}
-		if p.Alpha != 0 {
-			sp.Alpha = p.Alpha
-		}
-		if p.LaggardThresholdSec != 0 {
-			sp.LaggardThresholdSec = p.LaggardThresholdSec
-		}
 		if p.BinTimeoutSec != 0 {
-			if err := checkBinTimeout(p.BinTimeoutSec); err != nil {
-				return sp, err
+			if err := partcomm.CheckBinTimeout(p.BinTimeoutSec); err != nil {
+				return sp, fmt.Errorf("bin_timeout_sec: %w", err)
 			}
-			sp.BinTimeoutSec = p.BinTimeoutSec
 		}
+		sp.Alpha, sp.LaggardThresholdSec, sp.BinTimeoutSec = p.Alpha, p.LaggardThresholdSec, p.BinTimeoutSec
 	}
 	return sp, nil
 }
 
-// checkBinTimeout validates a wire bin_timeout_sec; zero means the
-// default.
-func checkBinTimeout(t float64) error {
-	if t == 0 {
-		return nil
+// WireStudySpec renders a resolved engine spec as the /v1/study wire
+// form, for dispatching a bare-app study whole to a fleet worker. Every field is post-resolution, so the worker resolves
+// to the identical spec key and the result is bit-identical to local
+// execution of the same cell.
+func WireStudySpec(resolved engine.Spec) StudySpec {
+	geom := resolved.Geometry
+	fabric := resolved.Fabric
+	d := resolved.DLB
+	return StudySpec{
+		App:               resolved.App,
+		Geometry:          &geom,
+		BytesPerPartition: resolved.BytesPerPartition,
+		Fabric:            &fabric,
+		Policy: &PolicySpec{
+			DLB:                 &d,
+			Alpha:               resolved.Alpha,
+			LaggardThresholdSec: resolved.LaggardThresholdSec,
+			BinTimeoutSec:       resolved.BinTimeoutSec,
+		},
 	}
-	if err := partcomm.CheckBinTimeout(t); err != nil {
-		return fmt.Errorf("bin_timeout_sec: %w", err)
-	}
-	return nil
 }
 
 // Source labels how a study response was produced, from cheapest to most
@@ -184,6 +160,9 @@ type StudyResponse struct {
 	// cache rather than a fresh generation (only meaningful for executed
 	// responses).
 	DatasetCacheHit bool `json:"dataset_cache_hit"`
+	// Federated reports a coordinator dispatched the study whole to a
+	// fleet worker, whose Source and DatasetCacheHit the reply carries.
+	Federated bool `json:"federated,omitempty"`
 }
 
 // CampaignRequest is the /v1/campaign body: a batch of wire specs plus
@@ -218,6 +197,7 @@ type FeasibilityResponse struct {
 	Geometry   cluster.Config  `json:"geometry"`
 	Assessment core.Assessment `json:"assessment"`
 	Source     Source          `json:"source"`
+	Federated  bool            `json:"federated,omitempty"`
 }
 
 // errorResponse is the uniform error body.
