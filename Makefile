@@ -165,14 +165,17 @@ cover:
 # scenario.Spec.Wire a fixed point), and of the decoders of bytes a
 # fleet worker sends back: wire.Unseal, the /v1/shard record with
 # the accumulator states inside it, dlb.Parse, which decodes the
-# policy text in every record identity, and the fleet's Retry-After
-# parser, which reads a shedding worker's back-off header. The saved
+# policy text in every record identity, the fleet's Retry-After
+# parser, which reads a shedding worker's back-off header, and the
+# -geometry flag grammar (cliopts.ParseGeometry, with
+# cliopts.FormatGeometry a fixed point). The saved
 # corpora replay in plain `make test` as well. The sample seeds of the
 # verdict target, the captured trace seeding the CSV target and the
 # record seeds of FuzzUnseal and FuzzShardRecord are hundreds of bytes
 # to kilobytes long, and the fuzzer's default minimisation (up to 60 s
 # per new input) would eat the whole smoke, so they minimise for at
-# most 2 s.
+# most 2 s; FuzzParseGeometry does too, so minimising cannot outlast
+# its 10 s.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStrategyOrdering$$' -fuzztime 10s ./internal/partcomm
 	$(GO) test -run '^$$' -fuzz '^FuzzSelect$$' -fuzztime 10s ./internal/sortx
@@ -183,6 +186,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzShardRecord$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDLBParse$$' -fuzztime 10s ./internal/dlb
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime 10s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzParseGeometry$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/cliopts
 
 lint:
 	$(GO) vet ./...
@@ -196,8 +200,8 @@ lint:
 # needed) must emit no fused multiply-add inside centralMoments, whose
 # float64() wraps keep D'Agostino's and Jarque-Bera's moments equal to
 # the math.Pow reference, or inside VarianceAbout, whose wrap keeps
-# Variance, StdDev and the Anderson-Darling and Lilliefors statistics
-# the same on every architecture. amd64 never fuses, so no amd64 test run can
+# Variance, StdDev and the Anderson-Darling statistic the same on every
+# architecture. amd64 never fuses, so no amd64 test run can
 # catch a missing wrap. The self-test first proves the guard trips on an
 # unwrapped copy of the loop (scripts/testdata/fmaguard).
 lint-fma:

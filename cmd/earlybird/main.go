@@ -26,7 +26,10 @@
 // strategy lab's optimizer sweep: the full grid (bulk, fine-grained,
 // binned timeouts, EWMA-predicted binning, IQR-switching hybrid, tuned
 // laggard-aware) evaluated on the cursor path, rendered as a frontier
-// table. Combined with -remote it asks POST /v1/strategies instead.
+// table. With -app it runs on an in-process serve.Server's strategy
+// grid, the executor behind POST /v1/strategies; combined with -remote
+// it asks that endpoint instead. An explicit -bin-timeout-ms replaces
+// the grid's timeout axis on every path, -in included.
 //
 // With -fleet (a comma-separated list of earlybirdd worker URLs) the
 // study is federated through an in-process coordinator, the same
@@ -199,6 +202,9 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 				}
 			}
 		}
+		if *strategies {
+			return runStrategies(stdout, *fleetCSV, opts)
+		}
 		return runFleet(stdout, *fleetCSV, opts)
 	case *remote != "":
 		switch {
@@ -210,6 +216,8 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 			return runRemoteStrategies(stdout, *remote, opts)
 		}
 		return runRemote(stdout, *remote, opts)
+	case *strategies && opts.app != "" && *in == "":
+		return runStrategies(stdout, "", opts)
 	}
 	return run(stdout, opts)
 }
@@ -241,6 +249,20 @@ func (o cli) dlbPointer() *dlb.Spec {
 	return &d
 }
 
+// strategiesRequest is the single-cell strategies request of every
+// -app -strategies path: local, -remote and -fleet alike.
+func (o cli) strategiesRequest() serve.StrategiesRequest {
+	fabric := o.fabric
+	return serve.StrategiesRequest{
+		Apps:              []string{o.app},
+		Geometries:        []cluster.Config{o.geom},
+		BytesPerPartition: o.partBytes,
+		TimeoutsSec:       o.timeouts,
+		Fabric:            &fabric,
+		DLB:               o.dlbPointer(),
+	}
+}
+
 // cliGeometry is the geometry the CLI's -trials/-iters flags describe.
 func cliGeometry(trials, iters int) cluster.Config {
 	return cluster.Config{Trials: trials, Ranks: 8, Iterations: iters, Threads: 48, Seed: 1}
@@ -267,11 +289,26 @@ func printSweep(w io.Writer, app string, sw partcomm.Sweep) {
 		sw.Best, 1e3*sw.BestFinishSec, 100*sw.BestCapture)
 }
 
+// coordinator returns the in-process serve.Server the -strategies,
+// -scenario and -fleet paths run on, at the CLI's unbounded study size.
+// With peersCSV set it coordinates a fleet over those workers, as an
+// earlybirdd -peers daemon does, so a cell no worker can take runs
+// locally here too; fl is that fleet. Without it the server's Fleet
+// stays a nil interface (a typed-nil *fleet.Fleet in it would read as a
+// configured fleet) and fl is nil.
+func coordinator(peersCSV, storeDir string) (srv *serve.Server, fl *fleet.Fleet, err error) {
+	opts := serve.Options{MaxStudySamples: math.MaxInt}
+	if peersCSV != "" {
+		if fl, err = openFleet(peersCSV, storeDir); err != nil {
+			return nil, nil, err
+		}
+		opts.Fleet = fl
+	}
+	return serve.New(opts), fl, nil
+}
+
 // openFleet opens a fleet over the comma-separated worker URLs (with
-// its durable store in storeDir, if set) and probes it. The -fleet paths
-// run an in-process coordinator over it: the same serve.Server an
-// earlybirdd -peers daemon runs, so a cell no worker can take runs
-// locally here too, at the CLI's unbounded study size.
+// its durable store in storeDir, if set) and probes it.
 func openFleet(peersCSV, storeDir string) (*fleet.Fleet, error) {
 	fopts := fleet.Options{Peers: fleet.SplitPeers(peersCSV)}
 	if storeDir != "" {
@@ -293,43 +330,45 @@ func openFleet(peersCSV, storeDir string) (*fleet.Fleet, error) {
 	return fl, nil
 }
 
-// runFleet federates the study (or the strategy sweep) across a fleet of
-// workers and renders the merged result.
-func runFleet(w io.Writer, peersCSV string, o cli) error {
-	fl, err := openFleet(peersCSV, o.storeDir)
+// runStrategies runs the strategy-lab optimizer for -app on an
+// in-process serve.Server's strategy grid, the executor behind
+// /v1/strategies. With -fleet (peersCSV set) the cell dispatches whole
+// to its rendezvous worker and runs locally only when no worker takes
+// it.
+func runStrategies(w io.Writer, peersCSV string, o cli) error {
+	srv, fl, err := coordinator(peersCSV, o.storeDir)
 	if err != nil {
 		return err
 	}
-	srv := serve.New(serve.Options{Fleet: fl, MaxStudySamples: math.MaxInt})
-	ctx := context.Background()
-
-	if o.strategies {
-		fabric := o.fabric
-		g, err := srv.StrategyGrid(serve.StrategiesRequest{
-			Apps:              []string{o.app},
-			Geometries:        []cluster.Config{o.geom},
-			BytesPerPartition: o.partBytes,
-			TimeoutsSec:       o.timeouts,
-			Fabric:            &fabric,
-			DLB:               o.dlbPointer(),
-		})
-		if err != nil {
-			return err
-		}
-		rows := g.Rows(ctx)
-		fmt.Fprintf(w, "federated strategy grid over fleet of %d healthy workers\n", fl.Healthy())
-		for _, row := range rows {
-			if row.Err != "" {
-				return fmt.Errorf("fleet: %s", row.Err)
-			}
-			if !row.Federated {
-				fmt.Fprintf(w, "evaluated %s locally (no worker could take it)\n", row.App)
-			}
-			printSweep(w, row.App, row.Sweep)
-		}
-		return nil
+	g, err := srv.StrategyGrid(o.strategiesRequest())
+	if err != nil {
+		return err
 	}
+	rows := g.Rows(context.Background())
+	if fl != nil {
+		fmt.Fprintf(w, "federated strategy grid over fleet of %d healthy workers\n", fl.Healthy())
+	}
+	for _, row := range rows {
+		switch {
+		case row.Err != "" && fl != nil:
+			return fmt.Errorf("fleet: %s", row.Err)
+		case row.Err != "":
+			return errors.New(row.Err)
+		case fl != nil && !row.Federated:
+			fmt.Fprintf(w, "evaluated %s locally (no worker could take it)\n", row.App)
+		}
+		printSweep(w, row.App, row.Sweep)
+	}
+	return nil
+}
 
+// runFleet federates the study across a fleet of workers as trial
+// shards and renders the merged result.
+func runFleet(w io.Writer, peersCSV string, o cli) error {
+	srv, _, err := coordinator(peersCSV, o.storeDir)
+	if err != nil {
+		return err
+	}
 	req := serve.SweepRequest{Apps: []string{o.app}, Geometries: []cluster.Config{o.geom}}
 	if o.dlbSet {
 		req.DLBs = []dlb.Spec{o.dlb}
@@ -338,7 +377,7 @@ func runFleet(w io.Writer, peersCSV string, o cli) error {
 	if err != nil {
 		return err
 	}
-	for _, row := range g.Rows(ctx) {
+	for _, row := range g.Rows(context.Background()) {
 		if row.Err != "" {
 			return fmt.Errorf("fleet: %s", row.Err)
 		}
@@ -361,16 +400,7 @@ func runFleet(w io.Writer, peersCSV string, o cli) error {
 // runRemoteStrategies asks a running study service for the optimizer
 // sweep (POST /v1/strategies, single cell, JSON mode).
 func runRemoteStrategies(w io.Writer, base string, o cli) error {
-	fabric := o.fabric
-	req := serve.StrategiesRequest{
-		Apps:              []string{o.app},
-		Geometries:        []cluster.Config{o.geom},
-		BytesPerPartition: o.partBytes,
-		TimeoutsSec:       o.timeouts,
-		Fabric:            &fabric,
-		DLB:               o.dlbPointer(),
-	}
-	body, err := json.Marshal(req)
+	body, err := json.Marshal(o.strategiesRequest())
 	if err != nil {
 		return err
 	}
@@ -478,17 +508,11 @@ func runScenario(w io.Writer, peersCSV, path string, check bool) error {
 	if check {
 		return nil
 	}
-	// The server's Fleet stays a nil interface without -fleet: a
-	// typed-nil *fleet.Fleet in it would read as a configured fleet.
-	var fl *fleet.Fleet
-	opts := serve.Options{MaxStudySamples: math.MaxInt}
-	if peersCSV != "" {
-		if fl, err = openFleet(peersCSV, ""); err != nil {
-			return err
-		}
-		opts.Fleet = fl
+	srv, fl, err := coordinator(peersCSV, "")
+	if err != nil {
+		return err
 	}
-	rows := serve.New(opts).ScenarioGrid(c, 0).Rows(context.Background())
+	rows := srv.ScenarioGrid(c, 0).Rows(context.Background())
 	for _, row := range rows {
 		if row.Err != "" {
 			return fmt.Errorf("cell %d: %s", row.Index, row.Err)
@@ -608,7 +632,11 @@ func run(w io.Writer, o cli) error {
 		return err
 	}
 	if o.strategies {
-		printSweep(w, study.App(), study.StrategySweep(o.partBytes, o.fabric, nil))
+		var grid []partcomm.Strategy // nil: the standard grid
+		if o.timeouts != nil {
+			grid = partcomm.Grid(o.timeouts, core.DefaultStrategyEWMAAlphas(), study.Laggards())
+		}
+		printSweep(w, study.App(), study.StrategySweep(o.partBytes, o.fabric, grid))
 		return nil
 	}
 	a := study.Feasibility(o.partBytes, o.fabric, o.timeoutSec)

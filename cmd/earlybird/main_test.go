@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"net/http/httptest"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,6 +98,20 @@ func TestRunMainLocalStrategies(t *testing.T) {
 	}
 	if !strings.Contains(out, "-> best") {
 		t.Fatalf("frontier table missing:\n%s", out)
+	}
+}
+
+// TestRunMainLocalStrategiesBinTimeout: an explicit -bin-timeout-ms
+// replaces the local optimizer's timeout axis, as it does with -remote
+// and -fleet.
+func TestRunMainLocalStrategiesBinTimeout(t *testing.T) {
+	out, err := runCmd(t, "-app", "minife", "-trials", "1", "-iters", "8", "-strategies", "-bin-timeout-ms", "0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	binned := regexp.MustCompile(`binned\([0-9]+us\)`).FindAllString(out, -1)
+	if len(binned) == 0 || slices.ContainsFunc(binned, func(s string) bool { return s != "binned(500us)" }) {
+		t.Fatalf("binned strategies %v, want binned(500us) only:\n%s", binned, out)
 	}
 }
 

@@ -34,12 +34,12 @@
 // To share the dataset cache across several campaigns, create one engine
 // with NewEngine and call its Run method directly.
 //
-// The same engine can front HTTP traffic: NewServer (or the blocking
-// Serve) exposes /v1/study, /v1/campaign, /v1/feasibility, the
+// For HTTP traffic, NewServer (or the blocking Serve) runs its own
+// engine and exposes /v1/study, /v1/campaign, /v1/feasibility, the
 // NDJSON-streaming /v1/sweep and the /v1/strategies delivery-strategy
 // optimizer with singleflight request coalescing and a bounded LRU
-// result cache layered over the dataset cache — see internal/serve and
-// the cmd/earlybirdd daemon.
+// result cache layered over the engine's dataset cache — see
+// internal/serve and the cmd/earlybirdd daemon.
 //
 // Sweeps scale past one machine with the fleet layer: a Server with a
 // NewFleet set as its fleet — or FleetSweep, which runs one in-process —

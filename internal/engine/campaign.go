@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"earlybird/internal/analysis"
@@ -11,6 +12,7 @@ import (
 	"earlybird/internal/dlb"
 	"earlybird/internal/fnv"
 	"earlybird/internal/network"
+	"earlybird/internal/share"
 	"earlybird/internal/stats/normality"
 	"earlybird/internal/trace"
 	"earlybird/internal/workload"
@@ -213,63 +215,76 @@ type Campaign struct {
 // the returned error; results for the other specs are still valid.
 func (e *Engine) Run(c Campaign) ([]Result, error) {
 	results := make([]Result, len(c.Specs))
-
-	// Resolve specs and group duplicates onto one execution each.
-	type group struct {
-		spec    Spec
-		indices []int
-	}
-	groups := map[SpecKey]*group{}
-	order := make([]SpecKey, 0, len(c.Specs))
-	var collectMu sync.Mutex
+	var mu sync.Mutex
 	emit := func(r Result) {
+		mu.Lock()
+		defer mu.Unlock()
 		results[r.Index] = r
 		if c.Collect != nil {
 			c.Collect(r)
 		}
 	}
+
+	// Resolve every spec. Identical resolved specs share one execution
+	// through the campaign's own cache; first occurrences queue ahead of
+	// their duplicates, so no worker waits on a join while a distinct
+	// spec is still queued. The first spec to read a generated dataset
+	// fetches it and later specs over it wait until it has, so the
+	// generation is reported by that spec whatever the scheduling.
+	specs := make([]Spec, len(c.Specs))
+	seen := map[SpecKey]bool{}
+	fetched := map[Key]chan struct{}{}
+	waitFor, signal := map[SpecKey]chan struct{}{}, map[SpecKey]chan struct{}{}
+	var jobs, dups []int
 	for i, raw := range c.Specs {
 		sp, err := raw.fill()
 		if err != nil {
-			collectMu.Lock()
 			emit(Result{Index: i, Spec: raw, Err: err})
-			collectMu.Unlock()
 			continue
 		}
+		specs[i] = sp
 		k := sp.Key()
-		g, ok := groups[k]
-		if !ok {
-			g = &group{spec: sp}
-			groups[k] = g
-			order = append(order, k)
+		if seen[k] {
+			dups = append(dups, i)
+			continue
 		}
-		g.indices = append(g.indices, i)
+		seen[k] = true
+		jobs = append(jobs, i)
+		if sp.Dataset == nil {
+			dk := Key{Model: sp.App, Geometry: sp.Geometry, DLB: sp.DLB}
+			if ch, ok := fetched[dk]; ok {
+				waitFor[k] = ch
+			} else {
+				fetched[dk] = make(chan struct{})
+				signal[k] = fetched[dk]
+			}
+		}
 	}
 
+	distinct := len(jobs)
 	workers := c.Workers
 	if workers <= 0 || workers > e.workers {
 		workers = e.workers
 	}
-	if workers > len(order) {
-		workers = len(order)
-	}
-
-	jobs := make(chan *group)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for g := range jobs {
-				e.runGroup(g.spec, g.indices, workers, emit, &collectMu)
+	workers = min(workers, distinct)
+	jobs = append(jobs, dups...)
+	done := share.New[SpecKey, Result](math.MaxInt)
+	share.FanOut(len(jobs), workers, func(j int) {
+		i := jobs[j]
+		k := specs[i].Key()
+		r, _ := done.Do(k, func() (Result, bool) {
+			if ch := waitFor[k]; ch != nil {
+				<-ch
 			}
-		}()
-	}
-	for _, k := range order {
-		jobs <- groups[k]
-	}
-	close(jobs)
-	wg.Wait()
+			return e.execute(specs[i], workers, signal[k]), true
+		})
+		r.Index = i
+		// A spec's first occurrence reports its execution's dataset hit,
+		// whichever goroutine ran it; duplicates in the same campaign are
+		// cache-served by construction.
+		r.CacheHit = r.CacheHit || j >= distinct
+		emit(r)
+	})
 
 	errs := make([]error, 0, len(results))
 	for i := range results {
@@ -283,7 +298,7 @@ func (e *Engine) Run(c Campaign) ([]Result, error) {
 // RunSpec resolves and executes one spec synchronously, sharing the
 // engine's dataset cache (and its single-flighted generation) with every
 // campaign and other RunSpec call on the engine. It is the unit the serve
-// layer's request coalescer invokes: one HTTP study request maps to one
+// layer's result cache invokes: one HTTP study request maps to one
 // RunSpec. The returned Result carries any per-spec failure in both
 // Result.Err and the error return.
 func (e *Engine) RunSpec(sp Spec) (Result, error) {
@@ -291,18 +306,22 @@ func (e *Engine) RunSpec(sp Spec) (Result, error) {
 	if err != nil {
 		return Result{Spec: sp, Err: err}, err
 	}
-	r := e.execute(filled, 1)
+	r := e.execute(filled, 1, nil)
 	return r, r.Err
 }
 
 // execute runs one resolved spec: dataset via the cache (or the spec's
 // preloaded dataset), then the analysis pipeline. concurrency is the
-// caller's fan-out, passed down as the generation-sizing hint.
-func (e *Engine) execute(sp Spec, concurrency int) Result {
+// caller's fan-out, passed down as the generation-sizing hint; fetched,
+// when non-nil, is closed once the dataset is in hand or has failed.
+func (e *Engine) execute(sp Spec, concurrency int, fetched chan struct{}) Result {
 	// Preloaded datasets bypass the cache and never count as hits.
 	ds, hit, err := sp.Dataset, false, error(nil)
 	if ds == nil {
 		ds, hit, err = e.dataset(sp.Model, sp.Geometry, sp.DLB, concurrency)
+	}
+	if fetched != nil {
+		close(fetched)
 	}
 	var r Result
 	r.Spec = sp
@@ -322,23 +341,4 @@ func (e *Engine) execute(sp Spec, concurrency int) Result {
 		r.Metrics, r.Table1, r.Assessment = r.Study.Analyze(sp.BytesPerPartition, sp.Fabric, sp.BinTimeoutSec)
 	}
 	return r
-}
-
-// runGroup executes one deduplicated spec and fans the result out to
-// every index that requested it. concurrency is the campaign's worker
-// count, passed down as the generation-sizing hint.
-func (e *Engine) runGroup(sp Spec, indices []int, concurrency int, emit func(Result), mu *sync.Mutex) {
-	r := e.execute(sp, concurrency)
-	mu.Lock()
-	defer mu.Unlock()
-	for n, i := range indices {
-		ri := r
-		ri.Index = i
-		// Only the execution itself counts as the miss; duplicate specs
-		// in the same campaign are cache-served by construction.
-		if n > 0 {
-			ri.CacheHit = true
-		}
-		emit(ri)
-	}
 }

@@ -10,13 +10,17 @@
 // function of (model, seed) and the analysis pipeline is pure over the
 // dataset.
 //
-// The cache is bounded on request: SetMaxDatasets installs an LRU
-// eviction policy so a long-lived serving process holds at most N
-// datasets, regenerating evicted ones on demand. Single specs execute
-// synchronously through RunSpec — the unit the serve layer's request
-// coalescer collapses identical concurrent HTTP studies onto — with
-// resolved specs exposing comparable deduplication keys via Resolve and
-// Key.
+// The cache is a share.Cache (internal/share): an LRU of finished
+// datasets in front of a singleflight table of in-flight generations.
+// It is unbounded by default; SetMaxDatasets bounds it so a long-lived
+// serving process holds at most N datasets, regenerating evicted ones
+// on demand. Only successful generations are cached, so a failed one
+// never takes a slot or evicts a dataset. A campaign dedups identical
+// specs through a share.Cache of its own and runs on share.FanOut.
+// Single specs execute synchronously through RunSpec — the unit the
+// serve layer's result cache collapses identical concurrent HTTP
+// studies onto — with resolved specs exposing comparable deduplication
+// keys via Resolve and Key.
 //
 // This is the batch substrate behind internal/experiments, cmd/repro,
 // cmd/analyze, the earlybird.RunCampaign facade and the internal/serve

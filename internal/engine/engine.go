@@ -2,12 +2,14 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"earlybird/internal/cluster"
 	"earlybird/internal/dlb"
+	"earlybird/internal/share"
 	"earlybird/internal/trace"
 	"earlybird/internal/workload"
 )
@@ -26,27 +28,18 @@ type Key struct {
 	DLB      dlb.Spec
 }
 
-// cacheEntry single-flights one dataset generation: the first goroutine
-// to reach the entry runs it, everyone else blocks on the Once and reads
-// the shared result. The cache holds the compact columnar form — one
-// flat sample column plus a small header, with the fingerprint already
-// accumulated during the fill — and builds the nested Dataset view
-// lazily, sharing the column's storage, only when a consumer asks for it.
-type cacheEntry struct {
-	once sync.Once
-	col  *trace.Columnar
-	err  error
-	// done flips once the generation has finished; only done entries are
-	// eviction candidates (an in-flight entry is about to be read by the
-	// goroutines blocked on its Once).
-	done atomic.Bool
-	// lastUse is the engine's access sequence number at the entry's most
-	// recent lookup; the eviction policy removes the smallest. Guarded by
-	// the engine mutex.
-	lastUse int64
+// entry is one generated dataset: the compact columnar form — one flat
+// sample column plus a small header, with the fingerprint already
+// accumulated during the fill — and the nested Dataset view, built
+// lazily over the column's storage only when a consumer asks for it.
+// Only successful generations are cached; err carries a failed one to
+// the requests that joined it.
+type entry struct {
+	col *trace.Columnar
+	err error
 
-	dsOnce sync.Once
-	ds     *trace.Dataset
+	mu sync.Mutex
+	ds *trace.Dataset
 }
 
 // Engine is a dataset cache plus the worker-pool configuration shared by
@@ -54,17 +47,14 @@ type cacheEntry struct {
 // Engine is safe for concurrent use and may be shared across campaigns
 // so later campaigns reuse earlier datasets.
 type Engine struct {
-	workers int
+	workers  int
+	datasets *share.Cache[Key, *entry]
 
-	mu          sync.Mutex
-	cache       map[Key]*cacheEntry
-	seq         int64
-	maxDatasets int
-	progress    ProgressFactory
+	mu       sync.Mutex
+	progress ProgressFactory
 
 	executions  atomic.Int64
 	inFlight    atomic.Int64
-	evictions   atomic.Int64
 	nestedViews atomic.Int64
 }
 
@@ -97,7 +87,7 @@ func New(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{workers: workers, cache: map[Key]*cacheEntry{}}
+	return &Engine{workers: workers, datasets: share.New[Key, *entry](math.MaxInt)}
 }
 
 // Workers returns the campaign concurrency bound.
@@ -107,16 +97,13 @@ func (e *Engine) Workers() int { return e.workers }
 // run — cache hits do not count. Tests use this to verify deduplication.
 func (e *Engine) Executions() int64 { return e.executions.Load() }
 
-// CachedDatasets returns the number of distinct datasets held.
-func (e *Engine) CachedDatasets() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.cache)
-}
+// CachedDatasets returns the number of distinct finished datasets held;
+// generations still in flight do not count.
+func (e *Engine) CachedDatasets() int { return e.datasets.Len() }
 
 // EvictedDatasets returns how many datasets the cache bound has evicted
 // over the engine's lifetime.
-func (e *Engine) EvictedDatasets() int64 { return e.evictions.Load() }
+func (e *Engine) EvictedDatasets() int64 { return e.datasets.Evictions() }
 
 // NestedViews returns how many dataset generations have had their nested
 // [][][][] view built. Consumers that stay on the columnar cursor path
@@ -125,42 +112,17 @@ func (e *Engine) EvictedDatasets() int64 { return e.evictions.Load() }
 // materialised the tensor form.
 func (e *Engine) NestedViews() int64 { return e.nestedViews.Load() }
 
-// SetMaxDatasets bounds the dataset cache to at most n completed entries,
-// evicting the least recently used when a new generation would exceed the
-// bound; n <= 0 removes the bound. In-flight generations are never
-// evicted, so the momentary population can exceed n while datasets are
-// being produced. Evicted datasets regenerate (and count as executions)
-// on their next request.
+// SetMaxDatasets bounds the dataset cache to at most n finished
+// datasets, evicting the least recently used past the bound; n <= 0
+// removes the bound (the default). A generation takes a slot only once
+// it has finished, and only if it succeeded, so in-flight and failed
+// generations never evict a cached dataset. Evicted datasets regenerate
+// (and count as executions) on their next request.
 func (e *Engine) SetMaxDatasets(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.maxDatasets = n
-	e.trimLocked()
-}
-
-// trimLocked evicts least-recently-used completed entries until the cache
-// respects the bound. Callers must hold e.mu.
-func (e *Engine) trimLocked() {
-	if e.maxDatasets <= 0 {
-		return
+	if n <= 0 {
+		n = math.MaxInt
 	}
-	for len(e.cache) > e.maxDatasets {
-		var victimKey Key
-		var victim *cacheEntry
-		for k, entry := range e.cache {
-			if !entry.done.Load() {
-				continue
-			}
-			if victim == nil || entry.lastUse < victim.lastUse {
-				victimKey, victim = k, entry
-			}
-		}
-		if victim == nil {
-			return // everything over the bound is still generating
-		}
-		delete(e.cache, victimKey)
-		e.evictions.Add(1)
-	}
+	e.datasets.SetCap(n)
 }
 
 // Dataset returns the dataset for (model, geometry), generating it on
@@ -187,11 +149,11 @@ func (e *Engine) Columnar(model workload.Model, geom cluster.Config) (*trace.Col
 
 // ColumnarDLB is Columnar under a rebalancing policy.
 func (e *Engine) ColumnarDLB(model workload.Model, geom cluster.Config, policy dlb.Spec) (*trace.Columnar, bool, error) {
-	entry, hit, err := e.entry(model, geom, policy, 1)
+	en, hit, err := e.entry(model, geom, policy, 1)
 	if err != nil {
 		return nil, hit, err
 	}
-	return entry.col, hit, nil
+	return en.col, hit, nil
 }
 
 // Prefetch generates the datasets of several models at one geometry
@@ -203,23 +165,11 @@ func (e *Engine) Prefetch(models []workload.Model, geom cluster.Config) error {
 
 // PrefetchDLB is Prefetch under a rebalancing policy.
 func (e *Engine) PrefetchDLB(models []workload.Model, geom cluster.Config, policy dlb.Spec) error {
-	concurrent := e.workers
-	if concurrent > len(models) {
-		concurrent = len(models)
-	}
-	sem := make(chan struct{}, concurrent)
-	var wg sync.WaitGroup
+	concurrent := min(e.workers, len(models))
 	errs := make([]error, len(models))
-	for i, m := range models {
-		wg.Add(1)
-		go func(i int, m workload.Model) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			_, _, errs[i] = e.dataset(m, geom, policy, concurrent)
-		}(i, m)
-	}
-	wg.Wait()
+	share.FanOut(len(models), concurrent, func(i int) {
+		_, _, errs[i] = e.dataset(models[i], geom, policy, concurrent)
+	})
 	return errors.Join(errs...)
 }
 
@@ -228,52 +178,34 @@ func (e *Engine) PrefetchDLB(models []workload.Model, geom cluster.Config, polic
 // in a batch gets its fair share of CPUs from the start instead of early
 // starters over-allocating.
 func (e *Engine) dataset(model workload.Model, geom cluster.Config, policy dlb.Spec, hint int) (*trace.Dataset, bool, error) {
-	entry, hit, err := e.entry(model, geom, policy, hint)
+	en, hit, err := e.entry(model, geom, policy, hint)
 	if err != nil {
 		return nil, hit, err
 	}
-	entry.dsOnce.Do(func() {
-		entry.ds = entry.col.Dataset()
+	en.mu.Lock()
+	defer en.mu.Unlock()
+	if en.ds == nil {
+		en.ds = en.col.Dataset()
 		e.nestedViews.Add(1)
-	})
-	return entry.ds, hit, nil
+	}
+	return en.ds, hit, nil
 }
 
-// entry resolves (model, geometry, policy) to its single-flighted cache
-// entry, generating the columnar store on first request. The policy is
-// canonicalised before keying so spelled-out defaults and bare policy
-// names share an entry.
-func (e *Engine) entry(model workload.Model, geom cluster.Config, policy dlb.Spec, hint int) (*cacheEntry, bool, error) {
+// entry resolves (model, geometry, policy) to its cached entry,
+// generating the columnar store on first request; concurrent requests
+// for the same key join one generation. The policy is canonicalised
+// before keying so spelled-out defaults and bare policy names share an
+// entry.
+func (e *Engine) entry(model workload.Model, geom cluster.Config, policy dlb.Spec, hint int) (*entry, bool, error) {
 	policy, err := policy.Resolve()
 	if err != nil {
 		return nil, false, err
 	}
 	key := Key{Model: model.Name(), Geometry: geom, DLB: policy}
-	e.mu.Lock()
-	entry, ok := e.cache[key]
-	if !ok {
-		entry = &cacheEntry{}
-		e.cache[key] = entry
-	}
-	e.seq++
-	entry.lastUse = e.seq
-	if !ok {
-		e.trimLocked()
-	}
-	e.mu.Unlock()
-
-	hit := true
-	entry.once.Do(func() {
-		hit = false
+	en, src := e.datasets.Do(key, func() (*entry, bool) {
 		e.executions.Add(1)
-		concurrent := int(e.inFlight.Add(1))
-		defer func() {
-			e.inFlight.Add(-1)
-			entry.done.Store(true)
-		}()
-		if hint > concurrent {
-			concurrent = hint
-		}
+		concurrent := max(int(e.inFlight.Add(1)), hint)
+		defer e.inFlight.Add(-1)
 		var sink cluster.ProgressSink
 		if f := e.progressFactory(); f != nil {
 			var done func()
@@ -282,9 +214,10 @@ func (e *Engine) entry(model workload.Model, geom cluster.Config, policy dlb.Spe
 				defer done()
 			}
 		}
-		entry.col, entry.err = cluster.RunColumnarObserved(model, geom, key.DLB, e.innerWorkers(concurrent), sink)
+		col, err := cluster.RunColumnarObserved(model, geom, key.DLB, e.innerWorkers(concurrent), sink)
+		return &entry{col: col, err: err}, err == nil
 	})
-	return entry, hit, entry.err
+	return en, src != share.Executed, en.err
 }
 
 // innerWorkers divides the CPUs between concurrent generations so a lone

@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"earlybird/internal/cluster"
 	"earlybird/internal/workload"
 )
 
@@ -65,6 +66,40 @@ func TestSetMaxDatasetsTrimsExisting(t *testing.T) {
 	}
 	if got := e.EvictedDatasets(); got != 2 {
 		t.Errorf("evictions = %d, want 2", got)
+	}
+}
+
+// TestFailedGenerationIsNotCached: a generation that fails takes no
+// cache slot, so it neither counts as a cached dataset nor evicts one,
+// and a repeat request runs it again.
+func TestFailedGenerationIsNotCached(t *testing.T) {
+	e := New(2)
+	m := workload.DefaultMiniFE()
+	if _, _, err := e.Columnar(m, cluster.Config{}); err == nil {
+		t.Fatal("zero geometry generated a dataset")
+	}
+	if got := e.CachedDatasets(); got != 0 {
+		t.Fatalf("cache holds %d datasets after a failed generation, want 0", got)
+	}
+
+	e.SetMaxDatasets(1)
+	if _, _, err := e.Dataset(m, testGeom(1)); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Executions()
+	for i := 0; i < 2; i++ {
+		if _, hit, err := e.Columnar(m, cluster.Config{}); err == nil || hit {
+			t.Fatalf("repeat %d of the failed generation: hit=%v err=%v, want a fresh failure", i, hit, err)
+		}
+	}
+	if got := e.Executions(); got != before+2 {
+		t.Errorf("executions = %d, want %d: a failed generation must rerun", got, before+2)
+	}
+	if got, ev := e.CachedDatasets(), e.EvictedDatasets(); got != 1 || ev != 0 {
+		t.Errorf("cache holds %d datasets with %d evictions, want 1 and 0", got, ev)
+	}
+	if _, hit, err := e.Dataset(m, testGeom(1)); err != nil || !hit {
+		t.Errorf("cached dataset lost to a failed generation: hit=%v err=%v", hit, err)
 	}
 }
 

@@ -78,6 +78,7 @@ import (
 
 	"earlybird/internal/fnv"
 	"earlybird/internal/serve"
+	"earlybird/internal/share"
 	"earlybird/internal/stats"
 )
 
@@ -437,41 +438,37 @@ func (f *Fleet) Probe(ctx context.Context) int {
 	if timeout <= 0 {
 		timeout = DefaultProbeTimeout
 	}
-	var wg sync.WaitGroup
-	for _, w := range f.snapshotWorkers() {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, timeout)
-			defer cancel()
-			req, err := http.NewRequestWithContext(pctx, http.MethodGet, w.url+"/v1/healthz", nil)
-			if err != nil {
-				w.healthy.Store(false)
-				return
-			}
-			resp, err := f.client.Do(req)
-			if err != nil {
-				w.healthy.Store(false)
-				return
-			}
-			body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				w.healthy.Store(false)
-				return
-			}
-			var hz struct {
-				Capacity *float64 `json:"capacity"`
-			}
-			if json.Unmarshal(body, &hz) == nil && hz.Capacity != nil {
-				w.setCapacity(*hz.Capacity)
-			} else {
-				w.setCapacity(1)
-			}
-			w.healthy.Store(true)
-		}(w)
-	}
-	wg.Wait()
+	workers := f.snapshotWorkers()
+	share.FanOut(len(workers), len(workers), func(i int) {
+		w := workers[i]
+		pctx, cancel := context.WithTimeout(ctx, timeout)
+		defer cancel()
+		req, err := http.NewRequestWithContext(pctx, http.MethodGet, w.url+"/v1/healthz", nil)
+		if err != nil {
+			w.healthy.Store(false)
+			return
+		}
+		resp, err := f.client.Do(req)
+		if err != nil {
+			w.healthy.Store(false)
+			return
+		}
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			w.healthy.Store(false)
+			return
+		}
+		var hz struct {
+			Capacity *float64 `json:"capacity"`
+		}
+		if json.Unmarshal(body, &hz) == nil && hz.Capacity != nil {
+			w.setCapacity(*hz.Capacity)
+		} else {
+			w.setCapacity(1)
+		}
+		w.healthy.Store(true)
+	})
 	return f.Healthy()
 }
 

@@ -17,6 +17,7 @@ import (
 
 	"earlybird/internal/cluster"
 	"earlybird/internal/serve"
+	"earlybird/internal/share"
 )
 
 // fleetGeom is small enough for fast tests, wide enough (4 trials) to
@@ -56,7 +57,7 @@ func collectSweep(t *testing.T, f *Fleet, req serve.SweepRequest) map[int][]serv
 	}
 	var mu sync.Mutex
 	rows := map[int][]serve.SweepRow{}
-	serve.FanOut(len(cells), min(cap(f.sem), len(cells)), func(i int) {
+	share.FanOut(len(cells), min(cap(f.sem), len(cells)), func(i int) {
 		row, ok := f.DispatchCell(context.Background(), cells[i])
 		if !ok {
 			t.Errorf("cell %d was not placed on any worker", cells[i].Index)

@@ -5,11 +5,11 @@ package fleet
 
 import (
 	"context"
-	"sync"
 
 	"earlybird/internal/analysis"
 	"earlybird/internal/engine"
 	"earlybird/internal/serve"
+	"earlybird/internal/share"
 )
 
 // shardRange is one contiguous trial range of a cell.
@@ -101,25 +101,19 @@ func (f *Fleet) DispatchCell(ctx context.Context, cell serve.SweepCell) (serve.S
 	ranges := splitTrials(cell.Geometry.Trials, shards)
 
 	outcomes := make([]shardOutcome, len(ranges))
-	var wg sync.WaitGroup
-	for i, rg := range ranges {
-		req := cellReq
-		req.TrialLo, req.TrialHi = rg.lo, rg.hi
-		wg.Add(1)
-		go func(o *shardOutcome) {
-			defer wg.Done()
-			o.from, o.err = f.dispatch(ctx, hash, i, "/v1/shard", req, func(raw []byte) error {
-				st, err := req.Accept(raw)
-				if err != nil {
-					f.shardRejects.Add(1)
-					return err
-				}
-				o.state = st
-				return nil
-			})
-		}(&outcomes[i])
-	}
-	wg.Wait()
+	share.FanOut(len(ranges), len(ranges), func(i int) {
+		o, req := &outcomes[i], cellReq
+		req.TrialLo, req.TrialHi = ranges[i].lo, ranges[i].hi
+		o.from, o.err = f.dispatch(ctx, hash, i, "/v1/shard", req, func(raw []byte) error {
+			st, err := req.Accept(raw)
+			if err != nil {
+				f.shardRejects.Add(1)
+				return err
+			}
+			o.state = st
+			return nil
+		})
+	})
 
 	macc := analysis.NewMetricsAccumulator(cell.App, cell.LaggardThresholdSec)
 	tacc := analysis.NewTable1Accumulator(cell.App, cell.Alpha)

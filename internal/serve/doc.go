@@ -22,6 +22,11 @@
 //     different analyses of the same (model, geometry, seed) share one
 //     generated dataset.
 //
+// Each of the three is a share.Cache (internal/share), the tree's one
+// LRU + singleflight, and every grid and batch runs on share.FanOut. A
+// value enters a cache only when its execution reports it cacheable: a
+// failed study or generation takes no slot and evicts nothing.
+//
 // The sweep endpoint fans a grid of (app x geometry x alpha x laggard
 // threshold) cells onto the engine and writes one NDJSON row per cell as
 // it completes. A local cell is the shard [0, Trials) and runs on the

@@ -128,8 +128,8 @@ func (s *Server) promWriter(w http.ResponseWriter) *telemetry.PromWriter {
 	p.Sample("earlybird_strategy_results_total", float64(s.stratSources.coalesced.Load()), "source", "coalesced")
 	p.Sample("earlybird_strategy_results_total", float64(s.stratSources.executed.Load()), "source", "executed")
 	p.GaugeVec("earlybird_result_cache_entries", "LRU result cache population, by cache.")
-	p.Sample("earlybird_result_cache_entries", float64(s.co.size()), "cache", "study")
-	p.Sample("earlybird_result_cache_entries", float64(s.strat.size()), "cache", "strategies")
+	p.Sample("earlybird_result_cache_entries", float64(s.co.Len()), "cache", "study")
+	p.Sample("earlybird_result_cache_entries", float64(s.strat.Len()), "cache", "strategies")
 
 	p.Counter("earlybird_engine_dataset_executions_total", "Dataset generations actually run (cache hits excluded).", float64(s.eng.Executions()))
 	p.Gauge("earlybird_engine_datasets_cached", "Datasets currently in the engine cache.", float64(s.eng.CachedDatasets()))

@@ -74,8 +74,8 @@ func (s *Server) newTracker(model string, geom cluster.Config, policy dlb.Spec) 
 	return tr
 }
 
-// Telemetry returns the server's live-telemetry registry — shared with
-// Options.Telemetry when one was supplied.
+// Telemetry returns the server's live-telemetry registry, which
+// earlybirdd reads and tests drive with synthetic trackers.
 func (s *Server) Telemetry() *telemetry.Registry { return s.tel }
 
 // handleProgress serves GET /v1/progress. With ?id= it streams that

@@ -13,6 +13,7 @@ import (
 	"earlybird/internal/cluster"
 	"earlybird/internal/dlb"
 	"earlybird/internal/engine"
+	"earlybird/internal/share"
 	"earlybird/internal/telemetry"
 )
 
@@ -76,10 +77,6 @@ type Options struct {
 	// — keep it. Shard requests never default: a coordinator has already
 	// resolved its cell's policy and the shard must execute it literally.
 	DefaultDLB dlb.Spec
-	// Engine, when non-nil, is used instead of a fresh engine — for
-	// sharing a dataset cache with campaigns run outside the server.
-	// Workers and MaxDatasets are ignored in that case.
-	Engine *engine.Engine
 	// Fleet, when non-nil, turns this server into a federation
 	// coordinator: /v1/sweep cells shard across the fleet's workers, and
 	// strategy cells and bare-app studies (/v1/study, /v1/feasibility,
@@ -97,11 +94,6 @@ type Options struct {
 	// /v1/sweep — the bounded-memory path shed clients are pointed at —
 	// is exempt. 0 (or negative) disables admission control.
 	AdmissionWatermark float64
-	// Telemetry, when non-nil, is the live-telemetry registry the server
-	// feeds and reads; nil creates a fresh one. Supply one to share the
-	// registry with out-of-band consumers (tests inject synthetic
-	// trackers through it).
-	Telemetry *telemetry.Registry
 }
 
 // FleetDispatcher federates sweep cells across remote workers. The serve
@@ -134,8 +126,8 @@ type WholeDispatcher interface {
 type Server struct {
 	opts            Options
 	eng             *engine.Engine
-	co              *coalescer[engine.SpecKey, studyAnswer]
-	strat           *coalescer[strategyCellKey, StrategyRow]
+	co              *share.Cache[engine.SpecKey, studyAnswer]
+	strat           *share.Cache[strategyCellKey, StrategyRow]
 	mux             *http.ServeMux
 	start           time.Time
 	endpoints       map[string]*endpointStats
@@ -162,17 +154,12 @@ type Server struct {
 
 // New returns a ready-to-serve study service.
 func New(opts Options) *Server {
-	eng := opts.Engine
-	if eng == nil {
-		eng = engine.New(opts.Workers)
-		maxDS := opts.MaxDatasets
-		if maxDS == 0 {
-			maxDS = DefaultMaxDatasets
-		}
-		if maxDS > 0 {
-			eng.SetMaxDatasets(maxDS)
-		}
+	eng := engine.New(opts.Workers)
+	maxDS := opts.MaxDatasets
+	if maxDS == 0 {
+		maxDS = DefaultMaxDatasets
 	}
+	eng.SetMaxDatasets(maxDS) // negative: unbounded, as the engine reads it
 	maxResults := opts.MaxResults
 	if maxResults == 0 {
 		maxResults = DefaultMaxResults
@@ -185,26 +172,21 @@ func New(opts Options) *Server {
 	if maxStudy <= 0 {
 		maxStudy = DefaultMaxStudySamples
 	}
-	tel := opts.Telemetry
-	if tel == nil {
-		tel = telemetry.NewRegistry()
-	}
 	s := &Server{
 		opts:            opts,
 		eng:             eng,
-		co:              newCoalescer[engine.SpecKey, studyAnswer](maxResults),
-		strat:           newCoalescer[strategyCellKey, StrategyRow](maxResults),
+		co:              share.New[engine.SpecKey, studyAnswer](maxResults),
+		strat:           share.New[strategyCellKey, StrategyRow](maxResults),
 		mux:             http.NewServeMux(),
 		start:           time.Now(),
 		endpoints:       map[string]*endpointStats{},
 		maxSweepSamples: maxSweep,
 		maxStudySamples: maxStudy,
 		sem:             make(chan struct{}, eng.Workers()),
-		tel:             tel,
+		tel:             telemetry.NewRegistry(),
 	}
-	// Every dataset generation this server triggers — directly or via a
-	// shared engine — reports live progress into the registry. A shared
-	// engine's previous factory is replaced; the last server wired wins.
+	// Every dataset generation this server triggers reports live
+	// progress into the registry.
 	eng.SetProgress(s.generationProgress)
 	s.httpSrv = &http.Server{
 		Handler:           s.mux,
@@ -238,8 +220,8 @@ func (s *Server) ObservabilityHandler() http.Handler {
 	return mux
 }
 
-// Engine returns the server's campaign engine, so callers can share its
-// dataset cache or read its counters.
+// Engine returns the server's engine, for reading its configuration and
+// counters and probing its dataset cache (earlybirdd and the tests do).
 func (s *Server) Engine() *engine.Engine { return s.eng }
 
 // Handler returns the service's routing handler, for embedding the API
@@ -330,28 +312,6 @@ func (s *Server) clampWorkers(requested, jobs int) int {
 	return w
 }
 
-// FanOut runs fn(i) for every i in [0, n) across workers goroutines and
-// waits for all of them: the worker pool of every grid and batch
-// handler here.
-func FanOut(n, workers int, fn func(int)) {
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-}
-
 // Grid is one expanded grid request, ready to run: how many cells it
 // has, how many run at once, and the executor of one cell. The
 // /v1/sweep, /v1/strategies, /v1/scenario and /v1/campaign handlers
@@ -373,7 +333,7 @@ func newGrid[R any](s *Server, n, workers int, cell func(context.Context, int) R
 // and row as it completes. emit is called concurrently from the worker
 // goroutines, once per cell.
 func (g Grid[R]) Run(ctx context.Context, emit func(i int, row R)) {
-	FanOut(g.n, g.workers, func(i int) { emit(i, g.cell(ctx, i)) })
+	share.FanOut(g.n, g.workers, func(i int) { emit(i, g.cell(ctx, i)) })
 }
 
 // Rows runs the grid and returns its rows in grid order.
@@ -404,10 +364,11 @@ func streamGrid[R any](w http.ResponseWriter, r *http.Request, cellsHeader strin
 	})
 }
 
-// studyAnswer is what the result cache holds for one study: the reply
-// without its per-request Source, or the error that ended the
-// execution. No dataset or core.Study outlives the execution that
-// built it.
+// studyAnswer is what one study execution hands the result cache and
+// the requests that joined it: the reply without its per-request
+// Source, or the error that ended the execution. Only replies are
+// cached. No dataset or core.Study outlives the execution that built
+// it.
 type studyAnswer struct {
 	resp StudyResponse
 	err  error
@@ -456,7 +417,7 @@ func (s *Server) study(ctx context.Context, sp engine.Spec) (StudyResponse, erro
 		}
 		s.fleetFallbacks.Add(1)
 	}
-	a, src := s.co.do(resolved.Key(), func() (studyAnswer, bool) {
+	a, src := s.co.Do(resolved.Key(), func() (studyAnswer, bool) {
 		// Adaptive admission gates the execution, not the lookup: cache
 		// hits and joins to in-flight executions cost no fill capacity
 		// and are always served.
@@ -562,13 +523,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			ResultCacheHits: s.sources.lruHits.Load(),
 			Coalesced:       s.sources.coalesced.Load(),
 			Executed:        s.sources.executed.Load(),
-			ResultCacheSize: s.co.size(),
+			ResultCacheSize: s.co.Len(),
 		},
 		Strategies: StudySourceStats{
 			ResultCacheHits: s.stratSources.lruHits.Load(),
 			Coalesced:       s.stratSources.coalesced.Load(),
 			Executed:        s.stratSources.executed.Load(),
-			ResultCacheSize: s.strat.size(),
+			ResultCacheSize: s.strat.Len(),
 		},
 		Engine: EngineStats{
 			Executions:      s.eng.Executions(),

@@ -518,86 +518,44 @@ func TestStudyResultCacheReleasesDataset(t *testing.T) {
 	}
 }
 
-func TestCoalescerJoinsInFlight(t *testing.T) {
-	// Deterministic singleflight proof: the first caller blocks inside
-	// run until every other caller has had time to join; exactly one
-	// execution happens and everyone gets its result.
-	co := newCoalescer[engine.SpecKey, engine.Result](8)
-	key := mustKey(t, engine.Spec{App: "minife", Geometry: testGeom()})
+// TestRefusedStudyKeepsCachedDataset: a study whose generation fails
+// takes no dataset-cache slot. With one cached dataset, studies over a
+// non-positive geometry answer 422, evict nothing, and a study on the
+// cached dataset under another alpha still finds it.
+func TestRefusedStudyKeepsCachedDataset(t *testing.T) {
+	s := New(Options{Workers: 1, MaxDatasets: 1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	geom := testGeom()
+	resp := postJSON(t, ts.URL+"/v1/study", StudySpec{App: "minife", Geometry: &geom})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("priming study: status %s", resp.Status)
+	}
+	resp.Body.Close()
 
-	const n = 6
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var executions int
-	var wg sync.WaitGroup
-	sources := make([]Source, n)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, sources[0] = co.do(key, func() (engine.Result, bool) {
-			close(started)
-			<-release
-			executions++
-			return engine.Result{}, true
-		})
-	}()
-	<-started
-	for i := 1; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, sources[i] = co.do(key, func() (engine.Result, bool) {
-				t.Error("second execution ran")
-				return engine.Result{}, true
-			})
-		}(i)
-	}
-	// Give the joiners time to attach to the flight, then release it.
-	time.Sleep(50 * time.Millisecond)
-	close(release)
-	wg.Wait()
-
-	if executions != 1 {
-		t.Fatalf("executions = %d, want 1", executions)
-	}
-	if sources[0] != SourceExecuted {
-		t.Errorf("first caller source = %q", sources[0])
-	}
-	for i := 1; i < n; i++ {
-		if sources[i] != SourceCoalesced {
-			t.Errorf("caller %d source = %q, want coalesced", i, sources[i])
+	for _, trials := range []int{-1, -2, 0} {
+		bad := testGeom()
+		bad.Trials = trials
+		resp := postJSON(t, ts.URL+"/v1/study", StudySpec{App: "minife", Geometry: &bad})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("trials %d: status %s, want 422", trials, resp.Status)
 		}
 	}
-	// And the finished flight landed in the result cache.
-	if _, src := co.do(key, func() (engine.Result, bool) {
-		t.Error("cached key re-executed")
-		return engine.Result{}, true
-	}); src != SourceResultCache {
-		t.Errorf("post-flight source = %q, want result-cache", src)
+	if n := s.Engine().EvictedDatasets(); n != 0 {
+		t.Fatalf("refused studies evicted %d datasets, want 0", n)
 	}
-}
 
-func TestCoalescerLRUEviction(t *testing.T) {
-	co := newCoalescer[engine.SpecKey, engine.Result](2)
-	keys := make([]engine.SpecKey, 3)
-	for i := range keys {
-		g := testGeom()
-		g.Seed = uint64(i + 1)
-		keys[i] = mustKey(t, engine.Spec{App: "minife", Geometry: g})
-		co.do(keys[i], func() (engine.Result, bool) { return engine.Result{}, true })
+	resp = postJSON(t, ts.URL+"/v1/study", StudySpec{App: "minife", Geometry: &geom,
+		Policy: &PolicySpec{Alpha: 0.01}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("second study: status %s", resp.Status)
 	}
-	if co.size() != 2 {
-		t.Fatalf("cache size = %d, want 2", co.size())
-	}
-	// keys[0] was evicted; keys[1] and keys[2] remain.
-	if _, src := co.do(keys[0], func() (engine.Result, bool) { return engine.Result{}, true }); src != SourceExecuted {
-		t.Errorf("evicted key source = %q, want executed", src)
-	}
-	if _, src := co.do(keys[2], func() (engine.Result, bool) {
-		t.Error("resident key re-executed")
-		return engine.Result{}, true
-	}); src != SourceResultCache {
-		t.Errorf("resident key source = %q, want result-cache", src)
+	var out StudyResponse
+	decodeInto(t, resp, &out)
+	if out.Source != SourceExecuted || !out.DatasetCacheHit {
+		t.Fatalf("study on the cached dataset: source %q, dataset_cache_hit %v; want executed on a cached dataset",
+			out.Source, out.DatasetCacheHit)
 	}
 }
 

@@ -307,7 +307,7 @@ func (s *Server) runStrategyCell(ctx context.Context, c StrategyCell, cfg stratC
 		}
 		s.fleetFallbacks.Add(1)
 	}
-	row, src := s.strat.do(key, func() (StrategyRow, bool) {
+	row, src := s.strat.Do(key, func() (StrategyRow, bool) {
 		defer s.acquire()()
 		r := s.strategyCell(c, cfg)
 		return r, r.Err == ""

@@ -10,6 +10,7 @@ import (
 	"earlybird/internal/engine"
 	"earlybird/internal/network"
 	"earlybird/internal/partcomm"
+	"earlybird/internal/share"
 )
 
 // PolicySpec is the policy envelope of the /v1 study endpoints: the
@@ -125,18 +126,19 @@ func WireStudySpec(resolved engine.Spec) StudySpec {
 }
 
 // Source labels how a study response was produced, from cheapest to most
-// expensive.
-type Source string
+// expensive: the labels of the result cache the study and strategy
+// paths share (internal/share).
+type Source = share.Source
 
 const (
 	// SourceResultCache: the resolved spec was in the LRU result cache.
-	SourceResultCache Source = "result-cache"
+	SourceResultCache = share.Cached
 	// SourceCoalesced: the request attached to an identical in-flight
 	// execution and shared its result.
-	SourceCoalesced Source = "coalesced"
+	SourceCoalesced = share.Coalesced
 	// SourceExecuted: this request ran the analysis itself (the dataset
 	// may still have come from the engine's cache — see DatasetCacheHit).
-	SourceExecuted Source = "executed"
+	SourceExecuted = share.Executed
 )
 
 // StudyResponse is the /v1/study reply: the resolved spec's identity,

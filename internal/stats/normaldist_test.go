@@ -75,19 +75,6 @@ func TestChiSquaredSFKnownValues(t *testing.T) {
 	approx(t, "chi2 sf x=0", ChiSquaredSF(0, 3), 1, 0)
 }
 
-func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 3})
-	approx(t, "F(0)", e.At(0), 0, 0)
-	approx(t, "F(1)", e.At(1), 0.25, 1e-12)
-	approx(t, "F(2)", e.At(2), 0.75, 1e-12)
-	approx(t, "F(3)", e.At(3), 1, 0)
-	approx(t, "F(10)", e.At(10), 1, 0)
-	if e.N() != 4 {
-		t.Errorf("N = %d", e.N())
-	}
-	approx(t, "q(0.5)", e.Quantile(0.5), 2, 1e-12)
-}
-
 func TestHistogramBinning(t *testing.T) {
 	h := NewHistogram([]float64{0.1, 0.12, 0.19, 0.25, 0.31}, 0.1)
 	if h.Total != 5 {
