@@ -71,7 +71,9 @@ clean-store:
 # pruned ones (TestSortBitIdentical), the fleet shard paths — both driven by
 # the shared block kernel — against single-node execution, and a local
 # sweep cell above the cache bound against the same cell below it
-# (TestSweepRowSameAtAnyCacheBound). The moments
+# (TestSweepRowSameAtAnyCacheBound), and the fill itself: the static
+# golden fingerprints and the with/without-progress-sink fingerprints of
+# cluster's one fill loop per policy. The moments
 # wrap each product in float64() so that no compiler may fuse it into an
 # FMA (DESIGN.md, "Hot path & performance model"); this target re-proves
 # the bits under amd64's wider instruction set and is the first slice of
@@ -79,6 +81,7 @@ clean-store:
 test-bitident-v3:
 	GOAMD64=v3 $(GO) test -count=1 -run 'BitIdentical|OnePassMoments|ErfcPair' ./internal/stats/... ./internal/core ./internal/sortx
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestShardMergeBitIdenticalToSingleNode|TestShardStreamedPathBitIdentical|TestSweepRowSameAtAnyCacheBound' ./internal/serve
+	GOAMD64=v3 $(GO) test -count=1 -run 'TestDLBStaticGoldenFingerprint|TestProgressSinkDoesNotPerturbFill' ./internal/cluster
 
 # Shell-level tests for the repo's scripts — today the bench gate's
 # comparison verdicts (scripts/bench_gate_test.sh), in particular that a

@@ -15,6 +15,7 @@ import (
 	"earlybird"
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
+	"earlybird/internal/dlb"
 	"earlybird/internal/experiments"
 	"earlybird/internal/network"
 	"earlybird/internal/partcomm"
@@ -335,7 +336,7 @@ func BenchmarkShardObserve(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		col, err := cluster.RunColumnar(model, geom, 0)
+		col, err := cluster.RunColumnar(model, geom, dlb.Spec{}, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -366,7 +367,7 @@ func BenchmarkShardWire(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		col, err := cluster.RunColumnar(model, geom, 0)
+		col, err := cluster.RunColumnar(model, geom, dlb.Spec{}, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -32,3 +32,27 @@ func TestBinTimeoutFloorAndSpanCap(t *testing.T) {
 		t.Fatalf("1e4 s span at 1 ms: error %v, want a bin-cap violation", err)
 	}
 }
+
+// TestPartBytesRange: -part-bytes below zero is refused on the local
+// path and with -remote alike, instead of assessing every strategy as
+// finishing together with a negative overlap; zero is the 1 MiB
+// default locally, as it is at the service.
+func TestPartBytesRange(t *testing.T) {
+	ts := newService(t)
+	study := []string{"-app", "minife", "-trials", "1", "-iters", "4"}
+	for name, args := range map[string][]string{
+		"local":  append(study, "-part-bytes", "-5"),
+		"remote": append(study, "-part-bytes", "-5", "-remote", ts.URL),
+	} {
+		if _, err := runCmd(t, args...); err == nil || !strings.Contains(err.Error(), "part") {
+			t.Errorf("%s: error %v, want a -part-bytes refusal", name, err)
+		}
+	}
+	zero, err := runCmd(t, append(study, "-part-bytes", "0")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def, _ := runCmd(t, study...); zero != def {
+		t.Errorf("-part-bytes 0 printed\n%s\nwant the default's\n%s", zero, def)
+	}
+}

@@ -53,6 +53,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -69,6 +70,7 @@ import (
 	"earlybird/internal/cluster"
 	"earlybird/internal/core"
 	"earlybird/internal/dlb"
+	"earlybird/internal/engine"
 	"earlybird/internal/fleet"
 	"earlybird/internal/network"
 	"earlybird/internal/partcomm"
@@ -146,6 +148,9 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 	if err := partcomm.CheckBinTimeout(*timeoutMs * 1e-3); err != nil {
 		return fmt.Errorf("-bin-timeout-ms: %w", err)
 	}
+	if err := engine.CheckAnalysis(0, 0, *partBytes); err != nil {
+		return fmt.Errorf("-part-bytes: %w", err)
+	}
 
 	// The geometry the study runs at: -geometry (shared syntax), or the
 	// legacy -trials/-iters sizing flags around the CLI's 8x48 shape.
@@ -170,7 +175,7 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 	opts := cli{
 		app:        app.Name,
 		in:         *in,
-		partBytes:  *partBytes,
+		partBytes:  cmp.Or(*partBytes, 1<<20), // 0 is the default, as at /v1/study
 		timeoutSec: *timeoutMs * 1e-3,
 		timeouts:   binTimeouts(set, *timeoutMs),
 		geom:       geom,

@@ -71,7 +71,7 @@ func TestKernelMatchesStandaloneAccumulators(t *testing.T) {
 	for _, policy := range []dlb.Spec{{}, {Policy: dlb.PolicyLeWI}} {
 		for _, model := range []workload.Model{workload.DefaultMiniFE(), workload.DefaultMiniMD(), workload.DefaultMiniQMC()} {
 			cfg := cluster.Config{Trials: 2, Ranks: 3, Iterations: 9, Threads: 48, Seed: 7}
-			col, err := cluster.RunColumnarDLB(model, cfg, policy, 0)
+			col, err := cluster.RunColumnar(model, cfg, policy, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

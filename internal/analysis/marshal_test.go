@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"earlybird/internal/cluster"
+	"earlybird/internal/dlb"
 	"earlybird/internal/stats/normality"
 	"earlybird/internal/wire"
 	"earlybird/internal/workload"
@@ -59,7 +60,7 @@ func referenceMetricsEncoding(t *testing.T, a *MetricsAccumulator) []byte {
 func TestAppendBinaryMatchesReferenceEncoding(t *testing.T) {
 	cfg := cluster.Config{Trials: 2, Ranks: 3, Iterations: 9, Threads: 48, Seed: 5}
 	for _, model := range []workload.Model{workload.DefaultMiniFE(), workload.DefaultMiniQMC()} {
-		col, err := cluster.RunColumnar(model, cfg, 0)
+		col, err := cluster.RunColumnar(model, cfg, dlb.Spec{}, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,7 +59,7 @@ func TestPartitionInvariance(t *testing.T) {
 			Threads:    8 + rng.Intn(17),
 			Seed:       uint64(100 + round),
 		}
-		col, err := cluster.RunColumnar(model, cfg, 0)
+		col, err := cluster.RunColumnar(model, cfg, dlb.Spec{}, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestPartitionInvariance(t *testing.T) {
 func TestPartitionInvarianceDLB(t *testing.T) {
 	model := workload.DefaultMiniFE()
 	cfg := cluster.Config{Trials: 5, Ranks: 4, Iterations: 10, Threads: 48, Seed: 1}
-	static, err := cluster.RunColumnar(model, cfg, 0)
+	static, err := cluster.RunColumnar(model, cfg, dlb.Spec{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestPartitionInvarianceDLB(t *testing.T) {
 		{Policy: dlb.PolicyLeWI},
 		{Policy: dlb.PolicyDROM, ReactionIters: 2},
 	} {
-		col, err := cluster.RunColumnarDLB(model, cfg, policy, 0)
+		col, err := cluster.RunColumnar(model, cfg, policy, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestPartitionInvarianceDLB(t *testing.T) {
 func TestPartitionInvarianceContiguous(t *testing.T) {
 	model := workload.DefaultMiniFE()
 	cfg := cluster.Config{Trials: 6, Ranks: 2, Iterations: 8, Threads: 16, Seed: 77}
-	col, err := cluster.RunColumnar(model, cfg, 0)
+	col, err := cluster.RunColumnar(model, cfg, dlb.Spec{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestPartitionInvarianceContiguous(t *testing.T) {
 func TestMetricsAccumulatorBinaryRoundTrip(t *testing.T) {
 	model := workload.DefaultMiniQMC()
 	cfg := cluster.Config{Trials: 2, Ranks: 2, Iterations: 6, Threads: 12, Seed: 5}
-	col, err := cluster.RunColumnar(model, cfg, 0)
+	col, err := cluster.RunColumnar(model, cfg, dlb.Spec{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

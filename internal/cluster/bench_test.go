@@ -36,7 +36,7 @@ func BenchmarkFillDLB(b *testing.B) {
 		b.Run(policy.Name(), func(b *testing.B) {
 			b.SetBytes(int64(cfg.Samples()) * 8)
 			for i := 0; i < b.N; i++ {
-				if _, err := RunColumnarDLB(model, cfg, policy, 0); err != nil {
+				if _, err := RunColumnar(model, cfg, policy, 0, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,8 +1,25 @@
 // Package cluster runs a full study job — trials x ranks x iterations x
-// threads — over a workload model, producing the trace.Dataset that the
-// analysis pipeline consumes, or — via RunStream — feeding per-iteration
-// sample blocks straight to subscribed accumulators so aggregate-only
-// studies never materialise the dataset at all.
+// threads — over a workload model. RunStream is the one fill routine: it
+// feeds per-iteration sample blocks to subscribed accumulators, so
+// aggregate-only studies never materialise the dataset, and optionally
+// writes them into a trace.Sink. RunColumnar is that routine into a
+// sealed columnar store, Run its nested Dataset view, and ObserveTrials
+// a bounded-memory, cursor-ordered fill of a trial range.
+//
+// Every fill takes a dlb.Spec. The static policy (the zero Spec)
+// fills one task per (trial, rank), with no cross-rank coupling,
+// bit-identical to the pre-DLB runtime. Rebalancing policies couple the
+// ranks of a trial through the balancer: at every iteration boundary
+// the policy sees the trial's per-rank finish times and re-divides the
+// trial's thread budget, and a rank running on alloc threads instead of
+// its base complement has its (fixed-size) sample block scaled by
+// base/alloc — the work-conserving model of running the same work on
+// fewer or more cores. Those policies fill trial-major: one task per
+// trial, iterations in order, every rank of the iteration filled before
+// the balancer decides the next one. Rebalancing is strictly per-trial,
+// so trial-sharded federation remains exact under any policy, and the
+// result stays deterministic in the seed because the RNG coordinates of
+// every block are unchanged — only the deterministic post-scale differs.
 //
 // The default geometry mirrors the paper's experimental configuration on
 // Manzano (Section 3.2): ten trials, eight processes per job, 48 threads
@@ -76,53 +93,29 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Run executes the study described by cfg over the model and returns the
-// collected dataset. Process iterations are filled concurrently (one task
-// per trial x rank); the result is deterministic in cfg.Seed regardless of
-// scheduling because every (trial, rank, iteration) derives its own
-// random stream.
+// Run executes the study described by cfg over the model under the
+// static policy and returns the collected dataset: RunColumnar's sealed
+// store, on one fill goroutine per CPU, viewed as a nested Dataset.
 func Run(model workload.Model, cfg Config) (*trace.Dataset, error) {
-	return RunWorkers(model, cfg, 0)
-}
-
-// RunDLB is Run under a rebalancing policy: thread ownership shifts
-// between ranks at iteration boundaries as the policy dictates, and the
-// sample times reflect the shifted allocations (see RunStreamDLB).
-func RunDLB(model workload.Model, cfg Config, policy dlb.Spec) (*trace.Dataset, error) {
-	col, err := RunColumnarDLB(model, cfg, policy, 0)
+	col, err := RunColumnar(model, cfg, dlb.Spec{}, 0, nil)
 	if err != nil {
 		return nil, err
 	}
 	return col.Dataset(), nil
 }
 
-// RunWorkers is Run with an explicit bound on the number of fill
-// goroutines; workers <= 0 means one per CPU. The campaign engine uses
-// this to divide the machine between concurrently executing studies
-// instead of oversubscribing it.
-func RunWorkers(model workload.Model, cfg Config, workers int) (*trace.Dataset, error) {
-	col, err := RunColumnar(model, cfg, workers)
-	if err != nil {
-		return nil, err
-	}
-	return col.Dataset(), nil
-}
-
-// RunColumnar executes the study into a columnar sink and returns the
-// sealed store: the compact form the campaign engine caches. The dataset
-// fingerprint is accumulated stripe-by-stripe while the samples are
-// produced, so Seal pays no second pass over the data.
-func RunColumnar(model workload.Model, cfg Config, workers int) (*trace.Columnar, error) {
-	return RunColumnarDLB(model, cfg, dlb.Spec{}, workers)
-}
-
-// RunColumnarDLB is RunColumnar under a rebalancing policy.
-func RunColumnarDLB(model workload.Model, cfg Config, policy dlb.Spec, workers int) (*trace.Columnar, error) {
+// RunColumnar executes the study under policy into a columnar sink and
+// returns the sealed store: the compact form the campaign engine
+// caches. It is RunStream into a sink with no block observers; workers
+// and progress mean what they mean there. The dataset fingerprint is
+// accumulated stripe-by-stripe while the samples are produced, so Seal
+// pays no second pass over the data.
+func RunColumnar(model workload.Model, cfg Config, policy dlb.Spec, workers int, progress ProgressSink) (*trace.Columnar, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	sink := trace.NewSink(model.Name(), cfg.Trials, cfg.Ranks, cfg.Iterations, cfg.Threads)
-	if _, err := RunStreamDLB(model, cfg, policy, workers, sink, nil); err != nil {
+	if _, err := RunStream(model, cfg, policy, workers, sink, nil, progress); err != nil {
 		return nil, err
 	}
 	return sink.Seal()
@@ -143,9 +136,10 @@ type BlockObserver interface {
 //
 // No-perturbation contract: a sink only ever receives counts and
 // durations, never the sample slice, so it cannot perturb the result
-// path; and a nil sink costs one predicted branch per block, so the
-// detached hot path is unchanged (both properties are pinned by tests —
-// golden fingerprints with/without a sink, and the bench gate).
+// path; and a nil sink costs a predicted nil test before and after each
+// block — no clock read, no call — inside the same fill loop an
+// attached sink runs (both properties are pinned by tests — golden
+// fingerprints with/without a sink, and the bench gate).
 type ProgressSink interface {
 	// ObserveFill reports one produced process-iteration block: its
 	// sample count and the worker time spent filling it.
@@ -154,19 +148,6 @@ type ProgressSink interface {
 	// on a lent (non-base) thread allocation. Never called under the
 	// static policy.
 	ObserveLend(n int)
-}
-
-// RunColumnarObserved is RunColumnarDLB with a live progress sink
-// attached to the fill.
-func RunColumnarObserved(model workload.Model, cfg Config, policy dlb.Spec, workers int, progress ProgressSink) (*trace.Columnar, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	sink := trace.NewSink(model.Name(), cfg.Trials, cfg.Ranks, cfg.Iterations, cfg.Threads)
-	if _, err := RunStreamObserved(model, cfg, policy, workers, sink, nil, progress); err != nil {
-		return nil, err
-	}
-	return sink.Seal()
 }
 
 // ObserveTrials fills trials [lo, hi) of cfg under policy and feeds obs
@@ -199,13 +180,13 @@ func ObserveTrials(model workload.Model, cfg Config, lo, hi int, policy dlb.Spec
 			return fmt.Errorf("cluster: a rebalanced trial of %d samples is over the %d-sample bound", perTrial, maxSamples)
 		}
 		run.Trials = hi - lo
-		_, err := RunStreamObserved(ShiftTrials(model, lo), run, resolved, 1, nil,
+		_, err := RunStream(ShiftTrials(model, lo), run, resolved, 1, nil,
 			func() BlockObserver { return shiftedObserver{obs, lo} }, progress)
 		return err
 	}
 	for t := lo; t < hi; t += run.Trials {
 		run.Trials = min(maxSamples/perTrial, hi-t)
-		col, err := RunColumnarObserved(ShiftTrials(model, t), run, resolved, workers, progress)
+		col, err := RunColumnar(ShiftTrials(model, t), run, resolved, workers, progress)
 		if err != nil {
 			return err
 		}
@@ -251,50 +232,26 @@ func (o shiftedObserver) ObserveBlock(trial, rank, iter int, xs []float64) {
 	o.BlockObserver.ObserveBlock(trial+o.lo, rank, iter, xs)
 }
 
-// RunStream executes the study as a stream: per-iteration sample blocks
-// are handed to subscribed observers the moment they are produced, and —
-// when sink is nil — discarded immediately afterwards, so a study whose
-// caller only needs aggregates runs in O(workers x threads) live sample
-// memory regardless of geometry. A non-nil sink must match cfg's
-// geometry; its stripes are filled in place (zero copy) rank-by-rank in
-// parallel and the caller seals it afterwards.
+// RunStream is the one fill routine: it executes the study under policy
+// (the package doc explains static versus rebalancing fills) on up to
+// workers goroutines (<= 0: one per CPU), handing per-iteration sample
+// blocks to subscribed observers the moment they are produced and —
+// when sink is nil — discarding them immediately afterwards, so a study
+// whose caller only needs aggregates runs in O(workers x threads) live
+// sample memory regardless of geometry. A non-nil sink must match cfg's
+// geometry; its stripes are filled in place (zero copy) and the caller
+// seals it afterwards.
 //
 // newObserver, when non-nil, is invoked once per fill worker; each worker
 // feeds its own observer, so observers need no internal locking, and the
-// created observers are returned for the caller to merge. The result is
-// deterministic in cfg.Seed regardless of scheduling because every
+// created observers are returned for the caller to merge. progress, when
+// non-nil, receives live fill telemetry (see ProgressSink). The result
+// is deterministic in cfg.Seed regardless of scheduling because every
 // (trial, rank, iteration) derives its own random stream — but the
-// partition of blocks across observers is scheduling-dependent, so
+// partition of blocks across observers depends on the worker count, so
 // observer state must be merge-order-independent (as the mergeable
 // accumulators in stats and analysis are).
-func RunStream(model workload.Model, cfg Config, workers int, sink *trace.Sink, newObserver func() BlockObserver) ([]BlockObserver, error) {
-	return RunStreamDLB(model, cfg, dlb.Spec{}, workers, sink, newObserver)
-}
-
-// RunStreamDLB is RunStream under a dynamic load-balancing policy.
-//
-// The static policy (the zero Spec) takes the historical fill path —
-// one task per (trial, rank), no cross-rank coupling — and is
-// bit-identical to the pre-DLB runtime. Rebalancing policies couple the
-// ranks of a trial through the balancer: at every iteration boundary the
-// policy sees the trial's per-rank finish times and re-divides the
-// trial's thread budget, and a rank running on alloc threads instead of
-// its base complement has its (fixed-size) sample block scaled by
-// base/alloc — the work-conserving model of running the same work on
-// fewer or more cores. Those policies therefore fill trial-major: one
-// task per trial, iterations in order, every rank of the iteration
-// filled before the balancer decides the next one. Rebalancing is
-// strictly per-trial, so trial-sharded federation remains exact under
-// any policy, and determinism in cfg.Seed is preserved because the RNG
-// coordinates of every sample block are unchanged — only the
-// deterministic post-scale differs.
-func RunStreamDLB(model workload.Model, cfg Config, policy dlb.Spec, workers int, sink *trace.Sink, newObserver func() BlockObserver) ([]BlockObserver, error) {
-	return RunStreamObserved(model, cfg, policy, workers, sink, newObserver, nil)
-}
-
-// RunStreamObserved is RunStreamDLB with an optional live progress sink
-// (see ProgressSink); nil detaches telemetry at zero cost.
-func RunStreamObserved(model workload.Model, cfg Config, policy dlb.Spec, workers int, sink *trace.Sink, newObserver func() BlockObserver, progress ProgressSink) ([]BlockObserver, error) {
+func RunStream(model workload.Model, cfg Config, policy dlb.Spec, workers int, sink *trace.Sink, newObserver func() BlockObserver, progress ProgressSink) ([]BlockObserver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -326,15 +283,12 @@ func stripeRange(tasks, workers, w int) (lo, hi int) {
 	return w * tasks / workers, (w + 1) * tasks / workers
 }
 
-// runStreamStatic is the historical fill loop: one task per
-// (trial, rank), blocks produced in iteration order within the task.
-// Workers are stripe-pinned: worker w owns a contiguous range of the
-// trial-major stripe index s = trial*Ranks + rank, fixed up front. The
-// pinning removes the per-stripe channel rendezvous of the historical
-// work queue and makes the block→observer partition deterministic; the
-// samples themselves are unchanged because every (trial, rank,
-// iteration) derives its own random stream regardless of which worker
-// fills it.
+// runStreamStatic is the static fill loop: one task per (trial, rank),
+// blocks produced in iteration order within the task. Workers are
+// stripe-pinned: worker w owns a contiguous range of the trial-major
+// stripe index s = trial*Ranks + rank, fixed up front, which makes the
+// block→observer partition deterministic; the samples themselves do not
+// depend on which worker fills them. Sinks attach by plain branches.
 func runStreamStatic(model workload.Model, cfg Config, workers int, sink *trace.Sink, newObserver func() BlockObserver, progress ProgressSink) ([]BlockObserver, error) {
 	root := rng.New(cfg.Seed)
 
@@ -358,51 +312,30 @@ func runStreamStatic(model workload.Model, cfg Config, workers int, sink *trace.
 			if sink == nil {
 				scratch = make([]float64, cfg.Threads)
 			}
-			// The progress==nil loops below replicate the detached fill
-			// byte-for-byte: hoisting the branch keeps the instrumented
-			// variables out of the hot loop's register set, so telemetry
-			// is zero-cost when no sink is attached (the bench gate
-			// holds the line).
 			for s := lo; s < hi; s++ {
 				trial, rank := s/cfg.Ranks, s%cfg.Ranks
-				switch {
-				case sink != nil && progress == nil:
-					sw := sink.Stripe(trial, rank)
-					for i := 0; i < cfg.Iterations; i++ {
-						out := sw.AppendWith(func(out []float64) {
+				var sw *trace.StripeWriter
+				if sink != nil {
+					sw = sink.Stripe(trial, rank)
+				}
+				for i := 0; i < cfg.Iterations; i++ {
+					var start time.Time
+					if progress != nil {
+						start = time.Now()
+					}
+					out := scratch
+					if sw != nil {
+						out = sw.AppendWith(func(out []float64) {
 							model.FillProcessIteration(root, trial, rank, i, out)
 						})
-						if obs != nil {
-							obs.ObserveBlock(trial, rank, i, out)
-						}
+					} else {
+						model.FillProcessIteration(root, trial, rank, i, out)
 					}
-				case sink == nil && progress == nil:
-					for i := 0; i < cfg.Iterations; i++ {
-						model.FillProcessIteration(root, trial, rank, i, scratch)
-						if obs != nil {
-							obs.ObserveBlock(trial, rank, i, scratch)
-						}
+					if obs != nil {
+						obs.ObserveBlock(trial, rank, i, out)
 					}
-				case sink != nil:
-					sw := sink.Stripe(trial, rank)
-					for i := 0; i < cfg.Iterations; i++ {
-						fillStart := time.Now()
-						out := sw.AppendWith(func(out []float64) {
-							model.FillProcessIteration(root, trial, rank, i, out)
-						})
-						if obs != nil {
-							obs.ObserveBlock(trial, rank, i, out)
-						}
-						progress.ObserveFill(len(out), time.Since(fillStart))
-					}
-				default:
-					for i := 0; i < cfg.Iterations; i++ {
-						fillStart := time.Now()
-						model.FillProcessIteration(root, trial, rank, i, scratch)
-						if obs != nil {
-							obs.ObserveBlock(trial, rank, i, scratch)
-						}
-						progress.ObserveFill(len(scratch), time.Since(fillStart))
+					if progress != nil {
+						progress.ObserveFill(len(out), time.Since(start))
 					}
 				}
 			}
@@ -444,9 +377,6 @@ func runStreamBalanced(model workload.Model, cfg Config, policy dlb.Spec, worker
 			}
 			finish := make([]float64, cfg.Ranks)
 			var writers []*trace.StripeWriter
-			// As in runStreamStatic, the progress==nil iteration loop is
-			// the pre-telemetry body verbatim so a detached fill pays
-			// nothing for the hook.
 			for trial := lo; trial < hi; trial++ {
 				bal := policy.NewBalancer(cfg.Ranks, cfg.Threads)
 				if sink != nil {
@@ -455,59 +385,37 @@ func runStreamBalanced(model workload.Model, cfg Config, policy dlb.Spec, worker
 						writers = append(writers, sink.Stripe(trial, r))
 					}
 				}
-				if progress == nil {
-					for i := 0; i < cfg.Iterations; i++ {
-						alloc := bal.Alloc(i)
-						for r := 0; r < cfg.Ranks; r++ {
-							t, r, i := trial, r, i
-							var out []float64
-							if sink != nil {
-								out = writers[r].AppendWith(func(out []float64) {
-									model.FillProcessIteration(root, t, r, i, out)
-									scaleBlock(out, cfg.Threads, alloc[r])
-								})
-							} else {
-								model.FillProcessIteration(root, t, r, i, scratch)
-								scaleBlock(scratch, cfg.Threads, alloc[r])
-								out = scratch
-							}
-							finish[r] = blockMax(out)
-							if obs != nil {
-								obs.ObserveBlock(t, r, i, out)
-							}
-						}
-						bal.Observe(i, finish)
-					}
-					continue
-				}
 				for i := 0; i < cfg.Iterations; i++ {
 					alloc := bal.Alloc(i)
 					lent := 0
 					for r := 0; r < cfg.Ranks; r++ {
-						t, r, i := trial, r, i
-						fillStart := time.Now()
+						var start time.Time
+						if progress != nil {
+							start = time.Now()
+						}
 						if alloc[r] != cfg.Threads {
 							lent++
 						}
-						var out []float64
+						out := scratch
 						if sink != nil {
 							out = writers[r].AppendWith(func(out []float64) {
-								model.FillProcessIteration(root, t, r, i, out)
+								model.FillProcessIteration(root, trial, r, i, out)
 								scaleBlock(out, cfg.Threads, alloc[r])
 							})
 						} else {
-							model.FillProcessIteration(root, t, r, i, scratch)
-							scaleBlock(scratch, cfg.Threads, alloc[r])
-							out = scratch
+							model.FillProcessIteration(root, trial, r, i, out)
+							scaleBlock(out, cfg.Threads, alloc[r])
 						}
 						finish[r] = blockMax(out)
 						if obs != nil {
-							obs.ObserveBlock(t, r, i, out)
+							obs.ObserveBlock(trial, r, i, out)
 						}
-						progress.ObserveFill(len(out), time.Since(fillStart))
+						if progress != nil {
+							progress.ObserveFill(len(out), time.Since(start))
+						}
 					}
 					bal.Observe(i, finish)
-					if lent > 0 {
+					if lent > 0 && progress != nil {
 						progress.ObserveLend(lent)
 					}
 				}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"earlybird/internal/dlb"
 	"earlybird/internal/trace"
 	"earlybird/internal/workload"
 )
@@ -102,7 +103,7 @@ func TestRunStreamObserversSeeEveryBlock(t *testing.T) {
 	model := &workload.MiniFE{}
 	cfg := Config{Trials: 2, Ranks: 3, Iterations: 20, Threads: 16, Seed: 7}
 
-	obs, err := RunStream(model, cfg, 4, nil, func() BlockObserver { return &countingObserver{} })
+	obs, err := RunStream(model, cfg, dlb.Spec{}, 4, nil, func() BlockObserver { return &countingObserver{} }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +121,11 @@ func TestRunStreamObserversSeeEveryBlock(t *testing.T) {
 		t.Fatalf("observers saw %d samples, want %d", total.n, want)
 	}
 
-	d, err := RunWorkers(model, cfg, 2)
+	view, err := RunColumnar(model, cfg, dlb.Spec{}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := view.Dataset()
 	exact := 0.0
 	for _, x := range d.AllSamples() {
 		exact += x
@@ -139,14 +141,15 @@ func TestRunStreamObserversSeeEveryBlock(t *testing.T) {
 func TestRunColumnarMatchesRunWorkers(t *testing.T) {
 	model := &workload.MiniMD{}
 	cfg := Config{Trials: 2, Ranks: 2, Iterations: 15, Threads: 8, Seed: 3}
-	col, err := RunColumnar(model, cfg, 3)
+	col, err := RunColumnar(model, cfg, dlb.Spec{}, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := RunWorkers(model, cfg, 1)
+	view, err := RunColumnar(model, cfg, dlb.Spec{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := view.Dataset()
 	if col.Fingerprint() != d.Fingerprint() {
 		t.Fatal("columnar and dataset fingerprints differ")
 	}
@@ -161,7 +164,7 @@ func TestRunStreamWithSinkFeedsObserversAndSink(t *testing.T) {
 	model := &workload.MiniQMC{}
 	cfg := Config{Trials: 1, Ranks: 2, Iterations: 10, Threads: 8, Seed: 1}
 	sink := trace.NewSink(model.Name(), cfg.Trials, cfg.Ranks, cfg.Iterations, cfg.Threads)
-	obs, err := RunStream(model, cfg, 2, sink, func() BlockObserver { return &countingObserver{} })
+	obs, err := RunStream(model, cfg, dlb.Spec{}, 2, sink, func() BlockObserver { return &countingObserver{} }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +186,7 @@ func TestRunStreamRejectsMismatchedSink(t *testing.T) {
 	model := &workload.MiniFE{}
 	cfg := Config{Trials: 2, Ranks: 2, Iterations: 4, Threads: 4, Seed: 1}
 	sink := trace.NewSink(model.Name(), 1, 2, 4, 4)
-	if _, err := RunStream(model, cfg, 1, sink, nil); err == nil {
+	if _, err := RunStream(model, cfg, dlb.Spec{}, 1, sink, nil, nil); err == nil {
 		t.Fatal("expected geometry mismatch error")
 	}
 }

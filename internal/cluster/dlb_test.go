@@ -34,7 +34,7 @@ func TestDLBStaticGoldenFingerprint(t *testing.T) {
 		}
 		for name, cfg := range map[string]Config{"paper": DefaultConfig(), "quick": SmallConfig()} {
 			for _, policy := range []dlb.Spec{{}, {Policy: dlb.PolicyStatic}} {
-				col, err := RunColumnarDLB(model, cfg, policy, 0)
+				col, err := RunColumnar(model, cfg, policy, 0, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -53,19 +53,19 @@ func TestDLBStaticGoldenFingerprint(t *testing.T) {
 func TestDLBPolicyChangesBits(t *testing.T) {
 	model := workload.DefaultMiniFE()
 	cfg := SmallConfig()
-	static, err := RunColumnarDLB(model, cfg, dlb.Spec{}, 0)
+	static, err := RunColumnar(model, cfg, dlb.Spec{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, policy := range []dlb.Spec{{Policy: dlb.PolicyLeWI}, {Policy: dlb.PolicyDROM}} {
-		a, err := RunColumnarDLB(model, cfg, policy, 0)
+		a, err := RunColumnar(model, cfg, policy, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if a.Fingerprint() == static.Fingerprint() {
 			t.Errorf("%s produced the static bits; rebalancing had no effect", policy.Name())
 		}
-		b, err := RunColumnarDLB(model, cfg, policy, 1)
+		b, err := RunColumnar(model, cfg, policy, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestDLBPolicyChangesBits(t *testing.T) {
 // TestDLBRejectsInvalidPolicy: an invalid spec is an error, not a
 // silent fallback.
 func TestDLBRejectsInvalidPolicy(t *testing.T) {
-	if _, err := RunColumnarDLB(workload.DefaultMiniFE(), SmallConfig(), dlb.Spec{Policy: "turbo"}, 0); err == nil {
+	if _, err := RunColumnar(workload.DefaultMiniFE(), SmallConfig(), dlb.Spec{Policy: "turbo"}, 0, nil); err == nil {
 		t.Fatal("invalid policy accepted")
 	}
 }
@@ -108,13 +108,13 @@ func TestLeWIStreamDeliversEveryBlockOnce(t *testing.T) {
 	cfg := SmallConfig()
 	var mu sync.Mutex
 	var counters []*blockCounter
-	obs, err := RunStreamDLB(workload.DefaultMiniMD(), cfg, dlb.Spec{Policy: dlb.PolicyLeWI}, 4, nil, func() BlockObserver {
+	obs, err := RunStream(workload.DefaultMiniMD(), cfg, dlb.Spec{Policy: dlb.PolicyLeWI}, 4, nil, func() BlockObserver {
 		c := &blockCounter{threads: cfg.Threads, seen: map[[3]int]int{}}
 		mu.Lock()
 		counters = append(counters, c)
 		mu.Unlock()
 		return c
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,14 +149,14 @@ func TestDLBStreamMatchesColumnar(t *testing.T) {
 	model := workload.DefaultMiniQMC()
 	policy := dlb.Spec{Policy: dlb.PolicyDROM, ReactionIters: 2}
 
-	col, err := RunColumnarDLB(model, cfg, policy, 0)
+	col, err := RunColumnar(model, cfg, policy, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	type sums struct{ total float64 }
 	var mu sync.Mutex
 	var all []*sums
-	_, err = RunStreamDLB(model, cfg, policy, 2, nil, func() BlockObserver {
+	_, err = RunStream(model, cfg, policy, 2, nil, func() BlockObserver {
 		s := &sums{}
 		mu.Lock()
 		all = append(all, s)
@@ -166,7 +166,7 @@ func TestDLBStreamMatchesColumnar(t *testing.T) {
 				s.total += x
 			}
 		})
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestObserveTrialsMatchesCursor(t *testing.T) {
 	perTrial := cfg.Ranks * cfg.Iterations * cfg.Threads
 	lewi := dlb.Spec{Policy: dlb.PolicyLeWI}
 	for _, policy := range []dlb.Spec{{}, lewi} {
-		col, err := RunColumnarDLB(workload.DefaultMiniMD(), cfg, policy, 2)
+		col, err := RunColumnar(workload.DefaultMiniMD(), cfg, policy, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,12 +49,12 @@ func TestProgressSinkDoesNotPerturbFill(t *testing.T) {
 		}
 		for name, cfg := range geoms {
 			for _, policy := range policies {
-				detached, err := RunColumnarDLB(model, cfg, policy, 4)
+				detached, err := RunColumnar(model, cfg, policy, 4, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sink := &countingSink{}
-				attached, err := RunColumnarObserved(model, cfg, policy, 4, sink)
+				attached, err := RunColumnar(model, cfg, policy, 4, sink)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,7 +95,7 @@ func TestProgressSinkDoesNotPerturbFill(t *testing.T) {
 // observe at least one lend event.
 func TestProgressSinkSeesLendEvents(t *testing.T) {
 	sink := &countingSink{}
-	if _, err := RunColumnarObserved(workload.DefaultMiniFE(), SmallConfig(), dlb.Spec{Policy: dlb.PolicyLeWI}, 2, sink); err != nil {
+	if _, err := RunColumnar(workload.DefaultMiniFE(), SmallConfig(), dlb.Spec{Policy: dlb.PolicyLeWI}, 2, sink); err != nil {
 		t.Fatal(err)
 	}
 	if sink.lends.Load() == 0 {

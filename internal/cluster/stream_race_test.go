@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"earlybird/internal/dlb"
 	"earlybird/internal/noise"
 	"earlybird/internal/workload"
 )
@@ -44,12 +45,12 @@ func TestStreamPooledScratchNoAliasing(t *testing.T) {
 		rec := blockRecorder{cfg: cfg, blocks: make([][]float64, cfg.Trials*cfg.Ranks*cfg.Iterations)}
 		var mu sync.Mutex
 		handed := 0
-		_, err := RunStream(model, cfg, workers, nil, func() BlockObserver {
+		_, err := RunStream(model, cfg, dlb.Spec{}, workers, nil, func() BlockObserver {
 			mu.Lock()
 			handed++
 			mu.Unlock()
 			return &rec
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -101,7 +101,7 @@ func streamRun(opts Options, withTable1, withSummary bool) (*StreamResult, error
 		}
 		return o
 	}
-	observers, err := cluster.RunStreamObserved(opts.Model, opts.Geometry, opts.Policy.DLB, 0, nil, newObs, opts.Progress)
+	observers, err := cluster.RunStream(opts.Model, opts.Geometry, opts.Policy.DLB, 0, nil, newObs, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -58,12 +58,6 @@ type Options struct {
 	// Policy bundles the study's policy axes; zero fields fill with the
 	// paper defaults.
 	Policy PolicySpec
-
-	// Progress, when non-nil, receives live fill telemetry from the
-	// study's generation (see cluster.ProgressSink and
-	// internal/telemetry). It only ever observes counts and durations,
-	// never samples, so attaching one cannot change any result.
-	Progress cluster.ProgressSink
 }
 
 // fillPolicy applies the paper defaults, canonicalises the DLB spec and
@@ -116,11 +110,11 @@ func NewStudy(opts Options) (*Study, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	ds, err := cluster.RunDLB(opts.Model, opts.Geometry, opts.Policy.DLB)
+	col, err := cluster.RunColumnar(opts.Model, opts.Geometry, opts.Policy.DLB, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Study{opts: opts, ds: ds}, nil
+	return &Study{opts: opts, ds: col.Dataset()}, nil
 }
 
 // FromDataset wraps an existing dataset (for example, read back from
@@ -336,8 +330,8 @@ func (s *Study) analyze(battery bool, bytesPerPart int, fabric network.Fabric, b
 // measured laggard statistics.
 func (s *Study) StrategySweep(bytesPerPart int, fabric network.Fabric, strategies []partcomm.Strategy) partcomm.Sweep {
 	if strategies == nil {
-		lag := analysis.LaggardsStream(s.ds.Cursor(), s.opts.Policy.LaggardThresholdSec)
-		strategies = partcomm.Grid(DefaultStrategyTimeoutsSec(), DefaultStrategyEWMAAlphas(), lag)
+		return partcomm.GridSweep(s.ds, bytesPerPart, fabric,
+			DefaultStrategyTimeoutsSec(), DefaultStrategyEWMAAlphas(), s.opts.Policy.LaggardThresholdSec)
 	}
 	return partcomm.SweepCursor(s.ds.Cursor(), bytesPerPart, fabric, strategies)
 }

@@ -63,9 +63,29 @@ type Spec struct {
 // serve layer resolves incoming wire specs once and coalesces on the key.
 func (sp Spec) Resolve() (Spec, error) { return sp.fill() }
 
+// CheckAnalysis is the one range rule for a study's analysis
+// parameters, on every path that takes them: a significance level
+// outside [0, 1), a negative laggard threshold and a negative partition
+// size are refused, NaN included. Zero passes: it means the paper
+// default for each.
+func CheckAnalysis(alpha, laggardThresholdSec float64, bytesPerPartition int) error {
+	switch {
+	case !(alpha >= 0 && alpha < 1):
+		return fmt.Errorf("alpha must be in [0, 1), got %g", alpha)
+	case !(laggardThresholdSec >= 0):
+		return fmt.Errorf("laggard_threshold_sec must not be negative, got %g", laggardThresholdSec)
+	case bytesPerPartition < 0:
+		return fmt.Errorf("bytes_per_partition must not be negative, got %d", bytesPerPartition)
+	}
+	return nil
+}
+
 // fill resolves defaults and the model; it returns the resolved spec so
 // dedup keys compare post-default values.
 func (sp Spec) fill() (Spec, error) {
+	if err := CheckAnalysis(sp.Alpha, sp.LaggardThresholdSec, sp.BytesPerPartition); err != nil {
+		return sp, fmt.Errorf("engine: %w", err)
+	}
 	if sp.Model == nil && sp.Dataset == nil {
 		if sp.App == "" {
 			return sp, errors.New("engine: spec needs App, Model or Dataset")

@@ -156,14 +156,10 @@ func (e *Engine) ColumnarDLB(model workload.Model, geom cluster.Config, policy d
 	return en.col, hit, nil
 }
 
-// Prefetch generates the datasets of several models at one geometry
-// concurrently — dataset generation only, no analysis — dividing the
-// machine fairly between them. Already-cached datasets cost nothing.
-func (e *Engine) Prefetch(models []workload.Model, geom cluster.Config) error {
-	return e.PrefetchDLB(models, geom, dlb.Spec{})
-}
-
-// PrefetchDLB is Prefetch under a rebalancing policy.
+// PrefetchDLB generates the datasets of several models at one geometry
+// under policy concurrently — dataset generation only, no analysis —
+// dividing the machine fairly between them. Already-cached datasets
+// cost nothing.
 func (e *Engine) PrefetchDLB(models []workload.Model, geom cluster.Config, policy dlb.Spec) error {
 	concurrent := min(e.workers, len(models))
 	errs := make([]error, len(models))
@@ -174,7 +170,7 @@ func (e *Engine) PrefetchDLB(models []workload.Model, geom cluster.Config, polic
 }
 
 // dataset is Dataset with an expected-concurrency hint from callers that
-// know their fan-out up front (campaigns, Prefetch), so every generation
+// know their fan-out up front (campaigns, PrefetchDLB), so every generation
 // in a batch gets its fair share of CPUs from the start instead of early
 // starters over-allocating.
 func (e *Engine) dataset(model workload.Model, geom cluster.Config, policy dlb.Spec, hint int) (*trace.Dataset, bool, error) {
@@ -214,7 +210,7 @@ func (e *Engine) entry(model workload.Model, geom cluster.Config, policy dlb.Spe
 				defer done()
 			}
 		}
-		col, err := cluster.RunColumnarObserved(model, geom, key.DLB, e.innerWorkers(concurrent), sink)
+		col, err := cluster.RunColumnar(model, geom, key.DLB, e.innerWorkers(concurrent), sink)
 		return &entry{col: col, err: err}, err == nil
 	})
 	return en, src != share.Executed, en.err

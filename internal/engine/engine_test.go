@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -340,5 +341,28 @@ func TestSpecKeyHash(t *testing.T) {
 			t.Errorf("hash collision between %q and %+v", prev, v)
 		}
 		seen[h] = v.App
+	}
+}
+
+// TestResolveRejectsAnalysisOutOfRange: Resolve refuses a negative
+// partition size, an alpha outside [0, 1) and a negative laggard
+// threshold, NaN included, and still defaults their zeros.
+func TestResolveRejectsAnalysisOutOfRange(t *testing.T) {
+	nan := math.NaN()
+	for name, sp := range map[string]Spec{
+		"bytes -5":    {App: "minife", BytesPerPartition: -5},
+		"alpha 1.5":   {App: "minife", Alpha: 1.5},
+		"alpha 1":     {App: "minife", Alpha: 1},
+		"alpha -0.1":  {App: "minife", Alpha: -0.1},
+		"alpha NaN":   {App: "minife", Alpha: nan},
+		"laggard -1":  {App: "minife", LaggardThresholdSec: -1e-3},
+		"laggard NaN": {App: "minife", LaggardThresholdSec: nan},
+	} {
+		if _, err := sp.Resolve(); err == nil {
+			t.Errorf("%s: resolved, want a refusal", name)
+		}
+	}
+	if _, err := (Spec{App: "minife"}).Resolve(); err != nil {
+		t.Fatalf("zero analysis parameters: %v", err)
 	}
 }

@@ -61,14 +61,13 @@ func (s *Suite) E15DLBCross() []E15Cell {
 				panic(fmt.Sprintf("experiments: %s under %s: %v", app, policy.Name(), err))
 			}
 			metrics := analysis.ComputeMetricsStreaming(app, col.Cursor(), s.cfg.LaggardThresholdSec)
-			lag := analysis.LaggardsStream(col.Cursor(), s.cfg.LaggardThresholdSec)
-			grid := partcomm.Grid(s.E14StrategyTimeouts(), []float64{0.2}, lag)
 			cells = append(cells, E15Cell{
 				App:             app,
 				Policy:          policy,
 				LaggardFraction: metrics.LaggardFraction,
 				MeanMedianSec:   metrics.MeanMedianSec,
-				Sweep:           partcomm.SweepCursor(col.Cursor(), s.cfg.BytesPerPartition, s.cfg.Fabric, grid),
+				Sweep: partcomm.GridSweep(col, s.cfg.BytesPerPartition, s.cfg.Fabric,
+					s.E14StrategyTimeouts(), []float64{0.2}, s.cfg.LaggardThresholdSec),
 			})
 		}
 	}

@@ -314,9 +314,8 @@ func (s *Suite) E14StrategyFrontier() map[string]partcomm.Sweep {
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %s: %v", app, err))
 		}
-		lag := analysis.LaggardsStream(col.Cursor(), s.cfg.LaggardThresholdSec)
-		grid := partcomm.Grid(s.E14StrategyTimeouts(), []float64{0.2}, lag)
-		out[app] = partcomm.SweepCursor(col.Cursor(), s.cfg.BytesPerPartition, s.cfg.Fabric, grid)
+		out[app] = partcomm.GridSweep(col, s.cfg.BytesPerPartition, s.cfg.Fabric,
+			s.E14StrategyTimeouts(), []float64{0.2}, s.cfg.LaggardThresholdSec)
 	}
 	return out
 }

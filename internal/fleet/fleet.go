@@ -82,10 +82,11 @@ import (
 	"earlybird/internal/stats"
 )
 
+// probeTimeout bounds one health probe.
+const probeTimeout = 2 * time.Second
+
 // Defaults for Options' zero values.
 const (
-	// DefaultProbeTimeout bounds one health probe.
-	DefaultProbeTimeout = 2 * time.Second
 	// DefaultMaxInFlightPerWorker sizes the default Options.MaxInFlight:
 	// the fleet-wide outstanding-request bound defaults to this many per
 	// registered worker (so a coordinator over N peers keeps at most 2N
@@ -151,8 +152,6 @@ type Options struct {
 	// 0 means DefaultMaxInFlightPerWorker x len(Peers), or
 	// DefaultDynamicInFlight for a dynamic fleet with no static peers.
 	MaxInFlight int
-	// ProbeTimeout bounds one health probe; 0 means DefaultProbeTimeout.
-	ProbeTimeout time.Duration
 	// Dynamic accepts workers at runtime through Join (the
 	// /v1/fleet/join endpoint) and allows an empty initial Peers list.
 	Dynamic bool
@@ -434,14 +433,10 @@ func (f *Fleet) EvictExpired(now time.Time) int {
 // in its healthz body (falling back to full capacity for bodies that
 // don't carry one).
 func (f *Fleet) Probe(ctx context.Context) int {
-	timeout := f.opts.ProbeTimeout
-	if timeout <= 0 {
-		timeout = DefaultProbeTimeout
-	}
 	workers := f.snapshotWorkers()
 	share.FanOut(len(workers), len(workers), func(i int) {
 		w := workers[i]
-		pctx, cancel := context.WithTimeout(ctx, timeout)
+		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		defer cancel()
 		req, err := http.NewRequestWithContext(pctx, http.MethodGet, w.url+"/v1/healthz", nil)
 		if err != nil {

@@ -15,6 +15,7 @@ import (
 	"earlybird/internal/analysis"
 	"earlybird/internal/network"
 	"earlybird/internal/stats"
+	"earlybird/internal/trace"
 )
 
 // DefaultEWMAMinTimeoutSec floors EWMABinned's predicted timeout: tight
@@ -209,6 +210,15 @@ func Grid(timeoutsSec, ewmaAlphas []float64, lag analysis.LaggardStats) []Strate
 	}
 	strategies = append(strategies, Hybrid{}, TuneLaggardAware(lag))
 	return strategies
+}
+
+// GridSweep is the strategy lab's one evaluator: a first cursor pass
+// over src (a dataset or a columnar store) streams the laggard
+// statistics under laggardThresholdSec, which tune Grid's laggard-aware
+// policy, and a second pass evaluates the whole grid (SweepCursor).
+func GridSweep(src interface{ Cursor() *trace.Cursor }, bytesPerPart int, f network.Fabric, timeoutsSec, ewmaAlphas []float64, laggardThresholdSec float64) Sweep {
+	lag := analysis.LaggardsStream(src.Cursor(), laggardThresholdSec)
+	return SweepCursor(src.Cursor(), bytesPerPart, f, Grid(timeoutsSec, ewmaAlphas, lag))
 }
 
 // Cloner marks strategies that carry evaluation state and therefore

@@ -7,6 +7,7 @@ import (
 
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
+	"earlybird/internal/dlb"
 	"earlybird/internal/network"
 	"earlybird/internal/trace"
 	"earlybird/internal/workload"
@@ -26,7 +27,7 @@ func paperColumnar(tb testing.TB) *trace.Columnar {
 		if err != nil {
 			panic(err)
 		}
-		col, err := cluster.RunColumnar(model, cluster.DefaultConfig(), 0)
+		col, err := cluster.RunColumnar(model, cluster.DefaultConfig(), dlb.Spec{}, 0, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -110,7 +111,7 @@ func TestEvaluateAdapterMatchesStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := cluster.RunColumnar(model, cluster.Config{Trials: 1, Ranks: 2, Iterations: 20, Threads: 48, Seed: 7}, 0)
+	col, err := cluster.RunColumnar(model, cluster.Config{Trials: 1, Ranks: 2, Iterations: 20, Threads: 48, Seed: 7}, dlb.Spec{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestStrategyAccumulatorMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := cluster.Config{Trials: 1, Ranks: 2, Iterations: 16, Threads: 48, Seed: 3}
-	col, err := cluster.RunColumnar(model, cfg, 0)
+	col, err := cluster.RunColumnar(model, cfg, dlb.Spec{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func smallSyntheticColumnar(t *testing.T) *trace.Columnar {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := cluster.RunColumnar(model, cluster.Config{Trials: 1, Ranks: 1, Iterations: 12, Threads: 48, Seed: 11}, 0)
+	col, err := cluster.RunColumnar(model, cluster.Config{Trials: 1, Ranks: 1, Iterations: 12, Threads: 48, Seed: 11}, dlb.Spec{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

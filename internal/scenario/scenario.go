@@ -10,6 +10,7 @@ import (
 	"earlybird/internal/cliopts"
 	"earlybird/internal/cluster"
 	"earlybird/internal/dlb"
+	"earlybird/internal/engine"
 	"earlybird/internal/network"
 	"earlybird/internal/noise"
 	"earlybird/internal/partcomm"
@@ -449,11 +450,8 @@ func (s *Spec) Validate() error {
 	if err := checkDup("bin timeout", timeouts); err != nil {
 		return err
 	}
-	if s.Alpha < 0 || s.Alpha >= 1 {
-		return fmt.Errorf("scenario: alpha %g outside [0, 1)", s.Alpha)
-	}
-	if s.LaggardThresholdSec < 0 || s.BytesPerPartition < 0 {
-		return fmt.Errorf("scenario: negative analysis parameter")
+	if err := engine.CheckAnalysis(s.Alpha, s.LaggardThresholdSec, s.BytesPerPartition); err != nil {
+		return fmt.Errorf("scenario: %w", err)
 	}
 	return nil
 }

@@ -25,6 +25,7 @@ import (
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
 	"earlybird/internal/dlb"
+	"earlybird/internal/engine"
 	"earlybird/internal/stats/normality"
 	"earlybird/internal/workload"
 )
@@ -107,6 +108,9 @@ func (req ShardRequest) Resolve() (ShardRequest, error) {
 			geom.Trials, geom.Iterations, maxTrialIterations)
 	}
 	req.Geometry = &geom
+	if err := engine.CheckAnalysis(req.Alpha, req.LaggardSec, 0); err != nil {
+		return req, err
+	}
 	req.Alpha, req.LaggardSec = paperDefaults(req.Alpha, req.LaggardSec)
 	if req.DLB != nil {
 		resolved, err := req.DLB.Resolve()

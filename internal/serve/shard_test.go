@@ -10,6 +10,7 @@ import (
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
 	"earlybird/internal/core"
+	"earlybird/internal/dlb"
 	"earlybird/internal/workload"
 )
 
@@ -142,7 +143,7 @@ func TestShardOffsetGenerationMatchesFullRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := cluster.RunColumnar(model, geom, 0)
+	col, err := cluster.RunColumnar(model, geom, dlb.Spec{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

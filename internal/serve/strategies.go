@@ -130,11 +130,11 @@ func (req StrategiesRequest) resolve() (stratConfig, error) {
 		laggardThreshold:  req.LaggardThresholdSec,
 		fabric:            network.OmniPath(),
 	}
+	if err := engine.CheckAnalysis(0, req.LaggardThresholdSec, req.BytesPerPartition); err != nil {
+		return cfg, err
+	}
 	if cfg.bytesPerPartition == 0 {
 		cfg.bytesPerPartition = 1 << 20
-	}
-	if cfg.bytesPerPartition < 0 {
-		return cfg, fmt.Errorf("bytes_per_partition must be positive")
 	}
 	if req.Fabric != nil {
 		if err := req.Fabric.Validate(); err != nil {
@@ -160,9 +160,6 @@ func (req StrategiesRequest) resolve() (stratConfig, error) {
 	}
 	if cfg.laggardThreshold == 0 {
 		cfg.laggardThreshold = analysis.DefaultLaggardThresholdSec
-	}
-	if cfg.laggardThreshold < 0 {
-		return cfg, fmt.Errorf("laggard_threshold_sec must be positive")
 	}
 	if req.DLB != nil {
 		resolved, err := req.DLB.Resolve()
@@ -280,9 +277,7 @@ func (s *Server) strategyCell(c StrategyCell, cfg stratConfig) StrategyRow {
 		return row
 	}
 	row.DatasetCacheHit = hit
-	lag := analysis.LaggardsStream(col.Cursor(), cfg.laggardThreshold)
-	grid := partcomm.Grid(cfg.timeoutsSec, cfg.ewmaAlphas, lag)
-	row.Sweep = partcomm.SweepCursor(col.Cursor(), cfg.bytesPerPartition, cfg.fabric, grid)
+	row.Sweep = partcomm.GridSweep(col, cfg.bytesPerPartition, cfg.fabric, cfg.timeoutsSec, cfg.ewmaAlphas, cfg.laggardThreshold)
 	return row
 }
 
