@@ -79,7 +79,7 @@ clean-store:
 # the bits under amd64's wider instruction set and is the first slice of
 # a GOAMD64 matrix.
 test-bitident-v3:
-	GOAMD64=v3 $(GO) test -count=1 -run 'BitIdentical|OnePassMoments|ErfcPair' ./internal/stats/... ./internal/core ./internal/sortx
+	GOAMD64=v3 $(GO) test -count=1 -run 'BitIdentical|OnePassMoments|ErfcPair|PerSizeConsts' ./internal/stats/... ./internal/core ./internal/sortx
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestShardMergeBitIdenticalToSingleNode|TestShardStreamedPathBitIdentical|TestSweepRowSameAtAnyCacheBound' ./internal/serve
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestDLBStaticGoldenFingerprint|TestProgressSinkDoesNotPerturbFill' ./internal/cluster
 
@@ -183,6 +183,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStrategyOrdering$$' -fuzztime 10s ./internal/partcomm
 	$(GO) test -run '^$$' -fuzz '^FuzzSelect$$' -fuzztime 10s ./internal/sortx
 	$(GO) test -run '^$$' -fuzz '^FuzzADVerdict$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/stats/normality
+	$(GO) test -run '^$$' -fuzz '^FuzzVerdicts$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/stats/normality
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioParse$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzUnseal$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/wire

@@ -6,7 +6,8 @@
 //
 //	repro                       # full paper geometry (10x8x200x48)
 //	repro -quick                # reduced geometry for a fast look
-//	repro -exp table1           # a single experiment
+//	repro -exp table1           # a single experiment, by name
+//	repro -exp E3               # the same, by its DESIGN.md index ID
 //	repro -figdir out/          # also dump figure CSVs for plotting
 package main
 
@@ -41,7 +42,7 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 		quick    = fs.Bool("quick", false, "reduced geometry (3x4x60x48) for a fast run; shorthand for -geometry quick")
 		geometry = cliopts.Geometry(fs)
 		policy   = cliopts.DLB(fs)
-		exp      = fs.String("exp", "all", "experiment: all | E1 | E2 | table1 | fig3 | fig4 | fig5 | fig6 | fig7 | fig8 | fig9 | metrics | overlap | strategies | dlb | ablation | distsweep | campaign")
+		exp      = fs.String("exp", "all", "experiment: all | an index ID E1-E15 (DESIGN.md) | table1 | fig3 | fig4 | fig5 | fig6 | fig7 | fig8 | fig9 | metrics | overlap | strategies | dlb | ablation | distsweep | campaign")
 		figdir   = fs.String("figdir", "", "directory to write figure CSV data into")
 		seed     = fs.Uint64("seed", 1, "master seed")
 		workers  = fs.Int("workers", 0, "max concurrently executing studies (0 = one per CPU)")
@@ -112,7 +113,22 @@ func runCampaign(s *experiments.Suite, w io.Writer) error {
 	return nil
 }
 
+// experimentIDs maps DESIGN.md's experiment index to the -exp names
+// that render each entry; E1 and E2 are names of their own, and E13 is
+// a property test rather than a report.
+var experimentIDs = map[string]string{
+	"E3": "table1", "E4": "fig3", "E5": "fig4", "E6": "fig5", "E7": "fig6", "E8": "fig7",
+	"E9": "fig8", "E10": "fig9", "E11": "metrics", "E12": "overlap", "E14": "strategies", "E15": "dlb",
+}
+
+// errE13 answers -exp E13 with the tests that check it.
+var errE13 = errors.New("E13 (compute time cancels per-core clock offsets) is a property test, not a report: " +
+	"go test -run 'TestComputeTimeCancelsSkew|TestRecorderCancelsCoreSkew' ./internal/simclock ./internal/trace")
+
 func run(s *experiments.Suite, exp, figdir string, w io.Writer) error {
+	if name, ok := experimentIDs[exp]; ok {
+		exp = name
+	}
 	switch exp {
 	case "all":
 		s.WriteReport(w)
@@ -177,9 +193,11 @@ func run(s *experiments.Suite, exp, figdir string, w io.Writer) error {
 				fmt.Fprintf(w, "  %s\n", r)
 			}
 		}
-	case "strategies", "E14", "frontier":
+	case "E13":
+		return errE13
+	case "strategies", "frontier":
 		s.WriteStrategyFrontier(w)
-	case "dlb", "E15":
+	case "dlb":
 		s.WriteDLBReport(w)
 	case "ablation":
 		s.WriteAblationReport(w)

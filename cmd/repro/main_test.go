@@ -83,3 +83,31 @@ func TestRunMainFigdir(t *testing.T) {
 		t.Errorf("figdir holds %d files, want the full figure set", len(entries))
 	}
 }
+
+// TestRunMainExperimentIDs: every ID of DESIGN.md's experiment index is
+// an -exp value. Each renders what its experiment's name renders, E1
+// and E2 are names of their own, and E13 is refused with the property
+// test that checks it.
+func TestRunMainExperimentIDs(t *testing.T) {
+	names := map[string]string{
+		"E1": "", "E2": "", "E3": "table1", "E4": "fig3", "E5": "fig4", "E6": "fig5", "E7": "fig6",
+		"E8": "fig7", "E9": "fig8", "E10": "fig9", "E11": "metrics", "E12": "overlap",
+		"E14": "strategies", "E15": "dlb",
+	}
+	for id, name := range names {
+		out, err := runCmd(t, "-geometry", "1x4x12x48", "-exp", id)
+		if err != nil || out == "" {
+			t.Errorf("-exp %s: error %v, %d bytes of output", id, err, len(out))
+			continue
+		}
+		if name == "" {
+			continue
+		}
+		if want, err := runCmd(t, "-geometry", "1x4x12x48", "-exp", name); err != nil || out != want {
+			t.Errorf("-exp %s differs from -exp %s (error %v)", id, name, err)
+		}
+	}
+	if _, err := runCmd(t, "-exp", "E13"); err == nil || !strings.Contains(err.Error(), "TestComputeTimeCancelsSkew") {
+		t.Errorf("-exp E13: error %v, want one naming its property test", err)
+	}
+}

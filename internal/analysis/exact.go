@@ -36,6 +36,7 @@ type ExactPass struct {
 	// mags[k] is max - median of the k-th block in pass order.
 	mags      []float64
 	normality *NormalitySummary
+	verdicts  normality.Verdicts
 }
 
 // RunExactPass walks the process iterations of d with iteration index in
@@ -54,6 +55,7 @@ func RunExactPass(d *trace.Dataset, fromIter, toIter int, opts PassOptions) *Exa
 	}
 	if opts.Battery {
 		p.normality = &NormalitySummary{Level: "process iteration"}
+		p.verdicts = normality.NewVerdicts(opts.Alpha)
 	}
 	k := NewKernel(p)
 	for t := 0; t < d.Trials; t++ {
@@ -78,7 +80,7 @@ func (p *ExactPass) ObserveSorted(_, _, _ int, xs, sorted []float64) {
 	p.ratioSum += ratio
 	p.mags = append(p.mags, max-med)
 	if s := p.normality; s != nil {
-		passed := normality.PassedSorted(xs, sorted, p.opts.Alpha)
+		passed := p.verdicts.Passed(xs, sorted)
 		for _, t := range normality.Tests {
 			if passed[t] {
 				s.Passed[t]++

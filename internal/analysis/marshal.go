@@ -13,6 +13,7 @@ import (
 	"slices"
 
 	"earlybird/internal/stats"
+	"earlybird/internal/stats/normality"
 	"earlybird/internal/wire"
 )
 
@@ -160,7 +161,7 @@ func (a *MetricsAccumulator) UnmarshalBinary(data []byte) error {
 func (a *Table1Accumulator) App() string { return a.app }
 
 // Alpha returns the significance level the battery runs at.
-func (a *Table1Accumulator) Alpha() float64 { return a.alpha }
+func (a *Table1Accumulator) Alpha() float64 { return a.verdicts.Alpha() }
 
 // Blocks returns how many process-iteration blocks have been observed.
 func (a *Table1Accumulator) Blocks() int64 { return int64(a.total) }
@@ -178,7 +179,7 @@ func (a *Table1Accumulator) AppendBinary(b []byte) ([]byte, error) {
 	w := wire.Writer{Buf: slices.Grow(b, a.BinarySize())}
 	w.U8(table1CodecVersion)
 	w.Str(a.app)
-	w.F64(a.alpha)
+	w.F64(a.Alpha())
 	w.I64(int64(a.total))
 	for _, p := range a.passed {
 		w.I64(int64(p))
@@ -194,9 +195,9 @@ func (a *Table1Accumulator) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("analysis: unknown Table1Accumulator codec version %d", v)
 	}
 	dec := Table1Accumulator{
-		app:   r.Str(),
-		alpha: r.F64(),
-		total: int(r.I64()),
+		app:      r.Str(),
+		verdicts: normality.NewVerdicts(r.F64()),
+		total:    int(r.I64()),
 	}
 	for i := range dec.passed {
 		dec.passed[i] = int(r.I64())

@@ -279,17 +279,17 @@ func ComputeMetricsStreaming(app string, cur *trace.Cursor, laggardThreshold flo
 // per complete block, so streaming results are exactly the materialised
 // ones. Mergeable like MetricsAccumulator; not safe for concurrent use.
 type Table1Accumulator struct {
-	app    string
-	alpha  float64
-	total  int
-	passed [3]int
-	solo   *Kernel // ObserveBlock's kernel, made on first use
+	app      string
+	verdicts normality.Verdicts
+	total    int
+	passed   [3]int
+	solo     *Kernel // ObserveBlock's kernel, made on first use
 }
 
 // NewTable1Accumulator returns an empty accumulator at significance
 // alpha.
 func NewTable1Accumulator(app string, alpha float64) *Table1Accumulator {
-	return &Table1Accumulator{app: app, alpha: alpha}
+	return &Table1Accumulator{app: app, verdicts: normality.NewVerdicts(alpha)}
 }
 
 // ObserveBlock implements cluster.BlockObserver for a caller that feeds
@@ -305,7 +305,7 @@ func (a *Table1Accumulator) ObserveBlock(trial, rank, iter int, xs []float64) {
 // battery on one complete process iteration, given in original order
 // and sorted.
 func (a *Table1Accumulator) ObserveSorted(_, _, _ int, xs, sorted []float64) {
-	passed := normality.PassedSorted(xs, sorted, a.alpha)
+	passed := a.verdicts.Passed(xs, sorted)
 	a.total++
 	for _, t := range normality.Tests {
 		if passed[t] {

@@ -93,9 +93,10 @@ func (h *Histogram) Peak() float64 {
 // Render draws an ASCII histogram with at most maxRows bins (the densest
 // region is preserved; empty leading/trailing bins are trimmed). unit
 // scales the axis labels (e.g. 1e-3 to print milliseconds when samples are
-// in seconds) and unitName labels them.
+// in seconds) and unitName labels them. A nil histogram — a class no
+// sample fell into — renders as empty.
 func (h *Histogram) Render(maxRows int, unit float64, unitName string) string {
-	if h.Total == 0 {
+	if h == nil || h.Total == 0 {
 		return "(empty histogram)\n"
 	}
 	lo, hi := 0, len(h.Counts)

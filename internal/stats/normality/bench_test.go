@@ -78,21 +78,41 @@ func BenchmarkBattery(b *testing.B) {
 	}
 }
 
-// BenchmarkVerdicts compares, on one sorted 48-thread process iteration,
-// the full battery with the verdict-only one that Table 1's counters
-// call: the difference is Anderson-Darling's filtered verdict.
+// BenchmarkVerdicts measures, on one sorted 48-thread process
+// iteration, each test's verdict as the Result entry point reaches it
+// (statistic, p-value, Passed) and as Table 1's counters reach it
+// through Verdicts, then the whole battery both ways.
 func BenchmarkVerdicts(b *testing.B) {
 	xs := benchSamples(48)
 	sorted := append([]float64(nil), xs...)
 	sortx.Sort(sorted)
-	b.Run("BatterySorted", func(b *testing.B) {
-		for b.Loop() {
-			BatterySorted(xs, sorted, DefaultAlpha)
-		}
-	})
-	b.Run("PassedSorted", func(b *testing.B) {
-		for b.Loop() {
-			PassedSorted(xs, sorted, DefaultAlpha)
-		}
-	})
+	v := NewVerdicts(DefaultAlpha)
+	for _, c := range []struct {
+		name            string
+		result, verdict func()
+	}{
+		{"DAgostino",
+			func() { DAgostinoK2(xs, DefaultAlpha) },
+			func() { v.dagPassed(xs, sorted) }},
+		{"ShapiroWilk",
+			func() { ShapiroWilkSorted(sorted, DefaultAlpha) },
+			func() { v.swPassed(sorted) }},
+		{"AndersonDarling",
+			func() { AndersonDarlingSorted(sorted, DefaultAlpha) },
+			func() { v.adPassed(sorted) }},
+		{"Battery",
+			func() { BatterySorted(xs, sorted, DefaultAlpha) },
+			func() { v.Passed(xs, sorted) }},
+	} {
+		b.Run(c.name+"/Result", func(b *testing.B) {
+			for b.Loop() {
+				c.result()
+			}
+		})
+		b.Run(c.name+"/Verdict", func(b *testing.B) {
+			for b.Loop() {
+				c.verdict()
+			}
+		})
+	}
 }

@@ -6,38 +6,58 @@ import (
 	"earlybird/internal/stats"
 )
 
-// skewnessZ transforms the sample skewness g1 of n observations into an
-// approximately standard normal statistic using D'Agostino's (1970)
-// transformation.
-func skewnessZ(g1, n float64) float64 {
-	y := g1 * math.Sqrt((n+1)*(n+3)/(6*(n-2)))
+// initDAgostino fills c's terms of the skewness and kurtosis
+// transformations for samples of n observations.
+func (c *sizeConsts) initDAgostino(n float64) {
+	// D'Agostino (1970).
+	c.skewScale = math.Sqrt((n + 1) * (n + 3) / (6 * (n - 2)))
 	beta2 := 3 * (n*n + 27*n - 70) * (n + 1) * (n + 3) /
 		((n - 2) * (n + 5) * (n + 7) * (n + 9))
 	w2 := -1 + math.Sqrt(2*(beta2-1))
-	delta := 1 / math.Sqrt(math.Log(math.Sqrt(w2)))
-	alpha := math.Sqrt(2 / (w2 - 1))
-	if y == 0 {
-		return 0
-	}
-	return delta * math.Log(y/alpha+math.Sqrt((y/alpha)*(y/alpha)+1))
-}
+	c.skewDelta = 1 / math.Sqrt(math.Log(math.Sqrt(w2)))
+	c.skewAlpha = math.Sqrt(2 / (w2 - 1))
 
-// kurtosisZ transforms the sample kurtosis b2 of n observations into an
-// approximately standard normal statistic using the Anscombe-Glynn (1983)
-// transformation.
-func kurtosisZ(b2, n float64) float64 {
-	meanB2 := 3 * (n - 1) / (n + 1)
+	// Anscombe and Glynn (1983).
+	c.kurtMean = 3 * (n - 1) / (n + 1)
 	varB2 := 24 * n * (n - 2) * (n - 3) / ((n + 1) * (n + 1) * (n + 3) * (n + 5))
-	x := (b2 - meanB2) / math.Sqrt(varB2)
+	c.kurtSD = math.Sqrt(varB2)
 	sqrtBeta1 := 6 * (n*n - 5*n + 2) / ((n + 7) * (n + 9)) *
 		math.Sqrt(6*(n+3)*(n+5)/(n*(n-2)*(n-3)))
 	a := 6 + 8/sqrtBeta1*(2/sqrtBeta1+math.Sqrt(1+4/(sqrtBeta1*sqrtBeta1)))
-	num := 1 - 2/a
-	den := 1 + x*math.Sqrt(2/(a-4))
+	c.kurtNum = 1 - 2/a
+	c.kurtRoot = math.Sqrt(2 / (a - 4))
+	c.kurtShift = 1 - 2/(9*a)
+	c.kurtScale = math.Sqrt(2 / (9 * a))
+}
+
+// skewnessZ transforms the sample skewness g1 into an approximately
+// standard normal statistic using D'Agostino's (1970) transformation.
+func (c *sizeConsts) skewnessZ(g1 float64) float64 {
+	y := g1 * c.skewScale
+	if y == 0 {
+		return 0
+	}
+	return c.skewDelta * math.Log(y/c.skewAlpha+math.Sqrt((y/c.skewAlpha)*(y/c.skewAlpha)+1))
+}
+
+// kurtosisZ transforms the sample kurtosis b2 into an approximately
+// standard normal statistic using the Anscombe-Glynn (1983)
+// transformation.
+func (c *sizeConsts) kurtosisZ(b2 float64) float64 {
+	x := (b2 - c.kurtMean) / c.kurtSD
+	den := 1 + x*c.kurtRoot
 	// den can be non-positive for extreme platykurtic samples; the cube
 	// root of a negative ratio is handled by Cbrt.
-	term := math.Cbrt(num / den)
-	return ((1 - 2/(9*a)) - term) / math.Sqrt(2/(9*a))
+	term := math.Cbrt(c.kurtNum / den)
+	return (c.kurtShift - term) / c.kurtScale
+}
+
+// k2 returns K² = Z1² + Z2² for a sample of the constants' size.
+func (c *sizeConsts) k2(xs []float64) float64 {
+	g1, b2 := stats.SkewnessKurtosis(xs)
+	z1 := c.skewnessZ(g1)
+	z2 := c.kurtosisZ(b2)
+	return z1*z1 + z2*z2
 }
 
 // DAgostinoK2 performs D'Agostino's K² omnibus normality test, which
@@ -55,11 +75,7 @@ func DAgostinoK2(xs []float64, alpha float64) (Result, error) {
 	if stats.Min(xs) == stats.Max(xs) {
 		return Result{}, ErrConstantSample
 	}
-	n := float64(len(xs))
-	g1, b2 := stats.SkewnessKurtosis(xs)
-	z1 := skewnessZ(g1, n)
-	z2 := kurtosisZ(b2, n)
-	k2 := z1*z1 + z2*z2
+	k2 := constsFor(len(xs)).k2(xs)
 	p := stats.ChiSquaredSF(k2, 2)
 	return Result{
 		Test:         DAgostino,

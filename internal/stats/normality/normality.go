@@ -10,15 +10,25 @@
 // Two kinds of entry point share the tests. The per-test functions,
 // Battery, BatteryScratch and BatterySorted return full Results —
 // statistic, p-value and verdict — and their bits are pinned against
-// reference implementations. PassedSorted returns the verdicts alone,
-// which is all the paper's Table 1 counts, and equals
-// BatterySorted(...)[t].Passed() on every input. It decides
-// Anderson-Darling from a faster evaluation of the same statistic: one
-// erfc per sample for both tails and one logarithm per sample set in place
-// of 2n, trusted only when it lies farther from the critical value than
-// a proven bound on its disagreement with the reference. Otherwise the
-// unchanged reference decides. Reports that print a statistic keep
-// calling the Result entry points.
+// reference implementations. Verdicts (and PassedSorted, its one-off
+// form) returns the verdicts alone, which is all the paper's Table 1
+// counts, and equals BatterySorted(...)[t].Passed() on every input.
+// Built once per pass, it holds each test's critical value at the
+// pass's significance level: D'Agostino compares K² with -2·ln α and
+// Shapiro-Wilk compares Royston's z with Φ⁻¹(1-α) instead of computing
+// a p-value, and Anderson-Darling decides from a faster evaluation of
+// its statistic (one erfc per sample for both tails and one logarithm
+// per sample set in place of 2n). Each decision is trusted only when
+// the statistic lies farther from the critical value than a proven
+// bound on its disagreement with the reference; otherwise the unchanged
+// reference decides. Reports that print a statistic keep calling the
+// Result entry points.
+//
+// Every term that depends on the sample size alone — the Shapiro-Wilk
+// weights and Royston's normalising constants, D'Agostino's skewness
+// and kurtosis transformation constants — is computed once per size and
+// shared, with the same expressions in the same order, so both kinds of
+// entry point keep their bits.
 package normality
 
 import (

@@ -2,7 +2,6 @@ package normality
 
 import (
 	"math"
-	"sync"
 
 	"earlybird/internal/sortx"
 	"earlybird/internal/stats"
@@ -40,8 +39,9 @@ func ShapiroWilkSorted(x []float64, alpha float64) (Result, error) {
 		return Result{}, ErrConstantSample
 	}
 
-	w := swStatistic(x)
-	p := swPValue(w, n)
+	c := constsFor(n)
+	w := swStatistic(x, c.swA)
+	p := swPValue(w, n, c)
 	return Result{
 		Test:         ShapiroWilk,
 		Statistic:    w,
@@ -109,26 +109,10 @@ func poly(c []float64, x float64) float64 {
 	return sum
 }
 
-// swWeightCache memoizes swWeights by sample size: a streaming study
-// runs the battery on millions of equally-sized blocks, and the weight
-// vector — half-sample NormalQuantile evaluations plus Royston
-// corrections — is a pure function of n. The cached slice is computed
-// by the same code and never written after insertion, so results are
-// bit-identical and concurrent per-worker batteries can share it.
-var swWeightCache sync.Map // int -> []float64
-
-func swWeightsCached(n int) []float64 {
-	if a, ok := swWeightCache.Load(n); ok {
-		return a.([]float64)
-	}
-	a, _ := swWeightCache.LoadOrStore(n, swWeights(n))
-	return a.([]float64)
-}
-
-// swStatistic computes W for the sorted sample x.
-func swStatistic(x []float64) float64 {
+// swStatistic computes W for the sorted sample x from the lower-half
+// weights a = swWeights(len(x)).
+func swStatistic(x, a []float64) float64 {
 	n := len(x)
-	a := swWeightsCached(n)
 	num := 0.0
 	for i, ai := range a {
 		// a_i is negative for the lower half; pair with the reflected
@@ -144,8 +128,8 @@ func swStatistic(x []float64) float64 {
 }
 
 // swPValue converts W to a p-value with Royston's normalising
-// transformations.
-func swPValue(w float64, n int) float64 {
+// transformations; c holds the constants for n.
+func swPValue(w float64, n int, c *sizeConsts) float64 {
 	if w >= 1 {
 		return 1
 	}
@@ -170,11 +154,23 @@ func swPValue(w float64, n int) float64 {
 		z := (wv - mu) / sigma
 		return 1 - stats.NormalCDF(z)
 	default:
-		g := math.Log(nf)
-		wv := math.Log(1 - w)
-		mu := -1.5861 - 0.31082*g - 0.083751*g*g + 0.0038915*g*g*g
-		sigma := math.Exp(-0.4803 - 0.082676*g + 0.0030302*g*g)
-		z := (wv - mu) / sigma
-		return 1 - stats.NormalCDF(z)
+		return 1 - stats.NormalCDF(swZ(w, c))
 	}
+}
+
+// initShapiroWilk fills c's Shapiro-Wilk terms for samples of n
+// observations: the weights, and Royston's mean and standard deviation
+// of ln(1-W), which swZ reads for n > 11.
+func (c *sizeConsts) initShapiroWilk(n int) {
+	c.swA = swWeights(n)
+	g := math.Log(float64(n))
+	c.swMu = -1.5861 - 0.31082*g - 0.083751*g*g + 0.0038915*g*g*g
+	c.swSigma = math.Exp(-0.4803 - 0.082676*g + 0.0030302*g*g)
+}
+
+// swZ is Royston's normalised statistic z = (ln(1-W) - μ_n)/σ_n for
+// n > 11, approximately standard normal under normality; the test
+// rejects in its upper tail.
+func swZ(w float64, c *sizeConsts) float64 {
+	return (math.Log(1-w) - c.swMu) / c.swSigma
 }

@@ -6,28 +6,144 @@ import (
 	"earlybird/internal/stats"
 )
 
-// PassedSorted reports, per test, whether the sample passed at
-// significance alpha: PassedSorted(xs, sorted, alpha)[t] ==
-// BatterySorted(xs, sorted, alpha)[t].Passed() for every input, with the
-// same arguments and contract as BatterySorted. It is for callers that
-// count passes (the paper's Table 1) and read neither statistics nor
-// p-values: D'Agostino and Shapiro-Wilk run as in the battery, and
-// Anderson-Darling decides through a filtered fast form of its statistic
-// that falls back to AndersonDarlingSorted whenever it cannot be sure.
-func PassedSorted(xs, sorted []float64, alpha float64) [3]bool {
+// Verdicts decides the three tests at one significance level for
+// callers that count passes (the paper's Table 1) and read neither
+// statistics nor p-values: Passed(xs, sorted)[t] ==
+// BatterySorted(xs, sorted, alpha)[t].Passed() for every input. Build
+// one per pass with NewVerdicts; the value is immutable, so concurrent
+// callers may share it.
+//
+// Each test compares its statistic with a critical value computed once
+// here instead of computing a p-value per sample, and trusts that
+// comparison only when the statistic lies farther from the critical
+// value than a proven bound on where the two decisions can differ;
+// inside it, or outside the range the bound covers, the unchanged
+// reference decides:
+//
+//   - D'Agostino compares K² with -2·ln α, for 20 ≤ n ≤ adMaxN and a
+//     critical value in (0, k2MaxCrit) (see thresholdMargin);
+//   - Shapiro-Wilk compares Royston's z with Φ⁻¹(1-α), for
+//     11 < n ≤ adMaxN and a critical value in (-swMaxZ, swMaxZ);
+//   - Anderson-Darling compares a faster evaluation of A²* with
+//     Stephens' critical value (see adMargin).
+type Verdicts struct {
+	alpha float64
+	// k2Crit and zCrit are NaN when alpha lies outside the range their
+	// bound covers: every comparison with NaN is false, so the reference
+	// decides each sample.
+	k2Crit, zCrit float64
+	adCrit        float64
+}
+
+// NewVerdicts returns the verdicts at significance alpha.
+func NewVerdicts(alpha float64) Verdicts {
+	v := Verdicts{
+		alpha:  alpha,
+		k2Crit: -2 * math.Log(alpha),
+		zCrit:  stats.NormalQuantile(1 - alpha),
+		adCrit: criticalValueFor(alpha),
+	}
+	if !(v.k2Crit > 0 && v.k2Crit < k2MaxCrit) {
+		v.k2Crit = math.NaN()
+	}
+	if !(math.Abs(v.zCrit) < swMaxZ) {
+		v.zCrit = math.NaN()
+	}
+	return v
+}
+
+// Alpha returns the significance level the verdicts decide at.
+func (v Verdicts) Alpha() float64 { return v.alpha }
+
+// Passed reports, per test, whether the sample passed, with the same
+// arguments and contract as BatterySorted: xs in its original order and
+// sorted an ascending copy of it, neither modified.
+func (v Verdicts) Passed(xs, sorted []float64) [3]bool {
 	var out [3]bool
-	if r, err := DAgostinoK2(xs, alpha); err == nil {
-		out[DAgostino] = r.Passed()
-	}
-	if r, err := ShapiroWilkSorted(sorted, alpha); err == nil {
-		out[ShapiroWilk] = r.Passed()
-	}
-	out[AndersonDarling], _ = adPassedSorted(sorted, alpha)
+	out[DAgostino], _ = v.dagPassed(xs, sorted)
+	out[ShapiroWilk], _ = v.swPassed(sorted)
+	out[AndersonDarling], _ = v.adPassed(sorted)
 	return out
 }
 
+// PassedSorted is NewVerdicts(alpha).Passed(xs, sorted), for a caller
+// that decides a single sample at alpha; a caller that decides many
+// builds the Verdicts once.
+func PassedSorted(xs, sorted []float64, alpha float64) [3]bool {
+	return NewVerdicts(alpha).Passed(xs, sorted)
+}
+
+// thresholdMargin is how far K² and Royston's z must sit from their
+// critical values before the threshold verdicts trust their side of
+// them. Both statistics are computed bit for bit as the reference
+// computes them; the verdicts differ from the reference only in
+// replacing its "p < α" by a comparison of the statistic itself:
+//
+//   - K² has 2 degrees of freedom, whose survival function is exactly
+//     e^(-x/2), so p < α ⟺ K² > -2·ln α. ChiSquaredSF(x, 2) stays within
+//     5.3e-15 relative of e^(-x/2) on (0, k2MaxCrit+2], which moves the
+//     crossing by at most 1.1e-14 plus the rounding of -2·ln α; from
+//     k2MaxCrit+2 up to the largest double it stays below its value
+//     there, under every α whose critical value is in range.
+//   - Royston's p is 1 - Φ(z), so p < α ⟺ z > Φ⁻¹(1-α). Mapping the
+//     computed p back through NormalQuantile lands within 1.3e-13 of z
+//     on ±(swMaxZ+0.3), and beyond that p stays on its side of its
+//     values there.
+//
+// TestThresholdBounds measures both gaps; the margin is over 1000 times
+// the larger. A K² of +Inf (ChiSquaredSF is NaN there) or a NaN
+// statistic is never trusted.
+const thresholdMargin = 1e-9
+
+// k2MaxCrit and swMaxZ bound the critical values whose neighbourhoods
+// TestThresholdBounds sweeps: α in (e^-20, 1) for D'Agostino and about
+// [0.0007, 0.9993] for Shapiro-Wilk, which holds the paper's 5% and
+// Stephens' other tabulated levels.
+const (
+	k2MaxCrit = 40
+	swMaxZ    = 3.2
+)
+
+// dagPassed is DAgostinoK2(xs, alpha)'s Passed() verdict, with an error
+// counting as a rejection. It also reports whether the verdict came
+// from the reference: a sample outside the threshold's size range, a
+// constant sample, or a K² within thresholdMargin of the critical value
+// or not finite.
+func (v Verdicts) dagPassed(xs, sorted []float64) (passed, usedFallback bool) {
+	if n := len(xs); n >= 20 && n <= adMaxN && sorted[0] != sorted[n-1] {
+		k2 := constsFor(n).k2(xs)
+		switch d := k2 - v.k2Crit; {
+		case d > thresholdMargin && k2 <= math.MaxFloat64:
+			return false, false
+		case d < -thresholdMargin:
+			return true, false
+		}
+	}
+	r, err := DAgostinoK2(xs, v.alpha)
+	return err == nil && r.Passed(), true
+}
+
+// swPassed is ShapiroWilkSorted(x, alpha)'s Passed() verdict, with an
+// error counting as a rejection, and whether it came from the reference
+// (as dagPassed). W = 1 gives z = -Inf, a pass as in swPValue; W > 1
+// gives NaN, which the reference decides.
+func (v Verdicts) swPassed(x []float64) (passed, usedFallback bool) {
+	if n := len(x); n > 11 && n <= adMaxN && x[0] != x[n-1] {
+		c := constsFor(n)
+		switch d := swZ(swStatistic(x, c.swA), c) - v.zCrit; {
+		case d > thresholdMargin:
+			return false, false
+		case d < -thresholdMargin:
+			return true, false
+		}
+	}
+	r, err := ShapiroWilkSorted(x, v.alpha)
+	return err == nil && r.Passed(), true
+}
+
 // adMargin is how far the fast A²* must sit from the critical value
-// before adPassedSorted trusts its side of it.
+// before the Anderson-Darling verdict (Verdicts.adPassed) trusts its
+// side of it.
 //
 // Both forms read the same standardised z_i and the same doubles
 // p_i = Φ(z_i) and q_i = Φ(-z_{n-1-i}) (erfcPair is bit-identical to the
@@ -58,21 +174,21 @@ const adMargin = 1e-9
 // stack buffer, and larger samples go to the reference.
 const adMaxN = 128
 
-// adPassedSorted is AndersonDarlingSorted(x, alpha)'s Passed() verdict,
-// with an error counting as a rejection. It also reports whether the
-// verdict came from the reference because the fast form could not
-// decide: a degenerate or oversized sample, a product outside the normal
-// range or NaN, or a fast A²* within adMargin of the critical value.
-func adPassedSorted(x []float64, alpha float64) (passed, usedFallback bool) {
+// adPassed is AndersonDarlingSorted(x, alpha)'s Passed() verdict, with
+// an error counting as a rejection. It also reports whether the verdict
+// came from the reference because the fast form could not decide: a
+// degenerate or oversized sample, a product outside the normal range or
+// NaN, or a fast A²* within adMargin of the critical value.
+func (v Verdicts) adPassed(x []float64) (passed, usedFallback bool) {
 	if a2star, ok := adFastStatistic(x); ok {
-		switch d := a2star - criticalValueFor(alpha); {
+		switch d := a2star - v.adCrit; {
 		case d > adMargin:
 			return false, false
 		case d < -adMargin:
 			return true, false
 		}
 	}
-	return adReferencePassed(x, alpha), true
+	return adReferencePassed(x, v.alpha), true
 }
 
 // adFastStatistic returns A²* as the fast form computes it, which

@@ -7,7 +7,6 @@ import (
 
 	"earlybird/internal/rng"
 	"earlybird/internal/sortx"
-	"earlybird/internal/stats"
 )
 
 // verdictShapes generate one block of n samples each: the null case and
@@ -115,49 +114,16 @@ func TestPassedSortedDegenerate(t *testing.T) {
 }
 
 // nearCriticalSample returns a sorted n-sample whose reference A²* lies
-// within tol of crit. It blends normal quantiles (A²* near 0) with
-// log-normal quantiles (A²* far above every tabulated critical value)
-// and bisects the blend weight: both sequences ascend, so every blend is
-// sorted and A²* moves continuously with the weight.
+// within tol of crit (see blendSample).
 func nearCriticalSample(tb testing.TB, n int, crit, tol float64) []float64 {
 	tb.Helper()
-	normal, skewed := make([]float64, n), make([]float64, n)
-	for i := range normal {
-		normal[i] = stats.NormalQuantile((float64(i) + 0.5) / float64(n))
-		skewed[i] = math.Exp(3 * normal[i])
-	}
-	blend := func(w float64) ([]float64, float64) {
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = (1-w)*normal[i] + w*skewed[i]
-		}
+	return blendSample(tb, n, func(xs []float64) float64 {
 		r, err := AndersonDarlingSorted(xs, DefaultAlpha)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		return xs, r.Statistic
-	}
-	lo, hi := 0.0, 1.0
-	if _, a := blend(lo); a >= crit {
-		tb.Fatalf("n=%d: the normal end already has A²* %v ≥ %v", n, a, crit)
-	}
-	if _, a := blend(hi); a <= crit {
-		tb.Fatalf("n=%d: the log-normal end has A²* %v ≤ %v", n, a, crit)
-	}
-	for iter := 0; iter < 200; iter++ {
-		w := lo + (hi-lo)/2
-		xs, a := blend(w)
-		if math.Abs(a-crit) <= tol {
-			return xs
-		}
-		if a < crit {
-			lo = w
-		} else {
-			hi = w
-		}
-	}
-	tb.Fatalf("n=%d: bisection did not reach A²* within %g of %v", n, tol, crit)
-	return nil
+		return r.Statistic
+	}, crit, tol)
 }
 
 // TestADVerdictNearCritical builds samples whose reference A²* sits
