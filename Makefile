@@ -66,8 +66,10 @@ clean-store:
 # against the pre-pass reference, the normality battery against the
 # math.Pow moments, the one-pass moments themselves, the selection-based
 # iteration IQR against the sorted one (TestIQRSelectBitIdentical), the
-# Anderson-Darling verdict filter's two-sided erfc against math.Erfc
-# (TestErfcPairMatchesErfc), sortx.Sort's padded networks against the
+# Anderson-Darling verdict table against its interpolation bound and the
+# reference statistic (TestADTableBound, a bound rather than bits: fused
+# multiply-adds may move the table form's last bits but not out of its
+# margin), sortx.Sort's padded networks against the
 # pruned ones (TestSortBitIdentical), the fleet shard paths — both driven by
 # the shared block kernel — against single-node execution, and a local
 # sweep cell above the cache bound against the same cell below it
@@ -79,7 +81,7 @@ clean-store:
 # the bits under amd64's wider instruction set and is the first slice of
 # a GOAMD64 matrix.
 test-bitident-v3:
-	GOAMD64=v3 $(GO) test -count=1 -run 'BitIdentical|OnePassMoments|ErfcPair|PerSizeConsts' ./internal/stats/... ./internal/core ./internal/sortx
+	GOAMD64=v3 $(GO) test -count=1 -run 'BitIdentical|OnePassMoments|ADTableBound|PerSizeConsts' ./internal/stats/... ./internal/core ./internal/sortx
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestShardMergeBitIdenticalToSingleNode|TestShardStreamedPathBitIdentical|TestSweepRowSameAtAnyCacheBound' ./internal/serve
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestDLBStaticGoldenFingerprint|TestProgressSinkDoesNotPerturbFill' ./internal/cluster
 

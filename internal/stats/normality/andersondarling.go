@@ -20,7 +20,8 @@ var (
 // normality. The statistic is adjusted for sample size with
 // A²* = A² (1 + 0.75/n + 2.25/n²) and compared against Stephens' case-3
 // critical values. The paper reports results for a significance level of
-// 5%; other levels snap to the nearest tabulated level at or below alpha.
+// 5%; any other alpha takes the critical value of the tabulated level
+// closest to it, above or below (α = 0.09 takes 10%'s 0.656).
 func AndersonDarlingTest(xs []float64, alpha float64) (Result, error) {
 	n := len(xs)
 	if n < 8 {

@@ -76,12 +76,20 @@ func DAgostinoK2(xs []float64, alpha float64) (Result, error) {
 		return Result{}, ErrConstantSample
 	}
 	k2 := constsFor(len(xs)).k2(xs)
-	p := stats.ChiSquaredSF(k2, 2)
+	p, reject := chiSquared2Test(k2, alpha)
 	return Result{
 		Test:         DAgostino,
 		Statistic:    k2,
 		PValue:       p,
-		RejectNormal: p < alpha,
+		RejectNormal: reject,
 		N:            len(xs),
 	}, nil
+}
+
+// chiSquared2Test returns the χ²(2) p-value of a statistic and whether
+// it rejects normality at alpha. A NaN or +Inf statistic, which moments
+// that underflowed or overflowed produce, is a rejection.
+func chiSquared2Test(stat, alpha float64) (p float64, reject bool) {
+	p = stats.ChiSquaredSF(stat, 2)
+	return p, !(stat < math.Inf(1) && p >= alpha)
 }

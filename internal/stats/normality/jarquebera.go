@@ -25,12 +25,12 @@ func JarqueBeraTest(xs []float64, alpha float64) (Result, error) {
 	}
 	g1, b2 := stats.SkewnessKurtosis(xs)
 	jb := float64(n) / 6 * (g1*g1 + (b2-3)*(b2-3)/4)
-	p := stats.ChiSquaredSF(jb, 2)
+	p, reject := chiSquared2Test(jb, alpha)
 	return Result{
 		Test:         Test(numTests), // outside the primary battery
 		Statistic:    jb,
 		PValue:       p,
-		RejectNormal: p < alpha,
+		RejectNormal: reject,
 		N:            n,
 	}, nil
 }

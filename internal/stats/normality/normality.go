@@ -16,10 +16,10 @@
 // Built once per pass, it holds each test's critical value at the
 // pass's significance level: D'Agostino compares K² with -2·ln α and
 // Shapiro-Wilk compares Royston's z with Φ⁻¹(1-α) instead of computing
-// a p-value, and Anderson-Darling decides from a faster evaluation of
-// its statistic (one erfc per sample for both tails and one logarithm
-// per sample set in place of 2n). Each decision is trusted only when
-// the statistic lies farther from the critical value than a proven
+// a p-value, and Anderson-Darling evaluates its statistic with ln Φ
+// read by linear interpolation from a table built once per process, in
+// place of 2n erfc and 2n logarithms. Each decision is trusted only
+// when the statistic lies farther from the critical value than a proven
 // bound on its disagreement with the reference; otherwise the unchanged
 // reference decides. Reports that print a statistic keep calling the
 // Result entry points.

@@ -214,6 +214,65 @@ func TestAndersonDarlingCriticalValues(t *testing.T) {
 	}
 }
 
+// TestAndersonDarlingAlphaSnapping pins how an untabulated alpha picks
+// its critical value: the closest tabulated level, so α = 0.09 takes
+// 10%'s 0.656 rather than 5%'s 0.787, and α = 0.03 takes 2.5%'s 0.918.
+// A sample with A²* between each pair of critical values shows the
+// verdict follows.
+func TestAndersonDarlingAlphaSnapping(t *testing.T) {
+	for _, c := range []struct {
+		alpha, crit, a2 float64
+		passed          bool
+	}{
+		{0.09, 0.656, 0.72, false},
+		{0.03, 0.918, 0.85, true},
+	} {
+		if v := criticalValueFor(c.alpha); v != c.crit {
+			t.Errorf("alpha %v: critical value %v, want %v", c.alpha, v, c.crit)
+		}
+		xs := nearCriticalSample(t, 48, c.a2, 1e-3)
+		r, err := AndersonDarlingTest(xs, c.alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Passed() != c.passed || PassedSorted(xs, xs, c.alpha)[AndersonDarling] != c.passed {
+			t.Errorf("alpha %v: A²* %v passed=%v (verdict %v), want %v",
+				c.alpha, r.Statistic, r.Passed(), PassedSorted(xs, xs, c.alpha)[AndersonDarling], c.passed)
+		}
+	}
+}
+
+// TestChiSquaredTestsRejectNonFinite: a sample whose moments underflow
+// or overflow gives D'Agostino and Jarque-Bera a NaN statistic, and
+// that, like a K² of +Inf, is a rejection, not a pass.
+func TestChiSquaredTestsRejectNonFinite(t *testing.T) {
+	scaled := func(scale float64) []float64 {
+		xs := normalSample(3, 48, 0, scale)
+		xs[5] = 20 * scale
+		return xs
+	}
+	for _, scale := range []float64{1e-100, 1e100} {
+		xs := scaled(scale)
+		for _, test := range []func([]float64, float64) (Result, error){DAgostinoK2, JarqueBeraTest} {
+			r, err := test(xs, DefaultAlpha)
+			if err != nil {
+				t.Fatalf("scale %v: %v", scale, err)
+			}
+			if !math.IsNaN(r.Statistic) || r.Passed() {
+				t.Errorf("scale %v: %+v, want a NaN statistic that rejects", scale, r)
+			}
+		}
+	}
+	for _, stat := range []float64{math.Inf(1), math.NaN()} {
+		if _, reject := chiSquared2Test(stat, DefaultAlpha); !reject {
+			t.Errorf("statistic %v passed", stat)
+		}
+	}
+	if p, reject := chiSquared2Test(1, DefaultAlpha); reject || !(p > DefaultAlpha) {
+		t.Errorf("statistic 1: p %v reject %v, want a pass", p, reject)
+	}
+}
+
 func TestErrorsOnDegenerateSamples(t *testing.T) {
 	constant := make([]float64, 48)
 	for i := range constant {

@@ -2,6 +2,7 @@ package normality
 
 import (
 	"math"
+	"sync"
 
 	"earlybird/internal/stats"
 )
@@ -24,8 +25,9 @@ import (
 //     critical value in (0, k2MaxCrit) (see thresholdMargin);
 //   - Shapiro-Wilk compares Royston's z with Φ⁻¹(1-α), for
 //     11 < n ≤ adMaxN and a critical value in (-swMaxZ, swMaxZ);
-//   - Anderson-Darling compares a faster evaluation of A²* with
-//     Stephens' critical value (see adMargin).
+//   - Anderson-Darling compares A²*, with ln Φ read from a table by
+//     linear interpolation, with Stephens' critical value, for
+//     8 ≤ n ≤ adMaxN (see adTableMargin).
 type Verdicts struct {
 	alpha float64
 	// k2Crit and zCrit are NaN when alpha lies outside the range their
@@ -91,8 +93,8 @@ func PassedSorted(xs, sorted []float64, alpha float64) [3]bool {
 //     values there.
 //
 // TestThresholdBounds measures both gaps; the margin is over 1000 times
-// the larger. A K² of +Inf (ChiSquaredSF is NaN there) or a NaN
-// statistic is never trusted.
+// the larger. A K² of +Inf is a rejection on both sides; a NaN
+// statistic goes to the reference, which rejects it too.
 const thresholdMargin = 1e-9
 
 // k2MaxCrit and swMaxZ bound the critical values whose neighbourhoods
@@ -108,12 +110,12 @@ const (
 // counting as a rejection. It also reports whether the verdict came
 // from the reference: a sample outside the threshold's size range, a
 // constant sample, or a K² within thresholdMargin of the critical value
-// or not finite.
+// or NaN.
 func (v Verdicts) dagPassed(xs, sorted []float64) (passed, usedFallback bool) {
 	if n := len(xs); n >= 20 && n <= adMaxN && sorted[0] != sorted[n-1] {
 		k2 := constsFor(n).k2(xs)
 		switch d := k2 - v.k2Crit; {
-		case d > thresholdMargin && k2 <= math.MaxFloat64:
+		case d > thresholdMargin:
 			return false, false
 		case d < -thresholdMargin:
 			return true, false
@@ -141,111 +143,107 @@ func (v Verdicts) swPassed(x []float64) (passed, usedFallback bool) {
 	return err == nil && r.Passed(), true
 }
 
-// adMargin is how far the fast A²* must sit from the critical value
-// before the Anderson-Darling verdict (Verdicts.adPassed) trusts its
-// side of it.
-//
-// Both forms read the same standardised z_i and the same doubles
-// p_i = Φ(z_i) and q_i = Φ(-z_{n-1-i}) (erfcPair is bit-identical to the
-// reference's two Erfc calls); they differ only in how they evaluate
-// S = Σ (2i+1)·ln(p_i·q_i), from which A² = -n - S/n. With u = 2⁻⁵³ and
-// |S| = n(n + A²):
-//
-//   - the reference rounds each ln to within 1 ulp, adds, scales and sums
-//     n same-signed terms in order: |ΔS_ref| ≤ (n+3)·u·|S|;
-//   - the fast form rounds each p_i·q_i once, each suffix product T_j and
-//     each step of Π T_j once, takes one ln of a mantissa in [1/8, 1) and
-//     adds the exponent times ln 2: |ΔS_fast| ≤ 2n²·u + 2.5·u·|S| + 10u.
-//
-// Dividing by n, adding the final roundings of A² and scaling by
-// 1 + 0.75/n + 2.25/n² ≤ 1.13 bounds the gap between the two A²* near a
-// critical value (A²* ≤ 1.1) by
-//
-//	B(n) ≤ 1.13·u·((n+7.5)(n+1.1) + 2n + 2),
-//
-// 3.5e-13 at n = 48 and 2.3e-12 at n = adMaxN = 128, the largest sample
-// the fast form takes. The margin is over 400 times B(128) and over 5000
-// times the largest gap measured between the two forms (5.1e-14 at
-// n = 48 and 1.7e-13 at n = 128 over 400k random blocks of four shapes);
-// inside it the reference decides.
-const adMargin = 1e-9
-
-// adMaxN is the largest sample the fast verdict handles; it sizes the
-// stack buffer, and larger samples go to the reference.
+// adMaxN is the largest sample the verdicts' fast forms take; larger
+// samples go to the reference.
 const adMaxN = 128
+
+// The Anderson-Darling verdict reads g(z) = ln Φ(z) from lnPhiTable,
+// sampled at step h = 1/adTableSteps = 2⁻⁸ over [-adTableZ, adTableZ].
+// A sample standardised with the n-1 variance has |z| ≤ (n-1)/√n, below
+// 11.23 for n ≤ adMaxN, so every z of a sample the table form takes
+// lies inside it unless the arithmetic broke down.
+const (
+	adTableZ     = 11.25
+	adTableSteps = 256
+	adTableCells = 2 * adTableZ * adTableSteps
+)
+
+// lnPhiTable returns the table, g[k] = logNormalCDF(-adTableZ +
+// k/adTableSteps) with every grid point exact. It is built on first use
+// (about 0.5 ms), so a process that decides no verdict never pays for
+// it.
+var lnPhiTable = sync.OnceValue(func() *[adTableCells + 1]float64 {
+	g := new([adTableCells + 1]float64)
+	for k := range g {
+		g[k] = logNormalCDF(-adTableZ + float64(k)/adTableSteps)
+	}
+	return g
+})
+
+// adTableMargin is how far the table's A²* must sit from the critical
+// value before the Anderson-Darling verdict (Verdicts.adPassed) trusts
+// its side of it, for a sample of n.
+//
+// The table form and AndersonDarlingSorted standardise with the same
+// mean and deviation and evaluate the same sum
+// S = Σ (2i+1)·g(z_i) + (2(n-1-i)+1)·g(-z_i), from which A² = -n - S/n;
+// they differ in g. Since -g″ = λ(z)·(z+λ(z)) with λ = φ/Φ is one
+// minus the variance of a normal truncated above z, it lies in (0, 1),
+// so the linear interpolant of exact table entries is within h²/8 of g
+// everywhere (and below it: g is concave). The weights of each i sum to 2n, so S
+// moves by at most n²·h²/4 and A²* by at most 1.13·n·h²/4, with
+// 1 + 0.75/n + 2.25/n² ≤ 1.13 for n ≥ 8: 2.1e-4 at n = 48.
+//
+// The constant term covers rounding, over 25 times: each g read from
+// the table is off by at most 10³·u (u = 2⁻⁵³; |g| ≤ 67 and |g′| < 12
+// on the table, and the table places z by a multiplication rather than
+// the reference's division), and near a critical value both in-order
+// sums of n same-signed terms by at most (n+3)·u·|S| with
+// |S| ≈ n(n + A²), together under 4e-11 in A²* at n = adMaxN.
+func adTableMargin(n int) float64 {
+	const h = 1.0 / adTableSteps
+	return 1.13*float64(n)*h*h/4 + 1e-9
+}
 
 // adPassed is AndersonDarlingSorted(x, alpha)'s Passed() verdict, with
 // an error counting as a rejection. It also reports whether the verdict
-// came from the reference because the fast form could not decide: a
-// degenerate or oversized sample, a product outside the normal range or
-// NaN, or a fast A²* within adMargin of the critical value.
+// came from the reference because the table could not decide: a
+// degenerate or oversized sample, a z outside the table or NaN, or a
+// table A²* within adTableMargin of the critical value.
 func (v Verdicts) adPassed(x []float64) (passed, usedFallback bool) {
-	if a2star, ok := adFastStatistic(x); ok {
+	if a2star, ok := adTableStatistic(x); ok {
+		margin := adTableMargin(len(x))
 		switch d := a2star - v.adCrit; {
-		case d > adMargin:
+		case d > margin:
 			return false, false
-		case d < -adMargin:
+		case d < -margin:
 			return true, false
 		}
 	}
 	return adReferencePassed(x, v.alpha), true
 }
 
-// adFastStatistic returns A²* as the fast form computes it, which
-// differs from AndersonDarlingSorted's statistic by at most B(n) (see
-// adMargin), or false when the sample is outside what the fast form
-// handles.
-//
-// The fast form evaluates one erfc per sample (erfcPair gives both
-// tails) and one logarithm per sample set. With suffix products
-// T_j = Π_{i≥j} p_i·q_i and T_n = 1, each factor p_i·q_i appears 2i+1
-// times in Π_j T_j·T_{j+1} = T_0·(Π_{j≥1} T_j)², so
-// S = ln T_0 + 2·ln Π_{j≥1} T_j. The running product keeps its binary
-// exponent apart, and the log is taken once at the end.
-func adFastStatistic(x []float64) (float64, bool) {
+// adTableStatistic returns A²* with g = ln Φ read from lnPhiTable by
+// linear interpolation, which differs from AndersonDarlingSorted's
+// statistic by less than adTableMargin, or false when the sample is
+// outside what the table handles.
+func adTableStatistic(x []float64) (float64, bool) {
 	n := len(x)
 	if n < 8 || n > adMaxN || x[0] == x[n-1] {
 		return 0, false
 	}
-	// The same mean, deviation and z as AndersonDarlingSorted, so that
-	// both forms see the same p_i and q_i.
+	// The same mean and deviation as AndersonDarlingSorted.
 	mean := stats.Mean(x)
 	sd := math.Sqrt(stats.VarianceAbout(x, mean))
-
-	// r[i] = Φ(z_i)·Φ(-z_{n-1-i}); sample i supplies Φ(z_i) to r[i] and
-	// Φ(-z_i) to r[n-1-i], so i and its mirror are filled together.
-	// Φ(z) = 0.5·erfc(-z/√2) as in logNormalCDF; |z| ≤ (n-1)/√n < 37, so
-	// the reference never takes its asymptotic tail here.
-	var rbuf [adMaxN]float64
-	r := rbuf[:n]
-	for i, k := 0, n-1; i <= k; i, k = i+1, k-1 {
-		sfI, cdfI := erfcPair((x[i] - mean) / sd / math.Sqrt2)
-		sfK, cdfK := erfcPair((x[k] - mean) / sd / math.Sqrt2)
-		r[i] = 0.5 * cdfI * (0.5 * sfK)
-		r[k] = 0.5 * cdfK * (0.5 * sfI)
-	}
-
-	// Fold the suffix products: t = T_j, and m·2^e = Π_{i≥j} T_i with m
-	// renormalised into [1/2, 1) at every step. Each r ≤ 1, so t only
-	// shrinks and a NaN anywhere reaches the final t: if that t is at
-	// least 2⁻¹⁰⁰⁰, every m·t was a normal number; otherwise the fold is
-	// discarded.
-	t, m, e := 1.0, 1.0, 0
-	for j := n - 1; j >= 1; j-- {
-		t *= r[j]
-		m *= t
-		b := math.Float64bits(m)
-		e += int(b>>52) - 1022
-		m = math.Float64frombits(b&(1<<52-1) | 1022<<52)
-	}
-	t *= r[0]
-	if !(t >= 0x1p-1000) {
-		return 0, false
-	}
-	m0, e0 := math.Frexp(t)
-	sum := math.Log(m0*(m*m)) + float64(e0+2*e)*math.Ln2
-
+	scale := adTableSteps / sd
+	g := lnPhiTable()
 	nf := float64(n)
+	sum := 0.0
+	for i, xi := range x {
+		// z sits at t = k + f cells from the table's left end, and -z
+		// at adTableCells - t = m + (1-f) with m = adTableCells-1-k.
+		t := (xi-mean)*scale + adTableZ*adTableSteps
+		if !(t >= 0 && t < adTableCells) {
+			return 0, false
+		}
+		k := int(t)
+		f := t - float64(k)
+		m := adTableCells - 1 - k
+		lo := g[k] + f*(g[k+1]-g[k])
+		hi := g[m+1] - f*(g[m+1]-g[m])
+		w := float64(2*i + 1)
+		sum += w*lo + (2*nf-w)*hi
+	}
 	a2 := -nf - sum/nf
 	return a2 * (1 + 0.75/nf + 2.25/(nf*nf)), true
 }

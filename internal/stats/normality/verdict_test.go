@@ -41,9 +41,10 @@ var verdictShapes = map[string]func(s *rng.Source, n int) []float64{
 
 // TestPassedSortedMatchesBattery pins the verdict-only battery to the
 // full one over random blocks of every shape at sizes 8..200, so both
-// the fast Anderson-Darling form (n ≤ adMaxN) and its heap-sized
-// fallback (n > adMaxN) are covered, at the paper's 5% level and at
-// Stephens' other tabulated levels.
+// the Anderson-Darling table (n ≤ adMaxN) and the reference it falls
+// back to (n > adMaxN) are covered, at the paper's 5% level and at
+// Stephens' other tabulated levels; the table's A²* must stay within
+// its margin of the reference's.
 func TestPassedSortedMatchesBattery(t *testing.T) {
 	src := rng.New(18)
 	alphas := append([]float64{DefaultAlpha}, adCriticalSig...)
@@ -70,23 +71,80 @@ func TestPassedSortedMatchesBattery(t *testing.T) {
 				}
 				_, fallback := adPassedSorted(sorted, alpha)
 				if n > adMaxN && !fallback {
-					t.Fatalf("%s n=%d: a sample above adMaxN took the fast path", name, n)
+					t.Fatalf("%s n=%d: a sample above adMaxN was decided by the table", name, n)
 				}
 				if !fallback {
 					fast++
 				}
-				if a2, ok := adFastStatistic(sorted); ok {
-					maxGap = math.Max(maxGap, math.Abs(a2-want[AndersonDarling].Statistic))
+				if a2, ok := adTableStatistic(sorted); ok {
+					gap, margin := math.Abs(a2-want[AndersonDarling].Statistic), adTableMargin(n)
+					if !(gap < margin) {
+						t.Fatalf("%s n=%d: table A²* %v is %g from the reference %v, over the margin %g",
+							name, n, a2, gap, want[AndersonDarling].Statistic, margin)
+					}
+					maxGap = math.Max(maxGap, gap/margin)
 				}
 			}
 		}
 	}
-	// The margin must dwarf what the two forms actually disagree by.
-	if maxGap > adMargin/1000 {
-		t.Errorf("fast and reference A²* differ by up to %g; the margin %g is less than 1000 times that",
-			maxGap, adMargin)
+	t.Logf("%d blocks, %d decided by the table, largest A²* gap %.3f of the margin", blocks, fast, maxGap)
+}
+
+// TestADTableBound checks what adTableMargin rests on. At every cell's
+// midpoint, where linear interpolation strays farthest from g, the
+// table must read within h²/8 of logNormalCDF, and every second
+// difference must lie in [-h², 0], as -g″ is in (0, 1), both up to
+// rounding. Then over 400k random blocks, 25k of each shape at n = 8,
+// 20, 48 and adMaxN, the table's A²* must stay within the margin of
+// the reference's.
+func TestADTableBound(t *testing.T) {
+	const (
+		h     = 1.0 / adTableSteps
+		round = 1e-12
+	)
+	g := lnPhiTable()
+	worst := 0.0
+	for k := 0; k < adTableCells; k++ {
+		mid := -adTableZ + (float64(k)+0.5)/adTableSteps
+		d := math.Abs((g[k]+g[k+1])/2 - logNormalCDF(mid))
+		if d > h*h/8+round {
+			t.Fatalf("cell %d: midpoint %v reads %g from logNormalCDF, over h²/8 = %g", k, mid, d, h*h/8)
+		}
+		worst = math.Max(worst, d)
+		if k > 0 {
+			if d2 := g[k-1] - 2*g[k] + g[k+1]; d2 > round || d2 < -h*h-round {
+				t.Fatalf("cell %d: second difference %g outside [-h², 0]", k, d2)
+			}
+		}
 	}
-	t.Logf("%d blocks, %d decided by the fast form, largest A²* gap %g", blocks, fast, maxGap)
+	t.Logf("largest midpoint error %g, h²/8 = %g", worst, h*h/8)
+
+	src := rng.New(29)
+	for _, n := range []int{8, 20, 48, adMaxN} {
+		margin := adTableMargin(n)
+		maxGap, near := 0.0, 0
+		for _, name := range []string{"normal", "exponential", "uniform", "mixture"} {
+			for rep := 0; rep < 25000; rep++ {
+				xs := verdictShapes[name](src, n)
+				sortx.Sort(xs)
+				a2, ok := adTableStatistic(xs)
+				ref, err := AndersonDarlingSorted(xs, DefaultAlpha)
+				if !ok || err != nil {
+					t.Fatalf("%s n=%d: table ok=%v, reference error %v", name, n, ok, err)
+				}
+				gap := math.Abs(a2 - ref.Statistic)
+				if !(gap < margin) {
+					t.Fatalf("%s n=%d: table A²* %v is %g from the reference %v, over the margin %g",
+						name, n, a2, gap, ref.Statistic, margin)
+				}
+				maxGap = math.Max(maxGap, gap)
+				if math.Abs(a2-criticalValueFor(DefaultAlpha)) <= margin {
+					near++
+				}
+			}
+		}
+		t.Logf("n=%d: largest A²* gap %g, margin %g; %d of 100000 blocks within it at 5%%", n, maxGap, margin, near)
+	}
 }
 
 // TestPassedSortedDegenerate: samples Anderson-Darling cannot test count
@@ -127,7 +185,7 @@ func nearCriticalSample(tb testing.TB, n int, crit, tol float64) []float64 {
 }
 
 // TestADVerdictNearCritical builds samples whose reference A²* sits
-// within 1e-12 of each of Stephens' critical values, where the fast form
+// within 1e-12 of each of Stephens' critical values, where the table
 // cannot tell the sides apart: the verdict must come from the reference
 // and agree with it.
 func TestADVerdictNearCritical(t *testing.T) {
@@ -141,52 +199,13 @@ func TestADVerdictNearCritical(t *testing.T) {
 			}
 			passed, fallback := adPassedSorted(xs, sig)
 			if !fallback {
-				t.Errorf("n=%d alpha=%v: A²* %v is %g from %v but the fast form decided",
+				t.Errorf("n=%d alpha=%v: A²* %v is %g from %v but the table decided",
 					n, sig, ref.Statistic, ref.Statistic-crit, crit)
 			}
 			if passed != ref.Passed() {
 				t.Errorf("n=%d alpha=%v: passed=%v, reference %v", n, sig, passed, ref.Passed())
 			}
 		}
-	}
-}
-
-// TestErfcPairMatchesErfc pins erfcPair to the library's Erfc bit for
-// bit on both signs: dense sweeps around every branch boundary of the
-// FreeBSD algorithm, a log-spaced sweep over the whole range, and the
-// special values.
-func TestErfcPairMatchesErfc(t *testing.T) {
-	check := func(x float64) {
-		for _, x := range []float64{x, -x} {
-			pos, neg := erfcPair(x)
-			if math.Float64bits(pos) != math.Float64bits(math.Erfc(x)) ||
-				math.Float64bits(neg) != math.Float64bits(math.Erfc(-x)) {
-				t.Fatalf("erfcPair(%v) = (%v, %v), Erfc gives (%v, %v)",
-					x, pos, neg, math.Erfc(x), math.Erfc(-x))
-			}
-		}
-	}
-	for _, x := range []float64{0, math.Copysign(0, -1), math.Inf(1), math.NaN(),
-		math.SmallestNonzeroFloat64, math.MaxFloat64} {
-		check(x)
-	}
-	for _, edge := range []float64{0x1p-56, 0.25, 0.84375, 1.25, 1 / 0.35, 6, 28} {
-		// Every double within 2000 ulps of the boundary, then a coarser
-		// sweep of ±1% around it.
-		x := edge
-		for i := 0; i < 2000; i++ {
-			x = math.Nextafter(x, 0)
-		}
-		for i := 0; i < 4001; i++ {
-			check(x)
-			x = math.Nextafter(x, math.Inf(1))
-		}
-		for i := -5000; i <= 5000; i++ {
-			check(edge * (1 + float64(i)*2e-6))
-		}
-	}
-	for x := 1e-20; x < 40; x *= 1 + 1e-4 {
-		check(x)
 	}
 }
 
@@ -218,9 +237,9 @@ func FuzzADVerdict(f *testing.F) {
 		sortx.Sort(xs)
 		passed, _ := adPassedSorted(xs, DefaultAlpha)
 		if want := adReferencePassed(xs, DefaultAlpha); passed != want {
-			a2, ok := adFastStatistic(xs)
+			a2, ok := adTableStatistic(xs)
 			ref, err := AndersonDarlingSorted(xs, DefaultAlpha)
-			t.Fatalf("n=%d: passed=%v, reference %v (fast A²* %v ok=%v, reference %+v err %v)",
+			t.Fatalf("n=%d: passed=%v, reference %v (table A²* %v ok=%v, reference %+v err %v)",
 				len(xs), passed, want, a2, ok, ref, err)
 		}
 	})
