@@ -9,7 +9,7 @@ GO ?= go
 # climbs, never lower it).
 COVER_FLOOR ?= 80.0
 
-.PHONY: all build test race race-fleet test-chaos test-scenario test-scripts test-bitident-v3 bench bench-json bench-gate bench-baseline profile lint lint-fma fmt docs-check cover fuzz-smoke clean-store
+.PHONY: all build test race race-fleet test-chaos test-scenario test-scripts test-bitident-v3 bench bench-json bench-gate bench-baseline profile lint lint-fma lint-branchless fmt docs-check cover fuzz-smoke clean-store
 
 all: build lint docs-check test
 
@@ -205,14 +205,29 @@ lint:
 # internal/stats (the stock toolchain cross-compiles; no arm64 machine is
 # needed) must emit no fused multiply-add inside centralMoments, whose
 # float64() wraps keep D'Agostino's and Jarque-Bera's moments equal to
-# the math.Pow reference, or inside VarianceAbout, whose wrap keeps
-# Variance, StdDev and the Anderson-Darling statistic the same on every
-# architecture. amd64 never fuses, so no amd64 test run can
-# catch a missing wrap. The self-test first proves the guard trips on an
-# unwrapped copy of the loop (scripts/testdata/fmaguard).
+# the math.Pow reference, or inside SumSquaresAbout (VarianceAbout's
+# sum), whose wrap keeps Variance, StdDev, Shapiro-Wilk's W and the
+# Anderson-Darling statistic the same on every architecture. amd64 never
+# fuses, so no amd64 test run can catch a missing wrap. The self-test
+# first proves the guard trips on an unwrapped copy of the loop
+# (scripts/testdata/fmaguard).
 lint-fma:
-	sh scripts/lint_fma_test.sh
-	sh scripts/lint_fma.sh ./internal/stats internal/stats/desc.go centralMoments VarianceAbout
+	sh scripts/lint_asm_test.sh fma
+	sh scripts/lint_asm.sh fma ./internal/stats internal/stats/desc.go centralMoments SumSquaresAbout
+
+# The branch guard of the partition and merge loops: the amd64 build of
+# internal/sortx must list no conditional jump on the comparison line of
+# sortx.partitionBelow (Select's partition passes) or sortx.MergeRuns.
+# Their index advances on a comparison of fresh data, which a branch
+# mispredicts about half the time; only the SETcc form is branch-free,
+# and Go compiles `if x < v { j++ }` to a jump. No test sees the
+# difference, and a benchmark that repeats one input hides it from the
+# timings too. The self-test first proves the guard trips on the branchy
+# copy in scripts/testdata/branchguard.
+lint-branchless:
+	sh scripts/lint_asm_test.sh branchless
+	sh scripts/lint_asm.sh branchless ./internal/sortx internal/sortx/select.go partitionBelow
+	sh scripts/lint_asm.sh branchless ./internal/sortx internal/sortx/sortx.go MergeRuns
 
 fmt:
 	gofmt -w .

@@ -22,6 +22,7 @@ import (
 	"earlybird/internal/rng"
 	"earlybird/internal/serve"
 	"earlybird/internal/simclock"
+	"earlybird/internal/stats"
 	"earlybird/internal/stats/normality"
 	"earlybird/internal/trace"
 	"earlybird/internal/workload"
@@ -318,6 +319,42 @@ func BenchmarkStudyAnalyze(b *testing.B) {
 				if m.MeanMedianSec <= 0 || t1.App != app || len(a.Results) != 3 {
 					b.Fatal("implausible analysis")
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkIQRSelect is the iteration IQR of the exact metrics
+// (stats.IQRSelect) on real application iterations: the 768 thread
+// samples of each of the 200 iterations of a 2x8x200x48 fill per app,
+// cycled so that no input repeats within 200 calls. A benchmark of one
+// repeated input lets the branch predictor learn the partition's
+// outcomes and times it as if they never mispredicted.
+func BenchmarkIQRSelect(b *testing.B) {
+	geom := cluster.Config{Trials: 2, Ranks: 8, Iterations: 200, Threads: 48, Seed: 1}
+	for _, app := range []string{"minife", "minimd", "miniqmc"} {
+		model, err := workload.ByName(app)
+		if err != nil {
+			b.Fatal(err)
+		}
+		col, err := cluster.RunColumnar(model, geom, dlb.Spec{}, 0, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		d := col.Dataset()
+		iters := make([][]float64, geom.Iterations)
+		for i := range iters {
+			iters[i] = d.IterationSamples(i)
+		}
+		buf := make([]float64, len(iters[0]))
+		b.Run(app, func(b *testing.B) {
+			k := 0
+			for b.Loop() {
+				copy(buf, iters[k%len(iters)])
+				if !(stats.IQRSelect(buf) >= 0) {
+					b.Fatal("implausible IQR")
+				}
+				k++
 			}
 		})
 	}

@@ -107,9 +107,9 @@ func Run(model workload.Model, cfg Config) (*trace.Dataset, error) {
 // RunColumnar executes the study under policy into a columnar sink and
 // returns the sealed store: the compact form the campaign engine
 // caches. It is RunStream into a sink with no block observers; workers
-// and progress mean what they mean there. The dataset fingerprint is
-// accumulated stripe-by-stripe while the samples are produced, so Seal
-// pays no second pass over the data.
+// and progress mean what they mean there. Seal only checks that every
+// stripe is complete; the content fingerprint is computed on demand by
+// Columnar.Fingerprint, which only tests call.
 func RunColumnar(model workload.Model, cfg Config, policy dlb.Spec, workers int, progress ProgressSink) (*trace.Columnar, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

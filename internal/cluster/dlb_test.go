@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
 	"earlybird/internal/dlb"
+	"earlybird/internal/trace"
 	"earlybird/internal/workload"
 )
 
@@ -190,4 +192,33 @@ type observerFunc func(trial, rank, iter int, times []float64)
 
 func (f observerFunc) ObserveBlock(trial, rank, iter int, times []float64) {
 	f(trial, rank, iter, times)
+}
+
+// TestColumnarFingerprintMatchesDataset: for a static, a LeWI and a
+// DROM fill, the sealed store's fingerprint, its nested view's and that
+// of a copy with no backing store (a JSON round trip) are one value.
+func TestColumnarFingerprintMatchesDataset(t *testing.T) {
+	model := workload.DefaultMiniMD()
+	cfg := SmallConfig()
+	for _, policy := range []dlb.Spec{{}, {Policy: dlb.PolicyLeWI}, {Policy: dlb.PolicyDROM}} {
+		col, err := RunColumnar(model, cfg, policy, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := col.Fingerprint()
+		if got := col.Dataset().Fingerprint(); got != want {
+			t.Errorf("%s: Dataset fingerprint %#016x, Columnar %#016x", policy.Name(), got, want)
+		}
+		var buf bytes.Buffer
+		if err := col.Dataset().WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := trace.ReadJSON(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := decoded.Fingerprint(); got != want {
+			t.Errorf("%s: decoded dataset fingerprint %#016x, Columnar %#016x", policy.Name(), got, want)
+		}
+	}
 }

@@ -1,9 +1,10 @@
 // Package engine executes campaigns: many studies fanned out over a
-// bounded worker pool, backed by a content-addressed dataset cache keyed
-// by (model name, geometry, seed). Cache entries hold the compact
-// columnar form (trace.Columnar) with the content fingerprint already
-// computed during the fill; the nested Dataset view is built lazily over
-// the same storage (NestedViews counts how often). Identical study specs
+// bounded worker pool, backed by a dataset cache keyed by (model name,
+// geometry with its seed, DLB policy). Generation is a pure function of
+// the key, so the key alone addresses an entry and nothing hashes the
+// samples. Cache entries hold the compact columnar form
+// (trace.Columnar); the nested Dataset view is built lazily over the
+// same storage (NestedViews counts how often). Identical study specs
 // are deduplicated to a single execution, and distinct specs over the
 // same dataset share one generation. Results are deterministic
 // regardless of scheduling order because dataset generation is a pure

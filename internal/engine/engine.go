@@ -29,9 +29,9 @@ type Key struct {
 }
 
 // entry is one generated dataset: the compact columnar form — one flat
-// sample column plus a small header, with the fingerprint already
-// accumulated during the fill — and the nested Dataset view, built
-// lazily over the column's storage only when a consumer asks for it.
+// sample column plus a small header — and the nested Dataset view,
+// built lazily over the column's storage only when a consumer asks for
+// it.
 // Only successful generations are cached; err carries a failed one to
 // the requests that joined it.
 type entry struct {

@@ -86,23 +86,33 @@ func narrow(s []float64, lo, hi, k int) (nlo, nhi int, done bool) {
 // partitionBelow moves every element below v (at or below v when
 // orEqual) to the front of s, keeping no order, and returns how many
 // there are. The swap is unconditional and only the write index
-// advances on the comparison, so the loop has no data-dependent branch.
+// advances on the comparison, so the loop has no data-dependent branch
+// as long as the advance compiles to a flag set. Go 1.24's amd64 back
+// end compiles `if x < v { j++ }` to a compare and a conditional jump
+// around the increment, which mispredicts on about half of fresh
+// inputs; `inc := 0; if x < v { inc = 1 }; j += inc` (MergeRuns' idiom)
+// compiles to SETcc and an add. make lint-branchless checks the
+// listing.
 func partitionBelow(s []float64, v float64, orEqual bool) int {
 	j := 0
 	if orEqual {
 		for i, x := range s {
 			s[i], s[j] = s[j], x
+			inc := 0
 			if x <= v {
-				j++
+				inc = 1
 			}
+			j += inc
 		}
 		return j
 	}
 	for i, x := range s {
 		s[i], s[j] = s[j], x
+		inc := 0
 		if x < v {
-			j++
+			inc = 1
 		}
+		j += inc
 	}
 	return j
 }

@@ -188,28 +188,31 @@ func FuzzSelect(f *testing.F) {
 	})
 }
 
+// BenchmarkSelect places a slice's quartile ranks, as stats.IQRSelect
+// does, and sorts it for comparison, cycling through benchInputs fresh
+// inputs (see freshInputs).
 func BenchmarkSelect(b *testing.B) {
 	for _, n := range []int{48, 768, 3840} {
-		src := make([]float64, n)
-		rng := rand.New(rand.NewPCG(7, uint64(n)))
-		for i := range src {
-			src[i] = rng.NormFloat64()
-		}
+		srcs := freshInputs(n)
 		buf := make([]float64, n)
 		b.Run(sizeName(n)+"/select-quartiles", func(b *testing.B) {
+			k := 0
 			for b.Loop() {
-				copy(buf, src)
+				copy(buf, srcs[k%benchInputs])
 				lo, hi := n/4, 3*n/4
 				Select(buf, lo)
 				Select(buf[lo+1:], 0)
 				Select(buf[lo+2:], hi-lo-2)
 				Select(buf[hi+1:], 0)
+				k++
 			}
 		})
 		b.Run(sizeName(n)+"/sort", func(b *testing.B) {
+			k := 0
 			for b.Loop() {
-				copy(buf, src)
+				copy(buf, srcs[k%benchInputs])
 				Sort(buf)
+				k++
 			}
 		})
 	}

@@ -40,11 +40,12 @@
 // switch with direct calls; calling through a func table makes the
 // stack buffer escape to the heap (TestSortAllocFree catches it).
 //
-// Every tier was chosen by the END-TO-END study benchmark, not the
-// package microbenchmark, because the microbenchmark lies here: its
-// loop re-sorts the same input every iteration, so the branch predictor
-// memorizes every data-dependent comparison and branchy code looks
-// ~2x faster than it runs on fresh data (branchy comparators: 44 ns at
+// Every tier was chosen by the END-TO-END study benchmark, not a
+// package microbenchmark, because a microbenchmark that re-sorts one
+// input every iteration lies here: the branch predictor memorizes every
+// data-dependent comparison and branchy code looks ~2x faster than it
+// runs on fresh data (BenchmarkSort and BenchmarkSelect therefore cycle
+// through 256 fresh inputs; branchy comparators: 44 ns at
 // n16 in the microbenchmark vs a ~20% REGRESSION of the full streaming
 // study; same story for insertion sort, whose inner loop is all
 // data-dependent branches). Branchless min/max comparators pay a few

@@ -64,18 +64,37 @@ func TestSortSubslice(t *testing.T) {
 	}
 }
 
+// benchInputs is the number of distinct inputs a benchmark cycles
+// through. A branch predictor learns the outcomes of one input repeated
+// on every iteration, so a benchmark of one input times a data-dependent
+// branch as if it never mispredicted; a few hundred inputs of fresh
+// samples outlast that history.
+const benchInputs = 256
+
+// freshInputs returns benchInputs distinct slices of n standard normal
+// samples.
+func freshInputs(n int) [][]float64 {
+	rng := rand.New(rand.NewPCG(7, uint64(n)))
+	srcs := make([][]float64, benchInputs)
+	for k := range srcs {
+		srcs[k] = make([]float64, n)
+		for i := range srcs[k] {
+			srcs[k][i] = rng.NormFloat64()
+		}
+	}
+	return srcs
+}
+
 func BenchmarkSort(b *testing.B) {
 	for _, n := range []int{8, 16, 48, 128, 512} {
-		src := make([]float64, n)
-		rng := rand.New(rand.NewPCG(7, uint64(n)))
-		for i := range src {
-			src[i] = rng.NormFloat64()
-		}
+		srcs := freshInputs(n)
 		buf := make([]float64, n)
 		b.Run(sizeName(n), func(b *testing.B) {
+			k := 0
 			for b.Loop() {
-				copy(buf, src)
+				copy(buf, srcs[k%benchInputs])
 				Sort(buf)
+				k++
 			}
 		})
 	}
@@ -189,16 +208,14 @@ func insertion(s []float64) {
 // measured against (see the package comment's crossover numbers).
 func BenchmarkSortInsertion(b *testing.B) {
 	for _, n := range []int{16, 32, 48, 128} {
-		src := make([]float64, n)
-		rng := rand.New(rand.NewPCG(7, uint64(n)))
-		for i := range src {
-			src[i] = rng.NormFloat64()
-		}
+		srcs := freshInputs(n)
 		buf := make([]float64, n)
 		b.Run(sizeName(n), func(b *testing.B) {
+			k := 0
 			for b.Loop() {
-				copy(buf, src)
+				copy(buf, srcs[k%benchInputs])
 				insertion(buf)
+				k++
 			}
 		})
 	}

@@ -31,19 +31,25 @@ func Mean(xs []float64) float64 {
 func Variance(xs []float64) float64 { return VarianceAbout(xs, Mean(xs)) }
 
 // VarianceAbout is Variance for a caller that already holds the sample
-// mean m, bit-identical to Variance when m == Mean(xs). The square is
-// wrapped in float64() so that no compiler fuses it into the sum (see
-// centralMoments); make lint-fma checks the arm64 build.
+// mean m, bit-identical to Variance when m == Mean(xs).
 func VarianceAbout(xs []float64, m float64) float64 {
 	if len(xs) < 2 {
 		return math.NaN()
 	}
+	return SumSquaresAbout(xs, m) / float64(len(xs)-1)
+}
+
+// SumSquaresAbout returns Σ (x - m)² in xs's order, the sum VarianceAbout
+// divides, for callers that need it undivided. The square is wrapped in
+// float64() so that no compiler fuses it into the sum (see
+// centralMoments); make lint-fma checks the arm64 build.
+func SumSquaresAbout(xs []float64, m float64) float64 {
 	ss := 0.0
 	for _, x := range xs {
 		d := x - m
 		ss += float64(d * d)
 	}
-	return ss / float64(len(xs)-1)
+	return ss
 }
 
 // StdDev returns the unbiased sample standard deviation.

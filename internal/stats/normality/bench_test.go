@@ -96,10 +96,10 @@ func BenchmarkVerdicts(b *testing.B) {
 			func() { v.dagPassed(xs, sorted) }},
 		{"ShapiroWilk",
 			func() { ShapiroWilkSorted(sorted, DefaultAlpha) },
-			func() { v.swPassed(sorted) }},
+			func() { v.swPassed(sorted, spreadOf(sorted)) }},
 		{"AndersonDarling",
 			func() { AndersonDarlingSorted(sorted, DefaultAlpha) },
-			func() { v.adPassed(sorted) }},
+			func() { v.adPassed(sorted, spreadOf(sorted)) }},
 		{"Battery",
 			func() { BatterySorted(xs, sorted, DefaultAlpha) },
 			func() { v.Passed(xs, sorted) }},

@@ -40,7 +40,7 @@ func ShapiroWilkSorted(x []float64, alpha float64) (Result, error) {
 	}
 
 	c := constsFor(n)
-	w := swStatistic(x, c.swA)
+	w := swStatistic(x, c.swA, spreadOf(x).ss)
 	p := swPValue(w, n, c)
 	return Result{
 		Test:         ShapiroWilk,
@@ -110,8 +110,9 @@ func poly(c []float64, x float64) float64 {
 }
 
 // swStatistic computes W for the sorted sample x from the lower-half
-// weights a = swWeights(len(x)).
-func swStatistic(x, a []float64) float64 {
+// weights a = swWeights(len(x)) and ss = Σ (x_i - x̄)², which callers
+// take from spreadOf(x).
+func swStatistic(x, a []float64, ss float64) float64 {
 	n := len(x)
 	num := 0.0
 	for i, ai := range a {
@@ -119,12 +120,7 @@ func swStatistic(x, a []float64) float64 {
 		// upper-half coefficient -a_i.
 		num += ai * (x[i] - x[n-1-i])
 	}
-	mean := stats.Mean(x)
-	den := 0.0
-	for _, xi := range x {
-		den += (xi - mean) * (xi - mean)
-	}
-	return num * num / den
+	return num * num / ss
 }
 
 // swPValue converts W to a p-value with Royston's normalising

@@ -58,7 +58,18 @@ func refRoystonP(w float64, n int) float64 {
 // adPassedSorted is the Anderson-Darling verdict at alpha and whether it
 // came from the reference.
 func adPassedSorted(x []float64, alpha float64) (passed, usedFallback bool) {
-	return NewVerdicts(alpha).adPassed(x)
+	return NewVerdicts(alpha).adPassed(x, spreadOf(x))
+}
+
+// adTableStatistic is the table form's A²* of the sorted sample x.
+func adTableStatistic(x []float64) (float64, bool) {
+	return adTableStatisticAbout(x, spreadOf(x))
+}
+
+// swPassedSorted is the Shapiro-Wilk verdict of v and whether it came
+// from the reference.
+func (v Verdicts) swPassedSorted(x []float64) (passed, usedFallback bool) {
+	return v.swPassed(x, spreadOf(x))
 }
 
 // TestPerSizeConsts pins DAgostinoK2's K² and p-value, and
@@ -240,7 +251,7 @@ func TestThresholdVerdictNearCritical(t *testing.T) {
 				verdict func(xs []float64) (bool, bool)
 			}{
 				{DAgostino, k2Of(t), v.k2Crit, func(xs []float64) (bool, bool) { return v.dagPassed(xs, xs) }},
-				{ShapiroWilk, royston(t), v.zCrit, v.swPassed},
+				{ShapiroWilk, royston(t), v.zCrit, v.swPassedSorted},
 			} {
 				xs := blendSample(t, n, c.stat, c.crit, 1e-12)
 				passed, fallback := c.verdict(xs)
@@ -281,7 +292,7 @@ func TestVerdictsRanges(t *testing.T) {
 						}
 					}
 					_, dagRef := v.dagPassed(xs, sorted)
-					_, swRef := v.swPassed(sorted)
+					_, swRef := v.swPassedSorted(sorted)
 					if !dagRef {
 						fast[DAgostino]++
 					}

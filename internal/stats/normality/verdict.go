@@ -60,12 +60,27 @@ func (v Verdicts) Alpha() float64 { return v.alpha }
 // Passed reports, per test, whether the sample passed, with the same
 // arguments and contract as BatterySorted: xs in its original order and
 // sorted an ascending copy of it, neither modified.
+//
+// Shapiro-Wilk and Anderson-Darling read the same mean and sum of
+// squared deviations of sorted, so Passed computes them once.
 func (v Verdicts) Passed(xs, sorted []float64) [3]bool {
 	var out [3]bool
 	out[DAgostino], _ = v.dagPassed(xs, sorted)
-	out[ShapiroWilk], _ = v.swPassed(sorted)
-	out[AndersonDarling], _ = v.adPassed(sorted)
+	sp := spreadOf(sorted)
+	out[ShapiroWilk], _ = v.swPassed(sorted, sp)
+	out[AndersonDarling], _ = v.adPassed(sorted, sp)
 	return out
+}
+
+// spread is a sample's mean and its sum of squared deviations from it:
+// the mean both references use, the sum that is Shapiro-Wilk's
+// denominator and that VarianceAbout divides for Anderson-Darling. So
+// statistics built from one shared spread have the references' bits.
+type spread struct{ mean, ss float64 }
+
+func spreadOf(x []float64) spread {
+	m := stats.Mean(x)
+	return spread{m, stats.SumSquaresAbout(x, m)}
 }
 
 // PassedSorted is NewVerdicts(alpha).Passed(xs, sorted), for a caller
@@ -127,12 +142,12 @@ func (v Verdicts) dagPassed(xs, sorted []float64) (passed, usedFallback bool) {
 
 // swPassed is ShapiroWilkSorted(x, alpha)'s Passed() verdict, with an
 // error counting as a rejection, and whether it came from the reference
-// (as dagPassed). W = 1 gives z = -Inf, a pass as in swPValue; W > 1
-// gives NaN, which the reference decides.
-func (v Verdicts) swPassed(x []float64) (passed, usedFallback bool) {
+// (as dagPassed); sp is spreadOf(x). W = 1 gives z = -Inf, a pass as in
+// swPValue; W > 1 gives NaN, which the reference decides.
+func (v Verdicts) swPassed(x []float64, sp spread) (passed, usedFallback bool) {
 	if n := len(x); n > 11 && n <= adMaxN && x[0] != x[n-1] {
 		c := constsFor(n)
-		switch d := swZ(swStatistic(x, c.swA), c) - v.zCrit; {
+		switch d := swZ(swStatistic(x, c.swA, sp.ss), c) - v.zCrit; {
 		case d > thresholdMargin:
 			return false, false
 		case d < -thresholdMargin:
@@ -199,9 +214,10 @@ func adTableMargin(n int) float64 {
 // an error counting as a rejection. It also reports whether the verdict
 // came from the reference because the table could not decide: a
 // degenerate or oversized sample, a z outside the table or NaN, or a
-// table A²* within adTableMargin of the critical value.
-func (v Verdicts) adPassed(x []float64) (passed, usedFallback bool) {
-	if a2star, ok := adTableStatistic(x); ok {
+// table A²* within adTableMargin of the critical value. sp is
+// spreadOf(x).
+func (v Verdicts) adPassed(x []float64, sp spread) (passed, usedFallback bool) {
+	if a2star, ok := adTableStatisticAbout(x, sp); ok {
 		margin := adTableMargin(len(x))
 		switch d := a2star - v.adCrit; {
 		case d > margin:
@@ -213,18 +229,19 @@ func (v Verdicts) adPassed(x []float64) (passed, usedFallback bool) {
 	return adReferencePassed(x, v.alpha), true
 }
 
-// adTableStatistic returns A²* with g = ln Φ read from lnPhiTable by
-// linear interpolation, which differs from AndersonDarlingSorted's
-// statistic by less than adTableMargin, or false when the sample is
-// outside what the table handles.
-func adTableStatistic(x []float64) (float64, bool) {
+// adTableStatisticAbout returns A²* of x, whose spreadOf is sp, with
+// g = ln Φ read from lnPhiTable by linear interpolation, which differs
+// from AndersonDarlingSorted's statistic by less than adTableMargin, or
+// false when the sample is outside what the table handles.
+func adTableStatisticAbout(x []float64, sp spread) (float64, bool) {
 	n := len(x)
 	if n < 8 || n > adMaxN || x[0] == x[n-1] {
 		return 0, false
 	}
-	// The same mean and deviation as AndersonDarlingSorted.
-	mean := stats.Mean(x)
-	sd := math.Sqrt(stats.VarianceAbout(x, mean))
+	// The same mean and deviation as AndersonDarlingSorted:
+	// VarianceAbout divides the same sum by n-1.
+	mean := sp.mean
+	sd := math.Sqrt(sp.ss / float64(n-1))
 	scale := adTableSteps / sd
 	g := lnPhiTable()
 	nf := float64(n)

@@ -11,69 +11,13 @@
 //
 // Data enters through a Sink: per-(trial, rank) StripeWriters append one
 // process iteration at a time, each writer independent of the others so a
-// parallel fill needs no locking. Every append folds the new samples into
-// the stripe's running FNV-1a hash, so by the time Seal combines the
-// stripes the dataset fingerprint has already been paid for — no second
-// pass over the data. Data leaves through a Cursor: block-at-a-time
-// iteration over process iterations, each block a zero-copy view of the
-// column.
+// parallel fill needs no locking. Data leaves through a Cursor:
+// block-at-a-time iteration over process iterations, each block a
+// zero-copy view of the column.
 
 package trace
 
-import (
-	"fmt"
-	"math"
-)
-
-// FNV-1a 64-bit parameters, inlined so per-sample hashing avoids the
-// hash.Hash interface in the fill hot path.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// fnvU64 folds the eight little-endian bytes of v into h (FNV-1a).
-func fnvU64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime64
-		v >>= 8
-	}
-	return h
-}
-
-// fnvString folds the bytes of s into h (FNV-1a).
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// stripeHash returns the FNV-1a hash of one (trial, rank) stripe's
-// samples in (iteration, thread) order.
-func stripeHash(xs []float64) uint64 {
-	h := uint64(fnvOffset64)
-	for _, x := range xs {
-		h = fnvU64(h, math.Float64bits(x))
-	}
-	return h
-}
-
-// combineFingerprint folds the app name, geometry and per-stripe hashes
-// (in trial-major order) into the dataset fingerprint.
-func combineFingerprint(app string, trials, ranks, iterations, threads int, stripes []uint64) uint64 {
-	h := fnvString(uint64(fnvOffset64), app)
-	h = fnvU64(h, uint64(trials))
-	h = fnvU64(h, uint64(ranks))
-	h = fnvU64(h, uint64(iterations))
-	h = fnvU64(h, uint64(threads))
-	for _, s := range stripes {
-		h = fnvU64(h, s)
-	}
-	return h
-}
+import "fmt"
 
 // Columnar is the compact, immutable columnar form of a study: the
 // geometry header plus the flat compute-time column. It is produced by a
@@ -86,8 +30,6 @@ type Columnar struct {
 	iterations int
 	threads    int
 	times      []float64
-	fp         uint64
-	hasFP      bool
 }
 
 func newColumnar(app string, trials, ranks, iterations, threads int) *Columnar {
@@ -156,24 +98,15 @@ func (c *Columnar) Coord(row int) (trial, rank, iter, thread int) {
 	return
 }
 
-// Fingerprint returns the dataset fingerprint. For sink-sealed stores the
-// value was accumulated incrementally during the fill and this is a cached
-// load; otherwise it is computed stripe-wise in one pass.
-func (c *Columnar) Fingerprint() uint64 {
-	if c.hasFP {
-		return c.fp
-	}
-	stripeLen := c.iterations * c.threads
-	stripes := make([]uint64, 0, c.trials*c.ranks)
-	for off := 0; off < len(c.times); off += stripeLen {
-		stripes = append(stripes, stripeHash(c.times[off:off+stripeLen]))
-	}
-	return combineFingerprint(c.app, c.trials, c.ranks, c.iterations, c.threads, stripes)
-}
+// Fingerprint returns Dataset.Fingerprint of the store's nested view.
+// Every call hashes the whole column; nothing caches it, because no
+// production path reads it: tests use it to pin a fill's bits (the
+// static goldens, fills with and without a progress sink).
+func (c *Columnar) Fingerprint() uint64 { return c.Dataset().Fingerprint() }
 
 // Dataset builds the nested [][][][] view over the columnar storage. The
-// view shares the column — no samples are copied — and inherits the
-// cached fingerprint. The result must be treated as read-only.
+// view shares the column — no samples are copied. The result must be
+// treated as read-only.
 func (c *Columnar) Dataset() *Dataset {
 	d := &Dataset{
 		App:        c.app,
@@ -277,26 +210,19 @@ func (c *Cursor) Block() Block { return c.cur }
 
 // Sink is an append-only columnar writer for one study. Each (trial,
 // rank) stripe has an independent StripeWriter, so a parallel fill writes
-// without locks; every append folds the samples into the stripe's running
-// hash, making the final fingerprint free at Seal time.
+// without locks. A writer only copies (or lets the producer write) the
+// samples and advances its stripe's count; the fill does no per-sample
+// work beyond that.
 type Sink struct {
-	col     *Columnar
-	stripes []sinkStripe
-}
-
-type sinkStripe struct {
-	next int
-	hash uint64
+	col *Columnar
+	// next counts the iterations appended to each (trial, rank) stripe.
+	next []int
 }
 
 // NewSink returns a sink for the given geometry.
 func NewSink(app string, trials, ranks, iterations, threads int) *Sink {
 	col := newColumnar(app, trials, ranks, iterations, threads)
-	stripes := make([]sinkStripe, trials*ranks)
-	for i := range stripes {
-		stripes[i].hash = fnvOffset64
-	}
-	return &Sink{col: col, stripes: stripes}
+	return &Sink{col: col, next: make([]int, trials*ranks)}
 }
 
 // App returns the application name the sink was created with.
@@ -322,41 +248,31 @@ func (s *Sink) Stripe(trial, rank int) *StripeWriter {
 		panic(fmt.Sprintf("trace: stripe (%d,%d) outside %dx%d", trial, rank, s.col.trials, s.col.ranks))
 	}
 	return &StripeWriter{
-		sink:   s,
-		stripe: &s.stripes[trial*s.col.ranks+rank],
-		base:   s.col.blockOffset(trial, rank, 0),
+		sink: s,
+		next: &s.next[trial*s.col.ranks+rank],
+		base: s.col.blockOffset(trial, rank, 0),
 	}
 }
 
 // StripeWriter appends process iterations to one (trial, rank) stripe in
 // iteration order.
 type StripeWriter struct {
-	sink   *Sink
-	stripe *sinkStripe
-	base   int
+	sink *Sink
+	next *int
+	base int
 }
 
 // Written returns how many iterations have been appended to the stripe.
-func (w *StripeWriter) Written() int { return w.stripe.next }
+func (w *StripeWriter) Written() int { return *w.next }
 
-// next reserves the destination view of the next iteration.
+// nextView reserves the destination view of the next iteration.
 func (w *StripeWriter) nextView() []float64 {
 	c := w.sink.col
-	if w.stripe.next >= c.iterations {
+	if *w.next >= c.iterations {
 		panic("trace: stripe already complete")
 	}
-	off := w.base + w.stripe.next*c.threads
+	off := w.base + *w.next*c.threads
 	return c.times[off : off+c.threads : off+c.threads]
-}
-
-// commit folds the just-written view into the stripe hash and advances.
-func (w *StripeWriter) commit(out []float64) {
-	h := w.stripe.hash
-	for _, x := range out {
-		h = fnvU64(h, math.Float64bits(x))
-	}
-	w.stripe.hash = h
-	w.stripe.next++
 }
 
 // Append copies one process iteration's thread samples into the stripe.
@@ -366,34 +282,28 @@ func (w *StripeWriter) Append(xs []float64) {
 		panic(fmt.Sprintf("trace: appending %d samples to a %d-thread stripe", len(xs), len(out)))
 	}
 	copy(out, xs)
-	w.commit(out)
+	*w.next++
 }
 
 // AppendWith hands the next iteration's backing storage to fill — letting
-// producers write samples in place with no copy — then commits it. It
+// producers write samples in place with no copy — then advances. It
 // returns the written view so the caller can feed subscribed accumulators
 // before moving on; the view must not be mutated afterwards.
 func (w *StripeWriter) AppendWith(fill func(out []float64)) []float64 {
 	out := w.nextView()
 	fill(out)
-	w.commit(out)
+	*w.next++
 	return out
 }
 
-// Seal verifies that every stripe is complete, combines the per-stripe
-// hashes into the dataset fingerprint, and returns the finished store.
-// The sink must not be written after Seal.
+// Seal verifies that every stripe is complete and returns the finished
+// store. The sink must not be written after Seal.
 func (s *Sink) Seal() (*Columnar, error) {
-	hashes := make([]uint64, len(s.stripes))
-	for i := range s.stripes {
-		if s.stripes[i].next != s.col.iterations {
-			t, r := i/s.col.ranks, i%s.col.ranks
+	for i, next := range s.next {
+		if next != s.col.iterations {
 			return nil, fmt.Errorf("trace: stripe (%d,%d) has %d of %d iterations",
-				t, r, s.stripes[i].next, s.col.iterations)
+				i/s.col.ranks, i%s.col.ranks, next, s.col.iterations)
 		}
-		hashes[i] = s.stripes[i].hash
 	}
-	s.col.fp = combineFingerprint(s.col.app, s.col.trials, s.col.ranks, s.col.iterations, s.col.threads, hashes)
-	s.col.hasFP = true
 	return s.col, nil
 }

@@ -64,8 +64,8 @@ func TestSinkParallelFillMatchesDataset(t *testing.T) {
 		}
 	}
 
-	// The fingerprint accumulated during the fill must equal the one
-	// recomputed from scratch over the nested view.
+	// The sealed store's fingerprint must equal that of the same samples
+	// written into a dataset without a sink.
 	if got.Fingerprint() != want.Fingerprint() {
 		t.Fatal("sealed fingerprint differs from recomputed fingerprint")
 	}

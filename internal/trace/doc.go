@@ -15,8 +15,8 @@
 // compute-time column flat with the four index columns implicit in the
 // row number; Dataset is the nested [][][][] view over the same storage
 // for random-access analysis. Data enters through a Sink (independent
-// per-stripe writers, zero-copy fills, fingerprint accumulated during
-// the fill) and leaves through Cursors (block-at-a-time zero-copy
+// per-stripe writers, zero-copy fills, no per-sample work beyond the
+// write) and leaves through Cursors (block-at-a-time zero-copy
 // iteration) — the bounded-memory path the streaming analysis and the
 // serve layer's NDJSON sweeps read. JSON and CSV round-trips live in
 // dataset.go and csv.go.

@@ -1,6 +1,9 @@
 package trace
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestFingerprintDiscriminates(t *testing.T) {
 	a := NewDataset("app", 1, 2, 3, 4)
@@ -39,5 +42,45 @@ func TestFingerprintStableAcrossCalls(t *testing.T) {
 	}
 	if d.Fingerprint() != d.Fingerprint() {
 		t.Error("fingerprint not deterministic")
+	}
+}
+
+// TestFingerprintConcurrentCallsAgree: eight goroutines fingerprint one
+// shared sink-sealed store and all see the same value, the value one
+// caller sees alone. Fingerprint caches nothing today; under -race
+// (make race) this guards any cache a later change adds to it.
+func TestFingerprintConcurrentCallsAgree(t *testing.T) {
+	sink := NewSink("app", 2, 3, 4, 5)
+	for tr := 0; tr < 2; tr++ {
+		for r := 0; r < 3; r++ {
+			w := sink.Stripe(tr, r)
+			for i := 0; i < 4; i++ {
+				w.AppendWith(func(out []float64) {
+					for th := range out {
+						out[th] = float64(((tr*3+r)*4+i)*5+th) * 1e-6
+					}
+				})
+			}
+		}
+	}
+	col, err := sink.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := col.Fingerprint()
+	got := make([]uint64, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = col.Fingerprint()
+		}()
+	}
+	wg.Wait()
+	for g, fp := range got {
+		if fp != want {
+			t.Errorf("goroutine %d: fingerprint %#016x, want %#016x", g, fp, want)
+		}
 	}
 }

@@ -1,6 +1,6 @@
-// Package fmaguard is the fixture of scripts/lint_fma_test.sh: the same
+// Package fmaguard is the fixture of scripts/lint_asm_test.sh: the same
 // moment loop with and without its float64() wraps. The arm64 build fuses
-// the unwrapped one into FMADDDs, which scripts/lint_fma.sh must report.
+// the unwrapped one into FMADDDs, which scripts/lint_asm.sh fma must report.
 package fmaguard
 
 // Wrapped accumulates the second to fourth central power sums as
