@@ -27,9 +27,14 @@ race:
 # every cell exactly once. The CLI's -fleet paths and the facade's
 # FleetSweep start an in-process coordinator, so their tests run here
 # too. `make race` covers these as well; this target re-runs them in
-# isolation so CI records the failover proof explicitly.
+# isolation so CI records the failover proof explicitly. The one-IQR
+# tests run here too: a local sweep row, fleet rows at two and three
+# shards and StreamStudy agree bit for bit (TestFleetSweepIQRBitIdentical),
+# and StreamStudy's concurrent per-trial fills give the same bits at
+# any worker count.
 race-fleet:
 	$(GO) test -race -count=1 -run 'Fleet|Coordinator|Shard' ./internal/fleet ./internal/serve ./cmd/earlybird .
+	$(GO) test -race -count=1 -run 'TestStreamStudyBitIdenticalAcrossWorkers' ./internal/core
 
 # The chaos suite under the race detector, uncached: fleets with
 # injected latency, mid-stream disconnects, stalls, capacity drain,
@@ -73,7 +78,11 @@ clean-store:
 # pruned ones (TestSortBitIdentical), the fleet shard paths — both driven by
 # the shared block kernel — against single-node execution, and a local
 # sweep cell above the cache bound against the same cell below it
-# (TestSweepRowSameAtAnyCacheBound), and the fill itself: the static
+# (TestSweepRowSameAtAnyCacheBound), the quantile histogram's order-free
+# merge (TestQuantileHistogramMergeBitIdentical), StreamStudy at any
+# worker count (TestStreamStudyBitIdenticalAcrossWorkers) and the one
+# IQR of a local sweep row, fleet rows and StreamStudy
+# (TestFleetSweepIQRBitIdentical), and the fill itself: the static
 # golden fingerprints and the with/without-progress-sink fingerprints of
 # cluster's one fill loop per policy. The moments
 # wrap each product in float64() so that no compiler may fuse it into an
@@ -83,6 +92,7 @@ clean-store:
 test-bitident-v3:
 	GOAMD64=v3 $(GO) test -count=1 -run 'BitIdentical|OnePassMoments|ADTableBound|PerSizeConsts' ./internal/stats/... ./internal/core ./internal/sortx
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestShardMergeBitIdenticalToSingleNode|TestShardStreamedPathBitIdentical|TestSweepRowSameAtAnyCacheBound' ./internal/serve
+	GOAMD64=v3 $(GO) test -count=1 -run 'TestFleetSweepIQRBitIdentical' ./internal/fleet
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestDLBStaticGoldenFingerprint|TestProgressSinkDoesNotPerturbFill' ./internal/cluster
 
 # Shell-level tests for the repo's scripts — today the bench gate's

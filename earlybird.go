@@ -250,8 +250,8 @@ func ProgressID(app string, geom Geometry, policy DLBSpec) string {
 // Fleet federates sweep execution across remote earlybirdd workers:
 // health-probed registry, rendezvous cell scheduling, bounded dispatch,
 // failover, and shard-state merging that is provably equivalent to
-// single-node execution (bit-exact for moment-derived metrics and
-// Table 1, rank-error-bounded for sketch quantiles).
+// single-node execution (bit-exact for every metric, the histogram-
+// estimated IQR statistics included, and for Table 1).
 type Fleet = fleet.Fleet
 
 // FleetOptions configures NewFleet.

@@ -1,7 +1,7 @@
 // Example streaming-study analyses a study at 100x the paper's geometry
 // — 76.8 million samples, a 614 MB tensor if materialised — in bounded
 // memory: the streaming pipeline feeds every produced process iteration
-// to online accumulators (exact moments, exact Table 1, sketch-based
+// to online accumulators (exact moments, exact Table 1, histogram-based
 // percentiles) and discards the samples immediately.
 //
 // Run with -quick for the paper's own geometry (768000 samples).
@@ -34,7 +34,7 @@ func main() {
 		panic(err)
 	}
 
-	fmt.Println(res.Metrics) // Section 4.2 scalars (IQR sketch-estimated)
+	fmt.Println(res.Metrics) // Section 4.2 scalars (IQR histogram-estimated)
 	fmt.Println(res.Table1)  // Table 1 normality row (exact)
 	s := res.Summary()
 	fmt.Printf("summary: mean %.2f ms, stddev %.2f ms, p5 %.2f ms, median %.2f ms, p95 %.2f ms, max %.2f ms\n",

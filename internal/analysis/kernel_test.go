@@ -53,12 +53,12 @@ func referenceMetricsObserve(a *MetricsAccumulator, scratch *[]float64, trial, i
 	}
 	ip.n += int64(n)
 	ip.sum += sum
-	sk := a.sketches[iter]
-	if sk == nil {
-		sk = stats.NewQuantileSketch(iterSketchCompression)
-		a.sketches[iter] = sk
+	h := a.iqrs[iter]
+	if h == nil {
+		h = new(stats.QuantileHistogram)
+		a.iqrs[iter] = h
 	}
-	sk.AddSorted(sorted)
+	h.AddSorted(sorted)
 }
 
 // TestKernelMatchesStandaloneAccumulators pins the shared block kernel

@@ -19,13 +19,17 @@ import (
 
 // Codec version bytes, bumped on any layout change.
 const (
-	metricsCodecVersion uint8 = 1
+	// metricsCodecVersion 2 carries quantile histograms where version 1
+	// carried t-digests.
+	metricsCodecVersion uint8 = 2
 	table1CodecVersion  uint8 = 1
 )
 
-// MarshalBinary encodes the accumulator's full state; it is
-// AppendBinary(nil).
-func (a *MetricsAccumulator) MarshalBinary() ([]byte, error) { return a.AppendBinary(nil) }
+// MarshalBinary encodes the accumulator's full state into a buffer of
+// exactly BinarySize bytes.
+func (a *MetricsAccumulator) MarshalBinary() ([]byte, error) {
+	return a.AppendBinary(make([]byte, 0, a.BinarySize()))
+}
 
 // BinarySize returns the length of the accumulator's encoding.
 func (a *MetricsAccumulator) BinarySize() int {
@@ -34,19 +38,20 @@ func (a *MetricsAccumulator) BinarySize() int {
 		n += 48 + 4 + 32*len(ta.iters)
 	}
 	n += 4
-	for _, sk := range a.sketches {
-		n += 8 + 4 + sk.BinarySize()
+	for _, h := range a.iqrs {
+		n += 8 + 4 + h.BinarySize()
 	}
 	return n
 }
 
 // AppendBinary appends the accumulator's full state to b: identity
 // (app, threshold), every per-trial partial and every per-iteration
-// sketch, all in ascending order so equal accumulators encode to equal
-// bytes. b grows once, to the exact size, and each sketch is encoded in
-// place behind a back-patched length prefix.
+// histogram, all in ascending order so equal accumulators encode to
+// equal bytes. Each histogram is encoded in place behind a back-patched
+// length prefix; b is not grown ahead, as a shard record grows once for
+// all of its states.
 func (a *MetricsAccumulator) AppendBinary(b []byte) ([]byte, error) {
-	w := wire.Writer{Buf: slices.Grow(b, a.BinarySize())}
+	w := wire.Writer{Buf: b}
 	w.U8(metricsCodecVersion)
 	w.Str(a.app)
 	w.F64(a.threshold)
@@ -70,12 +75,12 @@ func (a *MetricsAccumulator) AppendBinary(b []byte) ([]byte, error) {
 		}
 	}
 
-	w.U32(uint32(len(a.sketches)))
-	for _, iter := range slices.Sorted(maps.Keys(a.sketches)) {
+	w.U32(uint32(len(a.iqrs)))
+	for _, iter := range slices.Sorted(maps.Keys(a.iqrs)) {
 		w.I64(int64(iter))
 		at := w.BeginBytes()
 		var err error
-		if w.Buf, err = a.sketches[iter].AppendBinary(w.Buf); err != nil {
+		if w.Buf, err = a.iqrs[iter].AppendBinary(w.Buf); err != nil {
 			return nil, err
 		}
 		w.EndBytes(at)
@@ -85,7 +90,9 @@ func (a *MetricsAccumulator) AppendBinary(b []byte) ([]byte, error) {
 
 // UnmarshalBinary replaces the accumulator's state — identity included —
 // with the decoded one. The receiver may come from NewMetricsAccumulator
-// with any arguments; they are overwritten.
+// with any arguments; they are overwritten. Each iteration's histogram
+// must count exactly the samples its per-trial partials do, and each
+// iteration with samples must have one.
 func (a *MetricsAccumulator) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	if v := r.U8(); r.Err() == nil && v != metricsCodecVersion {
@@ -95,7 +102,7 @@ func (a *MetricsAccumulator) UnmarshalBinary(data []byte) error {
 		app:       r.Str(),
 		threshold: r.F64(),
 		trials:    map[int]*trialAccum{},
-		sketches:  map[int]*stats.QuantileSketch{},
+		iqrs:      map[int]*stats.QuantileHistogram{},
 	}
 	// Keys must be strictly ascending, as AppendBinary writes them: that
 	// rejects duplicates and makes every accepted encoding canonical.
@@ -133,25 +140,42 @@ func (a *MetricsAccumulator) UnmarshalBinary(data []byte) error {
 		}
 		dec.trials[trial] = ta
 	}
-	nSketches := r.U32()
-	for i := uint32(0); i < nSketches && r.Err() == nil; i++ {
+	// samples counts each iteration's samples over the trial partials,
+	// in uint64 so that no sum of decoded counts wraps.
+	samples := map[int]uint64{}
+	for _, ta := range dec.trials {
+		for iter, ip := range ta.iters {
+			samples[iter] += uint64(ip.n)
+		}
+	}
+	nHists := r.U32()
+	for i := uint32(0); i < nHists && r.Err() == nil; i++ {
 		iter := int(r.I64())
 		if r.Err() == nil && i > 0 && iter <= prevIter {
-			return fmt.Errorf("analysis: sketch iteration %d out of order after %d", iter, prevIter)
+			return fmt.Errorf("analysis: histogram iteration %d out of order after %d", iter, prevIter)
 		}
 		prevIter = iter
 		enc := r.Bytes()
 		if r.Err() != nil {
 			break
 		}
-		sk := new(stats.QuantileSketch)
-		if err := sk.UnmarshalBinary(enc); err != nil {
-			return fmt.Errorf("analysis: iteration %d sketch: %w", iter, err)
+		h := new(stats.QuantileHistogram)
+		if err := h.UnmarshalBinary(enc); err != nil {
+			return fmt.Errorf("analysis: iteration %d histogram: %w", iter, err)
 		}
-		dec.sketches[iter] = sk
+		if uint64(h.N()) != samples[iter] {
+			return fmt.Errorf("analysis: iteration %d histogram counts %d samples, its trials %d", iter, h.N(), samples[iter])
+		}
+		delete(samples, iter)
+		dec.iqrs[iter] = h
 	}
 	if err := r.Finish("MetricsAccumulator"); err != nil {
 		return err
+	}
+	for iter, n := range samples {
+		if n > 0 {
+			return fmt.Errorf("analysis: iteration %d has %d samples and no histogram", iter, n)
+		}
 	}
 	*a = dec
 	return nil

@@ -9,13 +9,14 @@ import (
 
 	"earlybird/internal/cluster"
 	"earlybird/internal/dlb"
+	"earlybird/internal/stats"
 	"earlybird/internal/stats/normality"
 	"earlybird/internal/wire"
 	"earlybird/internal/workload"
 )
 
 // referenceMetricsEncoding is the metrics codec as it was before states
-// were encoded in place: each sketch marshalled into a buffer of its
+// were encoded in place: each histogram marshalled into a buffer of its
 // own, then copied behind its length prefix.
 func referenceMetricsEncoding(t *testing.T, a *MetricsAccumulator) []byte {
 	t.Helper()
@@ -41,9 +42,9 @@ func referenceMetricsEncoding(t *testing.T, a *MetricsAccumulator) []byte {
 			w.F64(ip.max)
 		}
 	}
-	w.U32(uint32(len(a.sketches)))
-	for _, iter := range slices.Sorted(maps.Keys(a.sketches)) {
-		enc, err := a.sketches[iter].MarshalBinary()
+	w.U32(uint32(len(a.iqrs)))
+	for _, iter := range slices.Sorted(maps.Keys(a.iqrs)) {
+		enc, err := a.iqrs[iter].MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +56,7 @@ func referenceMetricsEncoding(t *testing.T, a *MetricsAccumulator) []byte {
 
 // TestAppendBinaryMatchesReferenceEncoding pins the in-place encoders:
 // MarshalBinary and AppendBinary after a prefix produce exactly the
-// bytes of the copy-per-sketch encoding, BinarySize is their exact
+// bytes of the copy-per-histogram encoding, BinarySize is their exact
 // length, and the decoder reproduces them.
 func TestAppendBinaryMatchesReferenceEncoding(t *testing.T) {
 	cfg := cluster.Config{Trials: 2, Ranks: 3, Iterations: 9, Threads: 48, Seed: 5}
@@ -125,5 +126,41 @@ func TestUnmarshalRefusesNonCanonicalOrder(t *testing.T) {
 		if err := new(MetricsAccumulator).UnmarshalBinary(bad); err == nil || !strings.Contains(err.Error(), "out of order") {
 			t.Errorf("%s trials: %v, want an out-of-order error", name, err)
 		}
+	}
+}
+
+// TestUnmarshalRefusesHistogramsThatDisagree: each iteration's quantile
+// histogram must count exactly the samples of the iteration's trial
+// partials, so a state whose histogram is missing or holds other
+// samples is refused rather than merged.
+func TestUnmarshalRefusesHistogramsThatDisagree(t *testing.T) {
+	a := NewMetricsAccumulator("minife", DefaultLaggardThresholdSec)
+	a.ObserveBlock(0, 0, 0, []float64{1e-3, 2e-3})
+	enc, err := a.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist := a.iqrs[0]
+	size := hist.BinarySize()
+	// The one histogram is the tail: count, iteration, length prefix.
+	head := enc[:len(enc)-size-8-4-4]
+	var other stats.QuantileHistogram
+	other.AddSlice([]float64{1e-3, 2e-3, 3e-3})
+	otherEnc, _ := other.MarshalBinary()
+
+	var missing, wrong wire.Writer
+	missing.Buf = slices.Clone(head)
+	missing.U32(0)
+	wrong.Buf = slices.Clone(head)
+	wrong.U32(1)
+	wrong.I64(0)
+	wrong.Bytes(otherEnc)
+	for name, b := range map[string][]byte{"missing": missing.Buf, "other samples": wrong.Buf} {
+		if err := new(MetricsAccumulator).UnmarshalBinary(b); err == nil || !strings.Contains(err.Error(), "samples") {
+			t.Errorf("%s histogram: %v, want a sample-count error", name, err)
+		}
+	}
+	if err := new(MetricsAccumulator).UnmarshalBinary(enc); err != nil {
+		t.Fatalf("the well-formed state is refused: %v", err)
 	}
 }

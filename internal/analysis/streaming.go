@@ -9,16 +9,6 @@ import (
 	"earlybird/internal/trace"
 )
 
-// iterSketchCompression sizes the per-iteration quantile sketches of the
-// streaming metrics accumulator. The only approximate quantities in the
-// streaming AppMetrics are the application-iteration IQR statistics;
-// the accumulator keeps one sketch per iteration (times workers), so the
-// compression is deliberately small — rank error at the quartiles stays
-// ≲3%, which lands IQRMeanSec within a few percent of the exact value
-// for the study's arrival distributions (agreement-tested at 10% in
-// internal/core and internal/analysis) at a fraction of the memory.
-const iterSketchCompression = 32
-
 // iterPartial is one trial's exact contribution to one application
 // iteration: count, sum and max reconstruct the reclaimable-time and
 // idle-ratio metrics exactly once folded across trials.
@@ -82,25 +72,26 @@ func (ta *trialAccum) addIter(iter int, o iterPartial) {
 // observed, so its median is computed directly. Application-iteration
 // reclaimable time and idle ratio are exact too — they reduce to
 // per-iteration count/sum/max — and only the iteration IQR statistics
-// are estimated, by a per-iteration quantile sketch.
+// are estimated, by a per-iteration stats.QuantileHistogram (within one
+// bin of the exact quartiles; EXPERIMENTS.md has the measured error).
 //
 // Accumulators are mergeable: a parallel fill keeps one per worker (or a
 // federated sweep one per trial shard) and combines them with Merge, in
 // any order. State is kept per trial and Finalize folds trials in
 // ascending order, so when each trial's blocks were observed by exactly
-// one accumulator in a deterministic order — as in cursor passes and the
-// fleet's trial-sharded execution — every non-sketch output is
-// bit-identical regardless of how trials were partitioned or merged. The
-// IQR fields ride the quantile sketch, whose merge keeps the documented
-// rank-error bound but not bit-equality. An accumulator is not safe for
-// concurrent use.
+// one accumulator in a deterministic order — as in cursor passes, the
+// fleet's trial-sharded execution and StreamStudy's per-trial fills —
+// every output is bit-identical regardless of how trials were
+// partitioned or merged. The IQR fields are too, under any partition at
+// all: a histogram's counts depend only on the set of samples it saw.
+// An accumulator is not safe for concurrent use.
 type MetricsAccumulator struct {
 	app       string
 	threshold float64
 	solo      *Kernel // ObserveBlock's kernel, made on first use
 
-	trials   map[int]*trialAccum
-	sketches map[int]*stats.QuantileSketch
+	trials map[int]*trialAccum
+	iqrs   map[int]*stats.QuantileHistogram // per application iteration
 }
 
 // NewMetricsAccumulator returns an empty accumulator for the given
@@ -110,7 +101,7 @@ func NewMetricsAccumulator(app string, laggardThreshold float64) *MetricsAccumul
 		app:       app,
 		threshold: laggardThreshold,
 		trials:    map[int]*trialAccum{},
-		sketches:  map[int]*stats.QuantileSketch{},
+		iqrs:      map[int]*stats.QuantileHistogram{},
 	}
 }
 
@@ -143,8 +134,8 @@ func (a *MetricsAccumulator) ObserveBlock(trial, rank, iter int, xs []float64) {
 // ObserveSorted implements SortedObserver: it folds one complete process
 // iteration, given in original order and sorted. The sum accumulates in
 // the original block order, the max is the sorted tail, the median reads
-// the sorted view, and the sorted view feeds the iteration sketch
-// through its no-buffer AddSorted fast path.
+// the sorted view, and the sorted view feeds the iteration histogram
+// through AddSorted.
 func (a *MetricsAccumulator) ObserveSorted(trial, _, iter int, xs, sorted []float64) {
 	n := len(xs)
 	if n == 0 {
@@ -176,15 +167,15 @@ func (a *MetricsAccumulator) ObserveSorted(trial, _, iter int, xs, sorted []floa
 	}
 
 	// Application-iteration level: count/sum/max are exact per-trial
-	// partials; the sketch covers the IQR.
+	// partials; the histogram covers the IQR.
 	ta.addIter(iter, iterPartial{n: int64(n), sum: sum, max: max})
 
-	sk := a.sketches[iter]
-	if sk == nil {
-		sk = stats.NewQuantileSketch(iterSketchCompression)
-		a.sketches[iter] = sk
+	h := a.iqrs[iter]
+	if h == nil {
+		h = new(stats.QuantileHistogram)
+		a.iqrs[iter] = h
 	}
-	sk.AddSorted(sorted)
+	h.AddSorted(sorted)
 }
 
 // Merge folds another accumulator (for the same application and
@@ -203,13 +194,13 @@ func (a *MetricsAccumulator) Merge(o *MetricsAccumulator) {
 		}
 		ta.add(ot)
 	}
-	for iter, os := range o.sketches {
-		sk := a.sketches[iter]
-		if sk == nil {
-			a.sketches[iter] = os
+	for iter, oh := range o.iqrs {
+		h := a.iqrs[iter]
+		if h == nil {
+			a.iqrs[iter] = oh
 			continue
 		}
-		sk.Merge(os)
+		h.Merge(oh)
 	}
 }
 
@@ -247,8 +238,8 @@ func (a *MetricsAccumulator) Finalize() AppMetrics {
 			ratioAppSum += recl / (it.max * float64(it.n))
 		}
 		var iqr float64
-		if sk := a.sketches[iter]; sk != nil {
-			iqr = sk.Quantile(0.75) - sk.Quantile(0.25)
+		if h := a.iqrs[iter]; h != nil {
+			iqr = h.IQR()
 		}
 		iqrSum += iqr
 		if iqr > iqrMax {
@@ -267,7 +258,7 @@ func (a *MetricsAccumulator) Finalize() AppMetrics {
 // ComputeMetricsStreaming derives AppMetrics from a process-iteration
 // cursor in a single bounded-memory pass — the streaming counterpart of
 // ComputeMetrics. All quantities are exact except the iteration IQR
-// statistics, which carry the quantile sketch's documented tolerance.
+// statistics, which carry the quantile histogram's bin-width tolerance.
 func ComputeMetricsStreaming(app string, cur *trace.Cursor, laggardThreshold float64) AppMetrics {
 	acc := NewMetricsAccumulator(app, laggardThreshold)
 	NewKernel(acc).ObserveCursor(cur, 0)

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
+	"earlybird/internal/share"
 	"earlybird/internal/stats"
 )
 
@@ -18,19 +22,21 @@ import (
 // Exactness: Table1, the moments and all process-level metrics are
 // exactly what the materialised pipeline computes; the iteration IQR
 // statistics (IQRMeanSec, IQRMaxSec) and the percentile estimates of
-// Summary carry the quantile sketch's documented tolerance (rank error
-// ≲1%, a few percent of the IQR in value for these distributions).
+// Summary come from quantile histograms, within one bin (about 1/512 of
+// the range they cover) of the exact values. Every field is the same
+// bits at any worker count, and for static fills the Metrics and Table1
+// are the bits of the same cell's /v1/sweep row, local or federated.
 type StreamResult struct {
 	App      string
 	Geometry cluster.Config
-	// Metrics is the Section 4.2 row (IQR fields sketch-estimated).
+	// Metrics is the Section 4.2 row (IQR fields histogram-estimated).
 	Metrics analysis.AppMetrics
 	// Table1 is the process-iteration normality row (exact).
 	Table1 analysis.Table1
 	// Moments holds the application-level sample moments (exact).
 	Moments stats.Moments
-	// Quantiles sketches the application-level arrival distribution.
-	Quantiles *stats.QuantileSketch
+	// Quantiles holds the application-level arrival distribution.
+	Quantiles *stats.QuantileHistogram
 }
 
 // Samples returns the total number of samples the study produced.
@@ -48,78 +54,110 @@ func (r *StreamResult) String() string {
 		r.App, r.Samples(), r.Metrics, r.Table1)
 }
 
-// streamObserver bundles the per-worker accumulators of a streaming
-// study. Each fill worker owns one, so no locking is needed; the workers'
-// observers merge after the run. Its block kernel sorts each block once
-// for the metrics and Table 1 accumulators; the application-level
-// moments and sketch read the block in its original order.
+// streamObserver bundles the accumulators of one trial of a streaming
+// study. Its block kernel sorts each block once for the metrics and
+// Table 1 accumulators; the application-level moments and histogram
+// read the block in its original order.
 type streamObserver struct {
+	trial   int // added to the trial index of the one-trial fill's blocks
 	kernel  *analysis.Kernel
 	metrics *analysis.MetricsAccumulator
 	table1  *analysis.Table1Accumulator
 	moments stats.Moments
-	sketch  *stats.QuantileSketch
+	hist    *stats.QuantileHistogram
 }
 
 func (o *streamObserver) ObserveBlock(trial, rank, iter int, xs []float64) {
-	o.kernel.ObserveBlock(trial, rank, iter, xs)
-	if o.sketch != nil {
+	o.kernel.ObserveBlock(o.trial+trial, rank, iter, xs)
+	if o.hist != nil {
 		o.moments.AddSlice(xs)
-		o.sketch.AddSlice(xs)
+		o.hist.AddSlice(xs)
 	}
 }
 
+// merge folds other's accumulators, all but the moments, whose merge
+// depends on its order, into o.
 func (o *streamObserver) merge(other *streamObserver) {
 	o.metrics.Merge(other.metrics)
 	if o.table1 != nil {
 		o.table1.Merge(other.table1)
 	}
-	if o.sketch != nil {
-		o.moments.Merge(&other.moments)
-		o.sketch.Merge(other.sketch)
+	if o.hist != nil {
+		o.hist.Merge(other.hist)
 	}
 }
 
-// streamRun executes the study online with per-worker observers and
-// merges them.
-func streamRun(opts Options, withTable1, withSummary bool) (*StreamResult, error) {
+// streamRun executes the study online, one trial per task on up to
+// workers goroutines (<= 0: one per CPU). Each trial fills on one
+// goroutine into its own observer, so every trial's blocks reach one
+// accumulator in the order its fill makes them (cursor order for a
+// static fill, as a sweep row reads them). The accumulators merge as
+// their trials finish (trial-keyed and histogram state merges exactly
+// in any order) and the per-trial moments fold in trial order at the
+// end, so the result is the same bits at any worker count.
+func streamRun(opts Options, withTable1, withSummary bool, workers int) (*StreamResult, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	newObs := func() cluster.BlockObserver {
+	geom := opts.Geometry
+	if err := geom.Validate(); err != nil {
+		return nil, err
+	}
+	app := opts.Model.Name()
+	newObs := func(trial int) *streamObserver {
 		o := &streamObserver{
-			metrics: analysis.NewMetricsAccumulator(opts.Model.Name(), opts.Policy.LaggardThresholdSec),
+			trial:   trial,
+			metrics: analysis.NewMetricsAccumulator(app, opts.Policy.LaggardThresholdSec),
 		}
 		consumers := []analysis.SortedObserver{o.metrics}
 		if withTable1 {
-			o.table1 = analysis.NewTable1Accumulator(opts.Model.Name(), opts.Policy.Alpha)
+			o.table1 = analysis.NewTable1Accumulator(app, opts.Policy.Alpha)
 			consumers = append(consumers, o.table1)
 		}
 		o.kernel = analysis.NewKernel(consumers...)
 		if withSummary {
-			o.sketch = stats.NewQuantileSketch(0)
+			o.hist = new(stats.QuantileHistogram)
 		}
 		return o
 	}
-	observers, err := cluster.RunStream(opts.Model, opts.Geometry, opts.Policy.DLB, 0, nil, newObs, nil)
-	if err != nil {
-		return nil, err
+	if workers <= 0 {
+		workers = runtime.NumCPU()
 	}
-	root := observers[0].(*streamObserver)
-	for _, o := range observers[1:] {
-		root.merge(o.(*streamObserver))
+	root := newObs(0)
+	moments := make([]stats.Moments, geom.Trials)
+	one := geom
+	one.Trials = 1
+	var mu sync.Mutex
+	var firstErr error
+	share.FanOut(geom.Trials, min(workers, geom.Trials), func(t int) {
+		o := newObs(t)
+		_, err := cluster.RunStream(cluster.ShiftTrials(opts.Model, t), one, opts.Policy.DLB, 1, nil,
+			func() cluster.BlockObserver { return o }, nil)
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			firstErr = cmp.Or(firstErr, err)
+			return
+		}
+		root.merge(o)
+		moments[t] = o.moments
+	})
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	res := &StreamResult{
-		App:      opts.Model.Name(),
-		Geometry: opts.Geometry,
+		App:      app,
+		Geometry: geom,
 		Metrics:  root.metrics.Finalize(),
 	}
 	if withTable1 {
 		res.Table1 = root.table1.Finalize()
 	}
 	if withSummary {
-		res.Moments = root.moments
-		res.Quantiles = root.sketch
+		for t := range moments {
+			res.Moments.Merge(&moments[t])
+		}
+		res.Quantiles = root.hist
 	}
 	return res, nil
 }
@@ -129,8 +167,9 @@ func streamRun(opts Options, withTable1, withSummary bool) (*StreamResult, error
 // discarded, so studies at geometries far beyond the paper's (see
 // cluster.HugeConfig) run in bounded memory. It computes the Section 4.2
 // metrics, the Table 1 normality row and the application-level summary.
+// Trials fill in parallel, one per CPU at most.
 func StreamStudy(opts Options) (*StreamResult, error) {
-	return streamRun(opts, true, true)
+	return streamRun(opts, true, true, 0)
 }
 
 // StreamMetrics runs the configured study in streaming mode and computes
@@ -138,7 +177,7 @@ func StreamStudy(opts Options) (*StreamResult, error) {
 // path, and the direct streaming counterpart of
 // NewStudy(opts).Metrics().
 func StreamMetrics(opts Options) (analysis.AppMetrics, error) {
-	res, err := streamRun(opts, false, false)
+	res, err := streamRun(opts, false, false, 0)
 	if err != nil {
 		return analysis.AppMetrics{}, err
 	}

@@ -157,7 +157,7 @@ func (s *Study) Metrics() analysis.AppMetrics {
 // MetricsStreaming computes the same scalars as Metrics in a single
 // bounded-memory pass over the dataset's cursor: no per-level sample
 // slices are materialised, at the cost of the iteration IQR statistics
-// being sketch estimates (see analysis.ComputeMetricsStreaming). The
+// being histogram estimates (see analysis.ComputeMetricsStreaming). The
 // exact path stays available as Metrics.
 func (s *Study) MetricsStreaming() analysis.AppMetrics {
 	return analysis.ComputeMetricsStreaming(s.ds.App, s.ds.Cursor(), s.opts.Policy.LaggardThresholdSec)

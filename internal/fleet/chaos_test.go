@@ -116,8 +116,8 @@ func singleNodeRows(t *testing.T, req serve.SweepRequest) map[int]serve.SweepRow
 }
 
 // assertBitIdentical compares fleet rows against the single-node
-// reference on every moment-derived metric, the Table 1 row and the
-// recommendation.
+// reference on every metric (the histogram-estimated IQR fields
+// included), the Table 1 row and the recommendation.
 func assertBitIdentical(t *testing.T, rows map[int][]serve.SweepRow, want map[int]serve.SweepRow) {
 	t.Helper()
 	if len(rows) != len(want) {
@@ -132,12 +132,7 @@ func assertBitIdentical(t *testing.T, rows map[int][]serve.SweepRow, want map[in
 		if g.Err != "" || w.Err != "" {
 			t.Fatalf("cell %d errored: fleet %q single %q", idx, g.Err, w.Err)
 		}
-		if g.Metrics.MeanMedianSec != w.Metrics.MeanMedianSec ||
-			g.Metrics.LaggardFraction != w.Metrics.LaggardFraction ||
-			g.Metrics.AvgReclaimableProcSec != w.Metrics.AvgReclaimableProcSec ||
-			g.Metrics.IdleRatioProc != w.Metrics.IdleRatioProc ||
-			g.Metrics.AvgReclaimableAppIterSec != w.Metrics.AvgReclaimableAppIterSec ||
-			g.Metrics.IdleRatioAppIter != w.Metrics.IdleRatioAppIter {
+		if g.Metrics != w.Metrics { // the IQR fields included
 			t.Errorf("cell %d metrics diverged:\nfleet  %+v\nsingle %+v", idx, g.Metrics, w.Metrics)
 		}
 		if g.Table1 != w.Table1 {
@@ -383,7 +378,7 @@ func TestChaosSpeculationUnderStraggler(t *testing.T) {
 	f := newFleet(t, Options{Peers: []string{w1.URL, w2.URL, w3.URL}, MaxInFlight: 16})
 
 	// Phase 1 (straggler disarmed): warm the completed-shard latency
-	// sketch past its minimum sample count so speculation can arm.
+	// histogram past its minimum sample count so speculation can arm.
 	warm := serve.SweepRequest{
 		Apps:       []string{"minife", "miniqmc"},
 		Geometries: []cluster.Config{fleetGeom()},
@@ -391,10 +386,10 @@ func TestChaosSpeculationUnderStraggler(t *testing.T) {
 	}
 	assertBitIdentical(t, collectSweep(t, f, warm), singleNodeRows(t, warm))
 	f.lat.mu.Lock()
-	warmed := f.lat.n
+	warmed := f.lat.hist.N()
 	f.lat.mu.Unlock()
 	if warmed < speculationMinSamples {
-		t.Fatalf("latency sketch has %d samples after the warm sweep, want >= %d", warmed, speculationMinSamples)
+		t.Fatalf("latency histogram has %d samples after the warm sweep, want >= %d", warmed, speculationMinSamples)
 	}
 
 	// Phase 2: arm the straggler and sweep a fresh grid.

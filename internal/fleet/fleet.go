@@ -14,11 +14,12 @@
 // coordinator checks each record against the request it sent
 // (serve.ShardRequest.Accept), merges shard states and finalizes the
 // row. Because the accumulators key their partials by absolute trial
-// and finalize in a fixed order, the merged results are
-// bit-identical to single-node execution for every moment-derived metric
-// and the Table 1 row (the sketch-backed IQR statistics keep the
-// sketch's documented rank-error bound) — see internal/analysis's
-// partition-invariance property test.
+// and finalize in a fixed order, and the per-iteration quantile
+// histograms behind the IQR statistics hold counts that depend only on
+// the set of samples, the merged results are bit-identical to
+// single-node execution for every metric — the IQR fields included —
+// and the Table 1 row: see internal/analysis's partition-invariance
+// property test and TestFleetSweepIQRBitIdentical.
 //
 // Scheduling is capacity-weighted rendezvous hashing on the cell's
 // resolved engine.SpecKey: equal cells route to the same worker from
@@ -44,7 +45,7 @@
 //
 // On top of the corrected health model the scheduler is speculative: a
 // shard whose in-flight duration exceeds a quantile of completed-shard
-// latencies (a mergeable stats.QuantileSketch fed by every successful
+// latencies (a stats.QuantileHistogram fed by every successful
 // request) is re-issued once to the next-ranked eligible worker, and the
 // first result wins — the paper's early-bird insight applied to our own
 // dispatch loop. Losing attempts run to completion so their health
@@ -106,7 +107,7 @@ const (
 	DefaultSpeculationQuantile = 0.95
 )
 
-// Speculation tuning: re-dispatch fires only after the latency sketch
+// Speculation tuning: re-dispatch fires only after the latency histogram
 // has seen speculationMinSamples completed requests, and only when the
 // in-flight attempt has been out for more than speculationLatencyFactor
 // times the configured quantile (floored at minSpeculationDelay so tiny
@@ -669,23 +670,18 @@ func parseRetryAfter(h string) (time.Duration, bool) {
 	return min(max(d, time.Second), maxRetryAfter), true
 }
 
-// latencyTracker wraps the mergeable quantile sketch (not itself
-// concurrency-safe) with the lock and sample counter the speculation
+// latencyTracker wraps a quantile histogram of completed-shard
+// latencies (not itself concurrency-safe) with the lock the speculation
 // trigger needs.
 type latencyTracker struct {
-	mu     sync.Mutex
-	sketch *stats.QuantileSketch
-	n      int64
+	mu   sync.Mutex
+	hist stats.QuantileHistogram
 }
 
 func (l *latencyTracker) observe(d time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.sketch == nil {
-		l.sketch = stats.NewQuantileSketch(0)
-	}
-	l.sketch.Add(d.Seconds())
-	l.n++
+	l.hist.Add(d.Seconds())
 }
 
 // threshold returns the elapsed in-flight duration beyond which a shard
@@ -694,10 +690,10 @@ func (l *latencyTracker) observe(d time.Duration) {
 func (l *latencyTracker) threshold(q float64) (time.Duration, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.n < speculationMinSamples {
+	if l.hist.N() < speculationMinSamples {
 		return 0, false
 	}
-	th := time.Duration(speculationLatencyFactor * l.sketch.Quantile(q) * float64(time.Second))
+	th := time.Duration(speculationLatencyFactor * l.hist.Quantile(q) * float64(time.Second))
 	if th < minSpeculationDelay {
 		th = minSpeculationDelay
 	}
@@ -719,9 +715,11 @@ func (f *Fleet) speculationQuantile() (float64, bool) {
 
 // maxResponseBytes caps the 200 body the coordinator reads from a
 // worker. The largest answer is a /v1/shard record, whose state grows
-// with trials x iterations plus one sketch per iteration: ~275 KiB for
-// one paper-geometry trial, ~9 MiB for a whole 100x-paper cell. A body
-// declared or found to be longer is a worker fault.
+// with trials x iterations plus one quantile histogram per iteration,
+// sent sparse as varint gaps and counts: 62–112 KiB for one paper-
+// geometry trial (1x8x200x48), and at most ~4 KiB per iteration plus 32
+// bytes per trial-iteration at any geometry. A body declared or found to
+// be longer is a worker fault.
 const maxResponseBytes = 256 << 20
 
 // readBody reads a 200 body into one buffer: sized from a declared

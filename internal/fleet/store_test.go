@@ -422,3 +422,55 @@ func TestStoreOldEBRSRecordHeals(t *testing.T) {
 		t.Fatalf("healed record differs from a fresh one (err %v)", err)
 	}
 }
+
+// TestStoreTDigestRecordHeals: a CRC-sealed version 1 shard record — the
+// layout whose metrics state carried t-digests — is a logged miss, never
+// a served row; the sweep path recomputes the cell and rewrites the
+// record in the current, histogram-carrying version.
+func TestStoreTDigestRecordHeals(t *testing.T) {
+	lg := &storeLog{}
+	st, err := OpenStore(t.TempDir(), lg.logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, w1 := newWorker(t)
+	f := newFleet(t, Options{Peers: []string{w1.URL}, Store: st})
+
+	cell := serve.SweepCell{App: "minife", Geometry: fleetGeom(), Alpha: 0.05, LaggardThresholdSec: 0.001}
+	if row, ok := f.DispatchCell(context.Background(), cell); !ok || row.Err != "" {
+		t.Fatalf("seed dispatch failed: %+v", row)
+	}
+	key, err := cellKey(cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := st.path(key.StoreKey())
+	current, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := wire.Unseal(current)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := wire.Writer{Buf: bytes.Clone(body)}
+	old.Buf[4] = 1 // the version byte after the magic
+	if err := os.WriteFile(path, old.Seal(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := lg.count()
+	if _, ok := st.LoadCell(cell, key); ok {
+		t.Fatal("version 1 record served")
+	}
+	if lg.count() <= before {
+		t.Fatalf("version 1 record not logged as a miss: %v", lg.lines)
+	}
+	row, ok := f.DispatchCell(context.Background(), cell)
+	if !ok || row.Err != "" || row.StoreHit {
+		t.Fatalf("recompute failed: ok=%v row=%+v", ok, row)
+	}
+	if healed, err := os.ReadFile(path); err != nil || !bytes.Equal(healed, current) {
+		t.Fatalf("healed record differs from a fresh one (err %v)", err)
+	}
+}

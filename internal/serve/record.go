@@ -21,8 +21,11 @@ import (
 )
 
 const (
-	shardMagic   = 0x45425348 // "EBSH"
-	shardVersion = 1
+	shardMagic = 0x45425348 // "EBSH"
+	// shardVersion 2 records carry quantile histograms where version 1
+	// carried t-digests: a version 1 record from an older worker is a
+	// worker fault, and one in the durable store a miss that heals.
+	shardVersion = 2
 )
 
 // Shard record flag bits.

@@ -10,6 +10,7 @@ import (
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
 	"earlybird/internal/dlb"
+	"earlybird/internal/stats"
 	"earlybird/internal/wire"
 )
 
@@ -195,6 +196,97 @@ func TestReadCellIdentityRefusesNonCanonicalPolicy(t *testing.T) {
 	}
 }
 
+// hostileHistogramRecords returns copies of rec whose metrics state
+// holds one iteration histogram that no set of samples produces — a
+// level over 62, a span of QuantileBins, counts that miss n or overflow
+// a uint32, a min below its lowest bin, a trailing byte — and one whose
+// well-formed histogram counts other samples than its trial partials.
+// The metrics decoder must refuse each before allocating for it.
+func hostileHistogramRecords(t testing.TB, rec []byte) [][]byte {
+	t.Helper()
+	var base ShardResponse
+	if err := base.UnmarshalBinary(rec); err != nil {
+		t.Fatal(err)
+	}
+	// A one-block state: its single histogram is the state's tail,
+	// behind a u32 length prefix.
+	macc := analysis.NewMetricsAccumulator(base.App, base.LaggardThresholdSec)
+	macc.ObserveBlock(base.TrialLo, 0, 0, []float64{1e-3, 2e-3})
+	state, err := macc.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h stats.QuantileHistogram
+	h.AddSlice([]float64{1e-3, 2e-3})
+	good, _ := h.MarshalBinary()
+	prefix := state[:len(state)-len(good)-4]
+
+	hist := func(n uint64, level uint8, lo int64, span uint64, min, max float64, pairs ...uint64) []byte {
+		var w wire.Writer
+		w.U8(good[0]) // the codec version
+		w.Uvarint(n)
+		w.U8(level)
+		w.Varint(lo)
+		w.Uvarint(span)
+		w.F64(min)
+		w.F64(max)
+		for i := 0; i+1 < len(pairs); i += 2 {
+			if gap, c := pairs[i], pairs[i+1]; c > 0 && c < 8 {
+				w.Uvarint(gap<<3 | c) // a small count rides in the gap's varint
+			} else {
+				w.Uvarint(gap << 3)
+				w.Uvarint(c)
+			}
+		}
+		return w.Buf
+	}
+	const ns = 1e-9
+	var more stats.QuantileHistogram
+	more.AddSlice([]float64{1e-3, 2e-3, 3e-3})
+	wrongN, _ := more.MarshalBinary()
+	var out [][]byte
+	for _, enc := range [][]byte{
+		hist(2, 63, 0, 0, 0, ns, 0, 2),
+		hist(2, 0, 0, stats.QuantileBins, 0, stats.QuantileBins*ns, 0, 1, stats.QuantileBins, 1),
+		hist(3, 0, 0, 1, 0, ns, 0, 1, 1, 1),
+		hist(1<<32+1, 0, 0, 1, 0, ns, 0, 1<<32, 1, 1),
+		hist(2, 0, 5, 1, 4*ns, 6*ns, 0, 1, 1, 1),
+		append(bytes.Clone(good), 0),
+		wrongN,
+	} {
+		var w wire.Writer
+		w.Buf = bytes.Clone(prefix)
+		w.Bytes(enc)
+		if err := new(analysis.MetricsAccumulator).UnmarshalBinary(w.Buf); err == nil {
+			t.Fatalf("hostile histogram %x accepted", enc)
+		}
+		forged := base
+		forged.MetricsState = w.Buf
+		rec, err := forged.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rec)
+	}
+	return out
+}
+
+// TestShardRecordRefusesHostileHistograms: a sealed record carrying a
+// hostile iteration histogram is refused by the request it claims to
+// answer — a worker fault, never merged state.
+func TestShardRecordRefusesHostileHistograms(t *testing.T) {
+	recs := realRecords(t)
+	var base ShardResponse
+	if err := base.UnmarshalBinary(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range hostileHistogramRecords(t, recs[0]) {
+		if _, err := requestFor(&base).Accept(rec); err == nil {
+			t.Errorf("hostile record %d accepted", i)
+		}
+	}
+}
+
 // heapAllocBytes reads the cumulative bytes allocated on the heap,
 // without stopping the world.
 func heapAllocBytes() uint64 {
@@ -221,7 +313,11 @@ const maxDecodeWall = time.Second
 // unchecked length), and every payload that decodes must re-encode to
 // the same bytes: record, metrics state and Table 1 state alike.
 func FuzzShardRecord(f *testing.F) {
-	for _, rec := range realRecords(f) {
+	recs := realRecords(f)
+	for _, rec := range recs {
+		f.Add(rec[:len(rec)-wire.SealSize])
+	}
+	for _, rec := range hostileHistogramRecords(f, recs[0]) {
 		f.Add(rec[:len(rec)-wire.SealSize])
 	}
 	f.Add([]byte{})

@@ -37,9 +37,12 @@ const (
 	// maxSweepCells bounds one sweep request's grid.
 	maxSweepCells = 4096
 	// maxTrialIterations bounds a sweep cell's or shard's trials x
-	// iterations, the product its accumulator state grows with (~1.2 KB
-	// per trial-iteration plus ~2.3 KB per iteration): about 230 MB at
-	// the bound. HugeConfig (50,000) is under it.
+	// iterations, the product its accumulator state grows with: one
+	// 4 KiB quantile histogram per iteration, whatever the rank count
+	// (4.1 KiB per iteration measured at 1, 8 and 32 ranks), plus under
+	// 0.1 KiB of partials per trial-iteration — at most about 270 MB at
+	// the bound (TestAccumulatorStatePerIterationBounded). HugeConfig
+	// (50,000) is under it.
 	maxTrialIterations = 1 << 16
 	// maxCampaignSpecs bounds one campaign request's batch.
 	maxCampaignSpecs = 4096

@@ -10,9 +10,10 @@
 // trials of a full single-node run, observed in the same within-trial
 // order by the cursor. The accumulators key their partials by absolute
 // trial and finalize in ascending-trial order, which makes every
-// moment-derived metric and the Table 1 row bit-identical under any
-// trial partition; only the sketch-backed IQR statistics degrade to the
-// sketch's documented rank-error bound.
+// metric and the Table 1 row bit-identical under any trial partition.
+// The IQR statistics are too: each iteration's quantile histogram holds
+// counts that depend only on the set of samples, so shard histograms
+// merge into exactly the single-node one.
 
 package serve
 

@@ -14,6 +14,8 @@ import (
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
 	"earlybird/internal/dlb"
+	"earlybird/internal/stats/normality"
+	"earlybird/internal/workload"
 )
 
 // metricBits lists a row's analysis as raw bits, so two rows compare
@@ -192,4 +194,43 @@ func TestAccumulatorStateBoundedAtValidation(t *testing.T) {
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
 		t.Errorf("refusing the 1e6-iteration cell allocated %d bytes", alloc)
 	}
+}
+
+// TestAccumulatorStatePerIterationBounded pins the per-iteration
+// accumulator state maxTrialIterations's comment budgets: a 32-rank
+// trial of 2000 iterations, observed through cluster.ObserveTrials as
+// an over-bound cell is, retains under 6 KiB per iteration once the
+// samples are gone. The state is one quantile histogram per iteration
+// (4 KiB of counts whatever the rank count) plus the trial's partials;
+// the t-digests it replaced kept 21.6 KiB per iteration here. Skipped
+// under -short and -race, like the HugeGeometry progress test.
+func TestAccumulatorStatePerIterationBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("3M-sample study skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("3M-sample study skipped under -race")
+	}
+	geom := cluster.Config{Trials: 1, Ranks: 32, Iterations: 2000, Threads: 48, Seed: 5}
+	model, err := workload.ByName("minife")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	macc := analysis.NewMetricsAccumulator("minife", analysis.DefaultLaggardThresholdSec)
+	tacc := analysis.NewTable1Accumulator("minife", normality.DefaultAlpha)
+	if err := cluster.ObserveTrials(model, geom, 0, 1, dlb.Spec{}, 1, 1, analysis.NewKernel(macc, tacc), nil); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perIter := float64(after.HeapAlloc-before.HeapAlloc) / float64(geom.Iterations)
+	t.Logf("retained %.2f KiB per iteration", perIter/1024)
+	if perIter > 6<<10 {
+		t.Errorf("accumulator state retains %.1f KiB per iteration, over 6 KiB", perIter/1024)
+	}
+	runtime.KeepAlive(macc)
+	runtime.KeepAlive(tacc)
 }

@@ -12,8 +12,11 @@
 // Streaming: one-pass, constant-memory, mergeable accumulators for
 // studies too large to materialise — Moments (first four central moments
 // plus min/max, Welford/Pébay updates, exact up to floating-point
-// rounding) and QuantileSketch (a t-digest-style percentile estimator
-// with a documented rank-error bound). Both merge, so a parallel fill
-// keeps one accumulator per worker and combines at the end; these back
-// earlybird.StreamStudy and the serve layer's sweep endpoint.
+// rounding) and QuantileHistogram (a collapsing uniform histogram whose
+// state depends only on the set of samples, so its merge is exact and
+// its percentiles, within one bin of the exact ones, are the same bits
+// however the samples were ordered or partitioned). Both merge, so a
+// parallel fill keeps one accumulator per worker and combines at the
+// end; these back earlybird.StreamStudy, the serve layer's sweep
+// endpoint and the fleet's shard merge.
 package stats

@@ -8,7 +8,8 @@ package stats
 
 import (
 	"fmt"
-	"slices"
+	"math"
+	"math/bits"
 
 	"earlybird/internal/wire"
 )
@@ -16,7 +17,9 @@ import (
 // Codec version bytes, bumped on any layout change.
 const (
 	momentsCodecVersion uint8 = 1
-	sketchCodecVersion  uint8 = 1
+	// histogramCodecVersion starts at 2: version 1 was the t-digest the
+	// histogram replaced, whose encodings it refuses.
+	histogramCodecVersion uint8 = 2
 )
 
 // MarshalBinary encodes the accumulator's full state. The encoding is
@@ -61,74 +64,175 @@ func (m *Moments) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// MarshalBinary encodes the sketch; it is AppendBinary(nil).
-func (q *QuantileSketch) MarshalBinary() ([]byte, error) { return q.AppendBinary(nil) }
+// MarshalBinary encodes the histogram; it is AppendBinary(nil).
+func (h *QuantileHistogram) MarshalBinary() ([]byte, error) { return h.AppendBinary(nil) }
 
-// BinarySize returns the length of the sketch's encoding. Like
-// AppendBinary it compresses buffered values first.
-func (q *QuantileSketch) BinarySize() int {
-	q.flush()
-	return 37 + 16*len(q.centroids)
+// BinarySize returns the length of the histogram's encoding.
+func (h *QuantileHistogram) BinarySize() int {
+	size := 1 + wire.UvarintLen(uint64(h.n))
+	if h.n == 0 {
+		return size
+	}
+	lo, hi := h.bins()
+	size += 1 + wire.VarintLen(lo) + wire.UvarintLen(uint64(hi-lo)) + 16
+	h.eachOccupied(func(head, count uint64) {
+		size += wire.UvarintLen(head)
+		if count != 0 {
+			size += wire.UvarintLen(count)
+		}
+	})
+	return size
 }
 
-// AppendBinary appends the sketch's encoding to b. Buffered values are
-// compressed first (a state change Quantile performs anyway), so the
-// encoding holds only centroids and the encoded sketch answers every
-// Quantile call exactly as the original would have.
-func (q *QuantileSketch) AppendBinary(b []byte) ([]byte, error) {
-	w := wire.Writer{Buf: slices.Grow(b, q.BinarySize())}
-	w.U8(sketchCodecVersion)
-	w.F64(q.compression)
-	w.I64(q.n)
-	w.F64(q.minSeen)
-	w.F64(q.maxSeen)
-	w.U32(uint32(len(q.centroids)))
-	for _, c := range q.centroids {
-		w.F64(c.mean)
-		w.I64(c.count)
+// AppendBinary appends the histogram's encoding to b: the version and
+// the count n, then — when non-empty — the level, the lowest occupied
+// bin lo and the span to the highest at that level, the exact min and
+// max, and the occupied bins in ascending order until their counts sum
+// to n (see eachOccupied). Integers are varints. Equal histograms encode
+// to equal bytes.
+func (h *QuantileHistogram) AppendBinary(b []byte) ([]byte, error) {
+	w := wire.Writer{Buf: b}
+	w.U8(histogramCodecVersion)
+	w.Uvarint(uint64(h.n))
+	if h.n == 0 {
+		return w.Buf, nil
 	}
+	lo, hi := h.bins()
+	w.U8(h.level)
+	w.Varint(lo)
+	w.Uvarint(uint64(hi - lo))
+	w.F64(h.min)
+	w.F64(h.max)
+	h.eachOccupied(func(head, count uint64) {
+		w.Uvarint(head)
+		if count != 0 {
+			w.Uvarint(count)
+		}
+	})
 	return w.Buf, nil
 }
 
-// UnmarshalBinary replaces the sketch's state with the decoded one. The
-// receiver may be a zero-value sketch: the compression comes off the
-// wire.
-func (q *QuantileSketch) UnmarshalBinary(data []byte) error {
-	r := wire.NewReader(data)
-	if v := r.U8(); r.Err() == nil && v != sketchCodecVersion {
-		return fmt.Errorf("stats: unknown QuantileSketch codec version %d", v)
-	}
-	var dec QuantileSketch
-	dec.compression = r.F64()
-	dec.n = r.I64()
-	dec.minSeen = r.F64()
-	dec.maxSeen = r.F64()
-	nc := r.U32()
-	if r.Err() == nil && uint64(nc)*16 > uint64(r.Remaining()) {
-		return fmt.Errorf("stats: corrupt centroid count %d (%d bytes left)", nc, r.Remaining())
-	}
-	if nc > 0 {
-		dec.centroids = make([]centroid, nc)
-		for i := range dec.centroids {
-			dec.centroids[i] = centroid{mean: r.F64(), count: r.I64()}
+// countInline bounds the counts an occupied bin's head carries.
+const countInline = 8
+
+// eachOccupied calls fn for each occupied bin in ascending order with
+// its encoding: a head of its gap from the previous occupied bin (the
+// first's from lo, so 0) times 8, plus its count when that is under 8 —
+// one varint byte for the usual small gap and count — with count 0;
+// or else the gap times 8 alone, and the count.
+func (h *QuantileHistogram) eachOccupied(fn func(head, count uint64)) {
+	lo, _ := h.bins()
+	occ, prev := h.occupancy(), 0
+	for i, m := range occ {
+		for ; m != 0; m &= m - 1 {
+			k := i<<6 | bits.TrailingZeros64(m)
+			gap, c := uint64(k-prev), uint64(h.counts[(lo+int64(k))&slotMask])
+			if c < countInline {
+				fn(gap<<3|c, 0)
+			} else {
+				fn(gap<<3, c)
+			}
+			prev = k
 		}
 	}
-	if err := r.Finish("QuantileSketch"); err != nil {
+}
+
+// occupancy returns the occupied bins as a bitmap whose bit k is bin
+// lo+k. Whether a bin is occupied is a coin flip the branch predictor
+// would lose, so the slots are marked without branching on their counts
+// (a set-on-compare each), then the bitmap is rotated from slot order
+// into bin order. Slots outside [lo, hi] are empty.
+func (h *QuantileHistogram) occupancy() (occ [QuantileBins / 64]uint64) {
+	var slots [QuantileBins / 64]uint64
+	for i := range slots {
+		c := (*[64]uint32)(h.counts[i*64:])
+		var m uint64
+		for j := 63; j >= 0; j-- {
+			bit := uint64(0)
+			if c[j] != 0 {
+				bit = 1
+			}
+			m = m<<1 | bit
+		}
+		slots[i] = m
+	}
+	lo, _ := h.bins()
+	q, r := int(lo&slotMask)>>6, uint(lo&63)
+	for i := range occ {
+		occ[i] = slots[(i+q)%len(slots)]>>r | slots[(i+q+1)%len(slots)]<<(64-r)
+	}
+	return occ
+}
+
+// UnmarshalBinary replaces the histogram's state with the decoded one.
+// It accepts only what AppendBinary writes for some set of samples: a
+// level of at most 62 that is the least for the range, a span under
+// QuantileBins, a min and max (not NaN) whose bins are lo and lo+span,
+// occupied end bins, and non-zero counts of at most 2^32-1 that sum to
+// n. It allocates at most one set of QuantileBins counts.
+func (h *QuantileHistogram) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	if v := r.U8(); r.Err() == nil && v != histogramCodecVersion {
+		return fmt.Errorf("stats: unknown QuantileHistogram codec version %d", v)
+	}
+	var dec QuantileHistogram
+	n := r.Uvarint()
+	if n == 0 {
+		if err := r.Finish("QuantileHistogram"); err != nil {
+			return err
+		}
+		*h = dec
+		return nil
+	}
+	level := r.U8()
+	lo := r.Varint()
+	span := r.Uvarint()
+	dec.min, dec.max = r.F64(), r.F64()
+	if err := r.Err(); err != nil {
 		return err
 	}
-	if dec.compression <= 0 {
-		return fmt.Errorf("stats: decoded sketch has non-positive compression %g", dec.compression)
+	hi := lo + int64(min(span, QuantileBins))
+	switch {
+	case n > math.MaxInt64:
+		return fmt.Errorf("stats: histogram count %d overflows", n)
+	case level > 62:
+		return fmt.Errorf("stats: histogram level %d over 62", level)
+	case span >= QuantileBins:
+		return fmt.Errorf("stats: histogram span %d not under %d bins", span, QuantileBins)
+	case !(dec.min <= dec.max): // NaN included
+		return fmt.Errorf("stats: histogram range [%v, %v]", dec.min, dec.max)
+	case binOf(dec.min)>>level != lo || binOf(dec.max)>>level != hi:
+		return fmt.Errorf("stats: histogram min %v or max %v outside [lo, hi] = [%d, %d] at level %d",
+			dec.min, dec.max, lo, hi, level)
+	case levelFor(binOf(dec.min), binOf(dec.max), 0) != level:
+		return fmt.Errorf("stats: histogram level %d is not the least for its range", level)
 	}
-	var total int64
-	for _, c := range dec.centroids {
-		if c.count <= 0 {
-			return fmt.Errorf("stats: decoded sketch has non-positive centroid weight %d", c.count)
+	dec.n, dec.level = int64(n), level
+	dec.counts = new([QuantileBins]uint32)
+	var total uint64
+	b := lo
+	for first := true; total < n && r.Err() == nil; first = false {
+		v := r.Uvarint()
+		gap, c := v>>3, v&(countInline-1)
+		if c == 0 {
+			if c = r.Uvarint(); c < countInline {
+				return fmt.Errorf("stats: histogram count %d after bin %d not inlined", c, b)
+			}
 		}
-		total += c.count
+		// The first occupied bin is lo itself; the rest ascend to hi.
+		if first != (gap == 0) || gap > uint64(hi-b) || c > math.MaxUint32 || c > n-total {
+			return fmt.Errorf("stats: corrupt histogram bin %d (gap %d, count %d)", b, gap, c)
+		}
+		b += int64(gap)
+		dec.counts[b&slotMask] = uint32(c)
+		total += c
 	}
-	if total != dec.n {
-		return fmt.Errorf("stats: decoded sketch centroid mass %d does not match n %d", total, dec.n)
+	if err := r.Finish("QuantileHistogram"); err != nil {
+		return err
 	}
-	*q = dec
+	if b != hi {
+		return fmt.Errorf("stats: histogram's last occupied bin %d is not hi %d", b, hi)
+	}
+	*h = dec
 	return nil
 }

@@ -1,9 +1,13 @@
 package stats
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"earlybird/internal/wire"
 )
 
 // TestMomentsBinaryRoundTrip: an unmarshalled Moments must answer every
@@ -65,62 +69,66 @@ func TestMomentsBinaryEmpty(t *testing.T) {
 	}
 }
 
-// TestSketchBinaryRoundTrip: the decoded sketch answers every quantile
-// exactly as the original (post-flush) would, and merging with decoded
-// shards equals merging with the originals.
+// TestSketchBinaryRoundTrip: the decoded histogram is the original —
+// same state, same quantile bits, same bytes — and keeps accumulating
+// as the original does.
 func TestSketchBinaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	q := NewQuantileSketch(64)
+	var q QuantileHistogram
 	for i := 0; i < 5000; i++ {
-		q.Add(rng.NormFloat64())
+		q.Add(26e-3 + 1e-3*rng.NormFloat64())
 	}
-
 	data, err := q.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := new(QuantileSketch) // zero value: compression comes off the wire
+	if len(data) != q.BinarySize() {
+		t.Fatalf("BinarySize %d, encoding %d bytes", q.BinarySize(), len(data))
+	}
+	var back QuantileHistogram
 	if err := back.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
 	}
-	if back.N() != q.N() || back.Min() != q.Min() || back.Max() != q.Max() {
-		t.Fatalf("round trip changed counters: n %d/%d min %v/%v max %v/%v",
-			back.N(), q.N(), back.Min(), q.Min(), back.Max(), q.Max())
+	sameHistogram(t, "decoded", &back, &q)
+	if again, _ := back.MarshalBinary(); string(again) != string(data) {
+		t.Fatal("decoded histogram re-encodes differently")
 	}
-	for _, p := range []float64{0, 0.05, 0.25, 0.5, 0.75, 0.95, 1} {
-		if got, want := back.Quantile(p), q.Quantile(p); got != want {
-			t.Fatalf("quantile %g: decoded %v vs original %v", p, got, want)
-		}
-	}
-
-	// Continue adding on both sides: still identical observables.
 	for i := 0; i < 500; i++ {
-		x := rng.ExpFloat64()
+		x := rng.ExpFloat64() * 1e-2
 		q.Add(x)
 		back.Add(x)
 	}
-	if got, want := back.Quantile(0.5), q.Quantile(0.5); got != want {
-		t.Fatalf("post-round-trip median diverged: %v vs %v", got, want)
+	sameHistogram(t, "after more samples", &back, &q)
+
+	var empty, emptyBack QuantileHistogram
+	data, _ = empty.MarshalBinary()
+	if len(data) != empty.BinarySize() || emptyBack.UnmarshalBinary(data) != nil || emptyBack.N() != 0 {
+		t.Fatalf("empty histogram round trip: %x", data)
+	}
+	emptyBack.Add(4)
+	if math.Abs(emptyBack.Quantile(0.5)-4) > 1e-9 {
+		t.Fatal("decoded empty histogram does not accumulate")
 	}
 }
 
-// TestSketchBinaryCorrupt: truncation, bad versions and inconsistent
-// centroid mass are rejected, not silently accepted.
+// TestSketchBinaryCorrupt: truncation and bad versions are rejected, not
+// silently accepted — for the histogram and for Moments.
 func TestSketchBinaryCorrupt(t *testing.T) {
-	q := NewQuantileSketch(32)
+	var q QuantileHistogram
 	q.AddSlice([]float64{1, 2, 3, 4, 5})
 	data, err := q.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	cases := map[string][]byte{
 		"empty":       {},
 		"bad version": append([]byte{99}, data[1:]...),
-		"truncated":   data[:len(data)-3],
+		"t-digest":    append([]byte{1}, data[1:]...),
+		"truncated":   data[:len(data)-1],
+		"trailing":    append(bytes.Clone(data), 0),
 	}
 	for name, b := range cases {
-		var back QuantileSketch
+		var back QuantileHistogram
 		if err := back.UnmarshalBinary(b); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
@@ -135,37 +143,102 @@ func TestSketchBinaryCorrupt(t *testing.T) {
 	}
 }
 
-// TestSketchBinaryMergeEquivalence: merging decoded shard sketches gives
-// the same observables as merging the originals — the property the
-// fleet's coordinator relies on.
+// hostileHistograms are encodings that are well-formed varints but no
+// set of samples produces, each with the rule that must refuse it: the
+// histogram decoder's table test here and, through the metrics state,
+// the shard record's fuzz seeds in internal/serve.
+func hostileHistograms() map[string][]byte {
+	// enc writes a histogram header and (gap, count) pairs.
+	enc := func(n uint64, level uint8, lo int64, span uint64, min, max float64, pairs ...uint64) []byte {
+		var w wire.Writer
+		w.U8(histogramCodecVersion)
+		w.Uvarint(n)
+		w.U8(level)
+		w.Varint(lo)
+		w.Uvarint(span)
+		w.F64(min)
+		w.F64(max)
+		for i := 0; i+1 < len(pairs); i += 2 {
+			if gap, c := pairs[i], pairs[i+1]; c > 0 && c < 8 {
+				w.Uvarint(gap<<3 | c) // a small count rides in the gap's varint
+			} else {
+				w.Uvarint(gap << 3)
+				w.Uvarint(c)
+			}
+		}
+		return w.Buf
+	}
+	const ns = 1 / binsPerSecond // a level-0 bin in seconds
+	return map[string][]byte{
+		"level over 62":     enc(2, 63, 0, 0, 0, 1, 0, 2),
+		"span of K":         enc(2, 0, 0, QuantileBins, 0, QuantileBins, 0, 1, QuantileBins, 1),
+		"counts short of n": enc(3, 0, 0, 1, 0, 1, 0, 1, 1, 1),
+		"counts over n":     enc(2, 0, 0, 1, 0, 1, 0, 2, 1, 1),
+		"count over 2^32-1": enc(1<<32+1, 0, 0, 1, 0, 1, 0, 1<<32, 1, 1),
+		"n over 2^63-1":     enc(1<<63, 0, 0, 0, 0, 0, 0, 1),
+		"min below lo":      enc(2, 0, 5, 1, 4, 6, 0, 1, 1, 1),
+		"max above hi":      enc(2, 0, 5, 1, 5, 7, 0, 1, 1, 1),
+		"min past -2^62":    enc(2, 62, -2, 1, -maxBin-1, 0, 0, 1, 1, 1),
+		"level not least":   enc(2, 1, 0, 0, 0, 1, 0, 2),
+		"empty end bin":     enc(2, 0, 0, 2, 0, 2, 0, 1, 1, 1),
+		"bin past hi":       enc(2, 0, 0, 1, 0, 1, 0, 1, 2, 1),
+		"zero count":        enc(2, 0, 0, 1, 0, 1, 0, 0, 1, 2),
+		"repeated bin":      enc(2, 0, 0, 0, 0, 0, 0, 1, 0, 1),
+		"trailing bytes":    append(enc(2, 0, 0, 1, 0, 1, 0, 1, 1, 1), 0),
+	}
+}
+
+// TestQuantileHistogramRefusesHostileState: each hostile encoding is
+// refused, and no decode allocates more than one set of counts (plus
+// its error).
+func TestQuantileHistogramRefusesHostileState(t *testing.T) {
+	var ok QuantileHistogram
+	ok.AddSlice([]float64{0, 1e-9})
+	good, _ := ok.MarshalBinary()
+	var back QuantileHistogram
+	if err := back.UnmarshalBinary(good); err != nil {
+		t.Fatalf("the well-formed base case is refused: %v", err)
+	}
+	for name, b := range hostileHistograms() {
+		var h QuantileHistogram
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if err := h.UnmarshalBinary(b); err == nil {
+				t.Fatalf("%s: accepted", name)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 4*QuantileBins+512 {
+			t.Errorf("%s: %d bytes allocated per decode", name, per)
+		}
+	}
+}
+
+// TestSketchBinaryMergeEquivalence: merging decoded shard histograms is
+// merging the originals — the property the fleet's coordinator relies
+// on.
 func TestSketchBinaryMergeEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	mk := func() *QuantileSketch { return NewQuantileSketch(48) }
-	shards := make([]*QuantileSketch, 3)
+	shards := make([]QuantileHistogram, 3)
 	for i := range shards {
-		shards[i] = mk()
 		for j := 0; j < 2000; j++ {
 			shards[i].Add(rng.NormFloat64() * float64(i+1))
 		}
 	}
-
-	direct := mk()
-	viaWire := mk()
-	for _, s := range shards {
-		data, err := s.MarshalBinary()
+	var direct, viaWire QuantileHistogram
+	for i := range shards {
+		data, err := shards[i].MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var dec QuantileSketch
+		var dec QuantileHistogram
 		if err := dec.UnmarshalBinary(data); err != nil {
 			t.Fatal(err)
 		}
-		direct.Merge(s)
+		direct.Merge(&shards[i])
 		viaWire.Merge(&dec)
 	}
-	for _, p := range []float64{0.25, 0.5, 0.75} {
-		if got, want := viaWire.Quantile(p), direct.Quantile(p); got != want {
-			t.Fatalf("quantile %g: via wire %v vs direct %v", p, got, want)
-		}
-	}
+	sameHistogram(t, "via wire", &viaWire, &direct)
 }

@@ -2,17 +2,14 @@
 // exact descriptive statistics in desc.go, for studies too large to
 // materialise. Moments tracks the first four central moments plus min/max
 // (Welford/Pébay updates, exact up to floating-point rounding);
-// QuantileSketch is a mergeable t-digest-style percentile estimator with
-// documented, bounded error. Both types merge, so a parallel fill can keep
-// one accumulator per worker and combine at the end.
+// QuantileHistogram is a collapsing uniform histogram that estimates
+// percentiles from counts that depend only on the set of samples. Both
+// types merge, so a parallel fill can keep one accumulator per worker and
+// combine at the end; the histogram's merge is exact.
 
 package stats
 
-import (
-	"math"
-
-	"earlybird/internal/sortx"
-)
+import "math"
 
 // Moments is a one-pass, mergeable accumulator of a sample's count, mean,
 // central moments M2..M4 and min/max. Its accessors mirror the exact
@@ -154,406 +151,225 @@ func (m *Moments) Max() float64 {
 	return m.maxSeen
 }
 
-// DefaultSketchCompression is the QuantileSketch compression used when the
-// caller passes 0. Error bounds scale as 1/compression (see
-// NewQuantileSketch).
-const DefaultSketchCompression = 100
+// QuantileBins is the number of count slots of a QuantileHistogram, a
+// power of two. A histogram resolves its samples' range into at least
+// QuantileBins/2 bins, so its quartile estimates sit within about
+// range/QuantileBins of the exact ones. At 1024 the iteration IQR
+// statistics of the three workloads are 0.01–0.13% off the exact values
+// on average (EXPERIMENTS.md) for 4 KiB of counts per histogram; 2048
+// halves the error and doubles the memory of every per-iteration
+// histogram.
+const QuantileBins = 1 << 10
 
-// centroid is one weighted cluster of a QuantileSketch.
-type centroid struct {
-	mean  float64
-	count int64
-}
+const (
+	// binsPerSecond scales a sample to its level-0 bin: 1 ns for samples
+	// in seconds.
+	binsPerSecond = 1e9
+	// maxBin saturates level-0 bins, so any float64 — ±Inf and ±1e300
+	// included — has a bin, and bin differences fit in a uint64.
+	maxBin = 1 << 62
+	// slotMask maps a bin to its count slot.
+	slotMask = QuantileBins - 1
+)
 
-// QuantileSketch is a mergeable, bounded-memory quantile estimator in the
-// t-digest family: incoming values buffer briefly, then compress into a
-// sorted list of weighted centroids whose maximum weight shrinks towards
-// the distribution's tails (the classic 4·N·q·(1-q)/δ size bound).
-// Memory is O(compression · log n) — the log factor comes from tail
-// singletons — a few kilobytes at the default compression for any
-// realistic n.
+// QuantileHistogram is a mergeable quantile estimator whose state
+// depends only on the set of samples it has seen, never on their order
+// or on how they were split between histograms before a merge.
 //
-// Accuracy is a rank guarantee: the estimated q-quantile corresponds to
-// an exact q'-quantile with |q - q'| ≲ 2·q·(1-q)/compression, i.e. about
-// 0.5% rank error at the quartiles for the default compression of 100
-// (property-tested at ≤1.5% mid-range and ≤2% at p5/p95 in
-// stream_test.go). The value error that rank error translates to depends
-// on the local density: for the unimodal arrival distributions of this
-// study, quartile and median estimates land within ~2% of the sample IQR
-// of the exact value; near density gaps (e.g. a percentile falling
-// exactly on a laggard-mixture boundary) the value error can be larger
-// even though the rank error stays bounded. Min and max are tracked
-// exactly. The zero value is not usable; call NewQuantileSketch.
-type QuantileSketch struct {
-	compression float64
-	centroids   []centroid
-	scratch     []centroid // reused merge buffer; no allocation per flush
-	buf         []float64
-	pending     []float64 // concatenated sorted runs awaiting one combined fold
-	runEnds     []int     // end offset of each pending run
-	mscratch    []float64 // ping-pong buffer for pairwise run merging
-	n           int64
-	minSeen     float64
-	maxSeen     float64
+// A sample x has the level-0 bin floor(x·1e9), saturated at ±2^62; at
+// level k its bin is that shifted right by k. The histogram counts at
+// the least level k where the smallest and largest sample's bins differ
+// by less than QuantileBins — a function of the set's min and max alone
+// — in QuantileBins slots indexed by the bin's low bits. The level
+// rises, and counts collapse pairwise, only when a sample widens the
+// range past what the slots hold. So Add, AddSorted and Merge commute:
+// every order and every partition of the same samples yields the same
+// state, and so the same Quantile bits. A NaN sample counts as 0.
+//
+// Quantile interpolates, like Percentile (type 7), between estimated
+// order statistics: the smallest and largest are the exact min and max,
+// and the others take a bin's c samples to sit at its start plus
+// (i+½)/c of its width, i = 0..c-1, clamped to [min, max]. Each lies in
+// the same bin as the exact order statistic, so a quantile is off by
+// less than one bin width. A bin holds fewer than 2^32 samples. The zero
+// value is an empty histogram ready for use.
+type QuantileHistogram struct {
+	n        int64
+	min, max float64
+	level    uint8
+	counts   *[QuantileBins]uint32 // nil while empty
 }
 
-// NewQuantileSketch returns an empty sketch; compression <= 0 selects
-// DefaultSketchCompression. Larger compressions are more accurate and use
-// proportionally more memory (roughly 24 bytes per unit compression).
-func NewQuantileSketch(compression float64) *QuantileSketch {
-	if compression <= 0 {
-		compression = DefaultSketchCompression
+// binOf returns x's level-0 bin (NaN's is 0).
+func binOf(x float64) int64 {
+	v := x * binsPerSecond
+	switch {
+	case v >= maxBin:
+		return maxBin
+	case v <= -maxBin:
+		return -maxBin
+	case v == v:
+		return int64(math.Floor(v))
 	}
-	return &QuantileSketch{
-		compression: compression,
-		minSeen:     math.Inf(1),
-		maxSeen:     math.Inf(-1),
-	}
+	return 0
 }
 
-// N returns the number of values added.
-func (q *QuantileSketch) N() int64 { return q.n }
-
-// Min returns the smallest value added (exact), NaN when empty.
-func (q *QuantileSketch) Min() float64 {
-	if q.n == 0 {
-		return math.NaN()
+// levelFor returns the least level at or above from where the level-0
+// bins lo <= hi fall fewer than QuantileBins bins apart. The difference
+// is taken in uint64: at level 0 it can reach 2^63.
+func levelFor(lo, hi int64, from uint8) uint8 {
+	l := from
+	for uint64(hi>>l-lo>>l) >= QuantileBins {
+		l++
 	}
-	return q.minSeen
+	return l
 }
 
-// Max returns the largest value added (exact), NaN when empty.
-func (q *QuantileSketch) Max() float64 {
-	if q.n == 0 {
-		return math.NaN()
+// notNaN maps NaN to 0, the value a NaN sample counts as.
+func notNaN(x float64) float64 {
+	if x != x {
+		return 0
 	}
-	return q.maxSeen
+	return x
 }
 
-// Add folds one value into the sketch.
-func (q *QuantileSketch) Add(x float64) {
-	if x < q.minSeen {
-		q.minSeen = x
-	}
-	if x > q.maxSeen {
-		q.maxSeen = x
-	}
-	q.n++
-	if q.buf == nil {
-		q.buf = make([]float64, 0, 4*int(q.compression))
-	}
-	q.buf = append(q.buf, x)
-	if len(q.buf) == cap(q.buf) {
-		q.flush()
-	}
+// N returns the number of samples added.
+func (h *QuantileHistogram) N() int64 { return h.n }
+
+// Add folds one sample into the histogram.
+func (h *QuantileHistogram) Add(x float64) {
+	x = notNaN(x)
+	h.extend(x, x)
+	h.counts[binOf(x)>>h.level&slotMask]++
+	h.n++
 }
 
-// AddSlice folds every element of xs into the sketch.
-func (q *QuantileSketch) AddSlice(xs []float64) {
+// AddSlice folds every element of xs into the histogram.
+func (h *QuantileHistogram) AddSlice(xs []float64) {
 	for _, x := range xs {
-		q.Add(x)
+		h.Add(x)
 	}
 }
 
-// AddSorted folds an ascending-sorted run of values into the sketch,
-// bypassing the per-value buffer entirely. This is the hot-path
-// ingestion used by the streaming accumulators, which sort each
-// observation block once anyway (for median extraction) and hand the
-// sorted scratch straight down. xs must be sorted ascending; xs is not
-// retained. A sketch fed exclusively through AddSorted never allocates
-// the Add buffer.
-//
-// Small runs are not folded immediately: they buffer until roughly
-// 8·compression values are pending, then combine pairwise (branchless
-// sortx.MergeRuns passes) into one ascending run that merges with the
-// centroid list in a single compressing sweep. Folding a run of k
-// values costs a pass over all ~centroids+k entries, so batching
-// amortises the centroid sweep over several blocks — at the streaming
-// accumulators' geometry (48-thread blocks, compression 32, ~150
-// steady centroids) it cuts sweep iterations per value by ~2.5x.
-func (q *QuantileSketch) AddSorted(xs []float64) {
+// AddSorted folds an ascending-sorted run into the histogram. It reads
+// the run's range from its ends, so the level changes at most once per
+// run; the result is the same as adding each value.
+func (h *QuantileHistogram) AddSorted(xs []float64) {
 	if len(xs) == 0 {
 		return
 	}
-	q.flushBuf() // interleaved Add calls must land before this run
-	if xs[0] < q.minSeen {
-		q.minSeen = xs[0]
+	h.extend(notNaN(xs[0]), notNaN(xs[len(xs)-1]))
+	counts, l := h.counts, h.level
+	for _, x := range xs {
+		counts[binOf(x)>>l&slotMask]++
 	}
-	if xs[len(xs)-1] > q.maxSeen {
-		q.maxSeen = xs[len(xs)-1]
-	}
-	q.n += int64(len(xs))
-	limit := 8 * int(q.compression)
-	if len(xs) >= limit {
-		// A run this large amortises its own sweep; fold it directly
-		// (pending runs first, to keep ingestion order).
-		q.flushPending()
-		q.mergeRun(xs)
-		return
-	}
-	if len(q.pending)+len(xs) > limit {
-		q.flushPending()
-	}
-	if q.pending == nil {
-		q.pending = make([]float64, 0, limit)
-	}
-	q.pending = append(q.pending, xs...)
-	q.runEnds = append(q.runEnds, len(q.pending))
+	h.n += int64(len(xs))
 }
 
-// flushPending combines the buffered sorted runs into one ascending run
-// and folds it into the centroid list.
-func (q *QuantileSketch) flushPending() {
-	switch len(q.runEnds) {
-	case 0:
-		return
-	case 1:
-		q.mergeRun(q.pending)
-	default:
-		n := len(q.pending)
-		if cap(q.mscratch) < n {
-			q.mscratch = make([]float64, n)
-		}
-		src, dst := q.pending, q.mscratch[:n]
-		ends := q.runEnds
-		for m := len(ends); m > 1; src, dst = dst, src {
-			w := 0
-			for r := 0; r < m; r += 2 {
-				start := 0
-				if r > 0 {
-					start = ends[r-1] // not yet overwritten: w-1 < r-1 for r >= 2
-				}
-				if r+1 == m {
-					copy(dst[start:ends[r]], src[start:ends[r]])
-					ends[w] = ends[r]
-				} else {
-					mid, end := ends[r], ends[r+1]
-					sortx.MergeRuns(dst[start:end], src[start:mid], src[mid:end])
-					ends[w] = end
-				}
-				w++
-			}
-			m = w
-		}
-		q.mergeRun(src)
-	}
-	q.pending = q.pending[:0]
-	q.runEnds = q.runEnds[:0]
-}
-
-// Merge folds another sketch into this one. o's buffered values are
-// compressed as a side effect, but its distribution is unchanged; the
-// merged sketch keeps both error bounds. Both centroid lists are
-// already sorted, so the merge is a single linear pass with inline
-// compression — no comparison sort.
-func (q *QuantileSketch) Merge(o *QuantileSketch) {
+// Merge folds o's samples into h; o is not modified. The merged state is
+// that of one histogram fed both sample sets.
+func (h *QuantileHistogram) Merge(o *QuantileHistogram) {
 	if o == nil || o.n == 0 {
 		return
 	}
-	o.flush()
-	q.flush()
-	if o.minSeen < q.minSeen {
-		q.minSeen = o.minSeen
-	}
-	if o.maxSeen > q.maxSeen {
-		q.maxSeen = o.maxSeen
-	}
-	q.n += o.n
-	cs, os := q.centroids, o.centroids
-	total := float64(q.n)
-	merged := q.scratch[:0]
-	var cur centroid
-	var cum float64
-	first := true
-	i, j := 0, 0
-	for i < len(cs) || j < len(os) {
-		var next centroid
-		if j >= len(os) || (i < len(cs) && cs[i].mean <= os[j].mean) {
-			next = cs[i]
-			i++
-		} else {
-			next = os[j]
-			j++
-		}
-		if first {
-			cur, first = next, false
-			continue
-		}
-		sum := cur.count + next.count
-		if fits(cum, sum, total, q.compression) {
-			cur.mean += float64(next.count) / float64(sum) * (next.mean - cur.mean)
-			cur.count = sum
-		} else {
-			merged = append(merged, cur)
-			cum += float64(cur.count)
-			cur = next
-		}
-	}
-	if !first {
-		merged = append(merged, cur)
-	}
-	q.scratch = q.centroids[:0]
-	q.centroids = merged
+	h.extend(o.min, o.max)
+	h.fold(o)
+	h.n += o.n
 }
 
-// flush compresses everything buffered — per-value adds and pending
-// sorted runs — into the centroid list, so readers and merges see the
-// full distribution.
-func (q *QuantileSketch) flush() {
-	q.flushBuf()
-	q.flushPending()
-}
-
-// flushBuf compresses per-value buffered adds into the centroid list.
-// The buffer is sorted and merged in a single pass; steady-state
-// flushes allocate nothing (the previous centroid array becomes the
-// next merge buffer).
-func (q *QuantileSketch) flushBuf() {
-	if len(q.buf) == 0 {
+// extend widens the histogram's range to cover [lo, hi], raising the
+// level (and collapsing counts) if the widened range no longer fits the
+// slots. The built-in min and max order -0 below +0, so the range does
+// not depend on which zero came first.
+func (h *QuantileHistogram) extend(lo, hi float64) {
+	if h.n == 0 {
+		if h.counts == nil {
+			h.counts = new([QuantileBins]uint32)
+		}
+		h.min, h.max, h.level = lo, hi, levelFor(binOf(lo), binOf(hi), 0)
 		return
 	}
-	sortx.Sort(q.buf)
-	q.mergeRun(q.buf)
-	q.buf = q.buf[:0]
+	lo, hi = min(h.min, lo), max(h.max, hi)
+	if l := levelFor(binOf(lo), binOf(hi), h.level); l > h.level {
+		old := QuantileHistogram{min: h.min, level: h.level, counts: new([QuantileBins]uint32)}
+		*old.counts = *h.counts
+		clear(h.counts[:])
+		h.level = l
+		h.fold(&old)
+	}
+	h.min, h.max = lo, hi
 }
 
-// fits reports whether a cluster of weight sum, preceded by cum mass,
-// respects the t-digest size bound 4·N·q·(1-q)/compression. The check
-// is the classic limit rewritten multiplication-only:
-//
-//	sum ≤ 4·total·mid·(1-mid)/compression,  mid = (cum + sum/2)/total
-//	⟺ sum·total·compression ≤ 4·(cum+sum/2)·(total-(cum+sum/2))
-//
-// which drops two divisions from the innermost loop of every merge.
-// Weight-1 pairs always fit (the historical max(1, limit) floor).
-func fits(cum float64, sum int64, total, compression float64) bool {
-	if sum <= 1 {
-		return true
-	}
-	s := float64(sum)
-	mid := cum + s/2
-	return s*total*compression <= 4*mid*(total-mid)
+// bins returns the lowest and highest occupied bins at h's level.
+func (h *QuantileHistogram) bins() (lo, hi int64) {
+	return binOf(h.min) >> h.level, binOf(h.max) >> h.level
 }
 
-// mergeRun merges an ascending run of raw values with the sorted
-// centroid list, applying the weight bound inline: one pass replaces
-// the historical merge-then-compress two-pass. q.n must already count
-// the run's values.
-func (q *QuantileSketch) mergeRun(xs []float64) {
-	cs := q.centroids
-	total := float64(q.n)
-	merged := q.scratch[:0]
-	if need := len(cs) + len(xs); cap(merged) < need {
-		// need is the no-compression worst case. Seeding the capacity at
-		// several times the compression — the steady-state centroid
-		// count is Θ(compression·log n) — means each sketch allocates
-		// its two swap buffers once and then runs allocation-free,
-		// instead of doubling its way up call by call.
-		seed := 8 * int(q.compression)
-		if 2*need > seed {
-			seed = 2 * need
-		}
-		merged = make([]centroid, 0, seed)
+// fold adds o's counts into h's slots. h's level must be at least o's
+// and h's range must cover o's. Empty slots add 0, so no slot needs a
+// branch on its count.
+func (h *QuantileHistogram) fold(o *QuantileHistogram) {
+	shift := h.level - o.level
+	base, _ := o.bins()
+	for i, c := range o.counts {
+		// The one bin in [base, base+QuantileBins) held in slot i.
+		b := base + int64((uint64(i)-uint64(base))&slotMask)
+		h.counts[b>>shift&slotMask] += c
 	}
-	var cur centroid
-	var cum float64 // mass strictly before cur
-	first := true
-	i, j := 0, 0
-	for i < len(cs) || j < len(xs) {
-		var next centroid
-		if j >= len(xs) || (i < len(cs) && cs[i].mean <= xs[j]) {
-			next = cs[i]
-			i++
-		} else {
-			next = centroid{mean: xs[j], count: 1}
-			j++
-		}
-		if first {
-			cur, first = next, false
-			continue
-		}
-		sum := cur.count + next.count
-		if fits(cum, sum, total, q.compression) {
-			// Weighted-mean absorb.
-			cur.mean += float64(next.count) / float64(sum) * (next.mean - cur.mean)
-			cur.count = sum
-		} else {
-			merged = append(merged, cur)
-			cum += float64(cur.count)
-			cur = next
-		}
-	}
-	if !first {
-		merged = append(merged, cur)
-	}
-	q.scratch = q.centroids[:0] // old list becomes the next merge buffer
-	q.centroids = merged
 }
 
-// Quantile returns the estimated p-quantile for p in [0, 1], interpolating
-// between centroid centers and anchored at the exact min/max. NaN when
-// empty.
-func (q *QuantileSketch) Quantile(p float64) float64 {
-	q.flush()
-	if q.n == 0 {
+// Quantile returns the estimated p-quantile for p in [0, 1] (clamped),
+// NaN when empty or for a NaN p.
+func (h *QuantileHistogram) Quantile(p float64) float64 {
+	if h.n == 0 || p != p {
 		return math.NaN()
 	}
-	if p <= 0 {
-		return q.minSeen
-	}
-	if p >= 1 {
-		return q.maxSeen
-	}
-	cs := q.centroids
-	if len(cs) == 1 {
-		return cs[0].mean
-	}
-	target := p * float64(q.n)
-	cum := 0.0
-	for i, c := range cs {
-		center := cum + float64(c.count)/2
-		if target <= center {
-			if i == 0 {
-				frac := target / center
-				return q.minSeen + frac*(c.mean-q.minSeen)
+	pos := min(max(p, 0), 1) * float64(h.n-1)
+	j := int64(pos)
+	frac := pos - float64(j)
+	width := float64(int64(1) << h.level)
+	var at [2]float64 // estimated order statistics j and j+1
+	found, cum := 0, int64(0)
+	lo, hi := h.bins()
+	for b := lo; found < 2 && b <= hi; b++ {
+		c := int64(h.counts[b&slotMask])
+		for ; found < 2 && j+int64(found) < cum+c; found++ {
+			k := j + int64(found)
+			switch k {
+			case 0:
+				at[found] = h.min
+			case h.n - 1:
+				at[found] = h.max
+			default:
+				x := (float64(b) + (float64(k-cum)+0.5)/float64(c)) * width / binsPerSecond
+				at[found] = min(max(x, h.min), h.max)
 			}
-			prev := cs[i-1]
-			prevCenter := cum - float64(prev.count)/2
-			frac := (target - prevCenter) / (center - prevCenter)
-			return prev.mean + frac*(c.mean-prev.mean)
 		}
-		cum += float64(c.count)
+		cum += c
 	}
-	last := cs[len(cs)-1]
-	lastCenter := float64(q.n) - float64(last.count)/2
-	frac := (target - lastCenter) / (float64(q.n) - lastCenter)
-	if frac > 1 {
-		frac = 1
+	if found < 2 || frac == 0 { // j is the last order statistic, or exact
+		return at[0]
 	}
-	return last.mean + frac*(q.maxSeen-last.mean)
+	return at[0] + float64(frac*(at[1]-at[0]))
 }
 
-// Percentile returns the estimated p-th percentile (0 <= p <= 100),
-// mirroring Percentile in desc.go.
-func (q *QuantileSketch) Percentile(p float64) float64 { return q.Quantile(p / 100) }
-
 // IQR returns the estimated inter-quartile range.
-func (q *QuantileSketch) IQR() float64 { return q.Quantile(0.75) - q.Quantile(0.25) }
+func (h *QuantileHistogram) IQR() float64 { return h.Quantile(0.75) - h.Quantile(0.25) }
 
 // StreamSummary assembles a Summary from streaming accumulators: exact
 // N/mean/stddev/min/max/skewness/kurtosis from the moments, estimated
-// percentiles from the sketch.
-func StreamSummary(m *Moments, q *QuantileSketch) Summary {
+// percentiles from the histogram.
+func StreamSummary(m *Moments, q *QuantileHistogram) Summary {
 	return Summary{
 		N:        int(m.N()),
 		Mean:     m.Mean(),
 		StdDev:   m.StdDev(),
 		Min:      m.Min(),
-		P5:       q.Percentile(5),
-		P25:      q.Percentile(25),
-		Median:   q.Percentile(50),
-		P75:      q.Percentile(75),
-		P95:      q.Percentile(95),
+		P5:       q.Quantile(0.05),
+		P25:      q.Quantile(0.25),
+		Median:   q.Quantile(0.50),
+		P75:      q.Quantile(0.75),
+		P95:      q.Quantile(0.95),
 		Max:      m.Max(),
 		IQR:      q.IQR(),
 		Skewness: m.Skewness(),

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -134,124 +135,185 @@ func TestMomentsEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
-// empiricalRank returns the fraction of the sorted sample <= v.
-func empiricalRank(sorted []float64, v float64) float64 {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sorted[mid] <= v {
-			lo = mid + 1
-		} else {
-			hi = mid
+// binWidth returns the width, in seconds, of h's bins.
+func binWidth(h *QuantileHistogram) float64 { return float64(int64(1)<<h.level) / binsPerSecond }
+
+// checkWithinBin holds h's percentiles to the histogram's guarantee:
+// each estimated order statistic sits in the same bin as the exact one,
+// so every type-7 percentile is off by less than one bin width — and a
+// bin is at most 2/(QuantileBins-1) of the sample range wide (plus the
+// 1 ns of level 0).
+func checkWithinBin(t *testing.T, h *QuantileHistogram, sorted []float64) {
+	t.Helper()
+	w := binWidth(h)
+	if limit := 2*(sorted[len(sorted)-1]-sorted[0])/(QuantileBins-1) + 1/binsPerSecond; w > limit {
+		t.Errorf("bin width %v over 2·range/(bins-1) = %v", w, limit)
+	}
+	for _, p := range []float64{0, 5, 25, 50, 75, 95, 100} {
+		got, want := h.Quantile(p/100), PercentileSorted(sorted, p)
+		if math.Abs(got-want) > w*(1+1e-9) {
+			t.Errorf("p%g: histogram %v vs exact %v, %.3g bins apart", p, got, want, math.Abs(got-want)/w)
 		}
 	}
-	return float64(lo) / float64(len(sorted))
+	if h.N() != int64(len(sorted)) {
+		t.Fatalf("N = %d, want %d", h.N(), len(sorted))
+	}
 }
 
-// TestQuantileSketchMatchesExact checks the documented guarantees at the
-// default compression: rank error of the estimate at most 1.5% at the
-// quartiles and median and 2% at the 5th/95th percentiles, and — where
-// the density is smooth (every family's quartiles) — value agreement
-// within 2% of the sample IQR.
+// TestQuantileSketchMatchesExact checks the histogram's guarantee on
+// every sample family, and that where the density is smooth around the
+// quartiles (all but the laggard mixture, whose tail sets the range)
+// the quartiles and median land within 1% of the sample IQR.
 func TestQuantileSketchMatchesExact(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for name, xs := range streamCases(r, 20000) {
 		t.Run(name, func(t *testing.T) {
-			q := NewQuantileSketch(0)
-			q.AddSlice(xs)
+			var h QuantileHistogram
+			h.AddSlice(xs)
 			sorted := Sorted(xs)
+			checkWithinBin(t, &h, sorted)
+			if name == "mixture" {
+				return
+			}
 			iqr := IQRSorted(sorted)
-			for _, c := range []struct {
-				p       float64
-				rankTol float64
-			}{
-				{5, 0.02},
-				{25, 0.015},
-				{50, 0.015},
-				{75, 0.015},
-				{95, 0.02},
-			} {
-				got := q.Percentile(c.p)
-				if rank := empiricalRank(sorted, got); math.Abs(rank-c.p/100) > c.rankTol {
-					t.Errorf("p%g: sketch %v sits at empirical rank %.4f (tol ±%g)", c.p, got, rank, c.rankTol)
-				}
-			}
 			for _, p := range []float64{25, 50, 75} {
-				got, want := q.Percentile(p), PercentileSorted(sorted, p)
-				if math.Abs(got-want) > 0.02*iqr {
-					t.Errorf("p%g: sketch %v vs exact %v (tol %v)", p, got, want, 0.02*iqr)
+				if got, want := h.Quantile(p/100), PercentileSorted(sorted, p); math.Abs(got-want) > 0.01*iqr {
+					t.Errorf("p%g: histogram %v vs exact %v (tol %v)", p, got, want, 0.01*iqr)
 				}
-			}
-			if q.Min() != sorted[0] || q.Max() != sorted[len(sorted)-1] {
-				t.Error("sketch min/max not exact")
-			}
-			if q.N() != int64(len(xs)) {
-				t.Fatalf("N = %d, want %d", q.N(), len(xs))
 			}
 		})
 	}
 }
 
-// TestQuantileSketchMergeMatchesWhole: a merge of per-shard sketches must
-// stay within the same tolerances as a single sketch over the whole
-// sample.
+// sameHistogram fails unless a and b hold the same state, so that every
+// Quantile answers the same bits.
+func sameHistogram(t *testing.T, what string, a, b *QuantileHistogram) {
+	t.Helper()
+	if a.n != b.n || math.Float64bits(a.min) != math.Float64bits(b.min) || math.Float64bits(a.max) != math.Float64bits(b.max) ||
+		a.level != b.level || *a.counts != *b.counts {
+		t.Fatalf("%s: state differs (n %d/%d, range [%v,%v]/[%v,%v], level %d/%d)",
+			what, a.n, b.n, a.min, a.max, b.min, b.max, a.level, b.level)
+	}
+	for _, p := range []float64{0, 0.05, 0.25, 0.5, 0.75, 0.95, 1} {
+		if x, y := a.Quantile(p), b.Quantile(p); math.Float64bits(x) != math.Float64bits(y) {
+			t.Fatalf("%s: quantile %g is %v vs %v", what, p, x, y)
+		}
+	}
+}
+
+// TestQuantileSketchMergeMatchesWhole: a merge of per-shard histograms
+// is the histogram of the whole sample, state and quantiles alike.
 func TestQuantileSketchMergeMatchesWhole(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for name, xs := range streamCases(r, 16000) {
 		t.Run(name, func(t *testing.T) {
-			merged := NewQuantileSketch(0)
+			var whole, merged QuantileHistogram
+			whole.AddSlice(xs)
 			for i := 0; i < len(xs); i += 3000 {
-				end := i + 3000
-				if end > len(xs) {
-					end = len(xs)
-				}
-				shard := NewQuantileSketch(0)
-				shard.AddSlice(xs[i:end])
-				merged.Merge(shard)
+				var shard QuantileHistogram
+				shard.AddSlice(xs[i:min(i+3000, len(xs))])
+				merged.Merge(&shard)
 			}
-			sorted := Sorted(xs)
-			iqr := IQRSorted(sorted)
-			for _, p := range []float64{25, 50, 75} {
-				got := merged.Percentile(p)
-				want := PercentileSorted(sorted, p)
-				if math.Abs(got-want) > 0.02*iqr {
-					t.Errorf("p%g: merged sketch %v vs exact %v", p, got, want)
-				}
-			}
-			if merged.N() != int64(len(xs)) {
-				t.Fatalf("merged N = %d, want %d", merged.N(), len(xs))
-			}
+			sameHistogram(t, name, &merged, &whole)
 		})
 	}
 }
 
+// TestQuantileHistogramMergeBitIdentical is the order-free contract the
+// sweep, the fleet and StreamStudy rely on: any permutation of the
+// samples, cut into any blocks, fed through Add or AddSorted into any
+// number of histograms merged in any order, yields the same state and
+// the same Quantile bits.
+func TestQuantileHistogramMergeBitIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	for name, xs := range streamCases(r, 9600) {
+		var want QuantileHistogram
+		want.AddSlice(xs)
+		for round := 0; round < 20; round++ {
+			perm := r.Perm(len(xs))
+			parts := make([]QuantileHistogram, 1+r.Intn(5))
+			for i := 0; i < len(xs); {
+				block := make([]float64, min(1+r.Intn(100), len(xs)-i))
+				for j := range block {
+					block[j] = xs[perm[i+j]]
+				}
+				i += len(block)
+				h := &parts[r.Intn(len(parts))]
+				if r.Intn(2) == 0 {
+					h.AddSlice(block)
+				} else {
+					h.AddSorted(Sorted(block))
+				}
+			}
+			var got QuantileHistogram
+			for _, k := range r.Perm(len(parts)) {
+				got.Merge(&parts[k])
+			}
+			sameHistogram(t, name, &got, &want)
+		}
+	}
+}
+
 func TestQuantileSketchEdgeCases(t *testing.T) {
-	q := NewQuantileSketch(50)
-	if !math.IsNaN(q.Quantile(0.5)) || !math.IsNaN(q.Min()) {
-		t.Fatal("empty sketch should report NaN")
+	var h QuantileHistogram
+	if !math.IsNaN(h.Quantile(0.5)) || !math.IsNaN(h.IQR()) {
+		t.Fatal("empty histogram should report NaN")
 	}
-	q.Add(4)
-	if q.Quantile(0.5) != 4 || q.Quantile(0) != 4 || q.Quantile(1) != 4 {
-		t.Fatal("single-value sketch wrong")
+	h.Add(4)
+	if h.Quantile(0.5) != 4 || h.Quantile(0) != 4 || h.Quantile(1) != 4 {
+		t.Fatalf("single-value histogram: %v", h.Quantile(0.5))
 	}
-	// Constant stream.
+	// A constant stream's estimates are clamped to its exact min = max.
 	for i := 0; i < 5000; i++ {
-		q.Add(4)
+		h.Add(4)
 	}
-	if q.Quantile(0.25) != 4 || q.Quantile(0.99) != 4 {
+	if h.level != 0 || h.Quantile(0.25) != 4 || h.Quantile(0.99) != 4 || h.IQR() != 0 {
 		t.Fatal("constant stream quantiles wrong")
 	}
-	// Memory bound: centroid count stays O(compression·log n) after many
-	// adds — well under 10x compression at n = 200000.
-	r := rand.New(rand.NewSource(5))
-	big := NewQuantileSketch(50)
-	for i := 0; i < 200000; i++ {
-		big.Add(r.NormFloat64())
+	if !math.IsNaN(h.Quantile(math.NaN())) || h.Quantile(-1) != h.Quantile(0) || h.Quantile(2) != h.Quantile(1) {
+		t.Fatal("out-of-range p not clamped")
 	}
-	big.flush()
-	if len(big.centroids) > 10*50 {
-		t.Fatalf("sketch grew to %d centroids (compression 50)", len(big.centroids))
+	// Negative samples floor into their bins like positive ones.
+	var neg QuantileHistogram
+	neg.AddSlice([]float64{-2e-3, -1e-3, 0, 1e-3})
+	checkWithinBin(t, &neg, []float64{-2e-3, -1e-3, 0, 1e-3})
+}
+
+// TestQuantileSketchNonFiniteSamples: NaN (counted as 0), ±Inf and
+// ±1e300 have bins (saturated at ±2^62 ns), so no sample can index
+// outside the counts or stall the level search, whatever it is mixed
+// with; finite samples keep finite quantiles, and a histogram of such
+// samples still round-trips the codec.
+func TestQuantileSketchNonFiniteSamples(t *testing.T) {
+	// Finite (NaN counts as 0) up to index finite, then infinite.
+	hostile := []float64{math.NaN(), 1e300, -1e300, math.MaxFloat64, -math.SmallestNonzeroFloat64, 0, math.Inf(1), math.Inf(-1)}
+	const finite = 6
+	for i, x := range hostile {
+		var h, sorted QuantileHistogram
+		h.Add(26e-3)
+		h.Add(x)
+		h.AddSlice(hostile[:i])
+		sorted.AddSorted([]float64{-1e300, notNaN(x), 1e300})
+		h.Merge(&sorted)
+		if h.N() != int64(i+5) || h.level > 62 {
+			t.Fatalf("%v: n %d, level %d", x, h.N(), h.level)
+		}
+		for _, p := range []float64{0, 0.25, 0.5, 0.75, 1} {
+			if q := h.Quantile(p); i < finite && (math.IsNaN(q) || math.IsInf(q, 0)) {
+				t.Fatalf("%v: quantile %g is %v", x, p, q)
+			}
+		}
+		enc, _ := h.MarshalBinary()
+		var back QuantileHistogram
+		if err := back.UnmarshalBinary(enc); err != nil {
+			t.Fatalf("%v: %v", x, err)
+		}
+		sameHistogram(t, "decoded", &back, &h)
 	}
+	var nan, zero QuantileHistogram
+	nan.Add(math.NaN())
+	zero.Add(0)
+	sameHistogram(t, "NaN", &nan, &zero)
 }
 
 func TestStreamSummary(t *testing.T) {
@@ -261,10 +323,10 @@ func TestStreamSummary(t *testing.T) {
 		xs[i] = 5 + 2*r.NormFloat64()
 	}
 	var m Moments
-	q := NewQuantileSketch(0)
+	var q QuantileHistogram
 	m.AddSlice(xs)
 	q.AddSlice(xs)
-	got := StreamSummary(&m, q)
+	got := StreamSummary(&m, &q)
 	want := Summarize(xs)
 	if got.N != want.N || got.Min != want.Min || got.Max != want.Max {
 		t.Fatal("exact fields differ")
@@ -272,120 +334,82 @@ func TestStreamSummary(t *testing.T) {
 	if relDiff(got.Mean, want.Mean) > 1e-9 || relDiff(got.StdDev, want.StdDev) > 1e-9 {
 		t.Fatal("moment fields differ")
 	}
-	if math.Abs(got.Median-want.Median) > 0.02*want.IQR {
-		t.Fatalf("median %v vs %v", got.Median, want.Median)
+	w := binWidth(&q)
+	for _, c := range [][2]float64{{got.P5, want.P5}, {got.P25, want.P25}, {got.Median, want.Median}, {got.P75, want.P75}, {got.P95, want.P95}} {
+		if math.Abs(c[0]-c[1]) > w {
+			t.Fatalf("percentile %v vs %v, over one bin (%v)", c[0], c[1], w)
+		}
+	}
+	if math.Abs(got.IQR-want.IQR) > 2*w {
+		t.Fatalf("IQR %v vs %v", got.IQR, want.IQR)
 	}
 }
 
-// TestQuantileSketchAddSortedMatchesExact drives the AddSorted fast
-// path with the hot-path block shape (sorted runs of 48, a simulated
-// rank's thread count) and holds it to the same rank and value
-// tolerances as the buffered Add path.
+// TestQuantileSketchAddSortedMatchesExact drives the AddSorted path with
+// the hot-path block shape (sorted runs of 48, a simulated rank's thread
+// count): the state is the one Add builds, within one bin of exact.
 func TestQuantileSketchAddSortedMatchesExact(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for name, xs := range streamCases(r, 20016) {
 		t.Run(name, func(t *testing.T) {
-			q := NewQuantileSketch(0)
+			var sorted, added QuantileHistogram
 			for i := 0; i < len(xs); i += 48 {
-				q.AddSorted(Sorted(xs[i : i+48]))
+				sorted.AddSorted(Sorted(xs[i : i+48]))
 			}
-			sorted := Sorted(xs)
-			iqr := IQRSorted(sorted)
-			for _, c := range []struct {
-				p       float64
-				rankTol float64
-			}{
-				{5, 0.02}, {25, 0.015}, {50, 0.015}, {75, 0.015}, {95, 0.02},
-			} {
-				got := q.Percentile(c.p)
-				if rank := empiricalRank(sorted, got); math.Abs(rank-c.p/100) > c.rankTol {
-					t.Errorf("p%g: sketch %v sits at empirical rank %.4f (tol ±%g)", c.p, got, rank, c.rankTol)
-				}
-			}
-			for _, p := range []float64{25, 50, 75} {
-				got, want := q.Percentile(p), PercentileSorted(sorted, p)
-				if math.Abs(got-want) > 0.02*iqr {
-					t.Errorf("p%g: sketch %v vs exact %v (tol %v)", p, got, want, 0.02*iqr)
-				}
-			}
-			if q.Min() != sorted[0] || q.Max() != sorted[len(sorted)-1] {
-				t.Error("sketch min/max not exact")
-			}
-			if q.N() != int64(len(xs)) {
-				t.Fatalf("N = %d, want %d", q.N(), len(xs))
-			}
-			// The AddSorted-only ingestion path must never allocate the
-			// Add buffer — that buffer is what made per-iteration
-			// sketches expensive at the 100x geometry.
-			if q.buf != nil {
-				t.Fatal("AddSorted allocated the Add buffer")
-			}
+			added.AddSlice(xs)
+			sameHistogram(t, name, &sorted, &added)
+			checkWithinBin(t, &sorted, Sorted(xs))
 		})
 	}
 }
 
 // TestQuantileSketchMixedAddAddSorted interleaves scalar Adds with
-// sorted-run ingestion and checks the combined sketch against the exact
-// distribution — the flush ordering between the two paths must not lose
-// or double-count mass.
+// sorted runs and merges: no path loses or double-counts a sample.
 func TestQuantileSketchMixedAddAddSorted(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	xs := make([]float64, 12000)
 	for i := range xs {
 		xs[i] = 5 + 2*r.NormFloat64()
 	}
-	q := NewQuantileSketch(0)
-	i := 0
-	for i < len(xs) {
+	var q QuantileHistogram
+	for i := 0; i < len(xs); i += 48 {
 		if (i/48)%3 == 0 {
-			for j := 0; j < 48; j++ {
-				q.Add(xs[i+j])
-			}
+			q.AddSlice(xs[i : i+48])
 		} else {
 			q.AddSorted(Sorted(xs[i : i+48]))
 		}
-		i += 48
-	}
-	if q.N() != int64(len(xs)) {
-		t.Fatalf("N = %d, want %d", q.N(), len(xs))
 	}
 	sorted := Sorted(xs)
-	iqr := IQRSorted(sorted)
-	for _, p := range []float64{25, 50, 75} {
-		got, want := q.Percentile(p), PercentileSorted(sorted, p)
-		if math.Abs(got-want) > 0.02*iqr {
-			t.Errorf("p%g: sketch %v vs exact %v (tol %v)", p, got, want, 0.02*iqr)
-		}
-	}
-	// Mergeability across ingestion styles.
-	q2 := NewQuantileSketch(0)
+	checkWithinBin(t, &q, sorted)
+	var q2, twice QuantileHistogram
 	q2.AddSorted(sorted)
-	q.Merge(q2)
-	if q.N() != 2*int64(len(xs)) {
-		t.Fatalf("merged N = %d", q.N())
-	}
-	for _, p := range []float64{25, 50, 75} {
-		got, want := q.Percentile(p), PercentileSorted(sorted, p)
-		if math.Abs(got-want) > 0.02*iqr {
-			t.Errorf("post-merge p%g: %v vs %v", p, got, want)
-		}
-	}
+	q.Merge(&q2)
+	twice.AddSlice(xs)
+	twice.AddSlice(xs)
+	sameHistogram(t, "merged", &q, &twice)
 }
 
-// TestQuantileSketchAddSortedMemoryBound pins the centroid bound for
-// AddSorted-fed sketches (the per-iteration sketches at the 100x
-// geometry live or die on this).
+// TestQuantileSketchAddSortedMemoryBound pins the histogram's memory:
+// one array of QuantileBins counts, allocated by the first sample and
+// never again — whether the range widens (the level rising) or not.
 func TestQuantileSketchAddSortedMemoryBound(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
-	q := NewQuantileSketch(32)
+	var q QuantileHistogram
 	block := make([]float64, 48)
-	for i := 0; i < 200016/48; i++ {
+	q.AddSorted(Sorted(block))
+	scale := 1e-6
+	allocs := testing.AllocsPerRun(4000, func() {
 		for j := range block {
-			block[j] = r.NormFloat64()
+			block[j] = scale * r.NormFloat64()
 		}
-		q.AddSorted(Sorted(block))
+		scale *= 1.01 // widen the range: the level keeps rising
+		slices.Sort(block)
+		q.AddSorted(block)
+	})
+	if allocs > 0.1 {
+		t.Fatalf("AddSorted allocated %v times per block", allocs)
 	}
-	if len(q.centroids) > 10*32 {
-		t.Fatalf("sketch grew to %d centroids (compression 32)", len(q.centroids))
+	if q.level < 10 {
+		t.Fatalf("level %d: the range never widened", q.level)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 )
 
 // Writer appends fixed-width little-endian values to Buf.
@@ -23,6 +24,18 @@ func (w *Writer) U32(v uint32)  { w.Buf = binary.LittleEndian.AppendUint32(w.Buf
 func (w *Writer) U64(v uint64)  { w.Buf = binary.LittleEndian.AppendUint64(w.Buf, v) }
 func (w *Writer) I64(v int64)   { w.U64(uint64(v)) }
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
+
+// Uvarint writes v as an unsigned LEB128 varint (1 to 10 bytes).
+func (w *Writer) Uvarint(v uint64) { w.Buf = binary.AppendUvarint(w.Buf, v) }
+
+// Varint writes v zig-zag encoded as a varint, as binary.AppendVarint.
+func (w *Writer) Varint(v int64) { w.Buf = binary.AppendVarint(w.Buf, v) }
+
+// UvarintLen is the number of bytes Uvarint writes for v.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// VarintLen is the number of bytes Varint writes for v.
+func VarintLen(v int64) int { return UvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
 // Bytes writes b with a u32 length prefix.
 func (w *Writer) Bytes(b []byte) {
@@ -63,6 +76,15 @@ type Reader struct {
 // NewReader wraps data for decoding.
 func NewReader(data []byte) *Reader { return &Reader{buf: data} }
 
+// fail records the first decode error and drops the unread input, so
+// every later read sees nothing to decode.
+func (r *Reader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.buf = nil
+}
+
 // Err returns the sticky decode error, nil while decoding is healthy.
 func (r *Reader) Err() error { return r.err }
 
@@ -80,7 +102,7 @@ func (r *Reader) take(n int) []byte {
 		return nil
 	}
 	if len(r.buf) < n {
-		r.err = fmt.Errorf("wire: truncated state (%d bytes left, need %d)", len(r.buf), n)
+		r.fail(fmt.Errorf("wire: truncated state (%d bytes left, need %d)", len(r.buf), n))
 		return nil
 	}
 	b := r.buf[:n]
@@ -115,12 +137,42 @@ func (r *Reader) U64() uint64 {
 func (r *Reader) I64() int64   { return int64(r.U64()) }
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
+// Uvarint reads what Writer.Uvarint wrote. Only the minimal encoding is
+// accepted, so every value has one encoding and a decoded state
+// re-encodes to the bytes it came from.
+func (r *Reader) Uvarint() uint64 {
+	if b := r.buf; len(b) > 0 && b[0] < 0x80 { // the one-byte form, inlined
+		r.buf = b[1:]
+		return uint64(b[0])
+	}
+	return r.uvarint()
+}
+
+func (r *Reader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.buf)
+	if n <= 0 || (n > 1 && r.buf[n-1] == 0) {
+		r.fail(fmt.Errorf("wire: corrupt varint"))
+		return 0
+	}
+	r.buf = r.buf[n:]
+	return v
+}
+
+// Varint reads what Writer.Varint wrote, minimal encodings only.
+func (r *Reader) Varint() int64 {
+	u := r.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
 // Bytes reads one length-prefixed byte slice, guarding against length
 // prefixes that overrun the remaining input.
 func (r *Reader) Bytes() []byte {
 	n := r.U32()
 	if r.err == nil && uint64(n) > uint64(len(r.buf)) {
-		r.err = fmt.Errorf("wire: corrupt length prefix %d (%d bytes left)", n, len(r.buf))
+		r.fail(fmt.Errorf("wire: corrupt length prefix %d (%d bytes left)", n, len(r.buf)))
 		return nil
 	}
 	return r.take(int(n))
