@@ -10,6 +10,7 @@ package analysis
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 
 	"earlybird/internal/stats"
@@ -25,11 +26,9 @@ const (
 	table1CodecVersion  uint8 = 1
 )
 
-// MarshalBinary encodes the accumulator's full state into a buffer of
-// exactly BinarySize bytes.
-func (a *MetricsAccumulator) MarshalBinary() ([]byte, error) {
-	return a.AppendBinary(make([]byte, 0, a.BinarySize()))
-}
+// MarshalBinary encodes the accumulator's full state; it is
+// AppendBinary(nil).
+func (a *MetricsAccumulator) MarshalBinary() ([]byte, error) { return a.AppendBinary(nil) }
 
 // BinarySize returns the length of the accumulator's encoding.
 func (a *MetricsAccumulator) BinarySize() int {
@@ -47,11 +46,10 @@ func (a *MetricsAccumulator) BinarySize() int {
 // AppendBinary appends the accumulator's full state to b: identity
 // (app, threshold), every per-trial partial and every per-iteration
 // histogram, all in ascending order so equal accumulators encode to
-// equal bytes. Each histogram is encoded in place behind a back-patched
-// length prefix; b is not grown ahead, as a shard record grows once for
-// all of its states.
+// equal bytes. b grows once, to the exact size, and each histogram is
+// encoded in place behind a back-patched length prefix.
 func (a *MetricsAccumulator) AppendBinary(b []byte) ([]byte, error) {
-	w := wire.Writer{Buf: b}
+	w := wire.Writer{Buf: slices.Grow(b, a.BinarySize())}
 	w.U8(metricsCodecVersion)
 	w.Str(a.app)
 	w.F64(a.threshold)
@@ -92,8 +90,25 @@ func (a *MetricsAccumulator) AppendBinary(b []byte) ([]byte, error) {
 // with the decoded one. The receiver may come from NewMetricsAccumulator
 // with any arguments; they are overwritten. Each iteration's histogram
 // must count exactly the samples its per-trial partials do, and each
-// iteration with samples must have one.
+// iteration with samples must have one. Any trial and iteration keys are
+// accepted, so a decoded state can hold a histogram — QuantileBins
+// counts — for every ~70 input bytes; a state from a peer is decoded
+// with UnmarshalBounded instead.
 func (a *MetricsAccumulator) UnmarshalBinary(data []byte) error {
+	return a.unmarshal(data, math.MinInt, math.MaxInt, math.MaxInt)
+}
+
+// UnmarshalBounded is UnmarshalBinary for the state of trials
+// [trialLo, trialHi) of a geometry of iterations application
+// iterations: it also refuses a trial key outside [trialLo, trialHi) or
+// an iteration key outside [0, iterations), before allocating for it.
+// So a decoded state holds at most iterations histograms, no more than
+// the honest state for those trials holds, whatever the input.
+func (a *MetricsAccumulator) UnmarshalBounded(data []byte, trialLo, trialHi, iterations int) error {
+	return a.unmarshal(data, trialLo, trialHi, iterations)
+}
+
+func (a *MetricsAccumulator) unmarshal(data []byte, trialLo, trialHi, iterations int) error {
 	r := wire.NewReader(data)
 	if v := r.U8(); r.Err() == nil && v != metricsCodecVersion {
 		return fmt.Errorf("analysis: unknown MetricsAccumulator codec version %d", v)
@@ -102,7 +117,6 @@ func (a *MetricsAccumulator) UnmarshalBinary(data []byte) error {
 		app:       r.Str(),
 		threshold: r.F64(),
 		trials:    map[int]*trialAccum{},
-		iqrs:      map[int]*stats.QuantileHistogram{},
 	}
 	// Keys must be strictly ascending, as AppendBinary writes them: that
 	// rejects duplicates and makes every accepted encoding canonical.
@@ -113,6 +127,9 @@ func (a *MetricsAccumulator) UnmarshalBinary(data []byte) error {
 		if r.Err() == nil && i > 0 && trial <= prevTrial {
 			return fmt.Errorf("analysis: trial %d out of order after %d in encoded state", trial, prevTrial)
 		}
+		if r.Err() == nil && (trial < trialLo || trial >= trialHi) {
+			return fmt.Errorf("analysis: trial %d disagrees with the trial range [%d, %d)", trial, trialLo, trialHi)
+		}
 		prevTrial = trial
 		ta := &trialAccum{
 			nProc:     r.I64(),
@@ -120,16 +137,21 @@ func (a *MetricsAccumulator) UnmarshalBinary(data []byte) error {
 			reclSum:   r.F64(),
 			ratioSum:  r.F64(),
 			laggards:  r.I64(),
-			iters:     map[int]*iterPartial{},
 		}
 		if r.Err() == nil && (ta.nProc < 0 || ta.laggards < 0 || ta.laggards > ta.nProc) {
 			return fmt.Errorf("analysis: corrupt trial %d counts (nProc %d, laggards %d)", trial, ta.nProc, ta.laggards)
 		}
+		// Size hints never exceed what the input can hold: a partial is
+		// 32 bytes, a histogram at least 14.
 		nIters := r.U32()
+		ta.iters = make(map[int]*iterPartial, min(int(nIters), r.Remaining()/32))
 		for j := uint32(0); j < nIters && r.Err() == nil; j++ {
 			iter := int(r.I64())
 			if r.Err() == nil && j > 0 && iter <= prevIter {
 				return fmt.Errorf("analysis: iteration %d out of order after %d in trial %d", iter, prevIter, trial)
+			}
+			if r.Err() == nil && (iter < 0 || iter >= iterations) {
+				return fmt.Errorf("analysis: iteration %d of trial %d disagrees with the %d iterations", iter, trial, iterations)
 			}
 			prevIter = iter
 			ip := &iterPartial{n: r.I64(), sum: r.F64(), max: r.F64()}
@@ -142,17 +164,25 @@ func (a *MetricsAccumulator) UnmarshalBinary(data []byte) error {
 	}
 	// samples counts each iteration's samples over the trial partials,
 	// in uint64 so that no sum of decoded counts wraps.
-	samples := map[int]uint64{}
+	hint := 0
+	for _, ta := range dec.trials {
+		hint = max(hint, len(ta.iters))
+	}
+	samples := make(map[int]uint64, hint)
 	for _, ta := range dec.trials {
 		for iter, ip := range ta.iters {
 			samples[iter] += uint64(ip.n)
 		}
 	}
 	nHists := r.U32()
+	dec.iqrs = make(map[int]*stats.QuantileHistogram, min(int(nHists), r.Remaining()/14))
 	for i := uint32(0); i < nHists && r.Err() == nil; i++ {
 		iter := int(r.I64())
 		if r.Err() == nil && i > 0 && iter <= prevIter {
 			return fmt.Errorf("analysis: histogram iteration %d out of order after %d", iter, prevIter)
+		}
+		if r.Err() == nil && (iter < 0 || iter >= iterations) {
+			return fmt.Errorf("analysis: histogram iteration %d disagrees with the %d iterations", iter, iterations)
 		}
 		prevIter = iter
 		enc := r.Bytes()

@@ -140,8 +140,7 @@ func TestUnmarshalRefusesHistogramsThatDisagree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist := a.iqrs[0]
-	size := hist.BinarySize()
+	size := a.iqrs[0].BinarySize()
 	// The one histogram is the tail: count, iteration, length prefix.
 	head := enc[:len(enc)-size-8-4-4]
 	var other stats.QuantileHistogram
@@ -162,5 +161,46 @@ func TestUnmarshalRefusesHistogramsThatDisagree(t *testing.T) {
 	}
 	if err := new(MetricsAccumulator).UnmarshalBinary(enc); err != nil {
 		t.Fatalf("the well-formed state is refused: %v", err)
+	}
+}
+
+// TestUnmarshalBoundedRefusesKeysOutsideTheBounds: the bounded decoder
+// accepts a state whose trials and iterations lie in the bounds it is
+// given, and refuses one with a trial or an iteration key outside them,
+// in the trial partials or in the histograms.
+func TestUnmarshalBoundedRefusesKeysOutsideTheBounds(t *testing.T) {
+	a := NewMetricsAccumulator("minife", DefaultLaggardThresholdSec)
+	for trial := 1; trial < 3; trial++ {
+		for iter := 0; iter < 3; iter++ {
+			a.ObserveBlock(trial, 0, iter, []float64{1e-3, 2e-3, 4e-3})
+		}
+	}
+	enc, err := a.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := new(MetricsAccumulator).UnmarshalBounded(enc, 1, 3, 3); err != nil {
+		t.Fatalf("a state inside its bounds is refused: %v", err)
+	}
+	for name, b := range map[string][3]int{
+		"trial below": {2, 3, 3}, "trial above": {1, 2, 3}, "iteration above": {1, 3, 2},
+	} {
+		if err := new(MetricsAccumulator).UnmarshalBounded(enc, b[0], b[1], b[2]); err == nil || !strings.Contains(err.Error(), "disagrees") {
+			t.Errorf("%s %v: %v, want a refusal", name, b, err)
+		}
+	}
+	// A histogram for an iteration past the bound, behind trial partials
+	// inside it: the histogram key is checked before its decode.
+	b := NewMetricsAccumulator("minife", DefaultLaggardThresholdSec)
+	b.ObserveBlock(0, 0, 0, []float64{1e-3})
+	head, _ := b.MarshalBinary()
+	hist, _ := b.iqrs[0].MarshalBinary()
+	var w wire.Writer
+	w.Buf = slices.Clone(head[:len(head)-len(hist)-8-4-4])
+	w.U32(1)
+	w.I64(5)
+	w.Bytes(hist)
+	if err := new(MetricsAccumulator).UnmarshalBounded(w.Buf, 0, 1, 1); err == nil || !strings.Contains(err.Error(), "histogram iteration 5 disagrees") {
+		t.Errorf("histogram past the iterations: %v", err)
 	}
 }

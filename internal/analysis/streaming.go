@@ -78,12 +78,14 @@ func (ta *trialAccum) addIter(iter int, o iterPartial) {
 // Accumulators are mergeable: a parallel fill keeps one per worker (or a
 // federated sweep one per trial shard) and combines them with Merge, in
 // any order. State is kept per trial and Finalize folds trials in
-// ascending order, so when each trial's blocks were observed by exactly
-// one accumulator in a deterministic order — as in cursor passes, the
-// fleet's trial-sharded execution and StreamStudy's per-trial fills —
-// every output is bit-identical regardless of how trials were
-// partitioned or merged. The IQR fields are too, under any partition at
-// all: a histogram's counts depend only on the set of samples it saw.
+// ascending order, so when each trial's blocks were folded into exactly
+// one accumulator in cursor order — as in cursor passes, the fleet's
+// trial-sharded execution and StreamStudy, which summarises blocks
+// where they are filled and folds each trial's summaries in cursor
+// order (SummarizeBlock, FoldBlock) — every output is bit-identical
+// regardless of how trials were partitioned or merged. The IQR fields
+// are too, under any partition at all: a histogram's counts depend only
+// on the set of samples it saw.
 // An accumulator is not safe for concurrent use.
 type MetricsAccumulator struct {
 	app       string
@@ -132,21 +134,43 @@ func (a *MetricsAccumulator) ObserveBlock(trial, rank, iter int, xs []float64) {
 }
 
 // ObserveSorted implements SortedObserver: it folds one complete process
-// iteration, given in original order and sorted. The sum accumulates in
-// the original block order, the max is the sorted tail, the median reads
-// the sorted view, and the sorted view feeds the iteration histogram
-// through AddSorted.
+// iteration, given in original order and sorted — its BlockSummary into
+// the trial's sums (FoldBlock) and its samples into the iteration's
+// histogram (AddIterationSamples).
 func (a *MetricsAccumulator) ObserveSorted(trial, _, iter int, xs, sorted []float64) {
-	n := len(xs)
-	if n == 0 {
+	if len(xs) == 0 {
 		return
 	}
+	a.FoldBlock(trial, iter, SummarizeBlock(xs, sorted))
+	a.AddIterationSamples(iter, sorted)
+}
+
+// BlockSummary is what a trial's sums read of one process iteration:
+// its size, its sum in block order, its max and its median.
+type BlockSummary struct {
+	N                int
+	Sum, Max, Median float64
+}
+
+// SummarizeBlock summarises one non-empty process iteration, given in
+// original order and sorted: the sum accumulates in the original block
+// order, the max is the sorted tail and the median reads the sorted
+// view.
+func SummarizeBlock(xs, sorted []float64) BlockSummary {
 	sum := 0.0
 	for _, x := range xs {
 		sum += x
 	}
-	max := sorted[n-1]
+	return BlockSummary{N: len(xs), Sum: sum, Max: sorted[len(sorted)-1], Median: stats.PercentileSorted(sorted, 50)}
+}
 
+// FoldBlock folds one process iteration's summary into the trial's sums
+// and the iteration's exact partial. The sums are floating point, so a
+// trial's bits depend on the order its blocks fold in; every path folds
+// them in cursor order. ObserveSorted is FoldBlock plus
+// AddIterationSamples; a caller that summarises blocks out of order
+// folds them later, in order, and adds the samples itself.
+func (a *MetricsAccumulator) FoldBlock(trial, iter int, b BlockSummary) {
 	ta := a.trials[trial]
 	if ta == nil {
 		ta = &trialAccum{iters: map[int]*iterPartial{}}
@@ -154,22 +178,27 @@ func (a *MetricsAccumulator) ObserveSorted(trial, _, iter int, xs, sorted []floa
 	}
 
 	// Process-iteration level: exact, the block is complete.
-	med := stats.PercentileSorted(sorted, 50)
-	recl := float64(n)*max - sum
+	recl := float64(b.N)*b.Max - b.Sum
 	ta.nProc++
-	ta.medianSum += med
+	ta.medianSum += b.Median
 	ta.reclSum += recl
-	if max > 0 {
-		ta.ratioSum += recl / (max * float64(n))
+	if b.Max > 0 {
+		ta.ratioSum += recl / (b.Max * float64(b.N))
 	}
-	if max-med > a.threshold {
+	if b.Max-b.Median > a.threshold {
 		ta.laggards++
 	}
 
 	// Application-iteration level: count/sum/max are exact per-trial
-	// partials; the histogram covers the IQR.
-	ta.addIter(iter, iterPartial{n: int64(n), sum: sum, max: max})
+	// partials.
+	ta.addIter(iter, iterPartial{n: int64(b.N), sum: b.Sum, max: b.Max})
+}
 
+// AddIterationSamples adds a sorted block to application iteration
+// iter's histogram, the estimator of the IQR fields. Histograms depend
+// only on the set of samples they see, so blocks may arrive in any
+// order and from any trial.
+func (a *MetricsAccumulator) AddIterationSamples(iter int, sorted []float64) {
 	h := a.iqrs[iter]
 	if h == nil {
 		h = new(stats.QuantileHistogram)

@@ -17,7 +17,7 @@ import (
 // relative error stay within the t-digest's, the estimator the
 // histogram replaced (its errors, measured the same way, are the
 // tdigest bounds), and within a bound near the histogram's own
-// measured errors (up to 1.3e-3 mean, 3.3e-3 max), so that a loss of
+// measured errors (up to 3.4e-3 mean, 7.5e-3 max), so that a loss of
 // resolution shows. The cursor pass measured here gives the bits of
 // every streamed source (TestFleetSweepIQRBitIdentical).
 func TestStreamingIQRAccuracy(t *testing.T) {
@@ -27,7 +27,7 @@ func TestStreamingIQRAccuracy(t *testing.T) {
 		"minimd":  {{1.3e-2, 2.6e-2}, {9.9e-2, 2.0e-1}},
 		"miniqmc": {{2.3e-3, 3.2e-3}, {7.6e-3, 2.2e-2}},
 	}
-	histogram := bound{2e-3, 5e-3}
+	histogram := bound{5e-3, 1e-2}
 	const seeds = 6
 	for app, want := range tdigest {
 		var mean, max [2]float64
@@ -61,8 +61,11 @@ func TestStreamingIQRAccuracy(t *testing.T) {
 // TestStreamStudySummaryMatchesExact: the application-level percentiles
 // of StreamResult.Summary lie within one histogram bin — at most
 // 2/(QuantileBins-1) of the sample range, plus 1 ns — of the exact
-// dataset's, the IQR within two; the moment fields are exact up to
-// rounding.
+// dataset's, the IQR within two, and each within 4% of the exact IQR
+// (measured over seeds 1–3: up to 3.0% for minife, whose laggard tail
+// sets the range, 1.2% for minimd and 0.1% for miniqmc, where the
+// t-digest was within 0.2% for all three); the moment fields are exact
+// up to rounding.
 func TestStreamStudySummaryMatchesExact(t *testing.T) {
 	for _, app := range []string{"minife", "minimd", "miniqmc"} {
 		opts := Options{App: app, Geometry: cluster.SmallConfig()}
@@ -91,8 +94,8 @@ func TestStreamStudySummaryMatchesExact(t *testing.T) {
 			{"P95", got.P95, want.P95, bin},
 			{"IQR", got.IQR, want.IQR, 2 * bin},
 		} {
-			if math.Abs(c.got-c.want) > c.tol {
-				t.Errorf("%s %s: streamed %v vs exact %v (tolerance %v)", app, c.name, c.got, c.want, c.tol)
+			if d := math.Abs(c.got - c.want); d > c.tol || d > 0.04*want.IQR {
+				t.Errorf("%s %s: streamed %v vs exact %v (tolerance %v, and 4%% of the IQR %v)", app, c.name, c.got, c.want, c.tol, want.IQR)
 			}
 		}
 	}

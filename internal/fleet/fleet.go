@@ -716,10 +716,13 @@ func (f *Fleet) speculationQuantile() (float64, bool) {
 // maxResponseBytes caps the 200 body the coordinator reads from a
 // worker. The largest answer is a /v1/shard record, whose state grows
 // with trials x iterations plus one quantile histogram per iteration,
-// sent sparse as varint gaps and counts: 62–112 KiB for one paper-
-// geometry trial (1x8x200x48), and at most ~4 KiB per iteration plus 32
-// bytes per trial-iteration at any geometry. A body declared or found to
-// be longer is a worker fault.
+// each count of its occupied span in 1, 2 or 4 bytes: 149–157 KiB for
+// one paper-geometry trial (1x8x200x48), 212–230 KiB for ten, and at
+// most ~2.1 KiB per iteration plus 32 bytes per trial-iteration at any
+// geometry. The coordinator decodes a state only within the request's
+// trials and iterations (ShardRequest.Accept), so what a body makes it
+// allocate is bounded by the request, not by the body's length. A body
+// declared or found to be longer is a worker fault.
 const maxResponseBytes = 256 << 20
 
 // readBody reads a 200 body into one buffer: sized from a declared

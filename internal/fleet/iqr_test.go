@@ -9,6 +9,7 @@ import (
 
 	"earlybird/internal/cluster"
 	"earlybird/internal/core"
+	"earlybird/internal/dlb"
 	"earlybird/internal/serve"
 )
 
@@ -86,5 +87,44 @@ func TestFleetSweepIQRBitIdentical(t *testing.T) {
 			t.Errorf("%s %+v: StreamStudy differs from the sweep row:\nstream %+v %+v\nsweep  %+v %+v",
 				cell.App, cell.Geometry, res.Metrics, res.Table1, w.Metrics, w.Table1)
 		}
+	}
+}
+
+// TestStreamStudyMatchesSweepRowUnderEveryPolicy: StreamStudy folds
+// each trial's blocks in cursor order whatever order the fill makes
+// them in, so under a rebalancing policy too — whose fill walks a
+// trial iteration by iteration — its Metrics and Table1 are the bits
+// of the cell's local /v1/sweep row.
+func TestStreamStudyMatchesSweepRowUnderEveryPolicy(t *testing.T) {
+	geom := cluster.Config{Trials: 3, Ranks: 4, Iterations: 40, Threads: 48, Seed: 5}
+	policies := []dlb.Spec{{}, {Policy: dlb.PolicyLeWI}, {Policy: dlb.PolicyDROM, ReactionIters: dlb.DefaultReactionIters}}
+	req := serve.SweepRequest{Apps: []string{"minife", "minimd", "miniqmc"}, Geometries: []cluster.Config{geom}, DLBs: policies}
+	_, local := newWorker(t)
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(local.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	rows := 0
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); rows++ {
+		var r serve.SweepRow
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Err != "" {
+			t.Fatalf("cell %d: %s", r.Index, r.Err)
+		}
+		res, err := core.StreamStudy(core.Options{App: r.App, Geometry: r.Geometry, Policy: core.PolicySpec{DLB: r.DLB}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Metrics != r.Metrics || res.Table1 != r.Table1 {
+			t.Errorf("%s %s: StreamStudy differs from the sweep row:\nstream %+v %+v\nsweep  %+v %+v",
+				r.App, r.DLB, res.Metrics, res.Table1, r.Metrics, r.Table1)
+		}
+	}
+	if rows != 3*len(policies) {
+		t.Fatalf("sweep answered %d of %d cells", rows, 3*len(policies))
 	}
 }

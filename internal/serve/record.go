@@ -248,7 +248,7 @@ func (req ShardRequest) Accept(data []byte) (ShardState, error) {
 		return st, fmt.Errorf("serve: shard record holds %d blocks, want %d", resp.Blocks, blocks)
 	}
 	st.Metrics, st.Table1 = new(analysis.MetricsAccumulator), new(analysis.Table1Accumulator)
-	if err := st.Metrics.UnmarshalBinary(resp.MetricsState); err != nil {
+	if err := st.Metrics.UnmarshalBounded(resp.MetricsState, req.TrialLo, req.TrialHi, g.Iterations); err != nil {
 		return st, fmt.Errorf("serve: shard metrics state: %w", err)
 	}
 	if err := st.Table1.UnmarshalBinary(resp.Table1State); err != nil {

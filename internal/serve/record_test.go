@@ -198,8 +198,8 @@ func TestReadCellIdentityRefusesNonCanonicalPolicy(t *testing.T) {
 
 // hostileHistogramRecords returns copies of rec whose metrics state
 // holds one iteration histogram that no set of samples produces — a
-// level over 62, a span of QuantileBins, counts that miss n or overflow
-// a uint32, a min below its lowest bin, a trailing byte — and one whose
+// level over 62, a span of QuantileBins, counts that miss n, an empty
+// end bin, a min below its lowest bin, a trailing byte — and one whose
 // well-formed histogram counts other samples than its trial partials.
 // The metrics decoder must refuse each before allocating for it.
 func hostileHistogramRecords(t testing.TB, rec []byte) [][]byte {
@@ -208,20 +208,22 @@ func hostileHistogramRecords(t testing.TB, rec []byte) [][]byte {
 	if err := base.UnmarshalBinary(rec); err != nil {
 		t.Fatal(err)
 	}
-	// A one-block state: its single histogram is the state's tail,
-	// behind a u32 length prefix.
+	// A one-block state of the samples {0, 1 s}: its single histogram —
+	// level 21, bins 0 and 476 — is the state's tail, behind a u32
+	// length prefix.
 	macc := analysis.NewMetricsAccumulator(base.App, base.LaggardThresholdSec)
-	macc.ObserveBlock(base.TrialLo, 0, 0, []float64{1e-3, 2e-3})
+	macc.ObserveBlock(base.TrialLo, 0, 0, []float64{0, 1})
 	state, err := macc.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var h stats.QuantileHistogram
-	h.AddSlice([]float64{1e-3, 2e-3})
+	h.AddSlice([]float64{0, 1})
 	good, _ := h.MarshalBinary()
 	prefix := state[:len(state)-len(good)-4]
 
-	hist := func(n uint64, level uint8, lo int64, span uint64, min, max float64, pairs ...uint64) []byte {
+	// hist writes a histogram encoding with one-byte counts (n < 256).
+	hist := func(n uint64, level uint8, lo int64, span uint64, min, max float64, counts ...byte) []byte {
 		var w wire.Writer
 		w.U8(good[0]) // the codec version
 		w.Uvarint(n)
@@ -230,27 +232,28 @@ func hostileHistogramRecords(t testing.TB, rec []byte) [][]byte {
 		w.Uvarint(span)
 		w.F64(min)
 		w.F64(max)
-		for i := 0; i+1 < len(pairs); i += 2 {
-			if gap, c := pairs[i], pairs[i+1]; c > 0 && c < 8 {
-				w.Uvarint(gap<<3 | c) // a small count rides in the gap's varint
-			} else {
-				w.Uvarint(gap << 3)
-				w.Uvarint(c)
-			}
-		}
+		w.Buf = append(w.Buf, counts...)
 		return w.Buf
 	}
-	const ns = 1e-9
+	const span = 476
+	ends := func(first, last byte) []byte {
+		c := make([]byte, span+1)
+		c[0], c[span] = first, last
+		return c
+	}
+	if !bytes.Equal(hist(2, 21, 0, span, 0, 1, ends(1, 1)...), good) {
+		t.Fatal("the hand-built histogram of {0, 1 s} differs from its encoding")
+	}
 	var more stats.QuantileHistogram
-	more.AddSlice([]float64{1e-3, 2e-3, 3e-3})
+	more.AddSlice([]float64{0, 0.5, 1})
 	wrongN, _ := more.MarshalBinary()
 	var out [][]byte
 	for _, enc := range [][]byte{
-		hist(2, 63, 0, 0, 0, ns, 0, 2),
-		hist(2, 0, 0, stats.QuantileBins, 0, stats.QuantileBins*ns, 0, 1, stats.QuantileBins, 1),
-		hist(3, 0, 0, 1, 0, ns, 0, 1, 1, 1),
-		hist(1<<32+1, 0, 0, 1, 0, ns, 0, 1<<32, 1, 1),
-		hist(2, 0, 5, 1, 4*ns, 6*ns, 0, 1, 1, 1),
+		hist(2, 63, 0, 0, 0, 1, 2),
+		hist(2, 21, 0, stats.QuantileBins, 0, 1),
+		hist(3, 21, 0, span, 0, 1, ends(1, 1)...),
+		hist(2, 21, 0, span, 0, 1, ends(2, 0)...),
+		hist(2, 21, 1, span-1, 0, 1, ends(1, 1)[1:]...),
 		append(bytes.Clone(good), 0),
 		wrongN,
 	} {
@@ -295,6 +298,55 @@ func heapAllocBytes() uint64 {
 	return s[0].Value.Uint64()
 }
 
+// histogramBytes bounds what decoding one iteration histogram
+// allocates: its counts and the map entry that holds it.
+const histogramBytes = 4*stats.QuantileBins + 512
+
+// TestAcceptBoundsCraftedStateAllocation: a sealed record whose metrics
+// state is over 1 MB of iterations — each a two-sample histogram
+// spanning all QuantileBins bins, the most counts per input byte a
+// state can ask for — is refused by the request it claims to answer
+// before it allocates more than a small multiple of its length. The
+// state's iterations run past the request's, and the decoder checks
+// each key before allocating for it; an unchecked decoder would
+// allocate a histogram's counts for every ~70 bytes.
+func TestAcceptBoundsCraftedStateAllocation(t *testing.T) {
+	recs := realRecords(t)
+	var base ShardResponse
+	if err := base.UnmarshalBinary(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	req := requestFor(&base)
+	macc := analysis.NewMetricsAccumulator(base.App, base.LaggardThresholdSec)
+	const iters = 16000
+	for iter := 0; iter < iters; iter++ {
+		macc.ObserveBlock(base.TrialLo, 0, iter, []float64{0, (stats.QuantileBins - 1) * 1e-9})
+	}
+	forged := base
+	var err error
+	if forged.MetricsState, err = macc.MarshalBinary(); err != nil {
+		t.Fatal(err)
+	}
+	macc = nil
+	rec, err := forged.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec) < 1<<20 {
+		t.Fatalf("crafted record is %d bytes, want over 1 MB", len(rec))
+	}
+	before := heapAllocBytes()
+	_, err = req.Accept(rec)
+	grew := heapAllocBytes() - before
+	if err == nil || !strings.Contains(err.Error(), "disagree") {
+		t.Fatalf("crafted state: %v, want a refusal for iterations past the request's", err)
+	}
+	if grew > 4*uint64(len(rec)) {
+		t.Fatalf("refusing a %d-byte record allocated %d bytes", len(rec), grew)
+	}
+	t.Logf("refusing a %d-byte record allocated %d bytes", len(rec), grew)
+}
+
 // maxDecodeWall is the per-input wall bound of FuzzShardRecord. Decoding
 // a record and both states is linear in the input, under a millisecond
 // for each ~5.7 KB seed record under the race detector, so a second
@@ -307,11 +359,15 @@ const maxDecodeWall = time.Second
 // FuzzShardRecord drives the shard record decoder and the accumulator
 // state decoders behind it with arbitrary record payloads. The input is
 // the payload, sealed by the target before decoding, so mutations reach
-// the fields instead of stopping at the checksum. Whatever the input,
-// decoding must not panic, take longer than maxDecodeWall, or allocate
-// more than a small multiple of the input (no allocation sized by an
-// unchecked length), and every payload that decodes must re-encode to
-// the same bytes: record, metrics state and Table 1 state alike.
+// the fields instead of stopping at the checksum. The metrics state is
+// decoded within its record's trial range and iterations, as Accept
+// decodes it. Whatever the input, decoding must not panic, take longer
+// than maxDecodeWall, or allocate more than a small multiple of the
+// input plus one histogram per iteration the decoder may admit — at most
+// the record's iterations, and at most one per 32 input bytes, the
+// trial partial each non-empty histogram needs (no allocation sized by
+// an unchecked length) — and every payload that decodes must re-encode
+// to the same bytes: record, metrics state and Table 1 state alike.
 func FuzzShardRecord(f *testing.F) {
 	recs := realRecords(f)
 	for _, rec := range recs {
@@ -330,14 +386,19 @@ func FuzzShardRecord(f *testing.F) {
 		var recErr, mErr, tErr error
 		before, start := heapAllocBytes(), time.Now()
 		if recErr = resp.UnmarshalBinary(rec); recErr == nil {
-			mErr = m.UnmarshalBinary(resp.MetricsState)
+			mErr = m.UnmarshalBounded(resp.MetricsState, resp.TrialLo, resp.TrialHi, resp.Geometry.Iterations)
 			tErr = tb.UnmarshalBinary(resp.Table1State)
 			_, _ = requestFor(&resp).Accept(rec)
 		}
 		if wall := time.Since(start); wall > maxDecodeWall {
 			t.Fatalf("decoding %d bytes took %v, over the %v bound", len(payload), wall, maxDecodeWall)
 		}
-		if grew := heapAllocBytes() - before; grew > 64*uint64(len(payload))+1<<20 {
+		hists := uint64(len(payload) / 32)
+		if recErr == nil {
+			hists = min(hists, uint64(resp.Geometry.Iterations))
+		}
+		// Two decodes of the state: the direct one and Accept's.
+		if grew := heapAllocBytes() - before; grew > 16*uint64(len(payload))+2*histogramBytes*hists+1<<20 {
 			t.Fatalf("decoding %d bytes allocated %d", len(payload), grew)
 		}
 		if recErr != nil {

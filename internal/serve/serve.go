@@ -38,11 +38,12 @@ const (
 	maxSweepCells = 4096
 	// maxTrialIterations bounds a sweep cell's or shard's trials x
 	// iterations, the product its accumulator state grows with: one
-	// 4 KiB quantile histogram per iteration, whatever the rank count
-	// (4.1 KiB per iteration measured at 1, 8 and 32 ranks), plus under
-	// 0.1 KiB of partials per trial-iteration — at most about 270 MB at
-	// the bound (TestAccumulatorStatePerIterationBounded). HugeConfig
-	// (50,000) is under it.
+	// 2 KiB quantile histogram per iteration, whatever the rank count
+	// (2.1 KiB per iteration measured at 1, 8 and 32 ranks), plus under
+	// 0.1 KiB of partials per trial-iteration — at most about 150 MB at
+	// the bound (TestAccumulatorStatePerIterationBounded). A state a
+	// worker sends back decodes within the same bound (Accept).
+	// HugeConfig (50,000) is under it.
 	maxTrialIterations = 1 << 16
 	// maxCampaignSpecs bounds one campaign request's batch.
 	maxCampaignSpecs = 4096

@@ -199,9 +199,9 @@ func TestAccumulatorStateBoundedAtValidation(t *testing.T) {
 // TestAccumulatorStatePerIterationBounded pins the per-iteration
 // accumulator state maxTrialIterations's comment budgets: a 32-rank
 // trial of 2000 iterations, observed through cluster.ObserveTrials as
-// an over-bound cell is, retains under 6 KiB per iteration once the
+// an over-bound cell is, retains under 3 KiB per iteration once the
 // samples are gone. The state is one quantile histogram per iteration
-// (4 KiB of counts whatever the rank count) plus the trial's partials;
+// (2 KiB of counts whatever the rank count) plus the trial's partials;
 // the t-digests it replaced kept 21.6 KiB per iteration here. Skipped
 // under -short and -race, like the HugeGeometry progress test.
 func TestAccumulatorStatePerIterationBounded(t *testing.T) {
@@ -228,8 +228,8 @@ func TestAccumulatorStatePerIterationBounded(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perIter := float64(after.HeapAlloc-before.HeapAlloc) / float64(geom.Iterations)
 	t.Logf("retained %.2f KiB per iteration", perIter/1024)
-	if perIter > 6<<10 {
-		t.Errorf("accumulator state retains %.1f KiB per iteration, over 6 KiB", perIter/1024)
+	if perIter > 3<<10 {
+		t.Errorf("accumulator state retains %.1f KiB per iteration, over 3 KiB", perIter/1024)
 	}
 	runtime.KeepAlive(macc)
 	runtime.KeepAlive(tacc)

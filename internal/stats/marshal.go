@@ -7,9 +7,11 @@
 package stats
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"earlybird/internal/wire"
 )
@@ -67,29 +69,41 @@ func (m *Moments) UnmarshalBinary(data []byte) error {
 // MarshalBinary encodes the histogram; it is AppendBinary(nil).
 func (h *QuantileHistogram) MarshalBinary() ([]byte, error) { return h.AppendBinary(nil) }
 
-// BinarySize returns the length of the histogram's encoding.
+// countWidth is the number of bytes each count of a histogram of n
+// samples takes on the wire: 1, 2 or 4, the fewest that hold n and so
+// any one count. It depends on n alone, so a histogram's encoded size
+// is known without reading its counts.
+func countWidth(n uint64) int {
+	switch {
+	case n <= math.MaxUint8:
+		return 1
+	case n <= math.MaxUint16:
+		return 2
+	}
+	return 4
+}
+
+// BinarySize returns the length of the histogram's encoding, in time
+// independent of its counts.
 func (h *QuantileHistogram) BinarySize() int {
-	size := 1 + wire.UvarintLen(uint64(h.n))
+	size := 1 + varintLen(uint64(h.n))
 	if h.n == 0 {
 		return size
 	}
 	lo, hi := h.bins()
-	size += 1 + wire.VarintLen(lo) + wire.UvarintLen(uint64(hi-lo)) + 16
-	h.eachOccupied(func(head, count uint64) {
-		size += wire.UvarintLen(head)
-		if count != 0 {
-			size += wire.UvarintLen(count)
-		}
-	})
-	return size
+	return size + 1 + varintLen(uint64(lo<<1)^uint64(lo>>63)) + varintLen(uint64(hi-lo)) + 16 +
+		int(hi-lo+1)*countWidth(uint64(h.n))
 }
+
+// varintLen is the number of bytes wire.Writer.Uvarint writes for v.
+func varintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // AppendBinary appends the histogram's encoding to b: the version and
 // the count n, then — when non-empty — the level, the lowest occupied
 // bin lo and the span to the highest at that level, the exact min and
-// max, and the occupied bins in ascending order until their counts sum
-// to n (see eachOccupied). Integers are varints. Equal histograms encode
-// to equal bytes.
+// max, and the counts of bins lo..lo+span, each in countWidth(n)
+// little-endian bytes. n, lo and span are varints. Equal histograms
+// encode to equal bytes.
 func (h *QuantileHistogram) AppendBinary(b []byte) ([]byte, error) {
 	w := wire.Writer{Buf: b}
 	w.U8(histogramCodecVersion)
@@ -103,73 +117,33 @@ func (h *QuantileHistogram) AppendBinary(b []byte) ([]byte, error) {
 	w.Uvarint(uint64(hi - lo))
 	w.F64(h.min)
 	w.F64(h.max)
-	h.eachOccupied(func(head, count uint64) {
-		w.Uvarint(head)
-		if count != 0 {
-			w.Uvarint(count)
+	bins, width := int(hi-lo+1), countWidth(uint64(h.n))
+	at := len(w.Buf)
+	w.Buf = slices.Grow(w.Buf, bins*width)[:at+bins*width]
+	out := w.Buf[at:]
+	switch width { // a loop per width keeps each one tight
+	case 1:
+		for i := range out {
+			out[i] = byte(h.counts[(lo+int64(i))&slotMask])
 		}
-	})
+	case 2:
+		for i := range bins {
+			binary.LittleEndian.PutUint16(out[2*i:], uint16(h.counts[(lo+int64(i))&slotMask]))
+		}
+	default:
+		for i := range bins {
+			binary.LittleEndian.PutUint32(out[4*i:], h.counts[(lo+int64(i))&slotMask])
+		}
+	}
 	return w.Buf, nil
-}
-
-// countInline bounds the counts an occupied bin's head carries.
-const countInline = 8
-
-// eachOccupied calls fn for each occupied bin in ascending order with
-// its encoding: a head of its gap from the previous occupied bin (the
-// first's from lo, so 0) times 8, plus its count when that is under 8 —
-// one varint byte for the usual small gap and count — with count 0;
-// or else the gap times 8 alone, and the count.
-func (h *QuantileHistogram) eachOccupied(fn func(head, count uint64)) {
-	lo, _ := h.bins()
-	occ, prev := h.occupancy(), 0
-	for i, m := range occ {
-		for ; m != 0; m &= m - 1 {
-			k := i<<6 | bits.TrailingZeros64(m)
-			gap, c := uint64(k-prev), uint64(h.counts[(lo+int64(k))&slotMask])
-			if c < countInline {
-				fn(gap<<3|c, 0)
-			} else {
-				fn(gap<<3, c)
-			}
-			prev = k
-		}
-	}
-}
-
-// occupancy returns the occupied bins as a bitmap whose bit k is bin
-// lo+k. Whether a bin is occupied is a coin flip the branch predictor
-// would lose, so the slots are marked without branching on their counts
-// (a set-on-compare each), then the bitmap is rotated from slot order
-// into bin order. Slots outside [lo, hi] are empty.
-func (h *QuantileHistogram) occupancy() (occ [QuantileBins / 64]uint64) {
-	var slots [QuantileBins / 64]uint64
-	for i := range slots {
-		c := (*[64]uint32)(h.counts[i*64:])
-		var m uint64
-		for j := 63; j >= 0; j-- {
-			bit := uint64(0)
-			if c[j] != 0 {
-				bit = 1
-			}
-			m = m<<1 | bit
-		}
-		slots[i] = m
-	}
-	lo, _ := h.bins()
-	q, r := int(lo&slotMask)>>6, uint(lo&63)
-	for i := range occ {
-		occ[i] = slots[(i+q)%len(slots)]>>r | slots[(i+q+1)%len(slots)]<<(64-r)
-	}
-	return occ
 }
 
 // UnmarshalBinary replaces the histogram's state with the decoded one.
 // It accepts only what AppendBinary writes for some set of samples: a
 // level of at most 62 that is the least for the range, a span under
 // QuantileBins, a min and max (not NaN) whose bins are lo and lo+span,
-// occupied end bins, and non-zero counts of at most 2^32-1 that sum to
-// n. It allocates at most one set of QuantileBins counts.
+// occupied end bins, and counts that sum to n. It allocates at most one
+// set of QuantileBins counts.
 func (h *QuantileHistogram) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	if v := r.U8(); r.Err() == nil && v != histogramCodecVersion {
@@ -207,31 +181,38 @@ func (h *QuantileHistogram) UnmarshalBinary(data []byte) error {
 	case levelFor(binOf(dec.min), binOf(dec.max), 0) != level:
 		return fmt.Errorf("stats: histogram level %d is not the least for its range", level)
 	}
-	dec.n, dec.level = int64(n), level
-	dec.counts = new([QuantileBins]uint32)
-	var total uint64
-	b := lo
-	for first := true; total < n && r.Err() == nil; first = false {
-		v := r.Uvarint()
-		gap, c := v>>3, v&(countInline-1)
-		if c == 0 {
-			if c = r.Uvarint(); c < countInline {
-				return fmt.Errorf("stats: histogram count %d after bin %d not inlined", c, b)
-			}
-		}
-		// The first occupied bin is lo itself; the rest ascend to hi.
-		if first != (gap == 0) || gap > uint64(hi-b) || c > math.MaxUint32 || c > n-total {
-			return fmt.Errorf("stats: corrupt histogram bin %d (gap %d, count %d)", b, gap, c)
-		}
-		b += int64(gap)
-		dec.counts[b&slotMask] = uint32(c)
-		total += c
-	}
+	bins, width := int(span+1), countWidth(n)
+	raw := r.Take(bins * width)
 	if err := r.Finish("QuantileHistogram"); err != nil {
 		return err
 	}
-	if b != hi {
-		return fmt.Errorf("stats: histogram's last occupied bin %d is not hi %d", b, hi)
+	dec.n, dec.level = int64(n), level
+	dec.counts = new([QuantileBins]uint32)
+	var total uint64
+	switch width {
+	case 1:
+		for i, c := range raw {
+			dec.counts[(lo+int64(i))&slotMask] = uint32(c)
+			total += uint64(c)
+		}
+	case 2:
+		for i := range bins {
+			c := binary.LittleEndian.Uint16(raw[2*i:])
+			dec.counts[(lo+int64(i))&slotMask] = uint32(c)
+			total += uint64(c)
+		}
+	default:
+		for i := range bins {
+			c := binary.LittleEndian.Uint32(raw[4*i:])
+			dec.counts[(lo+int64(i))&slotMask] = c
+			total += uint64(c)
+		}
+	}
+	switch {
+	case dec.counts[lo&slotMask] == 0 || dec.counts[hi&slotMask] == 0:
+		return fmt.Errorf("stats: histogram end bin %d or %d empty", lo, hi)
+	case total != n:
+		return fmt.Errorf("stats: histogram counts sum to %d, not n = %d", total, n)
 	}
 	*h = dec
 	return nil

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"earlybird/internal/wire"
@@ -82,9 +83,6 @@ func TestSketchBinaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != q.BinarySize() {
-		t.Fatalf("BinarySize %d, encoding %d bytes", q.BinarySize(), len(data))
-	}
 	var back QuantileHistogram
 	if err := back.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
@@ -102,7 +100,7 @@ func TestSketchBinaryRoundTrip(t *testing.T) {
 
 	var empty, emptyBack QuantileHistogram
 	data, _ = empty.MarshalBinary()
-	if len(data) != empty.BinarySize() || emptyBack.UnmarshalBinary(data) != nil || emptyBack.N() != 0 {
+	if emptyBack.UnmarshalBinary(data) != nil || emptyBack.N() != 0 {
 		t.Fatalf("empty histogram round trip: %x", data)
 	}
 	emptyBack.Add(4)
@@ -143,70 +141,85 @@ func TestSketchBinaryCorrupt(t *testing.T) {
 	}
 }
 
-// hostileHistograms are encodings that are well-formed varints but no
-// set of samples produces, each with the rule that must refuse it: the
-// histogram decoder's table test here and, through the metrics state,
-// the shard record's fuzz seeds in internal/serve.
-func hostileHistograms() map[string][]byte {
-	// enc writes a histogram header and (gap, count) pairs.
-	enc := func(n uint64, level uint8, lo int64, span uint64, min, max float64, pairs ...uint64) []byte {
-		var w wire.Writer
-		w.U8(histogramCodecVersion)
-		w.Uvarint(n)
-		w.U8(level)
-		w.Varint(lo)
-		w.Uvarint(span)
-		w.F64(min)
-		w.F64(max)
-		for i := 0; i+1 < len(pairs); i += 2 {
-			if gap, c := pairs[i], pairs[i+1]; c > 0 && c < 8 {
-				w.Uvarint(gap<<3 | c) // a small count rides in the gap's varint
-			} else {
-				w.Uvarint(gap << 3)
-				w.Uvarint(c)
-			}
+// encodeHistogram writes a histogram encoding field by field: the
+// header, then counts, each in countWidth(n) little-endian bytes.
+func encodeHistogram(n uint64, level uint8, lo int64, span uint64, min, max float64, counts []uint64) []byte {
+	var w wire.Writer
+	w.U8(histogramCodecVersion)
+	w.Uvarint(n)
+	w.U8(level)
+	w.Varint(lo)
+	w.Uvarint(span)
+	w.F64(min)
+	w.F64(max)
+	for _, c := range counts {
+		for k := range countWidth(n) {
+			w.U8(uint8(c >> (8 * k)))
 		}
-		return w.Buf
 	}
-	const ns = 1 / binsPerSecond // a level-0 bin in seconds
-	return map[string][]byte{
-		"level over 62":     enc(2, 63, 0, 0, 0, 1, 0, 2),
-		"span of K":         enc(2, 0, 0, QuantileBins, 0, QuantileBins, 0, 1, QuantileBins, 1),
-		"counts short of n": enc(3, 0, 0, 1, 0, 1, 0, 1, 1, 1),
-		"counts over n":     enc(2, 0, 0, 1, 0, 1, 0, 2, 1, 1),
-		"count over 2^32-1": enc(1<<32+1, 0, 0, 1, 0, 1, 0, 1<<32, 1, 1),
-		"n over 2^63-1":     enc(1<<63, 0, 0, 0, 0, 0, 0, 1),
-		"min below lo":      enc(2, 0, 5, 1, 4, 6, 0, 1, 1, 1),
-		"max above hi":      enc(2, 0, 5, 1, 5, 7, 0, 1, 1, 1),
-		"min past -2^62":    enc(2, 62, -2, 1, -maxBin-1, 0, 0, 1, 1, 1),
-		"level not least":   enc(2, 1, 0, 0, 0, 1, 0, 2),
-		"empty end bin":     enc(2, 0, 0, 2, 0, 2, 0, 1, 1, 1),
-		"bin past hi":       enc(2, 0, 0, 1, 0, 1, 0, 1, 2, 1),
-		"zero count":        enc(2, 0, 0, 1, 0, 1, 0, 0, 1, 2),
-		"repeated bin":      enc(2, 0, 0, 0, 0, 0, 0, 1, 0, 1),
-		"trailing bytes":    append(enc(2, 0, 0, 1, 0, 1, 0, 1, 1, 1), 0),
+	return w.Buf
+}
+
+// hostileHistograms are encodings that are well-formed varints but no
+// set of samples produces, each with the text of the rule that must
+// refuse it. All but the first few carry the header of the histogram of
+// {0, 1 s} — level 21, bins 0 and 476 — so that the rule named is the
+// one that fires.
+func hostileHistograms() map[string]struct {
+	enc  []byte
+	want string
+} {
+	const span = 476 // (1e9 >> 21) - 0
+	ends := func(first, last uint64) []uint64 {
+		c := make([]uint64, span+1)
+		c[0], c[span] = first, last
+		return c
+	}
+	valid := encodeHistogram(2, 21, 0, span, 0, 1, ends(1, 1))
+	wrapped := ends(1<<32-1, 1<<32-1)
+	type hostile = struct {
+		enc  []byte
+		want string
+	}
+	return map[string]hostile{
+		"level over 62":        {encodeHistogram(2, 63, 0, 0, 0, 1, []uint64{2}), "over 62"},
+		"span of K":            {encodeHistogram(2, 21, 0, QuantileBins, 0, 1, nil), "not under"},
+		"n over 2^63-1":        {encodeHistogram(1<<63, 21, 0, span, 0, 1, nil), "overflows"},
+		"NaN max":              {encodeHistogram(2, 21, 0, span, 0, math.NaN(), ends(1, 1)), "range"},
+		"min below lo":         {encodeHistogram(2, 21, 1, span-1, 0, 1, ends(1, 1)), "outside"},
+		"max above hi":         {encodeHistogram(2, 21, 0, span-1, 0, 1, ends(1, 1)), "outside"},
+		"min past -2^62":       {encodeHistogram(2, 62, -1, 1, -math.MaxFloat64, 1, []uint64{1, 1}), "not the least"},
+		"level not least":      {encodeHistogram(2, 22, 0, 238, 0, 1, []uint64{1, 1}), "not the least"},
+		"counts short of n":    {encodeHistogram(3, 21, 0, span, 0, 1, ends(1, 1)), "sum to"},
+		"counts over n":        {encodeHistogram(2, 21, 0, span, 0, 1, ends(2, 1)), "sum to"},
+		"counts wrap a uint32": {encodeHistogram(1<<33, 21, 0, span, 0, 1, wrapped), "sum to"},
+		"empty last bin":       {encodeHistogram(2, 21, 0, span, 0, 1, ends(2, 0)), "end bin"},
+		"empty first bin":      {encodeHistogram(2, 21, 0, span, 0, 1, ends(0, 2)), "end bin"},
+		"truncated counts":     {valid[:len(valid)-1], "truncated"},
+		"trailing bytes":       {append(bytes.Clone(valid), 0), "trailing"},
 	}
 }
 
-// TestQuantileHistogramRefusesHostileState: each hostile encoding is
-// refused, and no decode allocates more than one set of counts (plus
-// its error).
+// TestQuantileHistogramRefusesHostileState: the hand-built encoding of
+// {0, 1 s} decodes, each hostile encoding is refused by its rule, and
+// no decode allocates more than one set of counts (plus its error).
 func TestQuantileHistogramRefusesHostileState(t *testing.T) {
 	var ok QuantileHistogram
-	ok.AddSlice([]float64{0, 1e-9})
+	ok.AddSlice([]float64{0, 1})
 	good, _ := ok.MarshalBinary()
-	var back QuantileHistogram
-	if err := back.UnmarshalBinary(good); err != nil {
-		t.Fatalf("the well-formed base case is refused: %v", err)
+	c := make([]uint64, 477)
+	c[0], c[476] = 1, 1
+	if want := encodeHistogram(2, 21, 0, 476, 0, 1, c); !bytes.Equal(good, want) {
+		t.Fatalf("the histogram of {0, 1 s} encodes as %x, want %x", good, want)
 	}
-	for name, b := range hostileHistograms() {
-		var h QuantileHistogram
+	for name, h := range hostileHistograms() {
+		var back QuantileHistogram
 		const runs = 100
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			if err := h.UnmarshalBinary(b); err == nil {
-				t.Fatalf("%s: accepted", name)
+			if err := back.UnmarshalBinary(h.enc); err == nil || !strings.Contains(err.Error(), h.want) {
+				t.Fatalf("%s: %v, want an error about %q", name, err, h.want)
 			}
 		}
 		runtime.ReadMemStats(&after)

@@ -160,10 +160,20 @@ func checkWithinBin(t *testing.T, h *QuantileHistogram, sorted []float64) {
 	}
 }
 
+// empiricalRank returns the fraction of sorted that lies below x.
+func empiricalRank(sorted []float64, x float64) float64 {
+	i, _ := slices.BinarySearch(sorted, x)
+	return float64(i) / float64(len(sorted))
+}
+
 // TestQuantileSketchMatchesExact checks the histogram's guarantee on
-// every sample family, and that where the density is smooth around the
-// quartiles (all but the laggard mixture, whose tail sets the range)
-// the quartiles and median land within 1% of the sample IQR.
+// every sample family, the rank tolerances the t-digest it replaced was
+// held to (±2% at P5 and P95, ±1.5% at the quartiles), and the quartiles
+// and median in value: within 1% of the sample IQR where the range is
+// the body's, and within 3% for the laggard mixture, whose tail sets the
+// range, so that its tight body falls in a few wide bins (the worst
+// measured over seeds 20–29 was 2.2%, where the t-digest was held to
+// 2%).
 func TestQuantileSketchMatchesExact(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for name, xs := range streamCases(r, 20000) {
@@ -172,13 +182,18 @@ func TestQuantileSketchMatchesExact(t *testing.T) {
 			h.AddSlice(xs)
 			sorted := Sorted(xs)
 			checkWithinBin(t, &h, sorted)
-			if name == "mixture" {
-				return
+			for p, tol := range map[float64]float64{5: 0.02, 25: 0.015, 50: 0.015, 75: 0.015, 95: 0.02} {
+				if rank := empiricalRank(sorted, h.Quantile(p/100)); math.Abs(rank-p/100) > tol {
+					t.Errorf("p%g: histogram estimate sits at empirical rank %.4f (tol ±%g)", p, rank, tol)
+				}
 			}
-			iqr := IQRSorted(sorted)
+			tol := 0.01 * IQRSorted(sorted)
+			if name == "mixture" {
+				tol = 0.03 * IQRSorted(sorted)
+			}
 			for _, p := range []float64{25, 50, 75} {
-				if got, want := h.Quantile(p/100), PercentileSorted(sorted, p); math.Abs(got-want) > 0.01*iqr {
-					t.Errorf("p%g: histogram %v vs exact %v (tol %v)", p, got, want, 0.01*iqr)
+				if got, want := h.Quantile(p/100), PercentileSorted(sorted, p); math.Abs(got-want) > tol {
+					t.Errorf("p%g: histogram %v vs exact %v (tol %v)", p, got, want, tol)
 				}
 			}
 		})

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"math/bits"
 )
 
 // Writer appends fixed-width little-endian values to Buf.
@@ -30,12 +29,6 @@ func (w *Writer) Uvarint(v uint64) { w.Buf = binary.AppendUvarint(w.Buf, v) }
 
 // Varint writes v zig-zag encoded as a varint, as binary.AppendVarint.
 func (w *Writer) Varint(v int64) { w.Buf = binary.AppendVarint(w.Buf, v) }
-
-// UvarintLen is the number of bytes Uvarint writes for v.
-func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
-// VarintLen is the number of bytes Varint writes for v.
-func VarintLen(v int64) int { return UvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
 // Bytes writes b with a u32 length prefix.
 func (w *Writer) Bytes(b []byte) {
@@ -97,6 +90,9 @@ func (r *Reader) Remaining() int {
 	return len(r.buf)
 }
 
+// Take reads the next n bytes as they are; the slice aliases the input.
+func (r *Reader) Take(n int) []byte { return r.take(n) }
+
 func (r *Reader) take(n int) []byte {
 	if r.err != nil {
 		return nil
@@ -141,14 +137,6 @@ func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 // accepted, so every value has one encoding and a decoded state
 // re-encodes to the bytes it came from.
 func (r *Reader) Uvarint() uint64 {
-	if b := r.buf; len(b) > 0 && b[0] < 0x80 { // the one-byte form, inlined
-		r.buf = b[1:]
-		return uint64(b[0])
-	}
-	return r.uvarint()
-}
-
-func (r *Reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
