@@ -30,11 +30,12 @@ race:
 # isolation so CI records the failover proof explicitly. The one-IQR
 # tests run here too: a local sweep row, fleet rows at two and three
 # shards and StreamStudy agree bit for bit (TestFleetSweepIQRBitIdentical),
-# and StreamStudy's concurrent per-trial fills give the same bits at
-# any worker count.
+# and the streamed fold behind StreamStudy and the over-bound sweep
+# cell, whose workers stripe (trial, rank), gives the same bits at any
+# worker count.
 race-fleet:
-	$(GO) test -race -count=1 -run 'Fleet|Coordinator|Shard' ./internal/fleet ./internal/serve ./cmd/earlybird .
-	$(GO) test -race -count=1 -run 'TestStreamStudyBitIdenticalAcrossWorkers' ./internal/core
+	$(GO) test -race -count=1 -run 'Fleet|Coordinator|Shard|CacheBound|OverBound' ./internal/fleet ./internal/serve ./cmd/earlybird .
+	$(GO) test -race -count=1 -run 'TestStreamStudyBitIdenticalAcrossWorkers|TestFoldTrialsBitIdenticalAtAnyWorkerCount' ./internal/core
 
 # The chaos suite under the race detector, uncached: fleets with
 # injected latency, mid-stream disconnects, stalls, capacity drain,
@@ -78,9 +79,11 @@ clean-store:
 # pruned ones (TestSortBitIdentical), the fleet shard paths — both driven by
 # the shared block kernel — against single-node execution, and a local
 # sweep cell above the cache bound against the same cell below it
-# (TestSweepRowSameAtAnyCacheBound), the quantile histogram's order-free
-# merge (TestQuantileHistogramMergeBitIdentical), StreamStudy at any
-# worker count (TestStreamStudyBitIdenticalAcrossWorkers) and the one
+# (TestSweepRowSameAtAnyCacheBound, and the OverBound cells), the
+# quantile histogram's order-free merge
+# (TestQuantileHistogramMergeBitIdentical), StreamStudy and the streamed
+# fold at any worker count (TestStreamStudyBitIdenticalAcrossWorkers,
+# TestFoldTrialsBitIdenticalAtAnyWorkerCount) and the one
 # IQR of a local sweep row, fleet rows and StreamStudy
 # (TestFleetSweepIQRBitIdentical), and the fill itself: the static
 # golden fingerprints and the with/without-progress-sink fingerprints of
@@ -91,7 +94,7 @@ clean-store:
 # a GOAMD64 matrix.
 test-bitident-v3:
 	GOAMD64=v3 $(GO) test -count=1 -run 'BitIdentical|OnePassMoments|ADTableBound|PerSizeConsts' ./internal/stats/... ./internal/core ./internal/sortx
-	GOAMD64=v3 $(GO) test -count=1 -run 'TestShardMergeBitIdenticalToSingleNode|TestShardStreamedPathBitIdentical|TestSweepRowSameAtAnyCacheBound' ./internal/serve
+	GOAMD64=v3 $(GO) test -count=1 -run 'TestShardMergeBitIdenticalToSingleNode|TestShardStreamedPathBitIdentical|CacheBound|OverBound' ./internal/serve
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestFleetSweepIQRBitIdentical|TestStreamStudyMatchesSweepRowUnderEveryPolicy' ./internal/fleet
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestDLBStaticGoldenFingerprint|TestProgressSinkDoesNotPerturbFill' ./internal/cluster
 

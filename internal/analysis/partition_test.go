@@ -68,7 +68,9 @@ func TestPartitionInvariance(t *testing.T) {
 
 		// Single-node reference: one deterministic cursor pass.
 		want := ComputeMetricsStreaming(model.Name(), col.Cursor(), threshold)
-		wantT1 := Table1Streaming(model.Name(), col.Cursor(), alpha)
+		t1 := NewTable1Accumulator(model.Name(), alpha)
+		NewKernel(t1).ObserveCursor(col.Cursor(), 0)
+		wantT1 := t1.Finalize()
 
 		// Random partition of the trial space: each trial lands on one of
 		// up to Trials shards (possibly non-contiguous, possibly empty).

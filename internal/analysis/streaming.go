@@ -356,12 +356,3 @@ func (a *Table1Accumulator) Finalize() Table1 {
 	}
 	return t1
 }
-
-// Table1Streaming derives the Table 1 row from a process-iteration cursor
-// in a single pass — exact, like Table1Row, but without materialising the
-// sample slices.
-func Table1Streaming(app string, cur *trace.Cursor, alpha float64) Table1 {
-	acc := NewTable1Accumulator(app, alpha)
-	NewKernel(acc).ObserveCursor(cur, 0)
-	return acc.Finalize()
-}

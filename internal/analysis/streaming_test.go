@@ -71,8 +71,9 @@ func TestMetricsAccumulatorMergeOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestTable1StreamingMatchesTable1Row: pass rates must be identical — the
-// battery runs on the same blocks either way.
+// TestTable1StreamingMatchesTable1Row: a Table1Accumulator fed by a block
+// kernel over the cursor must give the exact pass rates — the battery
+// runs on the same blocks either way.
 func TestTable1StreamingMatchesTable1Row(t *testing.T) {
 	model := &workload.MiniQMC{}
 	cfg := cluster.Config{Trials: 2, Ranks: 2, Iterations: 15, Threads: 24, Seed: 4}
@@ -81,7 +82,9 @@ func TestTable1StreamingMatchesTable1Row(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact := Table1Row(d, 0.05)
-	got := Table1Streaming(d.App, d.Cursor(), 0.05)
+	acc := NewTable1Accumulator(d.App, 0.05)
+	NewKernel(acc).ObserveCursor(d.Cursor(), 0)
+	got := acc.Finalize()
 	if got != exact {
 		t.Fatalf("streaming Table1 %+v vs exact %+v", got, exact)
 	}

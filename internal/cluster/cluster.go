@@ -3,8 +3,9 @@
 // feeds per-iteration sample blocks to subscribed accumulators, so
 // aggregate-only studies never materialise the dataset, and optionally
 // writes them into a trace.Sink. RunColumnar is that routine into a
-// sealed columnar store, Run its nested Dataset view, and ObserveTrials
-// a bounded-memory, cursor-ordered fill of a trial range.
+// sealed columnar store, and Run its nested Dataset view. ShiftTrials
+// offsets a model's trial axis, so a fill of a trial range generates
+// those trials of the whole study bit for bit.
 //
 // Every fill takes a dlb.Spec. The static policy (the zero Spec)
 // fills one task per (trial, rank), with no cross-rank coupling,
@@ -150,54 +151,6 @@ type ProgressSink interface {
 	ObserveLend(n int)
 }
 
-// ObserveTrials fills trials [lo, hi) of cfg under policy and feeds obs
-// every block in cursor order — trial, rank, then iteration, with
-// absolute trial indices — so an order-sensitive observer folds exactly
-// what a cursor over the materialised study would show it. At most
-// maxSamples samples (or one block, if larger) are live at once: trials
-// fill in runs that fit the bound, each run on up to workers goroutines
-// (<= 0: one per CPU), and a static trial larger than the bound streams
-// through one fill worker, whose stripe order is the cursor's. A
-// rebalanced trial larger than the bound is refused: its ranks fill
-// iteration by iteration together, so yielding them rank-major would
-// mean holding the whole trial.
-func ObserveTrials(model workload.Model, cfg Config, lo, hi int, policy dlb.Spec, workers, maxSamples int, obs BlockObserver, progress ProgressSink) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if lo < 0 || hi <= lo || hi > cfg.Trials {
-		return fmt.Errorf("cluster: trial range [%d, %d) outside the geometry's %d trials", lo, hi, cfg.Trials)
-	}
-	resolved, err := policy.Resolve()
-	if err != nil {
-		return err
-	}
-	run := cfg
-	run.Trials = 1
-	perTrial := run.Samples()
-	if perTrial > maxSamples {
-		if !resolved.IsStatic() {
-			return fmt.Errorf("cluster: a rebalanced trial of %d samples is over the %d-sample bound", perTrial, maxSamples)
-		}
-		run.Trials = hi - lo
-		_, err := RunStream(ShiftTrials(model, lo), run, resolved, 1, nil,
-			func() BlockObserver { return shiftedObserver{obs, lo} }, progress)
-		return err
-	}
-	for t := lo; t < hi; t += run.Trials {
-		run.Trials = min(maxSamples/perTrial, hi-t)
-		col, err := RunColumnar(ShiftTrials(model, t), run, resolved, workers, progress)
-		if err != nil {
-			return err
-		}
-		for cur := col.Cursor(); cur.Next(); {
-			b := cur.Block()
-			obs.ObserveBlock(b.Trial+t, b.Rank, b.Iter, b.Times)
-		}
-	}
-	return nil
-}
-
 // ShiftTrials offsets a model's trial axis: trial t of the returned
 // model is trial t+lo of m, so a (hi-lo)-trial study of it generates
 // trials [lo, hi) of m bit for bit. The name carries the offset, so a
@@ -219,17 +172,6 @@ func (m shiftedModel) Name() string { return fmt.Sprintf("%s#t%d", m.Model.Name(
 
 func (m shiftedModel) FillProcessIteration(root *rng.Source, trial, rank, iter int, out []float64) {
 	m.Model.FillProcessIteration(root, trial+m.lo, rank, iter, out)
-}
-
-// shiftedObserver restores the absolute trial of a ShiftTrials fill's
-// blocks.
-type shiftedObserver struct {
-	BlockObserver
-	lo int
-}
-
-func (o shiftedObserver) ObserveBlock(trial, rank, iter int, xs []float64) {
-	o.BlockObserver.ObserveBlock(trial+o.lo, rank, iter, xs)
 }
 
 // RunStream is the one fill routine: it executes the study under policy

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
 )
 
@@ -86,15 +87,16 @@ func TestStreamStudyMatchesMaterialized(t *testing.T) {
 }
 
 // TestStudyMetricsStreamingMatchesMetrics: the cursor-based streaming
-// path over an existing dataset must agree with the exact path the same
-// way the online path does.
+// pass over an existing dataset (a block kernel into the metrics and
+// Table 1 accumulators) must agree with the exact path the same way the
+// online path does.
 func TestStudyMetricsStreamingMatchesMetrics(t *testing.T) {
 	study, err := NewStudy(Options{App: "minife", Geometry: cluster.SmallConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	exact := study.Metrics()
-	streamed := study.MetricsStreaming()
+	streamed := analysis.ComputeMetricsStreaming(study.App(), study.Dataset().Cursor(), analysis.DefaultLaggardThresholdSec)
 	if !approxEqual(streamed.MeanMedianSec, exact.MeanMedianSec, 1e-9) ||
 		!approxEqual(streamed.LaggardFraction, exact.LaggardFraction, 1e-9) ||
 		!approxEqual(streamed.AvgReclaimableProcSec, exact.AvgReclaimableProcSec, 1e-9) {
@@ -103,8 +105,10 @@ func TestStudyMetricsStreamingMatchesMetrics(t *testing.T) {
 	if !approxEqual(streamed.IQRMeanSec, exact.IQRMeanSec, 0.10) {
 		t.Fatalf("IQRMeanSec: streaming %v vs exact %v", streamed.IQRMeanSec, exact.IQRMeanSec)
 	}
-	if got, want := study.Table1Streaming(), study.Table1(); got != want {
-		t.Fatalf("Table1Streaming %+v vs Table1 %+v", got, want)
+	acc := analysis.NewTable1Accumulator(study.App(), 0.05)
+	analysis.NewKernel(acc).ObserveCursor(study.Dataset().Cursor(), 0)
+	if got, want := acc.Finalize(), study.Table1(); got != want {
+		t.Fatalf("streamed Table1 %+v vs Table1 %+v", got, want)
 	}
 }
 

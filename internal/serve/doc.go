@@ -34,10 +34,10 @@
 // Table 1 accumulators over a columnar cursor), so the nested tensor
 // view is never built. Geometries larger than
 // Options.MaxCachedSweepSamples bypass the dataset cache and run through
-// cluster.ObserveTrials, which holds at most the bound's samples: runs
-// of whole trials that fit it, or a static trial over it streamed block
-// by block (a rebalanced trial over it is refused). The bound sets
-// memory, never the answer.
+// core.FoldTrials, the streamed fold StreamStudy runs, whose extra state
+// (its extra workers' histograms, its open trial tables) stays within 8
+// bytes per sample of the bound; a rebalanced trial whose block table
+// is over that is refused. The bound sets memory, never the answer.
 //
 // The strategies endpoint sweeps a delivery-strategy grid — fixed and
 // adaptive policies from internal/partcomm — over each (app, geometry)

@@ -25,14 +25,14 @@ const (
 	DefaultMaxDatasets = 64
 	// DefaultMaxCachedSweepSamples is the geometry size (total samples)
 	// above which sweep cells and shards bypass the dataset cache and
-	// fill at most that many samples at once: four paper geometries
-	// (~24 MiB).
+	// fold uncached within that many x 8 bytes of extra state: four
+	// paper geometries (~24 MiB).
 	DefaultMaxCachedSweepSamples = 4 * 768000
 	// DefaultMaxStudySamples is the largest geometry a materialising
 	// study request (/v1/study, /v1/feasibility, /v1/campaign) accepts:
 	// ten paper geometries (~60 MiB columnar). Larger analyses belong on
-	// /v1/sweep, which holds at most MaxCachedSweepSamples samples at once
-	// and accumulator state bounded by maxTrialIterations.
+	// /v1/sweep, which folds them in MaxCachedSweepSamples x 8 bytes plus
+	// accumulator state bounded by maxTrialIterations.
 	DefaultMaxStudySamples = 10 * 768000
 	// maxSweepCells bounds one sweep request's grid.
 	maxSweepCells = 4096
@@ -67,9 +67,10 @@ type Options struct {
 	MaxDatasets int
 	// MaxCachedSweepSamples is the largest geometry (by total samples) a
 	// sweep cell or shard generates through the dataset cache; larger
-	// ones run uncached, holding at most this many samples at once, to
-	// the same bits (a rebalanced trial larger than it is refused). 0
-	// means DefaultMaxCachedSweepSamples.
+	// ones run uncached through core.FoldTrials, to the same bits, in
+	// fill-side bytes, 8 per sample of this bound (a rebalanced trial
+	// whose block table is over that is refused). 0 means
+	// DefaultMaxCachedSweepSamples.
 	MaxCachedSweepSamples int
 	// MaxStudySamples is the largest geometry (by total samples) the
 	// materialising study endpoints accept; larger requests are rejected

@@ -20,11 +20,13 @@ package serve
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
+	"earlybird/internal/core"
 	"earlybird/internal/dlb"
 	"earlybird/internal/engine"
 	"earlybird/internal/stats/normality"
@@ -76,8 +78,7 @@ type ShardResponse struct {
 	Table1State  []byte `json:"table1_state"`
 	// DatasetCacheHit reports the shard read an engine-cached columnar
 	// store; Streamed reports it was over the sweep cache bound and ran
-	// uncached, holding at most the bound's samples at once, in the same
-	// deterministic observation order.
+	// uncached through the streamed fold, to the same bits.
 	DatasetCacheHit bool `json:"dataset_cache_hit"`
 	Streamed        bool `json:"streamed"`
 }
@@ -137,14 +138,11 @@ func paperDefaults(alpha, laggardSec float64) (float64, float64) {
 // runShard computes one shard's accumulator state and returns it as a
 // record header plus the two accumulators, which the handler encodes
 // straight into the sealed record. Shards at or below the sweep cache
-// bound read the engine's columnar cache through a deterministic cursor
-// (hot for repeated cells routed to this worker); larger shards run
-// uncached through cluster.ObserveTrials, which keeps the cursor's
-// observation order — the exactness contract needs it; a multi-observer
-// RunStream would split a trial's ranks across workers
-// scheduling-dependently and shift the low-order bits — while holding
-// at most the bound's samples at once. A local sweep cell runs here
-// too, as the shard [0, Trials) (sweepCell).
+// bound read the engine's columnar cache through a block kernel over a
+// deterministic cursor (hot for repeated cells routed to this worker);
+// larger shards run uncached through core.FoldTrials, to the same bits,
+// within MaxCachedSweepSamples x 8 bytes of extra state. A local sweep
+// cell runs here too, as the shard [0, Trials) (sweepCell).
 func (s *Server) runShard(req ShardRequest) (ShardResponse, *analysis.MetricsAccumulator, *analysis.Table1Accumulator, error) {
 	geom := *req.Geometry
 	var policy dlb.Spec
@@ -168,25 +166,24 @@ func (s *Server) runShard(req ShardRequest) (ShardResponse, *analysis.MetricsAcc
 	shardGeom := geom
 	shardGeom.Trials = req.TrialHi - req.TrialLo
 
-	// One block kernel sorts each block once for both accumulators.
 	macc := analysis.NewMetricsAccumulator(req.App, req.LaggardSec)
 	tacc := analysis.NewTable1Accumulator(req.App, req.Alpha)
-	kernel := analysis.NewKernel(macc, tacc)
 	if shardGeom.Samples() <= s.maxSweepSamples {
 		col, hit, err := s.eng.ColumnarDLB(model, shardGeom, policy)
 		if err != nil {
 			return resp, nil, nil, err
 		}
 		resp.DatasetCacheHit = hit
-		kernel.ObserveCursor(col.Cursor(), req.TrialLo)
+		// One block kernel sorts each block once for both accumulators.
+		analysis.NewKernel(macc, tacc).ObserveCursor(col.Cursor(), req.TrialLo)
 	} else {
 		// This fill bypasses the engine and its progress factory, so the
 		// shard registers its one live tracker here, under the ID the
 		// engine would give the cached branch.
 		tr := s.newTracker(model.Name(), shardGeom, policy)
 		defer s.tel.Finish(tr)
-		err := cluster.ObserveTrials(base, geom, req.TrialLo, req.TrialHi, policy, 0, s.maxSweepSamples, kernel, tr)
-		if err != nil {
+		budget := int64(min(s.maxSweepSamples, math.MaxInt64/8)) * 8
+		if err := core.FoldTrials(base, geom, policy, req.TrialLo, req.TrialHi, budget, macc, tacc, tr); err != nil {
 			return resp, nil, nil, err
 		}
 		resp.Streamed = true

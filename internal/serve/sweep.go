@@ -258,10 +258,10 @@ func (s *Server) runSweepCell(ctx context.Context, c SweepCell) SweepRow {
 // handleSweep streams the grid as NDJSON: one row per cell, written and
 // flushed the moment the cell completes, so clients see results while
 // the rest of the grid is still computing. Each in-flight cell holds its
-// accumulator state (bounded through maxTrialIterations) plus at most
-// MaxCachedSweepSamples live samples (a cell at or under that bound may
-// also sit in the engine's cache; runShard refuses a rebalanced trial
-// over it).
+// accumulator state (bounded through maxTrialIterations) plus either
+// its dataset, at or under MaxCachedSweepSamples samples, in the
+// engine's cache, or at most MaxCachedSweepSamples x 8 bytes of
+// fill-side state (runShard).
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if err := decodeBody(w, r, &req); err != nil {

@@ -13,6 +13,7 @@ import (
 
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
+	"earlybird/internal/core"
 	"earlybird/internal/dlb"
 	"earlybird/internal/stats/normality"
 	"earlybird/internal/workload"
@@ -36,32 +37,47 @@ func metricBits(row SweepRow) []uint64 {
 }
 
 // TestSweepRowSameAtAnyCacheBound pins that the sweep cache bound sets
-// memory only: a cell above it (uncached, filled in runs of two trials,
-// or streamed block by block when one trial is over the bound) answers
+// memory only: a cell above it (uncached, folded on two workers, or on
+// one in cursor order when the bound leaves no room for more) answers
 // with the same bits as the same cell below it (read from the engine's
-// columnar cache), the iteration IQR included, for every app.
+// columnar cache), the iteration IQR included, for every app. Under
+// LeWI and DROM the same holds for a cell whose trial is over the bound
+// but whose block table fits it.
 func TestSweepRowSameAtAnyCacheBound(t *testing.T) {
 	cached := New(Options{Workers: 2})
 	geom := cluster.Config{Trials: 4, Ranks: 4, Iterations: 50, Threads: 48, Seed: 7}
 	perTrial := geom.Samples() / geom.Trials
-	for _, bound := range []int{2*perTrial + 1, 1} {
+	check := func(policy dlb.Spec, bound int) {
+		t.Helper()
 		streamed := New(Options{Workers: 2, MaxCachedSweepSamples: bound})
 		for _, app := range []string{"minife", "minimd", "miniqmc"} {
 			cell := SweepCell{
-				App: app, Geometry: geom,
+				App: app, Geometry: geom, DLB: policy,
 				Alpha: 0.05, LaggardThresholdSec: analysis.DefaultLaggardThresholdSec,
 			}
 			want, got := cached.sweepCell(cell), streamed.sweepCell(cell)
 			if want.Err != "" || got.Err != "" {
-				t.Fatalf("%s bound %d: errors %q / %q", app, bound, want.Err, got.Err)
+				t.Fatalf("%s %s bound %d: errors %q / %q", app, policy, bound, want.Err, got.Err)
 			}
 			if want.Streamed || !got.Streamed {
-				t.Fatalf("%s bound %d: streamed flags %v / %v, want false / true", app, bound, want.Streamed, got.Streamed)
+				t.Fatalf("%s %s bound %d: streamed flags %v / %v, want false / true", app, policy, bound, want.Streamed, got.Streamed)
 			}
 			if !reflect.DeepEqual(metricBits(got), metricBits(want)) || got.Recommendation != want.Recommendation {
-				t.Errorf("%s bound %d: over-bound row differs from the cached one:\n got %+v %+v %s\nwant %+v %+v %s",
-					app, bound, got.Metrics, got.Table1, got.Recommendation, want.Metrics, want.Table1, want.Recommendation)
+				t.Errorf("%s %s bound %d: over-bound row differs from the cached one:\n got %+v %+v %s\nwant %+v %+v %s",
+					app, policy, bound, got.Metrics, got.Table1, got.Recommendation, want.Metrics, want.Table1, want.Recommendation)
 			}
+		}
+	}
+	for _, bound := range []int{2*perTrial + 1, 1} {
+		check(dlb.Spec{}, bound)
+	}
+	for _, name := range []string{dlb.PolicyLeWI, dlb.PolicyDROM} {
+		policy, err := dlb.Spec{Policy: name}.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bound := range []int{2*perTrial + 1, perTrial / 2} {
+			check(policy, bound)
 		}
 	}
 }
@@ -198,12 +214,13 @@ func TestAccumulatorStateBoundedAtValidation(t *testing.T) {
 
 // TestAccumulatorStatePerIterationBounded pins the per-iteration
 // accumulator state maxTrialIterations's comment budgets: a 32-rank
-// trial of 2000 iterations, observed through cluster.ObserveTrials as
-// an over-bound cell is, retains under 3 KiB per iteration once the
-// samples are gone. The state is one quantile histogram per iteration
-// (2 KiB of counts whatever the rank count) plus the trial's partials;
-// the t-digests it replaced kept 21.6 KiB per iteration here. Skipped
-// under -short and -race, like the HugeGeometry progress test.
+// trial of 2000 iterations, folded through core.FoldTrials within the
+// default sweep bound's budget as an over-bound cell is, retains under
+// 3 KiB per iteration once the samples are gone. The state is one
+// quantile histogram per iteration (2 KiB of counts whatever the rank
+// count) plus the trial's partials; the t-digests it replaced kept
+// 21.6 KiB per iteration here. Skipped under -short and -race, like the
+// HugeGeometry progress test.
 func TestAccumulatorStatePerIterationBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3M-sample study skipped in -short mode")
@@ -221,7 +238,7 @@ func TestAccumulatorStatePerIterationBounded(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	macc := analysis.NewMetricsAccumulator("minife", analysis.DefaultLaggardThresholdSec)
 	tacc := analysis.NewTable1Accumulator("minife", normality.DefaultAlpha)
-	if err := cluster.ObserveTrials(model, geom, 0, 1, dlb.Spec{}, 1, 1, analysis.NewKernel(macc, tacc), nil); err != nil {
+	if err := core.FoldTrials(model, geom, dlb.Spec{}, 0, 1, DefaultMaxCachedSweepSamples*8, macc, tacc, nil); err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()
