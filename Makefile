@@ -176,7 +176,9 @@ cover:
 	}'
 
 # 10-second coverage-guided smokes of the strategy-ordering laws, of
-# sortx.Select against a full sort, of the filtered Anderson-Darling
+# sortx.Select against a full sort, of sortx.Sort against the total
+# order of the floats (a permutation of the bits when NaNs are in), of
+# the filtered Anderson-Darling
 # verdict against the reference statistic, of trace.ReadCSV (the inline
 # CSV a /v1/scenario request may carry), of scenario.Parse (the
 # hand-rolled YAML subset and JSON form of every scenario document, with
@@ -197,6 +199,7 @@ cover:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStrategyOrdering$$' -fuzztime 10s ./internal/partcomm
 	$(GO) test -run '^$$' -fuzz '^FuzzSelect$$' -fuzztime 10s ./internal/sortx
+	$(GO) test -run '^$$' -fuzz '^FuzzSort$$' -fuzztime 10s ./internal/sortx
 	$(GO) test -run '^$$' -fuzz '^FuzzADVerdict$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/stats/normality
 	$(GO) test -run '^$$' -fuzz '^FuzzVerdicts$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/stats/normality
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/trace
@@ -228,19 +231,21 @@ lint-fma:
 	sh scripts/lint_asm_test.sh fma
 	sh scripts/lint_asm.sh fma ./internal/stats internal/stats/desc.go centralMoments SumSquaresAbout
 
-# The branch guard of the partition and merge loops: the amd64 build of
-# internal/sortx must list no conditional jump on the comparison line of
-# sortx.partitionBelow (Select's partition passes) or sortx.MergeRuns.
-# Their index advances on a comparison of fresh data, which a branch
-# mispredicts about half the time; only the SETcc form is branch-free,
-# and Go compiles `if x < v { j++ }` to a jump. No test sees the
-# difference, and a benchmark that repeats one input hides it from the
-# timings too. The self-test first proves the guard trips on the branchy
-# copy in scripts/testdata/branchguard.
+# The branch guard of the partition, network and merge code: the amd64
+# build of internal/sortx must list no conditional jump on a comparison
+# line of sortx.partitionBelow (Select's partition passes, a float
+# compare), the keyed networks or sortx.mergeRuns (integer compares).
+# Their compares see fresh data, which a branch mispredicts about half
+# the time; only the SETcc and CMOV forms are branch-free, and Go
+# compiles `if x < v { j++ }` to a jump. No test sees the difference,
+# and a benchmark that repeats one input hides it from the timings too.
+# The self-test first proves the guard trips on the branchy copies in
+# scripts/testdata/branchguard, one per kind of compare.
 lint-branchless:
 	sh scripts/lint_asm_test.sh branchless
 	sh scripts/lint_asm.sh branchless ./internal/sortx internal/sortx/select.go partitionBelow
-	sh scripts/lint_asm.sh branchless ./internal/sortx internal/sortx/sortx.go MergeRuns
+	sh scripts/lint_asm.sh branchless ./internal/sortx internal/sortx/networks.go network8 network16 network24 network32
+	sh scripts/lint_asm.sh branchless ./internal/sortx internal/sortx/sortx.go mergeRuns
 
 fmt:
 	gofmt -w .

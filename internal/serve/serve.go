@@ -45,6 +45,14 @@ const (
 	// worker sends back decodes within the same bound (Accept).
 	// HugeConfig (50,000) is under it.
 	maxTrialIterations = 1 << 16
+	// maxIterationSamples bounds a sweep cell's or shard's ranks x
+	// threads, the samples one iteration of one trial spans. A fill
+	// worker holds a block of threads samples and, under a rebalancing
+	// policy, a finish time per rank, so each stays under 512 KiB; with
+	// maxTrialIterations it bounds a cell at 2^32 samples, and so the
+	// CPU time its fill and fold can take. HugeConfig (32 x 48 = 1,536)
+	// is under it.
+	maxIterationSamples = 1 << 16
 	// maxCampaignSpecs bounds one campaign request's batch.
 	maxCampaignSpecs = 4096
 	// maxRequestBytes bounds a request body; the largest legitimate

@@ -86,8 +86,10 @@ type ShardResponse struct {
 // Resolve validates the request and fills defaults. A worker executes
 // the resolved request, and a coordinator checks a worker's answer
 // against it (Accept). It refuses a geometry over maxTrialIterations,
-// whose accumulator state no bound on live samples would limit: a local
-// sweep cell, a worker's shard and a fleet cell all resolve here.
+// whose accumulator state no bound on live samples would limit, or over
+// maxIterationSamples, whose per-iteration buffers and total work no
+// other bound limits: a local sweep cell, a worker's shard and a fleet
+// cell all resolve here.
 func (req ShardRequest) Resolve() (ShardRequest, error) {
 	if req.Geometry != nil && req.GeometryName != "" {
 		return req, fmt.Errorf("geometry and geometry_name are mutually exclusive")
@@ -108,6 +110,10 @@ func (req ShardRequest) Resolve() (ShardRequest, error) {
 	if geom.Iterations > maxTrialIterations/geom.Trials {
 		return req, fmt.Errorf("geometry has %d trials x %d iterations, over the accumulator-state limit of %d trial-iterations",
 			geom.Trials, geom.Iterations, maxTrialIterations)
+	}
+	if geom.Threads > maxIterationSamples/geom.Ranks {
+		return req, fmt.Errorf("geometry has %d ranks x %d threads, over the limit of %d samples per trial-iteration",
+			geom.Ranks, geom.Threads, maxIterationSamples)
 	}
 	req.Geometry = &geom
 	if err := engine.CheckAnalysis(req.Alpha, req.LaggardSec, 0); err != nil {

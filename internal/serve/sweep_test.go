@@ -212,6 +212,55 @@ func TestAccumulatorStateBoundedAtValidation(t *testing.T) {
 	}
 }
 
+// TestIterationWidthBoundedAtValidation pins that ranks x threads is
+// refused over maxIterationSamples when the shard request resolves,
+// before a fill starts: a ~100-byte cell with 2^40 ranks or 2^40
+// threads (or both, whose product overflows int64) is an error row from
+// /v1/sweep and a 422 from /v1/shard, and refusing it allocates nothing
+// near one block or one finish time per rank. HugeConfig, a cell at the
+// bound and TestOverBoundCellMemoryBounded's 1024 x 48 cell resolve.
+func TestIterationWidthBoundedAtValidation(t *testing.T) {
+	s := New(Options{Workers: 2})
+	ts := newHTTPServer(t, s)
+	for _, tc := range []struct {
+		name           string
+		ranks, threads int
+		wantRejected   bool
+	}{
+		{"huge ranks", 1 << 40, 48, true},
+		{"huge threads", 1, 1 << 40, true},
+		{"both huge", 1 << 40, 1 << 40, true},
+		{"one over", 1, maxIterationSamples + 1, true},
+		{"at the bound", 1 << 10, 1 << 6, false},
+		{"1024 ranks", 1024, 48, false},
+		{"HugeConfig", cluster.HugeConfig().Ranks, cluster.HugeConfig().Threads, false},
+	} {
+		geom := cluster.Config{Trials: 1, Ranks: tc.ranks, Iterations: 1, Threads: tc.threads, Seed: 5}
+		cell := SweepCell{App: "minife", Geometry: geom}
+		_, err := cell.ShardRequest().Resolve()
+		if got := err != nil; got != tc.wantRejected {
+			t.Fatalf("%s: Resolve error %v, want rejected %v", tc.name, err, tc.wantRejected)
+		}
+		if !tc.wantRejected {
+			continue
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Apps: []string{"minife"}, Geometries: []cluster.Config{geom}})
+		var row SweepRow
+		decodeInto(t, resp, &row)
+		if !strings.Contains(row.Err, "samples per trial-iteration") {
+			t.Fatalf("%s: /v1/sweep row error %q, want the per-iteration limit", tc.name, row.Err)
+		}
+		wantRejected(t, tc.name, postJSON(t, ts.URL+"/v1/shard", cell.ShardRequest()),
+			http.StatusUnprocessableEntity, "samples per trial-iteration")
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+			t.Errorf("%s: refusing the cell allocated %d bytes", tc.name, alloc)
+		}
+	}
+}
+
 // TestAccumulatorStatePerIterationBounded pins the per-iteration
 // accumulator state maxTrialIterations's comment budgets: a 32-rank
 // trial of 2000 iterations, folded through core.FoldTrials within the

@@ -3,8 +3,8 @@ package sortx
 import "math/bits"
 
 // selectSortMax is the range length at which Select stops partitioning
-// and sorts what is left: the networks and the chunked merge finish a
-// range this short faster than further partition passes narrow it.
+// and sorts what is left: one keyed network finishes a range this short
+// faster than further partition passes narrow it.
 const selectSortMax = 32
 
 // Select reorders s so that s[k] holds the value a full ascending Sort
@@ -19,8 +19,8 @@ const selectSortMax = 32
 // a single minimum scan. Expected cost is linear. A depth limit of 2·log2(len(s))
 // partition steps bounds the worst case: past it Select sorts the
 // remaining range with Sort, so no input — a median-of-three killer
-// included — makes it quadratic. k must be in [0, len(s)); Sort's NaN
-// contract applies.
+// included — makes it quadratic. k must be in [0, len(s)), and s must
+// hold no NaN: unlike Sort, the partition passes compare floats.
 func Select(s []float64, k int) {
 	if k < 0 || k >= len(s) {
 		panic("sortx: Select rank out of range")
@@ -90,7 +90,7 @@ func narrow(s []float64, lo, hi, k int) (nlo, nhi int, done bool) {
 // as long as the advance compiles to a flag set. Go 1.24's amd64 back
 // end compiles `if x < v { j++ }` to a compare and a conditional jump
 // around the increment, which mispredicts on about half of fresh
-// inputs; `inc := 0; if x < v { inc = 1 }; j += inc` (MergeRuns' idiom)
+// inputs; `inc := 0; if x < v { inc = 1 }; j += inc` (mergeRuns' idiom)
 // compiles to SETcc and an add. make lint-branchless checks the
 // listing.
 func partitionBelow(s []float64, v float64, orEqual bool) int {

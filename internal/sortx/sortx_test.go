@@ -1,6 +1,9 @@
 package sortx
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -120,27 +123,33 @@ func TestSortAllocFree(t *testing.T) {
 	}
 }
 
-// TestSortBitIdentical runs the pruned comparator list of every n <= 32
-// from the generator as a table-driven reference network and requires
-// Sort — which sorts those sizes in a +Inf-padded 8, 16 or 32 network —
-// to return the same bits, over inputs rich in -0/+0 pairs, infinities
-// and duplicates. Past 32, MergeRuns merges equal values by value (it may
-// emit -0 for a +0), so sizes 33..128 are held to value equality by
-// TestNetworksMatchSlicesSort instead.
+// TestSortBitIdentical holds Sort to the exact bits of a reference
+// over inputs rich in -0/+0 pairs, infinities, ±MaxFloat64, subnormals
+// and duplicates. For every n <= 32 the reference is the pruned
+// comparator list of that n from the generator, run as a table-driven
+// network of float min and max, which order -0 before +0; Sort keys the
+// block and pads it to an 8, 16, 24 or 32 network. For 33 through
+// midMax+8, through the merges and into the pdqsort tier, it is
+// sortRef, the unique total order of the floats.
 func TestSortBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 12))
-	pool := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1, -1, 2.5, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	pool := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1, -1, 2.5,
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
+	input := func(n int, pooled bool) []float64 {
+		in := make([]float64, n)
+		for i := range in {
+			if pooled || rng.IntN(2) == 0 {
+				in[i] = pool[rng.IntN(len(pool))]
+			} else {
+				in[i] = rng.NormFloat64()
+			}
+		}
+		return in
+	}
 	for n := 2; n <= networkMax; n++ {
 		pairs := batcher(n)
 		for trial := 0; trial < 2000; trial++ {
-			in := make([]float64, n)
-			for i := range in {
-				if trial%2 == 0 || rng.IntN(2) == 0 {
-					in[i] = pool[rng.IntN(len(pool))]
-				} else {
-					in[i] = rng.NormFloat64()
-				}
-			}
+			in := input(n, trial%2 == 0)
 			want := slices.Clone(in)
 			for _, c := range pairs {
 				a, b := want[c[0]], want[c[1]]
@@ -148,46 +157,98 @@ func TestSortBitIdentical(t *testing.T) {
 			}
 			got := slices.Clone(in)
 			Sort(got)
-			for i := range got {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("n=%d input %v: Sort gives %v, the pruned network %v", n, in, got, want)
-				}
+			if !sameBits(got, want) {
+				t.Fatalf("n=%d input %v: Sort gives %v, the pruned network %v", n, in, got, want)
 			}
 		}
 	}
-	// Past the networks, sortMid merges network-sorted chunks, and a
-	// merge may meet +0 in one run and -0 in the other: the output must
-	// still be a bit-pattern permutation of the input, non-decreasing.
-	bitsOf := func(xs []float64) []uint64 {
-		out := make([]uint64, len(xs))
-		for i, v := range xs {
-			out[i] = math.Float64bits(v)
-		}
-		slices.Sort(out)
-		return out
-	}
-	for n := networkMax + 1; n <= midMax; n++ {
+	for n := networkMax + 1; n <= midMax+8; n++ {
 		for trial := 0; trial < 200; trial++ {
-			in := make([]float64, n)
-			for i := range in {
-				if rng.IntN(2) == 0 {
-					in[i] = pool[rng.IntN(2)] // -0 or +0
-				} else {
-					in[i] = pool[rng.IntN(len(pool))]
-				}
-			}
+			in := input(n, trial%2 == 0)
 			got := slices.Clone(in)
 			Sort(got)
-			if !slices.Equal(bitsOf(got), bitsOf(in)) {
-				t.Fatalf("n=%d input %v: Sort gives %v, not a permutation of its input bits", n, in, got)
-			}
-			for i := 1; i < n; i++ {
-				if got[i] < got[i-1] {
-					t.Fatalf("n=%d input %v: Sort gives %v, decreasing at %d", n, in, got, i)
-				}
+			if want := sortRef(in); !sameBits(got, want) {
+				t.Fatalf("n=%d input %v: Sort gives %v, the total order %v", n, in, got, want)
 			}
 		}
 	}
+}
+
+// sortRef returns a sorted copy of the NaN-free xs in Go's float order
+// with -0 before +0: the unique order in which every tie is between
+// equal bits.
+func sortRef(xs []float64) []float64 {
+	out := slices.Clone(xs)
+	slices.SortFunc(out, func(a, b float64) int {
+		if c := cmp.Compare(a, b); c != 0 {
+			return c
+		}
+		// Only -0 and +0 compare equal with different bits.
+		return cmp.Compare(signOf(b), signOf(a))
+	})
+	return out
+}
+
+func signOf(x float64) int {
+	if math.Signbit(x) {
+		return 1
+	}
+	return 0
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// FuzzSort sorts arbitrary float64 bit patterns, eight bytes each, at
+// every size up to a few hundred, so every tier runs. NaN-free input
+// must come back as sortRef's bits exactly. Input with a NaN must come
+// back as a permutation of its bits: the keyed sort orders NaNs by their
+// keys, where float min and max networks could duplicate a NaN over
+// another value.
+func FuzzSort(f *testing.F) {
+	seed := func(xs ...float64) []byte {
+		var b []byte
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	negZero := math.Copysign(0, -1)
+	f.Add(seed(3, 1, 2))
+	f.Add(seed(0, negZero, 0, negZero, math.Inf(-1), math.Inf(1), 5e-324, -5e-324))
+	f.Add(seed(math.NaN(), 1, math.Copysign(math.NaN(), -1), negZero, 0))
+	f.Add(make([]byte, 8*60))
+	f.Add(bytes.Repeat(seed(2, negZero, 1, 0), 40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := make([]float64, min(len(data)/8, 2*midMax+40))
+		hasNaN := false
+		for i := range in {
+			in[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+			hasNaN = hasNaN || math.IsNaN(in[i])
+		}
+		got := slices.Clone(in)
+		Sort(got)
+		if !hasNaN {
+			if want := sortRef(in); !sameBits(got, want) {
+				t.Fatalf("n=%d: Sort gives %v, the total order %v", len(in), got, want)
+			}
+			return
+		}
+		if !slices.Equal(sortedBits(got), sortedBits(in)) {
+			t.Fatalf("n=%d input %v: Sort gives %v, not a permutation of its bits", len(in), in, got)
+		}
+	})
+}
+
+// sortedBits returns the bit patterns of xs in ascending order.
+func sortedBits(xs []float64) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, v := range xs {
+		out[i] = math.Float64bits(v)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // insertion is a straight insertion sort, the reference point the

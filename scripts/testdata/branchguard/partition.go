@@ -1,7 +1,9 @@
 // Package branchguard is the fixture of scripts/lint_asm_test.sh: the
-// same partition loop with its index advanced by a flag and by an if.
-// The amd64 build compiles the second to a compare and a conditional
-// jump, which scripts/lint_asm.sh branchless must report.
+// same partition loop with its index advanced by a flag and by an if
+// (partition.go, a float compare), and the same keyed merge with its
+// take selected by a flag and by an if (merge.go, an integer compare).
+// The amd64 build compiles each second form to a compare and a
+// conditional jump, which scripts/lint_asm.sh branchless must report.
 package branchguard
 
 // Branchless moves the elements of s below v to its front as
