@@ -78,7 +78,8 @@ clean-store:
 # margin), sortx.Sort's padded networks against the
 # pruned ones (TestSortBitIdentical), the fleet shard paths — both driven by
 # the shared block kernel — against single-node execution, and a local
-# sweep cell above the cache bound against the same cell below it
+# sweep cell above the one constant cache bound, folded within the
+# fold's one state budget, against the same cell below it
 # (TestSweepRowSameAtAnyCacheBound, and the OverBound cells), the
 # quantile histogram's order-free merge
 # (TestQuantileHistogramMergeBitIdentical), StreamStudy and the streamed
@@ -98,12 +99,17 @@ test-bitident-v3:
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestFleetSweepIQRBitIdentical|TestStreamStudyMatchesSweepRowUnderEveryPolicy' ./internal/fleet
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestDLBStaticGoldenFingerprint|TestProgressSinkDoesNotPerturbFill' ./internal/cluster
 
-# Shell-level tests for the repo's scripts — today the bench gate's
+# Shell-level tests for the repo's scripts: the bench gate's
 # comparison verdicts (scripts/bench_gate_test.sh), in particular that a
 # benchmark missing from the baseline fails loudly instead of sliding
-# through ungated.
+# through ungated, and the -run pattern guard: every `|` alternative of
+# test-bitident-v3's patterns must name a test under `go test -list`
+# (scripts/check_run_patterns.sh, self-tested first), so renaming a test
+# cannot quietly drop it from the GOAMD64=v3 job.
 test-scripts:
 	sh scripts/bench_gate_test.sh
+	sh scripts/check_run_patterns_test.sh
+	sh scripts/check_run_patterns.sh Makefile test-bitident-v3
 
 # One iteration per benchmark: a smoke test that the benchmarks still
 # compile and run, not a measurement.

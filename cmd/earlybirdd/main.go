@@ -84,7 +84,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		workers       = fs.Int("workers", 0, "max concurrently executing studies (0 = one per CPU)")
 		maxResults    = fs.Int("max-results", serve.DefaultMaxResults, "LRU result cache capacity (negative disables)")
 		maxDatasets   = fs.Int("max-datasets", serve.DefaultMaxDatasets, "dataset cache bound (negative = unbounded)")
-		maxSweep      = fs.Int("max-sweep-cached-samples", serve.DefaultMaxCachedSweepSamples, "largest geometry (samples) sweeps keep in the dataset cache; larger cells stream uncached")
 		maxStudy      = fs.Int("max-study-samples", serve.DefaultMaxStudySamples, "largest geometry (samples) the materialising study endpoints accept")
 		drainTimeout  = fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown drain window")
 		metricsAddr   = fs.String("metrics-addr", "", "optional second listener serving only /metrics, /v1/progress and /v1/healthz (observability without exposing execution)")
@@ -130,13 +129,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	opts := serve.Options{
-		Workers:               *workers,
-		MaxResults:            *maxResults,
-		MaxDatasets:           *maxDatasets,
-		MaxCachedSweepSamples: *maxSweep,
-		MaxStudySamples:       *maxStudy,
-		DefaultDLB:            policy.Spec,
-		AdmissionWatermark:    *watermark,
+		Workers:            *workers,
+		MaxResults:         *maxResults,
+		MaxDatasets:        *maxDatasets,
+		MaxStudySamples:    *maxStudy,
+		DefaultDLB:         policy.Spec,
+		AdmissionWatermark: *watermark,
 	}
 	if !policy.Spec.IsStatic() {
 		fmt.Fprintf(stdout, "earlybirdd: default rebalancing policy %s (requests may override via their policy envelope)\n", policy.Spec)

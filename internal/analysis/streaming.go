@@ -207,6 +207,17 @@ func (a *MetricsAccumulator) AddIterationSamples(iter int, sorted []float64) {
 	h.AddSorted(sorted)
 }
 
+// SampleHistogram returns a new histogram of every sample added to the
+// iteration histograms: their merge, which holds what one histogram fed
+// every sample would, since counts depend only on the set of samples.
+func (a *MetricsAccumulator) SampleHistogram() *stats.QuantileHistogram {
+	h := new(stats.QuantileHistogram)
+	for _, ih := range a.iqrs {
+		h.Merge(ih)
+	}
+	return h
+}
+
 // Merge folds another accumulator (for the same application and
 // threshold) into this one. o must not be used afterwards. Trials held
 // by only one side are adopted bit-exactly; trials present in both (a

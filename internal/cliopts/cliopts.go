@@ -94,15 +94,8 @@ func ParseGeometry(text string) (cluster.Config, error) {
 		seed = n
 		text = strings.TrimSpace(base)
 	}
-	var cfg cluster.Config
-	switch text {
-	case "paper":
-		cfg = cluster.DefaultConfig()
-	case "quick":
-		cfg = cluster.SmallConfig()
-	case "huge":
-		cfg = cluster.HugeConfig()
-	default:
+	cfg, named := cluster.Named(text)
+	if !named {
 		parts := strings.Split(text, "x")
 		if len(parts) != 4 {
 			return cluster.Config{}, fmt.Errorf("cliopts: geometry %q: want paper, quick, huge or TRIALSxRANKSxITERSxTHREADS, optionally @SEED", text)
@@ -130,17 +123,8 @@ func ParseGeometry(text string) (cluster.Config, error) {
 // "paper@7" and the seed survives the ParseGeometry round trip instead
 // of being silently reset to 1.
 func FormatGeometry(cfg cluster.Config) string {
-	dims := cfg
-	dims.Seed = 1
-	var base string
-	switch dims {
-	case cluster.DefaultConfig():
-		base = "paper"
-	case cluster.SmallConfig():
-		base = "quick"
-	case cluster.HugeConfig():
-		base = "huge"
-	default:
+	base := cluster.NameOf(cfg)
+	if base == "" {
 		base = fmt.Sprintf("%dx%dx%dx%d", cfg.Trials, cfg.Ranks, cfg.Iterations, cfg.Threads)
 	}
 	if cfg.Seed != 1 {

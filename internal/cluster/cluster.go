@@ -86,6 +86,35 @@ func HugeConfig() Config {
 	return Config{Trials: 10, Ranks: 32, Iterations: 5000, Threads: 48, Seed: 1}
 }
 
+// namedConfigs is the one table of named geometries, each at seed 1.
+var namedConfigs = [...]struct {
+	name string
+	cfg  Config
+}{{"paper", DefaultConfig()}, {"quick", SmallConfig()}, {"huge", HugeConfig()}}
+
+// Named returns the geometry called name ("paper", "quick" or "huge"),
+// seed 1; ok is false for any other name.
+func Named(name string) (cfg Config, ok bool) {
+	for _, n := range namedConfigs {
+		if n.name == name {
+			return n.cfg, true
+		}
+	}
+	return Config{}, false
+}
+
+// NameOf returns the name of the named geometry with cfg's dimensions,
+// whatever its seed, or "" when none has them.
+func NameOf(cfg Config) string {
+	cfg.Seed = 1
+	for _, n := range namedConfigs {
+		if n.cfg == cfg {
+			return n.name
+		}
+	}
+	return ""
+}
+
 // Validate checks the geometry.
 func (c Config) Validate() error {
 	if c.Trials < 1 || c.Ranks < 1 || c.Iterations < 1 || c.Threads < 1 {
@@ -176,7 +205,7 @@ func (m shiftedModel) FillProcessIteration(root *rng.Source, trial, rank, iter i
 
 // RunStream is the one fill routine: it executes the study under policy
 // (the package doc explains static versus rebalancing fills) on up to
-// workers goroutines (<= 0: one per CPU), handing per-iteration sample
+// workers goroutines (<= 0: GOMAXPROCS), handing per-iteration sample
 // blocks to subscribed observers the moment they are produced and —
 // when sink is nil — discarding them immediately afterwards, so a study
 // whose caller only needs aggregates runs in O(workers x threads) live
@@ -209,7 +238,7 @@ func RunStream(model workload.Model, cfg Config, policy dlb.Spec, workers int, s
 		}
 	}
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if resolved.IsStatic() {
 		return runStreamStatic(model, cfg, workers, sink, newObserver, progress)

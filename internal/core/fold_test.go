@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
@@ -47,7 +50,7 @@ func TestFoldTrialsBitIdenticalAtAnyWorkerCount(t *testing.T) {
 			for _, workers := range []int{1, 2, 3, 7} {
 				macc := analysis.NewMetricsAccumulator(model.Name(), analysis.DefaultLaggardThresholdSec)
 				tacc := analysis.NewTable1Accumulator(model.Name(), 0.05)
-				if err := foldTrials(model, geom, policy, lo, hi, workers, 1<<30, macc, tacc, nil, nil); err != nil {
+				if err := foldTrials(model, geom, policy, lo, hi, workers, macc, tacc, nil, nil); err != nil {
 					t.Fatal(err)
 				}
 				if got := encode(macc, tacc); !bytes.Equal(got, want) {
@@ -61,35 +64,33 @@ func TestFoldTrialsBitIdenticalAtAnyWorkerCount(t *testing.T) {
 // TestFoldWorkers pins the fold's worker-count rule: the most workers,
 // up to the request and the fill's tasks, whose extra state — an
 // iteration-histogram set per worker past the first plus the open trial
-// tables — fits the budget.
+// tables — fits streamStateBudget.
 func TestFoldWorkers(t *testing.T) {
 	paper, huge := cluster.DefaultConfig(), cluster.HugeConfig()
 	hugeTrial := huge
 	hugeTrial.Trials = 1
+	wideTable := cluster.Config{Trials: 1, Ranks: 2048, Iterations: 1000, Threads: 32} // a 65 MB trial table
 	wide := cluster.Config{Trials: 1, Ranks: 1 << 50, Iterations: 1 << 16, Threads: 48}
-	const sweepBudget = 4 * 768000 * 8 // serve's DefaultMaxCachedSweepSamples x 8 bytes
 	cases := []struct {
 		name      string
 		geom      cluster.Config
 		static    bool
 		requested int
-		budget    int64
 		workers   int
 	}{
-		{"an 8-byte budget", paper, true, 8, 8, 1},
-		{"paper geometry", paper, true, 8, streamStateBudget, 8},
-		{"paper geometry, every task", paper, true, 200, streamStateBudget, 80},
-		{"paper geometry, rebalanced", paper, false, 64, streamStateBudget, 10},
-		{"HugeConfig", huge, true, 64, streamStateBudget, 2},
-		{"HugeConfig at the default sweep budget", huge, true, 64, sweepBudget, 1},
-		{"a one-trial HugeConfig shard at the default sweep budget", hugeTrial, true, 64, sweepBudget, 2},
-		{"a table over the budget", huge, true, 64, 4 << 20, 1},
-		{"a table overflowing int64", wide, true, 64, 1 << 62, 1},
-		{"a rebalanced trial over the budget", huge, false, 64, 4 << 20, 0},
-		{"a rebalanced trial whose table fits", huge, false, 64, 6 << 20, 1},
+		{"paper geometry", paper, true, 8, 8},
+		{"paper geometry, every task", paper, true, 200, 80},
+		{"paper geometry, rebalanced", paper, false, 64, 10},
+		{"HugeConfig", huge, true, 64, 2},
+		{"HugeConfig, rebalanced", huge, false, 64, 3},
+		{"a one-trial HugeConfig shard", hugeTrial, true, 64, 4},
+		{"a one-trial rebalanced HugeConfig shard", hugeTrial, false, 64, 1},
+		{"a table over the budget", wideTable, true, 64, 1},
+		{"a table overflowing int64", wide, true, 64, 1},
+		{"a rebalanced trial over the budget", wideTable, false, 64, 0},
 	}
 	for _, c := range cases {
-		if w := foldWorkers(c.geom, c.static, c.requested, c.budget); w != c.workers {
+		if w := foldWorkers(c.geom, c.static, c.requested); w != c.workers {
 			t.Errorf("%s: %d workers, want %d", c.name, w, c.workers)
 		}
 	}
@@ -126,5 +127,29 @@ func TestFoldStateBoundedAtAnyWorkerCount(t *testing.T) {
 	}
 	if res.Samples() != int64(geom.Samples()) {
 		t.Fatalf("streamed %d samples, want %d", res.Samples(), geom.Samples())
+	}
+}
+
+// fillCounter is a progress sink counting the blocks a fill produced.
+type fillCounter struct{ blocks atomic.Int64 }
+
+func (c *fillCounter) ObserveFill(int, time.Duration) { c.blocks.Add(1) }
+func (c *fillCounter) ObserveLend(int)                {}
+
+// TestFoldTrialsRefusesRebalancedTableOverBudget pins the refusal at
+// the fold's one budget: a 1x2048x1000x32 LeWI cell, whose one trial
+// table is 65 MB, is refused before any block is filled.
+func TestFoldTrialsRefusesRebalancedTableOverBudget(t *testing.T) {
+	geom := cluster.Config{Trials: 1, Ranks: 2048, Iterations: 1000, Threads: 32, Seed: 3}
+	model := workload.DefaultMiniFE()
+	macc := analysis.NewMetricsAccumulator(model.Name(), analysis.DefaultLaggardThresholdSec)
+	tacc := analysis.NewTable1Accumulator(model.Name(), 0.05)
+	var progress fillCounter
+	err := FoldTrials(model, geom, dlb.Spec{Policy: dlb.PolicyLeWI}, 0, 1, macc, tacc, &progress)
+	if err == nil || !strings.Contains(err.Error(), "rebalanced trial") {
+		t.Fatalf("error %v, want a rebalanced-trial refusal", err)
+	}
+	if n := progress.blocks.Load(); n != 0 || macc.Blocks() != 0 {
+		t.Errorf("refused fold filled %d blocks and folded %d", n, macc.Blocks())
 	}
 }

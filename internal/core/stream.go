@@ -58,14 +58,16 @@ func (r *StreamResult) String() string {
 		r.App, r.Samples(), r.Metrics, r.Table1)
 }
 
-// streamStateBudget is StreamStudy's fold budget (foldWorkers): a fill
-// worker costs about 0.4 MB at the paper's geometry, so all 80 tasks
-// get one; at HugeConfig an extra worker costs about 10 MB and a trial
-// table 5 MB, so two workers fit, whatever the CPU count.
+// streamStateBudget bounds every fold's extra state (foldWorkers): a
+// fill worker costs about 0.4 MB at the paper's geometry, so all 80
+// tasks get one; at HugeConfig an extra worker costs about 10 MB and a
+// trial table 5 MB, so two workers fit, whatever the CPU count.
 const streamStateBudget = 40 << 20
 
 // streamRun folds the whole study (foldTrials) on up to workers fill
-// goroutines (<= 0: one per CPU) within streamStateBudget.
+// goroutines (<= 0: GOMAXPROCS). The application-level quantiles are
+// the merge of the iteration histograms the metrics already keep: a
+// histogram depends only on the samples it saw.
 func streamRun(opts Options, withTable1, withSummary bool, workers int) (*StreamResult, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
@@ -77,12 +79,15 @@ func streamRun(opts Options, withTable1, withSummary bool, workers int) (*Stream
 		table1 = analysis.NewTable1Accumulator(app, opts.Policy.Alpha)
 	}
 	res := &StreamResult{App: app, Geometry: geom}
-	var summary *StreamResult
+	var moments *stats.Moments
 	if withSummary {
-		summary = res
+		moments = &res.Moments
 	}
-	if err := foldTrials(opts.Model, geom, opts.Policy.DLB, 0, geom.Trials, workers, streamStateBudget, metrics, table1, summary, nil); err != nil {
+	if err := foldTrials(opts.Model, geom, opts.Policy.DLB, 0, geom.Trials, workers, metrics, table1, moments, nil); err != nil {
 		return nil, err
+	}
+	if withSummary {
+		res.Quantiles = metrics.SampleHistogram()
 	}
 	res.Metrics = metrics.Finalize()
 	if withTable1 {
@@ -95,26 +100,26 @@ func streamRun(opts Options, withTable1, withSummary bool, workers int) (*Stream
 // trials [lo, hi) of geom from model under policy and folds each block,
 // under its absolute trial, into metrics and a non-nil table1, to the
 // bits of a block kernel over a cursor of those trials; no sample
-// outlives its block. It fills on the most workers whose extra state
-// fits budget bytes (foldWorkers) and refuses a rebalanced trial whose
-// block table alone is over it. A non-nil progress sees the fill.
-func FoldTrials(model workload.Model, geom cluster.Config, policy dlb.Spec, lo, hi int, budget int64,
+// outlives its block. It fills on the most workers, up to GOMAXPROCS,
+// whose extra state fits streamStateBudget (foldWorkers) and refuses,
+// before any fill, a rebalanced trial whose block table alone is over
+// it. A non-nil progress sees the fill.
+func FoldTrials(model workload.Model, geom cluster.Config, policy dlb.Spec, lo, hi int,
 	metrics *analysis.MetricsAccumulator, table1 *analysis.Table1Accumulator, progress cluster.ProgressSink) error {
-	return foldTrials(model, geom, policy, lo, hi, 0, budget, metrics, table1, nil, progress)
+	return foldTrials(model, geom, policy, lo, hi, 0, metrics, table1, nil, progress)
 }
 
-// foldTrials is FoldTrials on up to workers (<= 0: one per CPU), with
-// the application-level summary (Moments, Quantiles) kept in a non-nil
-// summary. Each fill worker (cluster.RunStream) keeps its own order-free
-// state — iteration histograms, Table 1 counts, the study histogram —
-// merged exactly at the end. A trial's floating-point sums and moments
-// depend on the order they fold in: one static worker sees the cursor's
-// order and folds each block as it comes; otherwise each block's
-// summary waits in its trial's table, which folds in cursor order once
-// the trial's last rank completes. So the bits are the same at any
-// worker count.
-func foldTrials(model workload.Model, geom cluster.Config, policy dlb.Spec, lo, hi, workers int, budget int64,
-	metrics *analysis.MetricsAccumulator, table1 *analysis.Table1Accumulator, summary *StreamResult, progress cluster.ProgressSink) error {
+// foldTrials is FoldTrials on up to workers (<= 0: GOMAXPROCS), adding
+// the application-level sample moments to a non-nil moments. Each fill
+// worker (cluster.RunStream) keeps its own order-free state — iteration
+// histograms and Table 1 counts — merged exactly at the end. A trial's
+// floating-point sums and moments depend on the order they fold in: one
+// static worker sees the cursor's order and folds each block as it
+// comes; otherwise each block's summary waits in its trial's table,
+// which folds in cursor order once the trial's last rank completes. So
+// the bits are the same at any worker count.
+func foldTrials(model workload.Model, geom cluster.Config, policy dlb.Spec, lo, hi, workers int,
+	metrics *analysis.MetricsAccumulator, table1 *analysis.Table1Accumulator, moments *stats.Moments, progress cluster.ProgressSink) error {
 	if err := geom.Validate(); err != nil {
 		return err
 	}
@@ -124,19 +129,18 @@ func foldTrials(model workload.Model, geom cluster.Config, policy dlb.Spec, lo, 
 	run := geom
 	run.Trials = hi - lo
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	static := policy.IsStatic()
-	if workers = foldWorkers(run, static, workers, budget); workers == 0 {
-		return fmt.Errorf("core: a rebalanced trial's block table is over the %d-byte state budget", budget)
+	if workers = foldWorkers(run, static, workers); workers == 0 {
+		return fmt.Errorf("core: a rebalanced trial's block table is over the %d-byte state budget", streamStateBudget)
 	}
 	f := &trialFolder{
 		geom: run, lo: lo, tables: !static || workers > 1, open: map[int]*openTrial{},
 		sums: analysis.NewMetricsAccumulator(metrics.App(), metrics.LaggardThreshold()),
 	}
-	if summary != nil {
+	if moments != nil {
 		f.moments = make([]stats.Moments, run.Trials)
-		summary.Quantiles = new(stats.QuantileHistogram)
 	}
 	newObs := func() cluster.BlockObserver {
 		o := &streamObserver{folder: f, hists: analysis.NewMetricsAccumulator(metrics.App(), metrics.LaggardThreshold())}
@@ -144,9 +148,6 @@ func foldTrials(model workload.Model, geom cluster.Config, policy dlb.Spec, lo, 
 		if table1 != nil {
 			o.table1 = analysis.NewTable1Accumulator(table1.App(), table1.Alpha())
 			o.kernel = analysis.NewKernel(o, o.table1)
-		}
-		if summary != nil {
-			o.hist = new(stats.QuantileHistogram)
 		}
 		return o
 	}
@@ -160,25 +161,22 @@ func foldTrials(model workload.Model, geom cluster.Config, policy dlb.Spec, lo, 
 		if table1 != nil {
 			table1.Merge(o.table1)
 		}
-		if summary != nil {
-			summary.Quantiles.Merge(o.hist)
-		}
 	}
 	metrics.Merge(f.sums)
 	for t := range f.moments {
-		summary.Moments.Merge(&f.moments[t])
+		moments.Merge(&f.moments[t])
 	}
 	return nil
 }
 
 // foldWorkers returns the most fill workers, up to requested and the
 // fill's tasks ((trial, rank) stripes, or trials when rebalancing), whose
-// extra state fits budget bytes: a histogram set per worker past the
-// first plus the trial tables open at once. One static worker sees the
-// cursor's order and needs no table; more hold one each plus one per
-// stripe boundary, the trial it may split. Rebalancing workers need a
-// table each: 0 means one is over the budget.
-func foldWorkers(geom cluster.Config, static bool, requested int, budget int64) int {
+// extra state fits streamStateBudget: a histogram set per worker past
+// the first plus the trial tables open at once. One static worker sees
+// the cursor's order and needs no table; more hold one each plus one
+// per stripe boundary, the trial it may split. Rebalancing workers need
+// a table each: 0 means one is over the budget.
+func foldWorkers(geom cluster.Config, static bool, requested int) int {
 	tasks := geom.Trials
 	if static {
 		tasks = cluster.Config{Trials: geom.Trials, Ranks: geom.Ranks, Iterations: 1, Threads: 1}.Samples()
@@ -193,7 +191,7 @@ func foldWorkers(geom cluster.Config, static bool, requested int, budget int64) 
 		case w > 1:
 			open = min(geom.Trials, 2*w-1)
 		}
-		if float64(w-1)*histSet+float64(open)*table <= float64(budget) {
+		if float64(w-1)*histSet+float64(open)*table <= streamStateBudget {
 			return w
 		}
 	}
@@ -267,7 +265,6 @@ type streamObserver struct {
 	kernel *analysis.Kernel
 	hists  *analysis.MetricsAccumulator // iteration histograms only
 	table1 *analysis.Table1Accumulator
-	hist   *stats.QuantileHistogram
 
 	cur      *openTrial // the trial of the last block, and its index
 	curTrial int
@@ -288,8 +285,7 @@ func (o *streamObserver) ObserveSorted(trial, rank, iter int, xs, sorted []float
 	} else {
 		f.sums.FoldBlock(f.lo+trial, iter, b)
 	}
-	if o.hist != nil {
-		o.hist.AddSorted(sorted)
+	if f.moments != nil {
 		o.cur.moments[rank].AddSlice(xs)
 	}
 	if iter == f.geom.Iterations-1 {

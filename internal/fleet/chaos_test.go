@@ -375,7 +375,7 @@ func TestChaosSpeculationUnderStraggler(t *testing.T) {
 	w3 := httptest.NewServer(strag)
 	t.Cleanup(w3.Close)
 
-	f := newFleet(t, Options{Peers: []string{w1.URL, w2.URL, w3.URL}, MaxInFlight: 16})
+	f := newFleet(t, Options{Peers: []string{w1.URL, w2.URL, w3.URL}, maxInFlight: 16})
 
 	// Phase 1 (straggler disarmed): warm the completed-shard latency
 	// histogram past its minimum sample count so speculation can arm.
@@ -431,7 +431,7 @@ func TestChaosSpeculationUnderStraggler(t *testing.T) {
 func TestChaosMidSweepMembershipChurn(t *testing.T) {
 	_, w1 := newWorker(t)
 	_, w2 := newWorker(t)
-	f := newFleet(t, Options{Peers: []string{w1.URL}, Dynamic: true, MaxInFlight: 4})
+	f := newFleet(t, Options{Peers: []string{w1.URL}, Dynamic: true, maxInFlight: 4})
 
 	req := serve.SweepRequest{
 		Apps:       []string{"minife", "minimd", "miniqmc"},
@@ -584,7 +584,7 @@ func TestChaosDataFaultsNeverMerge(t *testing.T) {
 			w3 := httptest.NewServer(bad)
 			t.Cleanup(w3.Close)
 
-			f := newFleet(t, Options{Peers: []string{w1.URL, w2.URL, w3.URL}, SpeculationQuantile: -1})
+			f := newFleet(t, Options{Peers: []string{w1.URL, w2.URL, w3.URL}, noSpeculation: true})
 			rows := collectSweep(t, f, req)
 			assertBitIdentical(t, rows, want)
 			faulted := bad.faults.Load()

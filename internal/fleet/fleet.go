@@ -88,32 +88,30 @@ const probeTimeout = 2 * time.Second
 
 // Defaults for Options' zero values.
 const (
-	// DefaultMaxInFlightPerWorker sizes the default Options.MaxInFlight:
-	// the fleet-wide outstanding-request bound defaults to this many per
-	// registered worker (so a coordinator over N peers keeps at most 2N
-	// shard and whole-cell requests in flight).
-	DefaultMaxInFlightPerWorker = 2
-	// DefaultDynamicInFlight sizes the in-flight bound for a dynamic
-	// fleet that boots with no static peers (workers arrive by joining,
-	// after the semaphore is sized).
-	DefaultDynamicInFlight = 16
 	// DefaultLeaseTTL is how long a dynamically joined worker stays
 	// registered without renewing; its heartbeat should re-join at a
 	// fraction of this.
 	DefaultLeaseTTL = 15 * time.Second
-	// DefaultSpeculationQuantile is the completed-shard latency quantile
-	// an in-flight shard must exceed (times speculationLatencyFactor)
-	// before it is speculatively re-dispatched.
-	DefaultSpeculationQuantile = 0.95
+)
+
+// The fleet-wide outstanding-request bound: maxInFlightPerWorker per
+// static peer (so a coordinator over N peers keeps at most 2N shard and
+// whole-cell requests in flight), or dynamicInFlight for a dynamic
+// fleet that boots with no static peers (workers arrive by joining,
+// after the semaphore is sized).
+const (
+	maxInFlightPerWorker = 2
+	dynamicInFlight      = 16
 )
 
 // Speculation tuning: re-dispatch fires only after the latency histogram
 // has seen speculationMinSamples completed requests, and only when the
 // in-flight attempt has been out for more than speculationLatencyFactor
-// times the configured quantile (floored at minSpeculationDelay so tiny
-// shards never speculate on scheduling jitter). The dispatch loop
-// re-checks every speculationPoll.
+// times the speculationQuantile of completed-shard latencies (floored
+// at minSpeculationDelay so tiny shards never speculate on scheduling
+// jitter). The dispatch loop re-checks every speculationPoll.
 const (
+	speculationQuantile      = 0.95
 	speculationMinSamples    = 8
 	speculationLatencyFactor = 2.0
 	minSpeculationDelay      = 50 * time.Millisecond
@@ -149,10 +147,6 @@ type Options struct {
 	// count); 1 pins whole cells to single workers for maximum dataset
 	// cache locality.
 	ShardsPerCell int
-	// MaxInFlight bounds concurrently outstanding requests fleet-wide;
-	// 0 means DefaultMaxInFlightPerWorker x len(Peers), or
-	// DefaultDynamicInFlight for a dynamic fleet with no static peers.
-	MaxInFlight int
 	// Dynamic accepts workers at runtime through Join (the
 	// /v1/fleet/join endpoint) and allows an empty initial Peers list.
 	Dynamic bool
@@ -164,10 +158,12 @@ type Options struct {
 	// store: merged cell rows persist under their SpecKey hash and are
 	// consulted before dispatch, surviving coordinator restarts.
 	Store *Store
-	// SpeculationQuantile is the completed-shard latency quantile that
-	// arms speculative re-dispatch; 0 means DefaultSpeculationQuantile,
-	// negative disables speculation.
-	SpeculationQuantile float64
+
+	// maxInFlight, when positive, replaces the default in-flight bound,
+	// and noSpeculation turns speculative re-dispatch off; tests set
+	// them to widen the pipe or to have every attempt counted.
+	maxInFlight   int
+	noSpeculation bool
 }
 
 // minCapacity floors a worker's scheduling weight: even a saturated
@@ -307,12 +303,12 @@ func New(opts Options) (*Fleet, error) {
 		seen[u] = true
 		f.workers = append(f.workers, newWorkerEntry(u))
 	}
-	inFlight := opts.MaxInFlight
+	inFlight := opts.maxInFlight
 	if inFlight <= 0 {
-		inFlight = DefaultMaxInFlightPerWorker * len(f.workers)
+		inFlight = maxInFlightPerWorker * len(f.workers)
 	}
 	if inFlight <= 0 {
-		inFlight = DefaultDynamicInFlight
+		inFlight = dynamicInFlight
 	}
 	f.sem = make(chan struct{}, inFlight)
 	return f, nil
@@ -687,30 +683,17 @@ func (l *latencyTracker) observe(d time.Duration) {
 // threshold returns the elapsed in-flight duration beyond which a shard
 // should speculate, or ok == false while too few requests have completed
 // to estimate one.
-func (l *latencyTracker) threshold(q float64) (time.Duration, bool) {
+func (l *latencyTracker) threshold() (time.Duration, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.hist.N() < speculationMinSamples {
 		return 0, false
 	}
-	th := time.Duration(speculationLatencyFactor * l.hist.Quantile(q) * float64(time.Second))
+	th := time.Duration(speculationLatencyFactor * l.hist.Quantile(speculationQuantile) * float64(time.Second))
 	if th < minSpeculationDelay {
 		th = minSpeculationDelay
 	}
 	return th, true
-}
-
-// speculationQuantile resolves the configured quantile; ok == false
-// means speculation is disabled.
-func (f *Fleet) speculationQuantile() (float64, bool) {
-	q := f.opts.SpeculationQuantile
-	if q < 0 {
-		return 0, false
-	}
-	if q == 0 {
-		q = DefaultSpeculationQuantile
-	}
-	return q, true
 }
 
 // maxResponseBytes caps the 200 body the coordinator reads from a
@@ -898,10 +881,9 @@ func (f *Fleet) dispatch(ctx context.Context, cellHash uint64, shard int, path s
 	if !launch(false) {
 		return nil, f.notPlaced(cellHash, shard, nil)
 	}
-	specQ, specEnabled := f.speculationQuantile()
 	var specTick *time.Ticker
 	var specC <-chan time.Time
-	if specEnabled {
+	if !f.opts.noSpeculation {
 		specTick = time.NewTicker(speculationPoll)
 		specC = specTick.C
 		defer specTick.Stop()
@@ -936,7 +918,7 @@ func (f *Fleet) dispatch(ctx context.Context, cellHash uint64, shard int, path s
 			if speculated {
 				continue
 			}
-			if th, ok := f.lat.threshold(specQ); ok && time.Since(started) > th {
+			if th, ok := f.lat.threshold(); ok && time.Since(started) > th {
 				if launch(true) {
 					speculated = true
 					f.speculations.Add(1)

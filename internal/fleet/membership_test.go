@@ -106,8 +106,8 @@ func TestDynamicFleetBootsEmpty(t *testing.T) {
 	if n := len(f.Workers()); n != 0 {
 		t.Fatalf("empty dynamic fleet has %d workers", n)
 	}
-	if cap(f.sem) != DefaultDynamicInFlight {
-		t.Errorf("in-flight bound %d, want %d", cap(f.sem), DefaultDynamicInFlight)
+	if cap(f.sem) != dynamicInFlight {
+		t.Errorf("in-flight bound %d, want %d", cap(f.sem), dynamicInFlight)
 	}
 	if _, ok := f.DispatchCell(context.Background(), serve.SweepCell{App: "minife", Geometry: fleetGeom(), Alpha: 0.05, LaggardThresholdSec: 0.001}); ok {
 		t.Error("empty fleet placed a cell")

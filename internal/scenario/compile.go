@@ -202,15 +202,6 @@ func (s *Spec) Compile(opts CompileOptions) (*Compiled, error) {
 	return &Compiled{Spec: s, Cells: cells}, nil
 }
 
-// EngineSpecs returns the cells' engine specs in campaign order.
-func (c *Compiled) EngineSpecs() []engine.Spec {
-	specs := make([]engine.Spec, len(c.Cells))
-	for i, cell := range c.Cells {
-		specs[i] = cell.Spec
-	}
-	return specs
-}
-
 // coord renders a cell's declared coordinates as the coverage key the
 // verifier enumerates; "-" marks axes that do not apply to the source.
 func (c Cell) coord() string {

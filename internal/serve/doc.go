@@ -32,12 +32,13 @@
 // it completes. A local cell is the shard [0, Trials) and runs on the
 // shard executor (runShard: one analysis.Kernel feeding the metrics and
 // Table 1 accumulators over a columnar cursor), so the nested tensor
-// view is never built. Geometries larger than
-// Options.MaxCachedSweepSamples bypass the dataset cache and run through
-// core.FoldTrials, the streamed fold StreamStudy runs, whose extra state
-// (its extra workers' histograms, its open trial tables) stays within 8
-// bytes per sample of the bound; a rebalanced trial whose block table
-// is over that is refused. The bound sets memory, never the answer.
+// view is never built. Geometries larger than one constant bound
+// (maxCachedSweepSamples, four paper geometries) bypass the dataset
+// cache and run through core.FoldTrials, the streamed fold StreamStudy
+// runs, whose extra state (its extra workers' histograms, its open
+// trial tables) stays within the fold's one 40 MiB budget; a rebalanced
+// trial whose block table is over that is refused. The bound sets
+// memory, never the answer.
 //
 // The strategies endpoint sweeps a delivery-strategy grid — fixed and
 // adaptive policies from internal/partcomm — over each (app, geometry)

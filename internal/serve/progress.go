@@ -50,17 +50,10 @@ func ProgressID(app string, geom cluster.Config, policy dlb.Spec) string {
 }
 
 // generationProgress implements engine.ProgressFactory: it registers a
-// tracker for the starting generation and retires it when the
-// generation finishes.
+// live tracker for the starting generation and retires it when the
+// generation finishes. The efficiency denominator is the server's
+// worker budget: the capacity this server admits work against.
 func (s *Server) generationProgress(model string, geom cluster.Config, policy dlb.Spec) (cluster.ProgressSink, func()) {
-	tr := s.newTracker(model, geom, policy)
-	return tr, func() { s.tel.Finish(tr) }
-}
-
-// newTracker registers one live study tracker. The efficiency
-// denominator is the server's worker budget: the capacity this server
-// admits work against.
-func (s *Server) newTracker(model string, geom cluster.Config, policy dlb.Spec) *telemetry.Tracker {
 	tr := telemetry.New(telemetry.StudyInfo{
 		ID:         ProgressID(model, geom, policy),
 		App:        model,
@@ -71,7 +64,7 @@ func (s *Server) newTracker(model string, geom cluster.Config, policy dlb.Spec) 
 		Workers:    s.eng.Workers(),
 	})
 	s.tel.Register(tr)
-	return tr
+	return tr, func() { s.tel.Finish(tr) }
 }
 
 // Telemetry returns the server's live-telemetry registry, which

@@ -21,7 +21,8 @@ func realRecords(t testing.TB) [][]byte {
 	geom := cluster.Config{Trials: 3, Ranks: 2, Iterations: 4, Threads: 48, Seed: 7}
 	lewi := dlb.Spec{Policy: dlb.PolicyLeWI}
 	cached := New(Options{Workers: 2})
-	streamed := New(Options{Workers: 2, MaxCachedSweepSamples: 1})
+	streamed := New(Options{Workers: 2})
+	streamed.maxSweepSamples = 1
 	var out [][]byte
 	for _, c := range []struct {
 		s   *Server

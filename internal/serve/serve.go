@@ -23,17 +23,18 @@ const (
 	DefaultMaxResults = 256
 	// DefaultMaxDatasets is the engine dataset cache's default bound.
 	DefaultMaxDatasets = 64
-	// DefaultMaxCachedSweepSamples is the geometry size (total samples)
-	// above which sweep cells and shards bypass the dataset cache and
-	// fold uncached within that many x 8 bytes of extra state: four
-	// paper geometries (~24 MiB).
-	DefaultMaxCachedSweepSamples = 4 * 768000
 	// DefaultMaxStudySamples is the largest geometry a materialising
 	// study request (/v1/study, /v1/feasibility, /v1/campaign) accepts:
 	// ten paper geometries (~60 MiB columnar). Larger analyses belong on
-	// /v1/sweep, which folds them in MaxCachedSweepSamples x 8 bytes plus
-	// accumulator state bounded by maxTrialIterations.
+	// /v1/sweep, which folds them uncached (core.FoldTrials, within its
+	// fixed state budget) plus accumulator state bounded by
+	// maxTrialIterations.
 	DefaultMaxStudySamples = 10 * 768000
+	// maxCachedSweepSamples is the geometry size (total samples) above
+	// which sweep cells and shards bypass the dataset cache and fold
+	// uncached through core.FoldTrials: four paper geometries (~24 MiB
+	// cached).
+	maxCachedSweepSamples = 4 * 768000
 	// maxSweepCells bounds one sweep request's grid.
 	maxSweepCells = 4096
 	// maxTrialIterations bounds a sweep cell's or shard's trials x
@@ -73,13 +74,6 @@ type Options struct {
 	// MaxDatasets bounds the engine's dataset cache (LRU eviction); 0
 	// means DefaultMaxDatasets, negative leaves the cache unbounded.
 	MaxDatasets int
-	// MaxCachedSweepSamples is the largest geometry (by total samples) a
-	// sweep cell or shard generates through the dataset cache; larger
-	// ones run uncached through core.FoldTrials, to the same bits, in
-	// fill-side bytes, 8 per sample of this bound (a rebalanced trial
-	// whose block table is over that is refused). 0 means
-	// DefaultMaxCachedSweepSamples.
-	MaxCachedSweepSamples int
 	// MaxStudySamples is the largest geometry (by total samples) the
 	// materialising study endpoints accept; larger requests are rejected
 	// with a pointer to /v1/sweep. 0 means DefaultMaxStudySamples.
@@ -146,9 +140,11 @@ type Server struct {
 	endpoints       map[string]*endpointStats
 	sources         sourceCounters
 	stratSources    sourceCounters
-	maxSweepSamples int
 	maxStudySamples int
 	httpSrv         *http.Server
+	// maxSweepSamples is maxCachedSweepSamples; tests lower it to send
+	// small cells through the uncached fold.
+	maxSweepSamples int
 	// sem bounds the server's concurrently executing studies and sweep
 	// cells across all requests — the engine's Workers bound applied at
 	// the service level. Coalesced joiners and cache hits take no slot.
@@ -177,10 +173,6 @@ func New(opts Options) *Server {
 	if maxResults == 0 {
 		maxResults = DefaultMaxResults
 	}
-	maxSweep := opts.MaxCachedSweepSamples
-	if maxSweep <= 0 {
-		maxSweep = DefaultMaxCachedSweepSamples
-	}
 	maxStudy := opts.MaxStudySamples
 	if maxStudy <= 0 {
 		maxStudy = DefaultMaxStudySamples
@@ -193,8 +185,8 @@ func New(opts Options) *Server {
 		mux:             http.NewServeMux(),
 		start:           time.Now(),
 		endpoints:       map[string]*endpointStats{},
-		maxSweepSamples: maxSweep,
 		maxStudySamples: maxStudy,
+		maxSweepSamples: maxCachedSweepSamples,
 		sem:             make(chan struct{}, eng.Workers()),
 		tel:             telemetry.NewRegistry(),
 	}

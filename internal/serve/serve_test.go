@@ -286,7 +286,8 @@ func TestSweepLargeGeometryBypassesCache(t *testing.T) {
 	// A cache bound below the test geometry forces the streaming-fill
 	// path: the row must be marked streamed and the engine cache must
 	// stay empty.
-	s := New(Options{Workers: 2, MaxCachedSweepSamples: testGeom().Samples() - 1})
+	s := New(Options{Workers: 2})
+	s.maxSweepSamples = testGeom().Samples() - 1
 	body, _ := json.Marshal(SweepRequest{
 		Apps:       []string{"minife"},
 		Geometries: []cluster.Config{testGeom()},

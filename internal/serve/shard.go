@@ -20,7 +20,6 @@ package serve
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 
@@ -147,8 +146,8 @@ func paperDefaults(alpha, laggardSec float64) (float64, float64) {
 // bound read the engine's columnar cache through a block kernel over a
 // deterministic cursor (hot for repeated cells routed to this worker);
 // larger shards run uncached through core.FoldTrials, to the same bits,
-// within MaxCachedSweepSamples x 8 bytes of extra state. A local sweep
-// cell runs here too, as the shard [0, Trials) (sweepCell).
+// within the fold's fixed state budget. A local sweep cell runs here
+// too, as the shard [0, Trials) (sweepCell).
 func (s *Server) runShard(req ShardRequest) (ShardResponse, *analysis.MetricsAccumulator, *analysis.Table1Accumulator, error) {
 	geom := *req.Geometry
 	var policy dlb.Spec
@@ -183,13 +182,11 @@ func (s *Server) runShard(req ShardRequest) (ShardResponse, *analysis.MetricsAcc
 		// One block kernel sorts each block once for both accumulators.
 		analysis.NewKernel(macc, tacc).ObserveCursor(col.Cursor(), req.TrialLo)
 	} else {
-		// This fill bypasses the engine and its progress factory, so the
-		// shard registers its one live tracker here, under the ID the
-		// engine would give the cached branch.
-		tr := s.newTracker(model.Name(), shardGeom, policy)
-		defer s.tel.Finish(tr)
-		budget := int64(min(s.maxSweepSamples, math.MaxInt64/8)) * 8
-		if err := core.FoldTrials(base, geom, policy, req.TrialLo, req.TrialHi, budget, macc, tacc, tr); err != nil {
+		// This fill bypasses the engine, so the shard registers its one
+		// live tracker here, as the engine would for the cached branch.
+		progress, done := s.generationProgress(model.Name(), shardGeom, policy)
+		defer done()
+		if err := core.FoldTrials(base, geom, policy, req.TrialLo, req.TrialHi, macc, tacc, progress); err != nil {
 			return resp, nil, nil, err
 		}
 		resp.Streamed = true

@@ -230,7 +230,8 @@ func TestShardCacheKeying(t *testing.T) {
 func TestShardStreamedPathBitIdentical(t *testing.T) {
 	// A server whose sweep cache bound is below any real geometry: every
 	// shard takes the streamed branch.
-	s := New(Options{Workers: 4, MaxCachedSweepSamples: 1})
+	s := New(Options{Workers: 4})
+	s.maxSweepSamples = 1
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	geom := cluster.Config{Trials: 4, Ranks: 2, Iterations: 6, Threads: 48, Seed: 13}

@@ -259,9 +259,9 @@ func (s *Server) runSweepCell(ctx context.Context, c SweepCell) SweepRow {
 // flushed the moment the cell completes, so clients see results while
 // the rest of the grid is still computing. Each in-flight cell holds its
 // accumulator state (bounded through maxTrialIterations) plus either
-// its dataset, at or under MaxCachedSweepSamples samples, in the
-// engine's cache, or at most MaxCachedSweepSamples x 8 bytes of
-// fill-side state (runShard).
+// its dataset, at or under maxCachedSweepSamples samples, in the
+// engine's cache, or the uncached fold's fixed fill-side state budget
+// (runShard).
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if err := decodeBody(w, r, &req); err != nil {

@@ -37,19 +37,19 @@ func metricBits(row SweepRow) []uint64 {
 }
 
 // TestSweepRowSameAtAnyCacheBound pins that the sweep cache bound sets
-// memory only: a cell above it (uncached, folded on two workers, or on
-// one in cursor order when the bound leaves no room for more) answers
-// with the same bits as the same cell below it (read from the engine's
-// columnar cache), the iteration IQR included, for every app. Under
-// LeWI and DROM the same holds for a cell whose trial is over the bound
-// but whose block table fits it.
+// memory only: a cell above it (uncached, through the streamed fold)
+// answers with the same bits as the same cell below it (read from the
+// engine's columnar cache), the iteration IQR included, for every app,
+// static, LeWI and DROM, whether the bound is over a trial or under
+// it.
 func TestSweepRowSameAtAnyCacheBound(t *testing.T) {
 	cached := New(Options{Workers: 2})
 	geom := cluster.Config{Trials: 4, Ranks: 4, Iterations: 50, Threads: 48, Seed: 7}
 	perTrial := geom.Samples() / geom.Trials
 	check := func(policy dlb.Spec, bound int) {
 		t.Helper()
-		streamed := New(Options{Workers: 2, MaxCachedSweepSamples: bound})
+		streamed := New(Options{Workers: 2})
+		streamed.maxSweepSamples = bound
 		for _, app := range []string{"minife", "minimd", "miniqmc"} {
 			cell := SweepCell{
 				App: app, Geometry: geom, DLB: policy,
@@ -83,12 +83,14 @@ func TestSweepRowSameAtAnyCacheBound(t *testing.T) {
 }
 
 // TestOverBoundCellMemoryBounded pins that a request cannot make the
-// server hold more samples than the sweep bound: a static trial far
-// over it streams with a small fraction of the trial's tensor
-// allocated, and a rebalanced one, whose ranks fill together, is
-// refused — an error row locally, a 422 from /v1/shard.
+// server hold a trial's samples: a static trial far over the sweep
+// bound streams with a small fraction of the trial's tensor allocated,
+// and a rebalanced one, whose ranks fill together, is refused when its
+// block table is over the fold's state budget (1x2048x1000x32, a 65 MB
+// table) — an error row locally, a 422 from /v1/shard.
 func TestOverBoundCellMemoryBounded(t *testing.T) {
-	s := New(Options{Workers: 2, MaxCachedSweepSamples: 1})
+	s := New(Options{Workers: 2})
+	s.maxSweepSamples = 1
 	geom := cluster.Config{Trials: 1, Ranks: 1024, Iterations: 8, Threads: 48, Seed: 9}
 	tensor := uint64(geom.Samples()) * 8
 	cell := SweepCell{App: "minife", Geometry: geom, Alpha: 0.05, LaggardThresholdSec: 1e-3}
@@ -104,6 +106,7 @@ func TestOverBoundCellMemoryBounded(t *testing.T) {
 		t.Errorf("over-bound cell allocated %d bytes; one trial's tensor is %d", alloc, tensor)
 	}
 
+	cell.Geometry = cluster.Config{Trials: 1, Ranks: 2048, Iterations: 1000, Threads: 32, Seed: 9}
 	cell.DLB = dlb.Spec{Policy: dlb.PolicyLeWI}
 	if row := s.sweepCell(cell); !strings.Contains(row.Err, "rebalanced trial") {
 		t.Fatalf("rebalanced over-bound cell: error %q", row.Err)
@@ -150,7 +153,8 @@ func TestSweepZeroAxisEntriesMeanDefaults(t *testing.T) {
 // live tracker for its uncached fill, so it shows in
 // /v1/progress, and retires it.
 func TestOverBoundCellRegistersOneTracker(t *testing.T) {
-	s := New(Options{Workers: 2, MaxCachedSweepSamples: 1})
+	s := New(Options{Workers: 2})
+	s.maxSweepSamples = 1
 	ts := newHTTPServer(t, s)
 	geom := cluster.Config{Trials: 3, Ranks: 2, Iterations: 6, Threads: 48, Seed: 21}
 	check := func(what string, run func()) {
@@ -263,8 +267,8 @@ func TestIterationWidthBoundedAtValidation(t *testing.T) {
 
 // TestAccumulatorStatePerIterationBounded pins the per-iteration
 // accumulator state maxTrialIterations's comment budgets: a 32-rank
-// trial of 2000 iterations, folded through core.FoldTrials within the
-// default sweep bound's budget as an over-bound cell is, retains under
+// trial of 2000 iterations, folded through core.FoldTrials as an
+// over-bound cell is, retains under
 // 3 KiB per iteration once the samples are gone. The state is one
 // quantile histogram per iteration (2 KiB of counts whatever the rank
 // count) plus the trial's partials; the t-digests it replaced kept
@@ -287,7 +291,7 @@ func TestAccumulatorStatePerIterationBounded(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	macc := analysis.NewMetricsAccumulator("minife", analysis.DefaultLaggardThresholdSec)
 	tacc := analysis.NewTable1Accumulator("minife", normality.DefaultAlpha)
-	if err := core.FoldTrials(model, geom, dlb.Spec{}, 0, 1, DefaultMaxCachedSweepSamples*8, macc, tacc, nil); err != nil {
+	if err := core.FoldTrials(model, geom, dlb.Spec{}, 0, 1, macc, tacc, nil); err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 
 	"earlybird/internal/analysis"
@@ -55,16 +56,10 @@ type StudySpec struct {
 
 // namedGeometry resolves a GeometryName.
 func namedGeometry(name string) (cluster.Config, error) {
-	switch name {
-	case "", "paper":
-		return cluster.DefaultConfig(), nil
-	case "quick":
-		return cluster.SmallConfig(), nil
-	case "huge":
-		return cluster.HugeConfig(), nil
-	default:
-		return cluster.Config{}, fmt.Errorf("unknown geometry name %q (want paper, quick or huge)", name)
+	if cfg, ok := cluster.Named(cmp.Or(name, "paper")); ok {
+		return cfg, nil
 	}
+	return cluster.Config{}, fmt.Errorf("unknown geometry name %q (want paper, quick or huge)", name)
 }
 
 // toSpec converts the wire spec to an engine spec, resolving the named

@@ -177,12 +177,6 @@ func newCursor(trials, ranks, iterations, fromIter, toIter int, block func(t, r,
 	}
 }
 
-// FromIter returns the inclusive lower iteration bound of the cursor.
-func (c *Cursor) FromIter() int { return c.fromIter }
-
-// ToIter returns the exclusive upper iteration bound of the cursor.
-func (c *Cursor) ToIter() int { return c.toIter }
-
 // Next advances to the next process iteration; it returns false when the
 // cursor is exhausted.
 func (c *Cursor) Next() bool {
@@ -261,9 +255,6 @@ type StripeWriter struct {
 	next *int
 	base int
 }
-
-// Written returns how many iterations have been appended to the stripe.
-func (w *StripeWriter) Written() int { return *w.next }
 
 // nextView reserves the destination view of the next iteration.
 func (w *StripeWriter) nextView() []float64 {
