@@ -14,7 +14,9 @@
 //
 //   - a bounded LRU result cache keyed by the resolved spec — a repeat
 //     of a recently answered study is a map lookup. It holds the reply
-//     only, never the dataset;
+//     value, never the dataset, and, once the entry has been hit, the
+//     encoded /v1/study hit reply, which later hits write as stored
+//     bytes;
 //   - singleflight request coalescing — N concurrent identical studies
 //     attach to one in-flight execution and share its result;
 //   - the engine's content-addressed dataset cache (itself

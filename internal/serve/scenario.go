@@ -158,7 +158,7 @@ func (s *Server) ScenarioGrid(c *scenario.Compiled, workers int) Grid[ScenarioRo
 			Fabric:        cell.Fabric,
 			BinTimeoutSec: cell.BinTimeoutSec,
 		}
-		resp, err := s.study(ctx, cell.Spec)
+		resp, _, err := s.study(ctx, cell.Spec)
 		if err != nil {
 			row.Err = err.Error()
 		} else {

@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -276,9 +280,16 @@ func (w *statusWriter) Flush() {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	_ = encodeJSON(w, v)
+}
+
+// encodeJSON is the one encoding of a JSON reply: v on one line, HTML
+// left unescaped. writeJSON and the memoised result-cache reply both
+// use it, so a memoised reply is the bytes writeJSON would write.
+func encodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	return enc.Encode(v)
 }
 
 // writeError renders the uniform error body.
@@ -287,11 +298,15 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 // decodeBody strictly decodes one JSON request body, bounded at
-// maxRequestBytes.
+// maxRequestBytes; a body over the bound is refused with an error that
+// names it.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			return fmt.Errorf("request body is over the %d-byte limit", tooBig.Limit)
+		}
 		return fmt.Errorf("decoding request body: %w", err)
 	}
 	return nil
@@ -371,20 +386,42 @@ func streamGrid[R any](w http.ResponseWriter, r *http.Request, cellsHeader strin
 
 // studyAnswer is what one study execution hands the result cache and
 // the requests that joined it: the reply without its per-request
-// Source, or the error that ended the execution. Only replies are
-// cached. No dataset or core.Study outlives the execution that built
-// it.
+// Source, or the error that ended the execution, and the memo of the
+// reply a /v1/study result-cache hit writes. Only replies are cached.
+// No dataset or core.Study outlives the execution that built it.
 type studyAnswer struct {
 	resp StudyResponse
 	err  error
+	hit  *hitReply
+}
+
+// hitReply is the encoded /v1/study reply of one cached answer, with
+// Source "result-cache". The first hit fills it, so an executed study
+// does no extra encode; it leaves the result cache with its entry.
+type hitReply struct {
+	once sync.Once
+	body []byte
+}
+
+// bytes returns the encoded reply, encoding resp on the first call;
+// resp is the answer's reply as a hit returns it.
+func (h *hitReply) bytes(resp StudyResponse) []byte {
+	h.once.Do(func() {
+		var buf bytes.Buffer
+		// A reply that fails to encode leaves the body empty, which is
+		// what writeJSON writes for it too.
+		_ = encodeJSON(&buf, resp)
+		h.body = buf.Bytes()
+	})
+	return h.body
 }
 
 // studyWire answers one wire spec through the study executor; a
 // request that leaves its policy unset gets the server's default.
-func (s *Server) studyWire(ctx context.Context, wire StudySpec) (StudyResponse, error) {
+func (s *Server) studyWire(ctx context.Context, wire StudySpec) (StudyResponse, *hitReply, error) {
 	sp, err := wire.toSpec()
 	if err != nil {
-		return StudyResponse{}, err
+		return StudyResponse{}, nil, err
 	}
 	if wire.Policy == nil || wire.Policy.DLB == nil {
 		sp.DLB = s.opts.DefaultDLB
@@ -401,13 +438,16 @@ func (s *Server) studyWire(ctx context.Context, wire StudySpec) (StudyResponse, 
 // cache, then singleflight join, then execution on the engine (whose
 // dataset cache is a further sharing layer underneath). Dataset-backed
 // specs coalesce too: their key includes the dataset's identity.
-func (s *Server) study(ctx context.Context, sp engine.Spec) (StudyResponse, error) {
+//
+// The second result is the answer's memo of its encoded /v1/study reply
+// when the answer came from the result cache, and nil otherwise.
+func (s *Server) study(ctx context.Context, sp engine.Spec) (StudyResponse, *hitReply, error) {
 	resolved, err := sp.Resolve()
 	if err != nil {
-		return StudyResponse{}, err
+		return StudyResponse{}, nil, err
 	}
 	if n := resolved.Geometry.Samples(); resolved.Dataset == nil && n > s.maxStudySamples {
-		return StudyResponse{}, fmt.Errorf(
+		return StudyResponse{}, nil, fmt.Errorf(
 			"geometry has %d samples, over the study limit %d; use /v1/sweep, which streams the samples and bounds accumulator state",
 			n, s.maxStudySamples)
 	}
@@ -418,7 +458,7 @@ func (s *Server) study(ctx context.Context, sp engine.Spec) (StudyResponse, erro
 		if wd.DispatchWhole(ctx, resolved.Key().Hash(), "/v1/study", WireStudySpec(resolved), &resp) {
 			s.fleetCells.Add(1)
 			resp.Federated = true
-			return resp, nil
+			return resp, nil, nil
 		}
 		s.fleetFallbacks.Add(1)
 	}
@@ -443,25 +483,38 @@ func (s *Server) study(ctx context.Context, sp engine.Spec) (StudyResponse, erro
 			Table1:          r.Table1,
 			Assessment:      r.Assessment,
 			DatasetCacheHit: r.CacheHit,
-		}}, true
+		}, hit: new(hitReply)}, true
 	})
 	s.sources.count(src)
 	a.resp.Source = src
-	return a.resp, a.err
+	if src != share.Cached {
+		a.hit = nil
+	}
+	return a.resp, a.hit, a.err
 }
 
+// handleStudy answers POST /v1/study. A result-cache hit writes its
+// answer's memoised reply bytes; every other answer is encoded.
 func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 	var wire StudySpec
 	if err := decodeBody(w, r, &wire); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	resp, err := s.studyWire(r.Context(), wire)
+	resp, hit, err := s.studyWire(r.Context(), wire)
 	if err != nil {
 		writeStudyError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if hit == nil {
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	body := hit.bytes(resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 func (s *Server) handleFeasibility(w http.ResponseWriter, r *http.Request) {
@@ -470,7 +523,7 @@ func (s *Server) handleFeasibility(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	resp, err := s.studyWire(r.Context(), wire)
+	resp, _, err := s.studyWire(r.Context(), wire)
 	if err != nil {
 		writeStudyError(w, err)
 		return
@@ -489,7 +542,7 @@ func (s *Server) handleFeasibility(w http.ResponseWriter, r *http.Request) {
 // and an empty analysis.
 func (s *Server) campaignGrid(req CampaignRequest) Grid[CampaignEntry] {
 	return newGrid(s, len(req.Specs), req.Workers, func(ctx context.Context, i int) CampaignEntry {
-		resp, err := s.studyWire(ctx, req.Specs[i])
+		resp, _, err := s.studyWire(ctx, req.Specs[i])
 		if err != nil {
 			return CampaignEntry{Index: i, Err: err.Error()}
 		}

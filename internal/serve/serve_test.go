@@ -430,6 +430,45 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestRequestBodySizeCap: every POST route refuses a body one byte over
+// maxRequestBytes with a 400 that names the limit. The same body under
+// the cap gets the route's ordinary decode error (its field is
+// unknown), so the cap, not the decoder, refused the first one.
+func TestRequestBodySizeCap(t *testing.T) {
+	s := New(Options{Workers: 1, Fleet: &fakeMemberFleet{}}) // a fleet, so the join and leave routes decode
+	const field = `{"no_such_field":"`
+	over := []byte(field + strings.Repeat("a", maxRequestBytes+1-len(field)-2) + `"}`)
+	under := []byte(field + `a"}`)
+	if len(over) != maxRequestBytes+1 {
+		t.Fatalf("over-cap body is %d bytes, want %d", len(over), maxRequestBytes+1)
+	}
+	limit := fmt.Sprintf("over the %d-byte limit", maxRequestBytes)
+	for _, route := range []string{
+		"/v1/study", "/v1/campaign", "/v1/feasibility", "/v1/sweep", "/v1/shard",
+		"/v1/strategies", "/v1/scenario", "/v1/fleet/join", "/v1/fleet/leave",
+	} {
+		post := func(body []byte) errorResponse {
+			t.Helper()
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
+			var e errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+				t.Fatalf("%s: %v (%s)", route, err, rec.Body)
+			}
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("%s, %d-byte body: status %d, want 400 (%s)", route, len(body), rec.Code, e.Error)
+			}
+			return e
+		}
+		if e := post(over); !strings.Contains(e.Error, limit) {
+			t.Errorf("%s: over-cap error %q does not name the limit", route, e.Error)
+		}
+		if e := post(under); !strings.Contains(e.Error, `unknown field "no_such_field"`) || strings.Contains(e.Error, limit) {
+			t.Errorf("%s: under-cap error %q is not the decode error", route, e.Error)
+		}
+	}
+}
+
 func TestGracefulShutdown(t *testing.T) {
 	s := New(Options{Workers: 2})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
