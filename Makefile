@@ -105,11 +105,14 @@ test-bitident-v3:
 # through ungated, and the -run pattern guard: every `|` alternative of
 # test-bitident-v3's patterns must name a test under `go test -list`
 # (scripts/check_run_patterns.sh, self-tested first), so renaming a test
-# cannot quietly drop it from the GOAMD64=v3 job.
+# cannot quietly drop it from the GOAMD64=v3 job; and the documented-
+# flag check of docs-check (scripts/check_cli_flags_test.sh) must pass
+# listed flags and fail unlisted ones.
 test-scripts:
 	sh scripts/bench_gate_test.sh
 	sh scripts/check_run_patterns_test.sh
 	sh scripts/check_run_patterns.sh Makefile test-bitident-v3
+	sh scripts/check_cli_flags_test.sh
 
 # One iteration per benchmark: a smoke test that the benchmarks still
 # compile and run, not a measurement.
@@ -256,6 +259,9 @@ lint-branchless:
 fmt:
 	gofmt -w .
 
-# Fail if any *.md referenced from README or Go sources is missing.
+# Fail if any *.md referenced from README or Go sources is missing, or
+# if the docs show a command flag that its -h does not list
+# (scripts/check_cli_flags.sh).
 docs-check:
 	sh scripts/check-doc-links.sh
+	sh scripts/check_cli_flags.sh

@@ -11,7 +11,7 @@
 // With -app (and no input files) the dataset is not loaded but generated
 // and analysed as a stream: per-iteration sample blocks feed online
 // accumulators and are discarded, so geometries far beyond the paper's
-// run in bounded memory (-trials/-ranks/-iters/-threads size the study).
+// run in bounded memory (-geometry sizes the study).
 //
 // Examples:
 //
@@ -19,7 +19,7 @@
 //	analyze -in fe.json
 //	analyze -in fe.json -percentiles fe_percentiles.csv -hist 10us
 //	analyze fe.json md.json qmc.json        # concurrent campaign
-//	analyze -app minife -iters 20000        # streaming, bounded memory
+//	analyze -app minife -geometry 10x8x20000x48   # streaming, bounded memory
 package main
 
 import (
@@ -31,6 +31,7 @@ import (
 	"sort"
 
 	"earlybird/internal/analysis"
+	"earlybird/internal/cliopts"
 	"earlybird/internal/cluster"
 	"earlybird/internal/core"
 	"earlybird/internal/engine"
@@ -64,13 +65,8 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 		percentiles = fs.String("percentiles", "", "write per-iteration percentile CSV to this file (single input)")
 		histWidth   = fs.String("hist", "", "render application histogram with this bin width (10us|50us|1ms; single input)")
 		timeline    = fs.String("timeline", "", "write per-iteration laggard-count CSV to this file (single input)")
-
-		app     = fs.String("app", "", "generate and analyse this application model as a stream instead of reading files")
-		trials  = fs.Int("trials", 0, "streaming geometry: trials (0 = paper's 10)")
-		ranks   = fs.Int("ranks", 0, "streaming geometry: ranks (0 = paper's 8)")
-		iters   = fs.Int("iters", 0, "streaming geometry: iterations (0 = paper's 200)")
-		threads = fs.Int("threads", 0, "streaming geometry: threads (0 = paper's 48)")
-		seed    = fs.Uint64("seed", 0, "streaming geometry: master seed (0 = 1)")
+		app         = cliopts.App(fs, "")
+		geometry    = cliopts.Geometry(fs, cluster.DefaultConfig())
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -83,37 +79,24 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 	if *in != "" {
 		files = append([]string{*in}, files...)
 	}
-	if *app != "" {
+	if app.Name == "" && geometry.IsSet {
+		return fmt.Errorf("-geometry sizes a generated study and needs -app; a dataset file is already sized")
+	}
+	if app.Name != "" {
 		switch {
 		case len(files) > 0:
 			return fmt.Errorf("-app streams a generated study and cannot be combined with input files")
 		case *percentiles != "" || *histWidth != "" || *timeline != "":
 			return fmt.Errorf("-percentiles, -hist and -timeline need a materialised dataset and cannot be combined with -app")
 		}
-		return runStreaming(stdout, *app, *trials, *ranks, *iters, *threads, *seed, *alpha, *laggardMs*1e-3)
+		return runStreaming(stdout, app.Name, geometry.Config, *alpha, *laggardMs*1e-3)
 	}
 	return run(stdout, files, *alpha, *laggardMs*1e-3, *workers, *percentiles, *histWidth, *timeline)
 }
 
 // runStreaming generates the model study online and prints the streaming
 // analysis; the dataset is never materialised.
-func runStreaming(w io.Writer, app string, trials, ranks, iters, threads int, seed uint64, alpha, laggardSec float64) error {
-	geom := cluster.DefaultConfig()
-	if trials > 0 {
-		geom.Trials = trials
-	}
-	if ranks > 0 {
-		geom.Ranks = ranks
-	}
-	if iters > 0 {
-		geom.Iterations = iters
-	}
-	if threads > 0 {
-		geom.Threads = threads
-	}
-	if seed > 0 {
-		geom.Seed = seed
-	}
+func runStreaming(w io.Writer, app string, geom cluster.Config, alpha, laggardSec float64) error {
 	fmt.Fprintf(w, "streaming %s: %d trials x %d ranks x %d iterations x %d threads (%d samples, never materialised)\n",
 		app, geom.Trials, geom.Ranks, geom.Iterations, geom.Threads,
 		geom.Trials*geom.Ranks*geom.Iterations*geom.Threads)
@@ -160,7 +143,7 @@ func run(w io.Writer, files []string, alpha, laggardSec float64, workers int, pe
 	results, err := eng.Run(engine.Campaign{Specs: specs})
 	if len(files) == 1 {
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", files[0], results[0].Err)
 		}
 		return renderDetailed(w, results[0], alpha, laggardSec, percentilesOut, histWidth, timelineOut)
 	}

@@ -48,6 +48,7 @@ func TestRunMainErrors(t *testing.T) {
 		"multi-input detail":   {"-hist", "10us", ds, ds},
 		"missing file":         {"-in", "does-not-exist.json"},
 		"unknown bin width":    {"-in", ds, "-hist", "7ns"},
+		"geometry plus files":  {"-geometry", "quick", ds},
 	}
 	for name, args := range cases {
 		if _, err := runCmd(t, args...); err == nil {
@@ -57,7 +58,7 @@ func TestRunMainErrors(t *testing.T) {
 }
 
 func TestRunMainStreaming(t *testing.T) {
-	out, err := runCmd(t, "-app", "miniqmc", "-trials", "1", "-ranks", "1", "-iters", "3", "-threads", "8")
+	out, err := runCmd(t, "-app", "miniqmc", "-geometry", "1x1x3x8")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // an -in dataset with a block wider than partcomm.MaxBinsPerBlock bins
 // of the timeout is refused instead of analysed.
 func TestBinTimeoutFloorAndSpanCap(t *testing.T) {
-	if _, err := runCmd(t, "-app", "minife", "-trials", "1", "-iters", "4", "-bin-timeout-ms", "0.000001"); err == nil || !strings.Contains(err.Error(), "floor") {
+	if _, err := runCmd(t, "-app", "minife", "-geometry", "1x8x4x48", "-bin-timeout-ms", "0.000001"); err == nil || !strings.Contains(err.Error(), "floor") {
 		t.Fatalf("1 ns timeout: error %v, want a floor violation", err)
 	}
 	ds := trace.NewDataset("wide", 1, 1, 1, 2)
@@ -39,7 +39,7 @@ func TestBinTimeoutFloorAndSpanCap(t *testing.T) {
 // default locally, as it is at the service.
 func TestPartBytesRange(t *testing.T) {
 	ts := newService(t)
-	study := []string{"-app", "minife", "-trials", "1", "-iters", "4"}
+	study := []string{"-app", "minife", "-geometry", "1x8x4x48"}
 	for name, args := range map[string][]string{
 		"local":  append(study, "-part-bytes", "-5"),
 		"remote": append(study, "-part-bytes", "-5", "-remote", ts.URL),

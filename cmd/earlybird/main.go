@@ -91,15 +91,13 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("earlybird", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		app        = cliopts.App(fs)
-		geometry   = cliopts.Geometry(fs)
+		app        = cliopts.App(fs, "")
+		geometry   = cliopts.Geometry(fs, cluster.Config{Trials: 3, Ranks: 8, Iterations: 60, Threads: 48, Seed: 1})
 		policy     = cliopts.DLB(fs)
 		strategies = cliopts.Strategies(fs)
 		in         = fs.String("in", "", "dataset JSON (alternative to -app)")
 		partBytes  = fs.Int("part-bytes", 1<<20, "bytes per partition (one partition per thread)")
 		timeoutMs  = fs.Float64("bin-timeout-ms", 1.0, "binned-strategy flush timeout (ms)")
-		trials     = fs.Int("trials", 3, "trials when running a built-in app")
-		iters      = fs.Int("iters", 60, "iterations when running a built-in app")
 		latencyUs  = fs.Float64("latency-us", 1.0, "fabric latency (us)")
 		bwGBs      = fs.Float64("bandwidth-gbs", 12.5, "fabric bandwidth (GB/s)")
 		scenFile   = fs.String("scenario", "", "scenario file (YAML or JSON): compile the declared cross-product into a campaign, verify coverage, and run every cell")
@@ -127,7 +125,7 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 	if *scenFile != "" {
 		// The scenario file declares every axis a study flag would set;
 		// accepting both would silently drop one side.
-		for _, name := range []string{"app", "in", "strategies", "geometry", "dlb", "trials", "iters",
+		for _, name := range []string{"app", "in", "strategies", "geometry", "dlb",
 			"bin-timeout-ms", "part-bytes", "latency-us", "bandwidth-gbs"} {
 			if set[name] {
 				return fmt.Errorf("-%s conflicts with -scenario: the scenario file declares the campaign", name)
@@ -145,27 +143,8 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 		return runScenario(stdout, *fleetCSV, *scenFile, *scenCheck)
 	}
 
-	if err := partcomm.CheckBinTimeout(*timeoutMs * 1e-3); err != nil {
-		return fmt.Errorf("-bin-timeout-ms: %w", err)
-	}
-	if err := engine.CheckAnalysis(0, 0, *partBytes); err != nil {
-		return fmt.Errorf("-part-bytes: %w", err)
-	}
-
-	// The geometry the study runs at: -geometry (shared syntax), or the
-	// legacy -trials/-iters sizing flags around the CLI's 8x48 shape.
-	// Combining the two would silently drop one, so refuse.
-	geom := cliGeometry(*trials, *iters)
-	if geometry.IsSet {
-		for _, name := range []string{"trials", "iters"} {
-			if set[name] {
-				return fmt.Errorf("-geometry and -%s both size the study; use one", name)
-			}
-		}
-		geom = geometry.Config
-	}
-	if policy.IsSet && *in != "" {
-		return fmt.Errorf("-dlb shapes dataset generation; a pre-collected dataset (-in) is already shaped")
+	if *in != "" && (policy.IsSet || geometry.IsSet) {
+		return fmt.Errorf("-dlb and -geometry shape dataset generation; a pre-collected dataset (-in) is already shaped")
 	}
 
 	if *storeDir != "" && *fleetCSV == "" {
@@ -175,15 +154,22 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 	opts := cli{
 		app:        app.Name,
 		in:         *in,
-		partBytes:  cmp.Or(*partBytes, 1<<20), // 0 is the default, as at /v1/study
+		partBytes:  *partBytes,
 		timeoutSec: *timeoutMs * 1e-3,
 		timeouts:   binTimeouts(set, *timeoutMs),
-		geom:       geom,
+		geom:       geometry.Config,
 		fabric:     network.Fabric{LatencySec: *latencyUs * 1e-6, BandwidthBytesPerSec: *bwGBs * 1e9, OverheadSec: 0.3e-6},
 		strategies: *strategies,
 		dlb:        policy.Spec,
 		dlbSet:     policy.IsSet,
 		storeDir:   *storeDir,
+	}
+	// engine.Spec.Resolve checks an -app study's inputs before any work
+	// starts, on every path; run resolves an -in study once it is read.
+	if opts.in == "" && opts.app != "" {
+		if _, err := opts.spec().Resolve(); err != nil {
+			return err
+		}
 	}
 
 	switch {
@@ -231,7 +217,7 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 type cli struct {
 	app        string
 	in         string
-	partBytes  int
+	partBytes  int       // 0 is the default, as at /v1/study
 	timeoutSec float64   // -bin-timeout-ms for the three-strategy assessment
 	timeouts   []float64 // explicit strategy-grid timeout axis, nil = standard grid
 	geom       cluster.Config
@@ -240,6 +226,19 @@ type cli struct {
 	dlb        dlb.Spec
 	dlbSet     bool
 	storeDir   string // -store-dir: durable result store for -fleet
+}
+
+// spec is the engine spec of the study the flags describe, without an
+// -in dataset.
+func (o cli) spec() engine.Spec {
+	return engine.Spec{
+		App:               o.app,
+		Geometry:          o.geom,
+		BytesPerPartition: o.partBytes,
+		Fabric:            o.fabric,
+		BinTimeoutSec:     o.timeoutSec,
+		DLB:               o.dlb,
+	}
 }
 
 // dlbPointer renders the -dlb flag for request fields that take a
@@ -266,11 +265,6 @@ func (o cli) strategiesRequest() serve.StrategiesRequest {
 		Fabric:            &fabric,
 		DLB:               o.dlbPointer(),
 	}
-}
-
-// cliGeometry is the geometry the CLI's -trials/-iters flags describe.
-func cliGeometry(trials, iters int) cluster.Config {
-	return cluster.Config{Trials: trials, Ranks: 8, Iterations: iters, Threads: 48, Seed: 1}
 }
 
 // binTimeouts maps an explicitly-set -bin-timeout-ms onto the strategy
@@ -402,24 +396,31 @@ func runFleet(w io.Writer, peersCSV string, o cli) error {
 	return nil
 }
 
+// post sends req as JSON to the running earlybirdd at base and decodes
+// its 200 reply into resp; any other status is an error carrying the
+// start of the reply body.
+func post(base, path string, req, resp any) error {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	r, err := http.Post(base+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	defer r.Body.Close()
+	if r.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(r.Body, 4096))
+		return fmt.Errorf("service returned %s: %s", r.Status, bytes.TrimSpace(msg))
+	}
+	return json.NewDecoder(r.Body).Decode(resp)
+}
+
 // runRemoteStrategies asks a running study service for the optimizer
 // sweep (POST /v1/strategies, single cell, JSON mode).
 func runRemoteStrategies(w io.Writer, base string, o cli) error {
-	body, err := json.Marshal(o.strategiesRequest())
-	if err != nil {
-		return err
-	}
-	resp, err := http.Post(base+"/v1/strategies", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("service returned %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
 	var sr serve.StrategiesResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	if err := post(base, "/v1/strategies", o.strategiesRequest(), &sr); err != nil {
 		return err
 	}
 	for _, row := range sr.Rows {
@@ -442,21 +443,8 @@ func runRemote(w io.Writer, base string, o cli) error {
 		Fabric:            &fabric,
 		Policy:            &serve.PolicySpec{DLB: o.dlbPointer(), BinTimeoutSec: o.timeoutSec},
 	}
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return err
-	}
-	resp, err := http.Post(base+"/v1/feasibility", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("service returned %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
 	var fr serve.FeasibilityResponse
-	if err := json.NewDecoder(resp.Body).Decode(&fr); err != nil {
+	if err := post(base, "/v1/feasibility", spec, &fr); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "served by %s (%s)\n", base, fr.Source)
@@ -559,21 +547,8 @@ func runRemoteScenario(w io.Writer, base, path string, check bool) error {
 	if err != nil {
 		return err
 	}
-	body, err := json.Marshal(serve.ScenarioRequest{Scenario: string(doc), Check: check})
-	if err != nil {
-		return err
-	}
-	resp, err := http.Post(base+"/v1/scenario", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("service returned %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
 	var sr serve.ScenarioResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	if err := post(base, "/v1/scenario", serve.ScenarioRequest{Scenario: string(doc), Check: check}, &sr); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "scenario %s compiled server-side by %s: %d cells (%d unique studies)\n",
@@ -598,53 +573,35 @@ func runRemoteScenario(w io.Writer, base, path string, check bool) error {
 	return nil
 }
 
+// run assesses an -app or -in study in-process: the resolved spec runs
+// through engine.RunSpec, as every campaign spec does.
 func run(w io.Writer, o cli) error {
-	var (
-		study *core.Study
-		err   error
-	)
+	sp := o.spec()
 	switch {
 	case o.in != "":
-		f, err2 := os.Open(o.in)
-		if err2 != nil {
-			return err2
-		}
-		defer f.Close()
-		var ds *trace.Dataset
-		if ds, err = trace.ReadJSON(f); err != nil {
+		f, err := os.Open(o.in)
+		if err != nil {
 			return err
 		}
-		if !o.strategies {
-			if err := partcomm.CheckBinSpan(ds, o.timeoutSec); err != nil {
-				return fmt.Errorf("%s: %w", o.in, err)
-			}
+		defer f.Close()
+		if sp.Dataset, err = trace.ReadJSON(f); err != nil {
+			return err
 		}
-		study, err = core.FromDataset(ds)
-	case o.app != "":
-		study, err = core.NewStudy(core.Options{
-			App:      o.app,
-			Geometry: o.geom,
-			Policy:   core.PolicySpec{DLB: o.dlb},
-		})
-	default:
+	case o.app == "":
 		return fmt.Errorf("one of -app or -in is required")
 	}
+	r, err := engine.New(0).RunSpec(sp)
 	if err != nil {
-		return err
-	}
-
-	if err := o.fabric.Validate(); err != nil {
-		return err
+		return fmt.Errorf("%s: %w", cmp.Or(o.in, o.app), err)
 	}
 	if o.strategies {
 		var grid []partcomm.Strategy // nil: the standard grid
 		if o.timeouts != nil {
-			grid = partcomm.Grid(o.timeouts, core.DefaultStrategyEWMAAlphas(), study.Laggards())
+			grid = partcomm.Grid([]float64{r.Spec.BinTimeoutSec}, core.DefaultStrategyEWMAAlphas(), r.Study.Laggards())
 		}
-		printSweep(w, study.App(), study.StrategySweep(o.partBytes, o.fabric, grid))
+		printSweep(w, r.Study.App(), r.Study.StrategySweep(r.Spec.BytesPerPartition, r.Spec.Fabric, grid))
 		return nil
 	}
-	a := study.Feasibility(o.partBytes, o.fabric, o.timeoutSec)
-	fmt.Fprint(w, a)
+	fmt.Fprint(w, r.Assessment)
 	return nil
 }

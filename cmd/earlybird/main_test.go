@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
 	"testing"
 
 	"earlybird/internal/serve"
+	"earlybird/internal/trace"
 )
 
 func runCmd(t *testing.T, args ...string) (string, error) {
@@ -44,8 +47,6 @@ func TestRunMainConflicts(t *testing.T) {
 		"bad geometry":            {"-app", "minife", "-geometry", "3x4"},
 		"bad dlb":                 {"-app", "minife", "-dlb", "nope"},
 		"dlb cross param":         {"-app", "minife", "-dlb", "lewi:reaction=3"},
-		"geometry vs trials":      {"-app", "minife", "-geometry", "quick", "-trials", "2"},
-		"geometry vs iters":       {"-app", "minife", "-geometry", "quick", "-iters", "8"},
 		"dlb with in":             {"-in", "fe.json", "-dlb", "lewi"},
 		"store-dir without fleet": {"-app", "minife", "-store-dir", "x"},
 	}
@@ -56,8 +57,30 @@ func TestRunMainConflicts(t *testing.T) {
 	}
 }
 
+// TestRunMainGeometryWithIn: -geometry cannot resize a pre-collected
+// dataset, so it is refused with -in rather than ignored.
+func TestRunMainGeometryWithIn(t *testing.T) {
+	ds := trace.NewDataset("fe", 1, 1, 1, 2)
+	ds.Times[0][0][0] = []float64{0.01, 0.02}
+	path := filepath.Join(t.TempDir(), "fe.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.WriteJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, err := runCmd(t, "-in", path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runCmd(t, "-in", path, "-geometry", "quick"); err == nil || !strings.Contains(err.Error(), "-geometry") {
+		t.Fatalf("-in with -geometry: error %v, want a -geometry refusal", err)
+	}
+}
+
 func TestRunMainLocalAssessment(t *testing.T) {
-	out, err := runCmd(t, "-app", "minife", "-trials", "1", "-iters", "10")
+	out, err := runCmd(t, "-app", "minife", "-geometry", "1x8x10x48")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +115,7 @@ func TestRunMainGeometryDLB(t *testing.T) {
 }
 
 func TestRunMainLocalStrategies(t *testing.T) {
-	out, err := runCmd(t, "-app", "minife", "-trials", "1", "-iters", "8", "-strategies")
+	out, err := runCmd(t, "-app", "minife", "-geometry", "1x8x8x48", "-strategies")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +128,7 @@ func TestRunMainLocalStrategies(t *testing.T) {
 // replaces the local optimizer's timeout axis, as it does with -remote
 // and -fleet.
 func TestRunMainLocalStrategiesBinTimeout(t *testing.T) {
-	out, err := runCmd(t, "-app", "minife", "-trials", "1", "-iters", "8", "-strategies", "-bin-timeout-ms", "0.5")
+	out, err := runCmd(t, "-app", "minife", "-geometry", "1x8x8x48", "-strategies", "-bin-timeout-ms", "0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +140,7 @@ func TestRunMainLocalStrategiesBinTimeout(t *testing.T) {
 
 func TestRunMainRemote(t *testing.T) {
 	ts := newService(t)
-	out, err := runCmd(t, "-app", "minife", "-trials", "1", "-iters", "8", "-remote", ts.URL)
+	out, err := runCmd(t, "-app", "minife", "-geometry", "1x8x8x48", "-remote", ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +163,7 @@ func TestRunMainRemoteDLB(t *testing.T) {
 
 func TestRunMainRemoteStrategies(t *testing.T) {
 	ts := newService(t)
-	out, err := runCmd(t, "-app", "miniqmc", "-trials", "1", "-iters", "8", "-strategies", "-remote", ts.URL)
+	out, err := runCmd(t, "-app", "miniqmc", "-geometry", "1x8x8x48", "-strategies", "-remote", ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +176,7 @@ func TestRunMainRemoteStrategies(t *testing.T) {
 // renders the merged row.
 func TestRunMainFleet(t *testing.T) {
 	w1, w2 := newService(t), newService(t)
-	out, err := runCmd(t, "-app", "minife", "-trials", "2", "-iters", "8",
+	out, err := runCmd(t, "-app", "minife", "-geometry", "2x8x8x48",
 		"-dlb", "lewi", "-fleet", w1.URL+","+w2.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +191,7 @@ func TestRunMainFleet(t *testing.T) {
 
 func TestRunMainFleetStrategies(t *testing.T) {
 	w1 := newService(t)
-	out, err := runCmd(t, "-app", "minife", "-trials", "1", "-iters", "8", "-strategies",
+	out, err := runCmd(t, "-app", "minife", "-geometry", "1x8x8x48", "-strategies",
 		"-bin-timeout-ms", "0.5", "-fleet", w1.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +222,7 @@ func TestRunMainFleetNoHealthyWorkers(t *testing.T) {
 func TestRunMainFleetStore(t *testing.T) {
 	dir := t.TempDir()
 	w := newService(t)
-	cold, err := runCmd(t, "-app", "minife", "-trials", "2", "-iters", "8",
+	cold, err := runCmd(t, "-app", "minife", "-geometry", "2x8x8x48",
 		"-fleet", w.URL, "-store-dir", dir)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +233,7 @@ func TestRunMainFleetStore(t *testing.T) {
 
 	dead := httptest.NewServer(nil)
 	dead.Close()
-	warm, err := runCmd(t, "-app", "minife", "-trials", "2", "-iters", "8",
+	warm, err := runCmd(t, "-app", "minife", "-geometry", "2x8x8x48",
 		"-fleet", dead.URL, "-store-dir", dir)
 	if err != nil {
 		t.Fatal(err)

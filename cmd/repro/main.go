@@ -5,7 +5,8 @@
 // Examples:
 //
 //	repro                       # full paper geometry (10x8x200x48)
-//	repro -quick                # reduced geometry for a fast look
+//	repro -geometry quick       # reduced geometry (3x4x60x48) for a fast look
+//	repro -geometry paper@7     # paper geometry, master seed 7
 //	repro -exp table1           # a single experiment, by name
 //	repro -exp E3               # the same, by its DESIGN.md index ID
 //	repro -figdir out/          # also dump figure CSVs for plotting
@@ -39,12 +40,10 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		quick    = fs.Bool("quick", false, "reduced geometry (3x4x60x48) for a fast run; shorthand for -geometry quick")
-		geometry = cliopts.Geometry(fs)
+		geometry = cliopts.Geometry(fs, cluster.DefaultConfig())
 		policy   = cliopts.DLB(fs)
 		exp      = fs.String("exp", "all", "experiment: all | an index ID E1-E15 (DESIGN.md) | table1 | fig3 | fig4 | fig5 | fig6 | fig7 | fig8 | fig9 | metrics | overlap | strategies | dlb | ablation | distsweep | campaign")
 		figdir   = fs.String("figdir", "", "directory to write figure CSV data into")
-		seed     = fs.Uint64("seed", 1, "master seed")
 		workers  = fs.Int("workers", 0, "max concurrently executing studies (0 = one per CPU)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -56,18 +55,9 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	if *quick && geometry.IsSet {
-		return fmt.Errorf("-quick and -geometry both size the run; use one")
-	}
 
 	cfg := experiments.Default()
-	if *quick {
-		cfg = experiments.Quick()
-	}
-	if geometry.IsSet {
-		cfg.Cluster = geometry.Config
-	}
-	cfg.Cluster.Seed = *seed
+	cfg.Cluster = geometry.Config
 	// The base rebalancing policy every suite dataset is generated under.
 	// E15 crosses all policies regardless, from this policy's baseline.
 	cfg.DLB = policy.Spec

@@ -19,10 +19,9 @@ func TestRunMainErrors(t *testing.T) {
 	cases := map[string][]string{
 		"unknown flag":       {"-nope"},
 		"unexpected args":    {"extra"},
-		"unknown experiment": {"-quick", "-exp", "nope"},
+		"unknown experiment": {"-geometry", "quick", "-exp", "nope"},
 		"bad geometry":       {"-geometry", "3x4"},
 		"bad dlb":            {"-dlb", "nope"},
-		"quick vs geometry":  {"-quick", "-geometry", "quick"},
 	}
 	for name, args := range cases {
 		if _, err := runCmd(t, args...); err == nil {
@@ -32,7 +31,7 @@ func TestRunMainErrors(t *testing.T) {
 }
 
 func TestRunMainTable1Quick(t *testing.T) {
-	out, err := runCmd(t, "-quick", "-exp", "table1")
+	out, err := runCmd(t, "-geometry", "quick", "-exp", "table1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +67,7 @@ func TestRunMainGeometryDLB(t *testing.T) {
 
 func TestRunMainFigdir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "figs")
-	out, err := runCmd(t, "-quick", "-exp", "fig4", "-figdir", dir)
+	out, err := runCmd(t, "-geometry", "quick", "-exp", "fig4", "-figdir", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,5 +108,21 @@ func TestRunMainExperimentIDs(t *testing.T) {
 	}
 	if _, err := runCmd(t, "-exp", "E13"); err == nil || !strings.Contains(err.Error(), "TestComputeTimeCancelsSkew") {
 		t.Errorf("-exp E13: error %v, want one naming its property test", err)
+	}
+}
+
+// TestRunMainGeometrySeed: the @SEED suffix of -geometry seeds every
+// suite dataset, so another seed prints other metrics.
+func TestRunMainGeometrySeed(t *testing.T) {
+	seven, err := runCmd(t, "-geometry", "1x2x20x8@7", "-exp", "metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := runCmd(t, "-geometry", "1x2x20x8@1", "-exp", "metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seven == one {
+		t.Errorf("-geometry 1x2x20x8@7 printed the @1 metrics:\n%s", seven)
 	}
 }

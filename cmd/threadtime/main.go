@@ -10,8 +10,8 @@
 // Examples:
 //
 //	threadtime -app minife -o minife.json
-//	threadtime -app minimd -trials 3 -iters 50 -format csv -o md.csv
-//	threadtime -app miniqmc -live -threads 8 -iters 20 -o live.json
+//	threadtime -app minimd -geometry 3x8x50x48 -format csv -o md.csv
+//	threadtime -app miniqmc -live -geometry 1x1x20x8 -o live.json
 package main
 
 import (
@@ -21,6 +21,7 @@ import (
 	"io"
 	"os"
 
+	"earlybird/internal/cliopts"
 	"earlybird/internal/cluster"
 	"earlybird/internal/miniapps"
 	"earlybird/internal/omp"
@@ -40,15 +41,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("threadtime", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		app     = fs.String("app", "minife", "application: minife | minimd | miniqmc")
-		trials  = fs.Int("trials", 10, "number of trials")
-		ranks   = fs.Int("ranks", 8, "processes per job")
-		iters   = fs.Int("iters", 200, "iterations per run")
-		threads = fs.Int("threads", 48, "threads per process")
-		seed    = fs.Uint64("seed", 1, "master seed")
-		live    = fs.Bool("live", false, "run real instrumented kernels instead of the calibrated model")
-		format  = fs.String("format", "json", "output format: json | csv")
-		out     = fs.String("o", "", "output file (default stdout)")
+		app      = cliopts.App(fs, "minife")
+		geometry = cliopts.Geometry(fs, cluster.DefaultConfig())
+		live     = fs.Bool("live", false, "run real instrumented kernels instead of the calibrated model")
+		format   = fs.String("format", "json", "output format: json | csv")
+		out      = fs.String("o", "", "output file (default stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -60,17 +57,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 
-	var (
-		ds  *trace.Dataset
-		err error
-	)
+	var ds *trace.Dataset
 	if *live {
-		ds, err = runLive(*app, *trials, *ranks, *iters, *threads, *seed)
+		ds = runLive(app.Name, geometry.Config)
 	} else {
-		ds, err = runModel(*app, cluster.Config{Trials: *trials, Ranks: *ranks, Iterations: *iters, Threads: *threads, Seed: *seed})
-	}
-	if err != nil {
-		return err
+		m, err := workload.ByName(app.Name)
+		if err != nil {
+			return err
+		}
+		if ds, err = cluster.Run(m, geometry.Config); err != nil {
+			return err
+		}
 	}
 
 	w := stdout
@@ -92,25 +89,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 }
 
-func runModel(app string, cfg cluster.Config) (*trace.Dataset, error) {
-	var m workload.Model
-	switch app {
-	case "minife":
-		m = workload.DefaultMiniFE()
-	case "minimd":
-		m = workload.DefaultMiniMD()
-	case "miniqmc":
-		m = workload.DefaultMiniQMC()
-	default:
-		return nil, fmt.Errorf("unknown app %q", app)
-	}
-	return cluster.Run(m, cfg)
-}
-
-func runLive(app string, trials, ranks, iters, threads int, seed uint64) (*trace.Dataset, error) {
-	pool := omp.NewPool(threads)
+// runLive runs the instrumented kernels of app (a name -app accepted)
+// at geom on this host's clock.
+func runLive(app string, geom cluster.Config) *trace.Dataset {
+	pool := omp.NewPool(geom.Threads)
 	defer pool.Close()
 	clock := simclock.NewReal()
+	seed := geom.Seed
 	var factory func(trial, rank int) miniapps.App
 	switch app {
 	case "minife":
@@ -119,12 +104,10 @@ func runLive(app string, trials, ranks, iters, threads int, seed uint64) (*trace
 		factory = func(trial, rank int) miniapps.App {
 			return miniapps.NewMiniMD(10, 4, seed+uint64(trial*1000+rank))
 		}
-	case "miniqmc":
+	default:
 		factory = func(trial, rank int) miniapps.App {
 			return miniapps.NewMiniQMC(12, 400, seed+uint64(trial*1000+rank))
 		}
-	default:
-		return nil, fmt.Errorf("unknown app %q", app)
 	}
-	return miniapps.RunStudy(factory, pool, clock, trials, ranks, iters), nil
+	return miniapps.RunStudy(factory, pool, clock, geom.Trials, geom.Ranks, geom.Iterations)
 }

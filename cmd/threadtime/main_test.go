@@ -11,7 +11,7 @@ import (
 )
 
 // tinyArgs keeps collection tests fast.
-var tinyArgs = []string{"-trials", "1", "-ranks", "1", "-iters", "3", "-threads", "8"}
+var tinyArgs = []string{"-geometry", "1x1x3x8"}
 
 func runCmd(t *testing.T, args ...string) (string, string, error) {
 	t.Helper()

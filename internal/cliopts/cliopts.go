@@ -1,9 +1,11 @@
 // Package cliopts is the shared flag vocabulary of the earlybird
-// commands. cmd/earlybird, cmd/earlybirdd and cmd/repro register their
-// -app, -geometry, -strategies and -dlb flags through these helpers, so
-// each flag has one syntax, one usage string and one set of error
-// messages everywhere — and bad values fail at flag-parse time instead
-// of deep inside the command body.
+// commands. cmd/threadtime, cmd/analyze, cmd/earlybird, cmd/repro and
+// cmd/earlybirdd register their -app, -geometry, -strategies and -dlb
+// flags through these helpers, so each flag has one syntax, one usage
+// string and one set of error messages everywhere, and bad values fail
+// at flag-parse time instead of deep inside the command body. -geometry
+// is the only way a command sizes a study and -app the only way it
+// names one.
 package cliopts
 
 import (
@@ -36,25 +38,26 @@ func (v *AppValue) Set(s string) error {
 	return nil
 }
 
-// App registers the shared -app flag on fs.
-func App(fs *flag.FlagSet) *AppValue {
-	v := &AppValue{}
+// App registers the shared -app flag on fs with the command's default
+// application, def ("" for none).
+func App(fs *flag.FlagSet, def string) *AppValue {
+	v := &AppValue{Name: def}
 	fs.Var(v, "app", "built-in application (minife|minimd|miniqmc)")
 	return v
 }
 
-// GeometryValue holds a -geometry selection. IsSet distinguishes an
-// explicit choice from the command's default, so commands can detect
-// conflicts with their legacy sizing flags (-quick, -trials, -iters).
+// GeometryValue holds a -geometry selection. Config starts at the
+// command's default; IsSet distinguishes an explicit choice from it.
 type GeometryValue struct {
 	Config cluster.Config
 	IsSet  bool
 }
 
 // String renders the current selection in ParseGeometry's syntax
-// (flag.Value); unset renders empty.
+// (flag.Value), so -h shows the command's default; a zero Config
+// renders empty.
 func (v *GeometryValue) String() string {
-	if !v.IsSet {
+	if v.Config == (cluster.Config{}) {
 		return ""
 	}
 	return FormatGeometry(v.Config)
@@ -71,9 +74,10 @@ func (v *GeometryValue) Set(s string) error {
 	return nil
 }
 
-// Geometry registers the shared -geometry flag on fs.
-func Geometry(fs *flag.FlagSet) *GeometryValue {
-	v := &GeometryValue{}
+// Geometry registers the shared -geometry flag on fs with the command's
+// default geometry, def (zero for none).
+func Geometry(fs *flag.FlagSet, def cluster.Config) *GeometryValue {
+	v := &GeometryValue{Config: def}
 	fs.Var(v, "geometry", "study geometry: paper | quick | huge | TRIALSxRANKSxITERSxTHREADS, with an optional @SEED suffix (e.g. 3x4x60x48, paper@7)")
 	return v
 }

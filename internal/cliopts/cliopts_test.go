@@ -34,7 +34,7 @@ func TestAppFlag(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := newFlagSet()
-			app := App(fs)
+			app := App(fs, "")
 			err := fs.Parse(tc.args)
 			if tc.err {
 				if err == nil {
@@ -85,7 +85,7 @@ func TestGeometryFlag(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := newFlagSet()
-			geom := Geometry(fs)
+			geom := Geometry(fs, cluster.Config{})
 			err := fs.Parse([]string{"-geometry", tc.text})
 			if tc.err {
 				if err == nil {
@@ -114,7 +114,7 @@ func TestGeometryFlag(t *testing.T) {
 	}
 	// Unset: zero config, IsSet false, empty String.
 	fs := newFlagSet()
-	geom := Geometry(fs)
+	geom := Geometry(fs, cluster.Config{})
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestStrategiesFlag(t *testing.T) {
 // vocabulary at once — the shape every command uses.
 func TestSharedRegistration(t *testing.T) {
 	fs := newFlagSet()
-	app, geom, policy, strategies := App(fs), Geometry(fs), DLB(fs), Strategies(fs)
+	app, geom, policy, strategies := App(fs, ""), Geometry(fs, cluster.Config{}), DLB(fs), Strategies(fs)
 	err := fs.Parse([]string{
 		"-app", "minimd", "-geometry", "2x4x10x48", "-dlb", "drom:reaction=2", "-strategies"})
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"earlybird/internal/dlb"
 	"earlybird/internal/fnv"
 	"earlybird/internal/network"
+	"earlybird/internal/partcomm"
 	"earlybird/internal/share"
 	"earlybird/internal/stats/normality"
 	"earlybird/internal/trace"
@@ -61,6 +62,13 @@ type Spec struct {
 // post-default values, so two requests that spell the same study
 // differently (one explicit, one zero-valued) resolve to equal keys. The
 // serve layer resolves incoming wire specs once and coalesces on the key.
+//
+// Resolve is the one check of a study's inputs, on every path that runs
+// one: the analysis ranges (CheckAnalysis), the bin timeout's floor
+// (partcomm.CheckBinTimeout), the fabric, the DLB policy and, for a
+// dataset-backed spec, that no block spans more than
+// partcomm.MaxBinsPerBlock bins of the timeout (partcomm.CheckBinSpan).
+// Its errors name the /v1/study wire fields.
 func (sp Spec) Resolve() (Spec, error) { return sp.fill() }
 
 // CheckAnalysis is the one range rule for a study's analysis
@@ -118,6 +126,17 @@ func (sp Spec) fill() (Spec, error) {
 	}
 	if sp.BinTimeoutSec == 0 {
 		sp.BinTimeoutSec = 1e-3
+	}
+	if err := partcomm.CheckBinTimeout(sp.BinTimeoutSec); err != nil {
+		return sp, fmt.Errorf("engine: bin_timeout_sec: %w", err)
+	}
+	if err := sp.Fabric.Validate(); err != nil {
+		return sp, fmt.Errorf("engine: %w", err)
+	}
+	if sp.Dataset != nil {
+		if err := partcomm.CheckBinSpan(sp.Dataset, sp.BinTimeoutSec); err != nil {
+			return sp, fmt.Errorf("engine: %w", err)
+		}
 	}
 	resolvedDLB, err := sp.DLB.Resolve()
 	if err != nil {

@@ -57,17 +57,17 @@ func (FineGrained) FinishTime(arrivals []float64, bytesPerPart int, f network.Fa
 }
 
 // MinBinTimeoutSec is the smallest Binned timeout the front doors
-// accept — /v1/study, /v1/strategies, the scenario bin-timeout axis and
-// the earlybird CLI (CheckBinTimeout) — the same 10 µs floor
-// EWMABinned's prediction keeps. Binned.FinishTime steps through every
-// bin of a block's arrival span, so its cost is span ÷ timeout; the
-// floor bounds that for every built-in workload.
+// accept through CheckBinTimeout — engine.Spec.Resolve for one study,
+// /v1/strategies and the scenario bin-timeout axis for a grid — the
+// same 10 µs floor EWMABinned's prediction keeps. Binned.FinishTime
+// steps through every bin of a block's arrival span, so its cost is
+// span ÷ timeout; the floor bounds that for every built-in workload.
 const MinBinTimeoutSec = DefaultEWMAMinTimeoutSec
 
 // MaxBinsPerBlock caps how many bins one block's arrival span may cover
 // at its timeout. Binned.FinishTime returns NaN for a block past it
-// instead of stepping through every bin, and CheckBinSpan lets a front
-// door refuse such a dataset up front. At MinBinTimeoutSec it admits
+// instead of stepping through every bin, and engine.Spec.Resolve
+// refuses such a dataset up front with CheckBinSpan. At MinBinTimeoutSec it admits
 // spans up to ~10 s, over 100x the widest block of the built-in
 // workloads.
 const MaxBinsPerBlock = 1 << 20
@@ -84,8 +84,8 @@ func CheckBinTimeout(timeoutSec float64) error {
 // CheckBinSpan returns an error when some process iteration of d spans
 // more than MaxBinsPerBlock bins of timeoutSec — a dataset on which
 // Binned.FinishTime would refuse that block. Generated workloads never
-// do at an accepted timeout; pre-collected traces (inline CSV, -in
-// files) are checked with it before they are analysed.
+// do at an accepted timeout; engine.Spec.Resolve checks every
+// dataset-backed spec (inline CSV, -in files) with it before analysis.
 func CheckBinSpan(d *trace.Dataset, timeoutSec float64) error {
 	var err error
 	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {

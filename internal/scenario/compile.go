@@ -11,7 +11,6 @@ import (
 	"earlybird/internal/cluster"
 	"earlybird/internal/dlb"
 	"earlybird/internal/engine"
-	"earlybird/internal/partcomm"
 	"earlybird/internal/trace"
 	"earlybird/internal/workload"
 )
@@ -181,9 +180,6 @@ func (s *Spec) Compile(opts CompileOptions) (*Compiled, error) {
 		}
 		for _, f := range fabrics {
 			for _, t := range timeouts {
-				if err := partcomm.CheckBinSpan(ds, t); err != nil {
-					return nil, fmt.Errorf("scenario: source %s: %w", src.key(si), err)
-				}
 				add(Cell{
 					Source: src, SourceKey: src.key(si),
 					Fabric: f.String(), BinTimeoutSec: t,
@@ -197,6 +193,14 @@ func (s *Spec) Compile(opts CompileOptions) (*Compiled, error) {
 					},
 				})
 			}
+		}
+	}
+	// Resolve is the one check of a study's inputs; for a trace source
+	// it refuses a block wider than partcomm.MaxBinsPerBlock bins of the
+	// cell's timeout, so -scenario-check reports such a trace too.
+	for _, c := range cells {
+		if _, err := c.Spec.Resolve(); err != nil {
+			return nil, fmt.Errorf("scenario: source %s: %w", c.SourceKey, err)
 		}
 	}
 	return &Compiled{Spec: s, Cells: cells}, nil

@@ -10,7 +10,6 @@ import (
 	"earlybird/internal/dlb"
 	"earlybird/internal/engine"
 	"earlybird/internal/network"
-	"earlybird/internal/partcomm"
 	"earlybird/internal/share"
 )
 
@@ -63,7 +62,8 @@ func namedGeometry(name string) (cluster.Config, error) {
 }
 
 // toSpec converts the wire spec to an engine spec, resolving the named
-// geometry if one was given.
+// geometry if one was given. Its values are checked where every study's
+// are, by engine.Spec.Resolve.
 func (w StudySpec) toSpec() (engine.Spec, error) {
 	sp := engine.Spec{App: w.App, BytesPerPartition: w.BytesPerPartition}
 	if w.Geometry != nil && w.GeometryName != "" {
@@ -79,19 +79,11 @@ func (w StudySpec) toSpec() (engine.Spec, error) {
 		sp.Geometry = g
 	}
 	if w.Fabric != nil {
-		if err := w.Fabric.Validate(); err != nil {
-			return sp, err
-		}
 		sp.Fabric = *w.Fabric
 	}
 	if p := w.Policy; p != nil {
 		if p.DLB != nil {
 			sp.DLB = *p.DLB
-		}
-		if p.BinTimeoutSec != 0 {
-			if err := partcomm.CheckBinTimeout(p.BinTimeoutSec); err != nil {
-				return sp, fmt.Errorf("bin_timeout_sec: %w", err)
-			}
 		}
 		sp.Alpha, sp.LaggardThresholdSec, sp.BinTimeoutSec = p.Alpha, p.LaggardThresholdSec, p.BinTimeoutSec
 	}

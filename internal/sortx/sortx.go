@@ -33,11 +33,15 @@
 //     merged from both ends at once (mergeRuns). At the paper's n = 48
 //     that is two 24-wide networks and a 24-step merge.
 //   - 65 <= n <= 128: four runs of ceil(n/4) keys, merged in pairs and
-//     then together.
-//   - n > 128: slices.Sort (pdqsort) on the keys, written over s in
-//     place. Blocks past 128 do not occur in configured geometries; at
-//     n = 128 the four-run tier took 2.1 µs and pdqsort on the same
-//     keys 7.9 µs.
+//     then together. At n = 128 this took 2.1 µs and pdqsort on the
+//     same keys 7.9 µs.
+//   - 129 <= n <= 256 (-geometry 1x1x20x256, say): two halves of
+//     ceil(n/2) keys, each sorted as the four-run tier does, joined by
+//     one more merge. BenchmarkSort, medians of five interleaved runs
+//     against pdqsort on the keys (2-core x86-64 VM): n = 192 3.5 µs
+//     against 10.9 µs, n = 256 5.3 µs against 15.9 µs.
+//   - n > 256: slices.Sort (pdqsort) on the keys, written over s in
+//     place.
 //
 // networks.go is generated: TestNetworksGenerated renders it from the
 // comparator lists of batcher (networks_gen_test.go) and fails when the
@@ -73,7 +77,7 @@
 // by a switch.
 //
 // Contract: any input, and no allocation (TestSortAllocFree checks
-// every n <= 128). NaN-free input comes back in the total order above.
+// every n <= 256). NaN-free input comes back in the total order above.
 // A NaN sorts by its key too (one with the sign bit set before -Inf,
 // one without after +Inf), so input with NaNs comes back as a
 // permutation of its bits; a float min and max network could copy a NaN
@@ -91,9 +95,12 @@ import (
 // the merge tiers' key buffers.
 const networkMax = 32
 
+// quarterMax is the largest n sorted as four network runs.
+const quarterMax = 4 * networkMax
+
 // midMax is the largest n sorted by networks and merges; larger blocks
-// do not occur in configured geometries and take pdqsort.
-const midMax = 128
+// take pdqsort.
+const midMax = 2 * quarterMax
 
 // key maps the bits of a float64 to an int64 whose signed order is Go's
 // total order of floats, and maps such a key back to the bits: it flips
@@ -117,8 +124,10 @@ func Sort(s []float64) {
 		fromKeys(s, keys[:n])
 	case n <= 2*networkMax:
 		sortHalves(s)
-	case n <= midMax:
+	case n <= quarterMax:
 		sortQuarters(s)
+	case n <= midMax:
+		sortHalvesOfQuarters(s)
 	default:
 		// The keys are written over s through an int64 view of the
 		// same memory, so the large tier allocates nothing either.
@@ -187,17 +196,39 @@ func sortHalves(s []float64) {
 // sortQuarters sorts 65 <= n <= 128 elements as sortHalves does, in four
 // runs of q = ceil(n/4) keys merged pairwise and then together.
 func sortQuarters(s []float64) {
+	var keys [quarterMax]int64
+	quarterKeys(&keys, s, len(s))
+	fromKeys(s, keys[:len(s)])
+}
+
+// quarterKeys sorts the keys of s into keys[:m], len(s) <= m, 65 <= m
+// <= 128, as four runs of q = ceil(m/4) keys merged pairwise and then
+// together; keys[len(s):m] come out as math.MaxInt64 pads.
+func quarterKeys(keys *[quarterMax]int64, s []float64, m int) {
 	n := len(s)
-	var keys, buf [midMax]int64
-	q := (n + 3) / 4
+	var buf [quarterMax]int64
+	q := (m + 3) / 4
 	var runs [4][]int64
 	for r := range runs {
 		runs[r] = keys[r*networkMax : r*networkMax+q]
-		sortRun(runs[r], s[r*q:min((r+1)*q, n)])
+		sortRun(runs[r], s[min(r*q, n):min((r+1)*q, n)])
 	}
 	mergeRuns(buf[:2*q], runs[0], runs[1])
 	mergeRuns(buf[2*q:4*q], runs[2], runs[3])
 	mergeRuns(keys[:4*q], buf[:2*q], buf[2*q:4*q])
+}
+
+// sortHalvesOfQuarters sorts 129 <= n <= 256 elements as two halves of
+// h = ceil(n/2) keys, each sorted by quarterKeys (the second topped up
+// with one pad when n is odd) and joined by mergeRuns.
+func sortHalvesOfQuarters(s []float64) {
+	n := len(s)
+	h := (n + 1) / 2
+	var a, b [quarterMax]int64
+	var keys [midMax]int64
+	quarterKeys(&a, s[:h], h)
+	quarterKeys(&b, s[h:], h)
+	mergeRuns(keys[:2*h], a[:h], b[:h])
 	fromKeys(s, keys[:n])
 }
 

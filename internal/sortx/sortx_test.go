@@ -11,7 +11,7 @@ import (
 )
 
 // TestNetworksMatchSlicesSort drives every size through the generated
-// networks (padded below 32, chunked and merged up to 128) and the
+// networks (padded below 32, chunked and merged up to 256) and the
 // pdqsort tier with randomized and adversarial inputs, comparing against
 // slices.Sort. This is the correctness proof for the generated
 // comparator sequences in networks.go.
@@ -89,7 +89,7 @@ func freshInputs(n int) [][]float64 {
 }
 
 func BenchmarkSort(b *testing.B) {
-	for _, n := range []int{8, 16, 48, 128, 512} {
+	for _, n := range []int{8, 16, 48, 128, 192, 256, 512} {
 		srcs := freshInputs(n)
 		buf := make([]float64, n)
 		b.Run(sizeName(n), func(b *testing.B) {

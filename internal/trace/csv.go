@@ -53,8 +53,10 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 
 // ReadCSV parses the long-form CSV written by WriteCSV back into a
 // Dataset. The geometry is inferred from the maximum indices seen; every
-// cell must be present exactly once and hold a finite compute time (the
-// analysis sorts with internal/sortx, whose contract excludes NaN).
+// cell must be present exactly once and hold a finite, non-negative
+// compute time (the analysis sorts with internal/sortx, whose contract
+// excludes NaN, and a region's exit minus its enter is never negative;
+// -0 is accepted).
 // Nothing is allocated by index before the row count is known to fill
 // the inferred geometry, so memory stays proportional to the input.
 func ReadCSV(r io.Reader) (*Dataset, error) {
@@ -114,8 +116,8 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		if rw.sec, err = strconv.ParseFloat(fields[5], 64); err != nil {
 			return nil, fmt.Errorf("trace: line %d: compute_seconds: %w", lineNum, err)
 		}
-		if math.IsNaN(rw.sec) || math.IsInf(rw.sec, 0) {
-			return nil, fmt.Errorf("trace: line %d: compute_seconds %q is not finite", lineNum, fields[5])
+		if !(rw.sec >= 0) || math.IsInf(rw.sec, 1) {
+			return nil, fmt.Errorf("trace: line %d: compute_seconds %q is negative or not finite", lineNum, fields[5])
 		}
 		if rw.trial < 0 || rw.rank < 0 || rw.iter < 0 || rw.thread < 0 {
 			return nil, fmt.Errorf("trace: line %d: negative index", lineNum)

@@ -282,7 +282,7 @@ func TestCSVRoundTripNonTrivialGeometry(t *testing.T) {
 // naming the offending line — before they reach the analysis' NaN-free
 // sorts.
 func TestReadCSVRejectsNonFinite(t *testing.T) {
-	for _, v := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "-infinity"} {
+	for _, v := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "-infinity", "-1e-3"} {
 		csv := "app,trial,rank,iteration,thread,compute_seconds\n" +
 			"x,0,0,0,0,1e-3\n" +
 			"x,0,0,0,1," + v + "\n"

@@ -196,9 +196,10 @@ func ReadJSON(r io.Reader) (*Dataset, error) {
 }
 
 // Validate checks that the Times tensor matches the declared geometry
-// and that every compute time is finite: NaN and ±Inf break the
-// NaN-free contract of the analysis' sorts (internal/sortx) and have no
-// meaning as a duration.
+// and that every compute time is finite and non-negative: NaN and ±Inf
+// break the NaN-free contract of the analysis' sorts (internal/sortx),
+// and neither they nor a negative number has a meaning as a duration (a
+// compute time is one region's exit minus its enter). -0 is accepted.
 func (d *Dataset) Validate() error {
 	if len(d.Times) != d.Trials {
 		return fmt.Errorf("trace: %d trials declared, %d present", d.Trials, len(d.Times))
@@ -216,8 +217,8 @@ func (d *Dataset) Validate() error {
 					return fmt.Errorf("trace: trial %d rank %d iter %d: %d threads declared, %d present", t, r, i, d.Threads, len(iter))
 				}
 				for th, x := range iter {
-					if math.IsNaN(x) || math.IsInf(x, 0) {
-						return fmt.Errorf("trace: trial %d rank %d iter %d thread %d: compute time %v is not finite", t, r, i, th, x)
+					if !(x >= 0) || math.IsInf(x, 1) {
+						return fmt.Errorf("trace: trial %d rank %d iter %d thread %d: compute time %v is negative or not finite", t, r, i, th, x)
 					}
 				}
 			}

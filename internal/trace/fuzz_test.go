@@ -28,6 +28,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte(hostileIndexCSV))
 	f.Add([]byte(header + "fe,0,0,0,0,1\nfe,0,0,0,1,1\nfe,0,0,0,1,2\n"))
 	f.Add([]byte(header + "fe,0,0,0,0,1\nfe,0,0,1,1,1\n"))
+	f.Add([]byte(header + "fe,0,0,0,0,-0\nfe,0,0,0,1,-1e-3\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		start := time.Now()
 		d, err := ReadCSV(bytes.NewReader(data))

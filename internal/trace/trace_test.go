@@ -219,7 +219,7 @@ func TestValidateDeepMismatch(t *testing.T) {
 }
 
 func TestValidateRejectsNonFinite(t *testing.T) {
-	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e-3} {
 		d := NewDataset("x", 1, 2, 2, 3)
 		d.Times[0][1][1][2] = v
 		err := d.Validate()
