@@ -75,7 +75,9 @@ clean-store:
 # Anderson-Darling verdict table against its interpolation bound and the
 # reference statistic (TestADTableBound, a bound rather than bits: fused
 # multiply-adds may move the table form's last bits but not out of its
-# margin), sortx.Sort's padded networks against the
+# margin), the verdicts' fused sums against their references and the
+# threshold K² against the reference's (TestThresholdK2Bound, bits for
+# the sums, a bound for K²), sortx.Sort's padded networks against the
 # pruned ones (TestSortBitIdentical), the fleet shard paths — both driven by
 # the shared block kernel — against single-node execution, and a local
 # sweep cell above the one constant cache bound, folded within the
@@ -94,7 +96,7 @@ clean-store:
 # the bits under amd64's wider instruction set and is the first slice of
 # a GOAMD64 matrix.
 test-bitident-v3:
-	GOAMD64=v3 $(GO) test -count=1 -run 'BitIdentical|OnePassMoments|ADTableBound|PerSizeConsts' ./internal/stats/... ./internal/core ./internal/sortx
+	GOAMD64=v3 $(GO) test -count=1 -run 'BitIdentical|OnePassMoments|ADTableBound|PerSizeConsts|ThresholdK2Bound' ./internal/stats/... ./internal/core ./internal/sortx
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestShardMergeBitIdenticalToSingleNode|TestShardStreamedPathBitIdentical|CacheBound|OverBound' ./internal/serve
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestFleetSweepIQRBitIdentical|TestStreamStudyMatchesSweepRowUnderEveryPolicy' ./internal/fleet
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestDLBStaticGoldenFingerprint|TestProgressSinkDoesNotPerturbFill' ./internal/cluster
@@ -232,13 +234,16 @@ lint:
 # float64() wraps keep D'Agostino's and Jarque-Bera's moments equal to
 # the math.Pow reference, or inside SumSquaresAbout (VarianceAbout's
 # sum), whose wrap keeps Variance, StdDev, Shapiro-Wilk's W and the
-# Anderson-Darling statistic the same on every architecture. amd64 never
+# Anderson-Darling statistic the same on every architecture, or inside
+# internal/stats/normality's fusedMoments, the verdicts' one sweep that
+# takes both sums and must keep their bits. amd64 never
 # fuses, so no amd64 test run can catch a missing wrap. The self-test
 # first proves the guard trips on an unwrapped copy of the loop
 # (scripts/testdata/fmaguard).
 lint-fma:
 	sh scripts/lint_asm_test.sh fma
 	sh scripts/lint_asm.sh fma ./internal/stats internal/stats/desc.go centralMoments SumSquaresAbout
+	sh scripts/lint_asm.sh fma ./internal/stats/normality internal/stats/normality/verdict.go fusedMoments
 
 # The branch guard of the partition, network and merge code: the amd64
 # build of internal/sortx must list no conditional jump on a comparison

@@ -33,6 +33,25 @@ func TestBinTimeoutFloorAndSpanCap(t *testing.T) {
 	}
 }
 
+// TestBinTimeoutNonPositiveRefused: an explicit -bin-timeout-ms of 0 or
+// less is refused with the floor's message on every path, the
+// three-strategy assessment and the -strategies grid, for -app and -in
+// alike, instead of meaning the 1 ms default on some of them.
+func TestBinTimeoutNonPositiveRefused(t *testing.T) {
+	path := writeDataset(t)
+	for _, ms := range []string{"0", "-1"} {
+		for _, study := range [][]string{{"-app", "minife", "-geometry", "1x8x4x48"}, {"-in", path}} {
+			for _, extra := range [][]string{nil, {"-strategies"}} {
+				args := append(append(append([]string(nil), study...), extra...), "-bin-timeout-ms", ms)
+				_, err := runCmd(t, args...)
+				if err == nil || !strings.Contains(err.Error(), "-bin-timeout-ms") || !strings.Contains(err.Error(), "floor") {
+					t.Errorf("%v: error %v, want a -bin-timeout-ms floor refusal", args, err)
+				}
+			}
+		}
+	}
+}
+
 // TestPartBytesRange: -part-bytes below zero is refused on the local
 // path and with -remote alike, instead of assessing every strategy as
 // finishing together with a negative overlap; zero is the 1 MiB

@@ -29,7 +29,9 @@
 // table. With -app it runs on an in-process serve.Server's strategy
 // grid, the executor behind POST /v1/strategies; combined with -remote
 // it asks that endpoint instead. An explicit -bin-timeout-ms replaces
-// the grid's timeout axis on every path, -in included.
+// the grid's timeout axis on every path, -in included. An explicit
+// -bin-timeout-ms below the 10 µs floor, 0 included, is refused on
+// every path; left out, it is 1 ms.
 //
 // With -fleet (a comma-separated list of earlybirdd worker URLs) the
 // study is federated through an in-process coordinator, the same
@@ -141,6 +143,15 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 			return runRemoteScenario(stdout, *remote, *scenFile, *scenCheck)
 		}
 		return runScenario(stdout, *fleetCSV, *scenFile, *scenCheck)
+	}
+
+	// An explicit timeout is the one timeout of every path: the
+	// assessment's, and the -strategies grid's only one. So no value of
+	// it may mean the default on one path and fail on the other.
+	if set["bin-timeout-ms"] {
+		if err := partcomm.CheckBinTimeout(*timeoutMs * 1e-3); err != nil {
+			return fmt.Errorf("-bin-timeout-ms: %w", err)
+		}
 	}
 
 	if *in != "" && (policy.IsSet || geometry.IsSet) {

@@ -36,9 +36,7 @@ func TestRunMainConflicts(t *testing.T) {
 		"no app or in":       {},
 		"remote plus fleet":  {"-app", "minife", "-remote", "http://x", "-fleet", "http://y"},
 		"remote without app": {"-remote", "http://x"},
-		"remote with in":     {"-remote", "http://x", "-in", "fe.json"},
 		"fleet without app":  {"-fleet", "http://x"},
-		"fleet with in":      {"-fleet", "http://x", "-in", "fe.json"},
 		"fleet bad url":      {"-app", "minife", "-fleet", "not-a-url"},
 		"fleet sweep drops feasibility flags": {
 			"-app", "minife", "-fleet", "http://x", "-bin-timeout-ms", "0.5"},
@@ -47,7 +45,6 @@ func TestRunMainConflicts(t *testing.T) {
 		"bad geometry":            {"-app", "minife", "-geometry", "3x4"},
 		"bad dlb":                 {"-app", "minife", "-dlb", "nope"},
 		"dlb cross param":         {"-app", "minife", "-dlb", "lewi:reaction=3"},
-		"dlb with in":             {"-in", "fe.json", "-dlb", "lewi"},
 		"store-dir without fleet": {"-app", "minife", "-store-dir", "x"},
 	}
 	for name, args := range cases {
@@ -55,11 +52,24 @@ func TestRunMainConflicts(t *testing.T) {
 			t.Errorf("%s: expected error", name)
 		}
 	}
+	// A flag that cannot take a local dataset is refused by name, on a
+	// dataset that exists, so no other error can stand in for the
+	// conflict's.
+	path := writeDataset(t)
+	for flag, args := range map[string][]string{
+		"-dlb":    {"-in", path, "-dlb", "lewi"},
+		"-remote": {"-remote", "http://x", "-in", path},
+		"-fleet":  {"-fleet", "http://x", "-in", path},
+	} {
+		if _, err := runCmd(t, args...); err == nil || !strings.Contains(err.Error(), flag) || !strings.Contains(err.Error(), "-in") {
+			t.Errorf("%s with -in: error %v, want one naming %s and -in", flag, err, flag)
+		}
+	}
 }
 
-// TestRunMainGeometryWithIn: -geometry cannot resize a pre-collected
-// dataset, so it is refused with -in rather than ignored.
-func TestRunMainGeometryWithIn(t *testing.T) {
+// writeDataset writes a valid two-sample dataset and returns its path.
+func writeDataset(t *testing.T) string {
+	t.Helper()
 	ds := trace.NewDataset("fe", 1, 1, 1, 2)
 	ds.Times[0][0][0] = []float64{0.01, 0.02}
 	path := filepath.Join(t.TempDir(), "fe.json")
@@ -67,10 +77,17 @@ func TestRunMainGeometryWithIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
 	if err := ds.WriteJSON(f); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	return path
+}
+
+// TestRunMainGeometryWithIn: -geometry cannot resize a pre-collected
+// dataset, so it is refused with -in rather than ignored.
+func TestRunMainGeometryWithIn(t *testing.T) {
+	path := writeDataset(t)
 	if _, err := runCmd(t, "-in", path); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -238,6 +239,18 @@ func TestFacadeRunCampaignErrorPropagation(t *testing.T) {
 	}
 	if _, err := earlybird.RunCampaign(earlybird.Campaign{Specs: []earlybird.CampaignSpec{{}}}); err == nil {
 		t.Error("empty spec should fail to resolve")
+	}
+}
+
+// TestFacadeRunCampaignNamesDatasetSpec: a dataset-backed spec that
+// fails to resolve is named in the joined error by its dataset's app,
+// not by the empty App it was given.
+func TestFacadeRunCampaignNamesDatasetSpec(t *testing.T) {
+	ds := trace.NewDataset("wide", 1, 1, 1, 2)
+	ds.Times[0][0][0] = []float64{0.01, 1e4} // 1e7 bins of the 1 ms timeout
+	_, err := earlybird.RunCampaign(earlybird.Campaign{Specs: []earlybird.CampaignSpec{{Dataset: ds}}})
+	if err == nil || !strings.Contains(err.Error(), "spec 0 (wide):") {
+		t.Fatalf("error %v, want it to name spec 0 (wide)", err)
 	}
 }
 

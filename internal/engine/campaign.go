@@ -326,10 +326,16 @@ func (e *Engine) Run(c Campaign) ([]Result, error) {
 	})
 
 	errs := make([]error, 0, len(results))
-	for i := range results {
-		if results[i].Err != nil {
-			errs = append(errs, fmt.Errorf("spec %d (%s): %w", i, results[i].Spec.App, results[i].Err))
+	for i, r := range results {
+		if r.Err == nil {
+			continue
 		}
+		// A dataset-backed spec that failed to resolve has no App yet.
+		name := r.Spec.App
+		if name == "" && r.Spec.Dataset != nil {
+			name = r.Spec.Dataset.App
+		}
+		errs = append(errs, fmt.Errorf("spec %d (%s): %w", i, name, r.Err))
 	}
 	return results, errors.Join(errs...)
 }

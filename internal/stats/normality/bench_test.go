@@ -87,16 +87,20 @@ func BenchmarkVerdicts(b *testing.B) {
 	sorted := append([]float64(nil), xs...)
 	sortx.Sort(sorted)
 	v := NewVerdicts(DefaultAlpha)
+	consts := constsFor(len(xs))
 	for _, c := range []struct {
 		name            string
 		result, verdict func()
 	}{
 		{"DAgostino",
 			func() { DAgostinoK2(xs, DefaultAlpha) },
-			func() { v.dagPassed(xs, sorted) }},
+			func() {
+				m2, m3, m4, _ := fusedMoments(xs, sorted)
+				v.dagPassed(xs, consts.thresholdK2(m2, m3, m4))
+			}},
 		{"ShapiroWilk",
 			func() { ShapiroWilkSorted(sorted, DefaultAlpha) },
-			func() { v.swPassed(sorted, spreadOf(sorted)) }},
+			func() { v.swPassed(sorted, consts, spreadOf(sorted)) }},
 		{"AndersonDarling",
 			func() { AndersonDarlingSorted(sorted, DefaultAlpha) },
 			func() { v.adPassed(sorted, spreadOf(sorted)) }},

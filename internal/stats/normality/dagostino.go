@@ -60,6 +60,23 @@ func (c *sizeConsts) k2(xs []float64) float64 {
 	return z1*z1 + z2*z2
 }
 
+// thresholdK2 is K² for the threshold verdict, from the central moments
+// m2, m3, m4 of a sample of the constants' size. It is k2's expression
+// but for g1's denominator, m2·√m2 where stats.SkewnessKurtosis takes
+// math.Pow(m2, 1.5), which may move K² by a few ulp (see
+// thresholdMargin). Where m2·√m2 is outside [2^-1000, 2^1000], so that
+// it or Pow may overflow or lose bits to underflow, thresholdK2 is NaN
+// and the reference decides.
+func (c *sizeConsts) thresholdK2(m2, m3, m4 float64) float64 {
+	p := m2 * math.Sqrt(m2)
+	if !(p >= 0x1p-1000 && p <= 0x1p1000) {
+		return math.NaN()
+	}
+	z1 := c.skewnessZ(m3 / p)
+	z2 := c.kurtosisZ(m4 / (m2 * m2))
+	return z1*z1 + z2*z2
+}
+
 // DAgostinoK2 performs D'Agostino's K² omnibus normality test, which
 // combines the skewness and kurtosis z-statistics into K² = Z1² + Z2²,
 // distributed approximately chi-squared with 2 degrees of freedom under

@@ -66,10 +66,18 @@ func adTableStatistic(x []float64) (float64, bool) {
 	return adTableStatisticAbout(x, spreadOf(x))
 }
 
-// swPassedSorted is the Shapiro-Wilk verdict of v and whether it came
-// from the reference.
+// dagPassedSorted is the D'Agostino verdict of v, as Passed reaches it,
+// and whether it came from the reference.
+func (v Verdicts) dagPassedSorted(xs, sorted []float64) (passed, usedFallback bool) {
+	p, f := v.decide(xs, sorted)
+	return p[DAgostino], f[DAgostino]
+}
+
+// swPassedSorted is the Shapiro-Wilk verdict of v on the sorted sample
+// x, as Passed reaches it, and whether it came from the reference.
 func (v Verdicts) swPassedSorted(x []float64) (passed, usedFallback bool) {
-	return v.swPassed(x, spreadOf(x))
+	p, f := v.decide(x, x)
+	return p[ShapiroWilk], f[ShapiroWilk]
 }
 
 // TestPerSizeConsts pins DAgostinoK2's K² and p-value, and
@@ -170,6 +178,57 @@ func TestThresholdBounds(t *testing.T) {
 	t.Logf("largest K² relative gap %g (x = %v), largest z gap %g (z = %v)", k2Gap, k2At, zGap, zAt)
 }
 
+// TestThresholdK2Bound checks what the fused D'Agostino verdict rests
+// on, over 408k random blocks, 34k of each shape at n = 20, 48 and
+// adMaxN: fusedMoments' moments and spread are bit-identical to the
+// references' (g1 through math.Pow, b2, and spreadOf of the sorted
+// block), and thresholdK2 stays within 1e-12 relative of the
+// reference's K², and within a thousandth of thresholdMargin where K² is
+// below k2MaxCrit+1, where a critical value can lie.
+func TestThresholdK2Bound(t *testing.T) {
+	src := rng.New(31)
+	for _, n := range []int{20, 48, adMaxN} {
+		c := constsFor(n)
+		maxRel, maxG1, maxNear := 0.0, 0.0, 0.0
+		for _, name := range []string{"normal", "exponential", "uniform", "mixture"} {
+			for rep := 0; rep < 34000; rep++ {
+				xs := verdictShapes[name](src, n)
+				sorted := append([]float64(nil), xs...)
+				sortx.Sort(sorted)
+				m2, m3, m4, sp := fusedMoments(xs, sorted)
+				g1, b2 := stats.SkewnessKurtosis(xs)
+				if ref := spreadOf(sorted); sp != ref {
+					t.Fatalf("%s n=%d: fused spread %+v, spreadOf %+v", name, n, sp, ref)
+				}
+				if got := m3 / math.Pow(m2, 1.5); math.Float64bits(got) != math.Float64bits(g1) {
+					t.Fatalf("%s n=%d: fused g1 %v, SkewnessKurtosis %v", name, n, got, g1)
+				}
+				if got := m4 / (m2 * m2); math.Float64bits(got) != math.Float64bits(b2) {
+					t.Fatalf("%s n=%d: fused b2 %v, SkewnessKurtosis %v", name, n, got, b2)
+				}
+				got, want := c.thresholdK2(m2, m3, m4), c.k2(xs)
+				rel := math.Abs(got-want) / want
+				if !(rel <= 1e-12) {
+					t.Fatalf("%s n=%d: threshold K² %v is %g relative from the reference %v", name, n, got, rel, want)
+				}
+				maxRel = math.Max(maxRel, rel)
+				if want < k2MaxCrit+1 {
+					if gap := math.Abs(got - want); !(gap <= thresholdMargin/1000) {
+						t.Fatalf("%s n=%d: threshold K² %v is %g from the reference %v, over a thousandth of the margin",
+							name, n, got, gap, want)
+					}
+					maxNear = math.Max(maxNear, math.Abs(got-want))
+				}
+				if g1 != 0 {
+					maxG1 = math.Max(maxG1, math.Abs(m3/(m2*math.Sqrt(m2))-g1)/math.Abs(g1))
+				}
+			}
+		}
+		t.Logf("n=%d: largest K² relative gap %g, below k2MaxCrit+1 %g; g1 relative gap %g (%.1f ulp)",
+			n, maxRel, maxNear, maxG1, maxG1/0x1p-52)
+	}
+}
+
 // blendSample returns a sorted n-sample on which stat lies within tol
 // of target. It blends normal quantiles, where every test's statistic
 // sits on the passing side, with log-normal quantiles, far on the
@@ -250,7 +309,7 @@ func TestThresholdVerdictNearCritical(t *testing.T) {
 				crit    float64
 				verdict func(xs []float64) (bool, bool)
 			}{
-				{DAgostino, k2Of(t), v.k2Crit, func(xs []float64) (bool, bool) { return v.dagPassed(xs, xs) }},
+				{DAgostino, k2Of(t), v.k2Crit, func(xs []float64) (bool, bool) { return v.dagPassedSorted(xs, xs) }},
 				{ShapiroWilk, royston(t), v.zCrit, v.swPassedSorted},
 			} {
 				xs := blendSample(t, n, c.stat, c.crit, 1e-12)
@@ -291,7 +350,7 @@ func TestVerdictsRanges(t *testing.T) {
 							t.Fatalf("%s n=%d alpha=%v: %v passed=%v, battery %+v", name, n, alpha, test, got[test], want[test])
 						}
 					}
-					_, dagRef := v.dagPassed(xs, sorted)
+					_, dagRef := v.dagPassedSorted(xs, sorted)
 					_, swRef := v.swPassedSorted(sorted)
 					if !dagRef {
 						fast[DAgostino]++
@@ -352,6 +411,8 @@ func FuzzVerdicts(f *testing.F) {
 	f.Add(encodeSample(blendSample(f, 48, royston(f), v.zCrit, 1e-12)))
 	f.Add(encodeSample(normalSample(7, 48, 26.3e-3, 0.4e-3)))
 	f.Add(encodeSample(expSample(7, 20, 1e-3)))
+	f.Add(encodeSample(blendSample(f, 20, k2Of(f), v.k2Crit, 1e-12)))
+	f.Add(encodeSample(blendSample(f, adMaxN, k2Of(f), v.k2Crit, 1e-12)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		xs := decodeSample(data)
 		sorted := append([]float64(nil), xs...)

@@ -28,6 +28,10 @@ import (
 //   - Anderson-Darling compares A²*, with ln Φ read from a table by
 //     linear interpolation, with Stephens' critical value, for
 //     8 ≤ n ≤ adMaxN (see adTableMargin).
+//
+// Per block, Passed looks up the per-size constants once and, for
+// 20 ≤ n ≤ adMaxN, reads every sum the three tests need from one fused
+// sweep (fusedMoments) instead of four.
 type Verdicts struct {
 	alpha float64
 	// k2Crit and zCrit are NaN when alpha lies outside the range their
@@ -61,15 +65,38 @@ func (v Verdicts) Alpha() float64 { return v.alpha }
 // arguments and contract as BatterySorted: xs in its original order and
 // sorted an ascending copy of it, neither modified.
 //
-// Shapiro-Wilk and Anderson-Darling read the same mean and sum of
-// squared deviations of sorted, so Passed computes them once.
+// The three verdicts read their sums from one fused sweep for
+// 20 ≤ n ≤ adMaxN and a non-constant sample (fusedMoments): the mean
+// and central moments of xs that D'Agostino's K² takes, and the mean and
+// sum of squared deviations of sorted that Shapiro-Wilk and
+// Anderson-Darling share, each bit-identical to its reference. Outside
+// that range the two tests of sorted still share one spreadOf.
 func (v Verdicts) Passed(xs, sorted []float64) [3]bool {
-	var out [3]bool
-	out[DAgostino], _ = v.dagPassed(xs, sorted)
-	sp := spreadOf(sorted)
-	out[ShapiroWilk], _ = v.swPassed(sorted, sp)
-	out[AndersonDarling], _ = v.adPassed(sorted, sp)
-	return out
+	passed, _ := v.decide(xs, sorted)
+	return passed
+}
+
+// decide is Passed, also reporting per test whether the verdict came
+// from the reference rather than the threshold or table form.
+func (v Verdicts) decide(xs, sorted []float64) (passed, usedFallback [3]bool) {
+	n := len(xs)
+	var c *sizeConsts
+	if n > 11 && n <= adMaxN {
+		c = constsFor(n)
+	}
+	k2 := math.NaN() // no threshold K²: the reference decides D'Agostino
+	var sp spread
+	if n >= 20 && c != nil && sorted[0] != sorted[n-1] {
+		var m2, m3, m4 float64
+		m2, m3, m4, sp = fusedMoments(xs, sorted)
+		k2 = c.thresholdK2(m2, m3, m4)
+	} else {
+		sp = spreadOf(sorted)
+	}
+	passed[DAgostino], usedFallback[DAgostino] = v.dagPassed(xs, k2)
+	passed[ShapiroWilk], usedFallback[ShapiroWilk] = v.swPassed(sorted, c, sp)
+	passed[AndersonDarling], usedFallback[AndersonDarling] = v.adPassed(sorted, sp)
+	return passed, usedFallback
 }
 
 // spread is a sample's mean and its sum of squared deviations from it:
@@ -83,6 +110,37 @@ func spreadOf(x []float64) spread {
 	return spread{m, stats.SumSquaresAbout(x, m)}
 }
 
+// fusedMoments returns the second, third and fourth central moments of
+// xs, as stats.SkewnessKurtosis takes them, and spreadOf(sorted), for
+// len(sorted) == len(xs) > 0. It makes two sweeps instead of four: the
+// first sums xs and sorted, the second the central powers of xs and
+// the squared deviations of sorted. Each sum is its own chain, in its
+// reference's order (stats.Mean, centralMoments, SumSquaresAbout), and
+// every product is wrapped in float64() so that no compiler fuses it
+// into its sum, so every result is bit-identical to its reference's;
+// make lint-fma checks the arm64 build.
+func fusedMoments(xs, sorted []float64) (m2, m3, m4 float64, sp spread) {
+	sorted = sorted[:len(xs)]
+	sumX, sumS := 0.0, 0.0
+	for i, x := range xs {
+		sumX += x
+		sumS += sorted[i]
+	}
+	n := float64(len(xs))
+	meanX, meanS := sumX/n, sumS/n
+	ss := 0.0
+	for i, x := range xs {
+		d := x - meanX
+		d2 := float64(d * d)
+		m2 += d2
+		m3 += float64(d2 * d)
+		m4 += float64(d2 * d2)
+		e := sorted[i] - meanS
+		ss += float64(e * e)
+	}
+	return m2 / n, m3 / n, m4 / n, spread{meanS, ss}
+}
+
 // PassedSorted is NewVerdicts(alpha).Passed(xs, sorted), for a caller
 // that decides a single sample at alpha; a caller that decides many
 // builds the Verdicts once.
@@ -92,10 +150,22 @@ func PassedSorted(xs, sorted []float64, alpha float64) [3]bool {
 
 // thresholdMargin is how far K² and Royston's z must sit from their
 // critical values before the threshold verdicts trust their side of
-// them. Both statistics are computed bit for bit as the reference
-// computes them; the verdicts differ from the reference only in
-// replacing its "p < α" by a comparison of the statistic itself:
+// them. Royston's z is computed bit for bit as the reference computes
+// it, and K² from the reference's moments, differing only in g1's
+// denominator (below); otherwise the verdicts differ from the reference
+// only in replacing its "p < α" by a comparison of the statistic
+// itself:
 //
+//   - thresholdK2 divides m3 by m2·√m2, two correctly rounded
+//     operations, where stats.SkewnessKurtosis divides by
+//     math.Pow(m2, 1.5), which evaluates Exp(Log(m2)/2) times m2's
+//     mantissa and is off by up to about |ln m2|/2 + 2 ulp (some 10 ulp
+//     for the paper's timings, m2 ≈ 1e-7). The two g1 then differ by a
+//     few ulp, at most 5.8 over TestThresholdK2Bound's 408k blocks, and
+//     K² below k2MaxCrit+1, where a critical value can lie, by at most
+//     4.3e-14 there: over 20,000 times inside the margin. Outside
+//     [2^-1000, 2^1000], where either form could overflow or lose bits
+//     to underflow, thresholdK2 is NaN and the reference decides.
 //   - K² has 2 degrees of freedom, whose survival function is exactly
 //     e^(-x/2), so p < α ⟺ K² > -2·ln α. ChiSquaredSF(x, 2) stays within
 //     5.3e-15 relative of e^(-x/2) on (0, k2MaxCrit+2], which moves the
@@ -107,8 +177,10 @@ func PassedSorted(xs, sorted []float64, alpha float64) [3]bool {
 //     on ±(swMaxZ+0.3), and beyond that p stays on its side of its
 //     values there.
 //
-// TestThresholdBounds measures both gaps; the margin is over 1000 times
-// the larger. A K² of +Inf is a rejection on both sides; a NaN
+// TestThresholdBounds measures the last two gaps; the margin is over
+// 1000 times the larger. Inside the margin the unchanged DAgostinoK2
+// and ShapiroWilkSorted decide, so every reported K², W and p-value
+// keeps its bits. A K² of +Inf is a rejection on both sides; a NaN
 // statistic goes to the reference, which rejects it too.
 const thresholdMargin = 1e-9
 
@@ -122,19 +194,16 @@ const (
 )
 
 // dagPassed is DAgostinoK2(xs, alpha)'s Passed() verdict, with an error
-// counting as a rejection. It also reports whether the verdict came
-// from the reference: a sample outside the threshold's size range, a
-// constant sample, or a K² within thresholdMargin of the critical value
-// or NaN.
-func (v Verdicts) dagPassed(xs, sorted []float64) (passed, usedFallback bool) {
-	if n := len(xs); n >= 20 && n <= adMaxN && sorted[0] != sorted[n-1] {
-		k2 := constsFor(n).k2(xs)
-		switch d := k2 - v.k2Crit; {
-		case d > thresholdMargin:
-			return false, false
-		case d < -thresholdMargin:
-			return true, false
-		}
+// counting as a rejection, given k2 = thresholdK2 of xs, or NaN where
+// the threshold does not apply (a sample outside its size range or
+// constant). It also reports whether the verdict came from the
+// reference: k2 NaN or within thresholdMargin of the critical value.
+func (v Verdicts) dagPassed(xs []float64, k2 float64) (passed, usedFallback bool) {
+	switch d := k2 - v.k2Crit; {
+	case d > thresholdMargin:
+		return false, false
+	case d < -thresholdMargin:
+		return true, false
 	}
 	r, err := DAgostinoK2(xs, v.alpha)
 	return err == nil && r.Passed(), true
@@ -142,11 +211,11 @@ func (v Verdicts) dagPassed(xs, sorted []float64) (passed, usedFallback bool) {
 
 // swPassed is ShapiroWilkSorted(x, alpha)'s Passed() verdict, with an
 // error counting as a rejection, and whether it came from the reference
-// (as dagPassed); sp is spreadOf(x). W = 1 gives z = -Inf, a pass as in
-// swPValue; W > 1 gives NaN, which the reference decides.
-func (v Verdicts) swPassed(x []float64, sp spread) (passed, usedFallback bool) {
+// (as dagPassed); c is constsFor(len(x)) for 11 < len(x) ≤ adMaxN and
+// may be nil otherwise, and sp is spreadOf(x). W = 1 gives z = -Inf, a
+// pass as in swPValue; W > 1 gives NaN, which the reference decides.
+func (v Verdicts) swPassed(x []float64, c *sizeConsts, sp spread) (passed, usedFallback bool) {
 	if n := len(x); n > 11 && n <= adMaxN && x[0] != x[n-1] {
-		c := constsFor(n)
 		switch d := swZ(swStatistic(x, c.swA, sp.ss), c) - v.zCrit; {
 		case d > thresholdMargin:
 			return false, false

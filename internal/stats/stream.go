@@ -258,17 +258,31 @@ func (h *QuantileHistogram) AddSlice(xs []float64) {
 	}
 }
 
-// AddSorted folds an ascending-sorted run into the histogram. It reads
-// the run's range from its ends, so the level changes at most once per
-// run; the result is the same as adding each value.
+// AddSorted folds a NaN-free run, sorted ascending as sortx.Sort leaves
+// it (-0 before +0), into the histogram. It reads the run's range from
+// its ends, so the level rises at most once per run; the result is the
+// same as adding each value.
+//
+// When lo ≥ 0 and hi·1e9 < 2^62 for the run's ends lo and hi (both
+// false for a NaN end), every sample x of the run has
+// 0 ≤ x·1e9 < 2^62, where truncation to int64 is binOf's floor (-0
+// included), so the run is binned without binOf's saturation and NaN
+// branches.
 func (h *QuantileHistogram) AddSorted(xs []float64) {
 	if len(xs) == 0 {
 		return
 	}
-	h.extend(notNaN(xs[0]), notNaN(xs[len(xs)-1]))
+	lo, hi := xs[0], xs[len(xs)-1]
+	h.extend(notNaN(lo), notNaN(hi))
 	counts, l := h.counts, h.level
-	for _, x := range xs {
-		counts[binOf(x)>>l&slotMask]++
+	if lo >= 0 && hi*binsPerSecond < maxBin {
+		for _, x := range xs {
+			counts[int64(x*binsPerSecond)>>l&slotMask]++
+		}
+	} else {
+		for _, x := range xs {
+			counts[binOf(x)>>l&slotMask]++
+		}
 	}
 	h.n += int64(len(xs))
 }
@@ -298,13 +312,31 @@ func (h *QuantileHistogram) extend(lo, hi float64) {
 	}
 	lo, hi = min(h.min, lo), max(h.max, hi)
 	if l := levelFor(binOf(lo), binOf(hi), h.level); l > h.level {
-		old := QuantileHistogram{min: h.min, max: h.max, level: h.level, counts: new([QuantileBins]uint32)}
-		*old.counts = *h.counts
-		clear(h.counts[:])
-		h.level = l
-		h.fold(&old)
+		h.collapse(l)
 	}
 	h.min, h.max = lo, hi
+}
+
+// collapse raises h's level to l > h.level in place, one level at a
+// time: each step copies the occupied span's counts, in bin order from
+// an even bin, into a stack scratch, clears the slots and writes each
+// pair's sum to its new bin's slot. A rise is almost always one level,
+// and summing pairs in registers avoids the chain of read-modify-writes
+// to one slot that folding bin by bin makes.
+func (h *QuantileHistogram) collapse(l uint8) {
+	for ; h.level < l; h.level++ {
+		lo, hi := h.bins()
+		base := lo &^ 1 // the even bin pairing with lo
+		// At most QuantileBins+1 bins from base, and a zero after an odd count.
+		var pairs [QuantileBins + 2]uint32
+		n := hi - base + 1
+		k := copy(pairs[lo-base:n], h.counts[lo&slotMask:])
+		copy(pairs[lo-base+int64(k):n], h.counts[:])
+		clear(h.counts[:])
+		for j := int64(0); 2*j < n; j++ {
+			h.counts[(base>>1+j)&slotMask] = pairs[2*j] + pairs[2*j+1]
+		}
+	}
 }
 
 // bins returns the lowest and highest occupied bins at h's level.

@@ -1,10 +1,14 @@
 package stats
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
+
+	"earlybird/internal/sortx"
 )
 
 // relDiff returns |a-b| / max(|a|, |b|, 1e-300).
@@ -426,5 +430,108 @@ func TestQuantileSketchAddSortedMemoryBound(t *testing.T) {
 	}
 	if q.level < 10 {
 		t.Fatalf("level %d: the range never widened", q.level)
+	}
+}
+
+// TestAddSortedMatchesAdd: a run fed through AddSorted, on its
+// truncating path or binOf's, encodes to the same bytes as its samples
+// fed one by one through Add. The runs sit on the truncating path's
+// edges: from -0 and +0, around 2^62/1e9 s where binOf saturates, below
+// zero, to ±Inf, and 200 random 48-sample runs of either sign, each fed
+// into a fresh histogram and into ones already holding other samples.
+func TestAddSortedMatchesAdd(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	edge := float64(maxBin) / binsPerSecond
+	below := edge // the largest run end the truncating path takes
+	for below*binsPerSecond >= maxBin {
+		below = math.Nextafter(below, 0)
+	}
+	runs := map[string][]float64{
+		"from -0":                      {negZero, 0, 1e-9, 1.5e-9, 26e-3},
+		"from +0":                      {0, 0, 0.5e-9, 2e-9, 3e-3},
+		"only -0":                      {negZero, negZero},
+		"up to 2^62 ns":                {below / 2, math.Nextafter(below, 0), below},
+		"straddling 2^62 ns":           {below / 2, below, edge, math.Nextafter(edge, math.Inf(1)), 2 * edge},
+		"negative lo":                  {-3e-3, -1e-9, negZero, 0, 2e-3},
+		"negative lo, fractional bins": {-1.5e-9, -0.5e-9, negZero, 0.5e-9},
+		"+Inf end":                     {0, 1e-3, math.Inf(1)},
+		"-Inf end":                     {math.Inf(-1), 1e-3, 2e-3},
+		"both Inf ends":                {math.Inf(-1), 0, math.Inf(1)},
+	}
+	r := rand.New(rand.NewSource(53))
+	for i := 0; i < 200; i++ {
+		run := make([]float64, 48)
+		scale := math.Pow(10, -9+9*r.Float64()) // 1 ns to 1 s
+		offset := scale * (6*r.Float64() - 1)
+		for j := range run {
+			run[j] = offset + scale*r.NormFloat64()
+		}
+		sortx.Sort(run)
+		runs[fmt.Sprintf("random %d", i)] = run
+	}
+	for name, run := range runs {
+		for _, prior := range [][]float64{nil, {5e-3, 7e-3}, {-1, 1e3}} {
+			var sorted, added QuantileHistogram
+			sorted.AddSlice(prior)
+			added.AddSlice(prior)
+			sorted.AddSorted(run)
+			for _, x := range run {
+				added.Add(x)
+			}
+			got, _ := sorted.AppendBinary(nil)
+			want, _ := added.AppendBinary(nil)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s after %v: AddSorted encodes to %x, Add to %x", name, prior, got, want)
+			}
+		}
+	}
+}
+
+// copyClearFold is the level rise extend made before collapse: copy the
+// counts, clear them and fold the copy back at level l.
+func copyClearFold(h *QuantileHistogram, l uint8) {
+	old := QuantileHistogram{min: h.min, max: h.max, level: h.level, counts: new([QuantileBins]uint32)}
+	*old.counts = *h.counts
+	clear(h.counts[:])
+	h.level = l
+	h.fold(&old)
+}
+
+// TestCollapseMatchesCopyClearFold: the in-place level rise leaves the
+// counts the copy-clear-fold left, at every level step from a
+// histogram's own level to the top, as one jump and as a chain of
+// single steps, for ranges of either sign at any offset against the
+// slots.
+func TestCollapseMatchesCopyClearFold(t *testing.T) {
+	clone := func(h *QuantileHistogram) *QuantileHistogram {
+		c := *h
+		c.counts = new([QuantileBins]uint32)
+		*c.counts = *h.counts
+		return &c
+	}
+	same := func(what string, a, b *QuantileHistogram) {
+		t.Helper()
+		if a.level != b.level || *a.counts != *b.counts {
+			t.Fatalf("%s: level %d/%d, counts differ", what, a.level, b.level)
+		}
+	}
+	r := rand.New(rand.NewSource(59))
+	for i := 0; i < 300; i++ {
+		var h QuantileHistogram
+		center := (2*r.Float64() - 1) * math.Pow(10, -9+12*r.Float64())
+		spread := math.Pow(10, -9+10*r.Float64())
+		for j := 1 + r.Intn(2000); j > 0; j-- {
+			h.Add(center + spread*r.NormFloat64())
+		}
+		chain, ref := clone(&h), clone(&h)
+		for l := h.level + 1; l < 64; l++ {
+			got, want := clone(&h), clone(&h)
+			got.collapse(l)
+			copyClearFold(want, l)
+			same(fmt.Sprintf("histogram %d, level %d to %d", i, h.level, l), got, want)
+			chain.collapse(l)
+			copyClearFold(ref, l)
+			same(fmt.Sprintf("histogram %d, step to level %d", i, l), chain, ref)
+		}
 	}
 }
