@@ -90,7 +90,10 @@ clean-store:
 # IQR of a local sweep row, fleet rows and StreamStudy
 # (TestFleetSweepIQRBitIdentical), and the fill itself: the static
 # golden fingerprints and the with/without-progress-sink fingerprints of
-# cluster's one fill loop per policy. The moments
+# cluster's one fill loop per policy, and the delivery strategies, which
+# price each message size once, against the same strategies over the
+# reference link that prices every send (TestStrategiesBitIdenticalToLink
+# and FuzzStrategyOrdering's seeds). The moments
 # wrap each product in float64() so that no compiler may fuse it into an
 # FMA (DESIGN.md, "Hot path & performance model"); this target re-proves
 # the bits under amd64's wider instruction set and is the first slice of
@@ -100,6 +103,7 @@ test-bitident-v3:
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestShardMergeBitIdenticalToSingleNode|TestShardStreamedPathBitIdentical|CacheBound|OverBound' ./internal/serve
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestFleetSweepIQRBitIdentical|TestStreamStudyMatchesSweepRowUnderEveryPolicy' ./internal/fleet
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestDLBStaticGoldenFingerprint|TestProgressSinkDoesNotPerturbFill' ./internal/cluster
+	GOAMD64=v3 $(GO) test -count=1 -run 'TestStrategiesBitIdenticalToLink|FuzzStrategyOrdering' ./internal/partcomm
 
 # Shell-level tests for the repo's scripts: the bench gate's
 # comparison verdicts (scripts/bench_gate_test.sh), in particular that a

@@ -261,22 +261,40 @@ func BenchmarkWorkloadFill(b *testing.B) {
 	}
 }
 
-// BenchmarkStrategyFinish measures one strategy evaluation over a single
-// 48-thread arrival set.
+// BenchmarkStrategyFinish measures one strategy evaluation on real
+// sorted blocks: the 3,200 process iterations of a 2x8x200x48 fill per
+// app, cycled so that no block repeats within 3,200 calls, at the
+// service defaults (1 MiB partitions, Omni-Path, 1 ms bins). Binned's
+// walk branches on where each block's bins end — one bin for most
+// MiniFE and MiniMD blocks, about 29 for MiniQMC's — which one repeated
+// arrival set would let the branch predictor learn.
 func BenchmarkStrategyFinish(b *testing.B) {
-	arrivals := make([]float64, 48)
-	for i := range arrivals {
-		arrivals[i] = 26.3e-3 + float64(i)*1e-5
-	}
+	geom := cluster.Config{Trials: 2, Ranks: 8, Iterations: 200, Threads: 48, Seed: 1}
 	f := network.OmniPath()
-	for _, s := range []partcomm.Strategy{partcomm.Bulk{}, partcomm.FineGrained{}, partcomm.Binned{TimeoutSec: 1e-3}} {
-		b.Run(s.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if s.FinishTime(arrivals, 1<<20, f) <= 0 {
-					b.Fatal("bad finish time")
-				}
-			}
+	for _, app := range []string{"minife", "minimd", "miniqmc"} {
+		model, err := workload.ByName(app)
+		if err != nil {
+			b.Fatal(err)
+		}
+		col, err := cluster.RunColumnar(model, geom, dlb.Spec{}, 0, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var blocks [][]float64
+		col.Dataset().EachProcessIteration(func(_, _, _ int, xs []float64) {
+			blocks = append(blocks, stats.Sorted(xs))
 		})
+		for _, s := range []partcomm.Strategy{partcomm.Bulk{}, partcomm.FineGrained{}, partcomm.Binned{TimeoutSec: 1e-3}} {
+			b.Run(app+"/"+s.Name(), func(b *testing.B) {
+				k := 0
+				for b.Loop() {
+					if !(s.FinishTime(blocks[k%len(blocks)], 1<<20, f) > 0) {
+						b.Fatal("bad finish time")
+					}
+					k++
+				}
+			})
+		}
 	}
 }
 

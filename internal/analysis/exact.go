@@ -34,8 +34,12 @@ type ExactPass struct {
 
 	medianSum, reclSum, ratioSum float64
 	// mags[k] is max - median of the k-th block in pass order.
-	mags      []float64
+	mags []float64
+	// passed[k] holds the k-th block's verdicts with the battery, bit t
+	// set when test t failed to reject normality.
+	passed    []uint8
 	normality *NormalitySummary
+	setsBuilt bool
 	verdicts  normality.Verdicts
 }
 
@@ -49,11 +53,13 @@ type ExactPass struct {
 // function that computes it alone (ReclaimableTime, IdleRatio,
 // stats.Median, normality.Battery).
 func RunExactPass(d *trace.Dataset, fromIter, toIter int, opts PassOptions) *ExactPass {
+	blocks := d.Trials * d.Ranks * max(toIter-fromIter, 0)
 	p := &ExactPass{
 		d: d, fromIter: fromIter, toIter: toIter, opts: opts,
-		mags: make([]float64, 0, d.Trials*d.Ranks*max(toIter-fromIter, 0)),
+		mags: make([]float64, 0, blocks),
 	}
 	if opts.Battery {
+		p.passed = make([]uint8, 0, blocks)
 		p.normality = &NormalitySummary{Level: "process iteration"}
 		p.verdicts = normality.NewVerdicts(opts.Alpha)
 	}
@@ -81,12 +87,14 @@ func (p *ExactPass) ObserveSorted(_, _, _ int, xs, sorted []float64) {
 	p.mags = append(p.mags, max-med)
 	if s := p.normality; s != nil {
 		passed := p.verdicts.Passed(xs, sorted)
+		var bits uint8
 		for _, t := range normality.Tests {
 			if passed[t] {
 				s.Passed[t]++
-				s.PassedSets[t] = append(s.PassedSets[t], s.Total)
+				bits |= 1 << t
 			}
 		}
+		p.passed = append(p.passed, bits)
 		s.Total++
 	}
 	if p.opts.Sorted != nil {
@@ -116,11 +124,26 @@ func (p *ExactPass) Laggards(threshold float64) LaggardStats {
 }
 
 // Normality returns the process-iteration normality summary, or nil when
-// the pass ran without the battery.
-func (p *ExactPass) Normality() *NormalitySummary { return p.normality }
+// the pass ran without the battery. The first call lists each test's
+// passing blocks (PassedSets) from the per-block verdict bits the pass
+// kept, so a caller that reads only the counts, as Table1 does, never
+// allocates the lists; calls must not run concurrently.
+func (p *ExactPass) Normality() *NormalitySummary {
+	if s := p.normality; s != nil && !p.setsBuilt {
+		for k, bits := range p.passed {
+			for _, t := range normality.Tests {
+				if bits>>t&1 != 0 {
+					s.PassedSets[t] = append(s.PassedSets[t], k)
+				}
+			}
+		}
+		p.setsBuilt = true
+	}
+	return p.normality
+}
 
-// Table1 returns the Table 1 row of the pass; all pass rates are zero
-// when it ran without the battery.
+// Table1 returns the Table 1 row of the pass from the pass counts
+// alone; all pass rates are zero when it ran without the battery.
 func (p *ExactPass) Table1() Table1 {
 	t1 := Table1{App: p.d.App}
 	if p.normality != nil {

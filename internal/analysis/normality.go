@@ -23,9 +23,14 @@ type NormalitySummary struct {
 	Total int
 	// Passed[t] counts sets where test t failed to reject normality.
 	Passed [3]int
-	// PassedSets[t] lists the indices of passing sets (iteration indices
-	// at the application-iteration level), used to reproduce the paper's
-	// observation that eight MiniQMC iterations pass D'Agostino only.
+	// PassedSets[t] lists the indices of passing sets in ascending order:
+	// iteration indices at the application-iteration level, used to
+	// reproduce the paper's observation that eight MiniQMC iterations
+	// pass D'Agostino only, and block indices in pass order at the
+	// process-iteration level, where ExactPass.Normality builds the lists
+	// from the pass's per-block verdict bits when it is first called.
+	// Table 1 reads only the counts, so the exact pass behind a study
+	// never builds them.
 	PassedSets [3][]int
 }
 

@@ -161,8 +161,12 @@ type BlockObserver interface {
 // ProgressSink receives live fill telemetry from a streaming run — the
 // observer-hook half of the TALP-style live performance tracking
 // (internal/telemetry provides the tracker half). Implementations must
-// be safe for concurrent use: every fill worker calls ObserveFill after
-// every produced block.
+// be safe for concurrent use: every fill worker calls ObserveFill once
+// per batch of blocks it fills — at the end of each stripe (a trial
+// under a rebalancing policy) and after every progressBatch blocks
+// within one — so the sink is touched, and the clock read, once per
+// batch rather than once per block, as TALP accounts per region rather
+// than per event.
 //
 // No-perturbation contract: a sink only ever receives counts and
 // durations, never the sample slice, so it cannot perturb the result
@@ -171,13 +175,53 @@ type BlockObserver interface {
 // attached sink runs (both properties are pinned by tests — golden
 // fingerprints with/without a sink, and the bench gate).
 type ProgressSink interface {
-	// ObserveFill reports one produced process-iteration block: its
-	// sample count and the worker time spent filling it.
-	ObserveFill(samples int, busy time.Duration)
+	// ObserveFill reports one batch of produced process-iteration
+	// blocks: how many, their total sample count and the worker time
+	// spent filling them.
+	ObserveFill(blocks, samples int, busy time.Duration)
 	// ObserveLend reports a DLB iteration boundary at which n ranks ran
 	// on a lent (non-base) thread allocation. Never called under the
 	// static policy.
 	ObserveLend(n int)
+}
+
+// progressBatch is how many blocks a fill worker fills, at most,
+// between two ObserveFill reports within a stripe. At 32 a stripe of
+// every named geometry (60, 200 and 5000 iterations) reports more than
+// once, so /v1/progress moves within a stripe.
+const progressBatch = 32
+
+// fillBatch is one fill worker's open progress batch: the blocks and
+// samples filled since its last report, and when the first of them
+// started.
+type fillBatch struct {
+	blocks, samples int
+	start           time.Time
+}
+
+// begin starts the clock when a block opens a new batch.
+func (b *fillBatch) begin() {
+	if b.blocks == 0 {
+		b.start = time.Now()
+	}
+}
+
+// add counts one filled block of n samples and reports the batch once
+// it holds progressBatch blocks.
+func (b *fillBatch) add(p ProgressSink, n int) {
+	b.blocks++
+	b.samples += n
+	if b.blocks == progressBatch {
+		b.flush(p)
+	}
+}
+
+// flush reports the open batch, if any, and empties it.
+func (b *fillBatch) flush(p ProgressSink) {
+	if b.blocks > 0 {
+		p.ObserveFill(b.blocks, b.samples, time.Since(b.start))
+		b.blocks, b.samples = 0, 0
+	}
 }
 
 // ShiftTrials offsets a model's trial axis: trial t of the returned
@@ -283,6 +327,7 @@ func runStreamStatic(model workload.Model, cfg Config, workers int, sink *trace.
 			if sink == nil {
 				scratch = make([]float64, cfg.Threads)
 			}
+			var batch fillBatch
 			for s := lo; s < hi; s++ {
 				trial, rank := s/cfg.Ranks, s%cfg.Ranks
 				var sw *trace.StripeWriter
@@ -290,9 +335,8 @@ func runStreamStatic(model workload.Model, cfg Config, workers int, sink *trace.
 					sw = sink.Stripe(trial, rank)
 				}
 				for i := 0; i < cfg.Iterations; i++ {
-					var start time.Time
 					if progress != nil {
-						start = time.Now()
+						batch.begin()
 					}
 					out := scratch
 					if sw != nil {
@@ -306,8 +350,11 @@ func runStreamStatic(model workload.Model, cfg Config, workers int, sink *trace.
 						obs.ObserveBlock(trial, rank, i, out)
 					}
 					if progress != nil {
-						progress.ObserveFill(len(out), time.Since(start))
+						batch.add(progress, len(out))
 					}
+				}
+				if progress != nil {
+					batch.flush(progress)
 				}
 			}
 		}()
@@ -348,6 +395,7 @@ func runStreamBalanced(model workload.Model, cfg Config, policy dlb.Spec, worker
 			}
 			finish := make([]float64, cfg.Ranks)
 			var writers []*trace.StripeWriter
+			var batch fillBatch
 			for trial := lo; trial < hi; trial++ {
 				bal := policy.NewBalancer(cfg.Ranks, cfg.Threads)
 				if sink != nil {
@@ -360,9 +408,8 @@ func runStreamBalanced(model workload.Model, cfg Config, policy dlb.Spec, worker
 					alloc := bal.Alloc(i)
 					lent := 0
 					for r := 0; r < cfg.Ranks; r++ {
-						var start time.Time
 						if progress != nil {
-							start = time.Now()
+							batch.begin()
 						}
 						if alloc[r] != cfg.Threads {
 							lent++
@@ -382,13 +429,16 @@ func runStreamBalanced(model workload.Model, cfg Config, policy dlb.Spec, worker
 							obs.ObserveBlock(trial, r, i, out)
 						}
 						if progress != nil {
-							progress.ObserveFill(len(out), time.Since(start))
+							batch.add(progress, len(out))
 						}
 					}
 					bal.Observe(i, finish)
 					if lent > 0 && progress != nil {
 						progress.ObserveLend(lent)
 					}
+				}
+				if progress != nil {
+					batch.flush(progress)
 				}
 			}
 		}()

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,9 +21,9 @@ type countingSink struct {
 	lends   atomic.Int64
 }
 
-func (s *countingSink) ObserveFill(n int, busy time.Duration) {
-	s.blocks.Add(1)
-	s.samples.Add(int64(n))
+func (s *countingSink) ObserveFill(blocks, samples int, busy time.Duration) {
+	s.blocks.Add(int64(blocks))
+	s.samples.Add(int64(samples))
 	s.busyNs.Add(int64(busy))
 }
 
@@ -100,5 +102,72 @@ func TestProgressSinkSeesLendEvents(t *testing.T) {
 	}
 	if sink.lends.Load() == 0 {
 		t.Fatal("LeWI fill reported no lend events to the progress sink")
+	}
+}
+
+// recordingSink keeps every ObserveFill report.
+type recordingSink struct {
+	mu      sync.Mutex
+	reports [][2]int // blocks, samples
+}
+
+func (s *recordingSink) ObserveFill(blocks, samples int, _ time.Duration) {
+	s.mu.Lock()
+	s.reports = append(s.reports, [2]int{blocks, samples})
+	s.mu.Unlock()
+}
+
+func (s *recordingSink) ObserveLend(int) {}
+
+// TestProgressReportsPerBatch pins the per-batch progress hook: under
+// the static, LeWI and DROM policies, with and without a sample sink
+// and at one and three workers, the reported blocks and samples sum to
+// the geometry, no report holds more than progressBatch blocks, and a
+// worker reports once per progressBatch blocks of a stripe (of a trial
+// under a rebalancing policy) and at its end — so at most
+// ⌈iterations/progressBatch⌉ times per stripe it fills.
+func TestProgressReportsPerBatch(t *testing.T) {
+	ceil := func(a, b int) int { return (a + b - 1) / b }
+	model := workload.DefaultMiniQMC()
+	for _, cfg := range []Config{SmallConfig(), {Trials: 3, Ranks: 2, Iterations: 200, Threads: 48, Seed: 5}} {
+		stripes := cfg.Trials * cfg.Ranks
+		for _, policy := range []dlb.Spec{{}, {Policy: dlb.PolicyLeWI}, {Policy: dlb.PolicyDROM}} {
+			for _, workers := range []int{1, 3} {
+				for _, withSink := range []bool{false, true} {
+					rec := &recordingSink{}
+					var err error
+					if withSink {
+						_, err = RunColumnar(model, cfg, policy, workers, rec)
+					} else {
+						_, err = RunStream(model, cfg, policy, workers, nil, nil, rec)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					what := fmt.Sprintf("%dx%dx%dx%d policy %q, %d workers, sink %v",
+						cfg.Trials, cfg.Ranks, cfg.Iterations, cfg.Threads, policy.String(), workers, withSink)
+					blocks, samples := 0, 0
+					for _, r := range rec.reports {
+						if r[0] < 1 || r[0] > progressBatch || r[1] != r[0]*cfg.Threads {
+							t.Errorf("%s: report of %d blocks, %d samples", what, r[0], r[1])
+						}
+						blocks += r[0]
+						samples += r[1]
+					}
+					if blocks != cfg.Trials*cfg.Ranks*cfg.Iterations || samples != cfg.Samples() {
+						t.Errorf("%s: reports sum to %d blocks, %d samples, want %d and %d",
+							what, blocks, samples, cfg.Trials*cfg.Ranks*cfg.Iterations, cfg.Samples())
+					}
+					want := stripes * ceil(cfg.Iterations, progressBatch)
+					if !policy.IsStatic() {
+						want = cfg.Trials * ceil(cfg.Ranks*cfg.Iterations, progressBatch)
+					}
+					if len(rec.reports) != want || want > stripes*ceil(cfg.Iterations, progressBatch) {
+						t.Errorf("%s: %d reports, want %d (at most %d per stripe)",
+							what, len(rec.reports), want, ceil(cfg.Iterations, progressBatch))
+					}
+				}
+			}
+		}
 	}
 }

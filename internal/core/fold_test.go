@@ -133,8 +133,8 @@ func TestFoldStateBoundedAtAnyWorkerCount(t *testing.T) {
 // fillCounter is a progress sink counting the blocks a fill produced.
 type fillCounter struct{ blocks atomic.Int64 }
 
-func (c *fillCounter) ObserveFill(int, time.Duration) { c.blocks.Add(1) }
-func (c *fillCounter) ObserveLend(int)                {}
+func (c *fillCounter) ObserveFill(blocks, _ int, _ time.Duration) { c.blocks.Add(int64(blocks)) }
+func (c *fillCounter) ObserveLend(int)                            {}
 
 // TestFoldTrialsRefusesRebalancedTableOverBudget pins the refusal at
 // the fold's one budget: a 1x2048x1000x32 LeWI cell, whose one trial

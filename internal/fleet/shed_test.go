@@ -31,7 +31,7 @@ func shedTracker(id string) *telemetry.Tracker {
 		ID: id, App: "synthetic", Trials: 10, Ranks: 1, Iterations: 1, Workers: 1,
 	}, func() time.Time { return now })
 	for i := 0; i < 9; i++ {
-		tr.ObserveFill(1, 100*time.Millisecond)
+		tr.ObserveFill(1, 1, 100*time.Millisecond)
 	}
 	now = base.Add(9 * time.Second)
 	tr.Snapshot() // prime the EWMA: 1 block/s over 9s -> 1 block left, ETA 1s

@@ -1,7 +1,8 @@
 // Package network models the cluster interconnect with the Hockney
 // alpha-beta cost model: transferring m bytes costs
-// alpha + m/beta (+ a per-message software overhead), and a link
-// serialises concurrent transfers.
+// alpha + m/beta (+ a per-message software overhead). The delivery
+// strategies of internal/partcomm serialise their messages on one link
+// priced by a Fabric.
 //
 // The paper's testbed uses Intel Omni-Path (100 Gb/s class); the
 // early-bird overlap experiments (E12) use these parameters to convert
@@ -126,46 +127,4 @@ func (h Hierarchical) Effective(ranks int) Fabric {
 		BandwidthBytesPerSec: 1 / (w/h.Intra.BandwidthBytesPerSec + (1-w)/inter.BandwidthBytesPerSec),
 		OverheadSec:          w*h.Intra.OverheadSec + (1-w)*inter.OverheadSec,
 	}
-}
-
-// Link is a serialising wire: transfers occupy it back-to-back. The zero
-// value of busy means the link is free from time 0.
-type Link struct {
-	fabric Fabric
-	busy   float64
-	sent   int // messages pushed
-	bytes  int // payload bytes pushed
-}
-
-// NewLink returns an idle link over the fabric.
-func NewLink(f Fabric) *Link {
-	return &Link{fabric: f}
-}
-
-// Send schedules a message of the given size that becomes ready at time
-// ready (seconds) and returns its completion time. The link serialises:
-// the message starts no earlier than the previous one finished.
-func (l *Link) Send(ready float64, bytes int) (done float64) {
-	start := ready
-	if l.busy > start {
-		start = l.busy
-	}
-	done = start + l.fabric.TransferTime(bytes)
-	l.busy = done
-	l.sent++
-	l.bytes += bytes
-	return done
-}
-
-// BusyUntil returns the time the link becomes free.
-func (l *Link) BusyUntil() float64 { return l.busy }
-
-// Stats returns the number of messages and payload bytes pushed.
-func (l *Link) Stats() (messages, payloadBytes int) { return l.sent, l.bytes }
-
-// Reset returns the link to idle at time 0.
-func (l *Link) Reset() {
-	l.busy = 0
-	l.sent = 0
-	l.bytes = 0
 }

@@ -3,7 +3,6 @@ package network
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestTransferTimeComponents(t *testing.T) {
@@ -45,59 +44,6 @@ func TestValidateRejectsBadFabrics(t *testing.T) {
 		if f.Validate() == nil {
 			t.Errorf("fabric %+v should be invalid", f)
 		}
-	}
-}
-
-func TestLinkSerialisation(t *testing.T) {
-	f := Fabric{LatencySec: 1e-6, BandwidthBytesPerSec: 1e9}
-	l := NewLink(f)
-	// Two messages ready at t=0: the second starts after the first.
-	d1 := l.Send(0, 1000) // 0 + 1us + 1us = 2us
-	d2 := l.Send(0, 1000) // starts at 2us -> 4us
-	if math.Abs(d1-2e-6) > 1e-15 || math.Abs(d2-4e-6) > 1e-15 {
-		t.Fatalf("d1=%v d2=%v", d1, d2)
-	}
-	// A message ready after the link idles starts at its ready time.
-	d3 := l.Send(10e-6, 1000)
-	if math.Abs(d3-12e-6) > 1e-15 {
-		t.Fatalf("d3=%v", d3)
-	}
-	if l.BusyUntil() != d3 {
-		t.Fatalf("busy=%v", l.BusyUntil())
-	}
-	msgs, bytes := l.Stats()
-	if msgs != 3 || bytes != 3000 {
-		t.Fatalf("stats %d/%d", msgs, bytes)
-	}
-	l.Reset()
-	if l.BusyUntil() != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
-func TestLinkCompletionMonotoneProperty(t *testing.T) {
-	f := OmniPath()
-	check := func(readies []float64, sizes []uint16) bool {
-		l := NewLink(f)
-		prev := 0.0
-		for i, r := range readies {
-			if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
-				r = 0
-			}
-			size := 0
-			if i < len(sizes) {
-				size = int(sizes[i])
-			}
-			done := l.Send(r, size)
-			if done < prev || done < r {
-				return false
-			}
-			prev = done
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 

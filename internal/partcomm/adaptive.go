@@ -125,21 +125,23 @@ func (l LaggardAware) FinishTime(arrivals []float64, bytesPerPart int, f network
 	}
 	cut := stats.PercentileSorted(arrivals, 50) + l.ThresholdSec
 	tmax := arrivals[n-1]
-	link := network.NewLink(f)
-	done := 0.0
+	xfer := f.TransferTime(bytesPerPart)
+	busy, done := 0.0, 0.0
 	late := 0
 	for _, t := range arrivals {
 		if t <= cut {
-			if d := link.Send(t, bytesPerPart); d > done {
-				done = d
+			busy = linkSend(busy, t, xfer)
+			if busy > done {
+				done = busy
 			}
 		} else {
 			late++
 		}
 	}
 	if late > 0 {
-		if d := link.Send(tmax, bytesPerPart*late); d > done {
-			done = d
+		busy = linkSend(busy, tmax, f.TransferTime(bytesPerPart*late))
+		if busy > done {
+			done = busy
 		}
 	}
 	return done

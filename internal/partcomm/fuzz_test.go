@@ -121,6 +121,10 @@ func sortFloat64s(xs []float64) {
 //  4. Every strategy — adaptive ones included — respects the physical
 //     floor: the last partition cannot complete before the last arrival
 //     plus one partition's wire time.
+//  5. Every built-in strategy finishes at exactly the bits of the same
+//     strategy written over the reference link (the oracle of
+//     TestStrategiesBitIdenticalToLink), on both fabrics and at bin
+//     timeouts of 0.25, 1 and 2 ms.
 //
 // CI runs this for a 10s smoke (make fuzz-smoke) on top of the corpus
 // replay that plain `go test` performs.
@@ -179,6 +183,13 @@ func FuzzStrategyOrdering(f *testing.F) {
 			if got := s.FinishTime(arrivals, size, fab); got < floor {
 				t.Errorf("%s finish %v below physical floor %v (arrivals %v, size %d)",
 					s.Name(), got, floor, arrivals, size)
+			}
+		}
+
+		// 5: the same bits as the reference link.
+		for _, fabric := range []network.Fabric{fab, bwOnly} {
+			for _, timeout := range []float64{0.25e-3, 1e-3, 2e-3} {
+				checkAgainstOracle(t, "fuzz", [][]float64{arrivals}, timeout, size, fabric)
 			}
 		}
 	})

@@ -44,16 +44,33 @@ type FineGrained struct{}
 // Name implements Strategy.
 func (FineGrained) Name() string { return "finegrained" }
 
-// FinishTime implements Strategy.
+// FinishTime implements Strategy. Every message is one partition, so
+// the transfer time is priced once for the block.
 func (FineGrained) FinishTime(arrivals []float64, bytesPerPart int, f network.Fabric) float64 {
-	link := network.NewLink(f)
-	done := 0.0
+	xfer := f.TransferTime(bytesPerPart)
+	busy, done := 0.0, 0.0
 	for _, t := range arrivals {
-		if d := link.Send(t, bytesPerPart); d > done {
-			done = d
+		busy = linkSend(busy, t, xfer)
+		if busy > done {
+			done = busy
 		}
 	}
 	return done
+}
+
+// linkSend is one message on the strategies' serial link, which is idle
+// from time 0: a message ready at ready on a link busy until busy starts
+// at the later of the two and completes xfer seconds later, which it
+// returns as the link's new busy time. Each FinishTime prices xfer with
+// Fabric.TransferTime once per message size: TransferTime is a pure
+// function of the size, so start + xfer is the same float64 addition
+// on the same operands as pricing every send, and keeps its bits.
+func linkSend(busy, ready, xfer float64) float64 {
+	start := ready
+	if busy > start {
+		start = busy
+	}
+	return start + xfer
 }
 
 // MinBinTimeoutSec is the smallest Binned timeout the front doors
@@ -114,8 +131,16 @@ func (b Binned) Name() string { return fmt.Sprintf("binned(%gus)", b.TimeoutSec*
 
 // FinishTime implements Strategy. A block whose arrival span covers
 // more than MaxBinsPerBlock bins (or a NaN timeout) is refused with NaN:
-// the loop visits every bin, empty or not, so it would spin for
+// the walk visits every bin, empty or not, so it would spin for
 // span ÷ timeout steps.
+//
+// The walk goes arrival by arrival: an arrival past the open bin's
+// flush time closes that bin (one message of its count) and steps the
+// flush time over any empty bins to the bin that holds it. The flush
+// times are the running sum arrivals[0] + T + T + …, each clamped to
+// the last arrival, and every non-empty bin flushes at its own, in
+// order, as stepping bin by bin does, and only one compare per arrival
+// and one per empty bin decide where the bins end.
 func (b Binned) FinishTime(arrivals []float64, bytesPerPart int, f network.Fabric) float64 {
 	if len(arrivals) == 0 {
 		return 0
@@ -127,23 +152,30 @@ func (b Binned) FinishTime(arrivals []float64, bytesPerPart int, f network.Fabri
 	if !((tmax-arrivals[0])/b.TimeoutSec <= MaxBinsPerBlock) {
 		return math.NaN()
 	}
-	link := network.NewLink(f)
-	done := 0.0
-	i := 0
-	for flush := arrivals[0] + b.TimeoutSec; i < len(arrivals); flush += b.TimeoutSec {
-		if flush > tmax {
-			flush = tmax
-		}
-		count := 0
-		for i+count < len(arrivals) && arrivals[i+count] <= flush {
-			count++
-		}
-		if count > 0 {
-			if d := link.Send(flush, bytesPerPart*count); d > done {
-				done = d
+	busy, done := 0.0, 0.0
+	flush := arrivals[0] + b.TimeoutSec
+	if flush > tmax {
+		flush = tmax
+	}
+	count := 0
+	for _, t := range arrivals {
+		if t > flush {
+			busy = linkSend(busy, flush, f.TransferTime(bytesPerPart*count))
+			if busy > done {
+				done = busy
 			}
-			i += count
+			count = 0
+			for t > flush {
+				if flush += b.TimeoutSec; flush > tmax {
+					flush = tmax
+				}
+			}
 		}
+		count++
+	}
+	busy = linkSend(busy, flush, f.TransferTime(bytesPerPart*count))
+	if busy > done {
+		done = busy
 	}
 	return done
 }
@@ -221,7 +253,15 @@ func PotentialOverlap(arrivals []float64) float64 {
 	if len(arrivals) == 0 {
 		return 0
 	}
-	tmax := stats.Max(arrivals)
+	return meanLead(arrivals, stats.Max(arrivals))
+}
+
+// meanLead returns the mean of tmax - t over the non-empty arrivals.
+// StrategyAccumulator passes a sorted block's last element as tmax,
+// which gives PotentialOverlap's bits on a NaN-free block: where the
+// maximum is a zero of either sign the terms differ at most in a zero's
+// sign, which the sum, starting at +0, does not keep.
+func meanLead(arrivals []float64, tmax float64) float64 {
 	sum := 0.0
 	for _, t := range arrivals {
 		sum += tmax - t

@@ -34,7 +34,6 @@ type StrategyAccumulator struct {
 	finishSums   []float64
 	potentialSum float64
 	scratch      []float64
-	bulk         Bulk
 }
 
 // resettable is implemented by adaptive strategies whose per-iteration
@@ -76,16 +75,23 @@ func (a *StrategyAccumulator) ObserveBlock(trial, rank, iter int, xs []float64) 
 // ObserveSorted is ObserveBlock for a caller that has already sorted the
 // block: arrivals must be ascending and is neither modified nor
 // retained. It lets one sorted copy of a block feed the strategies and
-// the exact statistics alike (see core.Study.Analyze).
+// the exact statistics alike (see core.Study.Analyze). The bulk finish
+// every strategy is compared against is computed once per block and is
+// also the sum of a Bulk entry of the set, and the block's maximum is
+// its last element.
 func (a *StrategyAccumulator) ObserveSorted(arrivals []float64) {
 	if len(arrivals) == 0 {
 		return
 	}
-	bulkFinish := a.bulk.FinishTime(arrivals, a.bytesPerPart, a.fabric)
+	bulkFinish := Bulk{}.FinishTime(arrivals, a.bytesPerPart, a.fabric)
 	a.bulkSum += bulkFinish
-	a.potentialSum += PotentialOverlap(arrivals)
+	a.potentialSum += meanLead(arrivals, arrivals[len(arrivals)-1])
 	for k, s := range a.strategies {
-		a.finishSums[k] += s.FinishTime(arrivals, a.bytesPerPart, a.fabric)
+		finish := bulkFinish
+		if _, bulk := s.(Bulk); !bulk {
+			finish = s.FinishTime(arrivals, a.bytesPerPart, a.fabric)
+		}
+		a.finishSums[k] += finish
 	}
 	a.n++
 }

@@ -20,7 +20,8 @@ type CountThreshold struct {
 // Name implements Strategy.
 func (c CountThreshold) Name() string { return fmt.Sprintf("every%d", c.K) }
 
-// FinishTime implements Strategy.
+// FinishTime implements Strategy. Every flush but the last carries K
+// partitions, so that size is priced once for the block.
 func (c CountThreshold) FinishTime(arrivals []float64, bytesPerPart int, f network.Fabric) float64 {
 	if len(arrivals) == 0 {
 		return 0
@@ -29,16 +30,21 @@ func (c CountThreshold) FinishTime(arrivals []float64, bytesPerPart int, f netwo
 	if k < 1 {
 		k = 1
 	}
-	link := network.NewLink(f)
-	done := 0.0
+	xferK := f.TransferTime(bytesPerPart * k)
+	busy, done := 0.0, 0.0
 	pending := 0
 	for i, t := range arrivals {
 		pending++
 		last := i == len(arrivals)-1
 		if pending >= k || last {
 			// The flush happens when the triggering partition arrives.
-			if d := link.Send(t, bytesPerPart*pending); d > done {
-				done = d
+			xfer := xferK
+			if pending != k {
+				xfer = f.TransferTime(bytesPerPart * pending)
+			}
+			busy = linkSend(busy, t, xfer)
+			if busy > done {
+				done = busy
 			}
 			pending = 0
 		}

@@ -43,8 +43,14 @@ func TestCountThresholdIntermediate(t *testing.T) {
 		t.Fatalf("every2 %v not better than bulk %v on spread arrivals", every2, bulk)
 	}
 	// Flush count: 4 messages of 2 partitions each.
-	link := network.NewLink(f)
-	_ = link
+	l := newLink(f)
+	want := 0.0
+	for i := 1; i < len(arr); i += 2 {
+		want = l.Send(arr[i], 2*part)
+	}
+	if msgs, _ := l.Stats(); msgs != 4 || every2 != want {
+		t.Fatalf("every2 %v over %d messages, want %v over 4 pairs", every2, msgs, want)
+	}
 }
 
 func TestCountThresholdInvalidKClamps(t *testing.T) {

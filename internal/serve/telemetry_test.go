@@ -34,7 +34,7 @@ func TestProgressStreamMonotone(t *testing.T) {
 	go func() {
 		for fed := 0; fed < total; fed += 10 {
 			for i := 0; i < 10; i++ {
-				tr.ObserveFill(8, time.Millisecond)
+				tr.ObserveFill(1, 8, time.Millisecond)
 			}
 			time.Sleep(4 * time.Millisecond)
 		}
@@ -285,7 +285,7 @@ func degradedTracker(id string, eff float64) *telemetry.Tracker {
 		ID: id, App: "synthetic", Trials: 10, Ranks: 1, Iterations: 1, Workers: 1,
 	}, func() time.Time { return now })
 	now = base.Add(10 * time.Second)
-	tr.ObserveFill(1, time.Duration(eff*10*float64(time.Second)))
+	tr.ObserveFill(1, 1, time.Duration(eff*10*float64(time.Second)))
 	return tr
 }
 

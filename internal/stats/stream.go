@@ -258,22 +258,27 @@ func (h *QuantileHistogram) AddSlice(xs []float64) {
 	}
 }
 
-// AddSorted folds a NaN-free run, sorted ascending as sortx.Sort leaves
-// it (-0 before +0), into the histogram. It reads the run's range from
-// its ends, so the level rises at most once per run; the result is the
-// same as adding each value.
+// AddSorted folds a run, sorted ascending as sortx.Sort leaves it (-0
+// before +0, a -NaN first and a +NaN last), into the histogram; the
+// result is the same as adding each value. It reads a NaN-free run's
+// range from its ends, so the level rises at most once per run. A run
+// with a NaN at either end, whose ends are not its range, is added
+// sample by sample.
 //
-// When lo ≥ 0 and hi·1e9 < 2^62 for the run's ends lo and hi (both
-// false for a NaN end), every sample x of the run has
-// 0 ≤ x·1e9 < 2^62, where truncation to int64 is binOf's floor (-0
-// included), so the run is binned without binOf's saturation and NaN
-// branches.
+// When lo ≥ 0 and hi·1e9 < 2^62 for the run's ends lo and hi, every
+// sample x of the run has 0 ≤ x·1e9 < 2^62, where truncation to int64
+// is binOf's floor (-0 included), so the run is binned without binOf's
+// saturation and NaN branches.
 func (h *QuantileHistogram) AddSorted(xs []float64) {
 	if len(xs) == 0 {
 		return
 	}
 	lo, hi := xs[0], xs[len(xs)-1]
-	h.extend(notNaN(lo), notNaN(hi))
+	if lo != lo || hi != hi {
+		h.AddSlice(xs)
+		return
+	}
+	h.extend(lo, hi)
 	counts, l := h.counts, h.level
 	if lo >= 0 && hi*binsPerSecond < maxBin {
 		for _, x := range xs {

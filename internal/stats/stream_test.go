@@ -437,10 +437,13 @@ func TestQuantileSketchAddSortedMemoryBound(t *testing.T) {
 // truncating path or binOf's, encodes to the same bytes as its samples
 // fed one by one through Add. The runs sit on the truncating path's
 // edges: from -0 and +0, around 2^62/1e9 s where binOf saturates, below
-// zero, to ±Inf, and 200 random 48-sample runs of either sign, each fed
-// into a fresh histogram and into ones already holding other samples.
+// zero, to ±Inf, runs with a NaN at either end or only NaNs (sortx puts
+// a -NaN first and a +NaN last), and 200 random 48-sample runs of
+// either sign, each fed into a fresh histogram and into ones already
+// holding other samples.
 func TestAddSortedMatchesAdd(t *testing.T) {
 	negZero := math.Copysign(0, -1)
+	nan := math.NaN()
 	edge := float64(maxBin) / binsPerSecond
 	below := edge // the largest run end the truncating path takes
 	for below*binsPerSecond >= maxBin {
@@ -457,6 +460,12 @@ func TestAddSortedMatchesAdd(t *testing.T) {
 		"+Inf end":                     {0, 1e-3, math.Inf(1)},
 		"-Inf end":                     {math.Inf(-1), 1e-3, 2e-3},
 		"both Inf ends":                {math.Inf(-1), 0, math.Inf(1)},
+		"-NaN first":                   {-nan, -2e-3, 1e-3, 5e-3},
+		"+NaN last":                    {1e-3, 2e-3, 5e-3, nan},
+		"NaN at both ends":             {-nan, -4e-3, 3e-3, nan},
+		"-NaN before negatives":        {-nan, -nan, -7e-3, -5e-3},
+		"only NaN":                     {nan, nan, nan},
+		"only -NaN":                    {-nan},
 	}
 	r := rand.New(rand.NewSource(53))
 	for i := 0; i < 200; i++ {

@@ -89,11 +89,12 @@ func NewWithClock(info StudyInfo, now func() time.Time) *Tracker {
 // ID returns the tracker's progress identity.
 func (t *Tracker) ID() string { return t.info.ID }
 
-// ObserveFill implements cluster.ProgressSink: one produced sample block
-// of n samples that took busy of one worker's time.
-func (t *Tracker) ObserveFill(n int, busy time.Duration) {
-	t.blocks.Add(1)
-	t.samples.Add(int64(n))
+// ObserveFill implements cluster.ProgressSink: a batch of produced
+// sample blocks holding samples samples in all, which took busy of one
+// worker's time.
+func (t *Tracker) ObserveFill(blocks, samples int, busy time.Duration) {
+	t.blocks.Add(int64(blocks))
+	t.samples.Add(int64(samples))
 	t.busyNs.Add(int64(busy))
 }
 

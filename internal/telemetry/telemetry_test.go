@@ -45,7 +45,7 @@ func TestEWMAConvergesToConstantRate(t *testing.T) {
 	for i := 0; i < steps; i++ {
 		clk.advance(step)
 		for b := 0; b < blocksPerStep; b++ {
-			tr.ObserveFill(10, time.Millisecond)
+			tr.ObserveFill(1, 10, time.Millisecond)
 		}
 		p = tr.Snapshot()
 	}
@@ -87,7 +87,7 @@ func TestEstimatorProperties(t *testing.T) {
 			}
 			for b := int64(0); b < burst; b++ {
 				busy := time.Duration(rng.Intn(int(5 * time.Millisecond)))
-				tr.ObserveFill(1+rng.Intn(64), busy)
+				tr.ObserveFill(1, 1+rng.Intn(64), busy)
 			}
 			fed += burst
 			if rng.Intn(4) == 0 {
@@ -135,7 +135,7 @@ func TestFinishFreezesElapsed(t *testing.T) {
 	clk := newFakeClock()
 	tr := NewWithClock(testInfo(2, 2, 2, 1), clk.now)
 	clk.advance(time.Second)
-	tr.ObserveFill(8, 500*time.Millisecond)
+	tr.ObserveFill(1, 8, 500*time.Millisecond)
 	tr.Finish()
 	frozen := tr.Snapshot()
 	clk.advance(time.Hour)
@@ -169,8 +169,8 @@ func TestRegistryAggregation(t *testing.T) {
 	r.Register(small)
 	clk.advance(10 * time.Second)
 	// big: 20s busy over 4 workers x 10s = 0.5; small: 1s over 1x10s = 0.1.
-	big.ObserveFill(100, 20*time.Second)
-	small.ObserveFill(10, time.Second)
+	big.ObserveFill(1, 100, 20*time.Second)
+	small.ObserveFill(1, 10, time.Second)
 	eff, ok := r.Efficiency()
 	if !ok {
 		t.Fatal("no live signal with two active studies")
@@ -184,8 +184,8 @@ func TestRegistryAggregation(t *testing.T) {
 	big.Snapshot()
 	small.Snapshot()
 	clk.advance(time.Second)
-	big.ObserveFill(1, 0)
-	small.ObserveFill(1, 0)
+	big.ObserveFill(1, 1, 0)
+	small.ObserveFill(1, 1, 0)
 	big.Snapshot()
 	small.Snapshot()
 	if eta, ok := r.MinETA(); !ok || eta <= 0 {
