@@ -80,8 +80,9 @@ clean-store:
 # the sums, a bound for K²), sortx.Sort's padded networks against the
 # pruned ones (TestSortBitIdentical), the fleet shard paths — both driven by
 # the shared block kernel — against single-node execution, and a local
-# sweep cell above the one constant cache bound, folded within the
-# fold's one state budget, against the same cell below it
+# sweep cell above the one constant sample bound, folded on the fold's
+# workers within its one state budget, against the same cell below it,
+# folded on one worker
 # (TestSweepRowSameAtAnyCacheBound, and the OverBound cells), the
 # quantile histogram's order-free merge
 # (TestQuantileHistogramMergeBitIdentical), StreamStudy and the streamed

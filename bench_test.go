@@ -15,6 +15,7 @@ import (
 	"earlybird"
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
+	"earlybird/internal/core"
 	"earlybird/internal/dlb"
 	"earlybird/internal/experiments"
 	"earlybird/internal/network"
@@ -378,12 +379,12 @@ func BenchmarkIQRSelect(b *testing.B) {
 	}
 }
 
-// BenchmarkShardObserve is the compute of one /v1/shard request: the
-// block kernel folding a 1x8x200x48 trial shard of each app into the
-// metrics and Table 1 accumulators, one sort per block. The columnar
-// data is generated before the timer starts, as a shard reads it from
-// the engine's cache. It is the bench gate's benchmark of the shard
-// path.
+// BenchmarkShardObserve is the analysis half of one /v1/shard request:
+// the block kernel folding a 1x8x200x48 trial shard of each app into
+// the metrics and Table 1 accumulators, one sort per block. The columnar
+// data is generated before the timer starts, so it times the kernel
+// alone; BenchmarkShardFold times the fill with it. It is the bench
+// gate's benchmark of the shard path.
 func BenchmarkShardObserve(b *testing.B) {
 	geom := cluster.Config{Trials: 1, Ranks: 8, Iterations: 200, Threads: 48, Seed: 1}
 	for _, app := range []string{"minife", "minimd", "miniqmc"} {
@@ -405,6 +406,47 @@ func BenchmarkShardObserve(b *testing.B) {
 					b.Fatal("shard observed the wrong number of blocks")
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkShardFold is the worker's side of one /v1/shard request over
+// a 1x8x200x48 trial shard of each app, as a server runs it: the fill
+// folded block by block on one fill worker (core.FoldReadings), the
+// sealed record encoded into a reused buffer, and the metrics state
+// released to the histogram pool.
+func BenchmarkShardFold(b *testing.B) {
+	geom := cluster.Config{Trials: 1, Ranks: 8, Iterations: 200, Threads: 48, Seed: 1}
+	for _, app := range []string{"minife", "minimd", "miniqmc"} {
+		model, err := workload.ByName(app)
+		if err != nil {
+			b.Fatal(err)
+		}
+		req, err := serve.ShardRequest{App: app, Geometry: &geom, TrialLo: 0, TrialHi: 1}.Resolve()
+		if err != nil {
+			b.Fatal(err)
+		}
+		hdr := serve.ShardResponse{
+			App: app, Geometry: geom, Alpha: req.Alpha, LaggardThresholdSec: req.LaggardSec,
+			TrialLo: 0, TrialHi: 1, Blocks: int64(geom.Ranks * geom.Iterations),
+		}
+		b.Run(app, func(b *testing.B) {
+			b.ReportAllocs()
+			var rec []byte
+			for b.Loop() {
+				macc := analysis.NewMetricsAccumulator(app, req.LaggardSec)
+				tacc := analysis.NewTable1Accumulator(app, req.Alpha)
+				err := core.FoldReadings(model, geom, dlb.Spec{}, 0, 1, 1, true,
+					[]*analysis.MetricsAccumulator{macc}, []*analysis.Table1Accumulator{tacc}, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rec, err = serve.AppendShardRecord(rec[:0], &hdr, macc, tacc); err != nil {
+					b.Fatal(err)
+				}
+				macc.Release()
+			}
+			b.SetBytes(int64(len(rec)))
 		})
 	}
 }

@@ -83,7 +83,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		addr          = fs.String("addr", ":8080", "listen address")
 		workers       = fs.Int("workers", 0, "max concurrently executing studies (0 = one per CPU)")
 		maxResults    = fs.Int("max-results", serve.DefaultMaxResults, "LRU result cache capacity (negative disables)")
-		maxDatasets   = fs.Int("max-datasets", serve.DefaultMaxDatasets, "dataset cache bound (negative = unbounded)")
+		maxDatasets   = fs.Int("max-datasets", serve.DefaultMaxDatasets, "dataset cache bound: the cache serves studies and strategy cells; sweep cells and shards fold uncached (negative = unbounded)")
 		maxStudy      = fs.Int("max-study-samples", serve.DefaultMaxStudySamples, "largest geometry (samples) the materialising study endpoints accept")
 		drainTimeout  = fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown drain window")
 		metricsAddr   = fs.String("metrics-addr", "", "optional second listener serving only /metrics, /v1/progress and /v1/healthz (observability without exposing execution)")

@@ -31,9 +31,10 @@ func main() {
 	go srv.Serve(ln)
 	base := "http://" + ln.Addr().String()
 
-	// A 3 apps x 2 alphas grid at the quick geometry: six cells, three
-	// dataset generations (the alpha axis re-reads the engine's columnar
-	// cache through cursors — the nested tensor is never built).
+	// A 3 apps x 2 alphas grid at the quick geometry: six cells and three
+	// fills — the two alphas of an app read one fill, folded straight
+	// from it, so no dataset is generated into the engine's cache and
+	// the nested tensor is never built.
 	sweep := map[string]any{
 		"apps":       []string{"minife", "minimd", "miniqmc"},
 		"geometries": []earlybird.Geometry{earlybird.QuickGeometry()},
@@ -57,9 +58,8 @@ func main() {
 			Metrics struct {
 				MeanMedianSec float64 `json:"mean_median_sec"`
 			} `json:"metrics"`
-			Recommendation  string `json:"recommendation"`
-			DatasetCacheHit bool   `json:"dataset_cache_hit"`
-			Err             string `json:"error,omitempty"`
+			Recommendation string `json:"recommendation"`
+			Err            string `json:"error,omitempty"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
 			log.Fatal(err)
@@ -67,9 +67,8 @@ func main() {
 		if row.Err != "" {
 			log.Fatalf("cell %d: %s", row.Index, row.Err)
 		}
-		fmt.Printf("  cell %d %-8s alpha=%.2f median %6.2f ms cache=%-5v -> %s\n",
-			row.Index, row.App, row.Alpha, 1e3*row.Metrics.MeanMedianSec,
-			row.DatasetCacheHit, row.Recommendation)
+		fmt.Printf("  cell %d %-8s alpha=%.2f median %6.2f ms -> %s\n",
+			row.Index, row.App, row.Alpha, 1e3*row.Metrics.MeanMedianSec, row.Recommendation)
 	}
 	if err := sc.Err(); err != nil {
 		log.Fatal(err)
@@ -91,7 +90,7 @@ func main() {
 	if err := json.NewDecoder(stats.Body).Decode(&snapshot); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("engine: %d generations for 6 cells, %d cached, %d nested views built\n",
+	fmt.Printf("engine: %d dataset generations for 6 cells, %d cached, %d nested views built\n",
 		snapshot.Engine.Executions, snapshot.Engine.Cached, snapshot.Engine.NestedViews)
 
 	if err := srv.Shutdown(context.Background()); err != nil {

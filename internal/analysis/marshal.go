@@ -54,6 +54,7 @@ func (a *MetricsAccumulator) AppendBinary(b []byte) ([]byte, error) {
 	w.Str(a.app)
 	w.F64(a.threshold)
 
+	keys := make([]int, 0, len(a.iqrs)) // every sorted key list in turn
 	w.U32(uint32(len(a.trials)))
 	for _, t := range slices.Sorted(maps.Keys(a.trials)) {
 		ta := a.trials[t]
@@ -64,7 +65,8 @@ func (a *MetricsAccumulator) AppendBinary(b []byte) ([]byte, error) {
 		w.F64(ta.ratioSum)
 		w.I64(ta.laggards)
 		w.U32(uint32(len(ta.iters)))
-		for _, iter := range slices.Sorted(maps.Keys(ta.iters)) {
+		keys = sortedKeys(keys, ta.iters)
+		for _, iter := range keys {
 			ip := ta.iters[iter]
 			w.I64(int64(iter))
 			w.I64(ip.n)
@@ -74,7 +76,8 @@ func (a *MetricsAccumulator) AppendBinary(b []byte) ([]byte, error) {
 	}
 
 	w.U32(uint32(len(a.iqrs)))
-	for _, iter := range slices.Sorted(maps.Keys(a.iqrs)) {
+	keys = sortedKeys(keys, a.iqrs)
+	for _, iter := range keys {
 		w.I64(int64(iter))
 		at := w.BeginBytes()
 		var err error
@@ -84,6 +87,13 @@ func (a *MetricsAccumulator) AppendBinary(b []byte) ([]byte, error) {
 		w.EndBytes(at)
 	}
 	return w.Buf, nil
+}
+
+// sortedKeys returns m's keys in ascending order, in buf's storage.
+func sortedKeys[V any](buf []int, m map[int]V) []int {
+	buf = slices.AppendSeq(buf[:0], maps.Keys(m))
+	slices.Sort(buf)
+	return buf
 }
 
 // UnmarshalBinary replaces the accumulator's state — identity included —

@@ -36,14 +36,19 @@ type trialAccum struct {
 
 // add folds o into ta: the scalar sums, then each iteration's partial.
 func (ta *trialAccum) add(o *trialAccum) {
+	ta.addSums(o)
+	for iter, op := range o.iters {
+		ta.addIter(iter, *op)
+	}
+}
+
+// addSums folds o's process-level sums into ta.
+func (ta *trialAccum) addSums(o *trialAccum) {
 	ta.nProc += o.nProc
 	ta.medianSum += o.medianSum
 	ta.reclSum += o.reclSum
 	ta.ratioSum += o.ratioSum
 	ta.laggards += o.laggards
-	for iter, op := range o.iters {
-		ta.addIter(iter, *op)
-	}
 }
 
 // addIter folds one application iteration's partial into ta.
@@ -57,6 +62,11 @@ func (ta *trialAccum) addIter(iter int, o iterPartial) {
 		ta.iters[iter] = ip
 		return
 	}
+	ip.add(o)
+}
+
+// add folds o into a partial that already holds one.
+func (ip *iterPartial) add(o iterPartial) {
 	if o.max > ip.max {
 		ip.max = o.max
 	}
@@ -221,10 +231,20 @@ func (a *MetricsAccumulator) SampleHistogram() *stats.QuantileHistogram {
 // Merge folds another accumulator (for the same application and
 // threshold) into this one. o must not be used afterwards. Trials held
 // by only one side are adopted bit-exactly; trials present in both (a
-// scheduling-dependent worker split) combine additively.
+// scheduling-dependent worker split) combine additively. An iteration
+// histogram held by only one side moves to this one; o keeps those it
+// folded into this side's, so that o.Release returns them to their pool
+// and nothing this side holds.
 func (a *MetricsAccumulator) Merge(o *MetricsAccumulator) {
 	if o == nil {
 		return
+	}
+	// An empty side takes the other's maps whole.
+	if len(a.trials) == 0 {
+		a.trials, o.trials = o.trials, a.trials
+	}
+	if len(a.iqrs) == 0 {
+		a.iqrs, o.iqrs = o.iqrs, a.iqrs
 	}
 	for trial, ot := range o.trials {
 		ta := a.trials[trial]
@@ -238,10 +258,37 @@ func (a *MetricsAccumulator) Merge(o *MetricsAccumulator) {
 		h := a.iqrs[iter]
 		if h == nil {
 			a.iqrs[iter] = oh
+			delete(o.iqrs, iter)
 			continue
 		}
 		h.Merge(oh)
 	}
+}
+
+// MergeHistograms adds o's iteration histograms to this accumulator's
+// and leaves o as it was: a fold that reads several laggard thresholds
+// off one fill histograms each block once and copies the histograms to
+// every threshold's accumulator.
+func (a *MetricsAccumulator) MergeHistograms(o *MetricsAccumulator) {
+	for iter, oh := range o.iqrs {
+		h := a.iqrs[iter]
+		if h == nil {
+			h = new(stats.QuantileHistogram)
+			a.iqrs[iter] = h
+		}
+		h.Merge(oh)
+	}
+}
+
+// Release returns the iteration histograms' count arrays to their pool
+// (stats.QuantileHistogram.Release) once the accumulator's life ends:
+// after its state is encoded, merged into another or finalized. The
+// accumulator must not be used afterwards.
+func (a *MetricsAccumulator) Release() {
+	for _, h := range a.iqrs {
+		h.Release()
+	}
+	a.iqrs = nil
 }
 
 // Finalize computes the AppMetrics from the accumulated state, folding
@@ -250,9 +297,15 @@ func (a *MetricsAccumulator) Merge(o *MetricsAccumulator) {
 func (a *MetricsAccumulator) Finalize() AppMetrics {
 	m := AppMetrics{App: a.app}
 
-	tot := trialAccum{iters: map[int]*iterPartial{}}
-	for _, t := range slices.Sorted(maps.Keys(a.trials)) {
-		tot.add(a.trials[t])
+	// The sums fold trial by trial in ascending order, and so does each
+	// iteration's partial, in its slot of the sorted union of the
+	// trials' iterations.
+	trials := slices.Sorted(maps.Keys(a.trials))
+	var tot trialAccum
+	size := 0
+	for _, t := range trials {
+		tot.addSums(a.trials[t])
+		size += len(a.trials[t].iters)
 	}
 	if n := float64(tot.nProc); n > 0 {
 		m.MeanMedianSec = tot.medianSum / n
@@ -261,17 +314,34 @@ func (a *MetricsAccumulator) Finalize() AppMetrics {
 		m.IdleRatioProc = tot.ratioSum / n
 	}
 
-	iters := make([]int, 0, len(tot.iters))
-	for iter, it := range tot.iters {
-		if it.n > 0 {
-			iters = append(iters, iter)
+	keys := make([]int, 0, size)
+	for _, ta := range a.trials {
+		keys = slices.AppendSeq(keys, maps.Keys(ta.iters))
+	}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	parts := make([]iterPartial, len(keys))
+	seen := make([]bool, len(keys))
+	for _, t := range trials {
+		for iter, o := range a.trials[t].iters {
+			i, _ := slices.BinarySearch(keys, iter)
+			if seen[i] {
+				parts[i].add(*o)
+			} else {
+				parts[i], seen[i] = *o, true
+			}
 		}
 	}
-	slices.Sort(iters)
+
+	iters := 0
 	reclAppSum, ratioAppSum, iqrSum := 0.0, 0.0, 0.0
 	iqrMax := 0.0
-	for _, iter := range iters {
-		it := tot.iters[iter]
+	for i, iter := range keys {
+		it := parts[i]
+		if it.n <= 0 {
+			continue
+		}
+		iters++
 		recl := float64(it.n)*it.max - it.sum
 		reclAppSum += recl
 		if it.max > 0 {
@@ -286,10 +356,10 @@ func (a *MetricsAccumulator) Finalize() AppMetrics {
 			iqrMax = iqr
 		}
 	}
-	if len(iters) > 0 {
-		m.AvgReclaimableAppIterSec = reclAppSum / float64(len(iters))
-		m.IdleRatioAppIter = ratioAppSum / float64(len(iters))
-		m.IQRMeanSec = iqrSum / float64(len(iters))
+	if iters > 0 {
+		m.AvgReclaimableAppIterSec = reclAppSum / float64(iters)
+		m.IdleRatioAppIter = ratioAppSum / float64(iters)
+		m.IQRMeanSec = iqrSum / float64(iters)
 		m.IQRMaxSec = iqrMax
 	}
 	return m

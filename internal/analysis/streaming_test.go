@@ -89,3 +89,46 @@ func TestTable1StreamingMatchesTable1Row(t *testing.T) {
 		t.Fatalf("streaming Table1 %+v vs exact %+v", got, exact)
 	}
 }
+
+// TestMergeThenReleaseKeepsTarget pins Merge's hand-over of iteration
+// histograms: after a.Merge(o) and o.Release(), a finalizes and encodes
+// exactly as when o is never released — o gave up the histograms a
+// adopted, into an empty accumulator or beside a's own iterations, and
+// kept only those it folded into a's.
+func TestMergeThenReleaseKeepsTarget(t *testing.T) {
+	cfg := cluster.Config{Trials: 3, Ranks: 2, Iterations: 12, Threads: 48, Seed: 4}
+	d, err := cluster.Run(workload.DefaultMiniFE(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// part observes trial t's blocks of iterations [lo, hi).
+	part := func(t0, lo, hi int) *MetricsAccumulator {
+		acc := NewMetricsAccumulator(d.App, DefaultLaggardThresholdSec)
+		d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
+			if trial == t0 && iter >= lo && iter < hi {
+				acc.ObserveBlock(trial, rank, iter, xs)
+			}
+		})
+		return acc
+	}
+	build := func(release bool) ([]byte, AppMetrics) {
+		root := NewMetricsAccumulator(d.App, DefaultLaggardThresholdSec)
+		// An empty root, then overlapping and new iterations.
+		for _, o := range []*MetricsAccumulator{part(0, 0, 8), part(1, 4, 12), part(2, 0, 12)} {
+			root.Merge(o)
+			if release {
+				o.Release()
+			}
+		}
+		enc, err := root.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc, root.Finalize()
+	}
+	wantEnc, want := build(false)
+	gotEnc, got := build(true)
+	if string(gotEnc) != string(wantEnc) || got != want {
+		t.Fatalf("releasing merged accumulators changed the target:\n got %+v\nwant %+v", got, want)
+	}
+}

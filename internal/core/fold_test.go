@@ -18,8 +18,7 @@ import (
 // exactness: trials [1, 4) of a five-trial cell folded on 1, 2, 3 and 7
 // requested workers (static stripes that split trials between workers,
 // and whole rebalanced trials) encode to the same metrics and Table 1
-// state as a block kernel over the cached cursor of those trials — the
-// shard a worker answers below the sweep cache bound.
+// state as a block kernel over a columnar cursor of those trials.
 func TestFoldTrialsBitIdenticalAtAnyWorkerCount(t *testing.T) {
 	geom := cluster.Config{Trials: 5, Ranks: 4, Iterations: 30, Threads: 48, Seed: 17}
 	const lo, hi = 1, 4
@@ -55,6 +54,56 @@ func TestFoldTrialsBitIdenticalAtAnyWorkerCount(t *testing.T) {
 				}
 				if got := encode(macc, tacc); !bytes.Equal(got, want) {
 					t.Errorf("%s %s, %d workers: folded state differs from the cursor's", model.Name(), policy, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestFoldReadingsMatchesOneFoldPerReading pins the shared fill of a
+// sweep's alpha and laggard cells: one FoldReadings over two laggard
+// thresholds and two alphas leaves every accumulator with the bytes
+// FoldTrials gives it alone, static and LeWI, on one worker and on
+// three, and over a trial range that starts past zero.
+func TestFoldReadingsMatchesOneFoldPerReading(t *testing.T) {
+	geom := cluster.Config{Trials: 4, Ranks: 3, Iterations: 20, Threads: 48, Seed: 29}
+	const lo, hi = 1, 4
+	laggards, alphas := []float64{1e-3, 2e-4}, []float64{0.05, 0.01}
+	encode := func(state interface{ MarshalBinary() ([]byte, error) }) []byte {
+		t.Helper()
+		b, err := state.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	model := workload.DefaultMiniMD()
+	for _, policy := range []dlb.Spec{{}, {Policy: dlb.PolicyLeWI}} {
+		var wantM, wantT [][]byte
+		for i := range laggards {
+			macc := analysis.NewMetricsAccumulator(model.Name(), laggards[i])
+			tacc := analysis.NewTable1Accumulator(model.Name(), alphas[i])
+			if err := FoldTrials(model, geom, policy, lo, hi, macc, tacc, nil); err != nil {
+				t.Fatal(err)
+			}
+			wantM, wantT = append(wantM, encode(macc)), append(wantT, encode(tacc))
+		}
+		for _, workers := range []int{1, 3} {
+			var ms []*analysis.MetricsAccumulator
+			var ts []*analysis.Table1Accumulator
+			for i := range laggards {
+				ms = append(ms, analysis.NewMetricsAccumulator(model.Name(), laggards[i]))
+				ts = append(ts, analysis.NewTable1Accumulator(model.Name(), alphas[i]))
+			}
+			if err := FoldReadings(model, geom, policy, lo, hi, workers, true, ms, ts, nil); err != nil {
+				t.Fatal(err)
+			}
+			for i := range laggards {
+				if !bytes.Equal(encode(ms[i]), wantM[i]) {
+					t.Errorf("%s, %d workers: laggard %g metrics state differs from its own fold", policy, workers, laggards[i])
+				}
+				if !bytes.Equal(encode(ts[i]), wantT[i]) {
+					t.Errorf("%s, %d workers: alpha %g Table 1 state differs from its own fold", policy, workers, alphas[i])
 				}
 			}
 		}

@@ -109,60 +109,118 @@ func FoldTrials(model workload.Model, geom cluster.Config, policy dlb.Spec, lo, 
 	return foldTrials(model, geom, policy, lo, hi, 0, metrics, table1, nil, progress)
 }
 
+// FoldReadings is FoldTrials over several readings of the same trials:
+// it fills trials [lo, hi) of geom once and folds each block, sorted
+// once, into every metrics accumulator (one per laggard threshold) and
+// every Table 1 accumulator (one per alpha), all of one application.
+// Each accumulator gets the bits FoldTrials gives it alone. The fill
+// runs on up to workers goroutines (<= 0: GOMAXPROCS) whose extra state
+// fits streamStateBudget. bounded says the caller bounds the trials it
+// asks for: then a fold that no worker's state fits runs on one, which
+// holds no block table when static and one trial's table (32 bytes a
+// block) at a time when rebalanced, instead of being refused.
+func FoldReadings(model workload.Model, geom cluster.Config, policy dlb.Spec, lo, hi, workers int, bounded bool,
+	metrics []*analysis.MetricsAccumulator, table1 []*analysis.Table1Accumulator, progress cluster.ProgressSink) error {
+	return foldSet(model, geom, policy, lo, hi, workers, bounded, metrics, table1, nil, progress)
+}
+
 // foldTrials is FoldTrials on up to workers (<= 0: GOMAXPROCS), adding
-// the application-level sample moments to a non-nil moments. Each fill
-// worker (cluster.RunStream) keeps its own order-free state — iteration
-// histograms and Table 1 counts — merged exactly at the end. A trial's
-// floating-point sums and moments depend on the order they fold in: one
-// static worker sees the cursor's order and folds each block as it
-// comes; otherwise each block's summary waits in its trial's table,
-// which folds in cursor order once the trial's last rank completes. So
-// the bits are the same at any worker count.
+// the application-level sample moments to a non-nil moments.
 func foldTrials(model workload.Model, geom cluster.Config, policy dlb.Spec, lo, hi, workers int,
 	metrics *analysis.MetricsAccumulator, table1 *analysis.Table1Accumulator, moments *stats.Moments, progress cluster.ProgressSink) error {
-	if err := geom.Validate(); err != nil {
+	var tables []*analysis.Table1Accumulator
+	if table1 != nil {
+		tables = []*analysis.Table1Accumulator{table1}
+	}
+	return foldSet(model, geom, policy, lo, hi, workers, false, []*analysis.MetricsAccumulator{metrics}, tables, moments, progress)
+}
+
+// foldSet is FoldReadings, adding the application-level sample moments
+// to a non-nil moments.
+func foldSet(model workload.Model, geom cluster.Config, policy dlb.Spec, lo, hi, workers int, bounded bool,
+	metrics []*analysis.MetricsAccumulator, table1 []*analysis.Table1Accumulator, moments *stats.Moments, progress cluster.ProgressSink) error {
+	run, err := trialRun(geom, lo, hi)
+	if err != nil {
 		return err
 	}
-	if lo < 0 || hi <= lo || hi > geom.Trials {
-		return fmt.Errorf("core: trial range [%d, %d) outside the geometry's %d trials", lo, hi, geom.Trials)
-	}
-	run := geom
-	run.Trials = hi - lo
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	static := policy.IsStatic()
-	if workers = foldWorkers(run, static, workers); workers == 0 {
+	workers = foldWorkers(run, policy.IsStatic(), workers)
+	if workers == 0 && !bounded {
 		return fmt.Errorf("core: a rebalanced trial's block table is over the %d-byte state budget", streamStateBudget)
 	}
+	return fold(model, run, policy, lo, max(1, workers), metrics, table1, moments, progress)
+}
+
+// trialRun checks the trial range [lo, hi) of geom and returns the
+// geometry of its fill.
+func trialRun(geom cluster.Config, lo, hi int) (cluster.Config, error) {
+	if err := geom.Validate(); err != nil {
+		return geom, err
+	}
+	if lo < 0 || hi <= lo || hi > geom.Trials {
+		return geom, fmt.Errorf("core: trial range [%d, %d) outside the geometry's %d trials", lo, hi, geom.Trials)
+	}
+	run := geom
+	run.Trials = hi - lo
+	return run, nil
+}
+
+// fold fills run's trials, the first of which is absolute trial lo, on
+// workers fill goroutines, into every accumulator of metrics (at least
+// one, all of one application) and table1. Each fill worker
+// (cluster.RunStream) keeps its own order-free state — iteration
+// histograms, which no laggard threshold changes, and Table 1 counts —
+// merged exactly at the end; every metrics accumulator gets a copy of
+// the histograms. A trial's floating-point sums and moments depend on the
+// order they fold in: one static worker sees the cursor's order and
+// folds each block as it comes; otherwise each block's summary waits in
+// its trial's table, which folds in cursor order once the trial's last
+// rank completes. So the bits are the same at any worker count.
+func fold(model workload.Model, run cluster.Config, policy dlb.Spec, lo, workers int,
+	metrics []*analysis.MetricsAccumulator, table1 []*analysis.Table1Accumulator, moments *stats.Moments, progress cluster.ProgressSink) error {
+	app := metrics[0].App()
 	f := &trialFolder{
-		geom: run, lo: lo, tables: !static || workers > 1, open: map[int]*openTrial{},
-		sums: analysis.NewMetricsAccumulator(metrics.App(), metrics.LaggardThreshold()),
+		geom: run, lo: lo, tables: !policy.IsStatic() || workers > 1, open: map[int]*openTrial{},
+		sums: make([]*analysis.MetricsAccumulator, len(metrics)),
+	}
+	for i, m := range metrics {
+		f.sums[i] = analysis.NewMetricsAccumulator(app, m.LaggardThreshold())
 	}
 	if moments != nil {
 		f.moments = make([]stats.Moments, run.Trials)
 	}
 	newObs := func() cluster.BlockObserver {
-		o := &streamObserver{folder: f, hists: analysis.NewMetricsAccumulator(metrics.App(), metrics.LaggardThreshold())}
-		o.kernel = analysis.NewKernel(o)
-		if table1 != nil {
-			o.table1 = analysis.NewTable1Accumulator(table1.App(), table1.Alpha())
-			o.kernel = analysis.NewKernel(o, o.table1)
+		o := &streamObserver{folder: f, hists: analysis.NewMetricsAccumulator(app, 0)}
+		consumers := []analysis.SortedObserver{o}
+		for _, t := range table1 {
+			t := analysis.NewTable1Accumulator(t.App(), t.Alpha())
+			o.table1 = append(o.table1, t)
+			consumers = append(consumers, t)
 		}
+		o.kernel = analysis.NewKernel(consumers...)
 		return o
 	}
 	observers, err := cluster.RunStream(cluster.ShiftTrials(model, lo), run, policy, workers, nil, newObs, progress)
 	if err != nil {
 		return err
 	}
+	hists := analysis.NewMetricsAccumulator(app, 0)
 	for _, obs := range observers {
 		o := obs.(*streamObserver)
-		metrics.Merge(o.hists)
-		if table1 != nil {
-			table1.Merge(o.table1)
+		hists.Merge(o.hists)
+		for i, t := range table1 {
+			t.Merge(o.table1[i])
 		}
 	}
-	metrics.Merge(f.sums)
+	for _, m := range metrics[1:] {
+		m.MergeHistograms(hists)
+	}
+	metrics[0].Merge(hists)
+	for i, m := range metrics {
+		m.Merge(f.sums[i])
+	}
 	for t := range f.moments {
 		moments.Merge(&f.moments[t])
 	}
@@ -207,8 +265,8 @@ type trialFolder struct {
 	tables  bool           // else blocks fold into sums as they come
 	mu      sync.Mutex
 	open    map[int]*openTrial
-	sums    *analysis.MetricsAccumulator // the trials' sums
-	moments []stats.Moments              // per trial, when the summary is kept
+	sums    []*analysis.MetricsAccumulator // the trials' sums, per laggard threshold
+	moments []stats.Moments                // per trial, when the summary is kept
 }
 
 // openTrial is one trial in progress: a summary slot per block and the
@@ -247,8 +305,10 @@ func (f *trialFolder) rankDone(t int, ot *openTrial) {
 		return
 	}
 	iters := f.geom.Iterations
-	for i, b := range ot.blocks {
-		f.sums.FoldBlock(f.lo+t, i%iters, b)
+	for _, sums := range f.sums {
+		for i, b := range ot.blocks {
+			sums.FoldBlock(f.lo+t, i%iters, b)
+		}
 	}
 	for r := range ot.moments {
 		f.moments[t].Merge(&ot.moments[r])
@@ -257,14 +317,14 @@ func (f *trialFolder) rankDone(t int, ot *openTrial) {
 }
 
 // streamObserver is one fill worker's share of a fold. Its block kernel
-// sorts each block once for itself and the Table 1 accumulator; it adds
+// sorts each block once for itself and its Table 1 accumulators; it adds
 // the block to the worker's histograms and its summary to the trial's
 // sums, at once on a table-free fold, else through the trial's table.
 type streamObserver struct {
 	folder *trialFolder
 	kernel *analysis.Kernel
 	hists  *analysis.MetricsAccumulator // iteration histograms only
-	table1 *analysis.Table1Accumulator
+	table1 []*analysis.Table1Accumulator
 
 	cur      *openTrial // the trial of the last block, and its index
 	curTrial int
@@ -283,7 +343,9 @@ func (o *streamObserver) ObserveSorted(trial, rank, iter int, xs, sorted []float
 	if b := analysis.SummarizeBlock(xs, sorted); f.tables {
 		o.cur.blocks[rank*f.geom.Iterations+iter] = b
 	} else {
-		f.sums.FoldBlock(f.lo+trial, iter, b)
+		for _, sums := range f.sums {
+			sums.FoldBlock(f.lo+trial, iter, b)
+		}
 	}
 	if f.moments != nil {
 		o.cur.moments[rank].AddSlice(xs)

@@ -4,16 +4,17 @@
 // store, and has no grid loop of its own: the coordinator (an earlybirdd
 // -peers daemon, or the in-process one behind cmd/earlybird -fleet and
 // earlybird.FleetSweep) expands a grid and hands the fleet one cell at
-// a time, through DispatchCell (serve.FleetDispatcher) and DispatchWhole
-// (serve.WholeDispatcher).
+// a time, or one fill group of sweep cells at a time, through
+// DispatchCell (serve.FleetDispatcher), DispatchCells
+// (serve.GroupDispatcher) and DispatchWhole (serve.WholeDispatcher).
 //
 // A Fleet is a worker registry (health-probed over /v1/healthz) plus a
 // cell scheduler. Sweep cells are split into contiguous trial shards and
 // dispatched over POST /v1/shard, which returns mergeable accumulator
-// state rather than finished rows, as one sealed binary record; the
-// coordinator checks each record against the request it sent
-// (serve.ShardRequest.Accept), merges shard states and finalizes the
-// row. Because the accumulators key their partials by absolute trial
+// state rather than finished rows, as one sealed binary record per
+// cell of the group; the coordinator checks each record against its
+// cell's request (serve.ShardRequest.Accept), merges shard states and
+// finalizes the row. Because the accumulators key their partials by absolute trial
 // and finalize in a fixed order, and the per-iteration quantile
 // histograms behind the IQR statistics hold counts that depend only on
 // the set of samples, the merged results are bit-identical to
@@ -71,6 +72,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -246,8 +248,8 @@ func normalizeURL(raw string) (string, error) {
 }
 
 // Fleet is a federation coordinator. Create with New; safe for
-// concurrent use. It implements serve.FleetDispatcher (and, when
-// dynamic, serve.FleetMembership), so it can be plugged into a
+// concurrent use. It implements serve.FleetDispatcher and
+// serve.GroupDispatcher (and, when dynamic, serve.FleetMembership), so it can be plugged into a
 // serve.Server (Options.Fleet) to make that server's /v1/sweep fan out
 // transparently and its /v1/fleet/join accept workers.
 type Fleet struct {
@@ -709,17 +711,19 @@ func (l *latencyTracker) threshold() (time.Duration, bool) {
 const maxResponseBytes = 256 << 20
 
 // readBody reads a 200 body into one buffer: sized from a declared
-// Content-Length when there is one, grown up to maxResponseBytes when
-// there is not. A declared or actual length over the cap, or a body
-// shorter than declared, is an error.
+// Content-Length when there is one, in a buffer from bodies, and
+// grown up to maxResponseBytes when there is not. A declared or actual
+// length over the cap, or a body shorter than declared, is an error.
+// The caller hands the buffer back to bodies once nothing aliases it.
 func readBody(resp *http.Response) ([]byte, error) {
 	n := resp.ContentLength
 	if n > maxResponseBytes {
 		return nil, fmt.Errorf("declared body of %d bytes exceeds the %d-byte cap", n, maxResponseBytes)
 	}
 	if n >= 0 {
-		buf := make([]byte, n)
+		buf := slices.Grow(bodies.Get(), int(n))[:n]
 		if _, err := io.ReadFull(resp.Body, buf); err != nil {
+			bodies.Put(buf)
 			return nil, fmt.Errorf("body shorter than its %d-byte Content-Length: %w", n, err)
 		}
 		return buf, nil
@@ -733,6 +737,9 @@ func readBody(resp *http.Response) ([]byte, error) {
 	}
 	return buf, nil
 }
+
+// bodies holds readBody's buffers between answers.
+var bodies share.Buffers
 
 // post sends one pre-marshalled JSON request under the in-flight bound
 // and returns the raw 200 response body. Transport failures, bodies
@@ -829,7 +836,9 @@ type attempt struct {
 // (a quantile over completed-request latencies), one backup attempt is
 // issued to the next eligible worker and the first success wins — the
 // loser runs to completion and is discarded. Each successful body goes
-// to decode, in dispatch's goroutine; a body decode refuses is the
+// to decode, in dispatch's goroutine, and its buffer is reused once
+// decode returns, so decode must keep nothing that aliases it; a body
+// decode refuses is the
 // worker's fault, like a mid-stream disconnect — the worker is demoted
 // and the request fails over. dispatch returns the worker whose body
 // decode accepted.
@@ -896,7 +905,9 @@ func (f *Fleet) dispatch(ctx context.Context, cellHash uint64, shard int, path s
 		case a := <-results:
 			active--
 			if a.err == nil {
-				if err := decode(a.raw); err != nil {
+				err := decode(a.raw)
+				bodies.Put(a.raw)
+				if err != nil {
 					a.w.failures.Add(1)
 					a.w.healthy.Store(false)
 					f.failovers.Add(1)

@@ -562,3 +562,52 @@ func TestPostBoundsBody(t *testing.T) {
 		})
 	}
 }
+
+// TestFleetSweepGroupSharesShards pins that a coordinator sends the
+// cells of one fill group — here 2 alphas x 2 laggard thresholds — as
+// one shard request per trial range, read at all four: the workers run
+// one fill per range, not per cell, and every merged row equals the
+// single-node row. A second coordinator over the same durable store
+// answers the grid without a fill.
+func TestFleetSweepGroupSharesShards(t *testing.T) {
+	w1s, w1 := newWorker(t)
+	w2s, w2 := newWorker(t)
+	fills := func() int64 {
+		return w1s.Telemetry().Totals().StudiesStarted + w2s.Telemetry().Totals().StudiesStarted
+	}
+	store, err := OpenStore(t.TempDir(), t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := serve.SweepRequest{
+		Apps: []string{"minife"}, Geometries: []cluster.Config{fleetGeom()},
+		Alphas: []float64{0.05, 0.01}, LaggardThresholdsSec: []float64{1e-3, 5e-4},
+	}
+	rows := func(s *serve.Server) []serve.SweepRow {
+		t.Helper()
+		g, err := s.SweepGrid(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g.Rows(context.Background())
+	}
+	want := rows(serve.New(serve.Options{Workers: 2}))
+	for run, wantFills := range []int64{2, 0} {
+		f := newFleet(t, Options{Peers: []string{w1.URL, w2.URL}, ShardsPerCell: 2, Store: store})
+		before := fills()
+		got := rows(serve.New(serve.Options{Workers: 2, Fleet: f}))
+		if d := fills() - before; d != wantFills {
+			t.Errorf("run %d: the workers ran %d fills, want %d", run, d, wantFills)
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.Err != "" || g.StoreHit != (run == 1) || (run == 0 && g.Shards != 2) {
+				t.Errorf("run %d, cell %d: error %q, store hit %v, %d shards", run, i, g.Err, g.StoreHit, g.Shards)
+			}
+			g.Shards, g.ShardWorkers, g.StoreHit = 0, nil, false
+			if !reflect.DeepEqual(g, w) {
+				t.Errorf("run %d, cell %d: fleet row differs from the single-node row:\nfleet  %+v\nsingle %+v", run, i, g, w)
+			}
+		}
+	}
+}

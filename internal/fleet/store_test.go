@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -423,10 +424,11 @@ func TestStoreOldEBRSRecordHeals(t *testing.T) {
 	}
 }
 
-// TestStoreTDigestRecordHeals: a CRC-sealed version 1 shard record — the
-// layout whose metrics state carried t-digests — is a logged miss, never
-// a served row; the sweep path recomputes the cell and rewrites the
-// record in the current, histogram-carrying version.
+// TestStoreTDigestRecordHeals: a CRC-sealed older shard record — version
+// 1, whose metrics state carried t-digests, or version 2, whose header
+// carried a flags byte — is a logged miss, never a served row; the sweep
+// path recomputes the cell and rewrites the record in the current
+// version.
 func TestStoreTDigestRecordHeals(t *testing.T) {
 	lg := &storeLog{}
 	st, err := OpenStore(t.TempDir(), lg.logf)
@@ -453,24 +455,52 @@ func TestStoreTDigestRecordHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := wire.Writer{Buf: bytes.Clone(body)}
-	old.Buf[4] = 1 // the version byte after the magic
-	if err := os.WriteFile(path, old.Seal(), 0o644); err != nil {
+	for version, old := range map[int][]byte{1: versionOne(body), 2: versionTwo(t, body)} {
+		w := wire.Writer{Buf: old}
+		if err := os.WriteFile(path, w.Seal(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := lg.count()
+		if _, ok := st.LoadCell(cell, key); ok {
+			t.Fatalf("version %d record served", version)
+		}
+		if lg.count() <= before {
+			t.Fatalf("version %d record not logged as a miss: %v", version, lg.lines)
+		}
+		row, ok := f.DispatchCell(context.Background(), cell)
+		if !ok || row.Err != "" || row.StoreHit {
+			t.Fatalf("version %d: recompute failed: ok=%v row=%+v", version, ok, row)
+		}
+		if healed, err := os.ReadFile(path); err != nil || !bytes.Equal(healed, current) {
+			t.Fatalf("version %d: healed record differs from a fresh one (err %v)", version, err)
+		}
+	}
+}
+
+// versionOne returns a copy of a current unsealed shard record body
+// behind version byte 1.
+func versionOne(body []byte) []byte {
+	old := bytes.Clone(body)
+	old[4] = 1 // the version byte after the magic
+	return old
+}
+
+// versionTwo returns a current unsealed shard record body in the
+// version 2 layout: version byte 2 and a zero flags byte after the
+// block count.
+func versionTwo(t *testing.T, body []byte) []byte {
+	t.Helper()
+	r := wire.NewReader(body)
+	r.U32()
+	r.U8()
+	if _, err := serve.ReadCellIdentity(r); err != nil {
 		t.Fatal(err)
 	}
-
-	before := lg.count()
-	if _, ok := st.LoadCell(cell, key); ok {
-		t.Fatal("version 1 record served")
-	}
-	if lg.count() <= before {
-		t.Fatalf("version 1 record not logged as a miss: %v", lg.lines)
-	}
-	row, ok := f.DispatchCell(context.Background(), cell)
-	if !ok || row.Err != "" || row.StoreHit {
-		t.Fatalf("recompute failed: ok=%v row=%+v", ok, row)
-	}
-	if healed, err := os.ReadFile(path); err != nil || !bytes.Equal(healed, current) {
-		t.Fatalf("healed record differs from a fresh one (err %v)", err)
-	}
+	r.U64()
+	r.U64()
+	r.I64()
+	at := len(body) - r.Remaining()
+	old := slices.Concat(body[:at], []byte{0}, body[at:])
+	old[4] = 2
+	return old
 }

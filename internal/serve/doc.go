@@ -32,15 +32,23 @@
 // The sweep endpoint fans a grid of (app x geometry x alpha x laggard
 // threshold) cells onto the engine and writes one NDJSON row per cell as
 // it completes. A local cell is the shard [0, Trials) and runs on the
-// shard executor (runShard: one analysis.Kernel feeding the metrics and
-// Table 1 accumulators over a columnar cursor), so the nested tensor
-// view is never built. Geometries larger than one constant bound
-// (maxCachedSweepSamples, four paper geometries) bypass the dataset
-// cache and run through core.FoldTrials, the streamed fold StreamStudy
-// runs, whose extra state (its extra workers' histograms, its open
-// trial tables) stays within the fold's one 40 MiB budget; a rebalanced
-// trial whose block table is over that is refused. The bound sets
-// memory, never the answer.
+// shard executor (runShard: the streamed fold StreamStudy runs, one
+// analysis.Kernel per fill worker feeding the metrics and Table 1
+// accumulators straight from the fill), so no dataset is cached and the
+// nested tensor view is never built. The cells that differ only in
+// alpha and laggard threshold form one fill group (fillGroups): one
+// fold (core.FoldReadings) reads their fill at every cell's
+// parameters, and a fleet sends the group as one /v1/shard request per
+// trial range, answered by a record set. At or under one constant
+// bound (maxBoundedShardSamples, four paper geometries) a group fills
+// on the server's share of its execution slots (fillWorkers), on one
+// worker when more do not fit the fold's state budget; above it on up
+// to GOMAXPROCS workers whose extra state (their histograms, the open
+// trial tables) stays within the fold's one 40 MiB budget; a
+// rebalanced trial whose block table is over that is refused. The
+// bound and the grouping set the work, never the answer. Iteration histogram
+// counts, the worker's record buffer and the coordinator's body buffer
+// are pooled, so an exchange leaves almost no garbage.
 //
 // The strategies endpoint sweeps a delivery-strategy grid — fixed and
 // adaptive policies from internal/partcomm — over each (app, geometry)

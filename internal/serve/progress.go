@@ -54,6 +54,13 @@ func ProgressID(app string, geom cluster.Config, policy dlb.Spec) string {
 // generation finishes. The efficiency denominator is the server's
 // worker budget: the capacity this server admits work against.
 func (s *Server) generationProgress(model string, geom cluster.Config, policy dlb.Spec) (cluster.ProgressSink, func()) {
+	return s.fillProgress(model, geom, policy, s.eng.Workers())
+}
+
+// fillProgress registers one live tracker for a fill on workers fill
+// goroutines, the denominator of its efficiency, and returns it with
+// the func that retires it.
+func (s *Server) fillProgress(model string, geom cluster.Config, policy dlb.Spec, workers int) (cluster.ProgressSink, func()) {
 	tr := telemetry.New(telemetry.StudyInfo{
 		ID:         ProgressID(model, geom, policy),
 		App:        model,
@@ -61,7 +68,7 @@ func (s *Server) generationProgress(model string, geom cluster.Config, policy dl
 		Ranks:      geom.Ranks,
 		Iterations: geom.Iterations,
 		Threads:    geom.Threads,
-		Workers:    s.eng.Workers(),
+		Workers:    workers,
 	})
 	s.tel.Register(tr)
 	return tr, func() { s.tel.Finish(tr) }

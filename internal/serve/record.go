@@ -22,17 +22,12 @@ import (
 
 const (
 	shardMagic = 0x45425348 // "EBSH"
-	// shardVersion 2 records carry quantile histograms where version 1
-	// carried t-digests: a version 1 record from an older worker is a
-	// worker fault, and one in the durable store a miss that heals.
-	shardVersion = 2
-)
-
-// Shard record flag bits.
-const (
-	flagDatasetCacheHit uint8 = 1 << iota
-	flagStreamed
-	knownFlags = flagDatasetCacheHit | flagStreamed
+	// shardVersion 3 records drop the flags byte of version 2 (dataset
+	// cache hit, streamed), which every shard now answers alike; version
+	// 1 carried t-digests where later ones carry quantile histograms. An
+	// older record from a worker is a worker fault, and one in the
+	// durable store a miss that heals.
+	shardVersion = 3
 )
 
 // AppendCellIdentity writes the fields a record must match to serve a
@@ -117,12 +112,13 @@ type RecordState interface {
 }
 
 // AppendShardRecord appends one sealed shard record to dst: hdr's
-// identity, trial range, block count and flags, then the metrics and
+// identity, trial range and block count, then the metrics and
 // Table 1 states, each encoded in place behind a length prefix (hdr's
 // MetricsState and Table1State are not read). A worker passes its
 // accumulators, so the states are encoded once, straight into the
 // record, and the record grows once for both of them.
 func AppendShardRecord(dst []byte, hdr *ShardResponse, metrics, table1 RecordState) ([]byte, error) {
+	at := len(dst)
 	w := wire.Writer{Buf: dst}
 	w.U32(shardMagic)
 	w.U8(shardVersion)
@@ -130,24 +126,61 @@ func AppendShardRecord(dst []byte, hdr *ShardResponse, metrics, table1 RecordSta
 	w.U64(uint64(hdr.TrialLo))
 	w.U64(uint64(hdr.TrialHi))
 	w.I64(hdr.Blocks)
-	var flags uint8
-	if hdr.DatasetCacheHit {
-		flags |= flagDatasetCacheHit
-	}
-	if hdr.Streamed {
-		flags |= flagStreamed
-	}
-	w.U8(flags)
 	w.Buf = slices.Grow(w.Buf, 4+metrics.BinarySize()+4+table1.BinarySize()+wire.SealSize)
-	for _, state := range []RecordState{metrics, table1} {
+	for _, rs := range []RecordState{metrics, table1} {
+		state := w.BeginBytes()
+		var err error
+		if w.Buf, err = rs.AppendBinary(w.Buf); err != nil {
+			return nil, err
+		}
+		w.EndBytes(state)
+	}
+	return w.SealFrom(at), nil
+}
+
+// recordSetMagic opens the answer to a shard request that lists
+// further readings: a record count, then each reading's sealed shard
+// record behind a length prefix.
+const recordSetMagic = 0x45425353 // "EBSS"
+
+// appendRecordSet appends the record set answering a shard request's
+// readings to dst: for each reading, in order, AppendShardRecord of its
+// header and accumulators.
+func appendRecordSet(dst []byte, hdrs []*ShardResponse, metrics []*analysis.MetricsAccumulator, table1 []*analysis.Table1Accumulator) ([]byte, error) {
+	w := wire.Writer{Buf: dst}
+	w.U32(recordSetMagic)
+	w.U32(uint32(len(hdrs)))
+	for i, hdr := range hdrs {
 		at := w.BeginBytes()
 		var err error
-		if w.Buf, err = state.AppendBinary(w.Buf); err != nil {
+		if w.Buf, err = AppendShardRecord(w.Buf, hdr, metrics[i], table1[i]); err != nil {
 			return nil, err
 		}
 		w.EndBytes(at)
 	}
-	return w.Seal(), nil
+	return w.Buf, nil
+}
+
+// SplitRecordSet returns the n records of a record set, aliasing data;
+// each is checked by the Accept of its reading's request.
+func SplitRecordSet(data []byte, n int) ([][]byte, error) {
+	r := wire.NewReader(data)
+	if magic := r.U32(); r.Err() == nil && magic != recordSetMagic {
+		return nil, fmt.Errorf("serve: bad record set magic %08x", magic)
+	}
+	if got := r.U32(); r.Err() == nil && got != uint32(n) {
+		return nil, fmt.Errorf("serve: record set holds %d records, want %d", got, n)
+	}
+	recs := make([][]byte, 0, n)
+	for range n {
+		if rec := r.Bytes(); r.Err() == nil {
+			recs = append(recs, rec)
+		}
+	}
+	if err := r.Finish("record set"); err != nil {
+		return nil, err
+	}
+	return recs, nil
 }
 
 // encodedState is an already encoded accumulator state.
@@ -192,14 +225,10 @@ func (resp *ShardResponse) UnmarshalBinary(data []byte) error {
 		DLB:                 cell.DLB,
 		Blocks:              r.I64(),
 	}
-	flags := r.U8()
 	dec.MetricsState = r.Bytes()
 	dec.Table1State = r.Bytes()
 	if err := r.Finish("shard record"); err != nil {
 		return err
-	}
-	if flags&^knownFlags != 0 {
-		return fmt.Errorf("serve: unknown shard record flags %02x", flags)
 	}
 	if err := dec.Geometry.Validate(); err != nil {
 		return err
@@ -208,14 +237,14 @@ func (resp *ShardResponse) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("serve: shard record trial range [%d, %d) outside %d trials", lo, hi, dec.Geometry.Trials)
 	}
 	dec.TrialLo, dec.TrialHi = int(lo), int(hi)
-	dec.DatasetCacheHit = flags&flagDatasetCacheHit != 0
-	dec.Streamed = flags&flagStreamed != 0
 	*resp = dec
 	return nil
 }
 
 // ShardState is one verified /v1/shard answer: the record and its two
-// decoded accumulator states.
+// decoded accumulator states. The record's MetricsState and Table1State
+// are nil: the states are decoded, and nothing aliases the answer's
+// bytes, which the caller may reuse.
 type ShardState struct {
 	Record  ShardResponse
 	Metrics *analysis.MetricsAccumulator
@@ -254,6 +283,7 @@ func (req ShardRequest) Accept(data []byte) (ShardState, error) {
 	if err := st.Table1.UnmarshalBinary(resp.Table1State); err != nil {
 		return st, fmt.Errorf("serve: shard table1 state: %w", err)
 	}
+	resp.MetricsState, resp.Table1State = nil, nil
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	if st.Metrics.App() != req.App || st.Table1.App() != req.App ||
 		!same(st.Metrics.LaggardThreshold(), req.LaggardSec) || !same(st.Table1.Alpha(), req.Alpha) ||

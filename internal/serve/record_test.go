@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"runtime/metrics"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,33 +15,34 @@ import (
 	"earlybird/internal/wire"
 )
 
-// realRecords runs three small shards — static, LeWI, and one on the
-// streamed (uncached) path — and returns their sealed records.
+// realRecords runs three small shards — static, LeWI, and one over the
+// sample bound, on the fold's parallel workers — and returns their
+// sealed records.
 func realRecords(t testing.TB) [][]byte {
 	t.Helper()
 	geom := cluster.Config{Trials: 3, Ranks: 2, Iterations: 4, Threads: 48, Seed: 7}
 	lewi := dlb.Spec{Policy: dlb.PolicyLeWI}
-	cached := New(Options{Workers: 2})
-	streamed := New(Options{Workers: 2})
-	streamed.maxSweepSamples = 1
+	serial := New(Options{Workers: 2})
+	parallel := New(Options{Workers: 2})
+	parallel.maxSweepSamples = 1
 	var out [][]byte
 	for _, c := range []struct {
 		s   *Server
 		req ShardRequest
 	}{
-		{cached, ShardRequest{App: "minife", Geometry: &geom, TrialLo: 0, TrialHi: 2}},
-		{cached, ShardRequest{App: "minimd", Geometry: &geom, DLB: &lewi, TrialLo: 1, TrialHi: 3}},
-		{streamed, ShardRequest{App: "miniqmc", Geometry: &geom, Alpha: 0.01, TrialLo: 2, TrialHi: 3}},
+		{serial, ShardRequest{App: "minife", Geometry: &geom, TrialLo: 0, TrialHi: 2}},
+		{serial, ShardRequest{App: "minimd", Geometry: &geom, DLB: &lewi, TrialLo: 1, TrialHi: 3}},
+		{parallel, ShardRequest{App: "miniqmc", Geometry: &geom, Alpha: 0.01, TrialLo: 2, TrialHi: 3}},
 	} {
 		req, err := c.req.Resolve()
 		if err != nil {
 			t.Fatal(err)
 		}
-		hdr, macc, tacc, err := c.s.runShard(req)
+		f, err := c.s.runShard(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := AppendShardRecord(nil, &hdr, macc, tacc)
+		rec, err := AppendShardRecord(nil, f.hdrs[0], f.metrics[0], f.table1[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,9 +76,6 @@ func TestShardRecordRoundTrip(t *testing.T) {
 		again, err := resp.MarshalBinary()
 		if err != nil || !bytes.Equal(again, rec) {
 			t.Fatalf("record %d: re-encoding differs (err %v)", i, err)
-		}
-		if i == 2 && !resp.Streamed {
-			t.Error("streamed shard lost its flag")
 		}
 		req := requestFor(&resp)
 		st, err := req.Accept(rec)
@@ -117,6 +116,72 @@ func TestShardRecordRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAcceptDropsAliases pins that an accepted answer keeps nothing
+// that aliases its bytes, which the fleet's reader reuses for the next
+// answer: the record's state fields are nil, and scribbling over the
+// bytes changes no decoded state.
+func TestAcceptDropsAliases(t *testing.T) {
+	rec := bytes.Clone(realRecords(t)[0])
+	var resp ShardResponse
+	if err := resp.UnmarshalBinary(rec); err != nil {
+		t.Fatal(err)
+	}
+	st, err := requestFor(&resp).Accept(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Record.MetricsState != nil || st.Record.Table1State != nil {
+		t.Fatal("accepted record still aliases the answer's bytes")
+	}
+	want, err := st.Metrics.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(rec)
+	if got, _ := st.Metrics.MarshalBinary(); !bytes.Equal(got, want) {
+		t.Fatal("clearing the answer's bytes changed the decoded metrics state")
+	}
+}
+
+// TestShardRecordOldVersionRefused: a version 2 record — the layout
+// with a flags byte after the block count — from an older worker is
+// refused, sealed and otherwise well formed as it is.
+func TestShardRecordOldVersionRefused(t *testing.T) {
+	rec := realRecords(t)[0]
+	var resp ShardResponse
+	if err := resp.UnmarshalBinary(rec); err != nil {
+		t.Fatal(err)
+	}
+	old := wire.Writer{Buf: versionTwo(t, rec)}
+	if _, err := requestFor(&resp).Accept(old.Seal()); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("version 2 record: %v", err)
+	}
+}
+
+// versionTwo returns the unsealed body of rec, a current sealed shard
+// record, in the version 2 layout: version byte 2 and a zero flags byte
+// after the block count.
+func versionTwo(t testing.TB, rec []byte) []byte {
+	t.Helper()
+	body, err := wire.Unseal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := wire.NewReader(body)
+	r.U32()
+	r.U8()
+	if _, err := ReadCellIdentity(r); err != nil {
+		t.Fatal(err)
+	}
+	r.U64()
+	r.U64()
+	r.I64()
+	at := len(body) - r.Remaining()
+	old := slices.Concat(body[:at], []byte{0}, body[at:])
+	old[4] = 2 // the version byte after the magic
+	return old
 }
 
 // TestShardRecordRefusesStatesThatDisagree: a record whose header is

@@ -34,11 +34,12 @@ const (
 	// fixed state budget) plus accumulator state bounded by
 	// maxTrialIterations.
 	DefaultMaxStudySamples = 10 * 768000
-	// maxCachedSweepSamples is the geometry size (total samples) above
-	// which sweep cells and shards bypass the dataset cache and fold
-	// uncached through core.FoldTrials: four paper geometries (~24 MiB
-	// cached).
-	maxCachedSweepSamples = 4 * 768000
+	// maxBoundedShardSamples is the largest shard (total samples) whose
+	// fold may run past the fold's state budget on one fill worker
+	// (core.FoldReadings, bounded): its rebalanced trial tables hold at
+	// most 32 bytes per block of this many samples. Four paper
+	// geometries.
+	maxBoundedShardSamples = 4 * 768000
 	// maxSweepCells bounds one sweep request's grid.
 	maxSweepCells = 4096
 	// maxTrialIterations bounds a sweep cell's or shard's trials x
@@ -75,8 +76,10 @@ type Options struct {
 	// MaxResults bounds the LRU result cache; 0 means
 	// DefaultMaxResults, negative disables result caching.
 	MaxResults int
-	// MaxDatasets bounds the engine's dataset cache (LRU eviction); 0
-	// means DefaultMaxDatasets, negative leaves the cache unbounded.
+	// MaxDatasets bounds the engine's dataset cache (LRU eviction), which
+	// serves studies and strategy cells; sweep cells and shards fold
+	// uncached. 0 means DefaultMaxDatasets, negative leaves the cache
+	// unbounded.
 	MaxDatasets int
 	// MaxStudySamples is the largest geometry (by total samples) the
 	// materialising study endpoints accept; larger requests are rejected
@@ -131,6 +134,17 @@ type WholeDispatcher interface {
 	DispatchWhole(ctx context.Context, hash uint64, path string, req, out any) bool
 }
 
+// GroupDispatcher is the optional fleet upgrade for sweep cells that
+// share one fill (fillGroups): internal/fleet implements it. A fleet
+// that does not is offered the cells one by one.
+type GroupDispatcher interface {
+	// DispatchCells executes cells of one fill group on the fleet, each
+	// shard read at every cell's alpha and laggard threshold, emits each
+	// merged row and returns the cells it could not place, for the
+	// caller to run locally.
+	DispatchCells(ctx context.Context, cells []SweepCell, emit func(SweepRow)) (left []SweepCell)
+}
+
 // Server is the study service: an http.Handler exposing the /v1 API over
 // one campaign engine, plus a managed http.Server for ListenAndServe /
 // Shutdown. Create with New; safe for concurrent use.
@@ -146,8 +160,8 @@ type Server struct {
 	stratSources    sourceCounters
 	maxStudySamples int
 	httpSrv         *http.Server
-	// maxSweepSamples is maxCachedSweepSamples; tests lower it to send
-	// small cells through the uncached fold.
+	// maxSweepSamples is maxBoundedShardSamples; tests lower it to send
+	// small cells through the budgeted fold.
 	maxSweepSamples int
 	// sem bounds the server's concurrently executing studies and sweep
 	// cells across all requests — the engine's Workers bound applied at
@@ -190,7 +204,7 @@ func New(opts Options) *Server {
 		start:           time.Now(),
 		endpoints:       map[string]*endpointStats{},
 		maxStudySamples: maxStudy,
-		maxSweepSamples: maxCachedSweepSamples,
+		maxSweepSamples: maxBoundedShardSamples,
 		sem:             make(chan struct{}, eng.Workers()),
 		tel:             telemetry.NewRegistry(),
 	}
@@ -340,20 +354,29 @@ func (s *Server) clampWorkers(requested, jobs int) int {
 // not, goes through the same cell executors and the same fleet
 // fallback.
 type Grid[R any] struct {
-	n, workers int
-	cell       func(ctx context.Context, i int) R
+	n, units, workers int
+	unit              func(ctx context.Context, u int, emit func(i int, row R))
 }
 
 // newGrid bounds a grid's concurrency by the request's and the engine's.
+// Each cell is one unit of work.
 func newGrid[R any](s *Server, n, workers int, cell func(context.Context, int) R) Grid[R] {
-	return Grid[R]{n: n, workers: s.clampWorkers(workers, n), cell: cell}
+	return newGroupedGrid(s, n, n, workers, func(ctx context.Context, i int, emit func(int, R)) {
+		emit(i, cell(ctx, i))
+	})
+}
+
+// newGroupedGrid is newGrid over units of work that each answer one or
+// more of the n cells, emitting every row they answer.
+func newGroupedGrid[R any](s *Server, n, units, workers int, unit func(context.Context, int, func(int, R))) Grid[R] {
+	return Grid[R]{n: n, units: units, workers: s.clampWorkers(workers, units), unit: unit}
 }
 
 // Run executes every cell and calls emit with the cell's grid position
 // and row as it completes. emit is called concurrently from the worker
 // goroutines, once per cell.
 func (g Grid[R]) Run(ctx context.Context, emit func(i int, row R)) {
-	share.FanOut(g.n, g.workers, func(i int) { emit(i, g.cell(ctx, i)) })
+	share.FanOut(g.units, g.workers, func(u int) { g.unit(ctx, u, emit) })
 }
 
 // Rows runs the grid and returns its rows in grid order.

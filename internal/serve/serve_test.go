@@ -237,15 +237,13 @@ func TestSweepStreamsNDJSONWithoutMaterializing(t *testing.T) {
 		}
 	}
 
-	// The acceptance criterion: the sweep ran entirely on the columnar
-	// cursor path — no cached dataset ever grew its nested tensor view.
+	// Every cell folded straight from its fill: the engine generated,
+	// cached and viewed no dataset.
 	if got := s.Engine().NestedViews(); got != 0 {
 		t.Errorf("nested views = %d after sweep, want 0 (dataset materialised server-side)", got)
 	}
-	// Three apps at one geometry: three generations, the alpha axis
-	// re-read them from cache.
-	if got := s.Engine().Executions(); got != 3 {
-		t.Errorf("engine executions = %d, want 3", got)
+	if got, cached := s.Engine().Executions(), s.Engine().CachedDatasets(); got != 0 || cached != 0 {
+		t.Errorf("engine executions = %d, cached datasets = %d after sweep, want 0 and 0", got, cached)
 	}
 }
 
@@ -283,9 +281,9 @@ func TestSweepFlushesEveryRow(t *testing.T) {
 }
 
 func TestSweepLargeGeometryBypassesCache(t *testing.T) {
-	// A cache bound below the test geometry forces the streaming-fill
-	// path: the row must be marked streamed and the engine cache must
-	// stay empty.
+	// A sample bound below the test geometry sends the cell through the
+	// fold's parallel workers: the row must be analysed and the engine
+	// cache must stay empty.
 	s := New(Options{Workers: 2})
 	s.maxSweepSamples = testGeom().Samples() - 1
 	body, _ := json.Marshal(SweepRequest{
@@ -302,9 +300,6 @@ func TestSweepLargeGeometryBypassesCache(t *testing.T) {
 	}
 	if row.Err != "" {
 		t.Fatal(row.Err)
-	}
-	if !row.Streamed {
-		t.Error("over-bound geometry did not use the streaming fill")
 	}
 	if got := s.Engine().CachedDatasets(); got != 0 {
 		t.Errorf("streaming-fill sweep cached %d datasets, want 0", got)

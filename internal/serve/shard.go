@@ -20,6 +20,7 @@ package serve
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -28,6 +29,7 @@ import (
 	"earlybird/internal/core"
 	"earlybird/internal/dlb"
 	"earlybird/internal/engine"
+	"earlybird/internal/share"
 	"earlybird/internal/stats/normality"
 	"earlybird/internal/workload"
 )
@@ -43,6 +45,12 @@ type ShardRequest struct {
 	GeometryName string          `json:"geometry_name,omitempty"`
 	Alpha        float64         `json:"alpha,omitempty"`
 	LaggardSec   float64         `json:"laggard_threshold_sec,omitempty"`
+	// Readings lists further (alpha, laggard threshold) pairs, after the
+	// request's own, that the shard answers from the same fill: the
+	// answer is then a record set, one record per pair in order
+	// (appendRecordSet). The cells of a sweep that differ only in these
+	// two parameters share one fill this way.
+	Readings []Reading `json:"readings,omitempty"`
 	// DLB is the cell's rebalancing policy; omitted means static. Shards
 	// never apply a server default: the coordinator resolved the cell's
 	// policy and the worker must execute exactly that. Rebalancing is
@@ -51,6 +59,13 @@ type ShardRequest struct {
 	DLB     *dlb.Spec `json:"dlb,omitempty"`
 	TrialLo int       `json:"trial_lo"`
 	TrialHi int       `json:"trial_hi"`
+}
+
+// Reading is one (alpha, laggard threshold) pair a shard's fill is read
+// at; zeros mean the paper's defaults.
+type Reading struct {
+	Alpha      float64 `json:"alpha,omitempty"`
+	LaggardSec float64 `json:"laggard_threshold_sec,omitempty"`
 }
 
 // ShardResponse is one shard's accumulator state. MetricsState and
@@ -75,11 +90,11 @@ type ShardResponse struct {
 	Blocks       int64  `json:"blocks"`
 	MetricsState []byte `json:"metrics_state"`
 	Table1State  []byte `json:"table1_state"`
-	// DatasetCacheHit reports the shard read an engine-cached columnar
-	// store; Streamed reports it was over the sweep cache bound and ran
-	// uncached through the streamed fold, to the same bits.
+	// DatasetCacheHit is not in the sealed record and the server never
+	// sets it: a shard folds straight from its fill and reads no dataset
+	// cache. perfbench's JSON shard replay, which still reads a cached
+	// columnar store, reports its lookup here.
 	DatasetCacheHit bool `json:"dataset_cache_hit"`
-	Streamed        bool `json:"streamed"`
 }
 
 // Resolve validates the request and fills defaults. A worker executes
@@ -119,6 +134,19 @@ func (req ShardRequest) Resolve() (ShardRequest, error) {
 		return req, err
 	}
 	req.Alpha, req.LaggardSec = paperDefaults(req.Alpha, req.LaggardSec)
+	if len(req.Readings) >= maxSweepCells {
+		return req, fmt.Errorf("shard asks for %d readings, limit %d", len(req.Readings)+1, maxSweepCells)
+	}
+	if len(req.Readings) > 0 {
+		readings := make([]Reading, len(req.Readings))
+		for i, rd := range req.Readings {
+			if err := engine.CheckAnalysis(rd.Alpha, rd.LaggardSec, 0); err != nil {
+				return req, err
+			}
+			readings[i].Alpha, readings[i].LaggardSec = paperDefaults(rd.Alpha, rd.LaggardSec)
+		}
+		req.Readings = readings
+	}
 	if req.DLB != nil {
 		resolved, err := req.DLB.Resolve()
 		if err != nil {
@@ -140,64 +168,116 @@ func paperDefaults(alpha, laggardSec float64) (float64, float64) {
 	return cmp.Or(alpha, normality.DefaultAlpha), cmp.Or(laggardSec, analysis.DefaultLaggardThresholdSec)
 }
 
-// runShard computes one shard's accumulator state and returns it as a
-// record header plus the two accumulators, which the handler encodes
-// straight into the sealed record. Shards at or below the sweep cache
-// bound read the engine's columnar cache through a block kernel over a
-// deterministic cursor (hot for repeated cells routed to this worker);
-// larger shards run uncached through core.FoldTrials, to the same bits,
-// within the fold's fixed state budget. A local sweep cell runs here
-// too, as the shard [0, Trials) (sweepCell).
-func (s *Server) runShard(req ShardRequest) (ShardResponse, *analysis.MetricsAccumulator, *analysis.Table1Accumulator, error) {
+// Split returns the single-reading requests the request holds, its own
+// first: each record of its answer is checked against one (Accept).
+func (req ShardRequest) Split() []ShardRequest {
+	one := req
+	one.Readings = nil
+	out := append(make([]ShardRequest, 0, 1+len(req.Readings)), one)
+	for _, rd := range req.Readings {
+		one.Alpha, one.LaggardSec = rd.Alpha, rd.LaggardSec
+		out = append(out, one)
+	}
+	return out
+}
+
+// shardFold is one shard's fill read at each of its request's readings:
+// per reading, in order, the record header and the two accumulators
+// that answer it. Readings with one laggard threshold share a metrics
+// accumulator, and readings with one alpha a Table 1 accumulator.
+type shardFold struct {
+	hdrs    []*ShardResponse
+	metrics []*analysis.MetricsAccumulator
+	table1  []*analysis.Table1Accumulator
+}
+
+// release returns the fold's histograms to their pool once its states
+// are encoded or finalized; nothing may read its metrics afterwards.
+func (f *shardFold) release() {
+	for _, m := range f.metrics {
+		m.Release() // a shared accumulator's second Release is a no-op
+	}
+}
+
+// runShard computes one shard's accumulator state at each of its
+// readings, which the handler encodes straight into sealed records.
+// Every shard folds straight from its fill through one block kernel
+// (core.FoldReadings), each block sorted once for every reading: no
+// dataset is cached, since a repeated cell is the coordinator's durable
+// store's to answer. A shard at or under maxBoundedShardSamples folds on
+// fillWorkers' share of the CPUs, falling back to one worker when more
+// do not fit the fold's state budget; a larger one on up to GOMAXPROCS
+// workers within that budget, or not at all. A local sweep cell runs
+// here too, as the shard [0, Trials) (sweepCells).
+func (s *Server) runShard(req ShardRequest) (*shardFold, error) {
 	geom := *req.Geometry
 	var policy dlb.Spec
 	if req.DLB != nil {
 		policy = *req.DLB
 	}
-	resp := ShardResponse{
-		App:                 req.App,
-		Geometry:            geom,
-		Alpha:               req.Alpha,
-		LaggardThresholdSec: req.LaggardSec,
-		DLB:                 policy,
-		TrialLo:             req.TrialLo,
-		TrialHi:             req.TrialHi,
-	}
-	base, err := workload.ByName(req.App)
+	model, err := workload.ByName(req.App)
 	if err != nil {
-		return resp, nil, nil, err
+		return nil, err
 	}
-	model := cluster.ShiftTrials(base, req.TrialLo)
+	f := &shardFold{}
+	var ms []*analysis.MetricsAccumulator
+	var ts []*analysis.Table1Accumulator
+	byLaggard, byAlpha := map[uint64]int{}, map[uint64]int{}
+	for _, one := range req.Split() {
+		f.hdrs = append(f.hdrs, &ShardResponse{
+			App:                 req.App,
+			Geometry:            geom,
+			Alpha:               one.Alpha,
+			LaggardThresholdSec: one.LaggardSec,
+			DLB:                 policy,
+			TrialLo:             req.TrialLo,
+			TrialHi:             req.TrialHi,
+		})
+		i, ok := byLaggard[math.Float64bits(one.LaggardSec)]
+		if !ok {
+			i = len(ms)
+			byLaggard[math.Float64bits(one.LaggardSec)] = i
+			ms = append(ms, analysis.NewMetricsAccumulator(req.App, one.LaggardSec))
+		}
+		j, ok := byAlpha[math.Float64bits(one.Alpha)]
+		if !ok {
+			j = len(ts)
+			byAlpha[math.Float64bits(one.Alpha)] = j
+			ts = append(ts, analysis.NewTable1Accumulator(req.App, one.Alpha))
+		}
+		f.metrics, f.table1 = append(f.metrics, ms[i]), append(f.table1, ts[j])
+	}
+
 	shardGeom := geom
 	shardGeom.Trials = req.TrialHi - req.TrialLo
-
-	macc := analysis.NewMetricsAccumulator(req.App, req.LaggardSec)
-	tacc := analysis.NewTable1Accumulator(req.App, req.Alpha)
+	workers, bounded := 0, false
 	if shardGeom.Samples() <= s.maxSweepSamples {
-		col, hit, err := s.eng.ColumnarDLB(model, shardGeom, policy)
-		if err != nil {
-			return resp, nil, nil, err
-		}
-		resp.DatasetCacheHit = hit
-		// One block kernel sorts each block once for both accumulators.
-		analysis.NewKernel(macc, tacc).ObserveCursor(col.Cursor(), req.TrialLo)
-	} else {
-		// This fill bypasses the engine, so the shard registers its one
-		// live tracker here, as the engine would for the cached branch.
-		progress, done := s.generationProgress(model.Name(), shardGeom, policy)
-		defer done()
-		if err := core.FoldTrials(base, geom, policy, req.TrialLo, req.TrialHi, macc, tacc, progress); err != nil {
-			return resp, nil, nil, err
-		}
-		resp.Streamed = true
+		workers, bounded = s.fillWorkers(), true
 	}
-	resp.Blocks = macc.Blocks()
-	return resp, macc, tacc, nil
+	// The fill bypasses the engine, so the shard registers its one live
+	// tracker here.
+	progress, done := s.fillProgress(model.Name(), shardGeom, policy, cmp.Or(workers, s.eng.Workers()))
+	defer done()
+	if err := core.FoldReadings(model, geom, policy, req.TrialLo, req.TrialHi, workers, bounded, ms, ts, progress); err != nil {
+		return nil, err
+	}
+	for _, hdr := range f.hdrs {
+		hdr.Blocks = ms[0].Blocks()
+	}
+	return f, nil
+}
+
+// fillWorkers divides the server's execution slots between the cells
+// and studies holding one, so a lone cell fills on all of them and a
+// full server fills each cell on one.
+func (s *Server) fillWorkers() int {
+	return max(1, s.eng.Workers()/max(1, len(s.sem)))
 }
 
 // handleShard answers POST /v1/shard: one cell's trial-range accumulator
 // state, for a fleet coordinator to merge, as one sealed binary record
-// (application/octet-stream, with a Content-Length). Execution takes a
+// (application/octet-stream, with a Content-Length) — or, when the
+// request lists further readings, a record set of one per reading. Execution takes a
 // slot of the server-wide semaphore like any other study-shaped work,
 // and adaptive admission gates it the same way: a worker below its
 // efficiency watermark sheds the shard with 503 + Retry-After, which the
@@ -218,18 +298,27 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	release := s.acquire()
-	hdr, macc, tacc, err := s.runShard(resolved)
+	f, err := s.runShard(resolved)
 	release()
 	var record []byte
 	if err == nil {
-		record, err = AppendShardRecord(nil, &hdr, macc, tacc)
+		if len(f.hdrs) == 1 {
+			record, err = AppendShardRecord(records.Get(), f.hdrs[0], f.metrics[0], f.table1[0])
+		} else {
+			record, err = appendRecordSet(records.Get(), f.hdrs, f.metrics, f.table1)
+		}
+		f.release()
 	}
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
+	defer records.Put(record)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(record)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(record)
 }
+
+// records holds handleShard's record buffers between answers.
+var records share.Buffers

@@ -1,10 +1,11 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"earlybird/internal/analysis"
@@ -186,73 +187,131 @@ func TestShardValidation(t *testing.T) {
 	}
 }
 
-// TestShardCacheKeying: a prefix shard (lo == 0) shares the engine's
-// dataset cache with an ordinary study of the prefix geometry, while an
-// offset shard generates its own entry — and repeating either shard hits
-// the cache.
-func TestShardCacheKeying(t *testing.T) {
+// TestSweepAndShardLeaveEngineEmpty pins that the sweep path reads and
+// fills no dataset cache: a /v1/sweep grid, a prefix shard, an offset
+// shard and a repeated shard leave the engine with no execution, no
+// cached dataset and no nested view, and the repeat answers the same
+// bytes.
+func TestSweepAndShardLeaveEngineEmpty(t *testing.T) {
 	s, ts := newTestServer(t)
 	geom := cluster.Config{Trials: 3, Ranks: 2, Iterations: 8, Threads: 48, Seed: 5}
-
-	// Prefix shard [0, 2) generates the 2-trial prefix dataset.
+	body, _ := json.Marshal(SweepRequest{Apps: []string{"minife", "minimd"}, Geometries: []cluster.Config{geom}})
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || bytes.Count(rows, []byte("\n")) != 2 || bytes.Contains(rows, []byte(`"error"`)) {
+		t.Fatalf("sweep: status %s, rows %s", resp.Status, rows)
+	}
 	first := fetchShard(t, ts.URL, ShardRequest{App: "minife", Geometry: &geom, TrialHi: 2})
-	if first.DatasetCacheHit {
-		t.Error("first prefix shard should generate")
-	}
-	if got := s.Engine().Executions(); got != 1 {
-		t.Fatalf("executions after prefix shard = %d, want 1", got)
-	}
-	// Repeat: served from cache.
 	again := fetchShard(t, ts.URL, ShardRequest{App: "minife", Geometry: &geom, TrialHi: 2})
-	if !again.DatasetCacheHit {
-		t.Error("repeated prefix shard should hit the dataset cache")
+	fetchShard(t, ts.URL, ShardRequest{App: "minife", Geometry: &geom, TrialLo: 2, TrialHi: 3})
+	if string(first.MetricsState) != string(again.MetricsState) || string(first.Table1State) != string(again.Table1State) {
+		t.Error("a repeated shard answered other bytes")
 	}
-	// Offset shard [2, 3) is a distinct cache entry.
-	off := fetchShard(t, ts.URL, ShardRequest{App: "minife", Geometry: &geom, TrialLo: 2, TrialHi: 3})
-	if off.DatasetCacheHit {
-		t.Error("offset shard should generate its own entry")
-	}
-	if got := s.Engine().Executions(); got != 2 {
-		t.Fatalf("executions after offset shard = %d, want 2", got)
-	}
-	// The nested tensor view is never built on the shard path.
-	if got := s.Engine().NestedViews(); got != 0 {
-		t.Fatalf("shard path built %d nested views, want 0", got)
+	eng := s.Engine()
+	if eng.Executions() != 0 || eng.CachedDatasets() != 0 || eng.NestedViews() != 0 {
+		t.Errorf("sweep and shards left %d executions, %d cached datasets, %d nested views; want none",
+			eng.Executions(), eng.CachedDatasets(), eng.NestedViews())
 	}
 }
 
-// TestShardStreamedPathBitIdentical forces the over-the-cache-bound
-// branch (trial-at-a-time, uncached) and pins the exactness contract
-// there too: the streamed shard's state must merge bit-identically with
-// a cursor-path reference, and repeating it must reproduce the same
-// bytes (the trial-at-a-time fill is deterministic, unlike a
-// multi-observer streaming fill).
+// TestShardStreamedPathBitIdentical pins the exactness contract of the
+// fold on either side of the sample bound — one fill worker at or under
+// it, the fold's parallel workers over it — against a block kernel over
+// a cursor of the same trials, static and LeWI, and that repeating a
+// shard reproduces its bytes.
 func TestShardStreamedPathBitIdentical(t *testing.T) {
-	// A server whose sweep cache bound is below any real geometry: every
-	// shard takes the streamed branch.
-	s := New(Options{Workers: 4})
-	s.maxSweepSamples = 1
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
 	geom := cluster.Config{Trials: 4, Ranks: 2, Iterations: 6, Threads: 48, Seed: 13}
+	const lo, hi = 1, 3
+	for _, policy := range []dlb.Spec{{}, {Policy: dlb.PolicyLeWI}} {
+		run := geom
+		run.Trials = hi - lo
+		col, err := cluster.RunColumnar(cluster.ShiftTrials(workload.DefaultMiniFE(), lo), run, policy, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		macc := analysis.NewMetricsAccumulator("minife", analysis.DefaultLaggardThresholdSec)
+		tacc := analysis.NewTable1Accumulator("minife", 0.05)
+		analysis.NewKernel(macc, tacc).ObserveCursor(col.Cursor(), lo)
+		wantM, err := macc.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantT, err := tacc.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := ShardRequest{App: "minife", Geometry: &geom, TrialLo: lo, TrialHi: hi}
+		if !policy.IsStatic() {
+			req.DLB = &policy
+		}
+		for _, bound := range []int{maxBoundedShardSamples, 1} {
+			s := New(Options{Workers: 4})
+			s.maxSweepSamples = bound
+			ts := newHTTPServer(t, s)
+			sr := fetchShard(t, ts.URL, req)
+			again := fetchShard(t, ts.URL, req)
+			if string(sr.MetricsState) != string(again.MetricsState) {
+				t.Errorf("%s, bound %d: shard state is not deterministic across runs", policy, bound)
+			}
+			if string(sr.MetricsState) != string(wantM) || string(sr.Table1State) != string(wantT) {
+				t.Errorf("%s, bound %d: shard state diverges from the cursor's", policy, bound)
+			}
+		}
+	}
+}
 
-	sr := fetchShard(t, ts.URL, ShardRequest{App: "minife", Geometry: &geom, TrialLo: 1, TrialHi: 3})
-	if !sr.Streamed {
-		t.Fatal("expected the streamed branch")
+// TestShardReadingsAnswerRecordSet pins the /v1/shard answer to a
+// request that lists further readings: a record set whose records are,
+// byte for byte, the answers to each reading's own request, in order,
+// a repeated parameter included; each is accepted by its own request
+// and refused by another's, and a set read for the wrong count is
+// refused.
+func TestShardReadingsAnswerRecordSet(t *testing.T) {
+	_, ts := newTestServer(t)
+	geom := shardGeomMulti()
+	lewi := dlb.Spec{Policy: dlb.PolicyLeWI}
+	req := ShardRequest{
+		App: "minimd", Geometry: &geom, DLB: &lewi, TrialLo: 1, TrialHi: 3,
+		Readings: []Reading{{Alpha: 0.01}, {LaggardSec: 5e-4}, {Alpha: 0.01, LaggardSec: 5e-4}},
 	}
-	again := fetchShard(t, ts.URL, ShardRequest{App: "minife", Geometry: &geom, TrialLo: 1, TrialHi: 3})
-	if string(sr.MetricsState) != string(again.MetricsState) {
-		t.Fatal("streamed shard state is not deterministic across runs")
+	raw := func(r ShardRequest) []byte {
+		t.Helper()
+		resp := postJSON(t, ts.URL+"/v1/shard", r)
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("shard: status %s, %v: %s", resp.Status, err, body)
+		}
+		return body
 	}
-
-	// Reference: the cached cursor path on a fresh default server.
-	ref, refTS := newTestServer(t)
-	_ = ref
-	want := fetchShard(t, refTS.URL, ShardRequest{App: "minife", Geometry: &geom, TrialLo: 1, TrialHi: 3})
-	if want.Streamed {
-		t.Fatal("reference unexpectedly streamed")
+	resolved, err := req.Resolve()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if string(sr.MetricsState) != string(want.MetricsState) || string(sr.Table1State) != string(want.Table1State) {
-		t.Fatal("streamed shard state diverges from the cursor path")
+	reqs := resolved.Split()
+	if len(reqs) != 4 {
+		t.Fatalf("split into %d requests, want 4", len(reqs))
+	}
+	recs, err := SplitRecordSet(raw(req), len(reqs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, one := range reqs {
+		if want := raw(one); !bytes.Equal(recs[j], want) {
+			t.Errorf("reading %d (alpha %g, laggard %g): record differs from its own shard's answer", j, one.Alpha, one.LaggardSec)
+		}
+		if _, err := one.Accept(recs[j]); err != nil {
+			t.Errorf("reading %d: %v", j, err)
+		}
+		if _, err := reqs[(j+1)%len(reqs)].Accept(recs[j]); err == nil {
+			t.Errorf("reading %d's record was accepted for another reading", j)
+		}
+	}
+	if _, err := SplitRecordSet(raw(req), len(reqs)-1); err == nil {
+		t.Error("a record set was split for the wrong count")
 	}
 }

@@ -187,7 +187,10 @@ type StudySourceStats struct {
 	ResultCacheSize int `json:"result_cache_size"`
 }
 
-// EngineStats mirrors the engine's cache counters.
+// EngineStats mirrors the engine's cache counters. Executions counts
+// dataset generations only: the studies and strategy cells whose
+// dataset the cache missed. Sweep cells and shards fold straight from
+// their fill and count nowhere here.
 type EngineStats struct {
 	Executions      int64 `json:"dataset_executions"`
 	CachedDatasets  int   `json:"cached_datasets"`

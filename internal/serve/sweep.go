@@ -50,13 +50,7 @@ type SweepRow struct {
 	// Recommendation is the Section 5 verdict from the streaming
 	// discriminants (core.ClassifyMetrics).
 	Recommendation core.Recommendation `json:"recommendation"`
-	// DatasetCacheHit reports the cell was answered from the engine's
-	// columnar cache without a fresh generation.
-	DatasetCacheHit bool `json:"dataset_cache_hit"`
-	// Streamed reports the cell ran on the bounded-memory streaming fill
-	// (geometry above the cache bound) instead of the cached cursor path.
-	Streamed bool   `json:"streamed"`
-	Err      string `json:"error,omitempty"`
+	Err            string              `json:"error,omitempty"`
 	// Shards and ShardWorkers report federated execution: how many trial
 	// shards the cell was split into and which workers computed them (in
 	// shard order). Empty for locally computed rows.
@@ -177,12 +171,20 @@ func (c SweepCell) ShardRequest() ShardRequest {
 }
 
 // Row finalizes the cell's accumulators — one shard's, or many merged —
-// into its sweep row, classified by core.ClassifyMetrics. Provenance
-// (cache hit, streamed, shards, store hit) is the caller's to set.
+// into its sweep row, classified by core.ClassifyMetrics, and releases
+// m, which must not be used afterwards. Provenance (shards, store hit)
+// is the caller's to set.
 func (c SweepCell) Row(m *analysis.MetricsAccumulator, t *analysis.Table1Accumulator) SweepRow {
+	row := c.rowOf(m.Finalize(), t.Finalize())
+	m.Release()
+	return row
+}
+
+// rowOf is the cell's row of finalized metrics and Table 1 row.
+func (c SweepCell) rowOf(m analysis.AppMetrics, t analysis.Table1) SweepRow {
 	row := c.identityRow()
-	row.Metrics, row.Table1 = m.Finalize(), t.Finalize()
-	row.Recommendation = core.ClassifyMetrics(row.Metrics)
+	row.Metrics, row.Table1 = m, t
+	row.Recommendation = core.ClassifyMetrics(m)
 	return row
 }
 
@@ -204,22 +206,80 @@ func (c SweepCell) identityRow() SweepRow {
 	}
 }
 
-// sweepCell analyses one grid cell locally: it is the shard [0, Trials)
-// of the cell, run by runShard — so a local row, a worker's shard and a
-// fleet's merged row share one executor and one finalizer, and the
-// cache bound changes only how the trials are filled, never the answer.
-func (s *Server) sweepCell(c SweepCell) SweepRow {
-	req, err := c.ShardRequest().Resolve()
-	if err != nil {
-		return c.ErrorRow(err)
+// sweepCell analyses one grid cell locally (sweepCells).
+func (s *Server) sweepCell(c SweepCell) SweepRow { return s.sweepCells([]SweepCell{c})[0] }
+
+// sweepCells analyses locally cells that share one fill — one app,
+// geometry and policy, differing at most in alpha and laggard threshold
+// (fillGroups) — and returns their rows in order. They are the shard
+// [0, Trials) of the first cell, read at every cell's alpha and
+// threshold by runShard — so a local row, a worker's shard and a
+// fleet's merged row share one executor and one finalizer, and neither
+// the grouping nor the sample bound changes any answer. A cell whose
+// parameters do not resolve gets its own error row.
+func (s *Server) sweepCells(cells []SweepCell) []SweepRow {
+	rows := make([]SweepRow, len(cells))
+	var req ShardRequest
+	var read []int // the cells the fold answers, in reading order
+	for i, c := range cells {
+		one, err := c.ShardRequest().Resolve()
+		if err != nil {
+			rows[i] = c.ErrorRow(err)
+			continue
+		}
+		if len(read) == 0 {
+			req = one
+		} else {
+			req.Readings = append(req.Readings, Reading{Alpha: one.Alpha, LaggardSec: one.LaggardSec})
+		}
+		read = append(read, i)
 	}
-	hdr, macc, tacc, err := s.runShard(req)
-	if err != nil {
-		return c.ErrorRow(err)
+	if len(read) == 0 {
+		return rows
 	}
-	row := c.Row(macc, tacc)
-	row.DatasetCacheHit, row.Streamed = hdr.DatasetCacheHit, hdr.Streamed
-	return row
+	f, err := s.runShard(req)
+	if err != nil {
+		for _, i := range read {
+			rows[i] = cells[i].ErrorRow(err)
+		}
+		return rows
+	}
+	// A metrics accumulator that several readings share finalizes once.
+	final := map[*analysis.MetricsAccumulator]analysis.AppMetrics{}
+	for k, i := range read {
+		m, ok := final[f.metrics[k]]
+		if !ok {
+			m = f.metrics[k].Finalize()
+			final[f.metrics[k]] = m
+		}
+		rows[i] = cells[i].rowOf(m, f.table1[k].Finalize())
+	}
+	f.release()
+	return rows
+}
+
+// fillGroups partitions cells into the groups that share one fill: the
+// same app, geometry and policy. Groups come in the order of their
+// first cell, and each keeps its cells' order.
+func fillGroups(cells []SweepCell) [][]SweepCell {
+	type fill struct {
+		app    string
+		geom   cluster.Config
+		policy string
+	}
+	at := map[fill]int{}
+	var groups [][]SweepCell
+	for _, c := range cells {
+		k := fill{c.App, c.Geometry, c.DLB.String()}
+		i, ok := at[k]
+		if !ok {
+			i = len(groups)
+			at[k] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], c)
+	}
+	return groups
 }
 
 // SweepGrid expands a sweep request into its grid. Each cell shards
@@ -235,33 +295,55 @@ func (s *Server) SweepGrid(req SweepRequest) (Grid[SweepRow], error) {
 	if err != nil {
 		return Grid[SweepRow]{}, err
 	}
-	return newGrid(s, len(cells), req.Workers, func(ctx context.Context, i int) SweepRow {
-		return s.runSweepCell(ctx, cells[i])
+	groups := fillGroups(cells)
+	return newGroupedGrid(s, len(cells), len(groups), req.Workers, func(ctx context.Context, g int, emit func(int, SweepRow)) {
+		s.runSweepCells(ctx, groups[g], func(row SweepRow) { emit(row.Index, row) })
 	}), nil
 }
 
-// runSweepCell answers one sweep cell: merged from the fleet's shards
-// when a worker takes it, locally under the server's execution
-// semaphore otherwise.
-func (s *Server) runSweepCell(ctx context.Context, c SweepCell) SweepRow {
+// runSweepCells answers one fill group's cells, emitting each row as it
+// is ready: merged from the fleet's shards for the cells a worker takes,
+// and locally, under the server's execution semaphore, for the rest.
+func (s *Server) runSweepCells(ctx context.Context, cells []SweepCell, emit func(SweepRow)) {
 	if s.opts.Fleet != nil {
-		if row, ok := s.opts.Fleet.DispatchCell(ctx, c); ok {
-			s.fleetCells.Add(1)
-			return row
+		left := s.dispatchCells(ctx, cells, emit)
+		s.fleetCells.Add(int64(len(cells) - len(left)))
+		s.fleetFallbacks.Add(int64(len(left)))
+		if cells = left; len(cells) == 0 {
+			return
 		}
-		s.fleetFallbacks.Add(1)
 	}
 	defer s.acquire()()
-	return s.sweepCell(c)
+	for _, row := range s.sweepCells(cells) {
+		emit(row)
+	}
+}
+
+// dispatchCells offers one fill group's cells to the fleet — whole to a
+// GroupDispatcher, one by one otherwise — and returns those it could not
+// place.
+func (s *Server) dispatchCells(ctx context.Context, cells []SweepCell, emit func(SweepRow)) []SweepCell {
+	if d, ok := s.opts.Fleet.(GroupDispatcher); ok {
+		return d.DispatchCells(ctx, cells, emit)
+	}
+	var left []SweepCell
+	for _, c := range cells {
+		if row, ok := s.opts.Fleet.DispatchCell(ctx, c); ok {
+			emit(row)
+		} else {
+			left = append(left, c)
+		}
+	}
+	return left
 }
 
 // handleSweep streams the grid as NDJSON: one row per cell, written and
 // flushed the moment the cell completes, so clients see results while
 // the rest of the grid is still computing. Each in-flight cell holds its
-// accumulator state (bounded through maxTrialIterations) plus either
-// its dataset, at or under maxCachedSweepSamples samples, in the
-// engine's cache, or the uncached fold's fixed fill-side state budget
-// (runShard).
+// accumulator state (bounded through maxTrialIterations) plus its fold's
+// fill-side state: one fill worker's at or under maxBoundedShardSamples
+// samples, the fold's fixed state budget above it (runShard). No cell
+// leaves a dataset behind.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if err := decodeBody(w, r, &req); err != nil {

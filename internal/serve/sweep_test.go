@@ -2,6 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -36,13 +39,13 @@ func metricBits(row SweepRow) []uint64 {
 	return bits
 }
 
-// TestSweepRowSameAtAnyCacheBound pins that the sweep cache bound sets
-// memory only: a cell above it (uncached, through the streamed fold)
-// answers with the same bits as the same cell below it (read from the
-// engine's columnar cache), the iteration IQR included, for every app,
-// static, LeWI and DROM. The bound only picks the path: the fold's
-// state budget and worker count do not depend on it, so one forced
-// bound per policy covers every bound under the cell.
+// TestSweepRowSameAtAnyCacheBound pins that the sample bound sets the
+// fill's workers only: a cell above it (the fold's parallel workers)
+// answers with the same bits as the same cell below it (one fill
+// worker), the iteration IQR included, for every app, static, LeWI and
+// DROM. The fold's state budget and worker count above the bound do not
+// depend on it, so one forced bound per policy covers every bound under
+// the cell.
 func TestSweepRowSameAtAnyCacheBound(t *testing.T) {
 	cached := New(Options{Workers: 2})
 	geom := cluster.Config{Trials: 4, Ranks: 4, Iterations: 50, Threads: 48, Seed: 7}
@@ -58,9 +61,6 @@ func TestSweepRowSameAtAnyCacheBound(t *testing.T) {
 			want, got := cached.sweepCell(cell), streamed.sweepCell(cell)
 			if want.Err != "" || got.Err != "" {
 				t.Fatalf("%s %s: errors %q / %q", app, policy, want.Err, got.Err)
-			}
-			if want.Streamed || !got.Streamed {
-				t.Fatalf("%s %s: streamed flags %v / %v, want false / true", app, policy, want.Streamed, got.Streamed)
 			}
 			if !reflect.DeepEqual(metricBits(got), metricBits(want)) || got.Recommendation != want.Recommendation {
 				t.Errorf("%s %s: over-bound row differs from the cached one:\n got %+v %+v %s\nwant %+v %+v %s",
@@ -95,8 +95,8 @@ func TestOverBoundCellMemoryBounded(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	row := s.sweepCell(cell)
 	runtime.ReadMemStats(&after)
-	if row.Err != "" || !row.Streamed {
-		t.Fatalf("static over-bound cell: err %q, streamed %v", row.Err, row.Streamed)
+	if row.Err != "" {
+		t.Fatalf("static over-bound cell: err %q", row.Err)
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > tensor/4 {
 		t.Errorf("over-bound cell allocated %d bytes; one trial's tensor is %d", alloc, tensor)
@@ -111,6 +111,54 @@ func TestOverBoundCellMemoryBounded(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("rebalanced over-bound shard: status %s, want 422", resp.Status)
+	}
+}
+
+// TestRebalancedCellUnderBoundAnswers pins that a rebalanced cell at or
+// under the sample bound is answered, whatever its block table: a LeWI
+// 1x1400x1000x2 cell (2.8M samples) keeps a 45 MB trial table, over the
+// fold's 40 MiB state budget, and answers with the states it answered
+// when such cells were read from the engine's dataset cache (their
+// SHA-256 digests). Skipped with -short and under -race.
+func TestRebalancedCellUnderBoundAnswers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2.8M-sample cell skipped with -short")
+	}
+	if raceEnabled {
+		t.Skip("2.8M-sample cell skipped under -race")
+	}
+	const (
+		wantMetrics = "bbe500be612a32caf1324dc137cc0f342b778d85775c2262876fb1aa084401d0"
+		wantTable1  = "f790a6cb20896ee670e656c1e4bb4065d81823c341d19ac7c5342f8f8131062f"
+	)
+	geom := cluster.Config{Trials: 1, Ranks: 1400, Iterations: 1000, Threads: 2, Seed: 3}
+	lewi := dlb.Spec{Policy: dlb.PolicyLeWI}
+	req, err := ShardRequest{App: "minife", Geometry: &geom, DLB: &lewi, TrialHi: 1}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if geom.Samples() > maxBoundedShardSamples {
+		t.Fatalf("%d samples, over the bound %d", geom.Samples(), maxBoundedShardSamples)
+	}
+	f, err := New(Options{Workers: 2}).runShard(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	macc, tacc := f.metrics[0], f.table1[0]
+	digest := func(state RecordState) string {
+		t.Helper()
+		b, err := state.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	if got := digest(macc); got != wantMetrics {
+		t.Errorf("metrics state digest %s, want %s", got, wantMetrics)
+	}
+	if got := digest(tacc); got != wantTable1 {
+		t.Errorf("Table 1 state digest %s, want %s", got, wantTable1)
 	}
 }
 
@@ -169,14 +217,12 @@ func TestOverBoundCellRegistersOneTracker(t *testing.T) {
 		}
 	}
 	check("local sweep cell", func() {
-		if row := s.sweepCell(SweepCell{App: "minife", Geometry: geom, Alpha: 0.05, LaggardThresholdSec: 1e-3}); !row.Streamed {
-			t.Fatal("expected the over-bound branch")
+		if row := s.sweepCell(SweepCell{App: "minife", Geometry: geom, Alpha: 0.05, LaggardThresholdSec: 1e-3}); row.Err != "" {
+			t.Fatal(row.Err)
 		}
 	})
 	check("/v1/shard", func() {
-		if sr := fetchShard(t, ts.URL, ShardRequest{App: "minife", Geometry: &geom, TrialLo: 0, TrialHi: geom.Trials}); !sr.Streamed {
-			t.Fatal("expected the over-bound branch")
-		}
+		fetchShard(t, ts.URL, ShardRequest{App: "minife", Geometry: &geom, TrialLo: 0, TrialHi: geom.Trials})
 	})
 }
 
@@ -299,4 +345,51 @@ func TestAccumulatorStatePerIterationBounded(t *testing.T) {
 	}
 	runtime.KeepAlive(macc)
 	runtime.KeepAlive(tacc)
+}
+
+// TestSweepGroupSharesOneFill pins that the cells of a grid that differ
+// only in alpha and laggard threshold share one fill: a 2-app x 3-alpha
+// x 2-threshold grid registers one fill tracker per app, every row has
+// the bits of the same cell analysed alone on a fresh server, and the
+// cells of an alpha that does not resolve get their own error rows while
+// the rest of their group answers.
+func TestSweepGroupSharesOneFill(t *testing.T) {
+	geom := cluster.Config{Trials: 3, Ranks: 2, Iterations: 10, Threads: 48, Seed: 31}
+	req := SweepRequest{
+		Apps: []string{"minife", "miniqmc"}, Geometries: []cluster.Config{geom},
+		Alphas: []float64{0.05, 0.01, 1.5}, LaggardThresholdsSec: []float64{1e-3, 5e-4},
+	}
+	s := New(Options{Workers: 2})
+	g, err := s.SweepGrid(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Telemetry().Totals()
+	rows := g.Rows(context.Background())
+	if d := s.Telemetry().Totals().StudiesStarted - before.StudiesStarted; d != 2 {
+		t.Errorf("the grid ran %d fills, want one per app (2)", d)
+	}
+	cells, err := req.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := New(Options{Workers: 2})
+	for i, c := range cells {
+		want, got := ref.sweepCell(c), rows[i]
+		if got.Index != i {
+			t.Fatalf("row %d holds cell %d", i, got.Index)
+		}
+		if c.Alpha == 1.5 {
+			if got.Err == "" || got.Err != want.Err {
+				t.Errorf("cell %d: error %q, want %q", i, got.Err, want.Err)
+			}
+			continue
+		}
+		if got.Err != "" || want.Err != "" {
+			t.Fatalf("cell %d errored: grouped %q, alone %q", i, got.Err, want.Err)
+		}
+		if !reflect.DeepEqual(metricBits(got), metricBits(want)) || got.Recommendation != want.Recommendation {
+			t.Errorf("cell %d (alpha %g, laggard %g): grouped row differs from the cell alone", i, c.Alpha, c.LaggardThresholdSec)
+		}
+	}
 }

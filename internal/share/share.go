@@ -1,8 +1,9 @@
 // Package share is the tree's one implementation of work sharing: Cache,
 // a bounded LRU of finished values in front of a singleflight table of
-// in-flight executions, and FanOut, a fixed-size job pool. The engine's
-// dataset cache and campaign dedup, the serve layer's study and strategy
-// result caches, and the fleet's probe and per-shard fan-outs all run on
+// in-flight executions, FanOut, a fixed-size job pool, and Buffers, a
+// pool of byte buffers. The engine's dataset cache and campaign dedup,
+// the serve layer's study and strategy result caches, the fleet's probe
+// and per-shard fan-outs, and both ends' shard record buffers all run on
 // them. It depends on the standard library only.
 package share
 
@@ -155,4 +156,31 @@ func FanOut(n, workers int, fn func(int)) {
 	}
 	close(jobs)
 	wg.Wait()
+}
+
+// maxPooledBuffer is the largest buffer Buffers keeps: a paper-geometry
+// trial's shard record is about 150 KiB, and a rare huge one is left to
+// the collector rather than pinned.
+const maxPooledBuffer = 1 << 20
+
+// Buffers is a pool of byte buffers reused from one exchange to the
+// next. The zero value is ready for use.
+type Buffers struct{ pool sync.Pool }
+
+// Get returns an empty buffer, with a pooled one's capacity when there
+// is one.
+func (b *Buffers) Get() []byte {
+	if p, ok := b.pool.Get().(*[]byte); ok {
+		return (*p)[:0]
+	}
+	return nil
+}
+
+// Put hands buf back for reuse, unless it is over maxPooledBuffer;
+// nothing may use it afterwards.
+func (b *Buffers) Put(buf []byte) {
+	if cap(buf) > 0 && cap(buf) <= maxPooledBuffer {
+		buf = buf[:0]
+		b.pool.Put(&buf)
+	}
 }

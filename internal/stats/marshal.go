@@ -142,8 +142,8 @@ func (h *QuantileHistogram) AppendBinary(b []byte) ([]byte, error) {
 // It accepts only what AppendBinary writes for some set of samples: a
 // level of at most 62 that is the least for the range, a span under
 // QuantileBins, a min and max (not NaN) whose bins are lo and lo+span,
-// occupied end bins, and counts that sum to n. It allocates at most one
-// set of QuantileBins counts.
+// occupied end bins, and counts that sum to n. It takes at most one
+// set of QuantileBins counts, from the pool Release fills.
 func (h *QuantileHistogram) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
 	if v := r.U8(); r.Err() == nil && v != histogramCodecVersion {
@@ -187,7 +187,7 @@ func (h *QuantileHistogram) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	dec.n, dec.level = int64(n), level
-	dec.counts = new([QuantileBins]uint32)
+	dec.counts = newCounts()
 	var total uint64
 	switch width {
 	case 1:
@@ -208,11 +208,16 @@ func (h *QuantileHistogram) UnmarshalBinary(data []byte) error {
 			total += uint64(c)
 		}
 	}
+	var err error
 	switch {
 	case dec.counts[lo&slotMask] == 0 || dec.counts[hi&slotMask] == 0:
-		return fmt.Errorf("stats: histogram end bin %d or %d empty", lo, hi)
+		err = fmt.Errorf("stats: histogram end bin %d or %d empty", lo, hi)
 	case total != n:
-		return fmt.Errorf("stats: histogram counts sum to %d, not n = %d", total, n)
+		err = fmt.Errorf("stats: histogram counts sum to %d, not n = %d", total, n)
+	}
+	if err != nil {
+		dec.Release()
+		return err
 	}
 	*h = dec
 	return nil

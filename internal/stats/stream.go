@@ -9,7 +9,10 @@
 
 package stats
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Moments is a one-pass, mergeable accumulator of a sample's count, mean,
 // central moments M2..M4 and min/max. Its accessors mirror the exact
@@ -207,6 +210,26 @@ type QuantileHistogram struct {
 	counts   *[QuantileBins]uint32 // nil while empty
 }
 
+// countsPool holds zeroed count arrays that Release returned, so the
+// histograms of one shard exchange reuse those of the last.
+var countsPool = sync.Pool{New: func() any { return new([QuantileBins]uint32) }}
+
+// newCounts returns a zeroed count array, reused when one is pooled.
+func newCounts() *[QuantileBins]uint32 { return countsPool.Get().(*[QuantileBins]uint32) }
+
+// Release empties the histogram and returns its count array to a pool
+// that later histograms draw from. Call it where a histogram's life
+// ends: nothing may read the histogram, or a copy of it, afterwards
+// until it is filled again. A released histogram is an empty one, ready
+// for use.
+func (h *QuantileHistogram) Release() {
+	if h.counts != nil {
+		clear(h.counts[:])
+		countsPool.Put(h.counts)
+	}
+	*h = QuantileHistogram{}
+}
+
 // binOf returns x's level-0 bin (NaN's is 0).
 func binOf(x float64) int64 {
 	v := x * binsPerSecond
@@ -310,7 +333,7 @@ func (h *QuantileHistogram) Merge(o *QuantileHistogram) {
 func (h *QuantileHistogram) extend(lo, hi float64) {
 	if h.n == 0 {
 		if h.counts == nil {
-			h.counts = new([QuantileBins]uint32)
+			h.counts = newCounts()
 		}
 		h.min, h.max, h.level = lo, hi, levelFor(binOf(lo), binOf(hi), 0)
 		return

@@ -544,3 +544,62 @@ func TestCollapseMatchesCopyClearFold(t *testing.T) {
 		}
 	}
 }
+
+// TestReleasedCountsReuseMatchesFresh pins that a histogram on a count
+// array Release returned is the histogram on a fresh one: Release
+// clears the array it pools, and a histogram added to, or decoded into,
+// the reused array encodes to the same bytes and gives the same
+// quantile bits as one on a new array.
+func TestReleasedCountsReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	sample := func(n int, scale float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = scale * rng.ExpFloat64()
+		}
+		return xs
+	}
+	encode := func(h *QuantileHistogram) []byte {
+		t.Helper()
+		b, err := h.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for round := range 20 {
+		var dirty QuantileHistogram
+		dirty.AddSlice(sample(500, 1e-3*float64(round+1)))
+		counts := dirty.counts
+		dirty.Release()
+		if *counts != [QuantileBins]uint32{} {
+			t.Fatalf("round %d: Release pooled a count array it did not clear", round)
+		}
+		if dirty.N() != 0 || dirty.counts != nil {
+			t.Fatalf("round %d: a released histogram is not empty", round)
+		}
+		xs := sample(48, 1e-4)
+		reused := QuantileHistogram{counts: counts}
+		reused.AddSlice(xs)
+		fresh := QuantileHistogram{counts: new([QuantileBins]uint32)}
+		fresh.AddSlice(xs)
+		want := encode(&fresh)
+		if got := encode(&reused); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: histogram on a reused array encodes differently", round)
+		}
+		for _, p := range []float64{0, 0.25, 0.5, 0.75, 1} {
+			if math.Float64bits(reused.Quantile(p)) != math.Float64bits(fresh.Quantile(p)) {
+				t.Fatalf("round %d: quantile %v differs on a reused array", round, p)
+			}
+		}
+		reused.Release()
+		var decoded QuantileHistogram
+		if err := decoded.UnmarshalBinary(want); err != nil {
+			t.Fatal(err)
+		}
+		if got := encode(&decoded); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: histogram decoded into a pooled array re-encodes differently", round)
+		}
+		decoded.Release()
+	}
+}

@@ -196,9 +196,14 @@ const SealSize = 8
 // writes and truncated bodies before any field decodes. Payloads are
 // bounded well below 4 GiB by their producers; a longer one would wrap
 // the length and fail Unseal.
-func (w *Writer) Seal() []byte {
-	w.U32(uint32(len(w.Buf)))
-	w.U32(crc32.Checksum(w.Buf, castagnoli))
+func (w *Writer) Seal() []byte { return w.SealFrom(0) }
+
+// SealFrom is Seal over the payload that starts at offset at of Buf, so
+// a sealed record can follow other bytes in one buffer; it returns all
+// of Buf.
+func (w *Writer) SealFrom(at int) []byte {
+	w.U32(uint32(len(w.Buf) - at))
+	w.U32(crc32.Checksum(w.Buf[at:], castagnoli))
 	return w.Buf
 }
 
