@@ -32,9 +32,14 @@ race:
 # shards and StreamStudy agree bit for bit (TestFleetSweepIQRBitIdentical),
 # and the streamed fold behind StreamStudy and the over-bound sweep
 # cell, whose workers stripe (trial, rank), gives the same bits at any
-# worker count.
+# worker count. So does the study path's column pool: 16 concurrent
+# studies, each filling a pooled column while others release theirs,
+# answer what a serial server does (TestPooledColumnConcurrentStudiesMatchSerial),
+# and a campaign's entries over one dataset answer concurrently on the
+# one fill they share (TestCampaignGroupSharesOneFill,
+# TestDeclinedWholeStudiesShareOneFill).
 race-fleet:
-	$(GO) test -race -count=1 -run 'Fleet|Coordinator|Shard|CacheBound|OverBound' ./internal/fleet ./internal/serve ./cmd/earlybird .
+	$(GO) test -race -count=1 -run 'Fleet|Coordinator|Shard|CacheBound|OverBound|PooledColumn|ShareOneFill' ./internal/fleet ./internal/serve ./cmd/earlybird .
 	$(GO) test -race -count=1 -run 'TestStreamStudyBitIdenticalAcrossWorkers|TestFoldTrialsBitIdenticalAtAnyWorkerCount' ./internal/core
 
 # The chaos suite under the race detector, uncached: fleets with

@@ -83,7 +83,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		addr          = fs.String("addr", ":8080", "listen address")
 		workers       = fs.Int("workers", 0, "max concurrently executing studies (0 = one per CPU)")
 		maxResults    = fs.Int("max-results", serve.DefaultMaxResults, "LRU result cache capacity (negative disables)")
-		maxDatasets   = fs.Int("max-datasets", serve.DefaultMaxDatasets, "dataset cache bound: the cache serves studies and strategy cells; sweep cells and shards fold uncached (negative = unbounded)")
 		maxStudy      = fs.Int("max-study-samples", serve.DefaultMaxStudySamples, "largest geometry (samples) the materialising study endpoints accept")
 		drainTimeout  = fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown drain window")
 		metricsAddr   = fs.String("metrics-addr", "", "optional second listener serving only /metrics, /v1/progress and /v1/healthz (observability without exposing execution)")
@@ -131,7 +130,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	opts := serve.Options{
 		Workers:            *workers,
 		MaxResults:         *maxResults,
-		MaxDatasets:        *maxDatasets,
 		MaxStudySamples:    *maxStudy,
 		DefaultDLB:         policy.Spec,
 		AdmissionWatermark: *watermark,
@@ -173,8 +171,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	srv := serve.New(opts)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe(*addr) }()
-	fmt.Fprintf(stdout, "earlybirdd: serving on %s (%d workers, %d result slots, %d dataset slots)\n",
-		*addr, srv.Engine().Workers(), *maxResults, *maxDatasets)
+	fmt.Fprintf(stdout, "earlybirdd: serving on %s (%d workers, %d result slots)\n",
+		*addr, srv.Engine().Workers(), *maxResults)
 	if *watermark > 0 {
 		fmt.Fprintf(stdout, "earlybirdd: adaptive admission watermark %.2f (shedding with 503 below it)\n", *watermark)
 	}

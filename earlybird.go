@@ -219,11 +219,12 @@ func RunCampaign(c Campaign) ([]CampaignResult, error) {
 // Server is the HTTP study service: JSON endpoints for single studies,
 // batched campaigns, feasibility assessments and NDJSON scenario sweeps
 // over one campaign engine, with singleflight request coalescing and a
-// bounded LRU result cache in front of the engine's dataset cache.
+// bounded LRU result cache of answers. No dataset outlives the request
+// that filled it.
 type Server = serve.Server
 
 // ServeOptions configures NewServer and Serve. The zero value serves
-// with one worker per CPU and the default cache bounds.
+// with one worker per CPU and the default result cache bound.
 type ServeOptions = serve.Options
 
 // NewServer returns a ready-to-serve study service. Use its Handler to

@@ -33,8 +33,7 @@ func main() {
 
 	// A 3 apps x 2 alphas grid at the quick geometry: six cells and three
 	// fills — the two alphas of an app read one fill, folded straight
-	// from it, so no dataset is generated into the engine's cache and
-	// the nested tensor is never built.
+	// from it, so the engine generates no dataset for it.
 	sweep := map[string]any{
 		"apps":       []string{"minife", "minimd", "miniqmc"},
 		"geometries": []earlybird.Geometry{earlybird.QuickGeometry()},
@@ -82,16 +81,13 @@ func main() {
 	defer stats.Body.Close()
 	var snapshot struct {
 		Engine struct {
-			Executions  int64 `json:"dataset_executions"`
-			Cached      int   `json:"cached_datasets"`
-			NestedViews int64 `json:"nested_views"`
+			Executions int64 `json:"dataset_executions"`
 		} `json:"engine"`
 	}
 	if err := json.NewDecoder(stats.Body).Decode(&snapshot); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("engine: %d dataset generations for 6 cells, %d cached, %d nested views built\n",
-		snapshot.Engine.Executions, snapshot.Engine.Cached, snapshot.Engine.NestedViews)
+	fmt.Printf("engine: %d dataset generations for 6 cells\n", snapshot.Engine.Executions)
 
 	if err := srv.Shutdown(context.Background()); err != nil {
 		log.Fatal(err)

@@ -141,10 +141,18 @@ func Run(model workload.Model, cfg Config) (*trace.Dataset, error) {
 // stripe is complete; the content fingerprint is computed on demand by
 // Columnar.Fingerprint, which only tests call.
 func RunColumnar(model workload.Model, cfg Config, policy dlb.Spec, workers int, progress ProgressSink) (*trace.Columnar, error) {
+	return RunColumnarInto(nil, model, cfg, policy, workers, progress)
+}
+
+// RunColumnarInto is RunColumnar writing the column into times when its
+// length is cfg's sample count (trace.NewSinkInto), and into a fresh
+// one otherwise. The fill writes every sample, so a recycled column
+// gives the bits a fresh one does.
+func RunColumnarInto(times []float64, model workload.Model, cfg Config, policy dlb.Spec, workers int, progress ProgressSink) (*trace.Columnar, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sink := trace.NewSink(model.Name(), cfg.Trials, cfg.Ranks, cfg.Iterations, cfg.Threads)
+	sink := trace.NewSinkInto(times, model.Name(), cfg.Trials, cfg.Ranks, cfg.Iterations, cfg.Threads)
 	if _, err := RunStream(model, cfg, policy, workers, sink, nil, progress); err != nil {
 		return nil, err
 	}

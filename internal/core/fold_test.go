@@ -62,9 +62,10 @@ func TestFoldTrialsBitIdenticalAtAnyWorkerCount(t *testing.T) {
 
 // TestFoldReadingsMatchesOneFoldPerReading pins the shared fill of a
 // sweep's alpha and laggard cells: one FoldReadings over two laggard
-// thresholds and two alphas leaves every accumulator with the bytes
-// FoldTrials gives it alone, static and LeWI, on one worker and on
-// three, and over a trial range that starts past zero.
+// thresholds and two alphas leaves every accumulator with the bytes the
+// fold of its reading alone (foldTrials) gives it, static and LeWI, on
+// one worker and on three, and over a trial range that starts past
+// zero.
 func TestFoldReadingsMatchesOneFoldPerReading(t *testing.T) {
 	geom := cluster.Config{Trials: 4, Ranks: 3, Iterations: 20, Threads: 48, Seed: 29}
 	const lo, hi = 1, 4
@@ -83,7 +84,7 @@ func TestFoldReadingsMatchesOneFoldPerReading(t *testing.T) {
 		for i := range laggards {
 			macc := analysis.NewMetricsAccumulator(model.Name(), laggards[i])
 			tacc := analysis.NewTable1Accumulator(model.Name(), alphas[i])
-			if err := FoldTrials(model, geom, policy, lo, hi, macc, tacc, nil); err != nil {
+			if err := foldTrials(model, geom, policy, lo, hi, 0, macc, tacc, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			wantM, wantT = append(wantM, encode(macc)), append(wantT, encode(tacc))
@@ -194,7 +195,7 @@ func TestFoldTrialsRefusesRebalancedTableOverBudget(t *testing.T) {
 	macc := analysis.NewMetricsAccumulator(model.Name(), analysis.DefaultLaggardThresholdSec)
 	tacc := analysis.NewTable1Accumulator(model.Name(), 0.05)
 	var progress fillCounter
-	err := FoldTrials(model, geom, dlb.Spec{Policy: dlb.PolicyLeWI}, 0, 1, macc, tacc, &progress)
+	err := foldTrials(model, geom, dlb.Spec{Policy: dlb.PolicyLeWI}, 0, 1, 0, macc, tacc, nil, &progress)
 	if err == nil || !strings.Contains(err.Error(), "rebalanced trial") {
 		t.Fatalf("error %v, want a rebalanced-trial refusal", err)
 	}

@@ -96,24 +96,14 @@ func streamRun(opts Options, withTable1, withSummary bool, workers int) (*Stream
 	return res, nil
 }
 
-// FoldTrials is the one streamed fold over a trial range: it fills
-// trials [lo, hi) of geom from model under policy and folds each block,
-// under its absolute trial, into metrics and a non-nil table1, to the
-// bits of a block kernel over a cursor of those trials; no sample
-// outlives its block. It fills on the most workers, up to GOMAXPROCS,
-// whose extra state fits streamStateBudget (foldWorkers) and refuses,
-// before any fill, a rebalanced trial whose block table alone is over
-// it. A non-nil progress sees the fill.
-func FoldTrials(model workload.Model, geom cluster.Config, policy dlb.Spec, lo, hi int,
-	metrics *analysis.MetricsAccumulator, table1 *analysis.Table1Accumulator, progress cluster.ProgressSink) error {
-	return foldTrials(model, geom, policy, lo, hi, 0, metrics, table1, nil, progress)
-}
-
-// FoldReadings is FoldTrials over several readings of the same trials:
-// it fills trials [lo, hi) of geom once and folds each block, sorted
-// once, into every metrics accumulator (one per laggard threshold) and
-// every Table 1 accumulator (one per alpha), all of one application.
-// Each accumulator gets the bits FoldTrials gives it alone. The fill
+// FoldReadings is the one streamed fold over a trial range, behind
+// every sweep cell and shard: it fills trials [lo, hi) of geom from
+// model under policy once and folds each block, under its absolute
+// trial and sorted once, into every metrics accumulator (one per
+// laggard threshold) and every Table 1 accumulator (one per alpha), all
+// of one application, to the bits of a block kernel over a cursor of
+// those trials; no sample outlives its block. Each accumulator gets the
+// bits a fold of its reading alone gives it (foldTrials). The fill
 // runs on up to workers goroutines (<= 0: GOMAXPROCS) whose extra state
 // fits streamStateBudget. bounded says the caller bounds the trials it
 // asks for: then a fold that no worker's state fits runs on one, which
@@ -124,8 +114,10 @@ func FoldReadings(model workload.Model, geom cluster.Config, policy dlb.Spec, lo
 	return foldSet(model, geom, policy, lo, hi, workers, bounded, metrics, table1, nil, progress)
 }
 
-// foldTrials is FoldTrials on up to workers (<= 0: GOMAXPROCS), adding
-// the application-level sample moments to a non-nil moments.
+// foldTrials is FoldReadings of one reading on up to workers (<= 0:
+// GOMAXPROCS), unbounded, adding the application-level sample moments
+// to a non-nil moments. It refuses, before any fill, a rebalanced
+// trial whose block table alone is over streamStateBudget.
 func foldTrials(model workload.Model, geom cluster.Config, policy dlb.Spec, lo, hi, workers int,
 	metrics *analysis.MetricsAccumulator, table1 *analysis.Table1Accumulator, moments *stats.Moments, progress cluster.ProgressSink) error {
 	var tables []*analysis.Table1Accumulator

@@ -183,7 +183,7 @@ func (sp Spec) Key() SpecKey {
 // Hash folds the key into a deterministic 64-bit FNV-1a value, stable
 // across processes for specs without a preloaded dataset — the property
 // the fleet scheduler relies on to route equal cells to the same worker
-// (keeping that worker's dataset cache hot) from any coordinator.
+// (and so to that worker's result cache) from any coordinator.
 // Dataset-backed keys mix in nothing for the dataset itself: such specs
 // never travel over the wire, so their hash only needs to be consistent
 // within one process's scheduling decisions.
@@ -342,10 +342,9 @@ func (e *Engine) Run(c Campaign) ([]Result, error) {
 
 // RunSpec resolves and executes one spec synchronously, sharing the
 // engine's dataset cache (and its single-flighted generation) with every
-// campaign and other RunSpec call on the engine. It is the unit the serve
-// layer's result cache invokes: one HTTP study request maps to one
-// RunSpec. The returned Result carries any per-spec failure in both
-// Result.Err and the error return.
+// campaign and other RunSpec call on the engine; cmd/earlybird's one-shot
+// study runs through it and reads Result.Study. The returned Result
+// carries any per-spec failure in both Result.Err and the error return.
 func (e *Engine) RunSpec(sp Spec) (Result, error) {
 	filled, err := sp.fill()
 	if err != nil {
@@ -368,21 +367,35 @@ func (e *Engine) execute(sp Spec, concurrency int, fetched chan struct{}) Result
 	if fetched != nil {
 		close(fetched)
 	}
-	var r Result
-	r.Spec = sp
-	if err == nil {
-		r.Study, err = core.FromDatasetWith(ds, core.Options{
-			Policy: core.PolicySpec{
-				DLB:                 sp.DLB,
-				Alpha:               sp.Alpha,
-				LaggardThresholdSec: sp.LaggardThresholdSec,
-			},
-		})
-	}
 	if err != nil {
-		r.Err = err
-	} else {
-		r.CacheHit = hit
+		return Result{Spec: sp, Err: err}
+	}
+	r := sp.analyze(ds)
+	r.CacheHit = hit && r.Err == nil
+	return r
+}
+
+// Analyze runs the resolved spec's analysis over ds: the Section 4.2
+// metrics, the Table 1 row and the Section 5 assessment, in one exact
+// pass (core.Study.Analyze). The result's Study is nil, so nothing in
+// it reads ds afterwards and the caller may recycle ds's storage.
+func (sp Spec) Analyze(ds *trace.Dataset) Result {
+	r := sp.analyze(ds)
+	r.Study = nil
+	return r
+}
+
+// analyze is Analyze, keeping the study that wraps ds.
+func (sp Spec) analyze(ds *trace.Dataset) Result {
+	r := Result{Spec: sp}
+	r.Study, r.Err = core.FromDatasetWith(ds, core.Options{
+		Policy: core.PolicySpec{
+			DLB:                 sp.DLB,
+			Alpha:               sp.Alpha,
+			LaggardThresholdSec: sp.LaggardThresholdSec,
+		},
+	})
+	if r.Err == nil {
 		r.Metrics, r.Table1, r.Assessment = r.Study.Analyze(sp.BytesPerPartition, sp.Fabric, sp.BinTimeoutSec)
 	}
 	return r

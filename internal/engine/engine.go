@@ -53,9 +53,8 @@ type Engine struct {
 	mu       sync.Mutex
 	progress ProgressFactory
 
-	executions  atomic.Int64
-	inFlight    atomic.Int64
-	nestedViews atomic.Int64
+	executions atomic.Int64
+	inFlight   atomic.Int64
 }
 
 // ProgressFactory creates the live telemetry attachment for one dataset
@@ -104,13 +103,6 @@ func (e *Engine) CachedDatasets() int { return e.datasets.Len() }
 // EvictedDatasets returns how many datasets the cache bound has evicted
 // over the engine's lifetime.
 func (e *Engine) EvictedDatasets() int64 { return e.datasets.Evictions() }
-
-// NestedViews returns how many dataset generations have had their nested
-// [][][][] view built. Consumers that stay on the columnar cursor path
-// (streaming analysis, NDJSON sweeps) never trigger the view, so this
-// stays at zero for them — tests use it to prove a code path never
-// materialised the tensor form.
-func (e *Engine) NestedViews() int64 { return e.nestedViews.Load() }
 
 // SetMaxDatasets bounds the dataset cache to at most n finished
 // datasets, evicting the least recently used past the bound; n <= 0
@@ -182,7 +174,6 @@ func (e *Engine) dataset(model workload.Model, geom cluster.Config, policy dlb.S
 	defer en.mu.Unlock()
 	if en.ds == nil {
 		en.ds = en.col.Dataset()
-		e.nestedViews.Add(1)
 	}
 	return en.ds, hit, nil
 }
@@ -199,21 +190,79 @@ func (e *Engine) entry(model workload.Model, geom cluster.Config, policy dlb.Spe
 	}
 	key := Key{Model: model.Name(), Geometry: geom, DLB: policy}
 	en, src := e.datasets.Do(key, func() (*entry, bool) {
-		e.executions.Add(1)
-		concurrent := max(int(e.inFlight.Add(1)), hint)
-		defer e.inFlight.Add(-1)
-		var sink cluster.ProgressSink
-		if f := e.progressFactory(); f != nil {
-			var done func()
-			sink, done = f(model.Name(), geom, key.DLB)
-			if done != nil {
-				defer done()
-			}
-		}
-		col, err := cluster.RunColumnar(model, geom, key.DLB, e.innerWorkers(concurrent), sink)
+		col, err := e.generate(model, geom, policy, hint, nil)
 		return &entry{col: col, err: err}, err == nil
 	})
 	return en, src != share.Executed, en.err
+}
+
+// Fill generates the columnar store of (model, geometry, policy) for
+// one caller, outside the dataset cache: it counts as an execution,
+// reports through the progress factory and fills on its share of the
+// CPUs like a cached generation, but nothing keeps it. Its column comes
+// from a pool, and release hands it back: the caller calls release
+// once, after the last read of the store or of any view over it.
+func (e *Engine) Fill(model workload.Model, geom cluster.Config, policy dlb.Spec) (col *trace.Columnar, release func(), err error) {
+	policy, err = policy.Resolve()
+	if err != nil {
+		return nil, nil, err
+	}
+	var times []float64
+	if geom.Validate() == nil { // an invalid geometry fails in the fill
+		times = getColumn(geom.Samples())
+	}
+	col, err = e.generate(model, geom, policy, 1, times)
+	if err != nil {
+		putColumn(times)
+		return nil, nil, err
+	}
+	return col, func() { putColumn(col.TimesColumn()) }, nil
+}
+
+// generate runs one fill under the resolved policy into times (a fresh
+// column when nil), counted as an execution and sized by innerWorkers
+// for the fills in flight and the caller's hint.
+func (e *Engine) generate(model workload.Model, geom cluster.Config, policy dlb.Spec, hint int, times []float64) (*trace.Columnar, error) {
+	e.executions.Add(1)
+	concurrent := max(int(e.inFlight.Add(1)), hint)
+	defer e.inFlight.Add(-1)
+	var sink cluster.ProgressSink
+	if f := e.progressFactory(); f != nil {
+		var done func()
+		sink, done = f(model.Name(), geom, policy)
+		if done != nil {
+			defer done()
+		}
+	}
+	return cluster.RunColumnarInto(times, model, geom, policy, e.innerWorkers(concurrent), sink)
+}
+
+// maxPooledColumn is the largest sample column the pool keeps: one
+// paper geometry (768,000 samples, 6 MiB). A larger one goes to the
+// collector rather than stay pinned.
+const maxPooledColumn = 768000
+
+// columns holds the sample columns of Fill's released stores between
+// one fill and the next.
+var columns sync.Pool
+
+// getColumn returns a column of n samples, a pooled one when it is big
+// enough. Its contents are stale: the fill overwrites every sample.
+func getColumn(n int) []float64 {
+	if n <= maxPooledColumn {
+		if p, ok := columns.Get().(*[]float64); ok && cap(*p) >= n {
+			return (*p)[:n]
+		}
+	}
+	return make([]float64, n)
+}
+
+// putColumn hands a column back to the pool, unless it is over
+// maxPooledColumn; nothing may read it afterwards.
+func putColumn(times []float64) {
+	if c := cap(times); c > 0 && c <= maxPooledColumn {
+		columns.Put(&times)
+	}
 }
 
 // innerWorkers divides the CPUs between concurrent generations so a lone

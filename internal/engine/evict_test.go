@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"earlybird/internal/cluster"
+	"earlybird/internal/trace"
 	"earlybird/internal/workload"
 )
 
@@ -155,18 +156,19 @@ func TestRunSpecSharesCacheAndKeys(t *testing.T) {
 }
 
 func TestNestedViewsStayZeroOnColumnarPath(t *testing.T) {
+	views := trace.NestedViews()
 	e := New(2)
 	m := workload.DefaultMiniFE()
 	if _, _, err := e.Columnar(m, testGeom(9)); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.NestedViews(); got != 0 {
+	if got := (trace.NestedViews() - views); got != 0 {
 		t.Errorf("nested views = %d after columnar-only access, want 0", got)
 	}
 	if _, _, err := e.Dataset(m, testGeom(9)); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.NestedViews(); got != 1 {
+	if got := (trace.NestedViews() - views); got != 1 {
 		t.Errorf("nested views = %d after Dataset access, want 1", got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"earlybird/internal/dlb"
+	"earlybird/internal/trace"
 )
 
 // TestDLBCrossGoldenQuick pins the exact E15 rendering — the cmd/repro
@@ -19,6 +20,7 @@ import (
 // after an intentional change to the policies, the grid or the
 // rendering.
 func TestDLBCrossGoldenQuick(t *testing.T) {
+	views := trace.NestedViews()
 	suite := NewSuite(Quick())
 	var buf bytes.Buffer
 	suite.WriteDLBReport(&buf)
@@ -41,7 +43,7 @@ func TestDLBCrossGoldenQuick(t *testing.T) {
 	}
 
 	// The cross stays on the cursor path: no nested tensor views.
-	if got := suite.Engine().NestedViews(); got != 0 {
+	if got := (trace.NestedViews() - views); got != 0 {
 		t.Errorf("nested views = %d after E15, want 0", got)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"earlybird/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from the current output")
@@ -19,6 +21,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from the cur
 //
 // after an intentional change to the grid or the rendering.
 func TestStrategyFrontierGoldenQuick(t *testing.T) {
+	views := trace.NestedViews()
 	suite := NewSuite(Quick())
 	var buf bytes.Buffer
 	suite.WriteStrategyFrontier(&buf)
@@ -42,7 +45,7 @@ func TestStrategyFrontierGoldenQuick(t *testing.T) {
 
 	// The experiment itself must stay on the cursor path: rendering the
 	// frontier never builds the nested tensor view.
-	if got := suite.Engine().NestedViews(); got != 0 {
+	if got := (trace.NestedViews() - views); got != 0 {
 		t.Errorf("nested views = %d after E14, want 0", got)
 	}
 }

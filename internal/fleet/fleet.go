@@ -24,8 +24,9 @@
 //
 // Scheduling is capacity-weighted rendezvous hashing on the cell's
 // resolved engine.SpecKey: equal cells route to the same worker from
-// any coordinator, so each worker's LRU dataset cache stays hot across
-// repeated sweeps. Health probes read the capacity each worker reports
+// any coordinator, so placement is deterministic and a repeated study
+// or strategy cell sent whole meets the same worker's result cache.
+// Health probes read the capacity each worker reports
 // in its /v1/healthz body (its live fill efficiency, from the telemetry
 // layer) and scale that worker's rendezvous keys by it, so a degraded
 // worker gracefully sheds new cells to the rest of the fleet instead of
@@ -542,7 +543,7 @@ func (f *Fleet) Snapshot() serve.FleetSnapshot {
 // standard weighted-rendezvous key, under which a worker's share of the
 // key space is proportional to its capacity. -ln(u) is strictly
 // decreasing in u, so with equal capacities the weighted order equals
-// the raw-score order and shard placement (hence dataset cache
+// the raw-score order and shard placement (hence result cache
 // locality) is unchanged from the unweighted scheduler. Shard 0's
 // ranking depends only on the cell key, so a one-shard cell lands on
 // the same worker sweep after sweep while capacities are equal.

@@ -10,8 +10,7 @@ import (
 // worker, with the same failover and speculation as shard dispatch, and
 // the worker's JSON answer is decoded into out. The caller supplies the
 // cell's resolved key hash, so equal cells route to the same worker from
-// any coordinator and that worker's dataset cache (and the result cache
-// in front of it) stays hot.
+// any coordinator and a repeat meets that worker's result cache.
 //
 // The request carries every field post-resolution and execution is
 // deterministic, so the worker's answer is bit-identical to what local

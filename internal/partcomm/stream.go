@@ -3,8 +3,8 @@
 // iteration at a time — sorting the arrivals into a reused scratch
 // buffer, never retaining the block — so delivery strategies evaluate
 // straight off a trace.Cursor (or a cluster.RunStream observer) without
-// the nested tensor view ever being built. The campaign engine's
-// NestedViews counter stays at zero on this path.
+// the nested tensor view ever being built: trace.NestedViews does not
+// move on this path.
 
 package partcomm
 

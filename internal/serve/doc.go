@@ -8,7 +8,7 @@
 // /v1/healthz probe.
 //
 // One study executor answers /v1/study, /v1/feasibility, every
-// /v1/campaign entry and every /v1/scenario cell. Three layers of
+// /v1/campaign entry and every /v1/scenario cell. Two layers of
 // work-sharing sit between a study and a workload fill, so under heavy
 // identical traffic the service does the expensive part exactly once:
 //
@@ -18,16 +18,26 @@
 //     encoded /v1/study hit reply, which later hits write as stored
 //     bytes;
 //   - singleflight request coalescing — N concurrent identical studies
-//     attach to one in-flight execution and share its result;
-//   - the engine's content-addressed dataset cache (itself
-//     single-flighted and LRU-bounded via engine.SetMaxDatasets) — two
-//     different analyses of the same (model, geometry, seed) share one
-//     generated dataset.
+//     attach to one in-flight execution and share its result.
 //
-// Each of the three is a share.Cache (internal/share), the tree's one
-// LRU + singleflight, and every grid and batch runs on share.FanOut. A
-// value enters a cache only when its execution reports it cacheable: a
-// failed study or generation takes no slot and evicts nothing.
+// Both are a share.Cache (internal/share), the tree's one LRU +
+// singleflight, and every grid and batch runs on share.FanOut. A value
+// enters a cache only when its execution reports it cacheable: a
+// failed study takes no slot and evicts nothing.
+//
+// No dataset outlives the request that filled it. A study fills through
+// engine.Fill, which keeps nothing in the engine's dataset cache, into a
+// pooled column, and the column goes back to the pool once the last
+// analysis that reads it is done: a study answer is a few hundred bytes
+// of scalars, and nothing reads the samples again. Within one request
+// the studies over one dataset — a campaign's or a scenario's entries
+// that differ only in alpha, laggard threshold, bin timeout, partition
+// size or fabric — are one fill group (studyGrid): it fills at most
+// once, on the first member the result cache misses, while the members
+// answer concurrently, each still coalescing under its own key. A
+// member that travels whole to a fleet dispatches on its own and reads
+// the group's fill only when the fleet declines it. A caller's own
+// dataset (dataset-backed specs) is read in place and never pooled.
 //
 // The sweep endpoint fans a grid of (app x geometry x alpha x laggard
 // threshold) cells onto the engine and writes one NDJSON row per cell as
@@ -54,8 +64,9 @@
 // adaptive policies from internal/partcomm — over each (app, geometry)
 // cell's columnar cursor and reports the frontier. Cells coalesce in
 // their own result cache keyed by the resolved spec key plus a
-// strategy-grid hash, so identical concurrent requests evaluate once
-// while different grids still share the engine's dataset cache.
+// strategy-grid hash, so identical concurrent requests evaluate once;
+// each executed cell fills its own pooled column and releases it after
+// the sweep.
 //
 // The shard endpoint (/v1/shard) is the worker half of fleet
 // execution: it folds one cell's trial range into the metrics and

@@ -131,10 +131,7 @@ func (s *Server) promWriter(w http.ResponseWriter) *telemetry.PromWriter {
 	p.Sample("earlybird_result_cache_entries", float64(s.co.Len()), "cache", "study")
 	p.Sample("earlybird_result_cache_entries", float64(s.strat.Len()), "cache", "strategies")
 
-	p.Counter("earlybird_engine_dataset_executions_total", "Dataset generations run for studies and strategy cells (cache hits excluded; sweep cells and shards generate none).", float64(s.eng.Executions()))
-	p.Gauge("earlybird_engine_datasets_cached", "Datasets currently in the engine cache.", float64(s.eng.CachedDatasets()))
-	p.Counter("earlybird_engine_datasets_evicted_total", "Datasets evicted by the cache bound.", float64(s.eng.EvictedDatasets()))
-	p.Counter("earlybird_engine_nested_views_total", "Dataset generations that materialised the nested tensor view.", float64(s.eng.NestedViews()))
+	p.Counter("earlybird_engine_dataset_executions_total", "Dataset fills run for studies and strategy cells (sweep cells and shards fold from fills of their own).", float64(s.eng.Executions()))
 	p.Gauge("earlybird_engine_workers", "The server's execution worker budget.", float64(s.eng.Workers()))
 
 	tot := s.tel.Totals()

@@ -31,7 +31,7 @@ const (
 // ProgressID derives the deterministic progress identity of a study
 // generation: an FNV-1a hash (hex) over the application name, the full
 // geometry including the seed, and the canonical DLB policy — the same
-// coordinates that key the engine's dataset cache. Clients that know
+// coordinates as a dataset's engine.Key. Clients that know
 // what they asked for can compute the ID without waiting for a
 // response; concurrent identical requests share it, exactly as they
 // share the generation.

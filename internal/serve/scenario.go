@@ -1,11 +1,11 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"strings"
 
+	"earlybird/internal/engine"
 	"earlybird/internal/scenario"
 	"earlybird/internal/trace"
 )
@@ -144,26 +144,29 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 
 // ScenarioGrid is the grid of a compiled, verified scenario: one row
 // per compiled cell, each answered by the study executor behind
-// /v1/study — wire-expressible cells federate across the fleet when one
-// is configured. workers <= 0 means the engine's bound.
+// /v1/study (studyGrid), so cells that differ only in their analysis
+// parameters share one fill — wire-expressible cells federate across
+// the fleet when one is configured. workers <= 0 means the engine's
+// bound.
 func (s *Server) ScenarioGrid(c *scenario.Compiled, workers int) Grid[ScenarioRow] {
-	return newGrid(s, len(c.Cells), workers, func(ctx context.Context, i int) ScenarioRow {
-		cell := c.Cells[i]
-		row := ScenarioRow{
-			Index:         cell.Index,
-			Workload:      cell.SourceKey,
-			Geometry:      cell.Geometry,
-			Noise:         cell.Noise,
-			DLB:           cell.DLB,
-			Fabric:        cell.Fabric,
-			BinTimeoutSec: cell.BinTimeoutSec,
-		}
-		resp, _, err := s.study(ctx, cell.Spec)
-		if err != nil {
-			row.Err = err.Error()
-		} else {
-			row.StudyResponse = resp
-		}
-		return row
-	})
+	return studyGrid(s, len(c.Cells), workers,
+		func(i int) (engine.Spec, error) { return c.Cells[i].Spec, nil },
+		func(i int, resp StudyResponse, err error) ScenarioRow {
+			cell := c.Cells[i]
+			row := ScenarioRow{
+				Index:         cell.Index,
+				Workload:      cell.SourceKey,
+				Geometry:      cell.Geometry,
+				Noise:         cell.Noise,
+				DLB:           cell.DLB,
+				Fabric:        cell.Fabric,
+				BinTimeoutSec: cell.BinTimeoutSec,
+			}
+			if err != nil {
+				row.Err = err.Error()
+			} else {
+				row.StudyResponse = resp
+			}
+			return row
+		})
 }

@@ -52,7 +52,7 @@ func postScenario(t *testing.T, url string, req ScenarioRequest) *http.Response 
 }
 
 func TestScenarioEndpointRunsCells(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
 	resp := postScenario(t, ts.URL, ScenarioRequest{Scenario: scenarioDoc})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -77,9 +77,14 @@ func TestScenarioEndpointRunsCells(t *testing.T) {
 		}
 	}
 	// The two cells differ only in bin timeout, which does not change the
-	// generated dataset: the engine's cache should serve the second cell.
-	if !sr.Rows[0].DatasetCacheHit && !sr.Rows[1].DatasetCacheHit {
-		t.Error("no cell reused the engine's dataset cache")
+	// generated dataset: they share one fill, which one of them reads
+	// from the other.
+	if got := s.Engine().Executions(); got != 1 {
+		t.Errorf("the two bin-timeout cells ran %d fills, want 1", got)
+	}
+	if sr.Rows[0].DatasetCacheHit == sr.Rows[1].DatasetCacheHit {
+		t.Errorf("dataset_cache_hit %v and %v; want exactly one cell on the other's fill",
+			sr.Rows[0].DatasetCacheHit, sr.Rows[1].DatasetCacheHit)
 	}
 }
 

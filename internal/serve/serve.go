@@ -19,20 +19,26 @@ import (
 	"earlybird/internal/engine"
 	"earlybird/internal/share"
 	"earlybird/internal/telemetry"
+	"earlybird/internal/trace"
 )
 
 // Defaults for Options' zero values.
 const (
 	// DefaultMaxResults is the LRU result cache's default capacity.
 	DefaultMaxResults = 256
-	// DefaultMaxDatasets is the engine dataset cache's default bound.
+	// DefaultMaxDatasets is the dataset-cache bound of perfbench's
+	// replay, which sizes its own engine with it. No server reads it:
+	// studies and strategy cells fill per request and keep nothing. It
+	// goes with the replay, once the server reports its own layers
+	// (ROADMAP.md).
 	DefaultMaxDatasets = 64
 	// DefaultMaxStudySamples is the largest geometry a materialising
-	// study request (/v1/study, /v1/feasibility, /v1/campaign) accepts:
-	// ten paper geometries (~60 MiB columnar). Larger analyses belong on
-	// /v1/sweep, which folds them uncached (core.FoldTrials, within its
-	// fixed state budget) plus accumulator state bounded by
-	// maxTrialIterations.
+	// study request (/v1/study, /v1/feasibility, /v1/campaign,
+	// /v1/scenario, /v1/strategies) accepts: ten paper geometries
+	// (~60 MiB columnar), held for the request alone. Larger analyses
+	// belong on /v1/sweep, which folds them from the fill
+	// (core.FoldReadings, within its fixed state budget) into
+	// accumulator state bounded by maxTrialIterations.
 	DefaultMaxStudySamples = 10 * 768000
 	// maxBoundedShardSamples is the largest shard (total samples) whose
 	// fold may run past the fold's state budget on one fill worker
@@ -68,7 +74,7 @@ const (
 )
 
 // Options configures a Server. The zero value serves with one worker per
-// CPU, a 256-entry result cache and a 64-dataset engine cache.
+// CPU and a 256-entry result cache.
 type Options struct {
 	// Workers bounds concurrently executing studies; <= 0 means one per
 	// usable CPU.
@@ -76,11 +82,6 @@ type Options struct {
 	// MaxResults bounds the LRU result cache; 0 means
 	// DefaultMaxResults, negative disables result caching.
 	MaxResults int
-	// MaxDatasets bounds the engine's dataset cache (LRU eviction), which
-	// serves studies and strategy cells; sweep cells and shards fold
-	// uncached. 0 means DefaultMaxDatasets, negative leaves the cache
-	// unbounded.
-	MaxDatasets int
 	// MaxStudySamples is the largest geometry (by total samples) the
 	// materialising study endpoints accept; larger requests are rejected
 	// with a pointer to /v1/sweep. 0 means DefaultMaxStudySamples.
@@ -182,11 +183,6 @@ type Server struct {
 // New returns a ready-to-serve study service.
 func New(opts Options) *Server {
 	eng := engine.New(opts.Workers)
-	maxDS := opts.MaxDatasets
-	if maxDS == 0 {
-		maxDS = DefaultMaxDatasets
-	}
-	eng.SetMaxDatasets(maxDS) // negative: unbounded, as the engine reads it
 	maxResults := opts.MaxResults
 	if maxResults == 0 {
 		maxResults = DefaultMaxResults
@@ -208,7 +204,7 @@ func New(opts Options) *Server {
 		sem:             make(chan struct{}, eng.Workers()),
 		tel:             telemetry.NewRegistry(),
 	}
-	// Every dataset generation this server triggers reports live
+	// Every study and strategy fill this server runs reports live
 	// progress into the registry.
 	eng.SetProgress(s.generationProgress)
 	s.httpSrv = &http.Server{
@@ -244,7 +240,8 @@ func (s *Server) ObservabilityHandler() http.Handler {
 }
 
 // Engine returns the server's engine, for reading its configuration and
-// counters and probing its dataset cache (earlybirdd and the tests do).
+// counters (earlybirdd and the tests do). The server fills through it
+// but keeps nothing in its dataset cache.
 func (s *Server) Engine() *engine.Engine { return s.eng }
 
 // Handler returns the service's routing handler, for embedding the API
@@ -439,46 +436,77 @@ func (h *hitReply) bytes(resp StudyResponse) []byte {
 	return h.body
 }
 
-// studyWire answers one wire spec through the study executor; a
-// request that leaves its policy unset gets the server's default.
-func (s *Server) studyWire(ctx context.Context, wire StudySpec) (StudyResponse, *hitReply, error) {
+// wireSpec is the engine spec of one wire spec; a request that leaves
+// its policy unset gets the server's default.
+func (s *Server) wireSpec(wire StudySpec) (engine.Spec, error) {
 	sp, err := wire.toSpec()
 	if err != nil {
-		return StudyResponse{}, nil, err
+		return sp, err
 	}
 	if wire.Policy == nil || wire.Policy.DLB == nil {
 		sp.DLB = s.opts.DefaultDLB
 	}
-	return s.study(ctx, sp)
+	return sp, nil
 }
 
-// study is the one study executor, behind /v1/study, /v1/feasibility,
-// /v1/campaign entries and /v1/scenario cells. It resolves sp and
-// bounds its geometry (dataset-backed specs carry their own samples).
-// A bare app spec — no Model, no Dataset — dispatches whole over
-// /v1/study when the fleet is a WholeDispatcher and a worker takes it;
-// everything else answers through the coalescing stack: LRU result
-// cache, then singleflight join, then execution on the engine (whose
-// dataset cache is a further sharing layer underneath). Dataset-backed
-// specs coalesce too: their key includes the dataset's identity.
-//
-// The second result is the answer's memo of its encoded /v1/study reply
-// when the answer came from the result cache, and nil otherwise.
-func (s *Server) study(ctx context.Context, sp engine.Spec) (StudyResponse, *hitReply, error) {
-	resolved, err := sp.Resolve()
+// studyWire answers one wire spec through the study executor.
+func (s *Server) studyWire(ctx context.Context, wire StudySpec) (StudyResponse, *hitReply, error) {
+	sp, err := s.wireSpec(wire)
 	if err != nil {
 		return StudyResponse{}, nil, err
 	}
+	return s.study(ctx, sp)
+}
+
+// study answers one spec alone, on a fill of its own.
+func (s *Server) study(ctx context.Context, sp engine.Spec) (StudyResponse, *hitReply, error) {
+	resolved, err := s.resolveStudy(sp)
+	if err != nil {
+		return StudyResponse{}, nil, err
+	}
+	return s.answer(ctx, resolved, s.wholeStudy(sp), nil)
+}
+
+// resolveStudy resolves sp and bounds its geometry (dataset-backed
+// specs carry their own samples).
+func (s *Server) resolveStudy(sp engine.Spec) (engine.Spec, error) {
+	resolved, err := sp.Resolve()
+	if err != nil {
+		return resolved, err
+	}
 	if n := resolved.Geometry.Samples(); resolved.Dataset == nil && n > s.maxStudySamples {
-		return StudyResponse{}, nil, fmt.Errorf(
+		return resolved, fmt.Errorf(
 			"geometry has %d samples, over the study limit %d; use /v1/sweep, which streams the samples and bounds accumulator state",
 			n, s.maxStudySamples)
 	}
-	// The check reads the pre-resolution spec: Resolve fills Model in
-	// for bare apps too.
-	if wd, ok := s.opts.Fleet.(WholeDispatcher); ok && sp.Model == nil && sp.Dataset == nil {
+	return resolved, nil
+}
+
+// wholeStudy reports whether sp travels whole to the fleet: a bare app
+// spec — no Model, no Dataset — when the fleet is a WholeDispatcher.
+// It reads the spec before resolution, which fills Model in for bare
+// apps too.
+func (s *Server) wholeStudy(sp engine.Spec) bool {
+	_, ok := s.opts.Fleet.(WholeDispatcher)
+	return ok && sp.Model == nil && sp.Dataset == nil
+}
+
+// answer is the one study executor, behind /v1/study, /v1/feasibility,
+// /v1/campaign entries and /v1/scenario cells. A study that travels
+// whole (wholeStudy) dispatches over /v1/study when a worker takes it;
+// everything else answers through the coalescing stack: LRU result
+// cache, then singleflight join, then analysis of f's dataset, which
+// the first execution of the fill group to need it fills. A lone study
+// (f nil) fills a dataset of its own, and only when it executes.
+// Dataset-backed specs coalesce too: their key includes the dataset's
+// identity.
+//
+// The second result is the answer's memo of its encoded /v1/study reply
+// when the answer came from the result cache, and nil otherwise.
+func (s *Server) answer(ctx context.Context, resolved engine.Spec, whole bool, f *studyFill) (StudyResponse, *hitReply, error) {
+	if whole {
 		var resp StudyResponse
-		if wd.DispatchWhole(ctx, resolved.Key().Hash(), "/v1/study", WireStudySpec(resolved), &resp) {
+		if s.opts.Fleet.(WholeDispatcher).DispatchWhole(ctx, resolved.Key().Hash(), "/v1/study", WireStudySpec(resolved), &resp) {
 			s.fleetCells.Add(1)
 			resp.Federated = true
 			return resp, nil, nil
@@ -493,9 +521,18 @@ func (s *Server) study(ctx context.Context, sp engine.Spec) (StudyResponse, *hit
 			return studyAnswer{err: err}, false
 		}
 		defer s.acquire()()
-		r, err := s.eng.RunSpec(resolved)
+		fill := f
+		if fill == nil {
+			fill = new(studyFill)
+			defer fill.release()
+		}
+		ds, shared, err := fill.dataset(s.eng, resolved)
 		if err != nil {
 			return studyAnswer{err: err}, false
+		}
+		r := resolved.Analyze(ds)
+		if r.Err != nil {
+			return studyAnswer{err: r.Err}, false
 		}
 		return studyAnswer{resp: StudyResponse{
 			App:             r.Spec.App,
@@ -505,7 +542,7 @@ func (s *Server) study(ctx context.Context, sp engine.Spec) (StudyResponse, *hit
 			Metrics:         r.Metrics,
 			Table1:          r.Table1,
 			Assessment:      r.Assessment,
-			DatasetCacheHit: r.CacheHit,
+			DatasetCacheHit: shared,
 		}, hit: new(hitReply)}, true
 	})
 	s.sources.count(src)
@@ -514,6 +551,122 @@ func (s *Server) study(ctx context.Context, sp engine.Spec) (StudyResponse, *hit
 		a.hit = nil
 	}
 	return a.resp, a.hit, a.err
+}
+
+// studyFill is the one dataset the local studies of a fill group share
+// within a request (studyGrid): filled by the first of them the result
+// cache misses, read by the rest, and released by the group after its
+// last study has answered. Nothing else holds it, so no dataset
+// outlives the request that filled it. The group's studies answer
+// concurrently.
+type studyFill struct {
+	mu      sync.Mutex // held while the first study fills
+	filled  bool
+	ds      *trace.Dataset
+	err     error
+	free    func()
+	pending atomic.Int32 // studies of the group yet to answer
+}
+
+// dataset returns the dataset sp's analysis reads: its own, when it
+// carries one, and otherwise the group's, filled on the first call.
+// shared reports that another study of the group filled it.
+func (f *studyFill) dataset(eng *engine.Engine, sp engine.Spec) (ds *trace.Dataset, shared bool, err error) {
+	if sp.Dataset != nil {
+		return sp.Dataset, false, nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.filled {
+		return f.ds, true, f.err
+	}
+	f.filled = true
+	col, free, err := eng.Fill(sp.Model, sp.Geometry, sp.DLB)
+	if err != nil {
+		f.err = err
+		return nil, false, err
+	}
+	f.ds, f.free = col.Dataset(), free
+	return f.ds, false, nil
+}
+
+// release hands the group's column back to the engine's pool. Only a
+// column the group filled goes back; a spec's own dataset never does.
+func (f *studyFill) release() {
+	if f.free != nil {
+		f.free()
+		f.ds, f.free = nil, nil
+	}
+}
+
+// done marks one study of the group answered; the last one releases
+// the column.
+func (f *studyFill) done() {
+	if f.pending.Add(-1) == 0 {
+		f.release()
+	}
+}
+
+// studyGrid is the grid of n studies — a campaign's entries, a
+// scenario's cells — with row making each study's row from its answer
+// or error; spec(i) is the i-th study's spec before resolution, or the
+// error that refuses it. The studies over one dataset (one engine.Key:
+// model, geometry and policy) are one fill group, which fills the
+// dataset at most once, on the first of them the result cache misses,
+// and releases it after the last: studies that differ only in their
+// analysis parameters share one fill. Studies that travel whole to a
+// fleet still dispatch one by one, and share their group's fill when
+// the fleet declines them. The studies themselves answer concurrently,
+// group by group, so at most about workers columns are live at once.
+// Refused and dataset-backed studies fill nothing.
+func studyGrid[R any](s *Server, n, workers int, spec func(int) (engine.Spec, error), row func(int, StudyResponse, error) R) Grid[R] {
+	type member struct {
+		i        int
+		resolved engine.Spec
+		whole    bool
+		err      error
+		fill     *studyFill
+	}
+	var groups [][]member
+	at := map[engine.Key]int{}
+	for i := range n {
+		m := member{i: i}
+		sp, err := spec(i)
+		if err == nil {
+			m.resolved, err = s.resolveStudy(sp)
+			m.whole = s.wholeStudy(sp)
+		}
+		if m.err = err; err != nil || m.resolved.Dataset != nil {
+			groups = append(groups, []member{m})
+			continue
+		}
+		k := engine.Key{Model: m.resolved.App, Geometry: m.resolved.Geometry, DLB: m.resolved.DLB}
+		g, ok := at[k]
+		if !ok {
+			g = len(groups)
+			at[k] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], m)
+	}
+	order := make([]member, 0, n)
+	for _, g := range groups {
+		f := new(studyFill)
+		f.pending.Store(int32(len(g)))
+		for _, m := range g {
+			m.fill = f
+			order = append(order, m)
+		}
+	}
+	return newGroupedGrid(s, n, n, workers, func(ctx context.Context, u int, emit func(int, R)) {
+		m := order[u]
+		resp, err := StudyResponse{}, m.err
+		if err == nil {
+			resp, _, err = s.answer(ctx, m.resolved, m.whole, m.fill)
+		}
+		m.fill.done()
+		emit(m.i, row(m.i, resp, err))
+	})
 }
 
 // handleStudy answers POST /v1/study. A result-cache hit writes its
@@ -561,16 +714,17 @@ func (s *Server) handleFeasibility(w http.ResponseWriter, r *http.Request) {
 }
 
 // campaignGrid is the grid of a campaign request: one entry per spec,
-// each answered by the study executor. A failed entry carries its error
-// and an empty analysis.
+// each answered by the study executor (studyGrid). A failed entry
+// carries its error and an empty analysis.
 func (s *Server) campaignGrid(req CampaignRequest) Grid[CampaignEntry] {
-	return newGrid(s, len(req.Specs), req.Workers, func(ctx context.Context, i int) CampaignEntry {
-		resp, _, err := s.studyWire(ctx, req.Specs[i])
-		if err != nil {
-			return CampaignEntry{Index: i, Err: err.Error()}
-		}
-		return CampaignEntry{Index: i, StudyResponse: resp}
-	})
+	return studyGrid(s, len(req.Specs), req.Workers,
+		func(i int) (engine.Spec, error) { return s.wireSpec(req.Specs[i]) },
+		func(i int, resp StudyResponse, err error) CampaignEntry {
+			if err != nil {
+				return CampaignEntry{Index: i, Err: err.Error()}
+			}
+			return CampaignEntry{Index: i, StudyResponse: resp}
+		})
 }
 
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
@@ -613,11 +767,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			ResultCacheSize: s.strat.Len(),
 		},
 		Engine: EngineStats{
-			Executions:      s.eng.Executions(),
-			CachedDatasets:  s.eng.CachedDatasets(),
-			EvictedDatasets: s.eng.EvictedDatasets(),
-			NestedViews:     s.eng.NestedViews(),
-			Workers:         s.eng.Workers(),
+			Executions: s.eng.Executions(),
+			Workers:    s.eng.Workers(),
 		},
 	}
 	tot := s.tel.Totals()

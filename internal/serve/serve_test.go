@@ -18,6 +18,7 @@ import (
 
 	"earlybird/internal/cluster"
 	"earlybird/internal/engine"
+	"earlybird/internal/rng"
 	"earlybird/internal/trace"
 	"earlybird/internal/workload"
 )
@@ -182,6 +183,7 @@ func TestFeasibilityEndpoint(t *testing.T) {
 }
 
 func TestSweepStreamsNDJSONWithoutMaterializing(t *testing.T) {
+	views := trace.NestedViews()
 	s, ts := newTestServer(t)
 	req := SweepRequest{
 		Apps:       []string{"minife", "minimd", "miniqmc"},
@@ -239,7 +241,7 @@ func TestSweepStreamsNDJSONWithoutMaterializing(t *testing.T) {
 
 	// Every cell folded straight from its fill: the engine generated,
 	// cached and viewed no dataset.
-	if got := s.Engine().NestedViews(); got != 0 {
+	if got := (trace.NestedViews() - views); got != 0 {
 		t.Errorf("nested views = %d after sweep, want 0 (dataset materialised server-side)", got)
 	}
 	if got, cached := s.Engine().Executions(), s.Engine().CachedDatasets(); got != 0 || cached != 0 {
@@ -332,8 +334,8 @@ func TestStatsEndpoint(t *testing.T) {
 	if stats.Study.Executed != 1 || stats.Study.ResultCacheHits != 1 {
 		t.Errorf("study sources: %+v, want 1 executed + 1 cache hit", stats.Study)
 	}
-	if stats.Engine.Executions != 1 || stats.Engine.CachedDatasets != 1 {
-		t.Errorf("engine stats: %+v", stats.Engine)
+	if stats.Engine.Executions != 1 {
+		t.Errorf("engine stats: %+v, want 1 fill", stats.Engine)
 	}
 	if stats.Study.ResultCacheSize != 1 {
 		t.Errorf("result cache size = %d, want 1", stats.Study.ResultCacheSize)
@@ -501,73 +503,59 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestStudyResultCacheReleasesDataset: the result cache holds a
-// study's reply, not its dataset. With one cached dataset, study B
-// evicts study A's; after a collection nothing keeps A's dataset alive,
-// and A still answers from the result cache.
-func TestStudyResultCacheReleasesDataset(t *testing.T) {
-	s := New(Options{Workers: 1, MaxDatasets: 1})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	geomA, geomB := testGeom(), testGeom()
-	geomB.Seed = 2
-	study := func(g cluster.Config) Source {
-		t.Helper()
-		resp := postJSON(t, ts.URL+"/v1/study", StudySpec{App: "minife", Geometry: &g})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %s", resp.Status)
-		}
-		var out StudyResponse
-		decodeInto(t, resp, &out)
-		return out.Source
-	}
+// captureModel is an application model that points weakly at the
+// column its fill writes: the first block of the first trial and rank
+// starts the column.
+type captureModel struct {
+	workload.Model
+	column *weak.Pointer[float64]
+}
 
-	if src := study(geomA); src != SourceExecuted {
-		t.Fatalf("study A source %q, want executed", src)
-	}
-	// A's dataset, as the engine cached it; the pointer itself lives only
-	// inside this closure.
-	weakA := func() weak.Pointer[trace.Dataset] {
-		model, err := workload.ByName("minife")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds, hit, err := s.Engine().Dataset(model, geomA)
-		if err != nil || !hit {
-			t.Fatalf("study A's dataset not cached: hit %v, %v", hit, err)
-		}
-		return weak.Make(ds)
-	}()
-	if src := study(geomB); src != SourceExecuted {
-		t.Fatalf("study B source %q, want executed", src)
-	}
-	if n := s.Engine().EvictedDatasets(); n != 1 {
-		t.Fatalf("evicted %d datasets, want A's", n)
-	}
-	runtime.GC()
-	if weakA.Value() != nil {
-		t.Fatal("study A's evicted dataset is still reachable: the result cache keeps it alive")
-	}
-	if src := study(geomA); src != SourceResultCache {
-		t.Fatalf("study A source %q after the eviction, want result-cache", src)
+func (m captureModel) FillProcessIteration(root *rng.Source, trial, rank, iter int, out []float64) {
+	m.Model.FillProcessIteration(root, trial, rank, iter, out)
+	if trial == 0 && rank == 0 && iter == 0 {
+		*m.column = weak.Make(&out[0])
 	}
 }
 
-// TestRefusedStudyKeepsCachedDataset: a study whose generation fails
-// takes no dataset-cache slot. With one cached dataset, studies over a
-// non-positive geometry answer 422, evict nothing, and a study on the
-// cached dataset under another alpha still finds it.
-func TestRefusedStudyKeepsCachedDataset(t *testing.T) {
-	s := New(Options{Workers: 1, MaxDatasets: 1})
+// TestStudyKeepsNoDataset: the result cache holds a study's reply, not
+// its dataset, and the engine caches none. Once the reply is out
+// nothing but the column pool holds the column the study filled, so two
+// collections (the first moves the pool's columns to its victim cache,
+// the second drops them) free it, and the study still answers from the
+// result cache.
+func TestStudyKeepsNoDataset(t *testing.T) {
+	s := New(Options{Workers: 1})
+	var column weak.Pointer[float64]
+	sp := engine.Spec{Model: captureModel{workload.DefaultMiniFE(), &column}, Geometry: testGeom()}
+	resp, _, err := s.study(context.Background(), sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Source != SourceExecuted || column.Value() == nil {
+		t.Fatalf("source %q, column filled %v; want an executed study that filled a column", resp.Source, column.Value() != nil)
+	}
+	runtime.GC()
+	runtime.GC()
+	if column.Value() != nil {
+		t.Fatal("the study's column is still reachable after its reply")
+	}
+	if n := s.Engine().CachedDatasets(); n != 0 {
+		t.Fatalf("the engine cached %d datasets, want 0", n)
+	}
+	if resp, _, err := s.study(context.Background(), sp); err != nil || resp.Source != SourceResultCache {
+		t.Fatalf("repeat: source %q, error %v; want result-cache", resp.Source, err)
+	}
+}
+
+// TestRefusedStudyLeavesNothing: a study whose fill fails takes no
+// result-cache slot and leaves no dataset behind. Studies over a
+// non-positive geometry answer 422, and the next study executes on a
+// fill of its own as if they had never come.
+func TestRefusedStudyLeavesNothing(t *testing.T) {
+	s := New(Options{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	geom := testGeom()
-	resp := postJSON(t, ts.URL+"/v1/study", StudySpec{App: "minife", Geometry: &geom})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("priming study: status %s", resp.Status)
-	}
-	resp.Body.Close()
-
 	for _, trials := range []int{-1, -2, 0} {
 		bad := testGeom()
 		bad.Trials = trials
@@ -577,20 +565,20 @@ func TestRefusedStudyKeepsCachedDataset(t *testing.T) {
 			t.Fatalf("trials %d: status %s, want 422", trials, resp.Status)
 		}
 	}
-	if n := s.Engine().EvictedDatasets(); n != 0 {
-		t.Fatalf("refused studies evicted %d datasets, want 0", n)
+	if n, ds := s.co.Len(), s.Engine().CachedDatasets(); n != 0 || ds != 0 {
+		t.Fatalf("refused studies left %d cached answers and %d datasets, want none", n, ds)
 	}
 
-	resp = postJSON(t, ts.URL+"/v1/study", StudySpec{App: "minife", Geometry: &geom,
-		Policy: &PolicySpec{Alpha: 0.01}})
+	geom := testGeom()
+	resp := postJSON(t, ts.URL+"/v1/study", StudySpec{App: "minife", Geometry: &geom})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("second study: status %s", resp.Status)
+		t.Fatalf("study after the refusals: status %s", resp.Status)
 	}
 	var out StudyResponse
 	decodeInto(t, resp, &out)
-	if out.Source != SourceExecuted || !out.DatasetCacheHit {
-		t.Fatalf("study on the cached dataset: source %q, dataset_cache_hit %v; want executed on a cached dataset",
-			out.Source, out.DatasetCacheHit)
+	if out.Source != SourceExecuted || out.DatasetCacheHit || s.co.Len() != 1 {
+		t.Fatalf("study after the refusals: source %q, dataset_cache_hit %v, %d cached answers; want executed on its own fill and 1",
+			out.Source, out.DatasetCacheHit, s.co.Len())
 	}
 }
 

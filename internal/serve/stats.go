@@ -48,7 +48,7 @@ func (s *endpointStats) snapshot() EndpointSnapshot {
 }
 
 // StatsResponse is the /v1/stats reply: per-endpoint traffic, the study
-// path's work-sharing breakdown, and the engine's cache state.
+// path's work-sharing breakdown, and the engine's fill count.
 type StatsResponse struct {
 	UptimeSec float64                     `json:"uptime_sec"`
 	Endpoints map[string]EndpointSnapshot `json:"endpoints"`
@@ -187,16 +187,13 @@ type StudySourceStats struct {
 	ResultCacheSize int `json:"result_cache_size"`
 }
 
-// EngineStats mirrors the engine's cache counters. Executions counts
-// dataset generations only: the studies and strategy cells whose
-// dataset the cache missed. Sweep cells and shards fold straight from
-// their fill and count nowhere here.
+// EngineStats is the engine's side of the server. Executions counts
+// the fills studies and strategy cells ran: one per fill group of a
+// request whose result cache missed. Sweep cells and shards fold
+// straight from their fill and count nowhere here.
 type EngineStats struct {
-	Executions      int64 `json:"dataset_executions"`
-	CachedDatasets  int   `json:"cached_datasets"`
-	EvictedDatasets int64 `json:"evicted_datasets"`
-	NestedViews     int64 `json:"nested_views"`
-	Workers         int   `json:"workers"`
+	Executions int64 `json:"dataset_executions"`
+	Workers    int   `json:"workers"`
 }
 
 // sourceCounters tallies study answers by source, shared by the study,

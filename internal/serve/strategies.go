@@ -73,10 +73,6 @@ type StrategyRow struct {
 	// Source reports which layer answered: result-cache, coalesced or
 	// executed (set on JSON and NDJSON rows alike).
 	Source Source `json:"source,omitempty"`
-	// DatasetCacheHit reports the evaluation read an engine-cached
-	// columnar store rather than generating one (meaningful for
-	// executed rows).
-	DatasetCacheHit bool `json:"dataset_cache_hit"`
 	// Federated reports the cell was dispatched whole to a fleet worker
 	// rather than evaluated by this coordinator.
 	Federated bool   `json:"federated,omitempty"`
@@ -249,7 +245,8 @@ func (s *Server) cellKey(c StrategyCell, cfg stratConfig) (strategyCellKey, erro
 // strategyCell evaluates one cell on the columnar cursor path: laggard
 // statistics stream first (tuning the laggard-aware policy), then every
 // strategy evaluates in a single cursor pass. The nested tensor view is
-// never built.
+// never built, and the cell's fill goes back to the engine's pool once
+// the sweep has read it.
 func (s *Server) strategyCell(c StrategyCell, cfg stratConfig) StrategyRow {
 	row := StrategyRow{
 		Index:             c.Index,
@@ -271,13 +268,13 @@ func (s *Server) strategyCell(c StrategyCell, cfg stratConfig) StrategyRow {
 		row.Err = err.Error()
 		return row
 	}
-	col, hit, err := s.eng.ColumnarDLB(model, c.Geometry, cfg.dlb)
+	col, release, err := s.eng.Fill(model, c.Geometry, cfg.dlb)
 	if err != nil {
 		row.Err = err.Error()
 		return row
 	}
-	row.DatasetCacheHit = hit
 	row.Sweep = partcomm.GridSweep(col, cfg.bytesPerPartition, cfg.fabric, cfg.timeoutsSec, cfg.ewmaAlphas, cfg.laggardThreshold)
+	release()
 	return row
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"earlybird/internal/cluster"
+	"earlybird/internal/trace"
 )
 
 // defaultGridSize is the strategy count of the default grid: bulk and
@@ -21,6 +22,7 @@ import (
 const defaultGridSize = 2 + 4 + 1 + 2
 
 func TestStrategiesCoalescingSingleExecution(t *testing.T) {
+	views := trace.NestedViews()
 	s, ts := newTestServer(t)
 	req := StrategiesRequest{Apps: []string{"minife"}, Geometries: []cluster.Config{testGeom()}}
 
@@ -60,7 +62,7 @@ func TestStrategiesCoalescingSingleExecution(t *testing.T) {
 		t.Errorf("coalesced+cache answers = %d, want %d", shared, n-1)
 	}
 	// The whole evaluation stayed on the cursor path.
-	if got := s.Engine().NestedViews(); got != 0 {
+	if got := (trace.NestedViews() - views); got != 0 {
 		t.Errorf("nested views = %d, want 0 (strategy lab materialised the tensor)", got)
 	}
 	// Every response carries the identical sweep.
@@ -98,8 +100,9 @@ func TestStrategiesResultCacheAndGridHash(t *testing.T) {
 		t.Error("cached frontier diverged from executed frontier")
 	}
 
-	// A different strategy grid is a different result-cache key — but the
-	// same dataset: a second cell executes with zero new generations.
+	// A different strategy grid is a different result-cache key over the
+	// same dataset. No dataset outlives its request, so the second cell
+	// fills again: two fills for the two grids.
 	narrowed := base
 	narrowed.TimeoutsSec = []float64{1e-3}
 	decodeInto(t, postJSON(t, ts.URL+"/v1/strategies", narrowed), &third)
@@ -109,15 +112,13 @@ func TestStrategiesResultCacheAndGridHash(t *testing.T) {
 	if got := len(third.Rows[0].Results); got != 2+1+1+2 {
 		t.Errorf("narrowed grid has %d results, want %d", got, 2+1+1+2)
 	}
-	if got := s.Engine().Executions(); got != 1 {
-		t.Errorf("engine executions = %d, want 1 (both grids share the dataset)", got)
-	}
-	if !third.Rows[0].DatasetCacheHit {
-		t.Error("new-grid cell did not report the dataset cache hit")
+	if got := s.Engine().Executions(); got != 2 {
+		t.Errorf("engine executions = %d, want 2 (one fill per executed grid)", got)
 	}
 }
 
 func TestStrategiesNDJSONStreamsOnCursorPath(t *testing.T) {
+	views := trace.NestedViews()
 	s, ts := newTestServer(t)
 	req := StrategiesRequest{
 		Apps:       []string{"minife", "minimd", "miniqmc"},
@@ -173,7 +174,7 @@ func TestStrategiesNDJSONStreamsOnCursorPath(t *testing.T) {
 
 	// The acceptance criterion: the whole sweep ran on the columnar
 	// cursor path — no cell ever built the nested tensor view.
-	if got := s.Engine().NestedViews(); got != 0 {
+	if got := (trace.NestedViews() - views); got != 0 {
 		t.Errorf("nested views = %d after strategy sweep, want 0", got)
 	}
 	if got := s.Engine().Executions(); got != 3 {
@@ -238,6 +239,7 @@ func TestStrategiesValidation(t *testing.T) {
 // row arrives, the stream terminates cleanly, and Serve returns
 // http.ErrServerClosed.
 func TestStrategiesShutdownMidStream(t *testing.T) {
+	views := trace.NestedViews()
 	s := New(Options{Workers: 1})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -310,7 +312,7 @@ func TestStrategiesShutdownMidStream(t *testing.T) {
 		t.Fatal("Serve did not return after Shutdown")
 	}
 	// And the drained stream still never materialised the tensor.
-	if got := s.Engine().NestedViews(); got != 0 {
+	if got := (trace.NestedViews() - views); got != 0 {
 		t.Errorf("nested views = %d, want 0", got)
 	}
 }

@@ -169,8 +169,12 @@ func TestStudyMissesKeepTheirSource(t *testing.T) {
 
 // TestStudyHitAfterEviction: an evicted entry takes its memo with it.
 // Once the study runs again, the next hit writes the new answer's
-// bytes — which differ from the old ones, since the rerun found its
-// dataset in the engine's cache.
+// bytes. The rerun is the second entry of a campaign whose first entry
+// differs only in alpha, so it reads that entry's fill, and its reply
+// (dataset_cache_hit true) differs from the evicted one's. The campaign
+// runs on one worker, so its entries answer in order: the rerun reads
+// the first entry's fill, and its answer is the one the one-slot result
+// cache keeps.
 func TestStudyHitAfterEviction(t *testing.T) {
 	s := New(Options{Workers: 2, MaxResults: 1})
 	a, b := studyBody(t, "minife", 4), studyBody(t, "minimd", 4)
@@ -181,20 +185,39 @@ func TestStudyHitAfterEviction(t *testing.T) {
 	}
 	serveStudy(t, s, b) // evicts a's entry
 
-	var rerun StudyResponse
-	rerunBody := serveStudy(t, s, a).Body.Bytes()
-	if err := json.Unmarshal(rerunBody, &rerun); err != nil {
+	var wire StudySpec
+	if err := json.Unmarshal(a, &wire); err != nil {
 		t.Fatal(err)
 	}
-	if rerun.Source != SourceExecuted || !rerun.DatasetCacheHit {
-		t.Fatalf("rerun: source %q, dataset cache hit %v; want executed from a cached dataset", rerun.Source, rerun.DatasetCacheHit)
+	other := wire
+	other.Policy = &PolicySpec{Alpha: 0.01}
+	campaign, err := json.Marshal(CampaignRequest{Specs: []StudySpec{other, wire}, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := asHit(rerunBody, SourceExecuted)
-	if bytes.Equal(want, first) {
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/campaign", bytes.NewReader(campaign)))
+	var out CampaignResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatalf("campaign reply %s: %v", rec.Body, err)
+	}
+	if out.Failed != 0 || len(out.Results) != 2 {
+		t.Fatalf("campaign: %d results, %d failed", len(out.Results), out.Failed)
+	}
+	rerun := out.Results[1].StudyResponse
+	if rerun.Source != SourceExecuted || !rerun.DatasetCacheHit {
+		t.Fatalf("rerun: source %q, dataset cache hit %v; want executed on the first entry's fill", rerun.Source, rerun.DatasetCacheHit)
+	}
+	rerun.Source = SourceResultCache
+	var want bytes.Buffer
+	if err := encodeJSON(&want, rerun); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(want.Bytes(), first) {
 		t.Fatal("the rerun's reply equals the evicted answer's; the test cannot tell them apart")
 	}
-	if got := serveStudy(t, s, a).Body.Bytes(); !bytes.Equal(got, want) {
-		t.Errorf("hit after the rerun:\n got %s\nwant %s", got, want)
+	if got := serveStudy(t, s, a).Body.Bytes(); !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("hit after the rerun:\n got %s\nwant %s", got, want.Bytes())
 	}
 }
 

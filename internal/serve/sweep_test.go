@@ -309,7 +309,7 @@ func TestIterationWidthBoundedAtValidation(t *testing.T) {
 
 // TestAccumulatorStatePerIterationBounded pins the per-iteration
 // accumulator state maxTrialIterations's comment budgets: a 32-rank
-// trial of 2000 iterations, folded through core.FoldTrials as an
+// trial of 2000 iterations, folded through core.FoldReadings as an
 // over-bound cell is, retains under
 // 3 KiB per iteration once the samples are gone. The state is one
 // quantile histogram per iteration (2 KiB of counts whatever the rank
@@ -333,7 +333,8 @@ func TestAccumulatorStatePerIterationBounded(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	macc := analysis.NewMetricsAccumulator("minife", analysis.DefaultLaggardThresholdSec)
 	tacc := analysis.NewTable1Accumulator("minife", normality.DefaultAlpha)
-	if err := core.FoldTrials(model, geom, dlb.Spec{}, 0, 1, macc, tacc, nil); err != nil {
+	if err := core.FoldReadings(model, geom, dlb.Spec{}, 0, 1, 0, false,
+		[]*analysis.MetricsAccumulator{macc}, []*analysis.Table1Accumulator{tacc}, nil); err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()

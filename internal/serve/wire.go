@@ -123,8 +123,9 @@ const (
 	// SourceCoalesced: the request attached to an identical in-flight
 	// execution and shared its result.
 	SourceCoalesced = share.Coalesced
-	// SourceExecuted: this request ran the analysis itself (the dataset
-	// may still have come from the engine's cache — see DatasetCacheHit).
+	// SourceExecuted: this request ran the analysis itself (its dataset
+	// may still have come from another study's fill in the same
+	// request — see DatasetCacheHit).
 	SourceExecuted = share.Executed
 )
 
@@ -145,9 +146,12 @@ type StudyResponse struct {
 	// Source reports which layer answered: result-cache, coalesced or
 	// executed.
 	Source Source `json:"source"`
-	// DatasetCacheHit reports whether the dataset came from the engine's
-	// cache rather than a fresh generation (only meaningful for executed
-	// responses).
+	// DatasetCacheHit reports that the study read a dataset another
+	// study of the same request filled (a campaign or scenario entry
+	// that differs from an earlier one only in analysis parameters)
+	// rather than filling its own; only meaningful for executed
+	// responses. No dataset outlives its request, so a lone study
+	// never reports one.
 	DatasetCacheHit bool `json:"dataset_cache_hit"`
 	// Federated reports a coordinator dispatched the study whole to a
 	// fleet worker, whose Source and DatasetCacheHit the reply carries.

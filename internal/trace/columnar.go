@@ -17,7 +17,10 @@
 
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Columnar is the compact, immutable columnar form of a study: the
 // geometry header plus the flat compute-time column. It is produced by a
@@ -32,9 +35,15 @@ type Columnar struct {
 	times      []float64
 }
 
-func newColumnar(app string, trials, ranks, iterations, threads int) *Columnar {
+// newColumnar returns a store of the given geometry over times when
+// its length is the geometry's sample count, and over a fresh zeroed
+// column otherwise.
+func newColumnar(times []float64, app string, trials, ranks, iterations, threads int) *Columnar {
 	if trials < 1 || ranks < 1 || iterations < 1 || threads < 1 {
 		panic("trace: columnar geometry must be positive")
+	}
+	if n := trials * ranks * iterations * threads; len(times) != n {
+		times = make([]float64, n)
 	}
 	return &Columnar{
 		app:        app,
@@ -42,7 +51,7 @@ func newColumnar(app string, trials, ranks, iterations, threads int) *Columnar {
 		ranks:      ranks,
 		iterations: iterations,
 		threads:    threads,
-		times:      make([]float64, trials*ranks*iterations*threads),
+		times:      times,
 	}
 }
 
@@ -104,10 +113,21 @@ func (c *Columnar) Coord(row int) (trial, rank, iter, thread int) {
 // static goldens, fills with and without a progress sink).
 func (c *Columnar) Fingerprint() uint64 { return c.Dataset().Fingerprint() }
 
+// nestedViews counts the nested views Dataset has built.
+var nestedViews atomic.Int64
+
+// NestedViews returns how many nested [][][][] views Columnar.Dataset
+// has built in this process. Consumers that stay on the columnar cursor
+// path (streaming analysis, NDJSON sweeps, the strategy lab) never build
+// one, so tests read it before and after a call to prove that the call
+// never materialised the tensor form.
+func NestedViews() int64 { return nestedViews.Load() }
+
 // Dataset builds the nested [][][][] view over the columnar storage. The
 // view shares the column — no samples are copied. The result must be
 // treated as read-only.
 func (c *Columnar) Dataset() *Dataset {
+	nestedViews.Add(1)
 	d := &Dataset{
 		App:        c.app,
 		Trials:     c.trials,
@@ -215,7 +235,15 @@ type Sink struct {
 
 // NewSink returns a sink for the given geometry.
 func NewSink(app string, trials, ranks, iterations, threads int) *Sink {
-	col := newColumnar(app, trials, ranks, iterations, threads)
+	return NewSinkInto(nil, app, trials, ranks, iterations, threads)
+}
+
+// NewSinkInto is NewSink writing into times when its length is the
+// geometry's sample count (a recycled column, say), and into a fresh
+// column otherwise. A sealed sink has written every sample, so what
+// times held before does not reach the store.
+func NewSinkInto(times []float64, app string, trials, ranks, iterations, threads int) *Sink {
+	col := newColumnar(times, app, trials, ranks, iterations, threads)
 	return &Sink{col: col, next: make([]int, trials*ranks)}
 }
 

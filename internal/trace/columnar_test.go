@@ -155,7 +155,7 @@ func TestCursorRange(t *testing.T) {
 }
 
 func TestColumnarCoordRoundTrip(t *testing.T) {
-	c := newColumnar("app", 2, 3, 4, 5)
+	c := newColumnar(nil, "app", 2, 3, 4, 5)
 	row := 0
 	for tr := 0; tr < 2; tr++ {
 		for r := 0; r < 3; r++ {

@@ -35,7 +35,7 @@ type Dataset struct {
 // NewDataset allocates a zeroed dataset with the given geometry, backed
 // by a fresh columnar store.
 func NewDataset(app string, trials, ranks, iterations, threads int) *Dataset {
-	return newColumnar(app, trials, ranks, iterations, threads).Dataset()
+	return newColumnar(nil, app, trials, ranks, iterations, threads).Dataset()
 }
 
 // NumSamples returns the total number of thread-arrival samples.
@@ -149,7 +149,7 @@ func (d *Dataset) Columnar() *Columnar {
 	if d.col != nil {
 		return d.col
 	}
-	c := newColumnar(d.App, d.Trials, d.Ranks, d.Iterations, d.Threads)
+	c := newColumnar(nil, d.App, d.Trials, d.Ranks, d.Iterations, d.Threads)
 	flat := c.times
 	for _, trial := range d.Times {
 		for _, rank := range trial {
