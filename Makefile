@@ -83,8 +83,11 @@ clean-store:
 # margin), the verdicts' fused sums against their references and the
 # threshold K² against the reference's (TestThresholdK2Bound, bits for
 # the sums, a bound for K²), sortx.Sort's padded networks against the
-# pruned ones (TestSortBitIdentical), the fleet shard paths — both driven by
-# the shared block kernel — against single-node execution, and a local
+# pruned ones on both of its paths (TestSortBitIdentical), its AVX-512
+# kernel against the networks it replaces at n = 33..64
+# (TestKernelMatchesSortHalves, skipped on a runner without AVX-512F),
+# the fleet shard paths — both driven by the shared block kernel —
+# against single-node execution, and a local
 # sweep cell above the one constant sample bound, folded on the fold's
 # workers within its one state budget, against the same cell below it,
 # folded on one worker
@@ -105,7 +108,7 @@ clean-store:
 # the bits under amd64's wider instruction set and is the first slice of
 # a GOAMD64 matrix.
 test-bitident-v3:
-	GOAMD64=v3 $(GO) test -count=1 -run 'BitIdentical|OnePassMoments|ADTableBound|PerSizeConsts|ThresholdK2Bound' ./internal/stats/... ./internal/core ./internal/sortx
+	GOAMD64=v3 $(GO) test -count=1 -run 'BitIdentical|OnePassMoments|ADTableBound|PerSizeConsts|ThresholdK2Bound|KernelMatchesSortHalves' ./internal/stats/... ./internal/core ./internal/sortx
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestShardMergeBitIdenticalToSingleNode|TestShardStreamedPathBitIdentical|CacheBound|OverBound' ./internal/serve
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestFleetSweepIQRBitIdentical|TestStreamStudyMatchesSweepRowUnderEveryPolicy' ./internal/fleet
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestDLBStaticGoldenFingerprint|TestProgressSinkDoesNotPerturbFill' ./internal/cluster
@@ -231,8 +234,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzParseGeometry$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/cliopts
 
+# vet runs twice: for the host, which checks kernel_amd64.s's frame and
+# argument names against sort64's declaration (asmdecl), and for arm64,
+# so the build without the AVX-512 kernel (kernel_other.go) cannot break
+# unseen on an amd64 CI runner.
 lint:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	@fmtout=$$(gofmt -l .); \
 	if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; \
@@ -241,8 +249,8 @@ lint:
 # The FMA guard of the bit-exact moment loop: an arm64 build of
 # internal/stats (the stock toolchain cross-compiles; no arm64 machine is
 # needed) must emit no fused multiply-add inside centralMoments, whose
-# float64() wraps keep D'Agostino's and Jarque-Bera's moments equal to
-# the math.Pow reference, or inside SumSquaresAbout (VarianceAbout's
+# float64() wraps keep D'Agostino's moments equal to the math.Pow
+# reference, or inside SumSquaresAbout (VarianceAbout's
 # sum), whose wrap keeps Variance, StdDev, Shapiro-Wilk's W and the
 # Anderson-Darling statistic the same on every architecture, or inside
 # internal/stats/normality's fusedMoments, the verdicts' one sweep that

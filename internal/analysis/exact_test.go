@@ -16,7 +16,7 @@ import (
 // a pass read only through Table1 keeps one verdict byte per block
 // beside its laggard magnitudes and allocates no PassedSets, within a
 // bound on its bytes per block; Normality then lists each test's
-// passing blocks exactly as normality.PassedSorted finds them, once.
+// passing blocks exactly as normality.Verdicts.Passed finds them, once.
 func TestExactPassTable1Allocs(t *testing.T) {
 	// A pass holds 8 bytes of laggard magnitude and 1 verdict byte per
 	// block; the rest is the kernel's scratch block and the pass itself.
@@ -57,10 +57,11 @@ func TestExactPassTable1Allocs(t *testing.T) {
 		var want [3][]int
 		var counts [3]int
 		k := 0
+		verdicts := normality.NewVerdicts(opts.Alpha)
 		d.EachProcessIteration(func(_, _, _ int, xs []float64) {
 			sorted := append([]float64(nil), xs...)
 			sortx.Sort(sorted)
-			passed := normality.PassedSorted(xs, sorted, opts.Alpha)
+			passed := verdicts.Passed(xs, sorted)
 			for _, test := range normality.Tests {
 				if passed[test] {
 					want[test] = append(want[test], k)

@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-var updateNetworks = flag.Bool("update", false, "rewrite networks.go from the generator")
+var updateGenerated = flag.Bool("update", false, "rewrite networks.go and kernel_amd64.s from their generators")
 
 // networkSizes are the widths networks.go unrolls; sortRun pads every
 // other run of up to networkMax keys to the next of them.
@@ -91,7 +91,7 @@ func TestNetworksGenerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *updateNetworks {
+	if *updateGenerated {
 		if err := os.WriteFile("networks.go", want, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -22,16 +22,31 @@
 // max, and a store of each element. An int64 min and max compile to
 // CMPQ, CMOVQLT and CMOVQGT, with no branch and no sign fix-up.
 //
-// Strategy (Go 1.24, amd64):
+// Strategy (Go 1.24):
 //
 //   - n <= 32: one Batcher odd-even merge network (networks.go) of width
 //     8, 16, 24 or 32, whichever is the narrowest that holds n, with the
 //     slots past n set to math.MaxInt64, which sorts after every key.
 //     A network loads its keys into locals, so the compiler keeps as
 //     many in registers as it has, and stores them back once.
-//   - 33 <= n <= 64: two runs of ceil(n/2) keys, one network each,
-//     merged from both ends at once (mergeRuns). At the paper's n = 48
-//     that is two 24-wide networks and a 24-step merge.
+//   - 33 <= n <= 64 on amd64 with AVX-512F: sort64 (kernel_amd64.s),
+//     the 64-slot bitonic network in eight ZMM registers. It loads s
+//     merge-masked over math.MaxInt64 pads (their bits are their own
+//     key, so they sort last), keys the bits with VPSRAQ, VPANDQ and
+//     VPXORQ, runs the 6 register-pairing stages as VPMINSQ/VPMAXSQ
+//     pairs and the 15 lane-pairing stages as one VPERMQ and a
+//     merge-masked VPMINSQ and VPMAXSQ each, maps the keys back and
+//     stores n elements masked. Sort takes it when useKernel, which is
+//     hasKernel: CPUID leaf 7 lists AVX-512F and XCR0 shows the OS
+//     saving the opmask and ZMM state. There is no flag: every named
+//     geometry runs 48 threads, so there is one kernel and no 16- or
+//     32-slot one.
+//   - 33 <= n <= 64 elsewhere (other amd64 hosts, arm64): two runs of
+//     ceil(n/2) keys, one network each, merged from both ends at once
+//     (sortHalves, mergeRuns). At the paper's n = 48 that is two
+//     24-wide networks and a 24-step merge. It is also the kernel's
+//     test oracle: TestKernelMatchesSortHalves holds the two to the same
+//     bits at every n, NaN payloads included.
 //   - 65 <= n <= 128: four runs of ceil(n/4) keys, merged in pairs and
 //     then together. At n = 128 this took 2.1 µs and pdqsort on the
 //     same keys 7.9 µs.
@@ -43,11 +58,20 @@
 //   - n > 256: slices.Sort (pdqsort) on the keys, written over s in
 //     place.
 //
-// networks.go is generated: TestNetworksGenerated renders it from the
-// comparator lists of batcher (networks_gen_test.go) and fails when the
-// checked-in file differs; -update rewrites it. TestSortBitIdentical
+// networks.go and kernel_amd64.s are generated: TestNetworksGenerated
+// renders the first from the comparator lists of batcher
+// (networks_gen_test.go), TestKernelGenerated the second from the stage
+// list of bitonicStages (kernel_gen_test.go), and each fails when the
+// checked-in file differs; -update rewrites both. TestSortBitIdentical
 // holds every n <= 32 to the bits of that n's pruned float network, and
-// every larger n to the total order.
+// every larger n to the total order, on both paths of 33 <= n <= 64
+// (the tests flip useKernel; a host without AVX-512F skips the kernel
+// subtests and logs it).
+//
+// BenchmarkSort/n48 on fresh normal samples (2-core x86-64 VM with
+// AVX-512F, three runs each): the kernel 180-189 ns, the networks and
+// merge 446-524 ns. End to end, see DESIGN.md, "Sorting on integer
+// keys".
 //
 // The chunking was chosen by the END-TO-END study, not by a package
 // microbenchmark. study-cold cpu_p50_ms (perfbench, 20 s runs, six
@@ -102,6 +126,10 @@ const quarterMax = 4 * networkMax
 // take pdqsort.
 const midMax = 2 * quarterMax
 
+// useKernel selects sort64, the AVX-512 kernel, for 33 <= n <= 64; it
+// is hasKernel, and tests flip it to run the networks on any host.
+var useKernel = hasKernel
+
 // key maps the bits of a float64 to an int64 whose signed order is Go's
 // total order of floats, and maps such a key back to the bits: it flips
 // every bit but the sign of a negative value and is its own inverse.
@@ -123,7 +151,11 @@ func Sort(s []float64) {
 		sortRun(keys[:n], s)
 		fromKeys(s, keys[:n])
 	case n <= 2*networkMax:
-		sortHalves(s)
+		if useKernel {
+			sort64(s)
+		} else {
+			sortHalves(s)
+		}
 	case n <= quarterMax:
 		sortQuarters(s)
 	case n <= midMax:

@@ -88,18 +88,30 @@ func freshInputs(n int) [][]float64 {
 	return srcs
 }
 
+// BenchmarkSort times Sort on fresh inputs. n48 runs once per path:
+// n48 is what the host's Sort takes, n48/networks and n48/kernel force
+// sortHalves and the AVX-512 kernel (the latter only where hasKernel).
 func BenchmarkSort(b *testing.B) {
-	for _, n := range []int{8, 16, 48, 128, 192, 256, 512} {
+	run := func(b *testing.B, n int) {
 		srcs := freshInputs(n)
 		buf := make([]float64, n)
-		b.Run(sizeName(n), func(b *testing.B) {
-			k := 0
-			for b.Loop() {
-				copy(buf, srcs[k%benchInputs])
-				Sort(buf)
-				k++
-			}
-		})
+		k := 0
+		for b.Loop() {
+			copy(buf, srcs[k%benchInputs])
+			Sort(buf)
+			k++
+		}
+	}
+	defer func(old bool) { useKernel = old }(useKernel)
+	for _, n := range []int{8, 16, 48, 128, 192, 256, 512} {
+		b.Run(sizeName(n), func(b *testing.B) { run(b, n) })
+	}
+	for _, p := range sortPaths {
+		if p.kernel && !hasKernel {
+			continue
+		}
+		useKernel = p.kernel
+		b.Run(sizeName(48)+"/"+p.name, func(b *testing.B) { run(b, 48) })
 	}
 }
 
@@ -108,18 +120,46 @@ func BenchmarkSort(b *testing.B) {
 // the hot accumulators call Sort per block and rely on it being
 // allocation-free.
 func TestSortAllocFree(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	for n := 0; n <= midMax; n++ {
-		buf := make([]float64, n)
-		allocs := testing.AllocsPerRun(20, func() {
-			for i := range buf {
-				buf[i] = rng.NormFloat64()
+	forEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewPCG(3, 4))
+		for n := 0; n <= midMax; n++ {
+			buf := make([]float64, n)
+			allocs := testing.AllocsPerRun(20, func() {
+				for i := range buf {
+					buf[i] = rng.NormFloat64()
+				}
+				Sort(buf)
+			})
+			if allocs != 0 {
+				t.Fatalf("Sort(n=%d) allocates %v times per call", n, allocs)
 			}
-			Sort(buf)
-		})
-		if allocs != 0 {
-			t.Fatalf("Sort(n=%d) allocates %v times per call", n, allocs)
 		}
+	})
+}
+
+// sortPaths are the two ways Sort takes 33 <= n <= 64: the networks
+// and merge of sortHalves, and the AVX-512 kernel, which runs only where
+// hasKernel.
+var sortPaths = []struct {
+	name   string
+	kernel bool
+}{{"networks", false}, {"kernel", true}}
+
+// forEachPath runs test once per sort path, as a subtest named after
+// it, with useKernel set for that path and restored after. The kernel
+// subtest is skipped on a host without AVX-512F; the log says which
+// ran, so every test log shows the paths its host covered.
+func forEachPath(t *testing.T, test func(t *testing.T)) {
+	defer func(old bool) { useKernel = old }(useKernel)
+	for _, p := range sortPaths {
+		t.Run(p.name, func(t *testing.T) {
+			if p.kernel && !hasKernel {
+				t.Skip("no AVX-512F on this host: the kernel path is not tested here")
+			}
+			t.Logf("useKernel = %v (AVX-512 kernel available: %v)", p.kernel, hasKernel)
+			useKernel = p.kernel
+			test(t)
+		})
 	}
 }
 
@@ -132,6 +172,10 @@ func TestSortAllocFree(t *testing.T) {
 // midMax+8, through the merges and into the pdqsort tier, it is
 // sortRef, the unique total order of the floats.
 func TestSortBitIdentical(t *testing.T) {
+	forEachPath(t, testSortBitIdentical)
+}
+
+func testSortBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 12))
 	pool := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1, -1, 2.5,
 		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
@@ -205,7 +249,8 @@ func sameBits(a, b []float64) bool {
 // must come back as sortRef's bits exactly. Input with a NaN must come
 // back as a permutation of its bits: the keyed sort orders NaNs by their
 // keys, where float min and max networks could duplicate a NaN over
-// another value.
+// another value. Each input is sorted on both paths (sortPaths) where
+// the host has the kernel.
 func FuzzSort(f *testing.F) {
 	seed := func(xs ...float64) []byte {
 		var b []byte
@@ -227,16 +272,23 @@ func FuzzSort(f *testing.F) {
 			in[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 			hasNaN = hasNaN || math.IsNaN(in[i])
 		}
-		got := slices.Clone(in)
-		Sort(got)
-		if !hasNaN {
-			if want := sortRef(in); !sameBits(got, want) {
-				t.Fatalf("n=%d: Sort gives %v, the total order %v", len(in), got, want)
+		defer func(old bool) { useKernel = old }(useKernel)
+		for _, p := range sortPaths {
+			if p.kernel && !hasKernel {
+				continue
 			}
-			return
-		}
-		if !slices.Equal(sortedBits(got), sortedBits(in)) {
-			t.Fatalf("n=%d input %v: Sort gives %v, not a permutation of its bits", len(in), in, got)
+			useKernel = p.kernel
+			got := slices.Clone(in)
+			Sort(got)
+			if !hasNaN {
+				if want := sortRef(in); !sameBits(got, want) {
+					t.Fatalf("%s, n=%d: Sort gives %v, the total order %v", p.name, len(in), got, want)
+				}
+				continue
+			}
+			if !slices.Equal(sortedBits(got), sortedBits(in)) {
+				t.Fatalf("%s, n=%d input %v: Sort gives %v, not a permutation of its bits", p.name, len(in), in, got)
+			}
 		}
 	})
 }
@@ -293,4 +345,46 @@ func sizeName(n int) string {
 		n /= 10
 	}
 	return "n" + string(out)
+}
+
+// TestKernelMatchesSortHalves holds sort64 to sortHalves, the network
+// tier it replaces, bit for bit at every n in 33..64, over inputs of
+// ±0, ±Inf, ±MaxFloat64, subnormals, NaNs of both signs with assorted
+// payloads, duplicates and normals, and a tail past n that neither may
+// touch. NaNs included, both sort the same keys, so they must agree on
+// every bit.
+func TestKernelMatchesSortHalves(t *testing.T) {
+	if !hasKernel {
+		t.Skip("no AVX-512F on this host: Sort runs sortHalves")
+	}
+	rng := rand.New(rand.NewPCG(13, 14))
+	nan := func(sign, payload uint64) float64 {
+		return math.Float64frombits(sign<<63 | 0x7ff<<52 | payload)
+	}
+	pool := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1, -1,
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1022 - 0x1p-1074, -0x1p-1030, nan(0, 1), nan(1, 1), nan(0, 1<<51), nan(1, 1<<52-1),
+		nan(0, 1<<52-1), math.Float64frombits(1<<63 - 1)}
+	const tail = 3
+	for n := networkMax + 1; n <= 2*networkMax; n++ {
+		for trial := 0; trial < 2000; trial++ {
+			in := make([]float64, n+tail)
+			for i := range in {
+				switch {
+				case trial%3 == 0:
+					in[i] = pool[rng.IntN(len(pool))]
+				case trial%3 == 1 && rng.IntN(2) == 0:
+					in[i] = pool[rng.IntN(len(pool))]
+				default:
+					in[i] = float64(rng.IntN(8)) * rng.NormFloat64()
+				}
+			}
+			got, want := slices.Clone(in), slices.Clone(in)
+			sort64(got[:n])
+			sortHalves(want[:n])
+			if !sameBits(got, want) {
+				t.Fatalf("n=%d input %v: sort64 gives %v, sortHalves %v", n, in, got, want)
+			}
+		}
+	}
 }

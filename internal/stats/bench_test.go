@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -15,17 +14,6 @@ func benchData(n int) []float64 {
 		xs[i] = 26.3e-3 + 0.18e-3*r.NormFloat64()
 	}
 	return xs
-}
-
-func BenchmarkSummarize(b *testing.B) {
-	for _, n := range []int{48, 3840, 768000} {
-		xs := benchData(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				Summarize(xs)
-			}
-		})
-	}
 }
 
 func BenchmarkPercentile(b *testing.B) {

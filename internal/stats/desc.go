@@ -233,23 +233,3 @@ type Summary struct {
 	Skewness float64
 	Kurtosis float64
 }
-
-// Summarize computes a Summary for xs.
-func Summarize(xs []float64) Summary {
-	s := Sorted(xs)
-	return Summary{
-		N:        len(xs),
-		Mean:     Mean(xs),
-		StdDev:   StdDev(xs),
-		Min:      Min(xs),
-		P5:       PercentileSorted(s, 5),
-		P25:      PercentileSorted(s, 25),
-		Median:   PercentileSorted(s, 50),
-		P75:      PercentileSorted(s, 75),
-		P95:      PercentileSorted(s, 95),
-		Max:      Max(xs),
-		IQR:      IQRSorted(s),
-		Skewness: Skewness(xs),
-		Kurtosis: Kurtosis(xs),
-	}
-}

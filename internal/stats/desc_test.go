@@ -100,19 +100,6 @@ func TestSortedDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	s := Summarize(xs)
-	if s.N != 10 {
-		t.Errorf("N = %d", s.N)
-	}
-	approx(t, "mean", s.Mean, 5.5, 1e-12)
-	approx(t, "median", s.Median, 5.5, 1e-12)
-	approx(t, "iqr", s.IQR, 4.5, 1e-12)
-	approx(t, "min", s.Min, 1, 0)
-	approx(t, "max", s.Max, 10, 0)
-}
-
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(raw []float64, p1, p2 float64) bool {
 		xs := make([]float64, 0, len(raw))

@@ -19,11 +19,6 @@ func TestNormalCDFKnownValues(t *testing.T) {
 	}
 }
 
-func TestNormalPDFKnownValues(t *testing.T) {
-	approx(t, "phi(0)", NormalPDF(0), 0.3989422804014327, 1e-14)
-	approx(t, "phi(1)", NormalPDF(1), 0.24197072451914337, 1e-14)
-}
-
 func TestNormalQuantileKnownValues(t *testing.T) {
 	cases := []struct{ p, want float64 }{
 		{0.5, 0},

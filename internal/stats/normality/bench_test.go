@@ -56,19 +56,6 @@ func BenchmarkAndersonDarling(b *testing.B) {
 	}
 }
 
-func BenchmarkJarqueBera(b *testing.B) {
-	for _, n := range benchSizes {
-		xs := benchSamples(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := JarqueBeraTest(xs, DefaultAlpha); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkBattery measures a full Table 1 cell: all three tests on one
 // 48-thread process iteration.
 func BenchmarkBattery(b *testing.B) {

@@ -10,8 +10,7 @@
 // Two kinds of entry point share the tests. The per-test functions,
 // Battery, BatteryScratch and BatterySorted return full Results —
 // statistic, p-value and verdict — and their bits are pinned against
-// reference implementations. Verdicts (and PassedSorted, its one-off
-// form) returns the verdicts alone, which is all the paper's Table 1
+// reference implementations. Verdicts returns the verdicts alone, which is all the paper's Table 1
 // counts, and equals BatterySorted(...)[t].Passed() on every input.
 // Built once per pass, it holds each test's critical value at the
 // pass's significance level: D'Agostino compares K² with -2·ln α and
@@ -51,7 +50,6 @@ const (
 	ShapiroWilk
 	// AndersonDarling is the Anderson-Darling A² test, case 3.
 	AndersonDarling
-	numTests
 )
 
 // Tests lists all three tests in the order the paper's Table 1 reports them.

@@ -8,10 +8,10 @@ import (
 	"earlybird/internal/stats"
 )
 
-// The reference battery: D'Agostino and Jarque-Bera as they were before
-// the one-pass moments — four passes over the sample and a math.Pow call
-// per sample and moment — with Shapiro-Wilk and Anderson-Darling on a
-// sorted copy, as Battery has always run them.
+// The reference battery: D'Agostino as it was before the one-pass
+// moments — four passes over the sample and a math.Pow call per sample
+// and moment — with Shapiro-Wilk and Anderson-Darling on a sorted copy,
+// as Battery has always run them.
 
 func refCentralMoment(xs []float64, k int) float64 {
 	if len(xs) == 0 {
@@ -52,21 +52,6 @@ func refDAgostinoK2(xs []float64, alpha float64) (Result, error) {
 	return Result{Test: DAgostino, Statistic: k2, PValue: p, RejectNormal: p < alpha, N: len(xs)}, nil
 }
 
-func refJarqueBera(xs []float64, alpha float64) (Result, error) {
-	n := len(xs)
-	if n < 30 {
-		return Result{}, ErrSampleTooSmall
-	}
-	if stats.Min(xs) == stats.Max(xs) {
-		return Result{}, ErrConstantSample
-	}
-	g1 := refSkewness(xs)
-	b2 := refKurtosis(xs)
-	jb := float64(n) / 6 * (g1*g1 + (b2-3)*(b2-3)/4)
-	p := stats.ChiSquaredSF(jb, 2)
-	return Result{Test: Test(numTests), Statistic: jb, PValue: p, RejectNormal: p < alpha, N: n}, nil
-}
-
 func refBattery(xs []float64, alpha float64) [3]Result {
 	n := len(xs)
 	sorted := make([]float64, n)
@@ -104,9 +89,9 @@ func sameResult(got, want Result) bool {
 }
 
 // TestBatteryBitIdenticalToReference pins every entry point of the
-// battery — Battery, BatteryScratch, BatterySorted — and Jarque-Bera to
-// the reference over normal, skewed, laggard-contaminated and constant
-// samples around the tests' minimum sizes.
+// battery — Battery, BatteryScratch, BatterySorted — to the reference
+// over normal, skewed, laggard-contaminated and constant samples around
+// the tests' minimum sizes.
 func TestBatteryBitIdenticalToReference(t *testing.T) {
 	gens := map[string]func(seed uint64, n int) []float64{
 		"normal": func(seed uint64, n int) []float64 { return normalSample(seed, n, 26e-3, 0.4e-3) },
@@ -143,12 +128,6 @@ func TestBatteryBitIdenticalToReference(t *testing.T) {
 								name, n, seed, entry, test, got[test], want[test])
 						}
 					}
-				}
-				gotJB, errGot := JarqueBeraTest(xs, DefaultAlpha)
-				wantJB, errWant := refJarqueBera(xs, DefaultAlpha)
-				if errGot != errWant || !sameResult(gotJB, wantJB) {
-					t.Errorf("%s n=%d seed=%d: Jarque-Bera %+v (%v), reference %+v (%v)",
-						name, n, seed, gotJB, errGot, wantJB, errWant)
 				}
 			}
 		}

@@ -387,7 +387,7 @@ func TestVerdictsRanges(t *testing.T) {
 		scaled(1e-100), scaled(1e-160), scaled(1e100), scaled(1e160)} {
 		sorted := append([]float64(nil), xs...)
 		sortx.Sort(sorted)
-		got, want := PassedSorted(xs, sorted, DefaultAlpha), BatterySorted(xs, sorted, DefaultAlpha)
+		got, want := NewVerdicts(DefaultAlpha).Passed(xs, sorted), BatterySorted(xs, sorted, DefaultAlpha)
 		for _, test := range Tests {
 			if got[test] != want[test].Passed() {
 				t.Errorf("%v: %v passed=%v, battery %+v", xs[:3], test, got[test], want[test])

@@ -141,13 +141,6 @@ func fusedMoments(xs, sorted []float64) (m2, m3, m4 float64, sp spread) {
 	return m2 / n, m3 / n, m4 / n, spread{meanS, ss}
 }
 
-// PassedSorted is NewVerdicts(alpha).Passed(xs, sorted), for a caller
-// that decides a single sample at alpha; a caller that decides many
-// builds the Verdicts once.
-func PassedSorted(xs, sorted []float64, alpha float64) [3]bool {
-	return NewVerdicts(alpha).Passed(xs, sorted)
-}
-
 // thresholdMargin is how far K² and Royston's z must sit from their
 // critical values before the threshold verdicts trust their side of
 // them. Royston's z is computed bit for bit as the reference computes

@@ -39,13 +39,13 @@ var verdictShapes = map[string]func(s *rng.Source, n int) []float64{
 	},
 }
 
-// TestPassedSortedMatchesBattery pins the verdict-only battery to the
+// TestVerdictsPassedMatchesBattery pins the verdict-only battery to the
 // full one over random blocks of every shape at sizes 8..200, so both
 // the Anderson-Darling table (n ≤ adMaxN) and the reference it falls
 // back to (n > adMaxN) are covered, at the paper's 5% level and at
 // Stephens' other tabulated levels; the table's A²* must stay within
 // its margin of the reference's.
-func TestPassedSortedMatchesBattery(t *testing.T) {
+func TestVerdictsPassedMatchesBattery(t *testing.T) {
 	src := rng.New(18)
 	alphas := append([]float64{DefaultAlpha}, adCriticalSig...)
 	blocks, fast, maxGap := 0, 0, 0.0
@@ -62,7 +62,7 @@ func TestPassedSortedMatchesBattery(t *testing.T) {
 				alpha := alphas[blocks%len(alphas)]
 				blocks++
 				want := BatterySorted(xs, sorted, alpha)
-				got := PassedSorted(xs, sorted, alpha)
+				got := NewVerdicts(alpha).Passed(xs, sorted)
 				for _, test := range Tests {
 					if got[test] != want[test].Passed() {
 						t.Fatalf("%s n=%d alpha=%v: %v passed=%v, battery %+v",
@@ -147,10 +147,10 @@ func TestADTableBound(t *testing.T) {
 	}
 }
 
-// TestPassedSortedDegenerate: samples Anderson-Darling cannot test count
+// TestVerdictsPassedDegenerate: samples Anderson-Darling cannot test count
 // as rejected, through the fallback, and the other verdicts still match
 // the battery's.
-func TestPassedSortedDegenerate(t *testing.T) {
+func TestVerdictsPassedDegenerate(t *testing.T) {
 	constant := make([]float64, 48)
 	for i := range constant {
 		constant[i] = 0.025
@@ -158,7 +158,7 @@ func TestPassedSortedDegenerate(t *testing.T) {
 	for _, xs := range [][]float64{nil, {1, 2}, {1, 2, 3, 4, 5, 6, 7}, constant} {
 		sorted := append([]float64(nil), xs...)
 		sortx.Sort(sorted)
-		got, want := PassedSorted(xs, sorted, DefaultAlpha), BatterySorted(xs, sorted, DefaultAlpha)
+		got, want := NewVerdicts(DefaultAlpha).Passed(xs, sorted), BatterySorted(xs, sorted, DefaultAlpha)
 		for _, test := range Tests {
 			if got[test] != want[test].Passed() {
 				t.Errorf("n=%d: %v passed=%v, battery %+v", len(xs), test, got[test], want[test])
