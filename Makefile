@@ -9,7 +9,7 @@ GO ?= go
 # climbs, never lower it).
 COVER_FLOOR ?= 80.0
 
-.PHONY: all build test race race-fleet test-chaos test-scenario test-scripts test-bitident-v3 bench bench-json bench-gate bench-baseline profile lint lint-fma lint-branchless fmt docs-check cover fuzz-smoke clean-store
+.PHONY: all build test race race-fleet test-chaos test-scenario test-scripts test-bitident-v3 test-kernels bench bench-json bench-gate bench-baseline profile lint lint-fma lint-branchless fmt docs-check cover fuzz-smoke clean-store
 
 all: build lint docs-check test
 
@@ -86,6 +86,9 @@ clean-store:
 # pruned ones on both of its paths (TestSortBitIdentical), its AVX-512
 # kernel against the networks it replaces at n = 33..64
 # (TestKernelMatchesSortHalves, skipped on a runner without AVX-512F),
+# the Anderson-Darling table sum's AVX-512 kernel against its Go loop
+# (TestADKernelMatchesTable, a bound and equal verdicts, skipped the
+# same way),
 # the fleet shard paths — both driven by the shared block kernel —
 # against single-node execution, and a local
 # sweep cell above the one constant sample bound, folded on the fold's
@@ -108,11 +111,19 @@ clean-store:
 # the bits under amd64's wider instruction set and is the first slice of
 # a GOAMD64 matrix.
 test-bitident-v3:
-	GOAMD64=v3 $(GO) test -count=1 -run 'BitIdentical|OnePassMoments|ADTableBound|PerSizeConsts|ThresholdK2Bound|KernelMatchesSortHalves' ./internal/stats/... ./internal/core ./internal/sortx
+	GOAMD64=v3 $(GO) test -count=1 -run 'BitIdentical|OnePassMoments|ADTableBound|PerSizeConsts|ThresholdK2Bound|KernelMatchesSortHalves|ADKernelMatchesTable' ./internal/stats/... ./internal/core ./internal/sortx
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestShardMergeBitIdenticalToSingleNode|TestShardStreamedPathBitIdentical|CacheBound|OverBound' ./internal/serve
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestFleetSweepIQRBitIdentical|TestStreamStudyMatchesSweepRowUnderEveryPolicy' ./internal/fleet
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestDLBStaticGoldenFingerprint|TestProgressSinkDoesNotPerturbFill' ./internal/cluster
 	GOAMD64=v3 $(GO) test -count=1 -run 'TestStrategiesBitIdenticalToLink|FuzzStrategyOrdering' ./internal/partcomm
+
+# The AVX-512 kernels against their Go oracles, verbose and uncached:
+# sortx's bitonic sort (TestKernelMatchesSortHalves) and the
+# Anderson-Darling table sum (TestADKernelMatchesTable). Each skips on a
+# host without AVX-512F and says so, so the log shows whether the
+# kernels ran on that runner or only their Go fallbacks did.
+test-kernels:
+	$(GO) test -count=1 -v -run 'KernelMatchesSortHalves|ADKernelMatchesTable' ./internal/sortx ./internal/stats/normality
 
 # Shell-level tests for the repo's scripts: the bench gate's
 # comparison verdicts (scripts/bench_gate_test.sh), in particular that a
@@ -120,13 +131,15 @@ test-bitident-v3:
 # through ungated, and the -run pattern guard: every `|` alternative of
 # test-bitident-v3's patterns must name a test under `go test -list`
 # (scripts/check_run_patterns.sh, self-tested first), so renaming a test
-# cannot quietly drop it from the GOAMD64=v3 job; and the documented-
+# cannot quietly drop it from the GOAMD64=v3 job, and the same holds for
+# test-kernels; and the documented-
 # flag check of docs-check (scripts/check_cli_flags_test.sh) must pass
 # listed flags and fail unlisted ones.
 test-scripts:
 	sh scripts/bench_gate_test.sh
 	sh scripts/check_run_patterns_test.sh
 	sh scripts/check_run_patterns.sh Makefile test-bitident-v3
+	sh scripts/check_run_patterns.sh Makefile test-kernels
 	sh scripts/check_cli_flags_test.sh
 
 # One iteration per benchmark: a smoke test that the benchmarks still
@@ -234,10 +247,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzParseGeometry$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/cliopts
 
-# vet runs twice: for the host, which checks kernel_amd64.s's frame and
-# argument names against sort64's declaration (asmdecl), and for arm64,
-# so the build without the AVX-512 kernel (kernel_other.go) cannot break
-# unseen on an amd64 CI runner.
+# vet runs twice: for the host, which checks the AVX-512 kernels' frame
+# and argument names against their declarations (asmdecl: sortx's
+# kernel_amd64.s, normality's adkernel_amd64.s, cpuid's cpuid_amd64.s),
+# and for arm64, so the build without the kernels (kernel_other.go,
+# adkernel_other.go, cpuid_other.go) cannot break unseen on an amd64 CI
+# runner.
 lint:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...

@@ -33,31 +33,6 @@ func (s *Source) NormFloat64() float64 { return normFloat64pcg(s.pcg) }
 // (*rand.Rand).ExpFloat64 with a devirtualized, bit-identical version.
 func (s *Source) ExpFloat64() float64 { return expFloat64pcg(s.pcg) }
 
-// Float64Batch fills out with len(out) consecutive Float64 draws.
-func (s *Source) Float64Batch(out []float64) {
-	p := s.pcg
-	for i := range out {
-		out[i] = float64pcg(p)
-	}
-}
-
-// NormFloat64Batch fills out with len(out) consecutive NormFloat64
-// draws.
-func (s *Source) NormFloat64Batch(out []float64) {
-	p := s.pcg
-	for i := range out {
-		out[i] = normFloat64pcg(p)
-	}
-}
-
-// ExpFloat64Batch fills out with len(out) consecutive ExpFloat64 draws.
-func (s *Source) ExpFloat64Batch(out []float64) {
-	p := s.pcg
-	for i := range out {
-		out[i] = expFloat64pcg(p)
-	}
-}
-
 // FillNormal sets out[i] = Normal(mu, sigma) for every element —
 // element-wise identical to the scalar loop.
 func (s *Source) FillNormal(out []float64, mu, sigma float64) {

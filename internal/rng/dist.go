@@ -1,60 +1,10 @@
 package rng
 
-import (
-	"math"
-
-	"earlybird/internal/stats"
-)
+import "math"
 
 // Normal draws from N(mu, sigma). sigma must be non-negative.
 func (s *Source) Normal(mu, sigma float64) float64 {
 	return mu + sigma*s.NormFloat64()
-}
-
-// truncNormalRejectionMass is the minimum acceptance probability for
-// which TruncNormal uses rejection sampling. Above it, rejection needs
-// at most 1/mass = 16 expected draws and terminates almost surely (no
-// iteration cap required); below it, a single-draw inverse transform
-// replaces what used to be a 1024-iteration spin ending in a clamp.
-const truncNormalRejectionMass = 1.0 / 16
-
-// TruncNormal draws from N(mu, sigma) truncated to [lo, hi].
-//
-// When the interval holds at least truncNormalRejectionMass of the
-// normal's probability mass — every workload parameterisation in this
-// repository does — it uses uncapped rejection sampling, consuming the
-// underlying stream exactly as the historical implementation did (the
-// sequence-pinning tests in dist_test.go hold it to that). Thin
-// intervals instead draw one uniform and invert the truncated CDF
-// directly, replacing the former bounded-rejection spin whose cap
-// produced a hard clamp to the interval boundary.
-func (s *Source) TruncNormal(mu, sigma, lo, hi float64) float64 {
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if !(sigma > 0) {
-		// Degenerate spread: the distribution is a point mass at mu.
-		// Consume one normal draw like the historical first rejection
-		// attempt, then clamp.
-		x := s.Normal(mu, sigma)
-		return math.Min(math.Max(x, lo), hi)
-	}
-	plo := stats.NormalCDF((lo - mu) / sigma)
-	phi := stats.NormalCDF((hi - mu) / sigma)
-	if phi-plo >= truncNormalRejectionMass {
-		for {
-			x := s.Normal(mu, sigma)
-			if x >= lo && x <= hi {
-				return x
-			}
-		}
-	}
-	// Thin interval: direct inverse transform through the truncated
-	// CDF. One uniform draw, exact distribution, no spin; the clamp
-	// only guards quantile round-off at the interval edges.
-	u := s.Float64()
-	x := mu + sigma*stats.NormalQuantile(plo+u*(phi-plo))
-	return math.Min(math.Max(x, lo), hi)
 }
 
 // Exp draws from an exponential distribution with the given mean

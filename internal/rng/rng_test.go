@@ -108,24 +108,6 @@ func TestExpMoments(t *testing.T) {
 	}
 }
 
-func TestTruncNormalBounds(t *testing.T) {
-	s := New(9)
-	for i := 0; i < 10000; i++ {
-		x := s.TruncNormal(0, 1, -0.5, 2)
-		if x < -0.5 || x > 2 {
-			t.Fatalf("draw %v outside [-0.5, 2]", x)
-		}
-	}
-}
-
-func TestTruncNormalSwappedBounds(t *testing.T) {
-	s := New(10)
-	x := s.TruncNormal(0, 1, 2, -0.5) // reversed bounds are normalised
-	if x < -0.5 || x > 2 {
-		t.Fatalf("draw %v outside [-0.5, 2]", x)
-	}
-}
-
 func TestParetoMinimum(t *testing.T) {
 	s := New(11)
 	for i := 0; i < 10000; i++ {

@@ -37,8 +37,9 @@
 //     pairs and the 15 lane-pairing stages as one VPERMQ and a
 //     merge-masked VPMINSQ and VPMAXSQ each, maps the keys back and
 //     stores n elements masked. Sort takes it when useKernel, which is
-//     hasKernel: CPUID leaf 7 lists AVX-512F and XCR0 shows the OS
-//     saving the opmask and ZMM state. There is no flag: every named
+//     cpuid.AVX512F, the one AVX-512 detection this package shares with
+//     normality's table sum: CPUID leaf 7 lists AVX-512F and XCR0 shows
+//     the OS saving the opmask and ZMM state. There is no flag: every named
 //     geometry runs 48 threads, so there is one kernel and no 16- or
 //     32-slot one.
 //   - 33 <= n <= 64 elsewhere (other amd64 hosts, arm64): two runs of
@@ -113,6 +114,8 @@ import (
 	"math"
 	"slices"
 	"unsafe"
+
+	"earlybird/internal/cpuid"
 )
 
 // networkMax is the widest network and the width of each run's slot in
@@ -127,8 +130,8 @@ const quarterMax = 4 * networkMax
 const midMax = 2 * quarterMax
 
 // useKernel selects sort64, the AVX-512 kernel, for 33 <= n <= 64; it
-// is hasKernel, and tests flip it to run the networks on any host.
-var useKernel = hasKernel
+// is cpuid.AVX512F, and tests flip it to run the networks on any host.
+var useKernel = cpuid.AVX512F()
 
 // key maps the bits of a float64 to an int64 whose signed order is Go's
 // total order of floats, and maps such a key back to the bits: it flips

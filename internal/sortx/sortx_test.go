@@ -8,6 +8,8 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
+
+	"earlybird/internal/cpuid"
 )
 
 // TestNetworksMatchSlicesSort drives every size through the generated
@@ -90,7 +92,7 @@ func freshInputs(n int) [][]float64 {
 
 // BenchmarkSort times Sort on fresh inputs. n48 runs once per path:
 // n48 is what the host's Sort takes, n48/networks and n48/kernel force
-// sortHalves and the AVX-512 kernel (the latter only where hasKernel).
+// sortHalves and the AVX-512 kernel (the latter only where cpuid.AVX512F).
 func BenchmarkSort(b *testing.B) {
 	run := func(b *testing.B, n int) {
 		srcs := freshInputs(n)
@@ -107,7 +109,7 @@ func BenchmarkSort(b *testing.B) {
 		b.Run(sizeName(n), func(b *testing.B) { run(b, n) })
 	}
 	for _, p := range sortPaths {
-		if p.kernel && !hasKernel {
+		if p.kernel && !cpuid.AVX512F() {
 			continue
 		}
 		useKernel = p.kernel
@@ -139,7 +141,7 @@ func TestSortAllocFree(t *testing.T) {
 
 // sortPaths are the two ways Sort takes 33 <= n <= 64: the networks
 // and merge of sortHalves, and the AVX-512 kernel, which runs only where
-// hasKernel.
+// cpuid.AVX512F.
 var sortPaths = []struct {
 	name   string
 	kernel bool
@@ -153,10 +155,10 @@ func forEachPath(t *testing.T, test func(t *testing.T)) {
 	defer func(old bool) { useKernel = old }(useKernel)
 	for _, p := range sortPaths {
 		t.Run(p.name, func(t *testing.T) {
-			if p.kernel && !hasKernel {
+			if p.kernel && !cpuid.AVX512F() {
 				t.Skip("no AVX-512F on this host: the kernel path is not tested here")
 			}
-			t.Logf("useKernel = %v (AVX-512 kernel available: %v)", p.kernel, hasKernel)
+			t.Logf("useKernel = %v (AVX-512 kernel available: %v)", p.kernel, cpuid.AVX512F())
 			useKernel = p.kernel
 			test(t)
 		})
@@ -274,7 +276,7 @@ func FuzzSort(f *testing.F) {
 		}
 		defer func(old bool) { useKernel = old }(useKernel)
 		for _, p := range sortPaths {
-			if p.kernel && !hasKernel {
+			if p.kernel && !cpuid.AVX512F() {
 				continue
 			}
 			useKernel = p.kernel
@@ -354,7 +356,7 @@ func sizeName(n int) string {
 // touch. NaNs included, both sort the same keys, so they must agree on
 // every bit.
 func TestKernelMatchesSortHalves(t *testing.T) {
-	if !hasKernel {
+	if !cpuid.AVX512F() {
 		t.Skip("no AVX-512F on this host: Sort runs sortHalves")
 	}
 	rng := rand.New(rand.NewPCG(13, 14))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"earlybird/internal/cpuid"
 	"earlybird/internal/sortx"
 )
 
@@ -105,5 +106,41 @@ func BenchmarkVerdicts(b *testing.B) {
 				c.verdict()
 			}
 		})
+	}
+}
+
+// BenchmarkADTable times the Anderson-Darling table statistic
+// (adTableStatisticAbout, given each block's spread) with the table's
+// sum on each path: go, the Go loop, and kernel, the AVX-512 kernel
+// (only where cpuid.AVX512F). It cycles the 3,200 sorted blocks of a
+// 2x8x200x48 fill per app, so no block repeats within 3,200 calls: the
+// one repeated block of BenchmarkVerdicts lets the branch predictor
+// learn its input.
+func BenchmarkADTable(b *testing.B) {
+	defer func(old bool) { useKernel = old }(useKernel)
+	for _, app := range fillApps {
+		blocks := appBlocks(b, app)
+		sps := make([]spread, len(blocks))
+		for i, xs := range blocks {
+			sps[i] = spreadOf(xs)
+		}
+		for _, p := range []struct {
+			name   string
+			kernel bool
+		}{{"go", false}, {"kernel", true}} {
+			if p.kernel && !cpuid.AVX512F() {
+				continue
+			}
+			b.Run(app+"/"+p.name, func(b *testing.B) {
+				useKernel = p.kernel
+				k := 0
+				for b.Loop() {
+					if _, ok := adTableStatisticAbout(blocks[k%len(blocks)], sps[k%len(blocks)]); !ok {
+						b.Fatal("a real block fell outside the table")
+					}
+					k++
+				}
+			})
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"earlybird/internal/cpuid"
 	"earlybird/internal/stats"
 )
 
@@ -31,7 +32,11 @@ import (
 //
 // Per block, Passed looks up the per-size constants once and, for
 // 20 ≤ n ≤ adMaxN, reads every sum the three tests need from one fused
-// sweep (fusedMoments) instead of four.
+// sweep (fusedMoments) instead of four. On an amd64 host with AVX-512F
+// (cpuid.AVX512F, the one detection sortx's block sort reads too) the
+// Anderson-Darling table's sum runs in one kernel, eight samples per
+// step (adTableSumKernel); elsewhere the Go loop (adTableSum) runs,
+// which is also the kernel's test oracle.
 type Verdicts struct {
 	alpha float64
 	// k2Crit and zCrit are NaN when alpha lies outside the range their
@@ -264,9 +269,12 @@ var lnPhiTable = sync.OnceValue(func() *[adTableCells + 1]float64 {
 // The constant term covers rounding, over 25 times: each g read from
 // the table is off by at most 10³·u (u = 2⁻⁵³; |g| ≤ 67 and |g′| < 12
 // on the table, and the table places z by a multiplication rather than
-// the reference's division), and near a critical value both in-order
-// sums of n same-signed terms by at most (n+3)·u·|S| with
-// |S| ≈ n(n + A²), together under 4e-11 in A²* at n = adMaxN.
+// the reference's division), and near a critical value each sum of n
+// same-signed terms (every g ≤ 0, every weight positive) by at most
+// (n+3)·u·|S| with |S| ≈ n(n + A²), in whatever association it is
+// added: the reference's order, the Go loop's or the AVX-512 kernel's
+// eight lane sums and their reduction. Together under 4e-11 in A²* at
+// n = adMaxN.
 func adTableMargin(n int) float64 {
 	const h = 1.0 / adTableSteps
 	return 1.13*float64(n)*h*h/4 + 1e-9
@@ -302,11 +310,34 @@ func adTableStatisticAbout(x []float64, sp spread) (float64, bool) {
 	}
 	// The same mean and deviation as AndersonDarlingSorted:
 	// VarianceAbout divides the same sum by n-1.
-	mean := sp.mean
 	sd := math.Sqrt(sp.ss / float64(n-1))
 	scale := adTableSteps / sd
-	g := lnPhiTable()
+	var sum float64
+	var ok bool
+	if useKernel {
+		sum, ok = adTableSumKernel(x, sp.mean, scale, lnPhiTable())
+	} else {
+		sum, ok = adTableSum(x, sp.mean, scale, lnPhiTable())
+	}
+	if !ok {
+		return 0, false
+	}
 	nf := float64(n)
+	a2 := -nf - sum/nf
+	return a2 * (1 + 0.75/nf + 2.25/(nf*nf)), true
+}
+
+// useKernel selects adTableSumKernel, the AVX-512 kernel, for the
+// table's sum; it is cpuid.AVX512F, and tests flip it to run the Go
+// loop on any host.
+var useKernel = cpuid.AVX512F()
+
+// adTableSum returns S = Σ (2i+1)·g(z_i) + (2n-2i-1)·g(-z_i) with
+// z_i = (x_i-mean)·scale/adTableSteps and g read from the table, or
+// false when some z_i is outside the table or NaN. It is the Go form
+// of adTableSumKernel and its test oracle.
+func adTableSum(x []float64, mean, scale float64, g *[adTableCells + 1]float64) (float64, bool) {
+	nf := float64(len(x))
 	sum := 0.0
 	for i, xi := range x {
 		// z sits at t = k + f cells from the table's left end, and -z
@@ -323,8 +354,7 @@ func adTableStatisticAbout(x []float64, sp spread) (float64, bool) {
 		w := float64(2*i + 1)
 		sum += w*lo + (2*nf-w)*hi
 	}
-	a2 := -nf - sum/nf
-	return a2 * (1 + 0.75/nf + 2.25/(nf*nf)), true
+	return sum, true
 }
 
 // adReferencePassed is the verdict of the unchanged AndersonDarlingSorted;

@@ -44,8 +44,13 @@ var verdictShapes = map[string]func(s *rng.Source, n int) []float64{
 // the Anderson-Darling table (n ≤ adMaxN) and the reference it falls
 // back to (n > adMaxN) are covered, at the paper's 5% level and at
 // Stephens' other tabulated levels; the table's A²* must stay within
-// its margin of the reference's.
+// its margin of the reference's. It runs once per path of the table's
+// sum (forEachADPath).
 func TestVerdictsPassedMatchesBattery(t *testing.T) {
+	forEachADPath(t, testVerdictsPassedMatchesBattery)
+}
+
+func testVerdictsPassedMatchesBattery(t *testing.T) {
 	src := rng.New(18)
 	alphas := append([]float64{DefaultAlpha}, adCriticalSig...)
 	blocks, fast, maxGap := 0, 0, 0.0
@@ -96,7 +101,7 @@ func TestVerdictsPassedMatchesBattery(t *testing.T) {
 // difference must lie in [-h², 0], as -g″ is in (0, 1), both up to
 // rounding. Then over 400k random blocks, 25k of each shape at n = 8,
 // 20, 48 and adMaxN, the table's A²* must stay within the margin of
-// the reference's.
+// the reference's, on each path of the table's sum (forEachADPath).
 func TestADTableBound(t *testing.T) {
 	const (
 		h     = 1.0 / adTableSteps
@@ -119,6 +124,11 @@ func TestADTableBound(t *testing.T) {
 	}
 	t.Logf("largest midpoint error %g, h²/8 = %g", worst, h*h/8)
 
+	forEachADPath(t, testADTableSweep)
+}
+
+// testADTableSweep is TestADTableBound's block sweep.
+func testADTableSweep(t *testing.T) {
 	src := rng.New(29)
 	for _, n := range []int{8, 20, 48, adMaxN} {
 		margin := adTableMargin(n)
@@ -187,8 +197,12 @@ func nearCriticalSample(tb testing.TB, n int, crit, tol float64) []float64 {
 // TestADVerdictNearCritical builds samples whose reference A²* sits
 // within 1e-12 of each of Stephens' critical values, where the table
 // cannot tell the sides apart: the verdict must come from the reference
-// and agree with it.
+// and agree with it, on each path of the table's sum (forEachADPath).
 func TestADVerdictNearCritical(t *testing.T) {
+	forEachADPath(t, testADVerdictNearCritical)
+}
+
+func testADVerdictNearCritical(t *testing.T) {
 	for _, n := range []int{8, 48, 128} {
 		for i, sig := range adCriticalSig {
 			crit := adCriticalVal[i]
@@ -221,7 +235,8 @@ func encodeSample(xs []float64) []byte {
 
 // FuzzADVerdict decodes bytes into a finite sample (NaN and ±Inf words
 // are skipped) and asserts that the filtered verdict equals the
-// reference's at the paper's level, at whatever size the input gives.
+// reference's at the paper's level, at whatever size the input gives,
+// on each path of the table's sum (forEachADPath).
 func FuzzADVerdict(f *testing.F) {
 	f.Add(encodeSample(nearCriticalSample(f, 48, criticalValueFor(DefaultAlpha), 1e-12)))
 	f.Add(encodeSample(normalSample(7, 48, 26.3e-3, 0.4e-3)))
@@ -235,12 +250,14 @@ func FuzzADVerdict(f *testing.F) {
 			}
 		}
 		sortx.Sort(xs)
-		passed, _ := adPassedSorted(xs, DefaultAlpha)
-		if want := adReferencePassed(xs, DefaultAlpha); passed != want {
-			a2, ok := adTableStatistic(xs)
-			ref, err := AndersonDarlingSorted(xs, DefaultAlpha)
-			t.Fatalf("n=%d: passed=%v, reference %v (table A²* %v ok=%v, reference %+v err %v)",
-				len(xs), passed, want, a2, ok, ref, err)
-		}
+		want := adReferencePassed(xs, DefaultAlpha)
+		forEachADPath(t, func(t *testing.T) {
+			if passed, _ := adPassedSorted(xs, DefaultAlpha); passed != want {
+				a2, ok := adTableStatistic(xs)
+				ref, err := AndersonDarlingSorted(xs, DefaultAlpha)
+				t.Fatalf("n=%d: passed=%v, reference %v (table A²* %v ok=%v, reference %+v err %v)",
+					len(xs), passed, want, a2, ok, ref, err)
+			}
+		})
 	})
 }
