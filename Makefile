@@ -130,9 +130,10 @@ test-kernels:
 # benchmark missing from the baseline fails loudly instead of sliding
 # through ungated, and the -run pattern guard: every `|` alternative of
 # test-bitident-v3's patterns must name a test under `go test -list`
-# (scripts/check_run_patterns.sh, self-tested first), so renaming a test
-# cannot quietly drop it from the GOAMD64=v3 job, and the same holds for
-# test-kernels; and the documented-
+# (scripts/check_run_patterns.sh, self-tested first), so renaming or
+# deleting a test cannot quietly drop it from the GOAMD64=v3 job, and the
+# same holds for test-kernels, race-fleet, test-chaos and test-scenario;
+# and the documented-
 # flag check of docs-check (scripts/check_cli_flags_test.sh) must pass
 # listed flags and fail unlisted ones.
 test-scripts:
@@ -140,6 +141,9 @@ test-scripts:
 	sh scripts/check_run_patterns_test.sh
 	sh scripts/check_run_patterns.sh Makefile test-bitident-v3
 	sh scripts/check_run_patterns.sh Makefile test-kernels
+	sh scripts/check_run_patterns.sh Makefile race-fleet
+	sh scripts/check_run_patterns.sh Makefile test-chaos
+	sh scripts/check_run_patterns.sh Makefile test-scenario
 	sh scripts/check_cli_flags_test.sh
 
 # One iteration per benchmark: a smoke test that the benchmarks still

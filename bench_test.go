@@ -17,6 +17,7 @@ import (
 	"earlybird/internal/cluster"
 	"earlybird/internal/core"
 	"earlybird/internal/dlb"
+	"earlybird/internal/engine"
 	"earlybird/internal/experiments"
 	"earlybird/internal/network"
 	"earlybird/internal/partcomm"
@@ -39,7 +40,7 @@ var (
 func benchSuite(b *testing.B) *experiments.Suite {
 	b.Helper()
 	suiteOnce.Do(func() {
-		suite = experiments.NewSuite(experiments.Quick())
+		suite = experiments.NewSuiteOn(experiments.Quick(), engine.New(0))
 		for _, app := range experiments.AppNames {
 			suite.Dataset(app)
 		}

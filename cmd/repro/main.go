@@ -68,8 +68,8 @@ func runMain(args []string, stdout, stderr io.Writer) error {
 
 // runCampaign demonstrates the campaign engine: the three paper apps at
 // the configured and quick geometries — plus one deliberate duplicate of
-// every spec — fanned out concurrently, results streamed as they
-// complete, duplicates served from the dataset cache.
+// every spec — fanned out concurrently, duplicates served from the
+// dataset cache, results printed in spec order.
 func runCampaign(s *experiments.Suite, w io.Writer) error {
 	geoms := []cluster.Config{s.Config().Cluster, experiments.Quick().Cluster}
 	geoms[1].Seed = geoms[0].Seed
@@ -82,19 +82,17 @@ func runCampaign(s *experiments.Suite, w io.Writer) error {
 	specs = append(specs, specs...) // duplicates: must not re-execute
 
 	eng := s.Engine()
-	_, err := eng.Run(engine.Campaign{
-		Specs: specs,
-		Collect: func(r engine.Result) {
-			if r.Err != nil {
-				fmt.Fprintf(w, "spec %2d %-8s FAILED: %v\n", r.Index, r.Spec.App, r.Err)
-				return
-			}
-			g := r.Spec.Geometry
-			fmt.Fprintf(w, "spec %2d %-8s %dx%dx%dx%d cache=%-5v median %6.2f ms -> %s\n",
-				r.Index, r.Spec.App, g.Trials, g.Ranks, g.Iterations, g.Threads,
-				r.CacheHit, 1e3*r.Metrics.MeanMedianSec, r.Assessment.Recommendation)
-		},
-	})
+	results, err := eng.Run(engine.Campaign{Specs: specs})
+	for _, r := range results {
+		if r.Err != nil {
+			fmt.Fprintf(w, "spec %2d %-8s FAILED: %v\n", r.Index, r.Spec.App, r.Err)
+			continue
+		}
+		g := r.Spec.Geometry
+		fmt.Fprintf(w, "spec %2d %-8s %dx%dx%dx%d cache=%-5v median %6.2f ms -> %s\n",
+			r.Index, r.Spec.App, g.Trials, g.Ranks, g.Iterations, g.Threads,
+			r.CacheHit, 1e3*r.Metrics.MeanMedianSec, r.Assessment.Recommendation)
+	}
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -124,5 +125,27 @@ func TestRunMainGeometrySeed(t *testing.T) {
 	}
 	if seven == one {
 		t.Errorf("-geometry 1x2x20x8@7 printed the @1 metrics:\n%s", seven)
+	}
+}
+
+// TestRunMainCampaignInSpecOrder: -exp campaign prints one row per spec
+// in spec order, so two runs on four workers print the same bytes.
+func TestRunMainCampaignInSpecOrder(t *testing.T) {
+	args := []string{"-geometry", "1x2x12x48", "-workers", "4", "-exp", "campaign"}
+	first, err := runCmd(t, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(first), "\n")
+	if len(lines) != 13 {
+		t.Fatalf("%d lines, want 12 specs and a trailer:\n%s", len(lines), first)
+	}
+	for i, line := range lines[:12] {
+		if want := fmt.Sprintf("spec %2d ", i); !strings.HasPrefix(line, want) {
+			t.Errorf("line %d is %q, want it to start %q", i, line, want)
+		}
+	}
+	if again, err := runCmd(t, args...); err != nil || again != first {
+		t.Errorf("second run differs (error %v):\n%s\nfirst:\n%s", err, again, first)
 	}
 }

@@ -20,8 +20,8 @@
 // Batches of studies run as a campaign: RunCampaign fans the specs out
 // over a bounded worker pool, deduplicates identical specs to a single
 // execution, serves repeated (model, geometry, seed) datasets from a
-// content-addressed cache, and streams results to a collector as they
-// complete — deterministically, regardless of scheduling order:
+// content-addressed cache, and returns one result per spec, in spec
+// order, the same whatever the scheduling:
 //
 //	results, err := earlybird.RunCampaign(earlybird.Campaign{
 //		Specs: []earlybird.CampaignSpec{

@@ -109,20 +109,18 @@ func TestFacadeDatasetRoundTrip(t *testing.T) {
 
 func TestFacadeRunCampaign(t *testing.T) {
 	small := earlybird.Geometry{Trials: 1, Ranks: 2, Iterations: 12, Threads: 48, Seed: 21}
-	var streamed int
 	results, err := earlybird.RunCampaign(earlybird.Campaign{
 		Specs: []earlybird.CampaignSpec{
 			{App: "minife", Geometry: small},
 			{App: "miniqmc", Geometry: small},
 			{App: "minife", Geometry: small}, // duplicate: cache-served
 		},
-		Collect: func(earlybird.CampaignResult) { streamed++ },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if streamed != 3 {
-		t.Errorf("collector saw %d results", streamed)
+	if len(results) != 3 {
+		t.Fatalf("%d results for 3 specs", len(results))
 	}
 	if results[0].Metrics != results[2].Metrics {
 		t.Error("duplicate specs disagree")

@@ -47,17 +47,6 @@ func (tl *LaggardTimeline) ActiveIterations() int {
 	return n
 }
 
-// MaxCount returns the largest per-iteration laggard count.
-func (tl *LaggardTimeline) MaxCount() int {
-	max := 0
-	for _, c := range tl.Counts {
-		if c > max {
-			max = c
-		}
-	}
-	return max
-}
-
 // Burstiness returns the ratio of the variance of per-iteration counts
 // to their mean (the dispersion index). A Poisson-like sporadic process
 // scores ~1; clustered laggards score higher; a constant rate scores

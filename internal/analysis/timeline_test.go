@@ -39,9 +39,6 @@ func TestLaggardTimelineCounts(t *testing.T) {
 	if tl.ActiveIterations() != 2 {
 		t.Errorf("active = %d", tl.ActiveIterations())
 	}
-	if tl.MaxCount() != 4 {
-		t.Errorf("max = %d", tl.MaxCount())
-	}
 }
 
 func TestLaggardTimelineBurstiness(t *testing.T) {

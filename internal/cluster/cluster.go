@@ -478,12 +478,3 @@ func blockMax(xs []float64) float64 {
 	}
 	return m
 }
-
-// MustRun is Run for known-good configurations; it panics on error.
-func MustRun(model workload.Model, cfg Config) *trace.Dataset {
-	d, err := Run(model, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}

@@ -30,8 +30,8 @@ func TestRunGeometry(t *testing.T) {
 
 func TestRunDeterministicAcrossSchedules(t *testing.T) {
 	cfg := Config{Trials: 3, Ranks: 2, Iterations: 10, Threads: 16, Seed: 42}
-	a := MustRun(workload.DefaultMiniMD(), cfg)
-	b := MustRun(workload.DefaultMiniMD(), cfg)
+	a := mustRun(t, workload.DefaultMiniMD(), cfg)
+	b := mustRun(t, workload.DefaultMiniMD(), cfg)
 	as, bs := a.AllSamples(), b.AllSamples()
 	for i := range as {
 		if as[i] != bs[i] {
@@ -44,8 +44,8 @@ func TestRunSeedSensitivity(t *testing.T) {
 	cfg := Config{Trials: 1, Ranks: 1, Iterations: 2, Threads: 8, Seed: 1}
 	cfg2 := cfg
 	cfg2.Seed = 2
-	a := MustRun(workload.DefaultMiniQMC(), cfg)
-	b := MustRun(workload.DefaultMiniQMC(), cfg2)
+	a := mustRun(t, workload.DefaultMiniQMC(), cfg)
+	b := mustRun(t, workload.DefaultMiniQMC(), cfg2)
 	if a.AllSamples()[0] == b.AllSamples()[0] {
 		t.Fatal("different seeds produced identical data")
 	}
@@ -68,15 +68,6 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 	if cfg.Trials*cfg.Ranks*cfg.Iterations != 16000 {
 		t.Fatal("default config should yield 16000 process iterations")
 	}
-}
-
-func TestMustRunPanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustRun(workload.DefaultMiniFE(), Config{Trials: -1})
 }
 
 // countingObserver accumulates a per-worker sample count and sum; merged
@@ -153,7 +144,7 @@ func TestRunColumnarMatchesRunWorkers(t *testing.T) {
 	if col.Fingerprint() != d.Fingerprint() {
 		t.Fatal("columnar and dataset fingerprints differ")
 	}
-	if col.NumSamples() != d.NumSamples() {
+	if len(col.TimesColumn()) != d.NumSamples() {
 		t.Fatal("sample counts differ")
 	}
 }
@@ -163,7 +154,7 @@ func TestRunColumnarMatchesRunWorkers(t *testing.T) {
 func TestRunStreamWithSinkFeedsObserversAndSink(t *testing.T) {
 	model := &workload.MiniQMC{}
 	cfg := Config{Trials: 1, Ranks: 2, Iterations: 10, Threads: 8, Seed: 1}
-	sink := trace.NewSink(model.Name(), cfg.Trials, cfg.Ranks, cfg.Iterations, cfg.Threads)
+	sink := trace.NewSinkInto(nil, model.Name(), cfg.Trials, cfg.Ranks, cfg.Iterations, cfg.Threads)
 	obs, err := RunStream(model, cfg, dlb.Spec{}, 2, sink, func() BlockObserver { return &countingObserver{} }, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -176,8 +167,8 @@ func TestRunStreamWithSinkFeedsObserversAndSink(t *testing.T) {
 	for _, o := range obs {
 		n += o.(*countingObserver).n
 	}
-	if n != col.NumSamples() {
-		t.Fatalf("observers saw %d samples, sink holds %d", n, col.NumSamples())
+	if n != len(col.TimesColumn()) {
+		t.Fatalf("observers saw %d samples, sink holds %d", n, len(col.TimesColumn()))
 	}
 }
 
@@ -185,8 +176,19 @@ func TestRunStreamWithSinkFeedsObserversAndSink(t *testing.T) {
 func TestRunStreamRejectsMismatchedSink(t *testing.T) {
 	model := &workload.MiniFE{}
 	cfg := Config{Trials: 2, Ranks: 2, Iterations: 4, Threads: 4, Seed: 1}
-	sink := trace.NewSink(model.Name(), 1, 2, 4, 4)
+	sink := trace.NewSinkInto(nil, model.Name(), 1, 2, 4, 4)
 	if _, err := RunStream(model, cfg, dlb.Spec{}, 1, sink, nil, nil); err == nil {
 		t.Fatal("expected geometry mismatch error")
 	}
+}
+
+// mustRun is Run for known-good configurations, failing the test on an
+// error.
+func mustRun(t *testing.T, model workload.Model, cfg Config) *trace.Dataset {
+	t.Helper()
+	d, err := Run(model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

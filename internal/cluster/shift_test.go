@@ -19,8 +19,8 @@ func TestShiftTrials(t *testing.T) {
 	if shifted.Name() != "miniqmc#t2" {
 		t.Fatalf("shifted name = %q", shifted.Name())
 	}
-	full := MustRun(base, Config{Trials: 3, Ranks: 2, Iterations: 3, Threads: 48, Seed: 4})
-	tail := MustRun(shifted, Config{Trials: 1, Ranks: 2, Iterations: 3, Threads: 48, Seed: 4})
+	full := mustRun(t, base, Config{Trials: 3, Ranks: 2, Iterations: 3, Threads: 48, Seed: 4})
+	tail := mustRun(t, shifted, Config{Trials: 1, Ranks: 2, Iterations: 3, Threads: 48, Seed: 4})
 	if !reflect.DeepEqual(tail.Times[0], full.Times[2]) {
 		t.Fatal("shifted trial 0 differs from the original trial 2")
 	}

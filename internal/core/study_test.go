@@ -194,7 +194,10 @@ func TestFeasibilitySyntheticBoundaries(t *testing.T) {
 }
 
 func TestFromDatasetWith(t *testing.T) {
-	d := cluster.MustRun(workload.DefaultMiniFE(), quickGeom)
+	d, err := cluster.Run(workload.DefaultMiniFE(), quickGeom)
+	if err != nil {
+		t.Fatal(err)
+	}
 	loose, err := FromDatasetWith(d, Options{Policy: PolicySpec{Alpha: 0.01, LaggardThresholdSec: 5e-3}})
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
@@ -242,11 +241,6 @@ type Campaign struct {
 	// Workers bounds how many studies run concurrently; <= 0 uses the
 	// engine's default.
 	Workers int
-	// Collect, when non-nil, is called once per spec as its result
-	// completes — cache-served duplicates included — in completion
-	// order. Calls are serialised; Collect must not call back into the
-	// campaign's engine.
-	Collect func(Result)
 }
 
 // Run executes the campaign and returns one result per spec, in spec
@@ -254,15 +248,6 @@ type Campaign struct {
 // the returned error; results for the other specs are still valid.
 func (e *Engine) Run(c Campaign) ([]Result, error) {
 	results := make([]Result, len(c.Specs))
-	var mu sync.Mutex
-	emit := func(r Result) {
-		mu.Lock()
-		defer mu.Unlock()
-		results[r.Index] = r
-		if c.Collect != nil {
-			c.Collect(r)
-		}
-	}
 
 	// Resolve every spec. Identical resolved specs share one execution
 	// through the campaign's own cache; first occurrences queue ahead of
@@ -278,7 +263,7 @@ func (e *Engine) Run(c Campaign) ([]Result, error) {
 	for i, raw := range c.Specs {
 		sp, err := raw.fill()
 		if err != nil {
-			emit(Result{Index: i, Spec: raw, Err: err})
+			results[i] = Result{Index: i, Spec: raw, Err: err}
 			continue
 		}
 		specs[i] = sp
@@ -322,7 +307,7 @@ func (e *Engine) Run(c Campaign) ([]Result, error) {
 		// whichever goroutine ran it; duplicates in the same campaign are
 		// cache-served by construction.
 		r.CacheHit = r.CacheHit || j >= distinct
-		emit(r)
+		results[i] = r
 	})
 
 	errs := make([]error, 0, len(results))

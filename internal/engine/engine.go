@@ -100,10 +100,6 @@ func (e *Engine) Executions() int64 { return e.executions.Load() }
 // generations still in flight do not count.
 func (e *Engine) CachedDatasets() int { return e.datasets.Len() }
 
-// EvictedDatasets returns how many datasets the cache bound has evicted
-// over the engine's lifetime.
-func (e *Engine) EvictedDatasets() int64 { return e.datasets.Evictions() }
-
 // SetMaxDatasets bounds the dataset cache to at most n finished
 // datasets, evicting the least recently used past the bound; n <= 0
 // removes the bound (the default). A generation takes a slot only once
@@ -132,14 +128,9 @@ func (e *Engine) DatasetDLB(model workload.Model, geom cluster.Config, policy dl
 	return e.dataset(model, geom, policy, 1)
 }
 
-// Columnar is Dataset in the cache's native form: the flat columnar store
-// streaming consumers read through cursors, without ever building the
-// nested view. Callers must not mutate the returned store.
-func (e *Engine) Columnar(model workload.Model, geom cluster.Config) (*trace.Columnar, bool, error) {
-	return e.ColumnarDLB(model, geom, dlb.Spec{})
-}
-
-// ColumnarDLB is Columnar under a rebalancing policy.
+// ColumnarDLB is DatasetDLB in the cache's native form: the flat
+// columnar store streaming consumers read through cursors, without ever
+// building the nested view. Callers must not mutate the returned store.
 func (e *Engine) ColumnarDLB(model workload.Model, geom cluster.Config, policy dlb.Spec) (*trace.Columnar, bool, error) {
 	en, hit, err := e.entry(model, geom, policy, 1)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"earlybird/internal/cluster"
 	"earlybird/internal/core"
+	"earlybird/internal/dlb"
 	"earlybird/internal/rng"
 	"earlybird/internal/workload"
 )
@@ -162,19 +163,15 @@ func TestCampaignThreeAppsTwoGeometries(t *testing.T) {
 	// second half entirely from cache.
 	specs = append(specs, specs...)
 
-	var streamed atomic.Int64
-	results, err := e.Run(Campaign{
-		Specs:   specs,
-		Collect: func(Result) { streamed.Add(1) },
-	})
+	results, err := e.Run(Campaign{Specs: specs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Executions(); got != int64(len(apps)*len(geoms)) {
 		t.Errorf("executions = %d, want %d", got, len(apps)*len(geoms))
 	}
-	if got := streamed.Load(); got != int64(len(specs)) {
-		t.Errorf("collector saw %d results, want %d", got, len(specs))
+	if len(results) != len(specs) {
+		t.Fatalf("%d results for %d specs", len(results), len(specs))
 	}
 	for i, r := range results {
 		if r.Err != nil {
@@ -232,7 +229,10 @@ func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestCampaignPreloadedDatasetAndErrors(t *testing.T) {
 	e := New(2)
-	ds := cluster.MustRun(workload.DefaultMiniQMC(), testGeom(9))
+	ds, err := cluster.Run(workload.DefaultMiniQMC(), testGeom(9))
+	if err != nil {
+		t.Fatal(err)
+	}
 	results, err := e.Run(Campaign{Specs: []Spec{
 		{Dataset: ds},
 		{App: "no-such-app"},
@@ -271,7 +271,7 @@ func TestColumnarSharesCacheWithDataset(t *testing.T) {
 	model := &workload.MiniFE{}
 	geom := cluster.Config{Trials: 1, Ranks: 2, Iterations: 8, Threads: 8, Seed: 1}
 
-	col, hit, err := e.Columnar(model, geom)
+	col, hit, err := e.ColumnarDLB(model, geom, dlb.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}

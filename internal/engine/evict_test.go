@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"earlybird/internal/cluster"
+	"earlybird/internal/dlb"
 	"earlybird/internal/trace"
 	"earlybird/internal/workload"
 )
@@ -36,9 +37,6 @@ func TestSetMaxDatasetsEvictsLRU(t *testing.T) {
 	if got := e.CachedDatasets(); got != 2 {
 		t.Errorf("cache holds %d datasets, want 2 after eviction", got)
 	}
-	if got := e.EvictedDatasets(); got != 1 {
-		t.Errorf("evictions = %d, want 1", got)
-	}
 	if _, hit, err := e.Dataset(m, g1); err != nil || !hit {
 		t.Errorf("g1 should have survived eviction: hit=%v err=%v", hit, err)
 	}
@@ -65,9 +63,6 @@ func TestSetMaxDatasetsTrimsExisting(t *testing.T) {
 	if got := e.CachedDatasets(); got != 1 {
 		t.Errorf("cache holds %d datasets, want 1 after SetMaxDatasets(1)", got)
 	}
-	if got := e.EvictedDatasets(); got != 2 {
-		t.Errorf("evictions = %d, want 2", got)
-	}
 }
 
 // TestFailedGenerationIsNotCached: a generation that fails takes no
@@ -76,7 +71,7 @@ func TestSetMaxDatasetsTrimsExisting(t *testing.T) {
 func TestFailedGenerationIsNotCached(t *testing.T) {
 	e := New(2)
 	m := workload.DefaultMiniFE()
-	if _, _, err := e.Columnar(m, cluster.Config{}); err == nil {
+	if _, _, err := e.ColumnarDLB(m, cluster.Config{}, dlb.Spec{}); err == nil {
 		t.Fatal("zero geometry generated a dataset")
 	}
 	if got := e.CachedDatasets(); got != 0 {
@@ -89,15 +84,15 @@ func TestFailedGenerationIsNotCached(t *testing.T) {
 	}
 	before := e.Executions()
 	for i := 0; i < 2; i++ {
-		if _, hit, err := e.Columnar(m, cluster.Config{}); err == nil || hit {
+		if _, hit, err := e.ColumnarDLB(m, cluster.Config{}, dlb.Spec{}); err == nil || hit {
 			t.Fatalf("repeat %d of the failed generation: hit=%v err=%v, want a fresh failure", i, hit, err)
 		}
 	}
 	if got := e.Executions(); got != before+2 {
 		t.Errorf("executions = %d, want %d: a failed generation must rerun", got, before+2)
 	}
-	if got, ev := e.CachedDatasets(), e.EvictedDatasets(); got != 1 || ev != 0 {
-		t.Errorf("cache holds %d datasets with %d evictions, want 1 and 0", got, ev)
+	if got := e.CachedDatasets(); got != 1 {
+		t.Errorf("cache holds %d datasets, want 1", got)
 	}
 	if _, hit, err := e.Dataset(m, testGeom(1)); err != nil || !hit {
 		t.Errorf("cached dataset lost to a failed generation: hit=%v err=%v", hit, err)
@@ -159,7 +154,7 @@ func TestNestedViewsStayZeroOnColumnarPath(t *testing.T) {
 	views := trace.NestedViews()
 	e := New(2)
 	m := workload.DefaultMiniFE()
-	if _, _, err := e.Columnar(m, testGeom(9)); err != nil {
+	if _, _, err := e.ColumnarDLB(m, testGeom(9), dlb.Spec{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := (trace.NestedViews() - views); got != 0 {

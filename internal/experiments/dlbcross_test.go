@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"earlybird/internal/dlb"
+	"earlybird/internal/engine"
 	"earlybird/internal/trace"
 )
 
@@ -21,7 +22,7 @@ import (
 // rendering.
 func TestDLBCrossGoldenQuick(t *testing.T) {
 	views := trace.NestedViews()
-	suite := NewSuite(Quick())
+	suite := NewSuiteOn(Quick(), engine.New(0))
 	var buf bytes.Buffer
 	suite.WriteDLBReport(&buf)
 
@@ -53,7 +54,7 @@ func TestDLBCrossGoldenQuick(t *testing.T) {
 // the E14 frontier exactly (same dataset, same grid), and each policy
 // axis point carries its own dataset (distinct cache entries).
 func TestE15CrossSanity(t *testing.T) {
-	suite := NewSuite(Quick())
+	suite := NewSuiteOn(Quick(), engine.New(0))
 	cells := suite.E15DLBCross()
 	policies := E15Policies()
 	if len(cells) != len(AppNames)*len(policies) {

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"earlybird/internal/analysis"
 	"earlybird/internal/cluster"
@@ -73,12 +72,6 @@ type Suite struct {
 	cfg    Config
 	eng    *engine.Engine
 	models map[string]workload.Model
-}
-
-// NewSuite returns a Suite over the three default application models on a
-// private engine.
-func NewSuite(cfg Config) *Suite {
-	return NewSuiteOn(cfg, engine.New(0))
 }
 
 // NewSuiteOn returns a Suite running on a shared engine, so several
@@ -318,15 +311,4 @@ func (s *Suite) E14StrategyFrontier() map[string]partcomm.Sweep {
 			s.E14StrategyTimeouts(), []float64{0.2}, s.cfg.LaggardThresholdSec)
 	}
 	return out
-}
-
-// SortedApps returns the app names sorted (stable output order for
-// rendering maps).
-func SortedApps[T any](m map[string]T) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

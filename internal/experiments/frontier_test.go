@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"earlybird/internal/engine"
 	"earlybird/internal/trace"
 )
 
@@ -22,7 +23,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from the cur
 // after an intentional change to the grid or the rendering.
 func TestStrategyFrontierGoldenQuick(t *testing.T) {
 	views := trace.NestedViews()
-	suite := NewSuite(Quick())
+	suite := NewSuiteOn(Quick(), engine.New(0))
 	var buf bytes.Buffer
 	suite.WriteStrategyFrontier(&buf)
 
@@ -54,7 +55,7 @@ func TestStrategyFrontierGoldenQuick(t *testing.T) {
 // geometry: every app yields the full grid, a non-trivial potential, and
 // a frontier that beats (or ties) the bulk baseline.
 func TestE14FrontierSanity(t *testing.T) {
-	suite := NewSuite(Quick())
+	suite := NewSuiteOn(Quick(), engine.New(0))
 	e14 := suite.E14StrategyFrontier()
 	for _, app := range AppNames {
 		sw, ok := e14[app]

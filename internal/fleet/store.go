@@ -57,21 +57,6 @@ func OpenStore(dir string, logf func(format string, args ...any)) (*Store, error
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Len counts the records currently on disk (temp files excluded).
-func (s *Store) Len() int {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == storeExt {
-			n++
-		}
-	}
-	return n
-}
-
 func (s *Store) path(key string) string { return filepath.Join(s.dir, key+storeExt) }
 
 // put atomically publishes one sealed record under key: written to a

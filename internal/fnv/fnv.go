@@ -38,14 +38,3 @@ func Str(h uint64, s string) uint64 {
 	}
 	return h
 }
-
-// Bytes folds b into h, length-prefixed like Str. The wire package's
-// sealed payloads checksum with it.
-func Bytes(h uint64, b []byte) uint64 {
-	h = U64(h, uint64(len(b)))
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= Prime64
-	}
-	return h
-}

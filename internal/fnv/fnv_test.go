@@ -53,9 +53,6 @@ func TestFoldsMatchFNV1a(t *testing.T) {
 		if got := Str(Offset64, s); got != want {
 			t.Errorf("Str(%q) = %#x, want %#x", s, got, want)
 		}
-		if got := Bytes(Offset64, []byte(s)); got != want {
-			t.Errorf("Bytes(%q) = %#x, want %#x", s, got, want)
-		}
 	}
 	// Chained folds continue from h exactly as one FNV-1a stream does.
 	chain := U64(Str(Offset64, "minife"), 48)

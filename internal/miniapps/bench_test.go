@@ -9,10 +9,10 @@ import (
 
 func BenchmarkMiniFEMatVec(b *testing.B) {
 	a := NewMiniFE(24, 24, 24)
-	b.SetBytes(int64(a.Rows() * 27 * 8))
+	b.SetBytes(int64(len(a.x) * 27 * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.MatVec()
+		matVec(a)
 	}
 }
 
@@ -33,7 +33,7 @@ func BenchmarkMiniMDForceSweep(b *testing.B) {
 	a := NewMiniMD(6, 4, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.ComputeForcesSerial()
+		computeForcesSerial(a)
 	}
 }
 

@@ -16,8 +16,8 @@ func TestMiniFEMatVecCorrectness(t *testing.T) {
 	for i := range a.x {
 		a.x[i] = 1
 	}
-	y := a.MatVec()
-	n := a.Rows()
+	y := matVec(a)
+	n := len(a.x)
 	if n != 24 {
 		t.Fatalf("rows = %d", n)
 	}
@@ -44,7 +44,7 @@ func TestMiniFEMatVecCorrectness(t *testing.T) {
 
 func TestMiniFEDiagonalDominance(t *testing.T) {
 	a := NewMiniFE(3, 3, 3)
-	for row := 0; row < a.Rows(); row++ {
+	for row := 0; row < len(a.x); row++ {
 		var diag, off float64
 		for p := a.rowPtr[row]; p < a.rowPtr[row+1]; p++ {
 			if int(a.colIdx[p]) == row {
@@ -61,7 +61,7 @@ func TestMiniFEDiagonalDominance(t *testing.T) {
 
 func TestMiniFEParallelMatchesSerial(t *testing.T) {
 	serial := NewMiniFE(6, 6, 6)
-	want := serial.MatVec()
+	want := matVec(serial)
 
 	par := NewMiniFE(6, 6, 6)
 	pool := omp.NewPool(4)
@@ -95,10 +95,10 @@ func TestMiniFERecordsPlausibleTimes(t *testing.T) {
 
 func TestMiniMDNewtonsThirdLaw(t *testing.T) {
 	a := NewMiniMD(4, 3, 11)
-	a.ComputeForcesSerial()
-	total := a.TotalForce()
+	computeForcesSerial(a)
+	total := totalForce(a)
 	// The summed pair forces cancel (up to FP error scaled by magnitude).
-	scale := a.MaxForceNorm() * float64(a.Atoms())
+	scale := maxForceNorm(a) * float64(len(a.pos))
 	if scale == 0 {
 		t.Fatal("no forces computed")
 	}
@@ -111,14 +111,14 @@ func TestMiniMDNewtonsThirdLaw(t *testing.T) {
 
 func TestMiniMDParallelMatchesSerial(t *testing.T) {
 	ref := NewMiniMD(4, 2, 5)
-	ref.ComputeForcesSerial()
-	want := ref.Forces()
+	computeForcesSerial(ref)
+	want := ref.force
 
 	par := NewMiniMD(4, 2, 5)
 	pool := omp.NewPool(5)
 	defer pool.Close()
 	Run(par, pool, simclock.NewReal(), 1)
-	got := par.Forces()
+	got := par.force
 	for i := range want {
 		for d := 0; d < 3; d++ {
 			if math.Abs(got[i][d]-want[i][d]) > 1e-12 {
@@ -155,8 +155,8 @@ func TestMiniMDCellBinningCoversAllAtoms(t *testing.T) {
 			seen[i] = true
 		}
 	}
-	if len(seen) != a.Atoms() {
-		t.Fatalf("binned %d atoms, want %d", len(seen), a.Atoms())
+	if len(seen) != len(a.pos) {
+		t.Fatalf("binned %d atoms, want %d", len(seen), len(a.pos))
 	}
 }
 
@@ -165,7 +165,7 @@ func TestMiniQMCAcceptanceReasonable(t *testing.T) {
 	pool := omp.NewPool(4)
 	defer pool.Close()
 	Run(a, pool, simclock.NewReal(), 3)
-	acc := a.Accepted()
+	acc := a.accepted
 	if len(acc) != 4 {
 		t.Fatalf("acceptance counters = %d movers", len(acc))
 	}
@@ -226,4 +226,46 @@ func TestConstructorValidation(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// matVec runs one un-instrumented MiniFE product and returns a copy of
+// the result vector, the reference of the instrumented iteration.
+func matVec(a *MiniFEApp) []float64 {
+	for row := 0; row < len(a.y); row++ {
+		sum := 0.0
+		for p := a.rowPtr[row]; p < a.rowPtr[row+1]; p++ {
+			sum += a.vals[p] * a.x[a.colIdx[p]]
+		}
+		a.y[row] = sum
+	}
+	return append([]float64(nil), a.y...)
+}
+
+// computeForcesSerial runs MiniMD's force sweep serially, the reference
+// of the work-shared sweep.
+func computeForcesSerial(a *MiniMDApp) {
+	for c := 0; c < a.cells*a.cells*a.cells; c++ {
+		a.computeForcesCell(c)
+	}
+}
+
+// totalForce returns the component-wise sum of MiniMD's forces; by
+// Newton's third law it vanishes for a symmetric pair interaction.
+func totalForce(a *MiniMDApp) [3]float64 {
+	var sum [3]float64
+	for _, f := range a.force {
+		sum[0] += f[0]
+		sum[1] += f[1]
+		sum[2] += f[2]
+	}
+	return sum
+}
+
+// maxForceNorm returns the largest per-atom force magnitude.
+func maxForceNorm(a *MiniMDApp) float64 {
+	m := 0.0
+	for _, f := range a.force {
+		m = math.Max(m, math.Sqrt(f[0]*f[0]+f[1]*f[1]+f[2]*f[2]))
+	}
+	return m
 }

@@ -68,9 +68,6 @@ func NewMiniFE(nx, ny, nz int) *MiniFEApp {
 // Name implements App.
 func (a *MiniFEApp) Name() string { return "minife" }
 
-// Rows returns the matrix dimension.
-func (a *MiniFEApp) Rows() int { return len(a.x) }
-
 // RunIteration implements App: one instrumented mat-vec. Rows are shared
 // dynamically in plane-sized chunks, mirroring MiniFE's outer loop over
 // problem-space planes (the source of the paper's early arrivals).
@@ -89,19 +86,4 @@ func (a *MiniFEApp) RunIteration(pool *omp.Pool, clock simclock.Clock, rec *trac
 			}
 		})
 	})
-}
-
-// MatVec runs one un-instrumented product (for correctness tests) and
-// returns the result vector.
-func (a *MiniFEApp) MatVec() []float64 {
-	for row := 0; row < len(a.y); row++ {
-		sum := 0.0
-		for p := a.rowPtr[row]; p < a.rowPtr[row+1]; p++ {
-			sum += a.vals[p] * a.x[a.colIdx[p]]
-		}
-		a.y[row] = sum
-	}
-	out := make([]float64, len(a.y))
-	copy(out, a.y)
-	return out
 }

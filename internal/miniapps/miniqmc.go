@@ -104,6 +104,3 @@ func (a *MiniQMCApp) RunIteration(pool *omp.Pool, clock simclock.Clock, rec *tra
 		a.accepted[mover] += a.runMover(mover, iter, steps)
 	})
 }
-
-// Accepted returns the per-mover acceptance counters.
-func (a *MiniQMCApp) Accepted() []int64 { return a.accepted }

@@ -41,6 +41,3 @@ func (b *Barrier) Wait() {
 	}
 	b.mu.Unlock()
 }
-
-// Parties returns the number of parties the barrier synchronises.
-func (b *Barrier) Parties() int { return b.n }

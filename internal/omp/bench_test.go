@@ -43,8 +43,8 @@ func BenchmarkParallelForSchedules(b *testing.B) {
 			defer p.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.ParallelFor(n, sched, 16, func(j int) {
-					sink.Add(int64(j & 1))
+				p.Parallel(func(tc *ThreadContext) {
+					tc.For(n, sched, 16, func(j int) { sink.Add(int64(j & 1)) })
 				})
 			}
 		})

@@ -41,9 +41,6 @@ func TestThreadNumAndNumThreads(t *testing.T) {
 	}
 	var ids sync.Map
 	p.Parallel(func(tc *ThreadContext) {
-		if tc.NumThreads() != 5 {
-			t.Errorf("tc.NumThreads = %d", tc.NumThreads())
-		}
 		ids.Store(tc.ThreadNum(), true)
 	})
 	count := 0
@@ -59,8 +56,8 @@ func coverage(t *testing.T, nthreads, n int, sched Schedule, chunk int) {
 	p := NewPool(nthreads)
 	defer p.Close()
 	counts := make([]atomic.Int32, n)
-	p.ParallelFor(n, sched, chunk, func(i int) {
-		counts[i].Add(1)
+	p.Parallel(func(tc *ThreadContext) {
+		tc.For(n, sched, chunk, func(i int) { counts[i].Add(1) })
 	})
 	for i := range counts {
 		if got := counts[i].Load(); got != 1 {
@@ -89,7 +86,9 @@ func TestScheduleCoverageProperty(t *testing.T) {
 		p := NewPool(nthreads)
 		defer p.Close()
 		counts := make([]atomic.Int32, n)
-		p.ParallelFor(n, sched, chunk, func(i int) { counts[i].Add(1) })
+		p.Parallel(func(tc *ThreadContext) {
+			tc.For(n, sched, chunk, func(i int) { counts[i].Add(1) })
+		})
 		for i := range counts {
 			if counts[i].Load() != 1 {
 				return false
@@ -189,9 +188,6 @@ func TestBarrierReusableAcrossPhases(t *testing.T) {
 
 func TestStandaloneBarrier(t *testing.T) {
 	b := NewBarrier(3)
-	if b.Parties() != 3 {
-		t.Fatalf("Parties = %d", b.Parties())
-	}
 	var wg sync.WaitGroup
 	var hits atomic.Int32
 	for i := 0; i < 3; i++ {

@@ -201,49 +201,6 @@ type Result struct {
 	OverlapCapture float64 `json:"overlap_capture,omitempty"`
 }
 
-// evaluateMaterialized is the pre-cursor implementation, retained as the
-// independent reference the streaming-vs-exact agreement tests and the
-// BenchmarkStrategySweep baseline compare against.
-func evaluateMaterialized(d *trace.Dataset, bytesPerPart int, f network.Fabric, strategies []Strategy) []Result {
-	for _, s := range strategies {
-		if r, ok := s.(resettable); ok {
-			r.Reset()
-		}
-	}
-	results := make([]Result, len(strategies))
-	bulkSum := 0.0
-	finishSums := make([]float64, len(strategies))
-	potentialSum := 0.0
-	n := 0
-	bulk := Bulk{}
-	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
-		arrivals := stats.Sorted(xs)
-		bulkFinish := bulk.FinishTime(arrivals, bytesPerPart, f)
-		bulkSum += bulkFinish
-		potentialSum += PotentialOverlap(arrivals)
-		for k, s := range strategies {
-			finishSums[k] += s.FinishTime(arrivals, bytesPerPart, f)
-		}
-		n++
-	})
-	for k, s := range strategies {
-		r := Result{Strategy: s.Name()}
-		if n > 0 {
-			r.MeanFinishSec = finishSums[k] / float64(n)
-			meanBulk := bulkSum / float64(n)
-			r.MeanOverlapSec = meanBulk - r.MeanFinishSec
-			if r.MeanFinishSec > 0 {
-				r.SpeedupVsBulk = meanBulk / r.MeanFinishSec
-			}
-			if potential := potentialSum / float64(n); potential > 0 {
-				r.OverlapCapture = r.MeanOverlapSec / potential
-			}
-		}
-		results[k] = r
-	}
-	return results
-}
-
 // PotentialOverlap returns, for one process iteration, the idealised
 // transmission time available before the last thread arrives if every
 // partition could be sent immediately on arrival with an infinitely fast

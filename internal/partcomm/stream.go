@@ -1,6 +1,5 @@
-// Cursor-native strategy evaluation: the streaming counterpart of the
-// materialised reference (evaluateMaterialized). A StrategyAccumulator folds one process
-// iteration at a time — sorting the arrivals into a reused scratch
+// Cursor-native strategy evaluation. A StrategyAccumulator folds one
+// process iteration at a time — sorting the arrivals into a reused scratch
 // buffer, never retaining the block — so delivery strategies evaluate
 // straight off a trace.Cursor (or a cluster.RunStream observer) without
 // the nested tensor view ever being built: trace.NestedViews does not
@@ -95,25 +94,6 @@ func (a *StrategyAccumulator) ObserveSorted(arrivals []float64) {
 	}
 	a.n++
 }
-
-// Merge folds another accumulator (same strategies, sizes and fabric)
-// into this one. Only valid for stateless strategy sets: adaptive
-// strategies make per-worker partitions order-dependent. o must not be
-// used afterwards.
-func (a *StrategyAccumulator) Merge(o *StrategyAccumulator) {
-	if o == nil {
-		return
-	}
-	a.n += o.n
-	a.bulkSum += o.bulkSum
-	a.potentialSum += o.potentialSum
-	for k := range a.finishSums {
-		a.finishSums[k] += o.finishSums[k]
-	}
-}
-
-// Iterations returns how many process iterations have been observed.
-func (a *StrategyAccumulator) Iterations() int { return a.n }
 
 // PotentialOverlapSec returns the mean idealised per-thread overlap of
 // the observed iterations (the upper bound of the paper's Figure 2).

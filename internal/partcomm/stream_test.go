@@ -9,6 +9,7 @@ import (
 	"earlybird/internal/cluster"
 	"earlybird/internal/dlb"
 	"earlybird/internal/network"
+	"earlybird/internal/stats"
 	"earlybird/internal/trace"
 	"earlybird/internal/workload"
 )
@@ -128,52 +129,6 @@ func TestEvaluateAdapterMatchesStream(t *testing.T) {
 	}
 }
 
-// TestStrategyAccumulatorMerge: for stateless strategies, accumulators
-// over disjoint block partitions merge to the sequential result.
-func TestStrategyAccumulatorMerge(t *testing.T) {
-	model, err := workload.ByName("miniqmc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := cluster.Config{Trials: 1, Ranks: 2, Iterations: 16, Threads: 48, Seed: 3}
-	col, err := cluster.RunColumnar(model, cfg, dlb.Spec{}, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strategies := func() []Strategy {
-		return []Strategy{Bulk{}, FineGrained{}, Binned{TimeoutSec: 0.5e-3}}
-	}
-	f := network.OmniPath()
-
-	seq := NewStrategyAccumulator(strategies(), 1<<18, f)
-	a := NewStrategyAccumulator(strategies(), 1<<18, f)
-	b := NewStrategyAccumulator(strategies(), 1<<18, f)
-	i := 0
-	for cur := col.Cursor(); cur.Next(); i++ {
-		blk := cur.Block()
-		seq.ObserveBlock(blk.Trial, blk.Rank, blk.Iter, blk.Times)
-		if i%2 == 0 {
-			a.ObserveBlock(blk.Trial, blk.Rank, blk.Iter, blk.Times)
-		} else {
-			b.ObserveBlock(blk.Trial, blk.Rank, blk.Iter, blk.Times)
-		}
-	}
-	a.Merge(b)
-	if a.Iterations() != seq.Iterations() {
-		t.Fatalf("merged %d iterations, want %d", a.Iterations(), seq.Iterations())
-	}
-	got, want := a.Finalize(), seq.Finalize()
-	for k := range want {
-		if relDiff(got[k].MeanFinishSec, want[k].MeanFinishSec) > 1e-12 ||
-			relDiff(got[k].MeanOverlapSec, want[k].MeanOverlapSec) > 1e-9 {
-			t.Errorf("%s: merged %+v vs sequential %+v", want[k].Strategy, got[k], want[k])
-		}
-	}
-	if relDiff(a.PotentialOverlapSec(), seq.PotentialOverlapSec()) > 1e-12 {
-		t.Errorf("potential: merged %v vs sequential %v", a.PotentialOverlapSec(), seq.PotentialOverlapSec())
-	}
-}
-
 // TestSweepFrontierPicksMinimumFinish: the frontier names the strategy
 // with the smallest mean finish time and copies its row's values.
 func TestSweepFrontierPicksMinimumFinish(t *testing.T) {
@@ -279,4 +234,47 @@ func BenchmarkStrategySweep(b *testing.B) {
 			}
 		}
 	})
+}
+
+// evaluateMaterialized is the pre-cursor implementation, retained as the
+// independent reference the streaming-vs-exact agreement tests and the
+// BenchmarkStrategySweep baseline compare against.
+func evaluateMaterialized(d *trace.Dataset, bytesPerPart int, f network.Fabric, strategies []Strategy) []Result {
+	for _, s := range strategies {
+		if r, ok := s.(resettable); ok {
+			r.Reset()
+		}
+	}
+	results := make([]Result, len(strategies))
+	bulkSum := 0.0
+	finishSums := make([]float64, len(strategies))
+	potentialSum := 0.0
+	n := 0
+	bulk := Bulk{}
+	d.EachProcessIteration(func(trial, rank, iter int, xs []float64) {
+		arrivals := stats.Sorted(xs)
+		bulkFinish := bulk.FinishTime(arrivals, bytesPerPart, f)
+		bulkSum += bulkFinish
+		potentialSum += PotentialOverlap(arrivals)
+		for k, s := range strategies {
+			finishSums[k] += s.FinishTime(arrivals, bytesPerPart, f)
+		}
+		n++
+	})
+	for k, s := range strategies {
+		r := Result{Strategy: s.Name()}
+		if n > 0 {
+			r.MeanFinishSec = finishSums[k] / float64(n)
+			meanBulk := bulkSum / float64(n)
+			r.MeanOverlapSec = meanBulk - r.MeanFinishSec
+			if r.MeanFinishSec > 0 {
+				r.SpeedupVsBulk = meanBulk / r.MeanFinishSec
+			}
+			if potential := potentialSum / float64(n); potential > 0 {
+				r.OverlapCapture = r.MeanOverlapSec / potential
+			}
+		}
+		results[k] = r
+	}
+	return results
 }

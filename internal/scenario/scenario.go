@@ -255,9 +255,6 @@ func (f FabricSpec) String() string {
 	return f.raw
 }
 
-// Hierarchical reports whether the entry is a two-level fabric.
-func (f FabricSpec) Hierarchical() bool { return f.hier != nil }
-
 // Effective returns the alpha-beta fabric a study over ranks processes
 // analyses under: flat entries return their parameters, hierarchical
 // ones flatten through network.Hierarchical.Effective.

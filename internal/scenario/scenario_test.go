@@ -58,7 +58,7 @@ func TestParseFabricCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.Hierarchical() {
+	if f.hier == nil {
 		t.Fatal("hier spec not hierarchical")
 	}
 	// The canonical form spells out every default; re-parsing it is a

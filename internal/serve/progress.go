@@ -74,8 +74,9 @@ func (s *Server) fillProgress(model string, geom cluster.Config, policy dlb.Spec
 	return tr, func() { s.tel.Finish(tr) }
 }
 
-// Telemetry returns the server's live-telemetry registry, which
-// earlybirdd reads and tests drive with synthetic trackers.
+// Telemetry returns the server's live-telemetry registry. Tests read
+// its totals and efficiency, and register synthetic trackers in it to
+// make admission shed.
 func (s *Server) Telemetry() *telemetry.Registry { return s.tel }
 
 // handleProgress serves GET /v1/progress. With ?id= it streams that

@@ -206,9 +206,6 @@ func (c SweepCell) identityRow() SweepRow {
 	}
 }
 
-// sweepCell analyses one grid cell locally (sweepCells).
-func (s *Server) sweepCell(c SweepCell) SweepRow { return s.sweepCells([]SweepCell{c})[0] }
-
 // sweepCells analyses locally cells that share one fill — one app,
 // geometry and policy, differing at most in alpha and laggard threshold
 // (fillGroups) — and returns their rows in order. They are the shard

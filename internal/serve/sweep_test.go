@@ -394,3 +394,6 @@ func TestSweepGroupSharesOneFill(t *testing.T) {
 		}
 	}
 }
+
+// sweepCell analyses one grid cell locally, as a fill group of one.
+func (s *Server) sweepCell(c SweepCell) SweepRow { return s.sweepCells([]SweepCell{c})[0] }

@@ -36,10 +36,9 @@ type Cache[K comparable, V any] struct {
 	inflight map[K]*flight[V]
 	// LRU: entries maps keys to elements of order, whose front is the
 	// most recently used. cap <= 0 disables caching.
-	cap       int
-	entries   map[K]*list.Element
-	order     *list.List
-	evictions int64
+	cap     int
+	entries map[K]*list.Element
+	order   *list.List
 }
 
 // flight is one in-flight execution; joiners block on done.
@@ -117,7 +116,6 @@ func (c *Cache[K, V]) trimLocked() {
 		back := c.order.Back()
 		c.order.Remove(back)
 		delete(c.entries, back.Value.(*item[K, V]).key)
-		c.evictions++
 	}
 }
 
@@ -127,14 +125,6 @@ func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
-}
-
-// Evictions returns how many values the capacity has evicted over the
-// cache's lifetime.
-func (c *Cache[K, V]) Evictions() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
 }
 
 // FanOut runs fn(i) for every i in [0, n) across workers goroutines and

@@ -95,13 +95,3 @@ func (v *Virtual) Advance(d time.Duration) {
 	v.now += d
 	v.mu.Unlock()
 }
-
-// Set jumps logical time to t if t is later than the current time;
-// earlier values are ignored to preserve monotonicity.
-func (v *Virtual) Set(t time.Duration) {
-	v.mu.Lock()
-	if t > v.now {
-		v.now = t
-	}
-	v.mu.Unlock()
-}

@@ -31,14 +31,6 @@ func TestVirtualAdvance(t *testing.T) {
 	if got := v.Now(0); got != 5*time.Millisecond {
 		t.Fatalf("negative advance changed time to %v", got)
 	}
-	v.Set(3 * time.Millisecond) // earlier, ignored
-	if got := v.Now(0); got != 5*time.Millisecond {
-		t.Fatalf("backwards Set changed time to %v", got)
-	}
-	v.Set(9 * time.Millisecond)
-	if got := v.Now(0); got != 9*time.Millisecond {
-		t.Fatalf("Set = %v, want 9ms", got)
-	}
 }
 
 func TestVirtualConcurrentAdvance(t *testing.T) {
@@ -61,7 +53,7 @@ func TestVirtualConcurrentAdvance(t *testing.T) {
 
 func TestSkewedOffsetsPerCore(t *testing.T) {
 	v := NewVirtual()
-	v.Set(time.Millisecond)
+	v.Advance(time.Millisecond)
 	s := NewSkewed(v, []time.Duration{0, 100 * time.Microsecond, -50 * time.Microsecond})
 	if got := s.Now(0); got != time.Millisecond {
 		t.Fatalf("core 0: %v", got)

@@ -52,9 +52,6 @@ func SumSquaresAbout(xs []float64, m float64) float64 {
 	return ss
 }
 
-// StdDev returns the unbiased sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // centralMoments returns the second, third and fourth central sample
 // moments (divided by n) in one pass, NaN for an empty sample. Each power
 // is a plain product — d², d²·d, d²·d² — which is bit-identical to
@@ -79,23 +76,10 @@ func centralMoments(xs []float64) (m2, m3, m4 float64) {
 	return m2 / n, m3 / n, m4 / n
 }
 
-// Skewness returns the sample skewness g1 = m3 / m2^(3/2), the moment
-// estimator used by D'Agostino's test.
-func Skewness(xs []float64) float64 {
-	g1, _ := SkewnessKurtosis(xs)
-	return g1
-}
-
-// Kurtosis returns the (non-excess) sample kurtosis b2 = m4 / m2^2.
-// A normal sample has b2 close to 3.
-func Kurtosis(xs []float64) float64 {
-	_, b2 := SkewnessKurtosis(xs)
-	return b2
-}
-
-// SkewnessKurtosis returns Skewness(xs) and Kurtosis(xs) from a single
-// pass over the sample, for the moment-based normality tests that need
-// both.
+// SkewnessKurtosis returns the sample skewness g1 = m3 / m2^(3/2) and
+// the (non-excess) sample kurtosis b2 = m4 / m2² from a single pass over
+// the sample: the moment estimators of D'Agostino's test. A normal sample
+// has g1 close to 0 and b2 close to 3.
 func SkewnessKurtosis(xs []float64) (g1, b2 float64) {
 	m2, m3, m4 := centralMoments(xs)
 	return m3 / math.Pow(m2, 1.5), m4 / (m2 * m2)

@@ -3,7 +3,6 @@ package normality
 import (
 	"math"
 
-	"earlybird/internal/sortx"
 	"earlybird/internal/stats"
 )
 
@@ -16,28 +15,15 @@ var (
 	adCriticalVal = []float64{0.576, 0.656, 0.787, 0.918, 1.092}
 )
 
-// AndersonDarlingTest performs the Anderson-Darling test of composite
-// normality. The statistic is adjusted for sample size with
+// AndersonDarlingSorted performs the Anderson-Darling test of composite
+// normality on an ascending sample x, which it does not modify. The
+// statistic is adjusted for sample size with
 // A²* = A² (1 + 0.75/n + 2.25/n²) and compared against Stephens' case-3
 // critical values. The paper reports results for a significance level of
 // 5%; any other alpha takes the critical value of the tabulated level
-// closest to it, above or below (α = 0.09 takes 10%'s 0.656).
-func AndersonDarlingTest(xs []float64, alpha float64) (Result, error) {
-	n := len(xs)
-	if n < 8 {
-		// Below n=8 the case-3 adjustment is unreliable (scipy uses the
-		// same floor for its normality table).
-		return Result{}, ErrSampleTooSmall
-	}
-	x := make([]float64, n)
-	copy(x, xs)
-	sortx.Sort(x)
-	return AndersonDarlingSorted(x, alpha)
-}
-
-// AndersonDarlingSorted is AndersonDarlingTest on an already-sorted
-// sample: x must be ascending and is not modified. The statistic is
-// bit-identical to AndersonDarlingTest on the unsorted sample.
+// closest to it, above or below (α = 0.09 takes 10%'s 0.656). Below n = 8
+// the case-3 adjustment is unreliable (scipy uses the same floor for its
+// normality table), so a smaller sample is refused.
 func AndersonDarlingSorted(x []float64, alpha float64) (Result, error) {
 	n := len(x)
 	if n < 8 {

@@ -36,7 +36,7 @@ func BenchmarkShapiroWilk(b *testing.B) {
 		xs := benchSamples(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := ShapiroWilkTest(xs, DefaultAlpha); err != nil {
+				if _, err := shapiroWilkTest(xs, DefaultAlpha); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -49,7 +49,7 @@ func BenchmarkAndersonDarling(b *testing.B) {
 		xs := benchSamples(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := AndersonDarlingTest(xs, DefaultAlpha); err != nil {
+				if _, err := andersonDarlingTest(xs, DefaultAlpha); err != nil {
 					b.Fatal(err)
 				}
 			}

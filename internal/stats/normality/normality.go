@@ -110,20 +110,6 @@ var (
 	ErrConstantSample = errors.New("normality: sample has zero variance")
 )
 
-// Run dispatches to the requested test at significance alpha.
-func Run(t Test, xs []float64, alpha float64) (Result, error) {
-	switch t {
-	case DAgostino:
-		return DAgostinoK2(xs, alpha)
-	case ShapiroWilk:
-		return ShapiroWilkTest(xs, alpha)
-	case AndersonDarling:
-		return AndersonDarlingTest(xs, alpha)
-	default:
-		return Result{}, fmt.Errorf("normality: unknown test %d", int(t))
-	}
-}
-
 // Battery runs all three tests at significance alpha and returns the
 // results indexed by Test. A test that cannot run on the sample (for
 // example, too few observations) contributes a zero Result with

@@ -1,10 +1,12 @@
 package normality
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"earlybird/internal/rng"
+	"earlybird/internal/sortx"
 )
 
 func normalSample(seed uint64, n int, mu, sigma float64) []float64 {
@@ -31,7 +33,7 @@ func rejectionRate(t *testing.T, test Test, trials, n int, gen func(seed uint64,
 	t.Helper()
 	rejected := 0
 	for i := 0; i < trials; i++ {
-		r, err := Run(test, gen(uint64(i)+1, n), DefaultAlpha)
+		r, err := run(test, gen(uint64(i)+1, n), DefaultAlpha)
 		if err != nil {
 			t.Fatalf("%v on trial %d: %v", test, i, err)
 		}
@@ -92,7 +94,7 @@ func TestShapiroWilkKnownVector(t *testing.T) {
 	// approximation used here (and by R/SciPy) gives W ~ 0.7888 with
 	// p ~ 0.0089, still a clear rejection.
 	x := []float64{148, 154, 158, 160, 161, 162, 166, 170, 182, 195, 236}
-	r, err := ShapiroWilkTest(x, DefaultAlpha)
+	r, err := shapiroWilkTest(x, DefaultAlpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func TestShapiroWilkKnownVector(t *testing.T) {
 func TestShapiroWilkNearNormalVector(t *testing.T) {
 	// Symmetric, near-normal ordered sample should not be rejected.
 	x := []float64{-2.1, -1.3, -0.9, -0.6, -0.3, -0.1, 0.1, 0.3, 0.6, 0.9, 1.3, 2.1}
-	r, err := ShapiroWilkTest(x, DefaultAlpha)
+	r, err := shapiroWilkTest(x, DefaultAlpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +126,7 @@ func TestShapiroWilkNearNormalVector(t *testing.T) {
 
 func TestShapiroWilkWBounds(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
-		r, err := ShapiroWilkTest(normalSample(seed, 48, 0, 1), DefaultAlpha)
+		r, err := shapiroWilkTest(normalSample(seed, 48, 0, 1), DefaultAlpha)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +138,7 @@ func TestShapiroWilkWBounds(t *testing.T) {
 
 func TestShapiroWilkSmallN(t *testing.T) {
 	// n = 3 exact branch.
-	r, err := ShapiroWilkTest([]float64{1, 2, 10}, DefaultAlpha)
+	r, err := shapiroWilkTest([]float64{1, 2, 10}, DefaultAlpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +146,7 @@ func TestShapiroWilkSmallN(t *testing.T) {
 		t.Errorf("W = %v outside (0,1]", r.Statistic)
 	}
 	// n = 5 branch (single extreme coefficient).
-	r5, err := ShapiroWilkTest([]float64{1, 2, 3, 4, 100}, DefaultAlpha)
+	r5, err := shapiroWilkTest([]float64{1, 2, 3, 4, 100}, DefaultAlpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +192,7 @@ func TestDAgostinoSymmetricHeavyTails(t *testing.T) {
 }
 
 func TestAndersonDarlingStatisticRange(t *testing.T) {
-	r, err := AndersonDarlingTest(normalSample(3, 200, 5, 2), DefaultAlpha)
+	r, err := andersonDarlingTest(normalSample(3, 200, 5, 2), DefaultAlpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +233,7 @@ func TestAndersonDarlingAlphaSnapping(t *testing.T) {
 			t.Errorf("alpha %v: critical value %v, want %v", c.alpha, v, c.crit)
 		}
 		xs := nearCriticalSample(t, 48, c.a2, 1e-3)
-		r, err := AndersonDarlingTest(xs, c.alpha)
+		r, err := andersonDarlingTest(xs, c.alpha)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,10 +280,10 @@ func TestErrorsOnDegenerateSamples(t *testing.T) {
 		constant[i] = 3.14
 	}
 	for _, test := range Tests {
-		if _, err := Run(test, constant, DefaultAlpha); err == nil {
+		if _, err := run(test, constant, DefaultAlpha); err == nil {
 			t.Errorf("%v: expected error on constant sample", test)
 		}
-		if _, err := Run(test, []float64{1, 2}, DefaultAlpha); err == nil {
+		if _, err := run(test, []float64{1, 2}, DefaultAlpha); err == nil {
 			t.Errorf("%v: expected error on tiny sample", test)
 		}
 	}
@@ -333,7 +335,7 @@ func TestLargeSampleRejectsMixture(t *testing.T) {
 		xs[i] = s.Normal(mu, 0.1e-3)
 	}
 	for _, test := range Tests {
-		r, err := Run(test, xs, DefaultAlpha)
+		r, err := run(test, xs, DefaultAlpha)
 		if err != nil {
 			t.Fatalf("%v: %v", test, err)
 		}
@@ -341,4 +343,32 @@ func TestLargeSampleRejectsMixture(t *testing.T) {
 			t.Errorf("%v: failed to reject bimodal mixture", test)
 		}
 	}
+}
+
+// run dispatches to the requested test at significance alpha.
+func run(t Test, xs []float64, alpha float64) (Result, error) {
+	switch t {
+	case DAgostino:
+		return DAgostinoK2(xs, alpha)
+	case ShapiroWilk:
+		return shapiroWilkTest(xs, alpha)
+	case AndersonDarling:
+		return andersonDarlingTest(xs, alpha)
+	default:
+		return Result{}, fmt.Errorf("normality: unknown test %d", int(t))
+	}
+}
+
+// andersonDarlingTest is AndersonDarlingSorted on a sorted copy of xs.
+func andersonDarlingTest(xs []float64, alpha float64) (Result, error) {
+	x := append([]float64(nil), xs...)
+	sortx.Sort(x)
+	return AndersonDarlingSorted(x, alpha)
+}
+
+// shapiroWilkTest is ShapiroWilkSorted on a sorted copy of xs.
+func shapiroWilkTest(xs []float64, alpha float64) (Result, error) {
+	x := append([]float64(nil), xs...)
+	sortx.Sort(x)
+	return ShapiroWilkSorted(x, alpha)
 }

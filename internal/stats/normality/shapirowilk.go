@@ -3,33 +3,18 @@ package normality
 import (
 	"math"
 
-	"earlybird/internal/sortx"
 	"earlybird/internal/stats"
 )
 
-// ShapiroWilkTest performs the Shapiro-Wilk W test for normality using
-// Royston's 1995 algorithm (AS R94), the same algorithm used by R's
-// shapiro.test and SciPy. Valid for 3 <= n <= 5000; for larger samples the
-// statistic is still computed but, as in SciPy, the p-value approximation
-// degrades gracefully (the paper applies the test to samples up to
-// n = 768000 at the application aggregation level, where the verdict —
-// reject — is far from the boundary).
-func ShapiroWilkTest(xs []float64, alpha float64) (Result, error) {
-	n := len(xs)
-	if n < 3 {
-		return Result{}, ErrSampleTooSmall
-	}
-	x := make([]float64, n)
-	copy(x, xs)
-	sortx.Sort(x)
-	return ShapiroWilkSorted(x, alpha)
-}
-
-// ShapiroWilkSorted is ShapiroWilkTest on an already-sorted sample:
-// x must be ascending and is not modified. Callers that sort once and
-// fan the sorted data across several tests (see Battery) avoid the
-// per-test copy + sort this way; the statistic is bit-identical to
-// ShapiroWilkTest on the unsorted sample.
+// ShapiroWilkSorted performs the Shapiro-Wilk W test for normality on an
+// ascending sample x, which it does not modify, using Royston's 1995
+// algorithm (AS R94), the same algorithm used by R's shapiro.test and
+// SciPy. Valid for 3 <= n <= 5000; for larger samples the statistic is
+// still computed but, as in SciPy, the p-value approximation degrades
+// gracefully (the paper applies the test to samples up to n = 768000 at
+// the application aggregation level, where the verdict — reject — is far
+// from the boundary). Callers sort once and fan the sorted data across
+// several tests (see Battery).
 func ShapiroWilkSorted(x []float64, alpha float64) (Result, error) {
 	n := len(x)
 	if n < 3 {

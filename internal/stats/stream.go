@@ -17,7 +17,7 @@ import (
 // Moments is a one-pass, mergeable accumulator of a sample's count, mean,
 // central moments M2..M4 and min/max. Its accessors mirror the exact
 // functions in desc.go: for the same sample, Mean/Variance/Skewness/
-// Kurtosis agree with Mean()/Variance()/Skewness()/Kurtosis() up to
+// Kurtosis agree with Mean, Variance and SkewnessKurtosis up to
 // floating-point rounding (typically within 1e-9 relative error).
 // The zero value is an empty accumulator ready for use.
 type Moments struct {
@@ -115,7 +115,7 @@ func (m *Moments) Variance() float64 {
 func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
 
 // Skewness returns the moment estimator g1 = m3 / m2^(3/2), matching
-// Skewness in desc.go.
+// SkewnessKurtosis in desc.go.
 func (m *Moments) Skewness() float64 {
 	if m.n == 0 {
 		return math.NaN()
@@ -127,7 +127,7 @@ func (m *Moments) Skewness() float64 {
 }
 
 // Kurtosis returns the (non-excess) kurtosis b2 = m4 / m2^2, matching
-// Kurtosis in desc.go.
+// SkewnessKurtosis in desc.go.
 func (m *Moments) Kurtosis() float64 {
 	if m.n == 0 {
 		return math.NaN()

@@ -61,9 +61,9 @@ func TestMomentsMatchesExact(t *testing.T) {
 			}{
 				{"mean", m.Mean(), Mean(xs)},
 				{"variance", m.Variance(), Variance(xs)},
-				{"stddev", m.StdDev(), StdDev(xs)},
-				{"skewness", m.Skewness(), Skewness(xs)},
-				{"kurtosis", m.Kurtosis(), Kurtosis(xs)},
+				{"stddev", m.StdDev(), stdDev(xs)},
+				{"skewness", m.Skewness(), skewness(xs)},
+				{"kurtosis", m.Kurtosis(), kurtosis(xs)},
 				{"min", m.Min(), Min(xs)},
 				{"max", m.Max(), Max(xs)},
 			}
@@ -342,7 +342,7 @@ func summarize(xs []float64) Summary {
 	return Summary{
 		N:        len(xs),
 		Mean:     Mean(xs),
-		StdDev:   StdDev(xs),
+		StdDev:   stdDev(xs),
 		Min:      Min(xs),
 		P5:       PercentileSorted(s, 5),
 		P25:      PercentileSorted(s, 25),
@@ -351,8 +351,8 @@ func summarize(xs []float64) Summary {
 		P95:      PercentileSorted(s, 95),
 		Max:      Max(xs),
 		IQR:      IQRSorted(s),
-		Skewness: Skewness(xs),
-		Kurtosis: Kurtosis(xs),
+		Skewness: skewness(xs),
+		Kurtosis: kurtosis(xs),
 	}
 }
 

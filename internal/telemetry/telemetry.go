@@ -112,9 +112,6 @@ func (t *Tracker) Finish() {
 	t.done.Store(true)
 }
 
-// Done reports whether Finish has been called.
-func (t *Tracker) Done() bool { return t.done.Load() }
-
 // totalBlocks returns the study's full block count.
 func (t *Tracker) totalBlocks() int64 {
 	return int64(t.info.Trials) * int64(t.info.Ranks) * int64(t.info.Iterations)

@@ -24,8 +24,8 @@ import (
 
 // Columnar is the compact, immutable columnar form of a study: the
 // geometry header plus the flat compute-time column. It is produced by a
-// Sink (or adopted from a Dataset) and read through Cursors or the nested
-// Dataset view; the campaign engine caches datasets in this form.
+// Sink and read through Cursors or the nested Dataset view; the campaign
+// engine caches datasets in this form.
 type Columnar struct {
 	app        string
 	trials     int
@@ -55,27 +55,6 @@ func newColumnar(times []float64, app string, trials, ranks, iterations, threads
 	}
 }
 
-// App returns the application name.
-func (c *Columnar) App() string { return c.app }
-
-// Trials returns the trial count.
-func (c *Columnar) Trials() int { return c.trials }
-
-// Ranks returns the rank count.
-func (c *Columnar) Ranks() int { return c.ranks }
-
-// Iterations returns the iteration count.
-func (c *Columnar) Iterations() int { return c.iterations }
-
-// Threads returns the thread count.
-func (c *Columnar) Threads() int { return c.threads }
-
-// NumSamples returns the total number of samples.
-func (c *Columnar) NumSamples() int { return len(c.times) }
-
-// NumProcessIterations returns trials x ranks x iterations.
-func (c *Columnar) NumProcessIterations() int { return c.trials * c.ranks * c.iterations }
-
 // blockOffset returns the flat offset of process iteration (t, r, i).
 func (c *Columnar) blockOffset(t, r, i int) int {
 	return ((t*c.ranks+r)*c.iterations + i) * c.threads
@@ -94,18 +73,6 @@ func (c *Columnar) Block(trial, rank, iter int) []float64 {
 // TimesColumn returns the full compute-time column in (trial, rank,
 // iteration, thread) order, zero-copy. Callers must not mutate it.
 func (c *Columnar) TimesColumn() []float64 { return c.times }
-
-// Coord decodes the (trial, rank, iteration, thread) coordinates of one
-// row of the column — the four implicit index columns of the relation.
-func (c *Columnar) Coord(row int) (trial, rank, iter, thread int) {
-	thread = row % c.threads
-	row /= c.threads
-	iter = row % c.iterations
-	row /= c.iterations
-	rank = row % c.ranks
-	trial = row / c.ranks
-	return
-}
 
 // Fingerprint returns Dataset.Fingerprint of the store's nested view.
 // Every call hashes the whole column; nothing caches it, because no
@@ -233,22 +200,14 @@ type Sink struct {
 	next []int
 }
 
-// NewSink returns a sink for the given geometry.
-func NewSink(app string, trials, ranks, iterations, threads int) *Sink {
-	return NewSinkInto(nil, app, trials, ranks, iterations, threads)
-}
-
-// NewSinkInto is NewSink writing into times when its length is the
-// geometry's sample count (a recycled column, say), and into a fresh
-// column otherwise. A sealed sink has written every sample, so what
-// times held before does not reach the store.
+// NewSinkInto returns a sink for the given geometry, writing into times
+// when its length is the geometry's sample count (a recycled column,
+// say), and into a fresh column otherwise. A sealed sink has written
+// every sample, so what times held before does not reach the store.
 func NewSinkInto(times []float64, app string, trials, ranks, iterations, threads int) *Sink {
 	col := newColumnar(times, app, trials, ranks, iterations, threads)
 	return &Sink{col: col, next: make([]int, trials*ranks)}
 }
-
-// App returns the application name the sink was created with.
-func (s *Sink) App() string { return s.col.app }
 
 // Trials returns the sink's trial count.
 func (s *Sink) Trials() int { return s.col.trials }
@@ -292,16 +251,6 @@ func (w *StripeWriter) nextView() []float64 {
 	}
 	off := w.base + *w.next*c.threads
 	return c.times[off : off+c.threads : off+c.threads]
-}
-
-// Append copies one process iteration's thread samples into the stripe.
-func (w *StripeWriter) Append(xs []float64) {
-	out := w.nextView()
-	if len(xs) != len(out) {
-		panic(fmt.Sprintf("trace: appending %d samples to a %d-thread stripe", len(xs), len(out)))
-	}
-	copy(out, xs)
-	*w.next++
 }
 
 // AppendWith hands the next iteration's backing storage to fill — letting

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"math"
 	"sync"
 	"testing"
 )
@@ -26,7 +24,7 @@ func TestSinkParallelFillMatchesDataset(t *testing.T) {
 	want := NewDataset("app", trials, ranks, iters, threads)
 	fillPattern(want)
 
-	sink := NewSink("app", trials, ranks, iters, threads)
+	sink := NewSinkInto(nil, "app", trials, ranks, iters, threads)
 	var wg sync.WaitGroup
 	for tr := 0; tr < trials; tr++ {
 		for r := 0; r < ranks; r++ {
@@ -75,10 +73,10 @@ func TestSinkParallelFillMatchesDataset(t *testing.T) {
 }
 
 func TestSinkSealRejectsIncompleteStripe(t *testing.T) {
-	sink := NewSink("app", 1, 2, 3, 2)
+	sink := NewSinkInto(nil, "app", 1, 2, 3, 2)
 	w := sink.Stripe(0, 0)
 	for i := 0; i < 3; i++ {
-		w.Append([]float64{1, 2})
+		w.AppendWith(func(out []float64) { copy(out, []float64{1, 2}) })
 	}
 	// Stripe (0,1) never filled.
 	if _, err := sink.Seal(); err == nil {
@@ -87,15 +85,15 @@ func TestSinkSealRejectsIncompleteStripe(t *testing.T) {
 }
 
 func TestStripeWriterPanicsPastEnd(t *testing.T) {
-	sink := NewSink("app", 1, 1, 1, 2)
+	sink := NewSinkInto(nil, "app", 1, 1, 1, 2)
 	w := sink.Stripe(0, 0)
-	w.Append([]float64{1, 2})
+	w.AppendWith(func(out []float64) { copy(out, []float64{1, 2}) })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on over-append")
 		}
 	}()
-	w.Append([]float64{3, 4})
+	w.AppendWith(func(out []float64) { copy(out, []float64{3, 4}) })
 }
 
 func TestCursorVisitsEveryBlockInOrder(t *testing.T) {
@@ -154,67 +152,25 @@ func TestCursorRange(t *testing.T) {
 	}
 }
 
-func TestColumnarCoordRoundTrip(t *testing.T) {
-	c := newColumnar(nil, "app", 2, 3, 4, 5)
-	row := 0
-	for tr := 0; tr < 2; tr++ {
-		for r := 0; r < 3; r++ {
-			for i := 0; i < 4; i++ {
-				for th := 0; th < 5; th++ {
-					gt, gr, gi, gth := c.Coord(row)
-					if gt != tr || gr != r || gi != i || gth != th {
-						t.Fatalf("Coord(%d) = (%d,%d,%d,%d), want (%d,%d,%d,%d)",
-							row, gt, gr, gi, gth, tr, r, i, th)
-					}
-					row++
-				}
-			}
-		}
+// TestColumnarTimesColumnSharesStorage: a sink writes into the column
+// it was given, and the nested view reads that same column.
+func TestColumnarTimesColumnSharesStorage(t *testing.T) {
+	times := make([]float64, 6)
+	sink := NewSinkInto(times, "app", 1, 1, 2, 3)
+	w := sink.Stripe(0, 0)
+	for i := 0; i < 2; i++ {
+		w.AppendWith(func(out []float64) {})
 	}
-}
-
-func TestDatasetColumnarAdoptsJSONDecoded(t *testing.T) {
-	d := NewDataset("app", 2, 2, 3, 2)
-	fillPattern(d)
-	var buf bytes.Buffer
-	if err := d.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&buf)
+	col, err := sink.Seal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.col != nil {
-		t.Fatal("JSON-decoded dataset unexpectedly has a backing store")
-	}
-	c := back.Columnar()
-	if c.NumSamples() != d.NumSamples() {
-		t.Fatalf("adopted columnar has %d samples, want %d", c.NumSamples(), d.NumSamples())
-	}
-	if c.Fingerprint() != d.Fingerprint() {
-		t.Fatal("adopted columnar fingerprint differs")
-	}
-	if back.Columnar() != c {
-		t.Fatal("Columnar not cached after adoption")
-	}
-	// The zero-copy column matches the nested view.
-	if got := c.Block(1, 1, 2); got[1] != back.Times[1][1][2][1] {
-		t.Fatalf("block view %v does not match nested view %v", got[1], back.Times[1][1][2][1])
-	}
-}
-
-func TestColumnarTimesColumnSharesStorage(t *testing.T) {
-	d := NewDataset("app", 1, 1, 2, 3)
-	d.Times[0][0][1][2] = 42e-3
-	col := d.Columnar()
 	flat := col.TimesColumn()
-	if len(flat) != 6 {
-		t.Fatalf("column length %d", len(flat))
+	if len(flat) != 6 || &flat[0] != &times[0] {
+		t.Fatalf("column of length %d does not reuse the given one", len(flat))
 	}
+	col.Dataset().Times[0][0][1][2] = 42e-3
 	if flat[5] != 42e-3 {
 		t.Fatalf("flat[5] = %v, want 42e-3 (storage not shared)", flat[5])
-	}
-	if math.IsNaN(flat[0]) {
-		t.Fatal("unexpected NaN")
 	}
 }

@@ -169,51 +169,3 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	// cell.
 	return d, nil
 }
-
-// SliceIterations returns a new dataset restricted to iterations
-// [from, to) — used for phase-wise analysis (MiniMD) and warm-up
-// trimming.
-func (d *Dataset) SliceIterations(from, to int) (*Dataset, error) {
-	if from < 0 || to > d.Iterations || from >= to {
-		return nil, fmt.Errorf("trace: iteration slice [%d, %d) outside [0, %d)", from, to, d.Iterations)
-	}
-	out := NewDataset(d.App, d.Trials, d.Ranks, to-from, d.Threads)
-	for t := 0; t < d.Trials; t++ {
-		for r := 0; r < d.Ranks; r++ {
-			for i := from; i < to; i++ {
-				copy(out.Times[t][r][i-from], d.Times[t][r][i])
-			}
-		}
-	}
-	return out, nil
-}
-
-// MergeTrials concatenates the trials of datasets with identical app and
-// per-trial geometry — combining repeated collection campaigns.
-func MergeTrials(ds ...*Dataset) (*Dataset, error) {
-	if len(ds) == 0 {
-		return nil, fmt.Errorf("trace: nothing to merge")
-	}
-	first := ds[0]
-	total := 0
-	for _, d := range ds {
-		if d.App != first.App || d.Ranks != first.Ranks ||
-			d.Iterations != first.Iterations || d.Threads != first.Threads {
-			return nil, fmt.Errorf("trace: geometry/app mismatch merging %q", d.App)
-		}
-		total += d.Trials
-	}
-	out := NewDataset(first.App, total, first.Ranks, first.Iterations, first.Threads)
-	t := 0
-	for _, d := range ds {
-		for _, trial := range d.Times {
-			for r, rank := range trial {
-				for i, iter := range rank {
-					copy(out.Times[t][r][i], iter)
-				}
-			}
-			t++
-		}
-	}
-	return out, nil
-}

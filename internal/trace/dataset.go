@@ -18,7 +18,7 @@ import (
 // themselves live in a flat Columnar store (see columnar.go) when the
 // dataset was produced by NewDataset or a Sink, with Times indexing
 // directly into the shared column. Hand-built or JSON-decoded datasets
-// may lack the backing store; Columnar() adopts them on demand.
+// may lack the backing store.
 type Dataset struct {
 	App        string `json:"app"`
 	Trials     int    `json:"trials"`
@@ -139,28 +139,6 @@ func (d *Dataset) Fingerprint() uint64 {
 		}
 	}
 	return h
-}
-
-// Columnar returns the dataset's backing columnar store, adopting (and
-// copying) the nested Times tensor when the dataset was hand-built or
-// JSON-decoded. The store shares storage with Times whenever possible, so
-// callers must not mutate the dataset afterwards.
-func (d *Dataset) Columnar() *Columnar {
-	if d.col != nil {
-		return d.col
-	}
-	c := newColumnar(nil, d.App, d.Trials, d.Ranks, d.Iterations, d.Threads)
-	flat := c.times
-	for _, trial := range d.Times {
-		for _, rank := range trial {
-			for _, iter := range rank {
-				copy(flat, iter)
-				flat = flat[len(iter):]
-			}
-		}
-	}
-	d.col = c
-	return c
 }
 
 // Cursor returns a block-at-a-time cursor over every process iteration in

@@ -50,7 +50,7 @@ func TestFingerprintStableAcrossCalls(t *testing.T) {
 // caller sees alone. Fingerprint caches nothing today; under -race
 // (make race) this guards any cache a later change adds to it.
 func TestFingerprintConcurrentCallsAgree(t *testing.T) {
-	sink := NewSink("app", 2, 3, 4, 5)
+	sink := NewSinkInto(nil, "app", 2, 3, 4, 5)
 	for tr := 0; tr < 2; tr++ {
 		for r := 0; r < 3; r++ {
 			w := sink.Stripe(tr, r)

@@ -47,18 +47,6 @@ func TestRecorderCancelsCoreSkew(t *testing.T) {
 	}
 }
 
-func TestRecorderSetComputeTime(t *testing.T) {
-	rec := NewRecorder(simclock.NewVirtual(), 1, 2)
-	rec.SetComputeTime(0, 0, 24740*time.Microsecond)
-	if got := rec.ComputeTime(0, 0); got != 24740*time.Microsecond {
-		t.Fatalf("got %v", got)
-	}
-	xs := rec.IterationSeconds(0)
-	if len(xs) != 2 || xs[0] != 0.02474 || xs[1] != 0 {
-		t.Fatalf("iteration seconds = %v", xs)
-	}
-}
-
 func TestRecorderPanicsOutOfRange(t *testing.T) {
 	rec := NewRecorder(simclock.NewVirtual(), 1, 1)
 	defer func() {
@@ -143,7 +131,9 @@ func TestDatasetSetFromRecorder(t *testing.T) {
 	rec := NewRecorder(v, 2, 3)
 	for i := 0; i < 2; i++ {
 		for th := 0; th < 3; th++ {
-			rec.SetComputeTime(i, th, time.Duration(i*3+th)*time.Millisecond)
+			rec.Enter(i, th, 0)
+			v.Advance(time.Duration(i*3+th) * time.Millisecond)
+			rec.Exit(i, th, 0)
 		}
 	}
 	d := NewDataset("x", 1, 1, 2, 3)

@@ -19,7 +19,7 @@ func TestNoiseInjectionDetectedAsLaggards(t *testing.T) {
 	cfg := cluster.Config{Trials: 2, Ranks: 4, Iterations: 100, Threads: 48, Seed: 21}
 
 	// Baseline: essentially no laggards.
-	clean := cluster.MustRun(base, cfg)
+	clean := mustRun(t, base, cfg)
 	if st := analysis.Laggards(clean, 1e-3); st.Fraction > 0.01 {
 		t.Fatalf("clean workload already has %.1f%% laggards", 100*st.Fraction)
 	}
@@ -35,7 +35,7 @@ func TestNoiseInjectionDetectedAsLaggards(t *testing.T) {
 	if noisy.Name() != "clean+noise" {
 		t.Fatalf("name = %q", noisy.Name())
 	}
-	d := cluster.MustRun(noisy, cfg)
+	d := mustRun(t, noisy, cfg)
 	st := analysis.Laggards(d, 1e-3)
 	// Expected iteration-level hit rate: 1-(1-p)^48 ~ 38%.
 	want := 1 - pow(1-p, 48)
@@ -67,8 +67,8 @@ func TestDaemonNoiseShiftsWithoutLaggards(t *testing.T) {
 		Suffix: "+daemon",
 	}
 	cfg := cluster.Config{Trials: 1, Ranks: 2, Iterations: 60, Threads: 48, Seed: 5}
-	clean := cluster.MustRun(base, cfg)
-	d := cluster.MustRun(noisy, cfg)
+	clean := mustRun(t, base, cfg)
+	d := mustRun(t, noisy, cfg)
 	mClean := analysis.ComputeMetrics(clean, 1e-3)
 	mNoisy := analysis.ComputeMetrics(d, 1e-3)
 	// ~200 wakeups x 5us = ~1ms shift in the median.
@@ -88,8 +88,8 @@ func TestNoisyDeterminism(t *testing.T) {
 		Noise: noise.RandomInterrupt{Rate: 100, MeanCost: 20 * time.Microsecond},
 	}
 	cfg := cluster.Config{Trials: 1, Ranks: 1, Iterations: 10, Threads: 16, Seed: 3}
-	a := cluster.MustRun(noisy, cfg).AllSamples()
-	b := cluster.MustRun(noisy, cfg).AllSamples()
+	a := mustRun(t, noisy, cfg).AllSamples()
+	b := mustRun(t, noisy, cfg).AllSamples()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("noisy model not deterministic")
@@ -101,8 +101,8 @@ func TestNoisyNilNoisePassthrough(t *testing.T) {
 	base := &workload.NormalModel{AppName: "x", MedianSec: 1e-3, SigmaSec: 0}
 	noisy := &workload.Noisy{Base: base}
 	cfg := cluster.Config{Trials: 1, Ranks: 1, Iterations: 2, Threads: 4, Seed: 1}
-	a := cluster.MustRun(base, cfg).AllSamples()
-	b := cluster.MustRun(noisy, cfg).AllSamples()
+	a := mustRun(t, base, cfg).AllSamples()
+	b := mustRun(t, noisy, cfg).AllSamples()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("nil noise changed samples")

@@ -8,6 +8,7 @@ import (
 	"earlybird/internal/cluster"
 	"earlybird/internal/rng"
 	"earlybird/internal/stats/normality"
+	"earlybird/internal/trace"
 	"earlybird/internal/workload"
 )
 
@@ -60,7 +61,7 @@ func TestModelNames(t *testing.T) {
 }
 
 func TestMiniFECalibration(t *testing.T) {
-	d := cluster.MustRun(workload.DefaultMiniFE(), calCfg)
+	d := mustRun(t, workload.DefaultMiniFE(), calCfg)
 	m := analysis.ComputeMetrics(d, analysis.DefaultLaggardThresholdSec)
 
 	// Paper Section 4.2.1 targets.
@@ -85,7 +86,7 @@ func TestMiniFECalibration(t *testing.T) {
 
 func TestMiniMDCalibration(t *testing.T) {
 	md := workload.DefaultMiniMD()
-	d := cluster.MustRun(md, calCfg)
+	d := mustRun(t, md, calCfg)
 
 	// Phase structure (Section 4.2.2): the first nineteen iterations are
 	// much wider than the remainder.
@@ -115,7 +116,7 @@ func TestMiniMDCalibration(t *testing.T) {
 }
 
 func TestMiniQMCCalibration(t *testing.T) {
-	d := cluster.MustRun(workload.DefaultMiniQMC(), calCfg)
+	d := mustRun(t, workload.DefaultMiniQMC(), calCfg)
 	m := analysis.ComputeMetrics(d, analysis.DefaultLaggardThresholdSec)
 
 	inBand(t, "mean median (s)", m.MeanMedianSec, 59e-3, 63e-3)               // 60.91 ms
@@ -125,16 +126,14 @@ func TestMiniQMCCalibration(t *testing.T) {
 
 	// The breadth of arrivals exceeds 40 ms (Figure 8).
 	ps := analysis.IterationPercentiles(d, []float64{1, 25, 50, 75, 99})
-	p1 := ps.Column(1)
-	p99 := ps.Column(99)
 	wide := 0
-	for i := range p1 {
-		if p99[i]-p1[i] > 30e-3 {
+	for _, row := range ps.Values {
+		if p1, p99 := row[0], row[4]; p99-p1 > 30e-3 {
 			wide++
 		}
 	}
-	if wide < len(p1)/2 {
-		t.Errorf("only %d/%d iterations have >30ms arrival breadth", wide, len(p1))
+	if wide < len(ps.Values)/2 {
+		t.Errorf("only %d/%d iterations have >30ms arrival breadth", wide, len(ps.Values))
 	}
 
 	// Table 1: most process iterations are normal.
@@ -151,7 +150,7 @@ func TestApplicationIterationRejection(t *testing.T) {
 	for _, m := range []workload.Model{
 		workload.DefaultMiniFE(), workload.DefaultMiniMD(), workload.DefaultMiniQMC(),
 	} {
-		d := cluster.MustRun(m, cluster.Config{Trials: 4, Ranks: 8, Iterations: 50, Threads: 48, Seed: 5})
+		d := mustRun(t, m, cluster.Config{Trials: 4, Ranks: 8, Iterations: 50, Threads: 48, Seed: 5})
 		s := analysis.ApplicationIterationNormality(d, normality.DefaultAlpha)
 		for _, test := range normality.Tests {
 			// At this reduced geometry (1536 samples per iteration vs the
@@ -169,7 +168,7 @@ func TestApplicationLevelRejection(t *testing.T) {
 	for _, m := range []workload.Model{
 		workload.DefaultMiniFE(), workload.DefaultMiniMD(), workload.DefaultMiniQMC(),
 	} {
-		d := cluster.MustRun(m, cluster.SmallConfig())
+		d := mustRun(t, m, cluster.SmallConfig())
 		res := analysis.ApplicationLevelNormality(d, normality.DefaultAlpha)
 		for _, r := range res {
 			if !r.RejectNormal {
@@ -184,7 +183,7 @@ func TestGenericNormalModel(t *testing.T) {
 	if m.Name() != "norm" {
 		t.Fatal("name")
 	}
-	d := cluster.MustRun(m, cluster.Config{Trials: 2, Ranks: 2, Iterations: 50, Threads: 48, Seed: 2})
+	d := mustRun(t, m, cluster.Config{Trials: 2, Ranks: 2, Iterations: 50, Threads: 48, Seed: 2})
 	t1 := analysis.Table1Row(d, normality.DefaultAlpha)
 	for _, test := range normality.Tests {
 		if t1.PassRates[test] < 0.85 {
@@ -207,7 +206,7 @@ func TestGenericUniformModelBounds(t *testing.T) {
 
 func TestSingleLaggardModel(t *testing.T) {
 	m := &workload.SingleLaggardModel{AppName: "lag", MedianSec: 20e-3, JitterSec: 0.01e-3, LagSec: 5e-3}
-	d := cluster.MustRun(m, cluster.Config{Trials: 1, Ranks: 2, Iterations: 40, Threads: 48, Seed: 3})
+	d := mustRun(t, m, cluster.Config{Trials: 1, Ranks: 2, Iterations: 40, Threads: 48, Seed: 3})
 	st := analysis.Laggards(d, analysis.DefaultLaggardThresholdSec)
 	if st.Fraction != 1 {
 		t.Fatalf("single-laggard model laggard fraction = %v, want 1", st.Fraction)
@@ -237,4 +236,15 @@ func TestFuncModelAdapter(t *testing.T) {
 	if m.Name() != "fn" {
 		t.Fatal("name")
 	}
+}
+
+// mustRun fills model at cfg through cluster.Run, failing the test on
+// an error.
+func mustRun(t *testing.T, model workload.Model, cfg cluster.Config) *trace.Dataset {
+	t.Helper()
+	d, err := cluster.Run(model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
